@@ -11,6 +11,7 @@ from .clustering import (
     split_check,
     stoer_wagner_mincut,
     to_cut_weights,
+    weighted_mean,
 )
 from .dtwseries import (
     NormWindow,
@@ -37,7 +38,6 @@ from .fed import (
     RunConfig,
     RunResult,
     evaluate_client,
-    fedavg_aggregate,
     local_train,
     run_federation,
 )
@@ -46,7 +46,6 @@ from .gnn import (
     GinModel,
     adam_step,
     cross_entropy,
-    gin_backward,
     gin_forward,
     gin_loss_and_grad,
     init_adam,

@@ -43,40 +43,44 @@ class ClusterState:
         self.members = sorted(self.members)
 
 
+def weighted_mean(deltas: list[np.ndarray], sizes: list[int]) -> np.ndarray:
+    """Mean of the member updates, each weighted by its share of the total size."""
+    if not deltas or len(deltas) != len(sizes):
+        raise ArgumentError("need one update and one size per member")
+    weights = np.asarray(sizes, dtype=np.float64)
+    total = weights.sum()
+    if total <= 0:
+        raise ArgumentError("total size must be positive")
+    weights = weights / total
+    return sum(w * d for w, d in zip(weights, deltas))
+
+
 def delta_stats(deltas: list[np.ndarray], sizes: list[int]) -> tuple[float, float]:
     """Norm of the size-weighted mean update and the largest update norm."""
-    if not deltas:
-        raise ArgumentError("cluster has no updates")
-    if len(deltas) != len(sizes):
-        raise ArgumentError("one size per update required")
-    weights = np.asarray(sizes, dtype=np.float64)
-    weights = weights / weights.sum()
-    mean_update = sum(w * d for w, d in zip(weights, deltas))
-    delta_mean = float(np.linalg.norm(mean_update))
+    delta_mean = float(np.linalg.norm(weighted_mean(deltas, sizes)))
     delta_max = float(max(np.linalg.norm(d) for d in deltas))
     return delta_mean, delta_max
 
 
 def split_check(
-    deltas: list[np.ndarray],
-    sizes: list[int],
+    delta_mean: float,
+    delta_max: float,
+    num_members: int,
     config: ClusterConfig,
     round_index: int,
-) -> tuple[bool, float, float]:
-    """Evaluate the two split criteria on one cluster's updates.
+) -> bool:
+    """Evaluate the two split criteria on one cluster's update statistics.
 
-    delta_mean is the norm of the size-weighted mean update; delta_max the
-    largest individual update norm. A split additionally requires at least
-    ``min_split_size`` members and ``round_index >= warmup_rounds``.
+    ``delta_mean`` and ``delta_max`` come from ``delta_stats``. A split
+    additionally requires at least ``min_split_size`` members and
+    ``round_index >= warmup_rounds``.
     """
-    delta_mean, delta_max = delta_stats(deltas, sizes)
-    should = (
+    return (
         delta_mean < config.eps1
         and delta_max > config.eps2
-        and len(deltas) >= config.min_split_size
+        and num_members >= config.min_split_size
         and round_index >= config.warmup_rounds
     )
-    return should, delta_mean, delta_max
 
 
 def cosine_matrix(deltas: list[np.ndarray]) -> np.ndarray:
@@ -209,13 +213,5 @@ def bipartition_cluster(
 
 def cluster_aggregate(cluster: ClusterState, deltas: list[np.ndarray], sizes: list[int]) -> np.ndarray:
     """Advance the cluster model by the size-weighted mean member update."""
-    if len(deltas) != len(sizes) or not deltas:
-        raise ArgumentError("need one update and one size per member")
-    weights = np.asarray(sizes, dtype=np.float64)
-    total = weights.sum()
-    if total <= 0:
-        raise ArgumentError("total size must be positive")
-    weights = weights / total
-    update = sum(w * d for w, d in zip(weights, deltas))
-    cluster.model = cluster.model + update
+    cluster.model = cluster.model + weighted_mean(deltas, sizes)
     return cluster.model

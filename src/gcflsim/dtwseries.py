@@ -7,10 +7,8 @@ round-to-round fluctuation.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -117,12 +115,3 @@ def dtw_to_cut_weights(beta: np.ndarray) -> np.ndarray:
     np.fill_diagonal(w, 0.0)
     return w
 
-
-def write_window_csv(path: str | Path, window: NormWindow, members: list[int]) -> None:
-    """Dump the current norm buffers of the given clients (one row each)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["client_id", "norms"])
-        for client_id in sorted(members):
-            row = window.row(client_id)
-            writer.writerow([client_id, ";".join(repr(float(x)) for x in row)])

@@ -135,8 +135,8 @@ def local_train(
         raise ArgumentError("epochs must be >= 0")
     model = client.params
     opt = client.optimizer
-    params = np.asarray(start_params, dtype=np.float64).copy()
-    model.load_flat(params)
+    start = np.array(start_params, dtype=np.float64)
+    model.vector[:] = start
     labels_all = [g.label for g in client.train_graphs]
     losses = []
     for _ in range(epochs):
@@ -148,42 +148,25 @@ def local_train(
             loss, grad = gin_loss_and_grad(model, batch, batch_labels)
             if prox is not None and prox[0] != 0.0:
                 mu, anchor = prox
-                diff = params - anchor
+                diff = model.vector - anchor
                 loss += 0.5 * mu * float(diff @ diff)
                 grad = grad + mu * diff
             losses.append(loss)
-            params = adam_step(opt, params, grad)
-            model.load_flat(params)
-    client.last_delta = params - np.asarray(start_params, dtype=np.float64)
+            model.vector[:] = adam_step(opt, model.vector, grad)
+    client.last_delta = model.vector - start
     client.last_train_loss = float(np.mean(losses)) if losses else float("nan")
     return client.last_delta
-
-
-def fedavg_aggregate(deltas: list[np.ndarray], sizes: list[int], base: np.ndarray) -> np.ndarray:
-    """base + size-weighted mean of the deltas."""
-    if not deltas or len(deltas) != len(sizes):
-        raise ArgumentError("need one size per delta and at least one delta")
-    weights = np.asarray(sizes, dtype=np.float64)
-    total = weights.sum()
-    if total <= 0:
-        raise ArgumentError("total size must be positive")
-    weights = weights / total
-    assert abs(weights.sum() - 1.0) < 1e-9
-    return base + sum(w * d for w, d in zip(weights, deltas))
 
 
 def evaluate_client(client: ClientState, params: np.ndarray) -> tuple[float, float]:
     """Mean test cross-entropy and accuracy under the given parameters."""
     if not client.test_graphs:
         return float("nan"), float("nan")
-    client.params.load_flat(params)
-    losses = []
-    correct = 0
-    for g in client.test_graphs:
-        logits = gin_forward(client.params, g)
-        losses.append(cross_entropy(logits, g.label))
-        correct += int(np.argmax(logits) == g.label)
-    return float(np.mean(losses)), correct / len(client.test_graphs)
+    client.params.vector[:] = params
+    labels = np.array([g.label for g in client.test_graphs])
+    logits, _ = gin_forward(client.params, client.test_graphs)
+    correct = int(np.sum(np.argmax(logits, axis=1) == labels))
+    return float(np.mean(cross_entropy(logits, labels))), correct / len(labels)
 
 
 def infer_dims(clients: list[ClientState]) -> tuple[int, int]:
@@ -228,12 +211,12 @@ def run_federation(
 
     init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _INIT_SEED_TAG]))
     init_model = init_gin(input_dim, output_dim, config.hidden, config.num_layers, init_rng)
-    init_flat = init_model.flatten()
-    num_params = len(init_flat)
+    init_flat = init_model.vector
+    num_params = init_flat.size
 
     for c in clients:
-        c.params = GinModel(input_dim, output_dim, config.hidden, config.num_layers)
-        c.params.load_flat(init_flat)
+        c.params = GinModel(input_dim, output_dim, config.hidden, config.num_layers,
+                            init_flat.copy())
         c.optimizer = init_adam(num_params, config.lr, config.weight_decay)
         c.rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.seed])
@@ -299,13 +282,12 @@ def run_federation(
                 if not full:
                     survivors.append(cluster)
                     continue
-                member_deltas = [deltas[cid] for cid in cluster.members]
-                member_sizes = [by_id[cid].data_size for cid in cluster.members]
-                should, d_mean, d_max = split_check(member_deltas, member_sizes, config.cluster, t)
-                cluster.delta_mean, cluster.delta_max = d_mean, d_max
+                should = split_check(cluster.delta_mean, cluster.delta_max,
+                                     len(cluster.members), config.cluster, t)
                 if should and len(cluster.members) >= 2:
                     if algorithm == "gcfl":
-                        weights = to_cut_weights(cosine_matrix(member_deltas))
+                        weights = to_cut_weights(cosine_matrix(
+                            [deltas[cid] for cid in cluster.members]))
                     else:
                         weights = dtw_to_cut_weights(
                             dtw_matrix(window, cluster.members, config.standardize)
@@ -321,7 +303,7 @@ def run_federation(
                     split_events.append(SplitEvent(
                         t, cluster.id, (child_a.id, child_b.id),
                         (tuple(child_a.members), tuple(child_b.members)),
-                        d_mean, d_max, cut_value,
+                        cluster.delta_mean, cluster.delta_max, cut_value,
                     ))
                     logger.info("round %d: cluster %d split into %s | %s (cut %.3g)",
                                 t, cluster.id, child_a.members, child_b.members, cut_value)

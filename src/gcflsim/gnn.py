@@ -3,17 +3,21 @@
 Everything runs in 64-bit floats. Per layer the update is
 ``h' = MLP((1 + eps) * h + sum of neighbor h)`` with a two-linear MLP and one
 inner ReLU; the readout is sum pooling followed by a linear classifier.
-Parameters flatten to a single vector in a fixed order (per layer: eps, W1,
+All parameters live in one flat vector in a fixed order (per layer: eps, W1,
 b1, W2, b2; then classifier W, b), which is the unit of federation transport.
+A batch of graphs runs as one disjoint union, in training and evaluation alike.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ArgumentError
 from .graphs import Graph
@@ -23,59 +27,41 @@ CHECKPOINT_MAGIC = b"GINCKPT1"
 
 @dataclass
 class GinModel:
+    """GIN dimensions plus the flat parameter vector.
+
+    ``eps``, ``w1``, ``b1``, ``w2`` and ``b2`` (one entry per layer) and
+    ``wc``, ``bc`` are views into ``vector``: write parameters in place, never
+    rebind them. Without a vector the model starts at all zeros.
+    """
+
     input_dim: int
     output_dim: int
     hidden: int = 64
     num_layers: int = 3
-    eps: list[float] = field(default_factory=list)
-    w1: list[np.ndarray] = field(default_factory=list)
-    b1: list[np.ndarray] = field(default_factory=list)
-    w2: list[np.ndarray] = field(default_factory=list)
-    b2: list[np.ndarray] = field(default_factory=list)
-    wc: np.ndarray | None = None
-    bc: np.ndarray | None = None
+    vector: np.ndarray | None = None
+
+    def __post_init__(self):
+        h, c = self.hidden, self.output_dim
+        shapes = []
+        for l in range(self.num_layers):
+            shapes += [(), (self.layer_input_dim(l), h), (h,), (h, h), (h,)]
+        shapes += [(h, c), (c,)]
+        ends = np.cumsum([math.prod(s) for s in shapes])
+        if self.vector is None:
+            self.vector = np.zeros(ends[-1])
+        self.vector = np.ascontiguousarray(self.vector, dtype=np.float64)
+        if self.vector.shape != (ends[-1],):
+            raise ArgumentError(f"expected {ends[-1]} parameters, got {self.vector.shape}")
+        views = [part.reshape(s) for part, s in zip(np.split(self.vector, ends[:-1]), shapes)]
+        layers = views[:-2]
+        self.eps, self.w1, self.b1, self.w2, self.b2 = (layers[i::5] for i in range(5))
+        self.wc, self.bc = views[-2:]
 
     def layer_input_dim(self, layer: int) -> int:
         return self.input_dim if layer == 0 else self.hidden
 
     def num_params(self) -> int:
-        return gin_param_count(self.input_dim, self.hidden, self.num_layers, self.output_dim)
-
-    def flatten(self) -> np.ndarray:
-        parts = []
-        for l in range(self.num_layers):
-            parts.append(np.array([self.eps[l]]))
-            parts.extend([self.w1[l].ravel(), self.b1[l], self.w2[l].ravel(), self.b2[l]])
-        parts.extend([self.wc.ravel(), self.bc])
-        return np.concatenate(parts)
-
-    def load_flat(self, vec: np.ndarray) -> "GinModel":
-        """Overwrite all parameters from a flat vector (inverse of flatten)."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.num_params(),):
-            raise ArgumentError(f"expected {self.num_params()} parameters, got {vec.shape}")
-        h = self.hidden
-        pos = 0
-        self.eps, self.w1, self.b1, self.w2, self.b2 = [], [], [], [], []
-        for l in range(self.num_layers):
-            d = self.layer_input_dim(l)
-            self.eps.append(float(vec[pos])); pos += 1
-            self.w1.append(vec[pos:pos + d * h].reshape(d, h).copy()); pos += d * h
-            self.b1.append(vec[pos:pos + h].copy()); pos += h
-            self.w2.append(vec[pos:pos + h * h].reshape(h, h).copy()); pos += h * h
-            self.b2.append(vec[pos:pos + h].copy()); pos += h
-        c = self.output_dim
-        self.wc = vec[pos:pos + h * c].reshape(h, c).copy(); pos += h * c
-        self.bc = vec[pos:pos + c].copy(); pos += c
-        return self
-
-
-def gin_param_count(input_dim: int, hidden: int, num_layers: int, output_dim: int) -> int:
-    total = 0
-    for l in range(num_layers):
-        d = input_dim if l == 0 else hidden
-        total += 1 + d * hidden + hidden + hidden * hidden + hidden
-    return total + hidden * output_dim + output_dim
+        return self.vector.size
 
 
 def init_gin(
@@ -95,130 +81,107 @@ def init_gin(
 
     for l in range(num_layers):
         d = model.layer_input_dim(l)
-        model.eps.append(0.0)
-        model.w1.append(uniform(d, (d, hidden)))
-        model.b1.append(uniform(d, (hidden,)))
-        model.w2.append(uniform(hidden, (hidden, hidden)))
-        model.b2.append(uniform(hidden, (hidden,)))
-    model.wc = uniform(hidden, (hidden, output_dim))
-    model.bc = uniform(hidden, (output_dim,))
+        model.w1[l][...] = uniform(d, (d, hidden))
+        model.b1[l][...] = uniform(d, (hidden,))
+        model.w2[l][...] = uniform(hidden, (hidden, hidden))
+        model.b2[l][...] = uniform(hidden, (hidden,))
+    model.wc[...] = uniform(hidden, (hidden, output_dim))
+    model.bc[...] = uniform(hidden, (output_dim,))
     return model
 
 
-def _neighbor_sum(graph: Graph, h: np.ndarray) -> np.ndarray:
-    if graph.num_nodes <= 512:
-        return graph.adjacency @ h
-    out = np.zeros_like(h)
-    np.add.at(out, graph.edges[:, 0], h[graph.edges[:, 1]])
-    np.add.at(out, graph.edges[:, 1], h[graph.edges[:, 0]])
-    return out
+class ForwardCache(NamedTuple):
+    """What backpropagation needs from one batched forward pass."""
+
+    adjacency: sparse.csr_array  # block diagonal over all nodes of the batch
+    sizes: np.ndarray  # nodes per graph
+    layers: list[tuple[np.ndarray, ...]]  # per layer: input h, s, z = s W1 + b1, relu(z)
+    pooled: np.ndarray  # (graphs, hidden) sum-pooled node states
 
 
-def gin_forward(model: GinModel, graph: Graph) -> np.ndarray:
-    """Class logits for one graph."""
-    if graph.feat_dim != model.input_dim:
-        raise ArgumentError(f"feature dim {graph.feat_dim} != model input dim {model.input_dim}")
-    h = graph.features
+def gin_forward(model: GinModel, graphs: list[Graph]) -> tuple[np.ndarray, ForwardCache]:
+    """Class logits, one row per graph, and the cache for backpropagation.
+
+    The batch runs as one disjoint union: node features stacked, one sparse
+    block-diagonal adjacency, and sum pooling over each graph's node rows.
+    """
+    if not graphs:
+        raise ArgumentError("batch must be nonempty")
+    dims = {g.feat_dim for g in graphs}
+    if dims != {model.input_dim}:
+        raise ArgumentError(f"feature dims {sorted(dims)} != model input dim {model.input_dim}")
+    sizes = np.array([g.num_nodes for g in graphs])
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    edges = np.concatenate([g.edges + start for g, start in zip(graphs, starts)])
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    num_nodes = int(sizes.sum())
+    adjacency = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(num_nodes, num_nodes))
+    h = np.concatenate([g.features for g in graphs])
+    layers = []
     for l in range(model.num_layers):
-        s = (1.0 + model.eps[l]) * h + _neighbor_sum(graph, h)
-        z = s @ model.w1[l] + model.b1[l]
-        h = np.maximum(z, 0.0) @ model.w2[l] + model.b2[l]
-    pooled = h.sum(axis=0)
-    return pooled @ model.wc + model.bc
+        s = adjacency @ h
+        s += (1.0 + model.eps[l]) * h
+        z = s @ model.w1[l]
+        z += model.b1[l]
+        r = np.maximum(z, 0.0)
+        layers.append((h, s, z, r))
+        h = r @ model.w2[l]
+        h += model.b2[l]
+    pooled = np.add.reduceat(h, starts, axis=0)
+    return pooled @ model.wc + model.bc, ForwardCache(adjacency, sizes, layers, pooled)
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """Negative log-softmax at ``label``, stabilized by max subtraction."""
+def cross_entropy(logits: np.ndarray, labels) -> np.ndarray:
+    """Negative log-softmax at ``labels`` along the last axis, stabilized by max subtraction.
+
+    One logit row and one label give a scalar; a (graphs, classes) matrix and
+    one label per row give one loss per row.
+    """
     logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < len(logits):
-        raise ArgumentError(f"label {label} out of range for {len(logits)} classes")
-    z = logits - logits.max()
-    return float(np.log(np.exp(z).sum()) - z[label])
+    labels = np.asarray(labels, dtype=np.int64)
+    if np.any((labels < 0) | (labels >= logits.shape[-1])):
+        raise ArgumentError(f"label out of range for {logits.shape[-1]} classes")
+    z = logits - logits.max(axis=-1, keepdims=True)
+    picked = np.take_along_axis(z, labels[..., None], axis=-1)[..., 0]
+    return np.log(np.exp(z).sum(axis=-1)) - picked
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.exp(logits - logits.max())
-    return z / z.sum()
+    z = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 def gin_loss_and_grad(
     model: GinModel, graphs: list[Graph], labels: list[int]
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient, flattened."""
-    if not graphs:
-        raise ArgumentError("batch must be nonempty")
+    """Mean cross-entropy over the batch and its gradient in the model's layout."""
     if len(graphs) != len(labels):
         raise ArgumentError("one label per graph required")
-    nl, h_dim = model.num_layers, model.hidden
-    g_eps = np.zeros(nl)
-    g_w1 = [np.zeros_like(model.w1[l]) for l in range(nl)]
-    g_b1 = [np.zeros_like(model.b1[l]) for l in range(nl)]
-    g_w2 = [np.zeros_like(model.w2[l]) for l in range(nl)]
-    g_b2 = [np.zeros_like(model.b2[l]) for l in range(nl)]
-    g_wc = np.zeros_like(model.wc)
-    g_bc = np.zeros_like(model.bc)
-    total_loss = 0.0
-    inv_b = 1.0 / len(graphs)
+    logits, cache = gin_forward(model, graphs)
+    labels = np.asarray(labels, dtype=np.int64)
+    loss = float(cross_entropy(logits, labels).mean())
 
-    for graph, label in zip(graphs, labels):
-        if graph.feat_dim != model.input_dim:
-            raise ArgumentError("graph feature dim does not match model")
-        h_in: list[np.ndarray] = []
-        s_cache: list[np.ndarray] = []
-        z_cache: list[np.ndarray] = []
-        r_cache: list[np.ndarray] = []
-        h = graph.features
-        for l in range(nl):
-            h_in.append(h)
-            s = (1.0 + model.eps[l]) * h + _neighbor_sum(graph, h)
-            z = s @ model.w1[l] + model.b1[l]
-            r = np.maximum(z, 0.0)
-            s_cache.append(s)
-            z_cache.append(z)
-            r_cache.append(r)
-            h = r @ model.w2[l] + model.b2[l]
-        pooled = h.sum(axis=0)
-        logits = pooled @ model.wc + model.bc
-        total_loss += cross_entropy(logits, label)
-
-        d_logits = softmax(logits)
-        d_logits[label] -= 1.0
-        d_logits *= inv_b
-        g_wc += np.outer(pooled, d_logits)
-        g_bc += d_logits
-        d_h = np.broadcast_to(model.wc @ d_logits, h.shape).copy()  # sum pooling fan-out
-        for l in reversed(range(nl)):
-            g_w2[l] += r_cache[l].T @ d_h
-            g_b2[l] += d_h.sum(axis=0)
-            d_r = d_h @ model.w2[l].T
-            d_z = d_r * (z_cache[l] > 0.0)
-            g_w1[l] += s_cache[l].T @ d_z
-            g_b1[l] += d_z.sum(axis=0)
-            d_s = d_z @ model.w1[l].T
-            g_eps[l] += float(np.sum(d_s * h_in[l]))
-            d_h = (1.0 + model.eps[l]) * d_s + _neighbor_sum(graph, d_s)
-
-    parts = []
-    for l in range(nl):
-        parts.extend([np.array([g_eps[l]]), g_w1[l].ravel(), g_b1[l], g_w2[l].ravel(), g_b2[l]])
-    parts.extend([g_wc.ravel(), g_bc])
-    return total_loss * inv_b, np.concatenate(parts)
-
-
-def gin_backward(model: GinModel, graphs: list[Graph], labels: list[int]) -> np.ndarray:
-    """Gradient of the mean batch cross-entropy w.r.t. all flat parameters."""
-    return gin_loss_and_grad(model, graphs, labels)[1]
-
-
-def batch_loss(model: GinModel, graphs: list[Graph], labels: list[int]) -> float:
-    if not graphs:
-        raise ArgumentError("batch must be nonempty")
-    return float(np.mean([cross_entropy(gin_forward(model, g), y)
-                          for g, y in zip(graphs, labels)]))
-
-
-def predict(model: GinModel, graph: Graph) -> int:
-    return int(np.argmax(gin_forward(model, graph)))
+    d_logits = softmax(logits)
+    d_logits[np.arange(len(labels)), labels] -= 1.0
+    d_logits /= len(labels)
+    grad = replace(model, vector=None)
+    grad.wc[...] = cache.pooled.T @ d_logits
+    grad.bc[...] = d_logits.sum(axis=0)
+    d_h = np.repeat(d_logits @ model.wc.T, cache.sizes, axis=0)  # sum pooling fans out
+    for l in reversed(range(model.num_layers)):
+        h, s, z, r = cache.layers[l]
+        grad.w2[l][...] = r.T @ d_h
+        grad.b2[l][...] = d_h.sum(axis=0)
+        d_z = d_h @ model.w2[l].T
+        d_z *= z > 0.0
+        grad.w1[l][...] = s.T @ d_z
+        grad.b1[l][...] = d_z.sum(axis=0)
+        d_s = d_z @ model.w1[l].T
+        grad.eps[l][...] = np.vdot(d_s, h)
+        d_h = cache.adjacency @ d_s
+        d_h += (1.0 + model.eps[l]) * d_s
+    return loss, grad.vector
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +230,7 @@ def save_checkpoint(model: GinModel, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(header)
-        fh.write(model.flatten().astype("<f8").tobytes())
+        fh.write(model.vector.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> GinModel:
@@ -277,8 +240,7 @@ def load_checkpoint(path: str | Path) -> GinModel:
             raise ArgumentError(f"{path} is not a model checkpoint")
         input_dim, hidden, num_layers, output_dim = struct.unpack("<4q", fh.read(32))
         flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    model = GinModel(int(input_dim), int(output_dim), int(hidden), int(num_layers))
-    return model.load_flat(flat)
+    return GinModel(int(input_dim), int(output_dim), int(hidden), int(num_layers), flat)
 
 
 # ---------------------------------------------------------------------------

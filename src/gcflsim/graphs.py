@@ -134,7 +134,7 @@ def erdos_renyi_gnm(n: int, m: int, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     if max_m <= 200_000:
         chosen = rng.choice(max_m, size=m, replace=False) if m else np.empty(0, np.int64)
-        edges = np.array([_edge_from_index(int(k), n) for k in np.sort(chosen)], dtype=np.int64)
+        edges = np.stack(decode_pair_index(np.sort(chosen), n), axis=1)
     else:
         # rejection sampling keeps memory O(m) on very large vertex sets
         picked: set[tuple[int, int]] = set()
@@ -153,16 +153,24 @@ def erdos_renyi_gnm(n: int, m: int, seed: int) -> Graph:
     return Graph(n, edges, np.ones((n, 1)), 0)
 
 
-def _edge_from_index(k: int, n: int) -> tuple[int, int]:
-    """Decode the k-th pair in lexicographic order over {(u,v): u<v<n}."""
-    u = 0
-    remaining = k
-    row = n - 1
-    while remaining >= row:
-        remaining -= row
-        u += 1
-        row -= 1
-    return (u, u + 1 + remaining)
+def decode_pair_index(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode flat indices k into the k-th pairs (u, v) of {(u, v): u < v < n}.
+
+    Pairs are numbered in lexicographic order, so row u starts at
+    first(u) = u * (2n - u - 1) / 2 and the row of k is the floored smaller
+    root of first(u) = k; one integer step each way corrects the rounding of
+    the square root.
+    """
+    k = np.asarray(k, dtype=np.int64)
+
+    def first(u):
+        return u * (2 * n - u - 1) // 2
+
+    b = 2 * n - 1
+    u = np.floor((b - np.sqrt(float(b) * b - 8.0 * k)) / 2).astype(np.int64)
+    u -= first(u) > k
+    u += first(u + 1) <= k
+    return u, k - first(u) + u + 1
 
 
 def binomial_gnp(n: int, p: float, seed: int) -> Graph:

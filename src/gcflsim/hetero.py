@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, UndefinedEmbeddingError
-from .graphs import Dataset, Graph
+from .graphs import Dataset, Graph, decode_pair_index
 
 logger = logging.getLogger(__name__)
 
@@ -228,11 +228,12 @@ def pairwise_heterogeneity(
     """Mean and spread of pairwise structure/feature divergence across sets.
 
     Uses every cross-set pair when the count fits the budget, otherwise a
-    seeded uniform sample of distinct pairs. Comparing a set against itself
-    uses unordered distinct pairs. Edgeless graphs are skipped; more than 50%
-    skipped in either set is an error.
+    seeded uniform sample of distinct pairs. Passing one Dataset object as
+    both sets compares it against itself over unordered distinct pairs.
+    Edgeless graphs are skipped; more than 50% skipped in either set is an
+    error.
     """
-    same = set_a is set_b or set_a.name == set_b.name
+    same = set_a is set_b
     idx_a = _valid_indices(set_a)
     idx_b = idx_a if same else _valid_indices(set_b)
 
@@ -243,8 +244,8 @@ def pairwise_heterogeneity(
     if same:
         total = len(idx_a) * (len(idx_a) - 1) // 2
         codes = _sample_codes(rng, total, pair_budget)
-        pairs = [_triangle_decode(int(c), len(idx_a)) for c in codes]
-        pairs = [(idx_a[i], idx_a[j]) for i, j in pairs]
+        rows, cols = decode_pair_index(codes, len(idx_a))
+        pairs = [(idx_a[i], idx_a[j]) for i, j in zip(rows.tolist(), cols.tolist())]
     else:
         total = len(idx_a) * len(idx_b)
         codes = _sample_codes(rng, total, pair_budget)
@@ -311,17 +312,6 @@ def _sample_codes(rng: np.random.Generator, total: int, want: int) -> np.ndarray
                 if len(out) == want:
                     break
     return np.array(out, dtype=np.int64)
-
-
-def _triangle_decode(code: int, n: int) -> tuple[int, int]:
-    """Decode a flat index over unordered distinct pairs {(i, j): i < j < n}."""
-    i = 0
-    row = n - 1
-    while code >= row:
-        code -= row
-        i += 1
-        row -= 1
-    return (i, i + 1 + code)
 
 
 def write_heterogeneity_csv(path: str | Path, reports: list[HeterogeneityReport]) -> None:

@@ -15,7 +15,7 @@ from scipy import stats as scipy_stats
 from gcflsim.clustering import ClusterConfig, stoer_wagner_mincut
 from gcflsim.dtwseries import dtw_distance
 from gcflsim.fed import RunConfig, run_federation
-from gcflsim.gnn import batch_loss, gin_loss_and_grad, init_gin
+from gcflsim.gnn import gin_loss_and_grad, init_gin
 from gcflsim.graphs import Dataset
 from gcflsim.harness import (
     ExperimentConfig,
@@ -37,6 +37,7 @@ from conftest import data_root, random_graph, require_dataset
 from test_clustering import brute_force_mincut, random_weights
 from test_dtwseries import dtw_oracle
 from test_fed import reports_equal, tiny_clients
+from test_gnn import batch_loss
 from test_properties import (
     brute_clustering,
     brute_kurtosis,
@@ -186,7 +187,7 @@ def test_criterion_4_gradient_correctness():
             labels = [int(rng.integers(classes)) for _ in graphs]
             model = init_gin(feat_dim, classes, hidden=int(rng.integers(3, 6)),
                              num_layers=int(rng.integers(1, 4)), rng=rng)
-            theta = model.flatten()
+            theta = model.vector.copy()
             use_prox = instance % 2 == 1
             mu = 0.25 if use_prox else 0.0
             anchor = theta + 0.1 * rng.standard_normal(theta.shape)
@@ -195,7 +196,7 @@ def test_criterion_4_gradient_correctness():
             analytic = grad + mu * (theta - anchor)
 
             def objective(vec):
-                model.load_flat(vec)
+                model.vector[:] = vec
                 value = batch_loss(model, graphs, labels)
                 return value + 0.5 * mu * float((vec - anchor) @ (vec - anchor))
 
@@ -207,7 +208,7 @@ def test_criterion_4_gradient_correctness():
                 numeric = (objective(up) - objective(down)) / (2.0 * h)
                 tol = max(1e-8, 1e-4 * max(abs(numeric), abs(analytic[k])))
                 assert abs(numeric - analytic[k]) <= tol, (instance, k)
-            model.load_flat(theta)
+            model.vector[:] = theta
 
 
 def test_criterion_5_aggregation_identities():
@@ -219,19 +220,19 @@ def test_criterion_5_aggregation_identities():
         never_split = RunConfig(seed=3, hidden=8, num_layers=2,
                                 cluster=ClusterConfig(eps1=1e-12, eps2=1e12))
         res_gcfl = run_federation(clients, "gcfl", 5, never_split)
-        gcfl_params = {c.id: c.params.flatten().tobytes() for c in clients}
+        gcfl_params = {c.id: c.params.vector.tobytes() for c in clients}
         res_avg = run_federation(clients, "fedavg", 5, base)
         for c in clients:
-            assert c.params.flatten().tobytes() == gcfl_params[c.id]
+            assert c.params.vector.tobytes() == gcfl_params[c.id]
         assert reports_equal(res_gcfl.reports, res_avg.reports)
 
         # FedProx with mu = 0 == FedAvg
         mu_zero = RunConfig(seed=3, hidden=8, num_layers=2, prox_mu=0.0)
         res_prox = run_federation(clients, "fedprox", 5, mu_zero)
-        prox_params = {c.id: c.params.flatten().copy() for c in clients}
+        prox_params = {c.id: c.params.vector.copy() for c in clients}
         run_federation(clients, "fedavg", 5, base)
         for c in clients:
-            assert np.array_equal(c.params.flatten(), prox_params[c.id])
+            assert np.array_equal(c.params.vector, prox_params[c.id])
         assert reports_equal(res_prox.reports, res_avg.reports)
 
         # self-train with one client == FedAvg with one client
@@ -239,7 +240,7 @@ def test_criterion_5_aggregation_identities():
         solo_b = tiny_clients(1, graphs_each=10, seed=2)
         r1 = run_federation(solo_a, "selftrain", 5, base)
         r2 = run_federation(solo_b, "fedavg", 5, base)
-        assert np.array_equal(solo_a[0].params.flatten(), solo_b[0].params.flatten())
+        assert np.array_equal(solo_a[0].params.vector, solo_b[0].params.vector)
         assert reports_equal(r1.reports, r2.reports)
 
 

@@ -45,38 +45,57 @@ def _unique_mincut(w, best_val, tol=1e-12):
     return hits == 1
 
 
+def fedavg_aggregate(deltas, sizes, base):
+    """base + size-weighted mean of the deltas."""
+    if not deltas or len(deltas) != len(sizes):
+        raise ArgumentError("need one size per delta and at least one delta")
+    weights = np.asarray(sizes, dtype=np.float64)
+    total = weights.sum()
+    if total <= 0:
+        raise ArgumentError("total size must be positive")
+    weights = weights / total
+    assert abs(weights.sum() - 1.0) < 1e-9
+    return base + sum(w * d for w, d in zip(weights, deltas))
+
+
+def stats_and_check(deltas, sizes, config, round_index):
+    """The split decision as the round loop makes it: statistics first, then the criteria."""
+    d_mean, d_max = delta_stats(deltas, sizes)
+    return split_check(d_mean, d_max, len(deltas), config, round_index), d_mean, d_max
+
+
 class TestSplitCheck:
     CFG = ClusterConfig(eps1=1.0, eps2=0.5, min_split_size=2, warmup_rounds=0)
 
     def test_all_zero_deltas_do_not_split(self):
         deltas = [np.zeros(4)] * 3
-        should, d_mean, d_max = split_check(deltas, [1, 1, 1], self.CFG, round_index=5)
+        should, d_mean, d_max = stats_and_check(deltas, [1, 1, 1], self.CFG, round_index=5)
         assert (should, d_mean, d_max) == (False, 0.0, 0.0)
 
     def test_exact_cancellation_splits(self):
         v = np.array([3.0, 4.0])  # norm 5 > eps2
-        should, d_mean, d_max = split_check([v, -v], [2, 2], self.CFG, round_index=1)
+        should, d_mean, d_max = stats_and_check([v, -v], [2, 2], self.CFG, round_index=1)
         assert should and d_mean == pytest.approx(0.0) and d_max == pytest.approx(5.0)
 
     def test_aligned_updates_do_not_split(self):
         v = np.array([3.0, 4.0])
-        should, d_mean, _ = split_check([v, v, v], [1, 1, 1], self.CFG, round_index=1)
+        should, d_mean, _ = stats_and_check([v, v, v], [1, 1, 1], self.CFG, round_index=1)
         assert not should and d_mean == pytest.approx(5.0)
 
     def test_warmup_and_min_size_guards(self):
         v = np.array([3.0, 4.0])
         late = ClusterConfig(1.0, 0.5, min_split_size=2, warmup_rounds=10)
-        assert not split_check([v, -v], [1, 1], late, round_index=9)[0]
-        assert split_check([v, -v], [1, 1], late, round_index=10)[0]
+        assert not stats_and_check([v, -v], [1, 1], late, round_index=9)[0]
+        assert stats_and_check([v, -v], [1, 1], late, round_index=10)[0]
         big = ClusterConfig(1.0, 0.5, min_split_size=3, warmup_rounds=0)
-        assert not split_check([v, -v], [1, 1], big, round_index=50)[0]
+        assert not stats_and_check([v, -v], [1, 1], big, round_index=50)[0]
 
     def test_member_order_invariance(self):
         rng = np.random.default_rng(0)
         deltas = [rng.standard_normal(6) for _ in range(4)]
         sizes = [1, 2, 3, 4]
-        a = split_check(deltas, sizes, self.CFG, 3)
-        b = split_check(deltas[::-1], sizes[::-1], self.CFG, 3)
+        a = stats_and_check(deltas, sizes, self.CFG, 3)
+        b = stats_and_check(deltas[::-1], sizes[::-1], self.CFG, 3)
         assert a[0] == b[0]
         assert a[1] == pytest.approx(b[1], abs=1e-12)
         assert a[2] == b[2]
@@ -252,7 +271,6 @@ class TestClusterAggregate:
             cluster_aggregate(cluster, [np.zeros(2)], [1, 2])
 
     def test_reproduces_fedavg_aggregate(self):
-        from gcflsim.fed import fedavg_aggregate
         rng = np.random.default_rng(7)
         base = rng.standard_normal(6)
         deltas = [rng.standard_normal(6) for _ in range(3)]

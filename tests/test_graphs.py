@@ -6,6 +6,7 @@ from gcflsim.graphs import (
     Dataset,
     Graph,
     binomial_gnp,
+    decode_pair_index,
     erdos_renyi_gnm,
     load_tu_dataset,
     max_edges,
@@ -92,6 +93,13 @@ class TestErdosRenyiGnm:
     def test_binomial_gnp_matches_density(self):
         sizes = [binomial_gnp(30, 0.5, s).num_edges for s in range(30)]
         assert 150 < np.mean(sizes) < 280  # 435 * 0.5 = 217.5
+
+
+def test_decode_pair_index_matches_enumeration():
+    for n in range(2, 61):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rows, cols = decode_pair_index(np.arange(len(pairs)), n)
+        assert list(zip(rows.tolist(), cols.tolist())) == pairs
 
 
 class TestTuLoader:

@@ -111,17 +111,15 @@ class TestUnifyFeatureSpace:
         g_pad = g.with_features(padded_feats)
 
         big = GinModel(8, 2, hidden=5, num_layers=2)
-        big.eps = list(small.eps)
-        w1 = np.zeros((8, 5))
-        w1[:3] = small.w1[0]
-        big.w1 = [w1, small.w1[1].copy()]
-        big.b1 = [b.copy() for b in small.b1]
-        big.w2 = [w.copy() for w in small.w2]
-        big.b2 = [b.copy() for b in small.b2]
-        big.wc = small.wc.copy()
-        big.bc = small.bc.copy()
+        big.w1[0][:3] = small.w1[0]
+        big.w1[1][...] = small.w1[1]
+        for name in ("eps", "b1", "w2", "b2"):
+            for dst, src in zip(getattr(big, name), getattr(small, name)):
+                dst[...] = src
+        big.wc[...] = small.wc
+        big.bc[...] = small.bc
 
-        assert np.allclose(gin_forward(big, g_pad), gin_forward(small, g), atol=1e-12)
+        assert np.allclose(gin_forward(big, [g_pad])[0], gin_forward(small, [g])[0], atol=1e-12)
 
 
 class TestComputeMetrics:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gcflsim.errors import ArgumentError, UndefinedEmbeddingError
-from gcflsim.graphs import Dataset, Graph
+from gcflsim.graphs import Dataset, Graph, erdos_renyi_gnm
 from gcflsim.hetero import (
     awe_distribution,
     awe_distribution_auto,
@@ -205,11 +205,19 @@ class TestPairwiseHeterogeneity:
     def test_order_invariance_with_exact_pairs(self):
         rng = np.random.default_rng(12)
         graphs = [random_graph(rng, n=6) for _ in range(5)]
-        a = pairwise_heterogeneity(Dataset("x", graphs), Dataset("x", graphs), awe_length=3)
-        b = pairwise_heterogeneity(Dataset("x", graphs[::-1]), Dataset("x", graphs[::-1]),
-                                   awe_length=3)
+        forward, backward = Dataset("x", graphs), Dataset("x", graphs[::-1])
+        a = pairwise_heterogeneity(forward, forward, awe_length=3)
+        b = pairwise_heterogeneity(backward, backward, awe_length=3)
         assert a.structure_mean == pytest.approx(b.structure_mean, abs=1e-12)
         assert a.feature_mean == pytest.approx(b.feature_mean, abs=1e-12)
+
+    def test_sets_sharing_a_name_are_still_two_sets(self):
+        sparse = Dataset("x", [erdos_renyi_gnm(12, 14, seed) for seed in range(6)])
+        dense = Dataset("x", [erdos_renyi_gnm(12, 60, seed) for seed in range(6)])
+        renamed = Dataset("y", dense.graphs)
+        same_name = pairwise_heterogeneity(sparse, dense)
+        assert same_name.structure_mean == pairwise_heterogeneity(sparse, renamed).structure_mean
+        assert same_name.structure_mean > pairwise_heterogeneity(sparse, sparse).structure_mean
 
     def test_pair_budget_sampling_is_deterministic(self):
         rng = np.random.default_rng(13)
