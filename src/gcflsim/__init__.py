@@ -7,7 +7,6 @@ from .clustering import (
     bipartition_cluster,
     cluster_aggregate,
     cosine_matrix,
-    delta_stats,
     split_check,
     stoer_wagner_mincut,
     to_cut_weights,

@@ -55,13 +55,6 @@ def weighted_mean(deltas: list[np.ndarray], sizes: list[int]) -> np.ndarray:
     return sum(w * d for w, d in zip(weights, deltas))
 
 
-def delta_stats(deltas: list[np.ndarray], sizes: list[int]) -> tuple[float, float]:
-    """Norm of the size-weighted mean update and the largest update norm."""
-    delta_mean = float(np.linalg.norm(weighted_mean(deltas, sizes)))
-    delta_max = float(max(np.linalg.norm(d) for d in deltas))
-    return delta_mean, delta_max
-
-
 def split_check(
     delta_mean: float,
     delta_max: float,
@@ -71,9 +64,9 @@ def split_check(
 ) -> bool:
     """Evaluate the two split criteria on one cluster's update statistics.
 
-    ``delta_mean`` and ``delta_max`` come from ``delta_stats``. A split
-    additionally requires at least ``min_split_size`` members and
-    ``round_index >= warmup_rounds``.
+    ``delta_mean`` and ``delta_max`` are the ones ``cluster_aggregate``
+    recorded. A split additionally requires at least ``min_split_size``
+    members and ``round_index >= warmup_rounds``.
     """
     return (
         delta_mean < config.eps1
@@ -212,6 +205,13 @@ def bipartition_cluster(
 
 
 def cluster_aggregate(cluster: ClusterState, deltas: list[np.ndarray], sizes: list[int]) -> np.ndarray:
-    """Advance the cluster model by the size-weighted mean member update."""
-    cluster.model = cluster.model + weighted_mean(deltas, sizes)
+    """Advance the cluster model by the size-weighted mean member update.
+
+    Also records the split statistics: ``delta_mean``, the norm of that mean
+    update, and ``delta_max``, the largest member update norm.
+    """
+    mean = weighted_mean(deltas, sizes)
+    cluster.model = cluster.model + mean
+    cluster.delta_mean = float(np.linalg.norm(mean))
+    cluster.delta_max = float(max(np.linalg.norm(d) for d in deltas))
     return cluster.model

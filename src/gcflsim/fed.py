@@ -22,7 +22,6 @@ from .clustering import (
     bipartition_cluster,
     cluster_aggregate,
     cosine_matrix,
-    delta_stats,
     split_check,
     to_cut_weights,
 )
@@ -259,10 +258,8 @@ def run_federation(
         for cluster in clusters:
             active = [cid for cid in cluster.members if cid in deltas]
             if active:
-                active_deltas = [deltas[cid] for cid in active]
-                active_sizes = [by_id[cid].data_size for cid in active]
-                cluster_aggregate(cluster, active_deltas, active_sizes)
-                cluster.delta_mean, cluster.delta_max = delta_stats(active_deltas, active_sizes)
+                cluster_aggregate(cluster, [deltas[cid] for cid in active],
+                                  [by_id[cid].data_size for cid in active])
 
         entries = []
         for cluster in clusters:

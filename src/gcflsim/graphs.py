@@ -13,6 +13,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ArgumentError, CorruptDatasetError, IngestionError
 
@@ -63,32 +64,20 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        if self.edges.size:
-            np.add.at(deg, self.edges[:, 0], 1)
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        """Neighbors per node: the row lengths of ``adjacency``."""
+        return np.bincount(self.edges.ravel(), minlength=self.num_nodes)
 
     @cached_property
-    def neighbors(self) -> list[np.ndarray]:
-        """Sorted neighbor array per node."""
-        adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return [np.array(sorted(a), dtype=np.int64) for a in adj]
+    def adjacency(self) -> sparse.csr_array:
+        """Symmetric 0/1 adjacency (float64 CSR, no self-loops, sorted indices).
 
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix (float64, no self-loops)."""
-        a = np.zeros((self.num_nodes, self.num_nodes), dtype=np.float64)
-        if self.edges.size:
-            a[self.edges[:, 0], self.edges[:, 1]] = 1.0
-            a[self.edges[:, 1], self.edges[:, 0]] = 1.0
-        return a
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self.edges}
+        Row v lists the neighbors of v in increasing order.
+        """
+        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+        indptr = np.concatenate(([0], np.cumsum(self.degrees)))
+        return sparse.csr_array((np.ones(len(rows)), cols[np.lexsort((cols, rows))], indptr),
+                                shape=(self.num_nodes, self.num_nodes))
 
     def with_features(self, features: np.ndarray) -> "Graph":
         return Graph(self.num_nodes, self.edges.copy(), features, self.label)
@@ -132,24 +121,9 @@ def erdos_renyi_gnm(n: int, m: int, seed: int) -> Graph:
     if m < 0 or m > max_m:
         raise ArgumentError(f"m={m} outside [0, {max_m}] for n={n}")
     rng = np.random.default_rng(seed)
-    if max_m <= 200_000:
-        chosen = rng.choice(max_m, size=m, replace=False) if m else np.empty(0, np.int64)
-        edges = np.stack(decode_pair_index(np.sort(chosen), n), axis=1)
-    else:
-        # rejection sampling keeps memory O(m) on very large vertex sets
-        picked: set[tuple[int, int]] = set()
-        edges_list: list[tuple[int, int]] = []
-        while len(picked) < m:
-            u = int(rng.integers(n))
-            v = int(rng.integers(n))
-            if u == v:
-                continue
-            e = (min(u, v), max(u, v))
-            if e not in picked:
-                picked.add(e)
-                edges_list.append(e)
-        edges = np.array(sorted(edges_list), dtype=np.int64)
-    edges = edges.reshape(-1, 2)
+    # numpy's choice without replacement stays O(m) in memory on any n
+    chosen = np.sort(rng.choice(max_m, size=m, replace=False))
+    edges = np.stack(decode_pair_index(chosen, n), axis=1)
     return Graph(n, edges, np.ones((n, 1)), 0)
 
 
@@ -326,14 +300,3 @@ def _read_float_matrix(path: Path) -> np.ndarray:
         raise CorruptDatasetError(f"{path}: ragged attribute rows")
     return np.asarray(rows, dtype=np.float64)
 
-
-def complete_graph(n: int) -> Graph:
-    """K_n with a constant feature column (test and null-model helper)."""
-    if n < 1:
-        raise ArgumentError("n must be >= 1")
-    edges = np.array([(u, v) for u in range(n) for v in range(u + 1, n)], dtype=np.int64)
-    return Graph(n, edges.reshape(-1, 2), np.ones((n, 1)), 0)
-
-
-def max_edges(n: int) -> int:
-    return n * (n - 1) // 2 if n > 1 else 0

@@ -90,10 +90,12 @@ def awe_distribution(
     if graph.num_edges == 0:
         raise UndefinedEmbeddingError("anonymous walks are undefined on an edgeless graph")
     starts = np.flatnonzero(graph.degrees > 0)
-    nbrs = graph.neighbors
+    adjacency = graph.adjacency
     probs = np.zeros(len(patterns))
 
     if mode == "exact":
+        # plain int rows: the walk loop below runs in Python
+        nbrs = [row.tolist() for row in np.split(adjacency.indices, adjacency.indptr[1:-1])]
         p0 = 1.0 / len(starts)
         for s in starts:
             stack = [(int(s), (0,), {int(s): 0}, p0)]
@@ -104,7 +106,6 @@ def awe_distribution(
                     continue
                 step = p / len(nbrs[node])
                 for nxt in nbrs[node]:
-                    nxt = int(nxt)
                     if nxt in mapping:
                         stack.append((nxt, pat + (mapping[nxt],), mapping, step))
                     else:
@@ -115,16 +116,13 @@ def awe_distribution(
         if samples < 1:
             raise ArgumentError("samples must be >= 1")
         rng = np.random.default_rng(seed)
-        offsets = np.zeros(graph.num_nodes + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([len(a) for a in nbrs])
-        flat = np.concatenate([a for a in nbrs]) if graph.num_edges else np.empty(0, np.int64)
         cur = starts[rng.integers(len(starts), size=samples)]
         walk = np.empty((samples, length + 1), dtype=np.int64)
         walk[:, 0] = cur
         deg = graph.degrees
         for t in range(1, length + 1):
             r = rng.integers(0, deg[cur])
-            cur = flat[offsets[cur] + r]
+            cur = adjacency.indices[adjacency.indptr[cur] + r]
             walk[:, t] = cur
         for row in walk:
             probs[index[_anonymize(row)]] += 1.0

@@ -10,13 +10,14 @@ from __future__ import annotations
 import csv
 import logging
 import warnings
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import stats
+from scipy.sparse import csgraph
 
 from .errors import ArgumentError, UndefinedStatisticError
 from .graphs import Dataset, Graph, erdos_renyi_gnm
@@ -29,6 +30,8 @@ PROPERTY_NAMES = (
     "largest_component_pct",
     "clustering_coefficient",
 )
+
+PATH_SOURCE_BLOCK = 256  # shortest-path source nodes per csgraph call
 
 
 def _pearson_kurtosis(values: np.ndarray) -> float:
@@ -52,23 +55,18 @@ def avg_shortest_path(graph: Graph) -> float:
     """Mean BFS distance over connected unordered node pairs.
 
     Disconnected pairs are excluded; raises when no pair is connected.
+    Sources run in blocks of ``PATH_SOURCE_BLOCK``, so memory stays
+    O(block * num_nodes).
     """
     if graph.num_nodes < 2:
         raise UndefinedStatisticError("need at least two nodes")
-    nbrs = graph.neighbors
     total = 0
     pairs = 0
-    for s in range(graph.num_nodes):
-        dist = np.full(graph.num_nodes, -1, dtype=np.int64)
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in nbrs[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        reachable = dist > 0
+    for start in range(0, graph.num_nodes, PATH_SOURCE_BLOCK):
+        sources = np.arange(start, min(start + PATH_SOURCE_BLOCK, graph.num_nodes))
+        # the adjacency is symmetric, so directed search gives undirected distances
+        dist = csgraph.shortest_path(graph.adjacency, unweighted=True, indices=sources)
+        reachable = np.isfinite(dist) & (dist > 0)
         total += int(dist[reachable].sum())
         pairs += int(reachable.sum())
     if pairs == 0:
@@ -79,44 +77,24 @@ def avg_shortest_path(graph: Graph) -> float:
 
 def largest_component_fraction(graph: Graph) -> float:
     """Size of the largest connected component as a percentage of nodes."""
-    nbrs = graph.neighbors
-    seen = np.zeros(graph.num_nodes, dtype=bool)
-    best = 0
-    for s in range(graph.num_nodes):
-        if seen[s]:
-            continue
-        size = 0
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            u = queue.popleft()
-            size += 1
-            for v in nbrs[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        best = max(best, size)
-    return 100.0 * best / graph.num_nodes
+    # the adjacency is symmetric, so its strong components are its components,
+    # and scipy finds those without building the transpose
+    _, labels = csgraph.connected_components(graph.adjacency, connection="strong")
+    return 100.0 * int(np.bincount(labels).max()) / graph.num_nodes
 
 
 def avg_clustering_coefficient(graph: Graph) -> float:
     """Mean local clustering coefficient; degree<2 nodes contribute 0."""
-    nbrs = graph.neighbors
-    adj_sets = [set(map(int, a)) for a in nbrs]
-    acc = 0.0
-    for v in range(graph.num_nodes):
-        k = len(nbrs[v])
-        if k < 2:
-            continue
-        links = 0
-        neigh = nbrs[v]
-        for i in range(k):
-            si = adj_sets[int(neigh[i])]
-            for j in range(i + 1, k):
-                if int(neigh[j]) in si:
-                    links += 1
-        acc += 2.0 * links / (k * (k - 1))
-    return acc / graph.num_nodes
+    a = graph.adjacency
+    k = graph.degrees
+    # row v of (A @ A) * A sums the common neighbors of v and each neighbor:
+    # twice the number of triangles through v
+    links = (a @ a).multiply(a).sum(axis=1)
+    coeff = np.zeros(graph.num_nodes)
+    ok = k >= 2
+    coeff[ok] = links[ok] / (k[ok] * (k[ok] - 1))
+    # a running sum in node order, not numpy's pairwise one
+    return float(np.add.accumulate(coeff)[-1]) / graph.num_nodes
 
 
 def _per_graph_kurtosis(graph: Graph) -> Optional[float]:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
+from .gnn import softmax
 from .graphs import Graph
 
 THETA_INIT_SCALE = 0.01
@@ -25,7 +26,7 @@ class SgcModel:
 
 def normalized_adjacency(graph: Graph) -> np.ndarray:
     """D^{-1/2} (A + I) D^{-1/2} with degrees taken after adding self-loops."""
-    a = graph.adjacency + np.eye(graph.num_nodes)
+    a = graph.adjacency.toarray() + np.eye(graph.num_nodes)
     d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
@@ -41,17 +42,6 @@ def propagated_features(graph: Graph, hops: int) -> np.ndarray:
     for _ in range(hops):
         x = s @ x
     return x
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def sgc_loss(features: np.ndarray, labels: np.ndarray, theta: np.ndarray) -> float:
-    p = _softmax_rows(features @ theta)
-    return float(-np.mean(np.log(p[np.arange(len(labels)), labels] + 1e-300)))
 
 
 def sgc_train(
@@ -84,7 +74,7 @@ def sgc_train(
     losses = np.empty(steps)
     n = len(labels)
     for t in range(steps):
-        p = _softmax_rows(feats @ theta)
+        p = softmax(feats @ theta)
         losses[t] = float(-np.mean(np.log(p[np.arange(n), labels] + 1e-300)))
         theta = theta - lr * feats.T @ (p - onehot) / n
     return SgcModel(hops, theta), losses

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from gcflsim.graphs import Dataset, Graph, load_tu_dataset
 
@@ -33,6 +35,33 @@ def make_graph(num_nodes, edges, feat_dim=1, label=0, features=None):
     if features is None:
         features = np.ones((num_nodes, feat_dim))
     return Graph(num_nodes, np.array(edges, dtype=np.int64).reshape(-1, 2), features, label)
+
+
+def edge_set(graph):
+    return {(int(u), int(v)) for u, v in graph.edges}
+
+
+def complete_graph(n):
+    """K_n with a constant feature column."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return make_graph(n, edges)
+
+
+def max_edges(n):
+    return n * (n - 1) // 2
+
+
+# property-based tests run the same examples on every run and keep no state
+HYPOTHESIS = settings(derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def small_graphs(draw, max_nodes=10):
+    """Any simple graph on 1..max_nodes nodes: each possible edge in or out."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ from gcflsim.clustering import (
     bipartition_cluster,
     cluster_aggregate,
     cosine_matrix,
-    delta_stats,
     split_check,
     stoer_wagner_mincut,
     to_cut_weights,
@@ -58,9 +57,16 @@ def fedavg_aggregate(deltas, sizes, base):
     return base + sum(w * d for w, d in zip(weights, deltas))
 
 
+def aggregate_stats(deltas, sizes):
+    """The (delta_mean, delta_max) that aggregating one cluster records."""
+    cluster = ClusterState(0, list(range(len(deltas))), np.zeros_like(deltas[0]))
+    cluster_aggregate(cluster, deltas, sizes)
+    return cluster.delta_mean, cluster.delta_max
+
+
 def stats_and_check(deltas, sizes, config, round_index):
-    """The split decision as the round loop makes it: statistics first, then the criteria."""
-    d_mean, d_max = delta_stats(deltas, sizes)
+    """The split decision as the round loop makes it: aggregation first, then the criteria."""
+    d_mean, d_max = aggregate_stats(deltas, sizes)
     return split_check(d_mean, d_max, len(deltas), config, round_index), d_mean, d_max
 
 
@@ -101,7 +107,7 @@ class TestSplitCheck:
         assert a[2] == b[2]
 
     def test_size_weighting(self):
-        d_mean, _ = delta_stats([np.array([1.0]), np.array([-1.0])], [3, 1])
+        d_mean, _ = aggregate_stats([np.array([1.0]), np.array([-1.0])], [3, 1])
         assert d_mean == pytest.approx(0.5)
 
     def test_positive_eps_required(self):

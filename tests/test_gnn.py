@@ -57,7 +57,7 @@ def reference_loss_and_grad(model, graphs, labels):
     total_loss = 0.0
     inv_b = 1.0 / len(graphs)
     for graph, label in zip(graphs, labels):
-        a = graph.adjacency
+        a = graph.adjacency.toarray()
         cache = []
         h = graph.features
         for l in range(model.num_layers):

@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given
 
 from gcflsim.errors import ArgumentError, CorruptDatasetError, IngestionError
 from gcflsim.graphs import (
@@ -9,10 +12,9 @@ from gcflsim.graphs import (
     decode_pair_index,
     erdos_renyi_gnm,
     load_tu_dataset,
-    max_edges,
 )
 
-from conftest import make_graph, write_tu_fixture
+from conftest import HYPOTHESIS, edge_set, make_graph, max_edges, small_graphs, write_tu_fixture
 
 
 class TestGraphInvariants:
@@ -38,8 +40,22 @@ class TestGraphInvariants:
 
     def test_degrees_and_neighbors(self, star5):
         assert star5.degrees.tolist() == [5, 1, 1, 1, 1, 1]
-        assert star5.neighbors[0].tolist() == [1, 2, 3, 4, 5]
-        assert star5.adjacency.sum() == 10  # both directions
+        a = star5.adjacency
+        assert a.indices[a.indptr[0]:a.indptr[1]].tolist() == [1, 2, 3, 4, 5]
+        assert a.sum() == 10  # both directions
+
+    @HYPOTHESIS
+    @given(small_graphs())
+    def test_adjacency_is_symmetric_sorted_csr(self, g):
+        a = g.adjacency
+        assert a.format == "csr" and a.shape == (g.num_nodes, g.num_nodes)
+        assert a.dtype == np.float64 and np.all(a.data == 1.0)
+        assert (a != a.T).nnz == 0
+        assert np.all(a.diagonal() == 0)
+        assert np.array_equal(np.diff(a.indptr), g.degrees)
+        for v in range(g.num_nodes):
+            row = a.indices[a.indptr[v]:a.indptr[v + 1]].tolist()
+            assert row == sorted({u for e in edge_set(g) if v in e for u in e if u != v})
 
 
 class TestDataset:
@@ -57,7 +73,7 @@ class TestDataset:
 class TestErdosRenyiGnm:
     def test_full_budget_gives_complete_graph(self):
         g = erdos_renyi_gnm(4, 6, seed=123)
-        assert g.edge_set() == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+        assert edge_set(g) == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
 
     def test_zero_edges(self):
         assert erdos_renyi_gnm(5, 0, seed=1).num_edges == 0
@@ -89,6 +105,17 @@ class TestErdosRenyiGnm:
             counts[e] = counts.get(e, 0) + 1
         assert set(counts) == {(0, 1), (0, 2), (1, 2)}
         assert all(200 < c < 400 for c in counts.values())
+
+    @pytest.mark.parametrize("n, m", [(633, 199_000), (700, 230_000)])
+    def test_large_vertex_sets(self, n, m):
+        start = time.perf_counter()
+        g = erdos_renyi_gnm(n, m, seed=5)
+        elapsed = time.perf_counter() - start
+        assert g.num_edges == m
+        codes = g.edges[:, 0] * n + g.edges[:, 1]
+        assert np.all(g.edges[:, 0] < g.edges[:, 1]) and np.all(np.diff(codes) > 0)
+        assert np.array_equal(g.edges, erdos_renyi_gnm(n, m, seed=5).edges)
+        assert elapsed < 1.0
 
     def test_binomial_gnp_matches_density(self):
         sizes = [binomial_gnp(30, 0.5, s).num_edges for s in range(30)]

@@ -4,20 +4,38 @@ A refactor that keeps a traced function defined but stops calling it makes
 the benchmark fail; this catches it in the test suite instead.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_fed_synth_workload_has_no_failures(tmp_path):
-    cmd = [sys.executable, str(ROOT / "perfbench" / "workload.py"), "fed-synth",
+def write_tu_inputs(root: Path, seed: int) -> None:
+    """The analysis-tu inputs, written the way the benchmark writes them."""
+    spec = importlib.util.spec_from_file_location("tudata", ROOT / "perfbench" / "tudata.py")
+    tudata = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tudata)
+    tudata.write_and_verify(root, seed)
+
+
+# one layer per workload that must have been called, beyond the workload's own check
+CALLED = {"fed-synth": "gnn.forward.calls", "analysis-tu": "properties.shortest_path.calls"}
+
+
+@pytest.mark.parametrize("workload", sorted(CALLED))
+def test_traced_workload_has_no_failures(tmp_path, workload):
+    if workload == "analysis-tu":
+        write_tu_inputs(tmp_path / "tu", 1)
+    cmd = [sys.executable, str(ROOT / "perfbench" / "workload.py"), workload,
            "--seed", "1", "--work", str(tmp_path), "--spawned", repr(time.time()), "--trace"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0, result["problems"]
-    assert result["layers"]["gnn.forward.calls"] > 0
+    assert result["layers"][CALLED[workload]] > 0

@@ -3,11 +3,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
 from scipy import special
 
 from gcflsim.errors import UndefinedStatisticError
-from gcflsim.graphs import Dataset, complete_graph
+from gcflsim.graphs import Dataset
 from gcflsim.properties import (
+    PATH_SOURCE_BLOCK,
     avg_clustering_coefficient,
     avg_shortest_path,
     degree_kurtosis,
@@ -16,7 +18,7 @@ from gcflsim.properties import (
     welch_p_value,
 )
 
-from conftest import make_graph, random_graph
+from conftest import HYPOTHESIS, complete_graph, edge_set, make_graph, random_graph, small_graphs
 
 
 # --- independent brute-force references -----------------------------------
@@ -38,7 +40,7 @@ def brute_shortest_path(graph):
 
 
 def brute_clustering(graph):
-    es = graph.edge_set()
+    es = edge_set(graph)
     total = 0.0
     for v in range(graph.num_nodes):
         nbrs = [u for u in range(graph.num_nodes)
@@ -51,7 +53,7 @@ def brute_clustering(graph):
 
 
 def brute_largest_component(graph):
-    es = graph.edge_set()
+    es = edge_set(graph)
     seen, best = set(), 0
     for s in range(graph.num_nodes):
         if s in seen:
@@ -125,6 +127,12 @@ class TestAvgShortestPath:
         with pytest.raises(UndefinedStatisticError):
             avg_shortest_path(make_graph(3, []))
 
+    def test_path_longer_than_one_source_block(self):
+        # mean distance over the pairs of a path on n nodes is (n + 1) / 3
+        n = 2 * PATH_SOURCE_BLOCK + 5
+        g = make_graph(n, [(i, i + 1) for i in range(n - 1)])
+        assert avg_shortest_path(g) == (n + 1) / 3
+
 
 class TestClusteringAndComponents:
     def test_triangle_is_one(self, triangle):
@@ -159,6 +167,19 @@ def test_properties_match_brute_force_on_random_graphs():
         if np.var(degrees) > 0:
             assert degree_kurtosis(Dataset("d", [g])) == pytest.approx(
                 brute_kurtosis(degrees), abs=1e-12)
+
+
+@HYPOTHESIS
+@given(small_graphs())
+def test_properties_match_brute_force_on_generated_graphs(g):
+    assert avg_clustering_coefficient(g) == pytest.approx(brute_clustering(g), abs=1e-12)
+    assert largest_component_fraction(g) == pytest.approx(brute_largest_component(g), abs=1e-12)
+    ref = brute_shortest_path(g)
+    if ref is None:
+        with pytest.raises(UndefinedStatisticError):
+            avg_shortest_path(g)
+    else:
+        assert avg_shortest_path(g) == pytest.approx(ref, abs=1e-12)
 
 
 class TestWelch:

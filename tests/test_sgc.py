@@ -10,6 +10,7 @@ from gcflsim.sgc import (
     sgc_train,
 )
 
+from conftest import edge_set
 
 
 def planted_node_task(seed, n=30, feat_dim=8, classes=3, m=87):
@@ -22,7 +23,7 @@ def planted_node_task(seed, n=30, feat_dim=8, classes=3, m=87):
 
 
 def flip_edges(graph, count, rng):
-    edges = graph.edge_set()
+    edges = edge_set(graph)
     flips = 0
     while flips < count:
         u, v = int(rng.integers(graph.num_nodes)), int(rng.integers(graph.num_nodes))
