@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from .graphs import Dataset, Graph, decode_pair_index
 logger = logging.getLogger(__name__)
 
 MAX_WALK_LENGTH = 8
+WALK_BUDGET = 200_000  # exact enumeration up to this many walks, else AWE_SAMPLES sampled ones
+AWE_SAMPLES = 10_000
 _PAIR_SEED_TAG = 90911
 _WALK_SEED_TAG = 90913
 
@@ -45,9 +48,22 @@ def enumerate_anonymous_walks(length: int) -> list[tuple[int, ...]]:
     return [tuple(p) for p in patterns]
 
 
-def _anonymize(walk) -> tuple[int, ...]:
-    mapping: dict[int, int] = {}
-    return tuple(mapping.setdefault(int(v), len(mapping)) for v in walk)
+@lru_cache(maxsize=None)
+def _pattern_codes(length: int) -> np.ndarray:
+    """Base-(length+1) codes of the patterns; ascending, as the list is lexicographic."""
+    return _encode(np.array(enumerate_anonymous_walks(length), dtype=np.int64))
+
+
+def _encode(symbols: np.ndarray) -> np.ndarray:
+    return symbols @ symbols.shape[1] ** np.arange(symbols.shape[1] - 1, -1, -1)
+
+
+def _pattern_index(walks: np.ndarray) -> np.ndarray:
+    """Index into ``enumerate_anonymous_walks`` of each row of node ids."""
+    first = np.argmax(walks[:, :, None] == walks[:, None, :], axis=2)
+    is_new = first == np.arange(walks.shape[1])
+    symbols = np.take_along_axis(np.cumsum(is_new, axis=1) - 1, first, axis=1)
+    return np.searchsorted(_pattern_codes(walks.shape[1] - 1), _encode(symbols))
 
 
 def exact_walk_count(graph: Graph, length: int) -> int:
@@ -76,7 +92,7 @@ def awe_distribution(
     graph: Graph,
     length: int,
     mode: str = "exact",
-    samples: int = 10_000,
+    samples: int = AWE_SAMPLES,
     seed: int = 0,
 ) -> AweDistribution:
     """Anonymous-walk pattern distribution of a simple random walk.
@@ -85,64 +101,50 @@ def awe_distribution(
     neighbors. ``exact`` enumerates every walk with its probability;
     ``sampled`` estimates frequencies from seeded random walks.
     """
-    patterns = enumerate_anonymous_walks(length)
-    index = {p: i for i, p in enumerate(patterns)}
+    num_patterns = len(_pattern_codes(length))
     if graph.num_edges == 0:
         raise UndefinedEmbeddingError("anonymous walks are undefined on an edgeless graph")
-    starts = np.flatnonzero(graph.degrees > 0)
-    adjacency = graph.adjacency
-    probs = np.zeros(len(patterns))
+    deg = graph.degrees
+    starts = np.flatnonzero(deg > 0)
+    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
 
     if mode == "exact":
-        # plain int rows: the walk loop below runs in Python
-        nbrs = [row.tolist() for row in np.split(adjacency.indices, adjacency.indptr[1:-1])]
-        p0 = 1.0 / len(starts)
+        # Walks of one start in the order a DFS popping the highest neighbour
+        # first reaches them, so the sums below add in that order.
+        probs = np.zeros(num_patterns)
         for s in starts:
-            stack = [(int(s), (0,), {int(s): 0}, p0)]
-            while stack:
-                node, pat, mapping, p = stack.pop()
-                if len(pat) == length + 1:
-                    probs[index[pat]] += p
-                    continue
-                step = p / len(nbrs[node])
-                for nxt in nbrs[node]:
-                    if nxt in mapping:
-                        stack.append((nxt, pat + (mapping[nxt],), mapping, step))
-                    else:
-                        child = dict(mapping)
-                        child[nxt] = len(mapping)
-                        stack.append((nxt, pat + (child[nxt],), child, step))
+            walks = np.array([[s]], dtype=np.int64)
+            p = np.array([1.0 / len(starts)])
+            for _ in range(length):
+                ends = walks[:, -1]
+                d = deg[ends]
+                # CSR position of each child, counted back from its end node's row end
+                pos = np.repeat(indptr[ends + 1] + np.cumsum(d) - d, d) - np.arange(d.sum()) - 1
+                walks = np.column_stack([np.repeat(walks, d, axis=0), indices[pos]])
+                p = np.repeat(p / d, d)
+            np.add.at(probs, _pattern_index(walks), p)
     elif mode == "sampled":
         if samples < 1:
             raise ArgumentError("samples must be >= 1")
         rng = np.random.default_rng(seed)
         cur = starts[rng.integers(len(starts), size=samples)]
-        walk = np.empty((samples, length + 1), dtype=np.int64)
-        walk[:, 0] = cur
-        deg = graph.degrees
+        walks = np.empty((samples, length + 1), dtype=np.int64)
+        walks[:, 0] = cur
         for t in range(1, length + 1):
             r = rng.integers(0, deg[cur])
-            cur = adjacency.indices[adjacency.indptr[cur] + r]
-            walk[:, t] = cur
-        for row in walk:
-            probs[index[_anonymize(row)]] += 1.0
-        probs /= samples
+            cur = indices[indptr[cur] + r]
+            walks[:, t] = cur
+        probs = np.bincount(_pattern_index(walks), minlength=num_patterns) / samples
     else:
         raise ArgumentError(f"unknown mode {mode!r}")
     return AweDistribution(length, probs)
 
 
-def awe_distribution_auto(
-    graph: Graph,
-    length: int,
-    walk_budget: int = 200_000,
-    samples: int = 10_000,
-    seed: int = 0,
-) -> AweDistribution:
-    """Exact enumeration when affordable, seeded sampling otherwise."""
-    if exact_walk_count(graph, length) <= walk_budget:
+def awe_distribution_auto(graph: Graph, length: int, seed: int = 0) -> AweDistribution:
+    """Exact enumeration within ``WALK_BUDGET`` walks, seeded sampling otherwise."""
+    if exact_walk_count(graph, length) <= WALK_BUDGET:
         return awe_distribution(graph, length, mode="exact")
-    return awe_distribution(graph, length, mode="sampled", samples=samples, seed=seed)
+    return awe_distribution(graph, length, mode="sampled", samples=AWE_SAMPLES, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +222,6 @@ def pairwise_heterogeneity(
     bins: int = 20,
     pair_budget: int = 2000,
     seed: int = 0,
-    walk_budget: int = 200_000,
-    samples: int = 10_000,
 ) -> HeterogeneityReport:
     """Mean and spread of pairwise structure/feature divergence across sets.
 
@@ -229,8 +229,10 @@ def pairwise_heterogeneity(
     seeded uniform sample of distinct pairs. Passing one Dataset object as
     both sets compares it against itself over unordered distinct pairs.
     Edgeless graphs are skipped; more than 50% skipped in either set is an
-    error.
+    error, and so is a pair budget below 1.
     """
+    if pair_budget < 1:
+        raise ArgumentError(f"pair budget must be >= 1, got {pair_budget}")
     same = set_a is set_b
     idx_a = _valid_indices(set_a)
     idx_b = idx_a if same else _valid_indices(set_b)
@@ -257,9 +259,7 @@ def pairwise_heterogeneity(
     def awe_of(ds, cache, tag, i):
         if i not in cache:
             ss = np.random.SeedSequence([_WALK_SEED_TAG, seed, tag, i])
-            cache[i] = awe_distribution_auto(
-                ds.graphs[i], awe_length, walk_budget, samples, int(ss.generate_state(1)[0])
-            )
+            cache[i] = awe_distribution_auto(ds.graphs[i], awe_length, int(ss.generate_state(1)[0]))
         return cache[i]
 
     def hist_of(ds, cache, i):
@@ -286,12 +286,11 @@ def pairwise_heterogeneity(
 
 def _valid_indices(ds: Dataset) -> list[int]:
     valid = [i for i, g in enumerate(ds.graphs) if g.num_edges > 0]
-    if len(valid) <= len(ds.graphs) // 2:
-        raise UndefinedEmbeddingError(
-            f"{ds.name}: more than half of the graphs have no edges"
-        )
-    if len(valid) < len(ds.graphs):
-        logger.warning("%s: skipping %d edgeless graphs", ds.name, len(ds.graphs) - len(valid))
+    skipped = len(ds.graphs) - len(valid)
+    if 2 * skipped > len(ds.graphs):
+        raise UndefinedEmbeddingError(f"{ds.name}: more than half of the graphs have no edges")
+    if skipped:
+        logger.warning("%s: skipping %d edgeless graphs", ds.name, skipped)
     return valid
 
 

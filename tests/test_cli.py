@@ -1,3 +1,5 @@
+import pytest
+
 from gcflsim.cli import main
 
 from conftest import write_tu_fixture
@@ -37,6 +39,19 @@ class TestAnalyzeHetero:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("setA,setB,structure_mean")
         assert lines[1].startswith("TINY,TINY,")
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_pair_budget_below_one_is_argument_error(self, tmp_path, capsys, budget):
+        root = write_tu_fixture(tmp_path / "data", "TINY")
+        out = tmp_path / "het.csv"
+        code = run_cli("analyze-hetero", "--data-root", str(root),
+                       "--set-a", "TINY", "--set-b", "TINY",
+                       "--pair-budget", budget, "--out", str(out))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "ArgumentError" in captured.err
+        assert "nan" not in (captured.out + captured.err).lower()
+        assert not out.exists()
 
 
 class TestRun:

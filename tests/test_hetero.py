@@ -2,10 +2,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
 
+from gcflsim import hetero
 from gcflsim.errors import ArgumentError, UndefinedEmbeddingError
 from gcflsim.graphs import Dataset, Graph, erdos_renyi_gnm
 from gcflsim.hetero import (
+    MAX_WALK_LENGTH,
+    _pattern_index,
     awe_distribution,
     awe_distribution_auto,
     enumerate_anonymous_walks,
@@ -15,7 +19,40 @@ from gcflsim.hetero import (
     pairwise_heterogeneity,
 )
 
-from conftest import make_graph, random_graph
+from conftest import HYPOTHESIS, make_graph, random_graph, small_graphs
+
+
+def _anonymize(walk) -> tuple[int, ...]:
+    """Reference anonymiser: each node becomes the rank of its first visit."""
+    mapping: dict[int, int] = {}
+    return tuple(mapping.setdefault(int(v), len(mapping)) for v in walk)
+
+
+def dfs_awe_probs(graph, length):
+    """Reference exact distribution: a DFS stack over every walk of every start."""
+    patterns = enumerate_anonymous_walks(length)
+    index = {p: i for i, p in enumerate(patterns)}
+    nbrs = [row.tolist() for row in np.split(graph.adjacency.indices,
+                                             graph.adjacency.indptr[1:-1])]
+    starts = np.flatnonzero(graph.degrees > 0)
+    probs = np.zeros(len(patterns))
+    p0 = 1.0 / len(starts)
+    for s in starts:
+        stack = [(int(s), (0,), {int(s): 0}, p0)]
+        while stack:
+            node, pat, mapping, p = stack.pop()
+            if len(pat) == length + 1:
+                probs[index[pat]] += p
+                continue
+            step = p / len(nbrs[node])
+            for nxt in nbrs[node]:
+                if nxt in mapping:
+                    stack.append((nxt, pat + (mapping[nxt],), mapping, step))
+                else:
+                    child = dict(mapping)
+                    child[nxt] = len(mapping)
+                    stack.append((nxt, pat + (child[nxt],), child, step))
+    return probs
 
 
 class TestEnumeration:
@@ -92,12 +129,31 @@ class TestAweDistribution:
         b = awe_distribution(g, 3, mode="sampled", samples=500, seed=9).probs
         assert np.array_equal(a, b)
 
-    def test_auto_switches_on_budget(self, triangle):
-        exact = awe_distribution_auto(triangle, 2, walk_budget=1_000_000)
-        tiny = awe_distribution_auto(triangle, 2, walk_budget=1, samples=2000, seed=0)
+    def test_auto_switches_on_budget(self, triangle, monkeypatch):
+        exact = awe_distribution_auto(triangle, 2)
+        monkeypatch.setattr(hetero, "WALK_BUDGET", 1)
+        tiny = awe_distribution_auto(triangle, 2, seed=0)
         assert np.allclose(exact.probs, [0.5, 0.5])
         assert tiny.probs.sum() == pytest.approx(1.0)
         assert not np.array_equal(exact.probs, tiny.probs)
+
+    @HYPOTHESIS
+    @given(small_graphs().filter(lambda g: g.num_edges > 0))
+    def test_exact_matches_dfs_reference(self, graph):
+        for length in range(1, 6):
+            assert np.array_equal(awe_distribution(graph, length).probs,
+                                  dfs_awe_probs(graph, length))
+
+    def test_pattern_index_matches_reference_anonymizer(self):
+        rng = np.random.default_rng(15)
+        for length in range(1, MAX_WALK_LENGTH + 1):
+            patterns = enumerate_anonymous_walks(length)
+            for nodes in (2, 3, length + 1, 50):
+                steps = rng.integers(1, nodes, size=(400, length + 1))
+                steps[:, 0] = rng.integers(nodes, size=400)
+                walks = np.cumsum(steps, axis=1) % nodes  # no step stays in place
+                got = _pattern_index(walks)
+                assert [patterns[i] for i in got] == [_anonymize(w) for w in walks]
 
 
 class TestJensenShannon:
@@ -226,6 +282,19 @@ class TestPairwiseHeterogeneity:
         a = pairwise_heterogeneity(xs, ys, awe_length=3, pair_budget=10, seed=5)
         b = pairwise_heterogeneity(xs, ys, awe_length=3, pair_budget=10, seed=5)
         assert a == b
+
+    def test_pair_budget_below_one_raises(self):
+        ds = Dataset("two", [make_graph(3, [(0, 1)]), make_graph(3, [(1, 2)])])
+        for bad in (0, -3):
+            with pytest.raises(ArgumentError):
+                pairwise_heterogeneity(ds, ds, pair_budget=bad)
+
+    def test_half_edgeless_set_is_finite(self):
+        good = make_graph(3, [(0, 1), (1, 2)])
+        bad = make_graph(3, [])
+        ds = Dataset("half", [good, bad, good.with_features(np.full((3, 1), 2.0)), bad])
+        rep = pairwise_heterogeneity(ds, ds, awe_length=2)
+        assert np.isfinite([rep.structure_mean, rep.feature_mean]).all()
 
     def test_mostly_edgeless_set_raises(self):
         good = make_graph(3, [(0, 1)])
