@@ -126,8 +126,11 @@ def cmd_run(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = ExperimentConfig.from_file(args.config).with_overrides(args.set)
-    eps1_grid = [float(x) for x in args.eps1_grid.split(",") if x.strip()]
-    eps2_grid = [float(x) for x in args.eps2_grid.split(",") if x.strip()]
+    try:
+        eps1_grid = [float(x) for x in args.eps1_grid.split(",") if x.strip()]
+        eps2_grid = [float(x) for x in args.eps2_grid.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ArgumentError(f"grid values must be numbers: {exc}") from exc
     best1, best2, rows = calibrate_epsilons(config, eps1_grid, eps2_grid, args.rounds,
                                             args.algorithm, args.out)
     for row in rows:
@@ -153,13 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command](args)
     except GcflSimError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        for cls, code in EXIT_CODES.items():
-            if type(exc) is cls:
-                return code
-        for cls, code in EXIT_CODES.items():
-            if isinstance(exc, cls):
-                return code
-        return 1
+        return next((EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES), 1)
 
 
 if __name__ == "__main__":

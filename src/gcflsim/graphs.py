@@ -7,6 +7,7 @@ dense float64 matrix with one row per node.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -183,65 +184,56 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     indicator_path = required("graph_indicator.txt")
     labels_path = required("graph_labels.txt")
 
-    graph_of_node = _read_int_column(indicator_path)
+    graph_of_node = _read_labels(indicator_path) - 1
     num_nodes_total = len(graph_of_node)
     if num_nodes_total == 0:
         raise CorruptDatasetError(f"{indicator_path} is empty")
-
-    raw_labels = _read_int_column(labels_path)
-    num_graphs = max(graph_of_node)
-    if min(graph_of_node) < 1:
+    if graph_of_node.min() < 0:
         raise CorruptDatasetError(f"{indicator_path}: graph ids must be 1-based")
+    num_graphs = int(graph_of_node.max()) + 1
+    raw_labels = _read_labels(labels_path)
     if len(raw_labels) != num_graphs:
         raise CorruptDatasetError(
             f"{labels_path}: {len(raw_labels)} labels for {num_graphs} graphs"
         )
-
     # 0-based contiguous class indices in sorted raw-label order
-    label_map = {lab: i for i, lab in enumerate(sorted(set(raw_labels)))}
-    labels = [label_map[lab] for lab in raw_labels]
+    classes, labels = np.unique(raw_labels, return_inverse=True)
 
-    # global node id -> (graph index, local node index), in file order
-    local_index = np.zeros(num_nodes_total, dtype=np.int64)
-    node_counts = np.zeros(num_graphs, dtype=np.int64)
-    for nid, gid in enumerate(graph_of_node):
-        local_index[nid] = node_counts[gid - 1]
-        node_counts[gid - 1] += 1
+    # nodes grouped by graph in file order; a node's local index is its rank there
+    node_counts = np.bincount(graph_of_node, minlength=num_graphs)
     if np.any(node_counts == 0):
         raise CorruptDatasetError(f"{indicator_path}: some graphs have no nodes")
+    by_graph = np.argsort(graph_of_node, kind="stable")
+    starts = np.cumsum(node_counts) - node_counts
+    local_index = np.empty(num_nodes_total, dtype=np.int64)
+    local_index[by_graph] = np.arange(num_nodes_total) - np.repeat(starts, node_counts)
 
-    edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(num_graphs)]
-    with open(adj_path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                a_str, b_str = line.split(",")
-                a, b = int(a_str), int(b_str)
-            except ValueError as exc:
-                raise CorruptDatasetError(f"{adj_path}:{line_no}: bad edge line {line!r}") from exc
-            if not (1 <= a <= num_nodes_total and 1 <= b <= num_nodes_total):
-                raise CorruptDatasetError(f"{adj_path}:{line_no}: node index out of range")
-            ga, gb = graph_of_node[a - 1], graph_of_node[b - 1]
-            if ga != gb:
-                raise CorruptDatasetError(f"{adj_path}:{line_no}: edge crosses graphs {ga} and {gb}")
-            if a == b:
-                continue  # defensively drop self-loops
-            u, v = int(local_index[a - 1]), int(local_index[b - 1])
-            edge_sets[ga - 1].add((min(u, v), max(u, v)))
+    pairs = _read_rows(adj_path, np.int64)
+    if len(pairs) and pairs.shape[1] != 2:
+        raise CorruptDatasetError(f"{adj_path}: edge lines must hold two node ids")
+    pairs = np.sort(pairs.reshape(-1, 2), axis=1) - 1
+    if len(pairs) and (pairs[:, 0].min() < 0 or pairs[:, 1].max() >= num_nodes_total):
+        raise CorruptDatasetError(f"{adj_path}: node index out of range")
+    # both directions of an edge share one key
+    lo, hi = np.divmod(np.unique(pairs[:, 0] * num_nodes_total + pairs[:, 1]), num_nodes_total)
+    del pairs  # not kept alive while the graphs are built
+    crossing = np.flatnonzero(graph_of_node[lo] != graph_of_node[hi])
+    if len(crossing):
+        ga, gb = graph_of_node[[lo[crossing[0]], hi[crossing[0]]]] + 1
+        raise CorruptDatasetError(f"{adj_path}: edge crosses graphs {ga} and {gb}")
+    lo, hi = lo[lo != hi], hi[lo != hi]  # self-loops are dropped
+    edge_graph = graph_of_node[lo]
+    order = np.argsort(edge_graph, kind="stable")
+    edges = np.stack([local_index[lo], local_index[hi]], axis=1)[order]
+    edge_blocks = np.split(edges, np.cumsum(np.bincount(edge_graph, minlength=num_graphs))[:-1])
 
     features = _build_node_features(base, name, num_nodes_total)
-
-    graphs = []
-    by_graph = np.argsort(np.asarray(graph_of_node), kind="stable")
     node_rows = np.split(by_graph, np.cumsum(node_counts)[:-1])
-    for gi in range(num_graphs):
-        edges = np.array(sorted(edge_sets[gi]), dtype=np.int64).reshape(-1, 2)
-        graphs.append(Graph(int(node_counts[gi]), edges, features[node_rows[gi]], labels[gi]))
+    graphs = [Graph(n, e, features[rows], label) for n, e, rows, label
+              in zip(node_counts.tolist(), edge_blocks, node_rows, labels.tolist())]
 
     logger.info("loaded %s: %d graphs, feat_dim=%d, %d classes",
-                name, len(graphs), graphs[0].feat_dim, len(label_map))
+                name, len(graphs), graphs[0].feat_dim, len(classes))
     return Dataset(name, graphs)
 
 
@@ -251,52 +243,40 @@ def _build_node_features(base: Path, name: str, num_nodes: int) -> np.ndarray:
     label_path = base / f"{name}_node_labels.txt"
     parts = []
     if attr_path.exists():
-        attrs = _read_float_matrix(attr_path)
+        attrs = _read_rows(attr_path)
         if len(attrs) != num_nodes:
             raise CorruptDatasetError(f"{attr_path}: {len(attrs)} rows for {num_nodes} nodes")
         parts.append(attrs)
     if label_path.exists():
-        node_labels = _read_int_column(label_path)
+        node_labels = _read_labels(label_path)
         if len(node_labels) != num_nodes:
             raise CorruptDatasetError(f"{label_path}: {len(node_labels)} rows for {num_nodes} nodes")
-        values = sorted(set(node_labels))
-        index = {v: i for i, v in enumerate(values)}
+        values, index = np.unique(node_labels, return_inverse=True)
         onehot = np.zeros((num_nodes, len(values)), dtype=np.float64)
-        onehot[np.arange(num_nodes), [index[v] for v in node_labels]] = 1.0
+        onehot[np.arange(num_nodes), index] = 1.0
         parts.append(onehot)
     if not parts:
         return np.ones((num_nodes, 1), dtype=np.float64)
     return np.concatenate(parts, axis=1)
 
 
-def _read_int_column(path: Path) -> list[int]:
-    out = []
+def _read_rows(path: Path, dtype=np.float64) -> np.ndarray:
+    """The non-blank lines of a comma-separated TU file, streamed into ``np.loadtxt``."""
     with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                # some TU label files use floats like "1.0"
-                out.append(int(float(line.split(",")[0])))
-            except ValueError as exc:
-                raise CorruptDatasetError(f"{path}:{line_no}: bad integer {line!r}") from exc
-    return out
+        lines = filter(str.strip, fh)
+        first = next(lines, None)
+        if first is None:  # loadtxt warns on empty input
+            return np.empty((0, 1), dtype=dtype)
+        try:
+            return np.loadtxt(itertools.chain([first], lines), dtype=dtype, delimiter=",",
+                              comments=None, ndmin=2)
+        except ValueError as exc:
+            raise CorruptDatasetError(f"{path}: {exc}") from exc
 
 
-def _read_float_matrix(path: Path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(x) for x in line.split(",")])
-            except ValueError as exc:
-                raise CorruptDatasetError(f"{path}:{line_no}: bad float row {line!r}") from exc
-    width = {len(r) for r in rows}
-    if len(width) != 1:
-        raise CorruptDatasetError(f"{path}: ragged attribute rows")
-    return np.asarray(rows, dtype=np.float64)
-
+def _read_labels(path: Path) -> np.ndarray:
+    """First column of a TU id or label file as int64; ``1.0`` reads as ``int(float(x))`` does."""
+    column = _read_rows(path)[:, 0]
+    if not np.all(np.abs(column) < 2.0**63):  # also false for nan
+        raise CorruptDatasetError(f"{path}: value is not a 64-bit integer")
+    return column.astype(np.int64)

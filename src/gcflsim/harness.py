@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .clustering import ClusterConfig
-from .errors import ArgumentError, ConfigurationError, IngestionError
+from .errors import ArgumentError, ConfigurationError, CorruptDatasetError, IngestionError
 from .fed import ClientState, RunConfig, RunResult, run_federation
 from .gnn import one_hot_degree_features
 from .graphs import Dataset, Graph, binomial_gnp, load_tu_dataset
@@ -128,26 +128,34 @@ def apply_degree_features(dataset: Dataset) -> Dataset:
     return Dataset(dataset.name, [one_hot_degree_features(g, max_degree) for g in dataset.graphs])
 
 
-def load_dataset_for_federation(data_root: str | Path, name: str) -> Dataset:
-    """TU loader plus the degree-feature convention for the social datasets."""
+def load_dataset_for_federation(
+    data_root: str | Path, name: str, feature_mode: str = "original"
+) -> Dataset:
+    """TU loader plus one-hot degree features for the social sets and ``onehot_degree``.
+
+    A missing dataset is a ``ConfigurationError``; a corrupt one a ``CorruptDatasetError``.
+    """
     try:
         ds = load_tu_dataset(data_root, name)
+    except CorruptDatasetError:
+        raise
     except IngestionError as exc:
         raise ConfigurationError(f"dataset {name} not available: {exc}") from exc
-    if name in DEGREE_FEATURE_DATASETS:
+    if name in DEGREE_FEATURE_DATASETS or feature_mode == "onehot_degree":
         ds = apply_degree_features(ds)
     return ds
 
 
 def build_multi_dataset_group(
-    group: str, data_root: str | Path, test_fraction: float = 0.1, seed: int = 0
+    group: str, data_root: str | Path, test_fraction: float = 0.1, seed: int = 0,
+    feature_mode: str = "original",
 ) -> list[ClientState]:
     """One client per dataset of a named group, in the group's fixed order."""
     if group not in DATASET_GROUPS:
         raise ConfigurationError(f"unknown group {group!r}; pick from {sorted(DATASET_GROUPS)}")
     clients = []
     for i, name in enumerate(DATASET_GROUPS[group]):
-        ds = load_dataset_for_federation(data_root, name)
+        ds = load_dataset_for_federation(data_root, name, feature_mode)
         clients.append(client_from_dataset(ds, i, test_fraction, seed))
     return clients
 
@@ -356,10 +364,16 @@ class ExperimentConfig:
             raise ConfigurationError("test_fraction must be in (0, 1)")
         if self.num_clients < 1:
             raise ConfigurationError("num_clients must be >= 1")
+        if not self.seeds or not self.algorithms:
+            raise ConfigurationError("seeds and algorithms must each name at least one value")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls(**_parse_config_text(Path(path).read_text(), cls))
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read config file: {exc}") from exc
+        return cls(**_parse_config_text(text, cls))
 
     def with_overrides(self, pairs: list[str]) -> "ExperimentConfig":
         text = "\n".join(pairs)
@@ -383,23 +397,26 @@ def _parse_config_text(text: str, cls) -> dict:
 
 
 def _parse_value(key: str, value: str, annotation: str):
-    if key in ("algorithms",):
-        return [v.strip() for v in value.split(",") if v.strip()]
-    if key in ("seeds",):
-        return [int(v) for v in value.split(",") if v.strip()]
-    if key in ("eps1", "eps2"):
-        return None if value.lower() in ("", "none") else float(value)
-    if "bool" in annotation:
-        low = value.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ConfigurationError(f"{key}: expected a boolean, got {value!r}")
-    if "int" in annotation:
-        return int(value)
-    if "float" in annotation:
-        return float(value)
+    try:
+        if key in ("algorithms",):
+            return [v.strip() for v in value.split(",") if v.strip()]
+        if key in ("seeds",):
+            return [int(v) for v in value.split(",") if v.strip()]
+        if key in ("eps1", "eps2"):
+            return None if value.lower() in ("", "none") else float(value)
+        if "bool" in annotation:
+            low = value.lower()
+            if low in _TRUE:
+                return True
+            if low in _FALSE:
+                return False
+            raise ConfigurationError(f"{key}: expected a boolean, got {value!r}")
+        if "int" in annotation:
+            return int(value)
+        if "float" in annotation:
+            return float(value)
+    except ValueError as exc:
+        raise ConfigurationError(f"{key}: cannot parse {value!r}") from exc
     return value
 
 
@@ -415,28 +432,17 @@ def build_clients(config: ExperimentConfig, seed: int) -> list[ClientState]:
             clients_per_group=max(1, config.num_clients // 2), seed=seed
         )
     elif config.setting == "oneDS":
-        ds = load_dataset_for_federation(config.data_root, config.dataset)
-        if config.feature_mode == "onehot_degree":
-            ds = apply_degree_features(ds)
+        ds = load_dataset_for_federation(config.data_root, config.dataset, config.feature_mode)
         clients = partition_one_dataset(
             ds, config.num_clients, config.per_client_graphs, config.test_fraction,
             config.overlap, seed, config.label_skew,
         )
     else:
         clients = build_multi_dataset_group(
-            config.group, config.data_root, config.test_fraction, seed
+            config.group, config.data_root, config.test_fraction, seed, config.feature_mode
         )
-        if config.feature_mode == "onehot_degree":
-            for c in clients:
-                c.train_graphs = [_degree_graph(g) for g in c.train_graphs]
-                c.test_graphs = [_degree_graph(g) for g in c.test_graphs]
     clients, _, _ = unify_feature_space(clients)
     return clients
-
-
-def _degree_graph(graph: Graph) -> Graph:
-    max_degree = max(1, int(graph.degrees.max()) if graph.num_edges else 1)
-    return one_hot_degree_features(graph, max_degree)
 
 
 def make_run_config(config: ExperimentConfig, seed: int, algorithm: str) -> RunConfig:
@@ -602,6 +608,8 @@ def calibrate_epsilons(
     """Grid-search (eps1, eps2) by mean final held-out accuracy."""
     if algorithm not in ("gcfl", "gcflplus"):
         raise ConfigurationError("calibration targets gcfl or gcflplus")
+    if not eps1_grid or not eps2_grid:
+        raise ArgumentError("eps1 and eps2 grids must each hold at least one value")
     rows = []
     best = None
     seed = config.seeds[0]

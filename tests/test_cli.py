@@ -27,6 +27,15 @@ class TestAnalyzeProperties:
         assert code == 3
         assert "ConfigurationError" in capsys.readouterr().err
 
+    def test_corrupt_dataset_returns_corrupt_code(self, tmp_path, capsys):
+        root = write_tu_fixture(tmp_path / "data", "BAD")
+        adj = root / "BAD" / "BAD_A.txt"
+        adj.write_text(adj.read_text() + "1, 99\n")
+        code = run_cli("analyze-properties", "--data-root", str(root),
+                       "--dataset", "BAD", "--out", str(tmp_path / "x.csv"))
+        assert code == 5
+        assert "CorruptDatasetError" in capsys.readouterr().err
+
 
 class TestAnalyzeHetero:
     def test_self_comparison(self, tmp_path, capsys):
@@ -101,11 +110,23 @@ class TestRun:
         cfg = self._write_config(tmp_path, extra="algorithms = gcfl\n")
         assert run_cli("run", "--config", str(cfg)) == 3
 
+    @pytest.mark.parametrize("override", [
+        "rounds=abc", "lr=fast", "seeds=0,x", "seeds=", "algorithms=",
+    ])
+    def test_bad_config_value_exit_code(self, tmp_path, capsys, override):
+        cfg = self._write_config(tmp_path)
+        assert run_cli("run", "--config", str(cfg), "--set", override) == 3
+        assert "ConfigurationError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_file_exit_code(self, tmp_path, capsys):
+        assert run_cli("run", "--config", str(tmp_path / "absent.cfg")) == 3
+        assert "ConfigurationError" in capsys.readouterr().err
+
 
 class TestCalibrate:
-    def test_grid_search_reports_best(self, tmp_path, capsys):
+    def _write_config(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        out = tmp_path / "calib.csv"
         cfg.write_text(
             "setting = synthetic\n"
             "num_clients = 4\n"
@@ -116,6 +137,11 @@ class TestCalibrate:
             "warmup_rounds = 1\n"
             f"out_dir = {tmp_path / 'out'}\n"
         )
+        return cfg
+
+    def test_grid_search_reports_best(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "calib.csv"
         code = run_cli("calibrate", "--config", str(cfg), "--algorithm", "gcfl",
                        "--eps1-grid", "10.0", "--eps2-grid", "1e-6,1e3",
                        "--rounds", "3", "--out", str(out))
@@ -124,3 +150,13 @@ class TestCalibrate:
         assert lines[0] == "eps1,eps2,accuracy,clusters"
         assert len(lines) == 3
         assert "best:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("grid", [",", "", "a", "0.1,b"])
+    def test_bad_grid_is_argument_error(self, tmp_path, capsys, grid):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "calib.csv"
+        code = run_cli("calibrate", "--config", str(cfg), "--eps1-grid", grid,
+                       "--eps2-grid", "0.01", "--rounds", "1", "--out", str(out))
+        assert code == 2
+        assert "ArgumentError" in capsys.readouterr().err
+        assert not out.exists()

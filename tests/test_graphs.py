@@ -1,8 +1,13 @@
+import random
+import tempfile
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gcflsim.errors import ArgumentError, CorruptDatasetError, IngestionError
 from gcflsim.graphs import (
@@ -15,6 +20,7 @@ from gcflsim.graphs import (
 )
 
 from conftest import HYPOTHESIS, edge_set, make_graph, max_edges, small_graphs, write_tu_fixture
+from test_perfbench import write_tu_inputs
 
 
 class TestGraphInvariants:
@@ -185,6 +191,250 @@ class TestTuLoader:
             lo, hi = g.edges[:, 0], g.edges[:, 1]
             assert np.all(lo < hi)
             assert len({tuple(e) for e in g.edges.tolist()}) == g.num_edges
+
+
+def reference_load_tu_dataset(root_path, name):
+    """The line-by-line TU loader that the array reader replaced (the reference)."""
+    root = Path(root_path)
+    base = root / name if (root / name / f"{name}_A.txt").exists() else root
+
+    def required(suffix):
+        p = base / f"{name}_{suffix}"
+        if not p.exists():
+            raise IngestionError(f"missing required file: {p}")
+        return p
+
+    adj_path = required("A.txt")
+    indicator_path = required("graph_indicator.txt")
+    labels_path = required("graph_labels.txt")
+
+    graph_of_node = _reference_read_int_column(indicator_path)
+    num_nodes_total = len(graph_of_node)
+    if num_nodes_total == 0:
+        raise CorruptDatasetError(f"{indicator_path} is empty")
+
+    raw_labels = _reference_read_int_column(labels_path)
+    num_graphs = max(graph_of_node)
+    if min(graph_of_node) < 1:
+        raise CorruptDatasetError(f"{indicator_path}: graph ids must be 1-based")
+    if len(raw_labels) != num_graphs:
+        raise CorruptDatasetError(
+            f"{labels_path}: {len(raw_labels)} labels for {num_graphs} graphs"
+        )
+
+    label_map = {lab: i for i, lab in enumerate(sorted(set(raw_labels)))}
+    labels = [label_map[lab] for lab in raw_labels]
+
+    local_index = np.zeros(num_nodes_total, dtype=np.int64)
+    node_counts = np.zeros(num_graphs, dtype=np.int64)
+    for nid, gid in enumerate(graph_of_node):
+        local_index[nid] = node_counts[gid - 1]
+        node_counts[gid - 1] += 1
+    if np.any(node_counts == 0):
+        raise CorruptDatasetError(f"{indicator_path}: some graphs have no nodes")
+
+    edge_sets = [set() for _ in range(num_graphs)]
+    with open(adj_path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                a_str, b_str = line.split(",")
+                a, b = int(a_str), int(b_str)
+            except ValueError as exc:
+                raise CorruptDatasetError(f"{adj_path}:{line_no}: bad edge line {line!r}") from exc
+            if not (1 <= a <= num_nodes_total and 1 <= b <= num_nodes_total):
+                raise CorruptDatasetError(f"{adj_path}:{line_no}: node index out of range")
+            ga, gb = graph_of_node[a - 1], graph_of_node[b - 1]
+            if ga != gb:
+                raise CorruptDatasetError(f"{adj_path}:{line_no}: edge crosses graphs {ga} and {gb}")
+            if a == b:
+                continue
+            u, v = int(local_index[a - 1]), int(local_index[b - 1])
+            edge_sets[ga - 1].add((min(u, v), max(u, v)))
+
+    features = _reference_node_features(base, name, num_nodes_total)
+
+    graphs = []
+    by_graph = np.argsort(np.asarray(graph_of_node), kind="stable")
+    node_rows = np.split(by_graph, np.cumsum(node_counts)[:-1])
+    for gi in range(num_graphs):
+        edges = np.array(sorted(edge_sets[gi]), dtype=np.int64).reshape(-1, 2)
+        graphs.append(Graph(int(node_counts[gi]), edges, features[node_rows[gi]], labels[gi]))
+    return Dataset(name, graphs)
+
+
+def _reference_node_features(base, name, num_nodes):
+    attr_path = base / f"{name}_node_attributes.txt"
+    label_path = base / f"{name}_node_labels.txt"
+    parts = []
+    if attr_path.exists():
+        attrs = _reference_read_float_matrix(attr_path)
+        if len(attrs) != num_nodes:
+            raise CorruptDatasetError(f"{attr_path}: {len(attrs)} rows for {num_nodes} nodes")
+        parts.append(attrs)
+    if label_path.exists():
+        node_labels = _reference_read_int_column(label_path)
+        if len(node_labels) != num_nodes:
+            raise CorruptDatasetError(f"{label_path}: {len(node_labels)} rows for {num_nodes} nodes")
+        values = sorted(set(node_labels))
+        index = {v: i for i, v in enumerate(values)}
+        onehot = np.zeros((num_nodes, len(values)), dtype=np.float64)
+        onehot[np.arange(num_nodes), [index[v] for v in node_labels]] = 1.0
+        parts.append(onehot)
+    if not parts:
+        return np.ones((num_nodes, 1), dtype=np.float64)
+    return np.concatenate(parts, axis=1)
+
+
+def _reference_read_int_column(path):
+    out = []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append(int(float(line.split(",")[0])))
+            except ValueError as exc:
+                raise CorruptDatasetError(f"{path}:{line_no}: bad integer {line!r}") from exc
+    return out
+
+
+def _reference_read_float_matrix(path):
+    rows = []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rows.append([float(x) for x in line.split(",")])
+            except ValueError as exc:
+                raise CorruptDatasetError(f"{path}:{line_no}: bad float row {line!r}") from exc
+    width = {len(r) for r in rows}
+    if len(width) != 1:
+        raise CorruptDatasetError(f"{path}: ragged attribute rows")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def assert_same_dataset(got, want):
+    """Same graphs, byte for byte: node counts, edges, features and labels with dtypes."""
+    assert got.name == want.name and len(got) == len(want)
+    assert (got.feat_dim, got.num_classes) == (want.feat_dim, want.num_classes)
+    for g, w in zip(got.graphs, want.graphs):
+        assert type(g.num_nodes) is type(w.num_nodes) and g.num_nodes == w.num_nodes
+        assert type(g.label) is type(w.label) and g.label == w.label
+        for a, b in ((g.edges, w.edges), (g.features, w.features)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def tu_datasets(draw):
+    """Graphs with raw labels and optional raw node labels, and a seeded shuffle."""
+    graphs = draw(st.lists(small_graphs(max_nodes=7), min_size=1, max_size=5))
+    labels = draw(st.lists(st.integers(-2, 3), min_size=len(graphs), max_size=len(graphs)))
+    node_labels = None
+    if draw(st.booleans()):
+        total = sum(g.num_nodes for g in graphs)
+        node_labels = draw(st.lists(st.integers(0, 4), min_size=total, max_size=total))
+    return graphs, labels, node_labels, draw(st.randoms(use_true_random=False))
+
+
+def write_shuffled_tu(base, name, graphs, labels, node_labels, rnd):
+    """Write graphs in the TU layout the way messy published files look.
+
+    Each graph keeps its node order, but the graphs' nodes are interleaved in
+    the indicator file. Every edge is listed in both directions and the edge
+    lines are shuffled, with one duplicated edge line, one self-loop line and
+    blank and whitespace-only lines mixed in. Returns the path's parent.
+    """
+    base.mkdir(parents=True, exist_ok=True)
+    slots = [gi for gi, g in enumerate(graphs) for _ in range(g.num_nodes)]
+    rnd.shuffle(slots)
+    nodes = []  # (graph, local node) at each 1-based global id
+    for gi in slots:
+        nodes.append((gi, sum(1 for owner, _ in nodes if owner == gi)))
+    global_id = {node: pos for pos, node in enumerate(nodes, 1)}
+    lines = [f"{global_id[gi, u]}, {global_id[gi, v]}"
+             for gi, g in enumerate(graphs) for a, b in g.edges.tolist()
+             for u, v in ((a, b), (b, a))]
+    if lines:
+        lines.append(rnd.choice(lines))
+    lines += [f"{global_id[0, 0]},{global_id[0, 0]}", "", "   ", "\t"]
+    rnd.shuffle(lines)
+
+    def write(suffix, rows):
+        (base / f"{name}_{suffix}.txt").write_text("\n".join(rows + ["", "  "]) + "\n")
+
+    write("A", lines)
+    write("graph_indicator", [str(gi + 1) for gi in slots])
+    write("graph_labels", [f"{lab}.0" if k % 2 else str(lab) for k, lab in enumerate(labels)])
+    if node_labels is not None:
+        offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
+        write("node_labels", [str(node_labels[offsets[gi] + k]) for gi, k in nodes])
+    return base.parent
+
+
+class TestTuLoaderAgainstReference:
+    @HYPOTHESIS
+    @given(tu_datasets())
+    def test_shuffled_roundtrip(self, drawn):
+        graphs, labels, node_labels, rnd = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            root = write_shuffled_tu(Path(tmp) / "RT", "RT", graphs, labels, node_labels, rnd)
+            ds = load_tu_dataset(root, "RT")
+            assert [edge_set(g) for g in ds.graphs] == [edge_set(g) for g in graphs]
+            assert [g.num_nodes for g in ds.graphs] == [g.num_nodes for g in graphs]
+            assert_same_dataset(ds, reference_load_tu_dataset(root, "RT"))
+
+    def test_edgeless_set_loads_without_warning(self, tmp_path):
+        graphs = [make_graph(n, []) for n in (1, 3, 2)]
+        root = write_shuffled_tu(tmp_path / "EMPTY", "EMPTY", graphs, [0, 1, 0], None,
+                                 random.Random(0))
+        (root / "EMPTY" / "EMPTY_A.txt").write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_tu_dataset(root, "EMPTY")
+        assert [g.num_edges for g in ds.graphs] == [0, 0, 0]
+        assert_same_dataset(ds, reference_load_tu_dataset(root, "EMPTY"))
+
+    @pytest.mark.parametrize("attrs", [None, np.arange(18, dtype=float).reshape(9, 2) / 7])
+    def test_fixture(self, tmp_path, attrs):
+        root = write_tu_fixture(tmp_path, "FIX", node_attributes=attrs)
+        assert_same_dataset(load_tu_dataset(root, "FIX"), reference_load_tu_dataset(root, "FIX"))
+
+    @pytest.mark.parametrize("suffix, text", [
+        ("graph_indicator", ""),
+        ("graph_indicator", "0\n1\n1\n2\n2\n2\n3\n3\n3\n"),
+        ("graph_indicator", "1\n1\n1\n3\n3\n3\n4\n4\n4\n"),
+        ("graph_indicator", "1\n1\n1\n2\n2\n2\n3\n3\nnan\n"),
+        ("graph_labels", "1\n-1\n"),
+        ("graph_labels", "1\n-1\none\n"),
+        ("A", "1, 2\n2, x\n"),
+        ("A", "1, 2, 3\n"),
+        ("A", "1.0, 2\n"),
+        ("A", "1, 2\n1, 99\n"),
+        ("A", "0, 1\n"),
+        ("A", "1, 4\n"),
+        ("node_labels", "0\n1\n"),
+        ("node_attributes", "1.0, 2.0\n" * 8),
+        ("node_attributes", "1.0, 2.0\n" * 8 + "1.0\n"),
+        ("node_attributes", ""),
+    ])
+    def test_corrupt_files_raise_corrupt_dataset_error(self, tmp_path, suffix, text):
+        root = write_tu_fixture(tmp_path, "BAD")
+        (root / "BAD" / f"BAD_{suffix}.txt").write_text(text)
+        for loader in (load_tu_dataset, reference_load_tu_dataset):
+            with pytest.raises(CorruptDatasetError):
+                loader(root, "BAD")
+
+    def test_benchmark_sets(self, tmp_path):
+        write_tu_inputs(tmp_path, 1)
+        for name in ("MOL-SYNTH", "IMDB-BINARY"):
+            assert_same_dataset(load_tu_dataset(tmp_path, name),
+                                reference_load_tu_dataset(tmp_path, name))
 
 
 class TestPublishedDatasetStatistics:

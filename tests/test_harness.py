@@ -4,11 +4,13 @@ import pytest
 from gcflsim.clustering import ClusterConfig, ClusterState
 from gcflsim.errors import ArgumentError, ConfigurationError
 from gcflsim.fed import RunConfig, run_federation
-from gcflsim.gnn import GinModel, gin_forward, init_gin
+from gcflsim.gnn import GinModel, gin_forward, init_gin, one_hot_degree_features
 from gcflsim.graphs import Dataset
 from gcflsim.harness import (
+    MOLECULE_DATASETS,
     ExperimentConfig,
     auto_epsilons,
+    build_clients,
     build_multi_dataset_group,
     client_from_dataset,
     cluster_heterogeneity_report,
@@ -19,7 +21,7 @@ from gcflsim.harness import (
     unify_feature_space,
 )
 
-from conftest import make_graph, random_graph
+from conftest import make_graph, random_graph, write_tu_fixture
 
 
 def synthetic_dataset(count=1000, seed=0):
@@ -247,6 +249,34 @@ class TestGroupBuilder:
     def test_missing_dataset_named_in_error(self, tmp_path):
         with pytest.raises(ConfigurationError, match="MUTAG"):
             build_multi_dataset_group("molecules", tmp_path)
+
+    def test_onehot_degree_matches_per_graph_encoding(self, tmp_path):
+        for name in MOLECULE_DATASETS:
+            write_tu_fixture(tmp_path, name)
+        # BZR's path graph gains a degree-3 node, and BZR a fourth, edgeless graph
+        for suffix, extra in (("A", "10, 8\n8, 10\n"), ("graph_indicator", "3\n4\n"),
+                              ("graph_labels", "1\n"), ("node_labels", "1\n0\n")):
+            path = tmp_path / "BZR" / f"BZR_{suffix}.txt"
+            path.write_text(path.read_text() + extra)
+        config = ExperimentConfig(setting="multiDS", group="molecules", data_root=str(tmp_path),
+                                  feature_mode="onehot_degree")
+        got = build_clients(config, seed=0)
+
+        # the former encoding: each graph one-hot over its own degrees, then padded
+        def per_graph(g):
+            return one_hot_degree_features(g, max(1, int(g.degrees.max()) if g.num_edges else 1))
+
+        want = build_multi_dataset_group("molecules", tmp_path, seed=0)
+        for c in want:
+            c.train_graphs = [per_graph(g) for g in c.train_graphs]
+            c.test_graphs = [per_graph(g) for g in c.test_graphs]
+        want, input_dim, _ = unify_feature_space(want)
+        assert input_dim == 4
+        for a, b in zip(got, want, strict=True):
+            for ga, gb in zip(a.train_graphs + a.test_graphs, b.train_graphs + b.test_graphs,
+                              strict=True):
+                assert ga.features.shape == gb.features.shape
+                assert ga.features.tobytes() == gb.features.tobytes()
 
 
 class TestAutoEpsilons:
