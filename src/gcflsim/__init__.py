@@ -49,9 +49,7 @@ from .gnn import (
     gin_loss_and_grad,
     init_adam,
     init_gin,
-    load_checkpoint,
     one_hot_degree_features,
-    save_checkpoint,
 )
 from .graphs import Dataset, Graph, binomial_gnp, erdos_renyi_gnm, load_tu_dataset
 from .harness import (

@@ -11,9 +11,7 @@ A batch of graphs runs as one disjoint union, in training and evaluation alike.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -21,8 +19,6 @@ from scipy import sparse
 
 from .errors import ArgumentError
 from .graphs import Graph
-
-CHECKPOINT_MAGIC = b"GINCKPT1"
 
 
 @dataclass
@@ -90,17 +86,37 @@ def init_gin(
     return model
 
 
+# One process-wide, single-threaded workspace of grow-only buffers for the
+# batched pass's node rows: allocated per batch, they went back to the OS and
+# were faulted in again each call; one workspace per model costs more memory.
+_WORKSPACE: dict[tuple[str, int], np.ndarray] = {}
+
+
+def _scratch(role: str, rows: int, cols: int) -> np.ndarray:
+    """A ``(rows, cols)`` view of the workspace buffer for ``role``, grown if too small."""
+    buf = _WORKSPACE.get((role, cols))
+    if buf is None or len(buf) < rows:
+        buf = _WORKSPACE[role, cols] = np.empty((rows, cols))
+    return buf[:rows]
+
+
 class ForwardCache(NamedTuple):
-    """What backpropagation needs from one batched forward pass."""
+    """What backpropagation needs from one batched forward pass.
+
+    The node-row arrays are views into the shared workspace: the cache is
+    valid until the next ``gin_forward`` call in the process, and
+    backpropagation overwrites it with gradients.
+    """
 
     adjacency: sparse.csr_array  # block diagonal over all nodes of the batch
     sizes: np.ndarray  # nodes per graph
-    layers: list[tuple[np.ndarray, ...]]  # per layer: input h, s, z = s W1 + b1, relu(z)
+    layers: list[tuple[np.ndarray, ...]]  # per layer: input h, s, relu(s W1 + b1)
+    nodes: np.ndarray  # last layer's node states
     pooled: np.ndarray  # (graphs, hidden) sum-pooled node states
 
 
 def gin_forward(model: GinModel, graphs: list[Graph]) -> tuple[np.ndarray, ForwardCache]:
-    """Class logits, one row per graph, and the cache for backpropagation.
+    """Class logits, one row per graph (a fresh array), and the cache for backpropagation.
 
     The batch runs as one disjoint union: node features stacked, one sparse
     block-diagonal adjacency, and sum pooling over each graph's node rows.
@@ -115,21 +131,22 @@ def gin_forward(model: GinModel, graphs: list[Graph]) -> tuple[np.ndarray, Forwa
     edges = np.concatenate([g.edges + start for g, start in zip(graphs, starts)])
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    num_nodes = int(sizes.sum())
-    adjacency = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(num_nodes, num_nodes))
-    h = np.concatenate([g.features for g in graphs])
+    n = int(sizes.sum())
+    adjacency = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    h = np.concatenate([g.features for g in graphs], out=_scratch("x", n, model.input_dim))
     layers = []
     for l in range(model.num_layers):
-        s = adjacency @ h
-        s += (1.0 + model.eps[l]) * h
-        z = s @ model.w1[l]
-        z += model.b1[l]
-        r = np.maximum(z, 0.0)
-        layers.append((h, s, z, r))
-        h = r @ model.w2[l]
+        # s = A h + (1 + eps) h, bit for bit: floating-point addition commutes
+        s = np.multiply(h, 1.0 + model.eps[l], out=_scratch(f"s{l}", n, h.shape[1]))
+        s += adjacency @ h
+        r = np.matmul(s, model.w1[l], out=_scratch(f"r{l}", n, model.hidden))
+        r += model.b1[l]
+        np.maximum(r, 0.0, out=r)
+        layers.append((h, s, r))
+        h = np.matmul(r, model.w2[l], out=_scratch(f"h{l}", n, model.hidden))
         h += model.b2[l]
     pooled = np.add.reduceat(h, starts, axis=0)
-    return pooled @ model.wc + model.bc, ForwardCache(adjacency, sizes, layers, pooled)
+    return pooled @ model.wc + model.bc, ForwardCache(adjacency, sizes, layers, h, pooled)
 
 
 def cross_entropy(logits: np.ndarray, labels) -> np.ndarray:
@@ -168,19 +185,23 @@ def gin_loss_and_grad(
     grad = replace(model, vector=None)
     grad.wc[...] = cache.pooled.T @ d_logits
     grad.bc[...] = d_logits.sum(axis=0)
-    d_h = np.repeat(d_logits @ model.wc.T, cache.sizes, axis=0)  # sum pooling fans out
+    # Each gradient goes into the buffer of a forward array that is spent by then.
+    d_h = cache.nodes
+    d_h[...] = np.repeat(d_logits @ model.wc.T, cache.sizes, axis=0)  # sum pooling fans out
     for l in reversed(range(model.num_layers)):
-        h, s, z, r = cache.layers[l]
+        h, s, r = cache.layers[l]
         grad.w2[l][...] = r.T @ d_h
         grad.b2[l][...] = d_h.sum(axis=0)
-        d_z = d_h @ model.w2[l].T
-        d_z *= z > 0.0
+        active = r > 0.0  # exactly where z = s W1 + b1 > 0
+        d_z = np.matmul(d_h, model.w2[l].T, out=r)
+        d_z *= active
         grad.w1[l][...] = s.T @ d_z
         grad.b1[l][...] = d_z.sum(axis=0)
-        d_s = d_z @ model.w1[l].T
+        d_s = np.matmul(d_z, model.w1[l].T, out=s)
         grad.eps[l][...] = np.vdot(d_s, h)
-        d_h = cache.adjacency @ d_s
-        d_h += (1.0 + model.eps[l]) * d_s
+        if l:  # the input features need no gradient
+            d_h = np.multiply(d_s, 1.0 + model.eps[l], out=h)
+            d_h += cache.adjacency @ d_s
     return loss, grad.vector
 
 
@@ -218,29 +239,6 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndar
     m_hat = state.m / (1.0 - state.beta1**state.step)
     v_hat = state.v / (1.0 - state.beta2**state.step)
     return params - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints: shape header + little-endian float64 parameter vector
-# ---------------------------------------------------------------------------
-
-
-def save_checkpoint(model: GinModel, path: str | Path) -> None:
-    header = struct.pack("<4q", model.input_dim, model.hidden, model.num_layers, model.output_dim)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(header)
-        fh.write(model.vector.astype("<f8").tobytes())
-
-
-def load_checkpoint(path: str | Path) -> GinModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ArgumentError(f"{path} is not a model checkpoint")
-        input_dim, hidden, num_layers, output_dim = struct.unpack("<4q", fh.read(32))
-        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    return GinModel(int(input_dim), int(output_dim), int(hidden), int(num_layers), flat)
 
 
 # ---------------------------------------------------------------------------

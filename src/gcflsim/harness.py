@@ -362,8 +362,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown feature_mode {self.feature_mode!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigurationError("test_fraction must be in (0, 1)")
-        if self.num_clients < 1:
-            raise ConfigurationError("num_clients must be >= 1")
+        for key in ("num_clients", "rounds", "batch_size", "hidden", "num_layers"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.setting == "synthetic" and self.num_clients % 2:
+            raise ConfigurationError(f"synthetic num_clients must be even, got {self.num_clients}")
         if not self.seeds or not self.algorithms:
             raise ConfigurationError("seeds and algorithms must each name at least one value")
 
@@ -429,7 +432,7 @@ def build_clients(config: ExperimentConfig, seed: int) -> list[ClientState]:
     """Fresh clients for one seed according to the configured setting."""
     if config.setting == "synthetic":
         clients, _ = synthetic_two_group_clients(
-            clients_per_group=max(1, config.num_clients // 2), seed=seed
+            clients_per_group=config.num_clients // 2, seed=seed
         )
     elif config.setting == "oneDS":
         ds = load_dataset_for_federation(config.data_root, config.dataset, config.feature_mode)

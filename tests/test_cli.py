@@ -112,11 +112,14 @@ class TestRun:
 
     @pytest.mark.parametrize("override", [
         "rounds=abc", "lr=fast", "seeds=0,x", "seeds=", "algorithms=",
+        "hidden=0", "num_layers=0", "batch_size=0", "rounds=0", "num_clients=5",
     ])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, override):
         cfg = self._write_config(tmp_path)
         assert run_cli("run", "--config", str(cfg), "--set", override) == 3
-        assert "ConfigurationError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ConfigurationError" in err
+        assert override.split("=")[0] in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):

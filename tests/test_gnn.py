@@ -10,9 +10,7 @@ from gcflsim.gnn import (
     gin_loss_and_grad,
     init_adam,
     init_gin,
-    load_checkpoint,
     one_hot_degree_features,
-    save_checkpoint,
     softmax,
 )
 from gcflsim.graphs import Graph, erdos_renyi_gnm
@@ -225,7 +223,36 @@ class TestBackward:
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
 
 
-class TestFlattenCheckpoint:
+class TestWorkspace:
+    """The batched pass reuses one shared set of scratch buffers across calls."""
+
+    def test_reused_buffers_give_identical_results(self):
+        rng = np.random.default_rng(16)
+        model = small_model(rng, layers=3)
+        batch_a = [random_graph(rng, n=5) for _ in range(3)]
+        batch_b = [random_graph(rng, n=9) for _ in range(4)]
+        other = small_model(rng, input_dim=4, hidden=7)
+        loss, grad = gin_loss_and_grad(model, batch_a, [0, 1, 1])
+        gin_loss_and_grad(model, batch_b, [1, 0, 0, 1])
+        gin_loss_and_grad(other, [random_graph(rng, n=6, feat_dim=4) for _ in range(2)], [0, 1])
+        gin_forward(model, batch_b[:2])
+        again_loss, again_grad = gin_loss_and_grad(model, batch_a, [0, 1, 1])
+        assert again_loss == loss
+        assert np.array_equal(again_grad, grad)
+
+    def test_logits_outlive_later_calls(self):
+        rng = np.random.default_rng(17)
+        model = small_model(rng)
+        graphs = [random_graph(rng, n=8) for _ in range(4)]
+        logits, _ = gin_forward(model, graphs)
+        kept = logits.copy()
+        others = [random_graph(rng, n=6) for _ in range(3)]
+        gin_forward(model, others)
+        gin_loss_and_grad(model, others, [0, 1, 0])
+        assert np.array_equal(logits, kept)
+
+
+class TestParameterLayout:
     def test_flatten_roundtrip_identity(self):
         # the named parameters are views that tile the vector in layout order
         rng = np.random.default_rng(10)
@@ -242,22 +269,6 @@ class TestFlattenCheckpoint:
         assert model.num_params() == (1 + 15 + 5 + 25 + 5) + (1 + 25 + 5 + 25 + 5) + 12
         with pytest.raises(ArgumentError):
             GinModel(3, 2, hidden=5, num_layers=2, vector=np.zeros(model.num_params() - 1))
-
-    def test_checkpoint_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        model = small_model(rng)
-        path = tmp_path / "model.bin"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        assert (loaded.input_dim, loaded.hidden, loaded.num_layers, loaded.output_dim) == (
-            model.input_dim, model.hidden, model.num_layers, model.output_dim)
-        assert np.array_equal(loaded.vector, model.vector)
-
-    def test_checkpoint_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a checkpoint")
-        with pytest.raises(ArgumentError):
-            load_checkpoint(path)
 
 
 class TestAdam:
