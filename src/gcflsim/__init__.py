@@ -25,6 +25,7 @@ from .errors import (
     ClientSkip,
     ConfigurationError,
     CorruptDatasetError,
+    DivergenceError,
     GcflSimError,
     IngestionError,
     UndefinedEmbeddingError,

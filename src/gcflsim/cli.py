@@ -18,6 +18,7 @@ from .errors import (
     ArgumentError,
     ConfigurationError,
     CorruptDatasetError,
+    DivergenceError,
     GcflSimError,
     IngestionError,
     UndefinedEmbeddingError,
@@ -41,6 +42,7 @@ EXIT_CODES = {
     CorruptDatasetError: 5,
     UndefinedStatisticError: 6,
     UndefinedEmbeddingError: 7,
+    DivergenceError: 8,
 }
 
 

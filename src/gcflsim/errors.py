@@ -29,5 +29,9 @@ class ConfigurationError(GcflSimError):
     """An experiment configuration is invalid or unsatisfiable."""
 
 
+class DivergenceError(GcflSimError):
+    """Training produced non-finite parameters (nan or inf)."""
+
+
 class ClientSkip(GcflSimError):
     """Signal that a client cannot participate in the current round."""

@@ -26,7 +26,7 @@ from .clustering import (
     to_cut_weights,
 )
 from .dtwseries import NormWindow, dtw_matrix, dtw_to_cut_weights, push_norms
-from .errors import ArgumentError, ClientSkip
+from .errors import ArgumentError, ClientSkip, DivergenceError
 from .gnn import (
     AdamState,
     GinModel,
@@ -168,14 +168,15 @@ def evaluate_client(client: ClientState, params: np.ndarray) -> tuple[float, flo
     return float(np.mean(cross_entropy(logits, labels))), correct / len(labels)
 
 
+def _feature_scan(clients: list[ClientState]) -> tuple[set[int], int]:
+    """Feature widths and largest label over every client graph."""
+    graphs = [g for c in clients for g in c.train_graphs + c.test_graphs]
+    return {g.feat_dim for g in graphs}, max([0] + [g.label for g in graphs])
+
+
 def infer_dims(clients: list[ClientState]) -> tuple[int, int]:
     """Shared (input_dim, output_dim) over all client graphs."""
-    dims = set()
-    max_label = 0
-    for c in clients:
-        for g in c.train_graphs + c.test_graphs:
-            dims.add(g.feat_dim)
-            max_label = max(max_label, g.label)
+    dims, max_label = _feature_scan(clients)
     if len(dims) != 1:
         raise ArgumentError(f"clients disagree on feature dim: {sorted(dims)}; unify first")
     return dims.pop(), max(2, max_label + 1)
@@ -247,11 +248,15 @@ def run_federation(
             prox = (config.prox_mu, anchor) if algorithm == "fedprox" else None
             for cid in cluster.members:
                 try:
-                    deltas[cid] = local_train(
+                    delta = local_train(
                         by_id[cid], cluster.model, config.epochs, config.batch_size, prox
                     )
                 except ClientSkip:
                     logger.warning("round %d: skipping client %d (no training data)", t, cid)
+                    continue
+                if not np.isfinite(delta).all():
+                    raise DivergenceError(f"round {t}: client {cid} sent a non-finite update")
+                deltas[cid] = delta
 
         push_norms(window, {cid: float(np.linalg.norm(d)) for cid, d in deltas.items()})
 

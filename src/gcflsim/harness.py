@@ -19,10 +19,10 @@ import numpy as np
 
 from .clustering import ClusterConfig
 from .errors import ArgumentError, ConfigurationError, CorruptDatasetError, IngestionError
-from .fed import ClientState, RunConfig, RunResult, run_federation
+from .fed import ClientState, RunConfig, RunResult, _feature_scan, run_federation
 from .gnn import one_hot_degree_features
 from .graphs import Dataset, Graph, binomial_gnp, load_tu_dataset
-from .hetero import pairwise_heterogeneity
+from .hetero import MAX_WALK_LENGTH, pairwise_heterogeneity
 
 logger = logging.getLogger(__name__)
 
@@ -169,12 +169,7 @@ def unify_feature_space(clients: list[ClientState]) -> tuple[list[ClientState], 
     """
     if not clients:
         raise ArgumentError("need at least one client")
-    dims = set()
-    max_label = 0
-    for c in clients:
-        for g in c.train_graphs + c.test_graphs:
-            dims.add(g.feat_dim)
-            max_label = max(max_label, g.label)
+    dims, max_label = _feature_scan(clients)
     target = max(dims)
     if len(dims) > 1:
         for c in clients:
@@ -362,9 +357,15 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown feature_mode {self.feature_mode!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigurationError("test_fraction must be in (0, 1)")
-        for key in ("num_clients", "rounds", "batch_size", "hidden", "num_layers"):
+        for key in ("num_clients", "rounds", "batch_size", "hidden", "num_layers", "window",
+                    "bins", "pair_budget"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.epochs < 0:
+            raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
+        if not 1 <= self.awe_length <= MAX_WALK_LENGTH:
+            raise ConfigurationError(
+                f"awe_length must be in [1, {MAX_WALK_LENGTH}], got {self.awe_length}")
         if self.setting == "synthetic" and self.num_clients % 2:
             raise ConfigurationError(f"synthetic num_clients must be even, got {self.num_clients}")
         if not self.seeds or not self.algorithms:

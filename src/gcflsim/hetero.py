@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import csv
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ logger = logging.getLogger(__name__)
 MAX_WALK_LENGTH = 8
 WALK_BUDGET = 200_000  # exact enumeration up to this many walks, else AWE_SAMPLES sampled ones
 AWE_SAMPLES = 10_000
+EXACT_CHUNK_WALKS = 16_384  # most walks one exact-mode frontier holds, unless one start has more
 _PAIR_SEED_TAG = 90911
 _WALK_SEED_TAG = 90913
 
@@ -49,30 +52,58 @@ def enumerate_anonymous_walks(length: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _pattern_codes(length: int) -> np.ndarray:
-    """Base-(length+1) codes of the patterns; ascending, as the list is lexicographic."""
-    return _encode(np.array(enumerate_anonymous_walks(length), dtype=np.int64))
+def _pattern_masks(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair-equality masks of the patterns, ascending, and each mask's pattern index."""
+    masks = _pair_masks(np.array(enumerate_anonymous_walks(length), dtype=np.int64))
+    order = np.argsort(masks)
+    return masks[order], order
 
 
-def _encode(symbols: np.ndarray) -> np.ndarray:
-    return symbols @ symbols.shape[1] ** np.arange(symbols.shape[1] - 1, -1, -1)
+def _pair_masks(walks: np.ndarray) -> np.ndarray:
+    """Bit k set where the k-th position pair (i < j, combinations order) holds one node.
+
+    Two walks share an anonymous pattern exactly when their masks are equal;
+    C(MAX_WALK_LENGTH + 1, 2) = 36 bits fit in int64.
+    """
+    cols = walks.T.copy()
+    masks = np.zeros(len(walks), dtype=np.int64)
+    for k, (i, j) in enumerate(combinations(range(len(cols)), 2)):
+        masks |= np.left_shift(cols[i] == cols[j], k, dtype=np.int64)
+    return masks
 
 
 def _pattern_index(walks: np.ndarray) -> np.ndarray:
     """Index into ``enumerate_anonymous_walks`` of each row of node ids."""
-    first = np.argmax(walks[:, :, None] == walks[:, None, :], axis=2)
-    is_new = first == np.arange(walks.shape[1])
-    symbols = np.take_along_axis(np.cumsum(is_new, axis=1) - 1, first, axis=1)
-    return np.searchsorted(_pattern_codes(walks.shape[1] - 1), _encode(symbols))
+    sorted_masks, order = _pattern_masks(walks.shape[1] - 1)
+    return order[np.searchsorted(sorted_masks, _pair_masks(walks))]
 
 
-def exact_walk_count(graph: Graph, length: int) -> int:
-    """Number of distinct node walks of ``length`` edges (enumeration cost)."""
+def _walks_per_node(graph: Graph, length: int) -> np.ndarray:
+    """``A^length 1``: the number of walks of ``length`` edges from each node."""
     w = np.ones(graph.num_nodes)
     a = graph.adjacency
     for _ in range(length):
         w = a @ w
-    return int(round(w.sum()))
+    return w
+
+
+def exact_walk_count(graph: Graph, length: int) -> int:
+    """Number of distinct node walks of ``length`` edges (enumeration cost)."""
+    return int(round(_walks_per_node(graph, length).sum()))
+
+
+def _start_chunks(walk_counts: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive ``[lo, hi)`` runs of starts with at most ``EXACT_CHUNK_WALKS`` walks each.
+
+    A start whose own count exceeds the cap gets a chunk to itself.
+    """
+    ends = np.cumsum(walk_counts)
+    lo = 0
+    while lo < len(ends):
+        base = ends[lo - 1] if lo else 0.0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + EXACT_CHUNK_WALKS, side="right")))
+        yield lo, hi
+        lo = hi
 
 
 @dataclass
@@ -101,7 +132,7 @@ def awe_distribution(
     neighbors. ``exact`` enumerates every walk with its probability;
     ``sampled`` estimates frequencies from seeded random walks.
     """
-    num_patterns = len(_pattern_codes(length))
+    num_patterns = len(_pattern_masks(length)[0])
     if graph.num_edges == 0:
         raise UndefinedEmbeddingError("anonymous walks are undefined on an edgeless graph")
     deg = graph.degrees
@@ -109,12 +140,13 @@ def awe_distribution(
     indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
 
     if mode == "exact":
-        # Walks of one start in the order a DFS popping the highest neighbour
-        # first reaches them, so the sums below add in that order.
+        # Walks of each start in the order a DFS popping the highest neighbour
+        # first reaches them, starts in ascending order, so the sums below add
+        # in that order whatever the chunk size.
         probs = np.zeros(num_patterns)
-        for s in starts:
-            walks = np.array([[s]], dtype=np.int64)
-            p = np.array([1.0 / len(starts)])
+        for lo, hi in _start_chunks(_walks_per_node(graph, length)[starts]):
+            walks = starts[lo:hi, None]
+            p = np.full(hi - lo, 1.0 / len(starts))
             for _ in range(length):
                 ends = walks[:, -1]
                 d = deg[ends]

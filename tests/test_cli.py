@@ -113,6 +113,7 @@ class TestRun:
     @pytest.mark.parametrize("override", [
         "rounds=abc", "lr=fast", "seeds=0,x", "seeds=", "algorithms=",
         "hidden=0", "num_layers=0", "batch_size=0", "rounds=0", "num_clients=5",
+        "pair_budget=0", "awe_length=0", "awe_length=9", "bins=0", "epochs=-1", "window=0",
     ])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, override):
         cfg = self._write_config(tmp_path)
@@ -125,6 +126,13 @@ class TestRun:
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "absent.cfg")) == 3
         assert "ConfigurationError" in capsys.readouterr().err
+
+    def test_nan_learning_rate_is_divergence(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        assert run_cli("run", "--config", str(cfg), "--set", "lr=nan") == 8
+        err = capsys.readouterr().err
+        assert "DivergenceError" in err and "round 0" in err and "client 0" in err
+        assert not (tmp_path / "out" / "rounds.csv").exists()
 
 
 class TestCalibrate:

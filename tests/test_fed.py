@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gcflsim.clustering import ClusterConfig, ClusterState, cluster_aggregate
-from gcflsim.errors import ArgumentError, ClientSkip
+from gcflsim.errors import ArgumentError, ClientSkip, DivergenceError
 from gcflsim.fed import (
     _CLIENT_SEED_TAG,
     _INIT_SEED_TAG,
@@ -248,6 +248,13 @@ class TestRunFederation:
         for report in result.reports:
             for e in report.entries:
                 assert 0.0 <= e.test_acc <= 1.0
+
+    def test_non_finite_update_names_round_and_client(self):
+        clients = tiny_clients(num=3)
+        bad = clients[2].train_graphs[0]
+        clients[2].train_graphs[0] = bad.with_features(np.full_like(bad.features, np.nan))
+        with pytest.raises(DivergenceError, match=r"round 0: client 2 "):
+            run_federation(clients, "fedavg", 2, TINY)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ArgumentError):

@@ -10,6 +10,8 @@ from gcflsim.graphs import Dataset, Graph, erdos_renyi_gnm
 from gcflsim.hetero import (
     MAX_WALK_LENGTH,
     _pattern_index,
+    _pattern_masks,
+    _walks_per_node,
     awe_distribution,
     awe_distribution_auto,
     enumerate_anonymous_walks,
@@ -143,6 +145,25 @@ class TestAweDistribution:
         for length in range(1, 6):
             assert np.array_equal(awe_distribution(graph, length).probs,
                                   dfs_awe_probs(graph, length))
+
+    @HYPOTHESIS
+    @given(small_graphs().filter(lambda g: g.num_edges > 0))
+    def test_exact_chunking_leaves_probs_unchanged(self, graph):
+        starts = graph.degrees > 0
+        for length in range(1, 6):
+            per_start = _walks_per_node(graph, length)[starts]
+            caps = (1, max(1, int(per_start.max()) - 1), int(per_start.sum()) + 1)
+            want = dfs_awe_probs(graph, length)
+            for cap in caps:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(hetero, "EXACT_CHUNK_WALKS", cap)
+                    assert np.array_equal(awe_distribution(graph, length).probs, want)
+
+    def test_one_distinct_mask_per_pattern(self):
+        for length in range(1, MAX_WALK_LENGTH + 1):
+            masks, order = _pattern_masks(length)
+            assert len(np.unique(masks)) == len(enumerate_anonymous_walks(length))
+            assert sorted(order.tolist()) == list(range(len(masks)))
 
     def test_pattern_index_matches_reference_anonymizer(self):
         rng = np.random.default_rng(15)
