@@ -85,6 +85,5 @@ from .properties import (
     largest_component_fraction,
     property_significance,
 )
-from .sgc import SgcModel, normalized_adjacency, propagated_features, sgc_train
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ class ConfigurationError(GcflSimError):
 
 
 class DivergenceError(GcflSimError):
-    """Training produced non-finite parameters (nan or inf)."""
+    """Training produced a non-finite update (nan or inf) or one whose norm overflows."""
 
 
 class ClientSkip(GcflSimError):

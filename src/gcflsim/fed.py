@@ -30,6 +30,7 @@ from .errors import ArgumentError, ClientSkip, DivergenceError
 from .gnn import (
     AdamState,
     GinModel,
+    GraphBatch,
     adam_step,
     cross_entropy,
     gin_forward,
@@ -60,6 +61,8 @@ class ClientState:
     last_delta: Optional[np.ndarray] = None
     rng: Optional[np.random.Generator] = None
     last_train_loss: float = float("nan")
+    train_stack: Optional[GraphBatch] = None  # union of train_graphs; batches are cut from it
+    test_batch: Optional[GraphBatch] = None  # union of test_graphs, evaluated every round
 
     @property
     def data_size(self) -> int:
@@ -127,6 +130,7 @@ def local_train(
     Runs ``epochs`` passes of mini-batch Adam with a seeded shuffle. When
     ``prox=(mu, anchor)`` is given, each batch objective gains
     (mu/2)*||theta - anchor||^2. Returns final minus start parameters.
+    Each batch is gathered from ``client.train_stack``, built here if missing.
     """
     if not client.train_graphs:
         raise ClientSkip(f"client {client.id} has no training graphs")
@@ -136,15 +140,15 @@ def local_train(
     opt = client.optimizer
     start = np.array(start_params, dtype=np.float64)
     model.vector[:] = start
-    labels_all = [g.label for g in client.train_graphs]
+    if client.train_stack is None:
+        client.train_stack = GraphBatch(client.train_graphs)
+    stack = client.train_stack
     losses = []
     for _ in range(epochs):
-        order = client.rng.permutation(len(client.train_graphs))
+        order = client.rng.permutation(len(stack))
         for lo in range(0, len(order), batch_size):
-            idx = order[lo:lo + batch_size]
-            batch = [client.train_graphs[i] for i in idx]
-            batch_labels = [labels_all[i] for i in idx]
-            loss, grad = gin_loss_and_grad(model, batch, batch_labels)
+            batch = stack.take(order[lo:lo + batch_size])
+            loss, grad = gin_loss_and_grad(model, batch, batch.labels)
             if prox is not None and prox[0] != 0.0:
                 mu, anchor = prox
                 diff = model.vector - anchor
@@ -158,12 +162,17 @@ def local_train(
 
 
 def evaluate_client(client: ClientState, params: np.ndarray) -> tuple[float, float]:
-    """Mean test cross-entropy and accuracy under the given parameters."""
+    """Mean test cross-entropy and accuracy under the given parameters.
+
+    Runs ``client.test_batch``, built here if missing.
+    """
     if not client.test_graphs:
         return float("nan"), float("nan")
     client.params.vector[:] = params
-    labels = np.array([g.label for g in client.test_graphs])
-    logits, _ = gin_forward(client.params, client.test_graphs)
+    if client.test_batch is None:
+        client.test_batch = GraphBatch(client.test_graphs)
+    labels = client.test_batch.labels
+    logits, _ = gin_forward(client.params, client.test_batch)
     correct = int(np.sum(np.argmax(logits, axis=1) == labels))
     return float(np.mean(cross_entropy(logits, labels))), correct / len(labels)
 
@@ -223,6 +232,7 @@ def run_federation(
         )
         c.last_delta = np.zeros(num_params)
         c.last_train_loss = float("nan")
+        c.train_stack = c.test_batch = None  # rebuilt from the current graph lists
 
     if algorithm == "selftrain":
         clusters = [ClusterState(i, [c.id], init_flat.copy()) for i, c in enumerate(clients)]
@@ -243,6 +253,7 @@ def run_federation(
             assignments.append((t, cluster.id, tuple(cluster.members)))
 
         deltas: dict[int, np.ndarray] = {}
+        norms: dict[int, float] = {}
         for cluster in clusters:
             anchor = cluster.model.copy()
             prox = (config.prox_mu, anchor) if algorithm == "fedprox" else None
@@ -254,11 +265,15 @@ def run_federation(
                 except ClientSkip:
                     logger.warning("round %d: skipping client %d (no training data)", t, cid)
                     continue
-                if not np.isfinite(delta).all():
-                    raise DivergenceError(f"round {t}: client {cid} sent a non-finite update")
+                # a finite delta whose norm overflows has diverged as well
+                with np.errstate(over="ignore"):
+                    norms[cid] = float(np.linalg.norm(delta))
+                if not np.isfinite(norms[cid]):
+                    raise DivergenceError(
+                        f"round {t}: client {cid} sent an update of non-finite norm")
                 deltas[cid] = delta
 
-        push_norms(window, {cid: float(np.linalg.norm(d)) for cid, d in deltas.items()})
+        push_norms(window, norms)
 
         for cluster in clusters:
             active = [cid for cid in cluster.members if cid in deltas]
@@ -270,7 +285,7 @@ def run_federation(
         for cluster in clusters:
             for cid in cluster.members:
                 test_loss, test_acc = evaluate_client(by_id[cid], cluster.model)
-                grad_norm = float(np.linalg.norm(deltas[cid])) if cid in deltas else 0.0
+                grad_norm = norms.get(cid, 0.0)
                 entries.append(ClientRound(cid, cluster.id, by_id[cid].last_train_loss,
                                            test_loss, test_acc, grad_norm))
                 final_accuracy[cid] = test_acc

@@ -5,7 +5,8 @@ Everything runs in 64-bit floats. Per layer the update is
 inner ReLU; the readout is sum pooling followed by a linear classifier.
 All parameters live in one flat vector in a fixed order (per layer: eps, W1,
 b1, W2, b2; then classifier W, b), which is the unit of federation transport.
-A batch of graphs runs as one disjoint union, in training and evaluation alike.
+A batch of graphs runs as one disjoint union (``GraphBatch``), in training and
+evaluation alike.
 """
 
 from __future__ import annotations
@@ -86,6 +87,73 @@ def init_gin(
     return model
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Where each of a run of consecutive blocks of the given lengths starts."""
+    return np.concatenate(([0], np.cumsum(counts)[:-1]))
+
+
+class GraphBatch:
+    """The disjoint union of a list of graphs, as one batched pass reads it.
+
+    ``features`` stacks the node features in graph order, ``adjacency`` is one
+    block-diagonal CSR array whose rows list their neighbours in increasing
+    order, graph g owns the node rows ``starts[g]:starts[g] + sizes[g]`` and
+    ``labels`` holds one class per graph. ``take`` cuts a sub-batch out of the
+    union with index arrays, so a client's graphs are unioned once per run.
+    """
+
+    def __init__(self, graphs: list[Graph]):
+        if not graphs:
+            raise ArgumentError("batch must be nonempty")
+        dims = {g.feat_dim for g in graphs}
+        if len(dims) != 1:
+            raise ArgumentError(f"batch mixes feature dims {sorted(dims)}")
+        sizes = np.array([g.num_nodes for g in graphs])
+        edges = np.concatenate([g.edges + start for g, start in zip(graphs, _offsets(sizes))])
+        rows = np.concatenate([edges[:, 0], edges[:, 1]])
+        cols = np.concatenate([edges[:, 1], edges[:, 0]])
+        n = int(sizes.sum())
+        self._set(np.concatenate([g.features for g in graphs]),
+                  sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n)),
+                  sizes, np.array([g.label for g in graphs], dtype=np.int64))
+
+    def _set(self, features, adjacency, sizes, labels) -> "GraphBatch":
+        self.features, self.adjacency, self.sizes, self.labels = (
+            features, adjacency, sizes, labels)
+        self.starts = _offsets(sizes)
+        return self
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def take(self, idx) -> "GraphBatch":
+        """The graphs ``idx``, in that order, as the union of exactly those graphs.
+
+        A graph's rows and its adjacency entries are contiguous blocks of the
+        union, so gathering whole blocks and shifting them keeps every row's
+        neighbours in increasing order: no COO step and no sort, and the CSR
+        arrays equal those of ``GraphBatch`` over the same graphs.
+        """
+        idx = np.asarray(idx, dtype=np.intp)
+        if not len(idx):
+            raise ArgumentError("batch must be nonempty")
+        indptr = self.adjacency.indptr
+        sizes, starts = self.sizes[idx], self.starts[idx]
+        first = indptr[starts]  # each graph's first adjacency entry in the union
+        entries = indptr[starts + sizes] - first
+        node_shift = _offsets(sizes) - starts  # new minus old node id, per graph
+        entry_shift = _offsets(entries) - first  # new minus old entry position, per graph
+        nodes = np.arange(int(sizes.sum())) - np.repeat(node_shift, sizes)
+        nnz = int(entries.sum())
+        new_indptr = np.append(indptr[nodes] + np.repeat(entry_shift, sizes), nnz)
+        positions = np.arange(nnz) - np.repeat(entry_shift, entries)
+        indices = self.adjacency.indices[positions] + np.repeat(node_shift, entries)
+        adjacency = sparse.csr_array((self.adjacency.data[:nnz], indices, new_indptr),
+                                     shape=(len(nodes), len(nodes)))
+        return GraphBatch.__new__(GraphBatch)._set(self.features[nodes], adjacency, sizes,
+                                                   self.labels[idx])
+
+
 # One process-wide, single-threaded workspace of grow-only buffers for the
 # batched pass's node rows: allocated per batch, they went back to the OS and
 # were faulted in again each call; one workspace per model costs more memory.
@@ -103,50 +171,46 @@ def _scratch(role: str, rows: int, cols: int) -> np.ndarray:
 class ForwardCache(NamedTuple):
     """What backpropagation needs from one batched forward pass.
 
-    The node-row arrays are views into the shared workspace: the cache is
-    valid until the next ``gin_forward`` call in the process, and
-    backpropagation overwrites it with gradients.
+    Layer 0's input is ``batch.features`` itself; every other node-row array
+    is a view into the shared workspace, valid until the next ``gin_forward``
+    call in the process, and backpropagation overwrites those with gradients.
+    It never writes layer 0's input, so a batch can be kept and run again.
     """
 
-    adjacency: sparse.csr_array  # block diagonal over all nodes of the batch
-    sizes: np.ndarray  # nodes per graph
+    batch: GraphBatch
     layers: list[tuple[np.ndarray, ...]]  # per layer: input h, s, relu(s W1 + b1)
     nodes: np.ndarray  # last layer's node states
     pooled: np.ndarray  # (graphs, hidden) sum-pooled node states
 
 
-def gin_forward(model: GinModel, graphs: list[Graph]) -> tuple[np.ndarray, ForwardCache]:
+def gin_forward(
+    model: GinModel, graphs: GraphBatch | list[Graph]
+) -> tuple[np.ndarray, ForwardCache]:
     """Class logits, one row per graph (a fresh array), and the cache for backpropagation.
 
-    The batch runs as one disjoint union: node features stacked, one sparse
-    block-diagonal adjacency, and sum pooling over each graph's node rows.
+    The batch runs as one disjoint union (a list of graphs is unioned first):
+    one sparse block-diagonal adjacency, and sum pooling over each graph's
+    node rows.
     """
-    if not graphs:
-        raise ArgumentError("batch must be nonempty")
-    dims = {g.feat_dim for g in graphs}
-    if dims != {model.input_dim}:
-        raise ArgumentError(f"feature dims {sorted(dims)} != model input dim {model.input_dim}")
-    sizes = np.array([g.num_nodes for g in graphs])
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    edges = np.concatenate([g.edges + start for g, start in zip(graphs, starts)])
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    n = int(sizes.sum())
-    adjacency = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    h = np.concatenate([g.features for g in graphs], out=_scratch("x", n, model.input_dim))
+    batch = graphs if isinstance(graphs, GraphBatch) else GraphBatch(graphs)
+    if batch.features.shape[1] != model.input_dim:
+        raise ArgumentError(
+            f"feature dim {batch.features.shape[1]} != model input dim {model.input_dim}")
+    n = len(batch.features)
+    h = batch.features
     layers = []
     for l in range(model.num_layers):
         # s = A h + (1 + eps) h, bit for bit: floating-point addition commutes
         s = np.multiply(h, 1.0 + model.eps[l], out=_scratch(f"s{l}", n, h.shape[1]))
-        s += adjacency @ h
+        s += batch.adjacency @ h
         r = np.matmul(s, model.w1[l], out=_scratch(f"r{l}", n, model.hidden))
         r += model.b1[l]
         np.maximum(r, 0.0, out=r)
         layers.append((h, s, r))
         h = np.matmul(r, model.w2[l], out=_scratch(f"h{l}", n, model.hidden))
         h += model.b2[l]
-    pooled = np.add.reduceat(h, starts, axis=0)
-    return pooled @ model.wc + model.bc, ForwardCache(adjacency, sizes, layers, h, pooled)
+    pooled = np.add.reduceat(h, batch.starts, axis=0)
+    return pooled @ model.wc + model.bc, ForwardCache(batch, layers, h, pooled)
 
 
 def cross_entropy(logits: np.ndarray, labels) -> np.ndarray:
@@ -170,7 +234,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def gin_loss_and_grad(
-    model: GinModel, graphs: list[Graph], labels: list[int]
+    model: GinModel, graphs: GraphBatch | list[Graph], labels: np.ndarray | list[int]
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient in the model's layout."""
     if len(graphs) != len(labels):
@@ -187,7 +251,7 @@ def gin_loss_and_grad(
     grad.bc[...] = d_logits.sum(axis=0)
     # Each gradient goes into the buffer of a forward array that is spent by then.
     d_h = cache.nodes
-    d_h[...] = np.repeat(d_logits @ model.wc.T, cache.sizes, axis=0)  # sum pooling fans out
+    d_h[...] = np.repeat(d_logits @ model.wc.T, cache.batch.sizes, axis=0)  # sum pooling fans out
     for l in reversed(range(model.num_layers)):
         h, s, r = cache.layers[l]
         grad.w2[l][...] = r.T @ d_h
@@ -201,7 +265,7 @@ def gin_loss_and_grad(
         grad.eps[l][...] = np.vdot(d_s, h)
         if l:  # the input features need no gradient
             d_h = np.multiply(d_s, 1.0 + model.eps[l], out=h)
-            d_h += cache.adjacency @ d_s
+            d_h += cache.batch.adjacency @ d_s
     return loss, grad.vector
 
 

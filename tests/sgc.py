@@ -1,8 +1,9 @@
 """Simple graph convolution: softmax(S^K X Theta) over the self-looped,
 symmetrically normalized adjacency S, trained by full-batch gradient descent.
 
-Used for the empirical checks that trained weights move monotonically with
-structure and feature perturbations of the underlying graph.
+The model of criterion 9 and ``test_sgc.py``: the empirical checks that
+trained weights move monotonically with structure and feature perturbations
+of the underlying graph. Nothing in the package uses it.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError
-from .gnn import softmax
-from .graphs import Graph
+from gcflsim.errors import ArgumentError
+from gcflsim.gnn import softmax
+from gcflsim.graphs import Graph
 
 THETA_INIT_SCALE = 0.01
 

@@ -31,9 +31,9 @@ from gcflsim.harness import (
 )
 from gcflsim.hetero import pairwise_heterogeneity
 from gcflsim.properties import property_significance
-from gcflsim.sgc import normalized_adjacency, sgc_train
 
 from conftest import data_root, random_graph, require_dataset
+from sgc import normalized_adjacency, sgc_train
 from test_clustering import brute_force_mincut, random_weights
 from test_dtwseries import dtw_oracle
 from test_fed import reports_equal, tiny_clients

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gcflsim
 from gcflsim.cli import main
 
 from conftest import write_tu_fixture
@@ -133,6 +139,53 @@ class TestRun:
         err = capsys.readouterr().err
         assert "DivergenceError" in err and "round 0" in err and "client 0" in err
         assert not (tmp_path / "out" / "rounds.csv").exists()
+
+    @pytest.mark.parametrize("algorithm", ["fedavg", "fedprox"])
+    def test_overflowing_update_norm_is_divergence_in_round_0(self, tmp_path, capsys, algorithm):
+        # the first update is finite, but its norm overflows to inf
+        cfg = self._write_config(tmp_path)
+        assert run_cli("run", "--config", str(cfg), "--set", "lr=1e300",
+                       "--set", f"algorithms={algorithm}") == 8
+        err = capsys.readouterr().err
+        assert "DivergenceError" in err and "round 0" in err
+        assert not (tmp_path / "out" / "rounds.csv").exists()
+
+    def test_byte_identical_across_processes(self, tmp_path):
+        """Same config, seed and BLAS thread setting give the same CSV bytes."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "setting = synthetic\n"
+            "num_clients = 4\n"
+            "per_client_graphs = 20\n"
+            "rounds = 3\n"
+            "algorithms = fedavg, gcfl\n"
+            "hidden = 8\n"
+            "num_layers = 2\n"
+            "weight_decay = 0.0\n"
+            "eps1 = 10.0\n"
+            "eps2 = 1e-6\n"
+            "min_split_size = 2\n"
+            "warmup_rounds = 1\n"
+            "hetero_report = true\n"
+            "pair_budget = 30\n"
+        )
+        src = str(Path(gcflsim.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        runs = [subprocess.Popen(
+            [sys.executable, "-m", "gcflsim.cli", "run", "--config", str(cfg),
+             "--set", f"out_dir={tmp_path / side}"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) for side in "ab"]
+        for run in runs:
+            _, err = run.communicate(timeout=120)
+            assert run.returncode == 0, err.decode()
+        names = sorted(p.name for p in (tmp_path / "a").glob("*.csv"))
+        assert names == ["clusters.csv", "hetero.csv", "rounds.csv", "splits.csv",
+                         "summary.csv", "windows.csv"]
+        assert sorted(p.name for p in (tmp_path / "b").glob("*.csv")) == names
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 class TestCalibrate:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,10 +134,12 @@ class TestLocalTrain:
 
 
 class TestRunFederation:
-    def test_selftrain_equals_isolated_training(self):
+    @pytest.mark.parametrize("batch_size", [TINY.batch_size, 4])  # 4: 6 graphs, a partial batch
+    def test_selftrain_equals_isolated_training(self, batch_size):
         clients = tiny_clients(2)
         rounds = 4
-        result = run_federation(clients, "selftrain", rounds, TINY)
+        config = replace(TINY, batch_size=batch_size)
+        result = run_federation(clients, "selftrain", rounds, config)
         fed_params = {c.id: c.params.vector.copy() for c in clients}
 
         # independent per-client loop using only the gnn primitives and the
@@ -150,8 +154,8 @@ class TestRunFederation:
             labels = [g.label for g in client.train_graphs]
             for _ in range(rounds * TINY.epochs):
                 order = rng.permutation(len(client.train_graphs))
-                for lo in range(0, len(order), TINY.batch_size):
-                    idx = order[lo:lo + TINY.batch_size]
+                for lo in range(0, len(order), batch_size):
+                    idx = order[lo:lo + batch_size]
                     _, grad = gin_loss_and_grad(model, [client.train_graphs[i] for i in idx],
                                                 [labels[i] for i in idx])
                     model.vector[:] = adam_step(opt, model.vector, grad)
@@ -251,6 +255,7 @@ class TestRunFederation:
 
     def test_non_finite_update_names_round_and_client(self):
         clients = tiny_clients(num=3)
+        run_federation(clients, "fedavg", 1, TINY)  # a new run sees the graph replaced below
         bad = clients[2].train_graphs[0]
         clients[2].train_graphs[0] = bad.with_features(np.full_like(bad.features, np.nan))
         with pytest.raises(DivergenceError, match=r"round 0: client 2 "):

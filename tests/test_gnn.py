@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gcflsim.errors import ArgumentError
 from gcflsim.gnn import (
     GinModel,
+    GraphBatch,
     adam_step,
     cross_entropy,
     gin_forward,
@@ -15,7 +18,7 @@ from gcflsim.gnn import (
 )
 from gcflsim.graphs import Graph, erdos_renyi_gnm
 
-from conftest import make_graph, random_graph
+from conftest import HYPOTHESIS, make_graph, random_graph, small_graphs
 
 
 def small_model(rng, input_dim=3, output_dim=2, hidden=5, layers=2):
@@ -250,6 +253,46 @@ class TestWorkspace:
         gin_forward(model, others)
         gin_loss_and_grad(model, others, [0, 1, 0])
         assert np.array_equal(logits, kept)
+
+
+class TestGraphBatch:
+    @HYPOTHESIS
+    @given(st.lists(small_graphs(max_nodes=7), min_size=1, max_size=6), st.data())
+    def test_take_equals_union_of_the_taken_graphs(self, drawn, data):
+        # a single-node and an edgeless graph are always in the pool
+        pool = drawn + [make_graph(1, []), make_graph(4, [])]
+        rng = np.random.default_rng(len(pool))
+        graphs = [g.with_features(rng.standard_normal((g.num_nodes, 3))).with_label(i % 2)
+                  for i, g in enumerate(pool)]
+        order = data.draw(st.permutations(range(len(graphs))))
+        idx = order[:data.draw(st.integers(1, len(graphs)))]
+        stack = GraphBatch(graphs)
+        kept = stack.features.copy()
+        got, want = stack.take(idx), GraphBatch([graphs[i] for i in idx])
+        assert len(got) == len(idx)
+        for a, b in ((got.adjacency.indptr, want.adjacency.indptr),
+                     (got.adjacency.indices, want.adjacency.indices),
+                     (got.adjacency.data, want.adjacency.data),
+                     (got.features, want.features), (got.sizes, want.sizes),
+                     (got.labels, want.labels)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got.adjacency.has_sorted_indices and want.adjacency.has_sorted_indices
+        model = small_model(np.random.default_rng(0))
+        loss, grad = gin_loss_and_grad(model, got, got.labels)
+        ref_loss, ref_grad = gin_loss_and_grad(model, [graphs[i] for i in idx],
+                                               [graphs[i].label for i in idx])
+        assert loss == ref_loss and np.array_equal(grad, ref_grad)
+        # backpropagation leaves a batch's features as they were
+        gin_loss_and_grad(model, stack, stack.labels)
+        assert np.array_equal(stack.features, kept)
+
+    def test_empty_and_mixed_batches_rejected(self):
+        with pytest.raises(ArgumentError):
+            GraphBatch([])
+        with pytest.raises(ArgumentError):
+            GraphBatch([make_graph(2, [(0, 1)], feat_dim=2), make_graph(2, [], feat_dim=3)])
+        with pytest.raises(ArgumentError):
+            GraphBatch([make_graph(2, [(0, 1)])]).take([])
 
 
 class TestParameterLayout:

@@ -3,14 +3,9 @@ import pytest
 from scipy import stats
 
 from gcflsim.graphs import Graph, erdos_renyi_gnm
-from gcflsim.sgc import (
-    THETA_INIT_SCALE,
-    normalized_adjacency,
-    propagated_features,
-    sgc_train,
-)
 
 from conftest import edge_set
+from sgc import THETA_INIT_SCALE, normalized_adjacency, propagated_features, sgc_train
 
 
 def planted_node_task(seed, n=30, feat_dim=8, classes=3, m=87):
