@@ -22,7 +22,6 @@ from .dtwseries import (
 )
 from .errors import (
     ArgumentError,
-    ClientSkip,
     ConfigurationError,
     CorruptDatasetError,
     DivergenceError,

@@ -25,7 +25,7 @@ class ClusterConfig:
     warmup_rounds: int = 0
 
     def __post_init__(self):
-        if self.eps1 <= 0 or self.eps2 <= 0:
+        if not (self.eps1 > 0 and self.eps2 > 0):  # also rejects nan
             raise ArgumentError("eps1 and eps2 must be positive")
 
 

@@ -31,7 +31,3 @@ class ConfigurationError(GcflSimError):
 
 class DivergenceError(GcflSimError):
     """Training produced a non-finite update (nan or inf) or one whose norm overflows."""
-
-
-class ClientSkip(GcflSimError):
-    """Signal that a client cannot participate in the current round."""

@@ -26,7 +26,7 @@ from .clustering import (
     to_cut_weights,
 )
 from .dtwseries import NormWindow, dtw_matrix, dtw_to_cut_weights, push_norms
-from .errors import ArgumentError, ClientSkip, DivergenceError
+from .errors import ArgumentError, DivergenceError
 from .gnn import (
     AdamState,
     GinModel,
@@ -50,17 +50,18 @@ _CLIENT_SEED_TAG = 2003
 
 @dataclass
 class ClientState:
-    """A client's local split plus its training-time state."""
+    """A client's local split plus the state that outlives a round.
+
+    ``run_federation`` sets all four afresh for each run. A client owns no
+    model: each round writes its cluster's model into the run's one GIN.
+    """
 
     id: int
     train_graphs: list[Graph]
     test_graphs: list[Graph]
     seed: int = 0
-    params: Optional[GinModel] = None
     optimizer: Optional[AdamState] = None
-    last_delta: Optional[np.ndarray] = None
     rng: Optional[np.random.Generator] = None
-    last_train_loss: float = float("nan")
     train_stack: Optional[GraphBatch] = None  # union of train_graphs; batches are cut from it
     test_batch: Optional[GraphBatch] = None  # union of test_graphs, evaluated every round
 
@@ -120,29 +121,24 @@ class RunResult:
 
 def local_train(
     client: ClientState,
+    model: GinModel,
     start_params: np.ndarray,
     epochs: int,
     batch_size: int = 128,
     prox: Optional[tuple[float, np.ndarray]] = None,
-) -> np.ndarray:
-    """Train locally from ``start_params`` and return the parameter delta.
+) -> tuple[np.ndarray, float]:
+    """Train ``model`` locally from ``start_params``; return (delta, mean batch loss).
 
-    Runs ``epochs`` passes of mini-batch Adam with a seeded shuffle. When
-    ``prox=(mu, anchor)`` is given, each batch objective gains
-    (mu/2)*||theta - anchor||^2. Returns final minus start parameters.
-    Each batch is gathered from ``client.train_stack``, built here if missing.
+    Runs ``epochs`` passes of mini-batch Adam with a seeded shuffle, each batch
+    gathered from ``client.train_stack``. When ``prox=(mu, anchor)`` is given,
+    each batch objective gains (mu/2)*||theta - anchor||^2. The delta is final
+    minus start parameters; the loss is nan when no batch ran (``epochs=0``).
     """
-    if not client.train_graphs:
-        raise ClientSkip(f"client {client.id} has no training graphs")
     if epochs < 0:
         raise ArgumentError("epochs must be >= 0")
-    model = client.params
-    opt = client.optimizer
+    opt, stack = client.optimizer, client.train_stack
     start = np.array(start_params, dtype=np.float64)
     model.vector[:] = start
-    if client.train_stack is None:
-        client.train_stack = GraphBatch(client.train_graphs)
-    stack = client.train_stack
     losses = []
     for _ in range(epochs):
         order = client.rng.permutation(len(stack))
@@ -156,23 +152,15 @@ def local_train(
                 grad = grad + mu * diff
             losses.append(loss)
             model.vector[:] = adam_step(opt, model.vector, grad)
-    client.last_delta = model.vector - start
-    client.last_train_loss = float(np.mean(losses)) if losses else float("nan")
-    return client.last_delta
+    return model.vector - start, float(np.mean(losses)) if losses else float("nan")
 
 
-def evaluate_client(client: ClientState, params: np.ndarray) -> tuple[float, float]:
-    """Mean test cross-entropy and accuracy under the given parameters.
-
-    Runs ``client.test_batch``, built here if missing.
-    """
-    if not client.test_graphs:
-        return float("nan"), float("nan")
-    client.params.vector[:] = params
-    if client.test_batch is None:
-        client.test_batch = GraphBatch(client.test_graphs)
+def evaluate_client(client: ClientState, model: GinModel,
+                    params: np.ndarray) -> tuple[float, float]:
+    """Mean test cross-entropy and accuracy of ``params``, written into ``model``."""
+    model.vector[:] = params
     labels = client.test_batch.labels
-    logits, _ = gin_forward(client.params, client.test_batch)
+    logits, _ = gin_forward(model, client.test_batch)
     correct = int(np.sum(np.argmax(logits, axis=1) == labels))
     return float(np.mean(cross_entropy(logits, labels))), correct / len(labels)
 
@@ -216,23 +204,22 @@ def run_federation(
     by_id = {c.id: c for c in clients}
     if len(by_id) != len(clients):
         raise ArgumentError("client ids must be unique")
+    for c in clients:
+        if not c.train_graphs or not c.test_graphs:
+            raise ArgumentError(f"client {c.id} needs at least one training and one test graph")
     input_dim, output_dim = infer_dims(clients)
 
     init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _INIT_SEED_TAG]))
-    init_model = init_gin(input_dim, output_dim, config.hidden, config.num_layers, init_rng)
-    init_flat = init_model.vector
-    num_params = init_flat.size
+    model = init_gin(input_dim, output_dim, config.hidden, config.num_layers, init_rng)
+    init_flat = model.vector.copy()  # the model itself is every client's working copy
 
     for c in clients:
-        c.params = GinModel(input_dim, output_dim, config.hidden, config.num_layers,
-                            init_flat.copy())
-        c.optimizer = init_adam(num_params, config.lr, config.weight_decay)
+        c.optimizer = init_adam(init_flat.size, config.lr, config.weight_decay)
         c.rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.seed])
         )
-        c.last_delta = np.zeros(num_params)
-        c.last_train_loss = float("nan")
-        c.train_stack = c.test_batch = None  # rebuilt from the current graph lists
+        c.train_stack = GraphBatch(c.train_graphs)
+        c.test_batch = GraphBatch(c.test_graphs)
 
     if algorithm == "selftrain":
         clusters = [ClusterState(i, [c.id], init_flat.copy()) for i, c in enumerate(clients)]
@@ -254,17 +241,14 @@ def run_federation(
 
         deltas: dict[int, np.ndarray] = {}
         norms: dict[int, float] = {}
+        train_loss: dict[int, float] = {}
         for cluster in clusters:
             anchor = cluster.model.copy()
             prox = (config.prox_mu, anchor) if algorithm == "fedprox" else None
             for cid in cluster.members:
-                try:
-                    delta = local_train(
-                        by_id[cid], cluster.model, config.epochs, config.batch_size, prox
-                    )
-                except ClientSkip:
-                    logger.warning("round %d: skipping client %d (no training data)", t, cid)
-                    continue
+                delta, train_loss[cid] = local_train(
+                    by_id[cid], model, cluster.model, config.epochs, config.batch_size, prox
+                )
                 # a finite delta whose norm overflows has diverged as well
                 with np.errstate(over="ignore"):
                     norms[cid] = float(np.linalg.norm(delta))
@@ -276,18 +260,15 @@ def run_federation(
         push_norms(window, norms)
 
         for cluster in clusters:
-            active = [cid for cid in cluster.members if cid in deltas]
-            if active:
-                cluster_aggregate(cluster, [deltas[cid] for cid in active],
-                                  [by_id[cid].data_size for cid in active])
+            cluster_aggregate(cluster, [deltas[cid] for cid in cluster.members],
+                              [by_id[cid].data_size for cid in cluster.members])
 
         entries = []
         for cluster in clusters:
             for cid in cluster.members:
-                test_loss, test_acc = evaluate_client(by_id[cid], cluster.model)
-                grad_norm = norms.get(cid, 0.0)
-                entries.append(ClientRound(cid, cluster.id, by_id[cid].last_train_loss,
-                                           test_loss, test_acc, grad_norm))
+                test_loss, test_acc = evaluate_client(by_id[cid], model, cluster.model)
+                entries.append(ClientRound(cid, cluster.id, train_loss[cid],
+                                           test_loss, test_acc, norms[cid]))
                 final_accuracy[cid] = test_acc
         entries.sort(key=lambda e: e.client_id)
         reports.append(RoundReport(t, entries))
@@ -295,10 +276,6 @@ def run_federation(
         if algorithm in ("gcfl", "gcflplus"):
             survivors: list[ClusterState] = []
             for cluster in clusters:
-                full = all(cid in deltas for cid in cluster.members)
-                if not full:
-                    survivors.append(cluster)
-                    continue
                 should = split_check(cluster.delta_mean, cluster.delta_max,
                                      len(cluster.members), config.cluster, t)
                 if should and len(cluster.members) >= 2:

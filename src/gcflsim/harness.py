@@ -19,7 +19,7 @@ import numpy as np
 
 from .clustering import ClusterConfig
 from .errors import ArgumentError, ConfigurationError, CorruptDatasetError, IngestionError
-from .fed import ClientState, RunConfig, RunResult, _feature_scan, run_federation
+from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, _feature_scan, run_federation
 from .gnn import one_hot_degree_features
 from .graphs import Dataset, Graph, binomial_gnp, load_tu_dataset
 from .hetero import MAX_WALK_LENGTH, pairwise_heterogeneity
@@ -370,6 +370,13 @@ class ExperimentConfig:
             raise ConfigurationError(f"synthetic num_clients must be even, got {self.num_clients}")
         if not self.seeds or not self.algorithms:
             raise ConfigurationError("seeds and algorithms must each name at least one value")
+        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
+        if unknown:
+            raise ConfigurationError(f"algorithms: unknown {unknown}; pick from {list(ALGORITHMS)}")
+        for key in ("eps1", "eps2"):
+            value = getattr(self, key)
+            if value is not None and not value > 0:  # also rejects nan
+                raise ConfigurationError(f"{key} must be > 0, got {value}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -452,8 +459,6 @@ def build_clients(config: ExperimentConfig, seed: int) -> list[ClientState]:
 def make_run_config(config: ExperimentConfig, seed: int, algorithm: str) -> RunConfig:
     cluster = None
     if algorithm in ("gcfl", "gcflplus"):
-        if config.eps1 is None or config.eps2 is None:
-            raise ConfigurationError(f"{algorithm} requires eps1 and eps2 (try `calibrate`)")
         cluster = ClusterConfig(config.eps1, config.eps2, config.min_split_size,
                                 config.warmup_rounds)
     return RunConfig(
@@ -470,6 +475,9 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     The self-train baseline is always run (and run first) because gain and
     improvement metrics are defined against it. Returns summary rows.
     """
+    clustered = [a for a in config.algorithms if a in ("gcfl", "gcflplus")]
+    if clustered and (config.eps1 is None or config.eps2 is None):
+        raise ConfigurationError(f"{clustered[0]} requires eps1 and eps2 (try `calibrate`)")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     algorithms = list(config.algorithms)
@@ -614,6 +622,8 @@ def calibrate_epsilons(
         raise ConfigurationError("calibration targets gcfl or gcflplus")
     if not eps1_grid or not eps2_grid:
         raise ArgumentError("eps1 and eps2 grids must each hold at least one value")
+    if not all(eps > 0 for eps in eps1_grid + eps2_grid):
+        raise ArgumentError("eps1 and eps2 grid values must be > 0")
     rows = []
     best = None
     seed = config.seeds[0]

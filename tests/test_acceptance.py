@@ -36,7 +36,7 @@ from conftest import data_root, random_graph, require_dataset
 from sgc import normalized_adjacency, sgc_train
 from test_clustering import brute_force_mincut, random_weights
 from test_dtwseries import dtw_oracle
-from test_fed import reports_equal, tiny_clients
+from test_fed import final_params, reports_equal, tiny_clients
 from test_gnn import batch_loss
 from test_properties import (
     brute_clustering,
@@ -220,19 +220,18 @@ def test_criterion_5_aggregation_identities():
         never_split = RunConfig(seed=3, hidden=8, num_layers=2,
                                 cluster=ClusterConfig(eps1=1e-12, eps2=1e12))
         res_gcfl = run_federation(clients, "gcfl", 5, never_split)
-        gcfl_params = {c.id: c.params.vector.tobytes() for c in clients}
+        gcfl_params = {cid: p.tobytes() for cid, p in final_params(res_gcfl).items()}
         res_avg = run_federation(clients, "fedavg", 5, base)
-        for c in clients:
-            assert c.params.vector.tobytes() == gcfl_params[c.id]
+        for cid, params in final_params(res_avg).items():
+            assert params.tobytes() == gcfl_params[cid]
         assert reports_equal(res_gcfl.reports, res_avg.reports)
 
         # FedProx with mu = 0 == FedAvg
         mu_zero = RunConfig(seed=3, hidden=8, num_layers=2, prox_mu=0.0)
         res_prox = run_federation(clients, "fedprox", 5, mu_zero)
-        prox_params = {c.id: c.params.vector.copy() for c in clients}
-        run_federation(clients, "fedavg", 5, base)
-        for c in clients:
-            assert np.array_equal(c.params.vector, prox_params[c.id])
+        prox_params = final_params(res_prox)
+        for cid, params in final_params(run_federation(clients, "fedavg", 5, base)).items():
+            assert np.array_equal(params, prox_params[cid])
         assert reports_equal(res_prox.reports, res_avg.reports)
 
         # self-train with one client == FedAvg with one client
@@ -240,7 +239,7 @@ def test_criterion_5_aggregation_identities():
         solo_b = tiny_clients(1, graphs_each=10, seed=2)
         r1 = run_federation(solo_a, "selftrain", 5, base)
         r2 = run_federation(solo_b, "fedavg", 5, base)
-        assert np.array_equal(solo_a[0].params.vector, solo_b[0].params.vector)
+        assert np.array_equal(final_params(r1)[0], final_params(r2)[0])
         assert reports_equal(r1.reports, r2.reports)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import gcflsim
+from gcflsim import harness
 from gcflsim.cli import main
 
 from conftest import write_tu_fixture
@@ -116,6 +117,23 @@ class TestRun:
         cfg = self._write_config(tmp_path, extra="algorithms = gcfl\n")
         assert run_cli("run", "--config", str(cfg)) == 3
 
+    @pytest.mark.parametrize("overrides", [
+        ["algorithms=magic"],
+        ["algorithms=gcfl", "eps1=-1", "eps2=0.01"],
+        ["algorithms=gcfl", "eps1=nan", "eps2=0.01"],
+        ["algorithms=gcfl"],
+    ], ids=["unknown-algorithm", "negative-eps", "nan-eps", "missing-eps"])
+    def test_bad_algorithm_or_eps_exits_before_training(self, tmp_path, capsys, monkeypatch,
+                                                        overrides):
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_federation was called")
+
+        monkeypatch.setattr(harness, "run_federation", no_training)
+        cfg = self._write_config(tmp_path)
+        sets = [arg for pair in overrides for arg in ("--set", pair)]
+        assert run_cli("run", "--config", str(cfg), *sets) == 3
+        assert "ConfigurationError" in capsys.readouterr().err
+
     @pytest.mark.parametrize("override", [
         "rounds=abc", "lr=fast", "seeds=0,x", "seeds=", "algorithms=",
         "hidden=0", "num_layers=0", "batch_size=0", "rounds=0", "num_clients=5",
@@ -215,7 +233,7 @@ class TestCalibrate:
         assert len(lines) == 3
         assert "best:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("grid", [",", "", "a", "0.1,b"])
+    @pytest.mark.parametrize("grid", [",", "", "a", "0.1,b", "0", "0.1,-1", "nan"])
     def test_bad_grid_is_argument_error(self, tmp_path, capsys, grid):
         cfg = self._write_config(tmp_path)
         out = tmp_path / "calib.csv"

@@ -111,8 +111,9 @@ class TestSplitCheck:
         assert d_mean == pytest.approx(0.5)
 
     def test_positive_eps_required(self):
-        with pytest.raises(ArgumentError):
-            ClusterConfig(eps1=0.0, eps2=1.0)
+        for eps1, eps2 in ((0.0, 1.0), (float("nan"), 1.0), (1.0, float("nan"))):
+            with pytest.raises(ArgumentError):
+                ClusterConfig(eps1=eps1, eps2=eps2)
 
 
 class TestCosineMatrix:

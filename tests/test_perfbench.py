@@ -5,6 +5,7 @@ the benchmark fail; this catches it in the test suite instead.
 """
 
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -13,15 +14,31 @@ from pathlib import Path
 
 import pytest
 
+from gcflsim import fed
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def write_tu_inputs(root: Path, seed: int) -> None:
     """The analysis-tu inputs, written the way the benchmark writes them."""
-    spec = importlib.util.spec_from_file_location("tudata", ROOT / "perfbench" / "tudata.py")
-    tudata = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tudata)
-    tudata.write_and_verify(root, seed)
+    load_perfbench("tudata").write_and_verify(root, seed)
+
+
+def test_fed_wrap_points_resolve():
+    """The tracer reports a missing wrap point as absent instead of failing, so check here."""
+    points = [name for module, name, _ in load_perfbench("spans").WRAP_POINTS if module == "fed"]
+    assert sorted(points) == ["evaluate_client", "local_train", "run_federation"]
+    for name in points:
+        assert callable(getattr(fed, name, None)), name
+    # the count fed.client_rounds binds these arguments by name
+    assert {"clients", "rounds"} <= set(inspect.signature(fed.run_federation).parameters)
 
 
 # one layer per workload that must have been called, beyond the workload's own check
