@@ -12,7 +12,8 @@ evaluation alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +21,37 @@ from scipy import sparse
 
 from .errors import ArgumentError
 from .graphs import Graph
+
+
+class _Views(NamedTuple):
+    """Named views into one flat parameter-layout vector; per-layer entries are lists."""
+
+    eps: list[np.ndarray]
+    w1: list[np.ndarray]
+    b1: list[np.ndarray]
+    w2: list[np.ndarray]
+    b2: list[np.ndarray]
+    wc: np.ndarray
+    bc: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _param_layout(input_dim: int, output_dim: int, hidden: int,
+                  num_layers: int) -> tuple[int, tuple[tuple[int, int, tuple[int, ...]], ...]]:
+    """The vector length and each parameter's ``(start, stop, shape)``, in layout order."""
+    shapes = []
+    for l in range(num_layers):
+        d = input_dim if l == 0 else hidden
+        shapes += [(), (d, hidden), (hidden,), (hidden, hidden), (hidden,)]
+    shapes += [(hidden, output_dim), (output_dim,)]
+    ends = np.cumsum([math.prod(s) for s in shapes]).tolist()
+    return ends[-1], tuple(zip([0] + ends[:-1], ends, shapes))
+
+
+def _views(vector: np.ndarray, parts) -> _Views:
+    views = [vector[start:stop].reshape(shape) for start, stop, shape in parts]
+    layers = views[:-2]
+    return _Views(*(layers[i::5] for i in range(5)), *views[-2:])
 
 
 @dataclass
@@ -38,21 +70,16 @@ class GinModel:
     vector: np.ndarray | None = None
 
     def __post_init__(self):
-        h, c = self.hidden, self.output_dim
-        shapes = []
-        for l in range(self.num_layers):
-            shapes += [(), (self.layer_input_dim(l), h), (h,), (h, h), (h,)]
-        shapes += [(h, c), (c,)]
-        ends = np.cumsum([math.prod(s) for s in shapes])
+        size, parts = self._layout()
         if self.vector is None:
-            self.vector = np.zeros(ends[-1])
+            self.vector = np.zeros(size)
         self.vector = np.ascontiguousarray(self.vector, dtype=np.float64)
-        if self.vector.shape != (ends[-1],):
-            raise ArgumentError(f"expected {ends[-1]} parameters, got {self.vector.shape}")
-        views = [part.reshape(s) for part, s in zip(np.split(self.vector, ends[:-1]), shapes)]
-        layers = views[:-2]
-        self.eps, self.w1, self.b1, self.w2, self.b2 = (layers[i::5] for i in range(5))
-        self.wc, self.bc = views[-2:]
+        if self.vector.shape != (size,):
+            raise ArgumentError(f"expected {size} parameters, got {self.vector.shape}")
+        self.eps, self.w1, self.b1, self.w2, self.b2, self.wc, self.bc = _views(self.vector, parts)
+
+    def _layout(self):
+        return _param_layout(self.input_dim, self.output_dim, self.hidden, self.num_layers)
 
     def layer_input_dim(self, layer: int) -> int:
         return self.input_dim if layer == 0 else self.hidden
@@ -246,7 +273,9 @@ def gin_loss_and_grad(
     d_logits = softmax(logits)
     d_logits[np.arange(len(labels)), labels] -= 1.0
     d_logits /= len(labels)
-    grad = replace(model, vector=None)
+    size, parts = model._layout()
+    grad_vector = np.zeros(size)
+    grad = _views(grad_vector, parts)
     grad.wc[...] = cache.pooled.T @ d_logits
     grad.bc[...] = d_logits.sum(axis=0)
     # Each gradient goes into the buffer of a forward array that is spent by then.
@@ -266,7 +295,7 @@ def gin_loss_and_grad(
         if l:  # the input features need no gradient
             d_h = np.multiply(d_s, 1.0 + model.eps[l], out=h)
             d_h += cache.batch.adjacency @ d_s
-    return loss, grad.vector
+    return loss, grad_vector
 
 
 # ---------------------------------------------------------------------------

@@ -361,8 +361,9 @@ class ExperimentConfig:
                     "bins", "pair_budget"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
+        for key in ("epochs", "lr", "prox_mu", "weight_decay"):
+            if getattr(self, key) < 0:  # a nan lr passes here and stops as divergence
+                raise ConfigurationError(f"{key} must be >= 0, got {getattr(self, key)}")
         if not 1 <= self.awe_length <= MAX_WALK_LENGTH:
             raise ConfigurationError(
                 f"awe_length must be in [1, {MAX_WALK_LENGTH}], got {self.awe_length}")

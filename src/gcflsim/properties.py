@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import csv
 import logging
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats
 from scipy.sparse import csgraph
+from scipy.special import stdtr
 
 from .errors import ArgumentError, UndefinedStatisticError
 from .graphs import Dataset, Graph, erdos_renyi_gnm
@@ -153,19 +152,31 @@ def _fmt(x) -> str:
 
 
 def welch_p_value(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sided Welch t-test p-value with degenerate-variance guards."""
+    """Two-sided Welch t-test p-value with degenerate-variance guards.
+
+    The arithmetic is SciPy's ``ttest_ind(a, b, equal_var=False)``, step for
+    step, ending in ``scipy.special.stdtr``: the p-value keeps its bits, and
+    SciPy's slow-to-import statistics package stays unloaded.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:
         raise ArgumentError("need at least two observations per sample")
     if a.var(ddof=1) < 1e-300 and b.var(ddof=1) < 1e-300:
         return 1.0 if abs(a.mean() - b.mean()) < 1e-300 else 0.0
-    with warnings.catch_warnings():
-        # constant samples are legitimate here (e.g. every cycle graph has
-        # clustering coefficient 0); scipy warns about the moment computation
-        warnings.simplefilter("ignore", RuntimeWarning)
-        res = stats.ttest_ind(a, b, equal_var=False)
-    p = float(res.pvalue)
+    n1, n2 = np.float64(len(a)), np.float64(len(b))
+    m1, m2 = np.mean(a), np.mean(b)
+    # constant samples are legitimate here (e.g. every cycle graph has
+    # clustering coefficient 0), and extreme ones may overflow: both give nan
+    # or inf, never a warning
+    with np.errstate(all="ignore"):
+        vn1 = np.mean((a - m1) ** 2) * (n1 / (n1 - 1)) / n1
+        vn2 = np.mean((b - m2) ** 2) * (n2 / (n2 - 1)) / n2
+        df = (vn1 + vn2) ** 2 / (vn1**2 / (n1 - 1) + vn2**2 / (n2 - 1))
+        if np.isnan(df):  # only when both variances are zero; any df then serves
+            df = np.float64(1.0)
+        t = np.divide(m1 - m2, np.sqrt(vn1 + vn2))
+        p = float(2 * stdtr(df, -np.abs(t)))
     return 1.0 if np.isnan(p) else p
 
 

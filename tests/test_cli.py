@@ -16,6 +16,17 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes most of a start-up; the Welch test runs on scipy.special
+    src = str(Path(gcflsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import gcflsim, gcflsim.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
+
+
 class TestAnalyzeProperties:
     def test_writes_report_for_fixture_dataset(self, tmp_path, capsys):
         root = write_tu_fixture(tmp_path / "data", "TINY")
@@ -138,6 +149,7 @@ class TestRun:
         "rounds=abc", "lr=fast", "seeds=0,x", "seeds=", "algorithms=",
         "hidden=0", "num_layers=0", "batch_size=0", "rounds=0", "num_clients=5",
         "pair_budget=0", "awe_length=0", "awe_length=9", "bins=0", "epochs=-1", "window=0",
+        "lr=-0.001", "prox_mu=-5", "weight_decay=-1",
     ])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, override):
         cfg = self._write_config(tmp_path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gcflsim.clustering import (
     ClusterConfig,
@@ -12,6 +14,8 @@ from gcflsim.clustering import (
     to_cut_weights,
 )
 from gcflsim.errors import ArgumentError
+
+from conftest import HYPOTHESIS
 
 
 def brute_force_mincut(w):
@@ -42,6 +46,17 @@ def _unique_mincut(w, best_val, tol=1e-12):
         if abs(sum(w[i, j] for i in side for j in other) - best_val) <= tol:
             hits += 1
     return hits == 1
+
+
+@st.composite
+def symmetric_weights(draw):
+    """A symmetric non-negative weight matrix with a zero diagonal, 2-8 vertices."""
+    n = draw(st.integers(2, 8))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    w = np.zeros((n, n))
+    w[np.triu_indices(n, 1)] = draw(st.lists(weight, min_size=n * (n - 1) // 2,
+                                             max_size=n * (n - 1) // 2))
+    return w + w.T
 
 
 def fedavg_aggregate(deltas, sizes, base):
@@ -208,6 +223,16 @@ class TestStoerWagner:
             assert achieved == pytest.approx(ref_val, abs=1e-9)
             if w[w > 0].min(initial=np.inf) > 0 and _unique_mincut(w, ref_val):
                 assert set(a) == set(ref_side) or set(b) == set(ref_side)
+
+    @HYPOTHESIS
+    @given(symmetric_weights())
+    def test_matches_brute_force_on_drawn_weights(self, w):
+        (a, b), value = stoer_wagner_mincut(w)
+        ref_val, ref_side = brute_force_mincut(w)
+        assert value == pytest.approx(ref_val, abs=1e-12)
+        assert sum(w[i, j] for i in a for j in b) == pytest.approx(ref_val, abs=1e-12)
+        if _unique_mincut(w, ref_val):
+            assert set(a) == set(ref_side) or set(b) == set(ref_side)
 
     def test_deterministic_and_zero_first(self):
         rng = np.random.default_rng(5)

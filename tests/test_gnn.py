@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gcflsim import gnn
 from gcflsim.errors import ArgumentError
 from gcflsim.gnn import (
     GinModel,
@@ -306,6 +307,29 @@ class TestParameterLayout:
         assert np.array_equal(np.concatenate(tiles), flat)
         other.w2[1][2, 3] = 7.5
         assert other.vector is flat and 7.5 in flat
+
+    def test_gradient_views_tile_the_vector_in_model_order(self):
+        # gin_loss_and_grad writes its gradient through these views of one
+        # zeroed vector, so they must lay it out as the model's own views do
+        model = small_model(np.random.default_rng(11), input_dim=4, hidden=6, layers=3)
+        size, parts = model._layout()
+        grad = np.zeros(size)
+
+        def in_order(v):
+            return [p[l] for l in range(3) for p in v[:5]] + [v[5], v[6]]
+
+        views = gnn._views(grad, parts)
+        model_views = in_order((model.eps, model.w1, model.b1, model.w2, model.b2,
+                                model.wc, model.bc))
+        offset = 0
+        for view, model_view in zip(in_order(views), model_views, strict=True):
+            assert view.shape == model_view.shape
+            assert np.shares_memory(view, grad)
+            start = (view.ctypes.data - grad.ctypes.data) // grad.itemsize
+            model_start = (model_view.ctypes.data - model.vector.ctypes.data) // grad.itemsize
+            assert start == model_start == offset
+            offset += view.size
+        assert offset == size == model.num_params()
 
     def test_param_count_formula(self):
         model = GinModel(3, 2, hidden=5, num_layers=2)

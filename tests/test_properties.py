@@ -1,10 +1,12 @@
+import warnings
 from collections import deque
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given
-from scipy import special
+from hypothesis import strategies as st
+from scipy import special, stats
 
 from gcflsim.errors import UndefinedStatisticError
 from gcflsim.graphs import Dataset
@@ -86,6 +88,38 @@ def welch_oracle(a, b):
     df = (va + vb) ** 2 / (va**2 / (len(a) - 1) + vb**2 / (len(b) - 1))
     x = df / (df + t**2)
     return float(special.betainc(df / 2, 0.5, x))  # two-sided
+
+
+def scipy_welch(a, b):
+    """``scipy.stats.ttest_ind``'s Welch p-value, with a ``nan`` mapped to 1.0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # constant samples
+        p = float(stats.ttest_ind(a, b, equal_var=False).pvalue)
+    return 1.0 if np.isnan(p) else p
+
+
+@st.composite
+def welch_samples(draw):
+    """Two samples of 2-60 values: floats, small integers, floats far from zero,
+    or one constant sample against a varying one.
+
+    Every value is 0 or at least 1e-3 in magnitude, so a variance below the
+    degenerate guard's 1e-300 is exactly 0, where the guard and scipy agree.
+    """
+    kind = draw(st.sampled_from(["float", "integer", "offset", "constant"]))
+    sizes = st.integers(2, 60)
+    if kind == "integer":
+        values = st.integers(-5, 5).map(float)
+    else:
+        values = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+    a = np.array(draw(st.lists(values, min_size=2, max_size=60)))
+    b = np.array(draw(st.lists(values, min_size=2, max_size=60)))
+    if kind == "offset":
+        shift = draw(st.sampled_from([3e9, -3e9, 1e6]))
+        a, b = a + shift, b + shift
+    elif kind == "constant":
+        a = np.full(draw(sizes), draw(values))
+    return a, b
 
 
 # --- unit behavior ----------------------------------------------------------
@@ -198,6 +232,12 @@ class TestWelch:
 
     def test_identical_constant_samples(self):
         assert welch_p_value([2.0, 2.0, 2.0], [2.0, 2.0, 2.0]) == 1.0
+
+    @HYPOTHESIS
+    @given(welch_samples())
+    def test_bit_equal_to_scipy_ttest(self, samples):
+        a, b = samples
+        assert welch_p_value(a, b).hex() == scipy_welch(a, b).hex()
 
 
 class TestPropertySignificance:
