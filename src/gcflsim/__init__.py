@@ -55,7 +55,6 @@ from .graphs import Dataset, Graph, binomial_gnp, erdos_renyi_gnm, load_tu_datas
 from .harness import (
     ExperimentConfig,
     MetricsSummary,
-    auto_epsilons,
     build_multi_dataset_group,
     calibrate_epsilons,
     cluster_heterogeneity_report,

@@ -155,6 +155,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        if getattr(args, "seed", 0) < 0:  # SeedSequence would reject it only after loading data
+            raise ArgumentError(f"--seed must be >= 0, got {args.seed}")
         return COMMANDS[args.command](args)
     except GcflSimError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ from .errors import ArgumentError, DivergenceError
 from .gnn import (
     AdamState,
     GinModel,
-    GraphBatch,
     adam_step,
     cross_entropy,
     gin_forward,
@@ -38,7 +37,7 @@ from .gnn import (
     init_adam,
     init_gin,
 )
-from .graphs import Graph
+from .graphs import Graph, GraphBatch
 
 logger = logging.getLogger(__name__)
 

@@ -17,10 +17,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-
 from .errors import ArgumentError
-from .graphs import Graph
+from .graphs import Graph, GraphBatch
 
 
 class _Views(NamedTuple):
@@ -112,73 +110,6 @@ def init_gin(
     model.wc[...] = uniform(hidden, (hidden, output_dim))
     model.bc[...] = uniform(hidden, (output_dim,))
     return model
-
-
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """Where each of a run of consecutive blocks of the given lengths starts."""
-    return np.concatenate(([0], np.cumsum(counts)[:-1]))
-
-
-class GraphBatch:
-    """The disjoint union of a list of graphs, as one batched pass reads it.
-
-    ``features`` stacks the node features in graph order, ``adjacency`` is one
-    block-diagonal CSR array whose rows list their neighbours in increasing
-    order, graph g owns the node rows ``starts[g]:starts[g] + sizes[g]`` and
-    ``labels`` holds one class per graph. ``take`` cuts a sub-batch out of the
-    union with index arrays, so a client's graphs are unioned once per run.
-    """
-
-    def __init__(self, graphs: list[Graph]):
-        if not graphs:
-            raise ArgumentError("batch must be nonempty")
-        dims = {g.feat_dim for g in graphs}
-        if len(dims) != 1:
-            raise ArgumentError(f"batch mixes feature dims {sorted(dims)}")
-        sizes = np.array([g.num_nodes for g in graphs])
-        edges = np.concatenate([g.edges + start for g, start in zip(graphs, _offsets(sizes))])
-        rows = np.concatenate([edges[:, 0], edges[:, 1]])
-        cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        n = int(sizes.sum())
-        self._set(np.concatenate([g.features for g in graphs]),
-                  sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n)),
-                  sizes, np.array([g.label for g in graphs], dtype=np.int64))
-
-    def _set(self, features, adjacency, sizes, labels) -> "GraphBatch":
-        self.features, self.adjacency, self.sizes, self.labels = (
-            features, adjacency, sizes, labels)
-        self.starts = _offsets(sizes)
-        return self
-
-    def __len__(self) -> int:
-        return len(self.sizes)
-
-    def take(self, idx) -> "GraphBatch":
-        """The graphs ``idx``, in that order, as the union of exactly those graphs.
-
-        A graph's rows and its adjacency entries are contiguous blocks of the
-        union, so gathering whole blocks and shifting them keeps every row's
-        neighbours in increasing order: no COO step and no sort, and the CSR
-        arrays equal those of ``GraphBatch`` over the same graphs.
-        """
-        idx = np.asarray(idx, dtype=np.intp)
-        if not len(idx):
-            raise ArgumentError("batch must be nonempty")
-        indptr = self.adjacency.indptr
-        sizes, starts = self.sizes[idx], self.starts[idx]
-        first = indptr[starts]  # each graph's first adjacency entry in the union
-        entries = indptr[starts + sizes] - first
-        node_shift = _offsets(sizes) - starts  # new minus old node id, per graph
-        entry_shift = _offsets(entries) - first  # new minus old entry position, per graph
-        nodes = np.arange(int(sizes.sum())) - np.repeat(node_shift, sizes)
-        nnz = int(entries.sum())
-        new_indptr = np.append(indptr[nodes] + np.repeat(entry_shift, sizes), nnz)
-        positions = np.arange(nnz) - np.repeat(entry_shift, entries)
-        indices = self.adjacency.indices[positions] + np.repeat(node_shift, entries)
-        adjacency = sparse.csr_array((self.adjacency.data[:nnz], indices, new_indptr),
-                                     shape=(len(nodes), len(nodes)))
-        return GraphBatch.__new__(GraphBatch)._set(self.features[nodes], adjacency, sizes,
-                                                   self.labels[idx])
 
 
 # One process-wide, single-threaded workspace of grow-only buffers for the

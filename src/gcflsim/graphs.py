@@ -48,12 +48,14 @@ class Graph:
             hi = np.maximum(self.edges[:, 0], self.edges[:, 1])
             if np.any(lo == hi):
                 raise ArgumentError("self-loops are not allowed")
-            canon = np.stack([lo, hi], axis=1)
-            order = np.lexsort((canon[:, 1], canon[:, 0]))
-            canon = canon[order]
-            if len(canon) > 1 and np.any(np.all(canon[1:] == canon[:-1], axis=1)):
-                raise ArgumentError("duplicate undirected edges are not allowed")
-            self.edges = canon
+            # a strictly increasing key is canonical order and proves no duplicates
+            key = lo * self.num_nodes + hi
+            if np.any(key[1:] <= key[:-1]):
+                key = np.sort(key)
+                if np.any(key[1:] == key[:-1]):
+                    raise ArgumentError("duplicate undirected edges are not allowed")
+                lo, hi = np.divmod(key, self.num_nodes)
+            self.edges = np.stack([lo, hi], axis=1)
 
     @property
     def num_edges(self) -> int:
@@ -72,13 +74,10 @@ class Graph:
     def adjacency(self) -> sparse.csr_array:
         """Symmetric 0/1 adjacency (float64 CSR, no self-loops, sorted indices).
 
-        Row v lists the neighbors of v in increasing order.
+        Row v lists the neighbors of v in increasing order: the one-graph case
+        of ``GraphBatch.adjacency``.
         """
-        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        indptr = np.concatenate(([0], np.cumsum(self.degrees)))
-        return sparse.csr_array((np.ones(len(rows)), cols[np.lexsort((cols, rows))], indptr),
-                                shape=(self.num_nodes, self.num_nodes))
+        return _union_adjacency(self.edges, self.num_nodes)
 
     def with_features(self, features: np.ndarray) -> "Graph":
         return Graph(self.num_nodes, self.edges.copy(), features, self.label)
@@ -109,6 +108,87 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.graphs)
+
+
+def _union_adjacency(edges: np.ndarray, num_nodes: int) -> sparse.csr_array:
+    """The symmetric 0/1 float64 CSR of ``num_nodes`` nodes and undirected ``edges``.
+
+    Each edge is listed once; row v lists the neighbors of v in increasing
+    order. ``Graph.adjacency`` and ``GraphBatch`` both build through here.
+    """
+    # both directions of each edge as row-major keys: sorted, they are the CSR entries
+    keys = np.concatenate([edges[:, 0] * num_nodes + edges[:, 1],
+                           edges[:, 1] * num_nodes + edges[:, 0]])
+    keys.sort()
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(edges.ravel(), minlength=num_nodes))))
+    return sparse.csr_array((np.ones(len(keys)), np.remainder(keys, num_nodes, out=keys), indptr),
+                            shape=(num_nodes, num_nodes))
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Where each of a run of consecutive blocks of the given lengths starts."""
+    return np.concatenate(([0], np.cumsum(counts)[:-1]))
+
+
+class GraphBatch:
+    """The disjoint union of a list of graphs: one array layout for a whole collection.
+
+    ``features`` stacks the node features in graph order, ``adjacency`` is one
+    block-diagonal CSR array whose rows list their neighbours in increasing
+    order, graph g owns the node rows ``starts[g]:starts[g] + sizes[g]`` and
+    ``labels`` holds one class per graph. The GIN runs a batch as one pass over
+    it and ``properties`` computes each property once per union. ``take`` cuts
+    a sub-batch out of the union with index arrays, so a client's graphs are
+    unioned once per run.
+    """
+
+    def __init__(self, graphs: list[Graph]):
+        if not graphs:
+            raise ArgumentError("batch must be nonempty")
+        dims = {g.feat_dim for g in graphs}
+        if len(dims) != 1:
+            raise ArgumentError(f"batch mixes feature dims {sorted(dims)}")
+        sizes = np.array([g.num_nodes for g in graphs])
+        edges = np.concatenate([g.edges + start for g, start in zip(graphs, _offsets(sizes))])
+        self._set(np.concatenate([g.features for g in graphs]),
+                  _union_adjacency(edges, int(sizes.sum())), sizes,
+                  np.array([g.label for g in graphs], dtype=np.int64))
+
+    def _set(self, features, adjacency, sizes, labels) -> "GraphBatch":
+        self.features, self.adjacency, self.sizes, self.labels = (
+            features, adjacency, sizes, labels)
+        self.starts = _offsets(sizes)
+        return self
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def take(self, idx) -> "GraphBatch":
+        """The graphs ``idx``, in that order, as the union of exactly those graphs.
+
+        A graph's rows and its adjacency entries are contiguous blocks of the
+        union, so gathering whole blocks and shifting them keeps every row's
+        neighbours in increasing order: no sort, and the CSR arrays equal those
+        of ``GraphBatch`` over the same graphs.
+        """
+        idx = np.asarray(idx, dtype=np.intp)
+        if not len(idx):
+            raise ArgumentError("batch must be nonempty")
+        indptr = self.adjacency.indptr
+        sizes, starts = self.sizes[idx], self.starts[idx]
+        first = indptr[starts]  # each graph's first adjacency entry in the union
+        entries = indptr[starts + sizes] - first
+        node_shift = _offsets(sizes) - starts  # new minus old node id, per graph
+        entry_shift = _offsets(entries) - first  # new minus old entry position, per graph
+        nodes = np.arange(int(sizes.sum())) - np.repeat(node_shift, sizes)
+        nnz = int(entries.sum())
+        new_indptr = np.append(indptr[nodes] + np.repeat(entry_shift, sizes), nnz)
+        positions = np.arange(nnz) - np.repeat(entry_shift, entries)
+        indices = self.adjacency.indices[positions] + np.repeat(node_shift, entries)
+        adjacency = sparse.csr_array((self.adjacency.data[:nnz], indices, new_indptr),
+                                     shape=(len(nodes), len(nodes)))
+        return GraphBatch.__new__(GraphBatch)._set(self.features[nodes], adjacency, sizes,
+                                                   self.labels[idx])
 
 
 def erdos_renyi_gnm(n: int, m: int, seed: int) -> Graph:

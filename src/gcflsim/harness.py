@@ -371,6 +371,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"synthetic num_clients must be even, got {self.num_clients}")
         if not self.seeds or not self.algorithms:
             raise ConfigurationError("seeds and algorithms must each name at least one value")
+        if min(self.seeds) < 0:
+            raise ConfigurationError(f"seeds must be >= 0, got {self.seeds}")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ConfigurationError(f"algorithms: unknown {unknown}; pick from {list(ALGORITHMS)}")
@@ -577,37 +579,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 # Epsilon selection
 # ---------------------------------------------------------------------------
-
-
-def probe_delta_stats(
-    clients: list[ClientState], run_config: RunConfig, probe_rounds: int
-) -> tuple[float, float]:
-    """Norm statistics of a short FedAvg probe: final (delta_mean, delta_max)."""
-    result = run_federation(clients, "fedavg", probe_rounds, run_config)
-    cluster = result.final_clusters[0]
-    return float(cluster.delta_mean), float(cluster.delta_max)
-
-
-def auto_epsilons(
-    clients: list[ClientState],
-    run_config: RunConfig,
-    probe_rounds: int = 20,
-    mean_margin: float = 1.5,
-    max_margin: float = 0.6,
-) -> tuple[float, float]:
-    """Offline calibration of (eps1, eps2) from a short FedAvg probe.
-
-    eps1 is set above the observed end-of-probe mean-update norm so the
-    stop criterion can fire; eps2 below the observed per-client maximum so
-    heterogeneous members keep the split criterion alive.
-    """
-    probe = replace(run_config, cluster=None)
-    delta_mean, delta_max = probe_delta_stats(clients, probe, probe_rounds)
-    eps1 = mean_margin * max(delta_mean, 1e-12)
-    eps2 = max_margin * max(delta_max, 1e-12)
-    logger.info("auto epsilons: probe delta_mean=%.4g delta_max=%.4g -> eps1=%.4g eps2=%.4g",
-                delta_mean, delta_max, eps1, eps2)
-    return eps1, eps2
 
 
 def calibrate_epsilons(

@@ -19,7 +19,7 @@ from scipy.sparse import csgraph
 from scipy.special import stdtr
 
 from .errors import ArgumentError, UndefinedStatisticError
-from .graphs import Dataset, Graph, erdos_renyi_gnm
+from .graphs import Dataset, Graph, GraphBatch, erdos_renyi_gnm
 
 logger = logging.getLogger(__name__)
 
@@ -30,92 +30,108 @@ PROPERTY_NAMES = (
     "clustering_coefficient",
 )
 
-PATH_SOURCE_BLOCK = 256  # shortest-path source nodes per csgraph call
+PATH_BLOCK = 256  # nodes per csgraph.shortest_path call
+PRODUCT_ROWS = 1024  # union rows per sparse (A @ A) * A product, which bounds its memory
 
 
-def _pearson_kurtosis(values: np.ndarray) -> float:
-    """Fourth central moment over squared variance (normal reference = 3)."""
+def _pearson_kurtosis(values: np.ndarray) -> np.ndarray:
+    """Fourth central moment over squared variance (normal reference = 3) along
+    the last axis; ``nan`` where the variance is zero."""
     values = np.asarray(values, dtype=np.float64)
-    center = values - values.mean()
-    m2 = np.mean(center**2)
-    if m2 < 1e-15:
-        raise UndefinedStatisticError("degree sequence has zero variance")
-    m4 = np.mean(center**4)
-    return float(m4 / m2**2)
+    center = values - values.mean(axis=-1, keepdims=True)
+    m2 = np.mean(center**2, axis=-1)
+    m4 = np.mean(center**4, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(m2 < 1e-15, np.nan, m4 / m2**2)
 
 
 def degree_kurtosis(dataset: Dataset) -> float:
     """Pearson kurtosis of the degree sequence pooled over all graphs."""
-    pooled = np.concatenate([g.degrees for g in dataset.graphs])
-    return _pearson_kurtosis(pooled)
+    kurtosis = float(_pearson_kurtosis(np.concatenate([g.degrees for g in dataset.graphs])))
+    if np.isnan(kurtosis):
+        raise UndefinedStatisticError("degree sequence has zero variance")
+    return kurtosis
 
 
-def avg_shortest_path(graph: Graph) -> float:
-    """Mean BFS distance over connected unordered node pairs.
+def _degrees(union: GraphBatch) -> np.ndarray:
+    return np.diff(union.adjacency.indptr).astype(np.int64)
 
-    Disconnected pairs are excluded; raises when no pair is connected.
-    Sources run in blocks of ``PATH_SOURCE_BLOCK``, so memory stays
-    O(block * num_nodes).
+
+def _per_graph(union: GraphBatch, node_values: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` of each graph's node values, one matrix row per graph, in node order.
+
+    Graphs of one size share one ``(graphs, size)`` matrix: a row reduction over
+    it adds each graph's values exactly as a reduction over that graph alone does."""
+    out = np.empty(len(union))
+    for size in np.unique(union.sizes).tolist():
+        which = np.flatnonzero(union.sizes == size)
+        out[which] = reduce(node_values[union.starts[which, None] + np.arange(size)])
+    return out
+
+
+def _node_runs(sizes: np.ndarray, limit: int):
+    """Node ranges ``(first, last)`` of consecutive whole graphs, at most ``limit``
+    nodes each; a larger graph is a range of its own."""
+    first = filled = 0
+    for size in sizes.tolist():
+        if filled + size > limit and filled:
+            yield first, first + filled
+            first, filled = first + filled, 0
+        filled += size
+    yield first, first + filled
+
+
+def avg_shortest_path(union: GraphBatch) -> np.ndarray:
+    """Each graph's mean BFS distance over its connected unordered node pairs.
+
+    Disconnected pairs are excluded; ``nan`` where no pair is connected.
+    Consecutive graphs of at most ``PATH_BLOCK`` nodes share one
+    ``csgraph.shortest_path`` call, which leaves the pairs across graphs
+    unreachable; a larger graph runs its sources in blocks of ``PATH_BLOCK``,
+    so memory stays O(PATH_BLOCK * nodes of one graph).
     """
-    if graph.num_nodes < 2:
-        raise UndefinedStatisticError("need at least two nodes")
-    total = 0
-    pairs = 0
-    for start in range(0, graph.num_nodes, PATH_SOURCE_BLOCK):
-        sources = np.arange(start, min(start + PATH_SOURCE_BLOCK, graph.num_nodes))
-        # the adjacency is symmetric, so directed search gives undirected distances
-        dist = csgraph.shortest_path(graph.adjacency, unweighted=True, indices=sources)
-        reachable = np.isfinite(dist) & (dist > 0)
-        total += int(dist[reachable].sum())
-        pairs += int(reachable.sum())
-    if pairs == 0:
-        raise UndefinedStatisticError("no connected node pair")
+    node_total = np.zeros(len(union.features))
+    node_pairs = np.zeros(len(union.features), dtype=np.int64)
+    for first, last in _node_runs(union.sizes, PATH_BLOCK):
+        block = union.adjacency[first:last, first:last]
+        for start in range(0, last - first, PATH_BLOCK):
+            sources = np.arange(start, min(start + PATH_BLOCK, last - first))
+            # the adjacency is symmetric, so directed search gives undirected distances
+            dist = csgraph.shortest_path(block, unweighted=True, indices=sources)
+            dist[np.isinf(dist)] = 0.0  # unreachable pairs count as 0, like a node and itself
+            node_total[first + sources] = dist.sum(axis=1)
+            node_pairs[first + sources] = np.count_nonzero(dist, axis=1)
+    # distances are integers, so these sums are exact in any order
+    total = np.add.reduceat(node_total, union.starts)
+    pairs = np.add.reduceat(node_pairs, union.starts)
     # every unordered pair was counted from both endpoints
-    return total / pairs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(pairs > 0, total / pairs, np.nan)
 
 
-def largest_component_fraction(graph: Graph) -> float:
-    """Size of the largest connected component as a percentage of nodes."""
+def largest_component_fraction(union: GraphBatch) -> np.ndarray:
+    """Each graph's largest connected component as a percentage of its nodes."""
     # the adjacency is symmetric, so its strong components are its components,
     # and scipy finds those without building the transpose
-    _, labels = csgraph.connected_components(graph.adjacency, connection="strong")
-    return 100.0 * int(np.bincount(labels).max()) / graph.num_nodes
+    _, labels = csgraph.connected_components(union.adjacency, connection="strong")
+    largest = np.maximum.reduceat(np.bincount(labels)[labels], union.starts)
+    return 100.0 * largest / union.sizes
 
 
-def avg_clustering_coefficient(graph: Graph) -> float:
-    """Mean local clustering coefficient; degree<2 nodes contribute 0."""
-    a = graph.adjacency
-    k = graph.degrees
+def avg_clustering_coefficient(union: GraphBatch) -> np.ndarray:
+    """Each graph's mean local clustering coefficient; degree<2 nodes contribute 0."""
+    a = union.adjacency
+    k = _degrees(union)
     # row v of (A @ A) * A sums the common neighbors of v and each neighbor:
     # twice the number of triangles through v
-    links = (a @ a).multiply(a).sum(axis=1)
-    coeff = np.zeros(graph.num_nodes)
+    links = np.concatenate([(a[s:s + PRODUCT_ROWS] @ a).multiply(a[s:s + PRODUCT_ROWS]).sum(axis=1)
+                            for s in range(0, len(k), PRODUCT_ROWS)])
+    coeff = np.zeros(len(k))
     ok = k >= 2
     coeff[ok] = links[ok] / (k[ok] * (k[ok] - 1))
-    # a running sum in node order, not numpy's pairwise one
-    return float(np.add.accumulate(coeff)[-1]) / graph.num_nodes
-
-
-def _per_graph_kurtosis(graph: Graph) -> Optional[float]:
-    try:
-        return _pearson_kurtosis(graph.degrees)
-    except UndefinedStatisticError:
-        return None
-
-
-def _per_graph_path(graph: Graph) -> Optional[float]:
-    try:
-        return avg_shortest_path(graph)
-    except UndefinedStatisticError:
-        return None
-
-
-_PER_GRAPH: dict[str, Callable[[Graph], Optional[float]]] = {
-    "degree_kurtosis": _per_graph_kurtosis,
-    "avg_shortest_path": _per_graph_path,
-    "largest_component_pct": largest_component_fraction,
-    "clustering_coefficient": avg_clustering_coefficient,
-}
+    # a running sum in node order per graph, not numpy's pairwise one
+    return _per_graph(union, coeff, lambda rows: np.add.accumulate(rows, axis=1)[:, -1]) \
+        / union.sizes
 
 
 @dataclass
@@ -188,11 +204,13 @@ def property_significance(
     """Compare per-graph property samples against G(n,m)-matched random graphs.
 
     One random graph with the same node and edge counts is generated per real
+    graph. The real graphs form one disjoint union and the random graphs
+    another, and each property is computed once per union, one value per
     graph. Per-property p-values come from a two-sample Welch t-test on the
-    per-graph values; a property observed on at most 50% of graphs in either
-    population is flagged as not computed. The kurtosis row reports the pooled
-    dataset-level statistic, matching its headline definition; all other rows
-    report means of the per-graph values.
+    per-graph values; a property undefined (``nan``) on half the graphs or
+    more in either population is flagged as not computed. The kurtosis row
+    reports the pooled dataset-level statistic, matching its headline
+    definition; all other rows report means of the per-graph values.
 
     The null seed of each random graph depends only on (seed, n, m, k) where
     k counts repeats of the same (n, m) shape, so the report is invariant to
@@ -207,21 +225,21 @@ def property_significance(
         key = (g.num_nodes, g.num_edges)
         random_graphs.append(null_factory(g, shape_counts[key]))
         shape_counts[key] += 1
+    real, random = GraphBatch(dataset.graphs), GraphBatch(random_graphs)
 
     rows: dict[str, PropertyStat] = {}
-    for prop in PROPERTY_NAMES:
-        fn = _PER_GRAPH[prop]
-        real_vals = np.array([v for v in (fn(g) for g in dataset.graphs) if v is not None])
-        rand_vals = np.array([v for v in (fn(g) for g in random_graphs) if v is not None])
-        frac_real = len(real_vals) / len(dataset.graphs)
-        frac_rand = len(rand_vals) / len(random_graphs)
+    for prop, fn in zip(PROPERTY_NAMES, (lambda u: _per_graph(u, _degrees(u), _pearson_kurtosis),
+                                         avg_shortest_path, largest_component_fraction,
+                                         avg_clustering_coefficient)):
+        real_vals, rand_vals = fn(real), fn(random)
+        real_vals, rand_vals = real_vals[~np.isnan(real_vals)], rand_vals[~np.isnan(rand_vals)]
+        frac_real = len(real_vals) / len(real)
+        frac_rand = len(rand_vals) / len(random)
         computed = frac_real > 0.5 and frac_rand > 0.5 and len(real_vals) > 1 and len(rand_vals) > 1
         p = welch_p_value(real_vals, rand_vals) if computed else None
         if prop == "degree_kurtosis":
-            try:
-                real_stat = degree_kurtosis(dataset)
-                rand_stat = _pearson_kurtosis(np.concatenate([g.degrees for g in random_graphs]))
-            except UndefinedStatisticError:
+            real_stat, rand_stat = (float(_pearson_kurtosis(_degrees(u))) for u in (real, random))
+            if np.isnan(real_stat) or np.isnan(rand_stat):
                 real_stat, rand_stat, computed, p = float("nan"), float("nan"), False, None
         else:
             real_stat = float(real_vals.mean()) if len(real_vals) else float("nan")

@@ -81,6 +81,19 @@ class TestAnalyzeHetero:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze-properties", "--dataset", "TINY"],
+    ["analyze-hetero", "--set-a", "TINY", "--set-b", "TINY"],
+], ids=["properties", "hetero"])
+def test_negative_analysis_seed_is_argument_error(tmp_path, capsys, command):
+    root = write_tu_fixture(tmp_path / "data", "TINY")
+    out = tmp_path / "out.csv"
+    code = run_cli(*command, "--data-root", str(root), "--seed", "-1", "--out", str(out))
+    assert code == 2
+    assert "ArgumentError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestRun:
     def _write_config(self, tmp_path, extra=""):
         cfg = tmp_path / "exp.cfg"
@@ -149,7 +162,7 @@ class TestRun:
         "rounds=abc", "lr=fast", "seeds=0,x", "seeds=", "algorithms=",
         "hidden=0", "num_layers=0", "batch_size=0", "rounds=0", "num_clients=5",
         "pair_budget=0", "awe_length=0", "awe_length=9", "bins=0", "epochs=-1", "window=0",
-        "lr=-0.001", "prox_mu=-5", "weight_decay=-1",
+        "lr=-0.001", "prox_mu=-5", "weight_decay=-1", "seeds=-1", "seeds=0,-2",
     ])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, override):
         cfg = self._write_config(tmp_path)

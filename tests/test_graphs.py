@@ -13,6 +13,7 @@ from gcflsim.errors import ArgumentError, CorruptDatasetError, IngestionError
 from gcflsim.graphs import (
     Dataset,
     Graph,
+    GraphBatch,
     binomial_gnp,
     decode_pair_index,
     erdos_renyi_gnm,
@@ -62,6 +63,38 @@ class TestGraphInvariants:
         for v in range(g.num_nodes):
             row = a.indices[a.indptr[v]:a.indptr[v + 1]].tolist()
             assert row == sorted({u for e in edge_set(g) if v in e for u in e if u != v})
+
+
+    @HYPOTHESIS
+    @given(small_graphs(), st.randoms(use_true_random=False))
+    def test_edge_order_and_direction_do_not_matter(self, g, rnd):
+        # canonical input keeps its order without a sort; any other order is sorted
+        shuffled = [tuple(e)[::rnd.choice((1, -1))] for e in g.edges.tolist()]
+        rnd.shuffle(shuffled)
+        again = make_graph(g.num_nodes, shuffled)
+        assert again.edges.dtype == g.edges.dtype and again.edges.flags.c_contiguous
+        assert np.array_equal(again.edges, g.edges)
+        assert np.array_equal(make_graph(g.num_nodes, g.edges).edges, g.edges)
+        if len(shuffled):
+            with pytest.raises(ArgumentError):
+                make_graph(g.num_nodes, shuffled + [shuffled[0][::-1]])
+
+
+class TestGraphBatch:
+    @HYPOTHESIS
+    @given(st.lists(small_graphs(), min_size=1, max_size=6))
+    def test_union_blocks_are_the_graphs_adjacencies(self, graphs):
+        union = GraphBatch(graphs)
+        assert np.array_equal(union.sizes, [g.num_nodes for g in graphs])
+        for g, start in zip(graphs, union.starts):
+            block = union.adjacency[start:start + g.num_nodes, start:start + g.num_nodes]
+            assert (block != g.adjacency).nnz == 0
+        assert union.adjacency.nnz == sum(g.adjacency.nnz for g in graphs)
+        # Graph.adjacency is the one-graph union
+        for g in graphs:
+            a, b = g.adjacency, GraphBatch([g]).adjacency
+            for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 class TestDataset:

@@ -9,7 +9,6 @@ from gcflsim.graphs import Dataset
 from gcflsim.harness import (
     MOLECULE_DATASETS,
     ExperimentConfig,
-    auto_epsilons,
     build_clients,
     build_multi_dataset_group,
     client_from_dataset,
@@ -22,6 +21,7 @@ from gcflsim.harness import (
 )
 
 from conftest import make_graph, random_graph, write_tu_fixture
+from epsilons import auto_epsilons
 
 
 def synthetic_dataset(count=1000, seed=0):

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special, stats
+from scipy.sparse import csgraph
 
 from gcflsim.errors import UndefinedStatisticError
-from gcflsim.graphs import Dataset
+from gcflsim.graphs import Dataset, GraphBatch
 from gcflsim.properties import (
-    PATH_SOURCE_BLOCK,
+    PATH_BLOCK,
+    _degrees,
+    _pearson_kurtosis,
+    _per_graph,
     avg_clustering_coefficient,
     avg_shortest_path,
     degree_kurtosis,
@@ -21,6 +25,92 @@ from gcflsim.properties import (
 )
 
 from conftest import HYPOTHESIS, complete_graph, edge_set, make_graph, random_graph, small_graphs
+
+
+def one(fn, graph):
+    """A union property of ``graph`` alone: its one-graph union's only value."""
+    return float(fn(GraphBatch([graph]))[0])
+
+
+def per_graph_kurtosis(union):
+    return _per_graph(union, _degrees(union), _pearson_kurtosis)
+
+
+# --- the per-graph functions the union functions replaced, as references ---
+
+
+REFERENCE_SOURCE_BLOCK = 256  # shortest-path source nodes per csgraph call
+
+
+def ref_shortest_path(graph):
+    """Mean BFS distance over connected unordered node pairs, in source blocks."""
+    if graph.num_nodes < 2:
+        raise UndefinedStatisticError("need at least two nodes")
+    total = 0
+    pairs = 0
+    for start in range(0, graph.num_nodes, REFERENCE_SOURCE_BLOCK):
+        sources = np.arange(start, min(start + REFERENCE_SOURCE_BLOCK, graph.num_nodes))
+        dist = csgraph.shortest_path(graph.adjacency, unweighted=True, indices=sources)
+        reachable = np.isfinite(dist) & (dist > 0)
+        total += int(dist[reachable].sum())
+        pairs += int(reachable.sum())
+    if pairs == 0:
+        raise UndefinedStatisticError("no connected node pair")
+    return total / pairs
+
+
+def ref_largest_component(graph):
+    _, labels = csgraph.connected_components(graph.adjacency, connection="strong")
+    return 100.0 * int(np.bincount(labels).max()) / graph.num_nodes
+
+
+def ref_clustering(graph):
+    a = graph.adjacency
+    k = graph.degrees
+    links = (a @ a).multiply(a).sum(axis=1)
+    coeff = np.zeros(graph.num_nodes)
+    ok = k >= 2
+    coeff[ok] = links[ok] / (k[ok] * (k[ok] - 1))
+    return float(np.add.accumulate(coeff)[-1]) / graph.num_nodes
+
+
+def ref_kurtosis(graph):
+    values = np.asarray(graph.degrees, dtype=np.float64)
+    center = values - values.mean()
+    m2 = np.mean(center**2)
+    if m2 < 1e-15:
+        raise UndefinedStatisticError("degree sequence has zero variance")
+    m4 = np.mean(center**4)
+    return float(m4 / m2**2)
+
+
+def nan_if_undefined(fn, graph):
+    try:
+        return fn(graph)
+    except UndefinedStatisticError:
+        return float("nan")
+
+
+UNION_AND_REFERENCE = (
+    (avg_shortest_path, ref_shortest_path),
+    (largest_component_fraction, ref_largest_component),
+    (avg_clustering_coefficient, ref_clustering),
+    (per_graph_kurtosis, ref_kurtosis),
+)
+
+
+def bits(x):
+    """``x``'s exact bits, with every nan alike."""
+    return "nan" if np.isnan(x) else float(x).hex()
+
+
+def assert_union_matches_references(graphs):
+    union = GraphBatch(graphs)
+    for union_fn, ref_fn in UNION_AND_REFERENCE:
+        values = union_fn(union)
+        assert values.shape == (len(graphs),)
+        assert [bits(v) for v in values] == [bits(nan_if_undefined(ref_fn, g)) for g in graphs], \
+            union_fn.__name__
 
 
 # --- independent brute-force references -----------------------------------
@@ -147,56 +237,55 @@ class TestDegreeKurtosis:
 
 class TestAvgShortestPath:
     def test_path3(self, path3):
-        assert avg_shortest_path(path3) == pytest.approx(4.0 / 3.0)
+        assert one(avg_shortest_path, path3) == pytest.approx(4.0 / 3.0)
 
     def test_complete_graphs_are_one(self):
         for n in range(2, 9):
-            assert avg_shortest_path(complete_graph(n)) == 1.0
+            assert one(avg_shortest_path, complete_graph(n)) == 1.0
 
     def test_disconnected_pairs_excluded(self):
         g = make_graph(4, [(0, 1), (2, 3)])
-        assert avg_shortest_path(g) == 1.0
+        assert one(avg_shortest_path, g) == 1.0
 
-    def test_edgeless_raises(self):
-        with pytest.raises(UndefinedStatisticError):
-            avg_shortest_path(make_graph(3, []))
+    def test_edgeless_is_nan(self):
+        assert np.isnan(one(avg_shortest_path, make_graph(3, [])))
 
     def test_path_longer_than_one_source_block(self):
         # mean distance over the pairs of a path on n nodes is (n + 1) / 3
-        n = 2 * PATH_SOURCE_BLOCK + 5
+        n = 2 * PATH_BLOCK + 5
         g = make_graph(n, [(i, i + 1) for i in range(n - 1)])
-        assert avg_shortest_path(g) == (n + 1) / 3
+        assert one(avg_shortest_path, g) == (n + 1) / 3
 
 
 class TestClusteringAndComponents:
     def test_triangle_is_one(self, triangle):
-        assert avg_clustering_coefficient(triangle) == 1.0
+        assert one(avg_clustering_coefficient, triangle) == 1.0
 
     def test_star_is_zero(self, star5):
-        assert avg_clustering_coefficient(star5) == 0.0
+        assert one(avg_clustering_coefficient, star5) == 0.0
 
     def test_complete_graphs(self):
         for n in range(3, 8):
-            assert avg_clustering_coefficient(complete_graph(n)) == 1.0
+            assert one(avg_clustering_coefficient, complete_graph(n)) == 1.0
 
     def test_connected_fraction(self, triangle):
-        assert largest_component_fraction(triangle) == 100.0
+        assert one(largest_component_fraction, triangle) == 100.0
 
     def test_two_components(self):
         g = make_graph(4, [(0, 1), (1, 2)])
-        assert largest_component_fraction(g) == 75.0
+        assert one(largest_component_fraction, g) == 75.0
 
 
 def test_properties_match_brute_force_on_random_graphs():
     rng = np.random.default_rng(11)
     for _ in range(50):
         g = random_graph(rng, n=int(rng.integers(3, 13)))
-        assert avg_clustering_coefficient(g) == pytest.approx(brute_clustering(g), abs=1e-12)
-        assert largest_component_fraction(g) == pytest.approx(
+        assert one(avg_clustering_coefficient, g) == pytest.approx(brute_clustering(g), abs=1e-12)
+        assert one(largest_component_fraction, g) == pytest.approx(
             brute_largest_component(g), abs=1e-12)
         ref = brute_shortest_path(g)
         if ref is not None:
-            assert avg_shortest_path(g) == pytest.approx(ref, abs=1e-12)
+            assert one(avg_shortest_path, g) == pytest.approx(ref, abs=1e-12)
         degrees = g.degrees
         if np.var(degrees) > 0:
             assert degree_kurtosis(Dataset("d", [g])) == pytest.approx(
@@ -206,14 +295,55 @@ def test_properties_match_brute_force_on_random_graphs():
 @HYPOTHESIS
 @given(small_graphs())
 def test_properties_match_brute_force_on_generated_graphs(g):
-    assert avg_clustering_coefficient(g) == pytest.approx(brute_clustering(g), abs=1e-12)
-    assert largest_component_fraction(g) == pytest.approx(brute_largest_component(g), abs=1e-12)
+    assert one(avg_clustering_coefficient, g) == pytest.approx(brute_clustering(g), abs=1e-12)
+    assert one(largest_component_fraction, g) == pytest.approx(
+        brute_largest_component(g), abs=1e-12)
     ref = brute_shortest_path(g)
     if ref is None:
-        with pytest.raises(UndefinedStatisticError):
-            avg_shortest_path(g)
+        assert np.isnan(one(avg_shortest_path, g))
     else:
-        assert avg_shortest_path(g) == pytest.approx(ref, abs=1e-12)
+        assert one(avg_shortest_path, g) == pytest.approx(ref, abs=1e-12)
+
+
+class TestUnion:
+    """One value per graph of a union, bit-equal to the per-graph references."""
+
+    @HYPOTHESIS
+    @given(st.lists(small_graphs(), min_size=1, max_size=8))
+    def test_union_values_match_references_and_oracles(self, graphs):
+        assert_union_matches_references(graphs)
+        union = GraphBatch(graphs)
+        paths = avg_shortest_path(union)
+        for g, path, lcc, cc in zip(graphs, paths, largest_component_fraction(union),
+                                    avg_clustering_coefficient(union)):
+            assert cc == pytest.approx(brute_clustering(g), abs=1e-12)
+            assert lcc == pytest.approx(brute_largest_component(g), abs=1e-12)
+            ref = brute_shortest_path(g)
+            assert np.isnan(path) if ref is None else path == pytest.approx(ref, abs=1e-12)
+
+    def test_single_node_and_edgeless_graphs(self):
+        graphs = [make_graph(1, []), make_graph(3, []), make_graph(2, [(0, 1)]), make_graph(1, [])]
+        assert_union_matches_references(graphs)
+        union = GraphBatch(graphs)
+        assert np.isnan(avg_shortest_path(union)).tolist() == [True, True, False, True]
+        assert largest_component_fraction(union).tolist() == [100.0, 100.0 / 3, 100.0, 100.0]
+        assert avg_clustering_coefficient(union).tolist() == [0.0, 0.0, 0.0, 0.0]
+
+    def test_graphs_straddling_the_path_block(self):
+        rng = np.random.default_rng(4)
+        # runs close exactly at, just before and just past the block size
+        sizes = [PATH_BLOCK - 3, 3, PATH_BLOCK // 2, PATH_BLOCK // 2 + 1, 2, PATH_BLOCK, 7]
+        graphs = [random_graph(rng, n=n, p=4.0 / n) for n in sizes]
+        assert_union_matches_references(graphs[:-1] + [make_graph(1, [], feat_dim=3)] + graphs[-1:])
+
+    def test_graph_larger_than_the_path_block(self):
+        rng = np.random.default_rng(5)
+        n = 2 * PATH_BLOCK + 5
+        path = make_graph(n, [(i, i + 1) for i in range(n - 1)], feat_dim=3)
+        graphs = [random_graph(rng, n=9), path, random_graph(rng, n=2 * n, p=3.0 / n),
+                  random_graph(rng, n=5)]
+        assert_union_matches_references(graphs)
+        assert avg_shortest_path(GraphBatch(graphs))[1] == (n + 1) / 3
 
 
 class TestWelch:
@@ -292,16 +422,10 @@ class TestPaperValues:
     def test_enzymes_clustering_coefficient(self):
         from conftest import require_dataset
         ds = require_dataset("ENZYMES")
-        mean_cc = np.mean([avg_clustering_coefficient(g) for g in ds.graphs])
+        mean_cc = np.mean(avg_clustering_coefficient(GraphBatch(ds.graphs)))
         assert abs(mean_cc - 0.4516) <= 0.01
 
     def test_ptc_mr_average_shortest_path(self):
         from conftest import require_dataset
         ds = require_dataset("PTC_MR")
-        vals = []
-        for g in ds.graphs:
-            try:
-                vals.append(avg_shortest_path(g))
-            except UndefinedStatisticError:
-                pass
-        assert abs(np.mean(vals) - 3.36) <= 0.05
+        assert abs(np.nanmean(avg_shortest_path(GraphBatch(ds.graphs))) - 3.36) <= 0.05
