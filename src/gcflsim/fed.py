@@ -9,8 +9,9 @@ derive from (run seed, client seed) and no other randomness exists.
 
 from __future__ import annotations
 
+import copy
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -42,6 +43,8 @@ from .graphs import Graph, GraphBatch
 logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("selftrain", "fedavg", "fedprox", "gcfl", "gcflplus")
+# the algorithms that run alike until the first split; see ``SharedPrefix``
+PREFIX_ALGORITHMS = ("fedavg", "gcfl", "gcflplus")
 
 _INIT_SEED_TAG = 1009
 _CLIENT_SEED_TAG = 2003
@@ -51,7 +54,8 @@ _CLIENT_SEED_TAG = 2003
 class ClientState:
     """A client's local split plus the state that outlives a round.
 
-    ``run_federation`` sets all four afresh for each run. A client owns no
+    ``run_federation`` sets all four for each run, the Adam state and RNG
+    from a copy of a ``SharedPrefix``'s when it resumes one. A client owns no
     model: each round writes its cluster's model into the run's one GIN.
     """
 
@@ -178,11 +182,88 @@ def infer_dims(clients: list[ClientState]) -> tuple[int, int]:
     return dims.pop(), max(2, max_label + 1)
 
 
+def _fires(cluster: ClusterState, criteria: ClusterConfig, t: int) -> bool:
+    """Whether ``cluster`` splits at the end of round ``t`` under ``criteria``."""
+    return len(cluster.members) >= 2 and split_check(
+        cluster.delta_mean, cluster.delta_max, len(cluster.members), criteria, t)
+
+
+@dataclass
+class _RunState:
+    """What a run carries from one round to the next, clients' Adam states and RNGs aside."""
+
+    clusters: list[ClusterState]
+    next_cluster_id: int
+    window: NormWindow
+    deltas: dict[int, np.ndarray] = field(default_factory=dict)  # the last round's updates
+    reports: list[RoundReport] = field(default_factory=list)
+    assignments: list[tuple[int, int, tuple[int, ...]]] = field(default_factory=list)
+    split_events: list[SplitEvent] = field(default_factory=list)
+    window_dumps: list[WindowDump] = field(default_factory=list)
+    final_accuracy: dict[int, float] = field(default_factory=dict)
+
+    def copy(self) -> "_RunState":
+        """A copy that shares only what a run rebinds and never writes: the arrays."""
+        return _RunState(
+            [replace(k, members=list(k.members)) for k in self.clusters], self.next_cluster_id,
+            NormWindow(self.window.length, {cid: list(b) for cid, b in self.window.buffers.items()}),
+            dict(self.deltas), list(self.reports), list(self.assignments),
+            list(self.split_events), list(self.window_dumps), dict(self.final_accuracy))
+
+
+@dataclass
+class SharedPrefix:
+    """The rounds that fedavg, gcfl and gcflplus run alike, recorded once for all three.
+
+    Until its first split, gcfl (and gcflplus) is fedavg: one cluster of all
+    clients, the same local steps and the same aggregation. The first run
+    given an unrecorded prefix records its state at the branch round: the
+    first round whose ``criteria`` fire on a cluster of at least two members,
+    before any split, or its last round if none fires. A later run given the
+    prefix starts from a copy of that state at the branch round's split
+    check, so it returns what a run from scratch returns, bit for bit.
+    """
+
+    criteria: ClusterConfig
+    round_index: int = -1
+    key: Optional[tuple] = None  # rounds, training settings, client ids and seeds
+    graphs: tuple[Graph, ...] = ()  # every client graph, compared by identity
+    state: Optional[_RunState] = None
+    clients: dict[int, tuple[AdamState, np.random.Generator]] = field(default_factory=dict)
+
+    @property
+    def recorded(self) -> bool:
+        return self.state is not None
+
+    def record(self, key: tuple, graphs: tuple[Graph, ...], t: int, run: _RunState,
+               clients: list[ClientState]) -> None:
+        self.key, self.graphs, self.round_index, self.state = key, graphs, t, run.copy()
+        self.clients = {c.id: (replace(c.optimizer), copy.deepcopy(c.rng)) for c in clients}
+
+    def resume(self, clients: list[ClientState]) -> _RunState:
+        """A copy of the recorded state; each client gets a copy of its Adam state and RNG."""
+        for c in clients:
+            optimizer, rng = self.clients[c.id]
+            c.optimizer, c.rng = replace(optimizer), copy.deepcopy(rng)
+        return self.state.copy()
+
+    def check(self, algorithm: str, key: tuple, graphs: tuple[Graph, ...],
+              config: RunConfig) -> None:
+        if algorithm not in PREFIX_ALGORITHMS:
+            raise ArgumentError(f"{algorithm} shares no rounds with {list(PREFIX_ALGORITHMS)}")
+        if algorithm != "fedavg" and config.cluster != self.criteria:
+            raise ArgumentError(f"{algorithm}'s split criteria differ from the prefix's")
+        if self.recorded and (key != self.key or len(graphs) != len(self.graphs)
+                              or any(a is not b for a, b in zip(graphs, self.graphs))):
+            raise ArgumentError("the prefix was recorded for other clients, rounds or settings")
+
+
 def run_federation(
     clients: list[ClientState],
     algorithm: str,
     rounds: int,
     config: RunConfig,
+    prefix: Optional[SharedPrefix] = None,
 ) -> RunResult:
     """Run one federated experiment and record per-round client metrics.
 
@@ -191,6 +272,9 @@ def run_federation(
     its held-out split, then (gcfl/gcflplus) check the split criteria and
     bipartition clusters whose criteria fire; both children inherit the
     freshly aggregated parent model and start the next round from it.
+
+    ``prefix`` (fedavg, gcfl and gcflplus only) is recorded by the first run
+    that gets it and resumed by every later one; see ``SharedPrefix``.
     """
     if algorithm not in ALGORITHMS:
         raise ArgumentError(f"unknown algorithm {algorithm!r}")
@@ -207,104 +291,120 @@ def run_federation(
         if not c.train_graphs or not c.test_graphs:
             raise ArgumentError(f"client {c.id} needs at least one training and one test graph")
     input_dim, output_dim = infer_dims(clients)
+    if prefix is not None:
+        # the settings that shape the shared rounds; the split-only ones are left out
+        key = (rounds, replace(config, cluster=None, prox_mu=0.0, standardize=False),
+               tuple((c.id, c.seed) for c in clients))
+        graphs = tuple(g for c in clients for g in c.train_graphs + c.test_graphs)
+        prefix.check(algorithm, key, graphs, config)
 
     init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _INIT_SEED_TAG]))
     model = init_gin(input_dim, output_dim, config.hidden, config.num_layers, init_rng)
     init_flat = model.vector.copy()  # the model itself is every client's working copy
 
     for c in clients:
-        c.optimizer = init_adam(init_flat.size, config.lr, config.weight_decay)
-        c.rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.seed])
-        )
         c.train_stack = GraphBatch(c.train_graphs)
         c.test_batch = GraphBatch(c.test_graphs)
 
-    if algorithm == "selftrain":
-        clusters = [ClusterState(i, [c.id], init_flat.copy()) for i, c in enumerate(clients)]
+    resumed_at = -1
+    if prefix is not None and prefix.recorded:
+        run, resumed_at = prefix.resume(clients), prefix.round_index
     else:
-        clusters = [ClusterState(0, [c.id for c in clients], init_flat.copy())]
-    next_cluster_id = len(clusters)
+        for c in clients:
+            c.optimizer = init_adam(init_flat.size, config.lr, config.weight_decay)
+            c.rng = np.random.default_rng(
+                np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.seed])
+            )
+        if algorithm == "selftrain":
+            clusters = [ClusterState(i, [c.id], init_flat.copy()) for i, c in enumerate(clients)]
+        else:
+            clusters = [ClusterState(0, [c.id for c in clients], init_flat.copy())]
+        run = _RunState(clusters, len(clusters), NormWindow(config.window_length))
 
-    window = NormWindow(config.window_length)
-    reports: list[RoundReport] = []
-    split_events: list[SplitEvent] = []
-    assignments: list[tuple[int, int, tuple[int, ...]]] = []
-    window_dumps: list[WindowDump] = []
-    final_accuracy: dict[int, float] = {}
-
-    for t in range(rounds):
-        clusters.sort(key=lambda k: k.id)
-        for cluster in clusters:
-            assignments.append((t, cluster.id, tuple(cluster.members)))
-
-        deltas: dict[int, np.ndarray] = {}
-        norms: dict[int, float] = {}
-        train_loss: dict[int, float] = {}
-        for cluster in clusters:
-            anchor = cluster.model.copy()
-            prox = (config.prox_mu, anchor) if algorithm == "fedprox" else None
-            for cid in cluster.members:
-                delta, train_loss[cid] = local_train(
-                    by_id[cid], model, cluster.model, config.epochs, config.batch_size, prox
-                )
-                # a finite delta whose norm overflows has diverged as well
-                with np.errstate(over="ignore"):
-                    norms[cid] = float(np.linalg.norm(delta))
-                if not np.isfinite(norms[cid]):
-                    raise DivergenceError(
-                        f"round {t}: client {cid} sent an update of non-finite norm")
-                deltas[cid] = delta
-
-        push_norms(window, norms)
-
-        for cluster in clusters:
-            cluster_aggregate(cluster, [deltas[cid] for cid in cluster.members],
-                              [by_id[cid].data_size for cid in cluster.members])
-
-        entries = []
-        for cluster in clusters:
-            for cid in cluster.members:
-                test_loss, test_acc = evaluate_client(by_id[cid], model, cluster.model)
-                entries.append(ClientRound(cid, cluster.id, train_loss[cid],
-                                           test_loss, test_acc, norms[cid]))
-                final_accuracy[cid] = test_acc
-        entries.sort(key=lambda e: e.client_id)
-        reports.append(RoundReport(t, entries))
-
+    for t in range(max(resumed_at, 0), rounds):
+        if t != resumed_at:
+            _train_round(t, run, by_id, model, algorithm, config)
+        if prefix is not None and not prefix.recorded and (
+                t == rounds - 1 or any(_fires(k, prefix.criteria, t) for k in run.clusters)):
+            prefix.record(key, graphs, t, run, clients)
         if algorithm in ("gcfl", "gcflplus"):
-            survivors: list[ClusterState] = []
-            for cluster in clusters:
-                should = split_check(cluster.delta_mean, cluster.delta_max,
-                                     len(cluster.members), config.cluster, t)
-                if should and len(cluster.members) >= 2:
-                    if algorithm == "gcfl":
-                        weights = to_cut_weights(cosine_matrix(
-                            [deltas[cid] for cid in cluster.members]))
-                    else:
-                        weights = dtw_to_cut_weights(
-                            dtw_matrix(window, cluster.members, config.standardize)
-                        )
-                        window_dumps.append(WindowDump(
-                            t, cluster.id,
-                            {cid: list(window.row(cid)) for cid in cluster.members},
-                        ))
-                    child_a, child_b, cut_value = bipartition_cluster(
-                        cluster, weights, (next_cluster_id, next_cluster_id + 1)
-                    )
-                    next_cluster_id += 2
-                    split_events.append(SplitEvent(
-                        t, cluster.id, (child_a.id, child_b.id),
-                        (tuple(child_a.members), tuple(child_b.members)),
-                        cluster.delta_mean, cluster.delta_max, cut_value,
-                    ))
-                    logger.info("round %d: cluster %d split into %s | %s (cut %.3g)",
-                                t, cluster.id, child_a.members, child_b.members, cut_value)
-                    survivors.extend([child_a, child_b])
-                else:
-                    survivors.append(cluster)
-            clusters = survivors
+            _split_round(t, run, algorithm, config)
 
-    clusters.sort(key=lambda k: k.id)
-    return RunResult(algorithm, reports, split_events, assignments, clusters,
-                     final_accuracy, window_dumps)
+    run.clusters.sort(key=lambda k: k.id)
+    return RunResult(algorithm, run.reports, run.split_events, run.assignments, run.clusters,
+                     run.final_accuracy, run.window_dumps)
+
+
+def _train_round(t: int, run: _RunState, by_id: dict[int, ClientState], model: GinModel,
+                 algorithm: str, config: RunConfig) -> None:
+    """Local training, aggregation and evaluation of every cluster for round ``t``."""
+    run.clusters.sort(key=lambda k: k.id)
+    for cluster in run.clusters:
+        run.assignments.append((t, cluster.id, tuple(cluster.members)))
+
+    run.deltas = {}
+    norms: dict[int, float] = {}
+    train_loss: dict[int, float] = {}
+    for cluster in run.clusters:
+        anchor = cluster.model.copy()
+        prox = (config.prox_mu, anchor) if algorithm == "fedprox" else None
+        for cid in cluster.members:
+            delta, train_loss[cid] = local_train(
+                by_id[cid], model, cluster.model, config.epochs, config.batch_size, prox
+            )
+            # a finite delta whose norm overflows has diverged as well
+            with np.errstate(over="ignore"):
+                norms[cid] = float(np.linalg.norm(delta))
+            if not np.isfinite(norms[cid]):
+                raise DivergenceError(
+                    f"round {t}: client {cid} sent an update of non-finite norm")
+            run.deltas[cid] = delta
+
+    push_norms(run.window, norms)
+
+    for cluster in run.clusters:
+        cluster_aggregate(cluster, [run.deltas[cid] for cid in cluster.members],
+                          [by_id[cid].data_size for cid in cluster.members])
+
+    entries = []
+    for cluster in run.clusters:
+        for cid in cluster.members:
+            test_loss, test_acc = evaluate_client(by_id[cid], model, cluster.model)
+            entries.append(ClientRound(cid, cluster.id, train_loss[cid],
+                                       test_loss, test_acc, norms[cid]))
+            run.final_accuracy[cid] = test_acc
+    entries.sort(key=lambda e: e.client_id)
+    run.reports.append(RoundReport(t, entries))
+
+
+def _split_round(t: int, run: _RunState, algorithm: str, config: RunConfig) -> None:
+    """Bipartition every cluster whose split criteria fire at the end of round ``t``."""
+    survivors: list[ClusterState] = []
+    for cluster in run.clusters:
+        if not _fires(cluster, config.cluster, t):
+            survivors.append(cluster)
+            continue
+        if algorithm == "gcfl":
+            weights = to_cut_weights(cosine_matrix(
+                [run.deltas[cid] for cid in cluster.members]))
+        else:
+            weights = dtw_to_cut_weights(
+                dtw_matrix(run.window, cluster.members, config.standardize)
+            )
+            run.window_dumps.append(WindowDump(
+                t, cluster.id,
+                {cid: list(run.window.row(cid)) for cid in cluster.members},
+            ))
+        child_a, child_b, cut_value = bipartition_cluster(
+            cluster, weights, (run.next_cluster_id, run.next_cluster_id + 1)
+        )
+        run.next_cluster_id += 2
+        run.split_events.append(SplitEvent(
+            t, cluster.id, (child_a.id, child_b.id),
+            (tuple(child_a.members), tuple(child_b.members)),
+            cluster.delta_mean, cluster.delta_max, cut_value,
+        ))
+        logger.info("round %d: cluster %d split into %s | %s (cut %.3g)",
+                    t, cluster.id, child_a.members, child_b.members, cut_value)
+        survivors.extend([child_a, child_b])
+    run.clusters = survivors

@@ -19,7 +19,16 @@ import numpy as np
 
 from .clustering import ClusterConfig
 from .errors import ArgumentError, ConfigurationError, CorruptDatasetError, IngestionError
-from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, _feature_scan, run_federation
+from .fed import (
+    ALGORITHMS,
+    PREFIX_ALGORITHMS,
+    ClientState,
+    RunConfig,
+    RunResult,
+    SharedPrefix,
+    _feature_scan,
+    run_federation,
+)
 from .gnn import one_hot_degree_features
 from .graphs import Dataset, Graph, binomial_gnp, load_tu_dataset
 from .hetero import MAX_WALK_LENGTH, pairwise_heterogeneity
@@ -376,6 +385,9 @@ class ExperimentConfig:
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ConfigurationError(f"algorithms: unknown {unknown}; pick from {list(ALGORITHMS)}")
+        repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
+        if repeated:
+            raise ConfigurationError(f"algorithms: {repeated} named more than once")
         for key in ("eps1", "eps2"):
             value = getattr(self, key)
             if value is not None and not value > 0:  # also rejects nan
@@ -476,7 +488,10 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Run every configured (algorithm, seed) pair and emit the CSV outputs.
 
     The self-train baseline is always run (and run first) because gain and
-    improvement metrics are defined against it. Returns summary rows.
+    improvement metrics are defined against it. When two or more of fedavg,
+    gcfl and gcflplus run, they share one ``SharedPrefix`` per seed: the
+    rounds before gcfl's first split are computed once, and every output is
+    the same as from separate runs. Returns summary rows.
     """
     clustered = [a for a in config.algorithms if a in ("gcfl", "gcflplus")]
     if clustered and (config.eps1 is None or config.eps2 is None):
@@ -493,12 +508,19 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         [], [], [], [], [], []
     summaries = []
 
+    sharing = [a for a in algorithms if a in PREFIX_ALGORITHMS]
+    if len(sharing) < 2:
+        sharing = []
     for seed in config.seeds:
         clients = build_clients(config, seed)
         selftrain_acc: dict[int, float] = {}
+        prefix = SharedPrefix(make_run_config(config, seed, "gcfl").cluster) if sharing else None
         for algorithm in algorithms:
             result = run_federation(clients, algorithm, config.rounds,
-                                    make_run_config(config, seed, algorithm))
+                                    make_run_config(config, seed, algorithm),
+                                    prefix if algorithm in sharing else None)
+            if sharing and algorithm == sharing[-1]:
+                prefix = None  # no later run of this seed reads it
             _collect_rows(result, seed, rounds_rows, cluster_rows, split_rows, window_rows)
             if algorithm == "selftrain":
                 selftrain_acc = dict(result.final_accuracy)

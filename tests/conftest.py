@@ -86,7 +86,9 @@ def single_edge():
 
 def random_graph(rng, n=None, p=0.4, feat_dim=3):
     """Random simple graph with at least one edge and random features."""
-    n = n or int(rng.integers(3, 10))
+    n = int(rng.integers(3, 10)) if n is None else n
+    if n < 2:
+        raise ValueError(f"a graph with an edge needs at least 2 nodes, got {n}")
     while True:
         mask = np.triu(rng.uniform(size=(n, n)) < p, 1)
         edges = np.argwhere(mask)

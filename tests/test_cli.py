@@ -163,6 +163,7 @@ class TestRun:
         "hidden=0", "num_layers=0", "batch_size=0", "rounds=0", "num_clients=5",
         "pair_budget=0", "awe_length=0", "awe_length=9", "bins=0", "epochs=-1", "window=0",
         "lr=-0.001", "prox_mu=-5", "weight_decay=-1", "seeds=-1", "seeds=0,-2",
+        "algorithms=fedavg,fedavg,selftrain,selftrain", "algorithms=gcfl,fedavg,gcfl",
     ])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, override):
         cfg = self._write_config(tmp_path)

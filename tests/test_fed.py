@@ -13,6 +13,7 @@ from gcflsim.fed import (
     _INIT_SEED_TAG,
     ClientState,
     RunConfig,
+    SharedPrefix,
     evaluate_client,
     local_train,
     run_federation,
@@ -301,3 +302,95 @@ class TestRunFederation:
         client.test_batch = GraphBatch(client.test_graphs)
         loss, acc = evaluate_client(client, model, model.vector.copy())
         assert 0.0 <= acc <= 1.0 and np.isfinite(loss)
+
+
+# SPLIT: gcfl first splits mid-run, at round 1 (warm-up 1); NO_SPLIT: the criteria never fire
+SPLIT = RunConfig(seed=0, hidden=8, num_layers=2, weight_decay=0.0,
+                  cluster=ClusterConfig(eps1=10.0, eps2=1e-6, min_split_size=2, warmup_rounds=1))
+NO_SPLIT = replace(SPLIT, cluster=ClusterConfig(eps1=1e-12, eps2=1e12))
+ROUNDS = 5
+
+
+def two_group_clients():
+    return synthetic_two_group_clients(clients_per_group=2, graphs_per_client=12, seed=0)[0]
+
+
+def for_algorithm(config, algorithm):
+    """The run config the harness hands each algorithm: fedavg gets no split criteria."""
+    return replace(config, cluster=None) if algorithm == "fedavg" else config
+
+
+def assert_same_run(a, b):
+    assert a.algorithm == b.algorithm
+    assert reports_equal(a.reports, b.reports)
+    assert a.assignments == b.assignments
+    assert a.split_events == b.split_events
+    assert a.window_dumps == b.window_dumps
+    assert a.final_accuracy == b.final_accuracy
+    assert [(k.id, k.members, k.delta_mean, k.delta_max) for k in a.final_clusters] == \
+        [(k.id, k.members, k.delta_mean, k.delta_max) for k in b.final_clusters]
+    for ka, kb in zip(a.final_clusters, b.final_clusters):
+        assert np.array_equal(ka.model, kb.model)
+
+
+class TestSharedPrefix:
+    @pytest.mark.parametrize("config", [SPLIT, NO_SPLIT], ids=["mid-run-split", "no-split"])
+    @pytest.mark.parametrize("recorder", ["fedavg", "gcfl", "gcflplus"])
+    def test_resumed_runs_equal_runs_from_scratch(self, monkeypatch, recorder, config):
+        clients = two_group_clients()
+        prefix = SharedPrefix(config.cluster)
+        recorded = run_federation(clients, recorder, ROUNDS, for_algorithm(config, recorder),
+                                  prefix)
+        assert prefix.recorded
+        assert_same_run(recorded, run_federation(clients, recorder, ROUNDS,
+                                                 for_algorithm(config, recorder)))
+        scratch = {a: run_federation(clients, a, ROUNDS, for_algorithm(config, a))
+                   for a in ("fedavg", "gcfl", "gcflplus")}
+        if config is SPLIT:
+            assert prefix.round_index == 1 == scratch["gcfl"].split_events[0].round_index
+        else:
+            assert prefix.round_index == ROUNDS - 1 and scratch["gcfl"].split_events == []
+
+        trained = []
+
+        def counting(client, *args, **kwargs):
+            trained.append(client.id)
+            return local_train(client, *args, **kwargs)
+
+        monkeypatch.setattr(fed, "local_train", counting)
+        for algorithm, expected in scratch.items():
+            for _ in range(2):  # two resumes from one prefix agree
+                del trained[:]
+                resumed = run_federation(clients, algorithm, ROUNDS,
+                                         for_algorithm(config, algorithm), prefix)
+                assert_same_run(resumed, expected)
+                # only the rounds after the branch round train
+                assert len(trained) == (ROUNDS - 1 - prefix.round_index) * len(clients)
+
+    @pytest.mark.parametrize("algorithm", ["selftrain", "fedprox"])
+    def test_other_algorithms_cannot_share(self, algorithm):
+        with pytest.raises(ArgumentError, match=algorithm):
+            run_federation(tiny_clients(2), algorithm, 1, TINY, SharedPrefix(SPLIT.cluster))
+
+    def test_other_split_criteria_are_rejected(self):
+        prefix = SharedPrefix(SPLIT.cluster)
+        with pytest.raises(ArgumentError, match="criteria"):
+            run_federation(tiny_clients(2), "gcfl", 1, NO_SPLIT, prefix)
+        assert not prefix.recorded
+
+    @pytest.mark.parametrize("change", ["rounds", "lr", "seed", "client graph", "client seed"])
+    def test_prefix_of_other_clients_rounds_or_settings_is_rejected(self, change):
+        clients = two_group_clients()
+        prefix = SharedPrefix(SPLIT.cluster)
+        run_federation(clients, "gcfl", ROUNDS, SPLIT, prefix)
+        rounds, config = ROUNDS, SPLIT
+        if change == "rounds":
+            rounds += 1
+        elif change in ("lr", "seed"):
+            config = replace(SPLIT, **{change: getattr(SPLIT, change) * 2 + 1})
+        elif change == "client graph":
+            clients[0].train_graphs[0] = clients[0].train_graphs[0].with_label(1)
+        else:
+            clients[0].seed += 1
+        with pytest.raises(ArgumentError, match="recorded for other"):
+            run_federation(clients, "gcflplus", rounds, config, prefix)

@@ -20,7 +20,15 @@ from gcflsim.graphs import (
     load_tu_dataset,
 )
 
-from conftest import HYPOTHESIS, edge_set, make_graph, max_edges, small_graphs, write_tu_fixture
+from conftest import (
+    HYPOTHESIS,
+    edge_set,
+    make_graph,
+    max_edges,
+    random_graph,
+    small_graphs,
+    write_tu_fixture,
+)
 from test_perfbench import write_tu_inputs
 
 
@@ -166,6 +174,14 @@ def test_decode_pair_index_matches_enumeration():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rows, cols = decode_pair_index(np.arange(len(pairs)), n)
         assert list(zip(rows.tolist(), cols.tolist())) == pairs
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_random_graph_helper_needs_room_for_an_edge(n):
+    # it draws until the graph has an edge, which fewer than 2 nodes never have
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        random_graph(np.random.default_rng(0), n=n)
+    assert edge_set(random_graph(np.random.default_rng(0), n=2)) == {(0, 1)}
 
 
 class TestTuLoader:

@@ -240,6 +240,27 @@ class TestRunExperiment:
         hetero = (out / "hetero.csv").read_text().strip().splitlines()
         assert hetero[1].split(",")[2] == "all"
 
+    def test_shared_prefix_sweep_equals_single_algorithm_runs(self, tmp_path):
+        # fedavg, gcfl and gcflplus of one seed share the rounds before the split
+        split = dict(rounds=4, seeds=[0, 1], eps1=10.0, eps2=1e-6, min_split_size=2,
+                     warmup_rounds=1, weight_decay=0.0)
+        sweep = ["gcflplus", "fedavg", "gcfl"]
+        run_experiment(self._config(tmp_path, algorithms=sweep, **split))
+        names = ("rounds.csv", "clusters.csv", "splits.csv", "summary.csv", "windows.csv")
+        none = {("fedavg", "splits.csv"), ("fedavg", "windows.csv"), ("gcfl", "windows.csv")}
+        for algorithm in sweep:
+            alone = tmp_path / algorithm
+            run_experiment(self._config(tmp_path, algorithms=[algorithm], out_dir=str(alone),
+                                        **split))
+            for name in names:
+                rows = [(tmp_path / "out" / name).read_text(), (alone / name).read_text()]
+                mine = [[r for r in t.splitlines() if r.startswith(f"{algorithm},")]
+                        for t in rows]
+                assert mine[0] == mine[1], (algorithm, name)
+                assert bool(mine[0]) != ((algorithm, name) in none), (algorithm, name)
+        splits = (tmp_path / "out" / "splits.csv").read_text()
+        assert "\ngcfl,1," in splits and "\ngcflplus,1," in splits
+
 
 class TestGroupBuilder:
     def test_unknown_group_rejected(self, tmp_path):

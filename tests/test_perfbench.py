@@ -56,3 +56,8 @@ def test_traced_workload_has_no_failures(tmp_path, workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0, result["problems"]
     assert result["layers"][CALLED[workload]] > 0
+    if workload == "fed-synth":
+        # selftrain, fedavg and fedprox train 11 rounds x 8 clients each; gcfl and
+        # gcflplus resume fedavg's rounds at their split check in round 10, the last
+        assert result["layers"]["fed.local_train.calls"] == 3 * 11 * 8
+        assert result["layers"]["fed.run_federation.calls"] == 5
