@@ -43,7 +43,7 @@ from .graphs import Graph, GraphBatch
 logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("selftrain", "fedavg", "fedprox", "gcfl", "gcflplus")
-# the algorithms that run alike until the first split; see ``SharedPrefix``
+# the algorithms that run alike until the first split; see ``run_federation``
 PREFIX_ALGORITHMS = ("fedavg", "gcfl", "gcflplus")
 
 _INIT_SEED_TAG = 1009
@@ -54,9 +54,10 @@ _CLIENT_SEED_TAG = 2003
 class ClientState:
     """A client's local split plus the state that outlives a round.
 
-    ``run_federation`` sets all four for each run, the Adam state and RNG
-    from a copy of a ``SharedPrefix``'s when it resumes one. A client owns no
-    model: each round writes its cluster's model into the run's one GIN.
+    ``run_federation`` builds the two unions once per call and sets the Adam
+    state and RNG for each algorithm, from a copy of the branch round's when
+    the algorithm branches off an earlier one. A client owns no model: each
+    round writes its cluster's model into the call's one GIN.
     """
 
     id: int
@@ -168,15 +169,10 @@ def evaluate_client(client: ClientState, model: GinModel,
     return float(np.mean(cross_entropy(logits, labels))), correct / len(labels)
 
 
-def _feature_scan(clients: list[ClientState]) -> tuple[set[int], int]:
-    """Feature widths and largest label over every client graph."""
-    graphs = [g for c in clients for g in c.train_graphs + c.test_graphs]
-    return {g.feat_dim for g in graphs}, max([0] + [g.label for g in graphs])
-
-
 def infer_dims(clients: list[ClientState]) -> tuple[int, int]:
     """Shared (input_dim, output_dim) over all client graphs."""
-    dims, max_label = _feature_scan(clients)
+    graphs = [g for c in clients for g in c.train_graphs + c.test_graphs]
+    dims, max_label = {g.feat_dim for g in graphs}, max([0] + [g.label for g in graphs])
     if len(dims) != 1:
         raise ArgumentError(f"clients disagree on feature dim: {sorted(dims)}; unify first")
     return dims.pop(), max(2, max_label + 1)
@@ -211,61 +207,13 @@ class _RunState:
             list(self.split_events), list(self.window_dumps), dict(self.final_accuracy))
 
 
-@dataclass
-class SharedPrefix:
-    """The rounds that fedavg, gcfl and gcflplus run alike, recorded once for all three.
-
-    Until its first split, gcfl (and gcflplus) is fedavg: one cluster of all
-    clients, the same local steps and the same aggregation. The first run
-    given an unrecorded prefix records its state at the branch round: the
-    first round whose ``criteria`` fire on a cluster of at least two members,
-    before any split, or its last round if none fires. A later run given the
-    prefix starts from a copy of that state at the branch round's split
-    check, so it returns what a run from scratch returns, bit for bit.
-    """
-
-    criteria: ClusterConfig
-    round_index: int = -1
-    key: Optional[tuple] = None  # rounds, training settings, client ids and seeds
-    graphs: tuple[Graph, ...] = ()  # every client graph, compared by identity
-    state: Optional[_RunState] = None
-    clients: dict[int, tuple[AdamState, np.random.Generator]] = field(default_factory=dict)
-
-    @property
-    def recorded(self) -> bool:
-        return self.state is not None
-
-    def record(self, key: tuple, graphs: tuple[Graph, ...], t: int, run: _RunState,
-               clients: list[ClientState]) -> None:
-        self.key, self.graphs, self.round_index, self.state = key, graphs, t, run.copy()
-        self.clients = {c.id: (replace(c.optimizer), copy.deepcopy(c.rng)) for c in clients}
-
-    def resume(self, clients: list[ClientState]) -> _RunState:
-        """A copy of the recorded state; each client gets a copy of its Adam state and RNG."""
-        for c in clients:
-            optimizer, rng = self.clients[c.id]
-            c.optimizer, c.rng = replace(optimizer), copy.deepcopy(rng)
-        return self.state.copy()
-
-    def check(self, algorithm: str, key: tuple, graphs: tuple[Graph, ...],
-              config: RunConfig) -> None:
-        if algorithm not in PREFIX_ALGORITHMS:
-            raise ArgumentError(f"{algorithm} shares no rounds with {list(PREFIX_ALGORITHMS)}")
-        if algorithm != "fedavg" and config.cluster != self.criteria:
-            raise ArgumentError(f"{algorithm}'s split criteria differ from the prefix's")
-        if self.recorded and (key != self.key or len(graphs) != len(self.graphs)
-                              or any(a is not b for a, b in zip(graphs, self.graphs))):
-            raise ArgumentError("the prefix was recorded for other clients, rounds or settings")
-
-
 def run_federation(
     clients: list[ClientState],
-    algorithm: str,
+    algorithms: list[str],
     rounds: int,
     config: RunConfig,
-    prefix: Optional[SharedPrefix] = None,
-) -> RunResult:
-    """Run one federated experiment and record per-round client metrics.
+) -> dict[str, RunResult]:
+    """Run each of ``algorithms`` on the same clients: one ``RunResult`` per name, in order.
 
     Per round: broadcast each cluster's model, train all members locally,
     record the update norms, aggregate per cluster, evaluate every client on
@@ -273,15 +221,28 @@ def run_federation(
     bipartition clusters whose criteria fire; both children inherit the
     freshly aggregated parent model and start the next round from it.
 
-    ``prefix`` (fedavg, gcfl and gcflplus only) is recorded by the first run
-    that gets it and resumed by every later one; see ``SharedPrefix``.
+    Until its first split gcfl (and gcflplus) is fedavg: one cluster of all
+    clients, the same local steps and the same aggregation. So when two or
+    more of fedavg, gcfl and gcflplus run, the first of them keeps its state
+    at the branch round: the first round whose ``config.cluster`` criteria
+    fire on a cluster of at least two members, before any split, or the last
+    round if none fires. The later ones start from a copy of that state at the
+    branch round's split check, so each returns what it returns alone, bit for
+    bit. selftrain and fedprox always run from scratch.
     """
-    if algorithm not in ALGORITHMS:
-        raise ArgumentError(f"unknown algorithm {algorithm!r}")
+    if not algorithms:
+        raise ArgumentError("need at least one algorithm")
+    for algorithm in algorithms:
+        if algorithm not in ALGORITHMS:
+            raise ArgumentError(f"unknown algorithm {algorithm!r}")
+        if algorithm in ("gcfl", "gcflplus") and config.cluster is None:
+            raise ArgumentError(f"{algorithm} requires a ClusterConfig")
+    if len(set(algorithms)) != len(algorithms):
+        raise ArgumentError(f"algorithms named more than once: {list(algorithms)}")
+    if rounds < 1:
+        raise ArgumentError(f"rounds must be >= 1, got {rounds}")
     if not clients:
         raise ArgumentError("need at least one client")
-    if algorithm in ("gcfl", "gcflplus") and config.cluster is None:
-        raise ArgumentError(f"{algorithm} requires a ClusterConfig")
 
     clients = sorted(clients, key=lambda c: c.id)
     by_id = {c.id: c for c in clients}
@@ -291,12 +252,6 @@ def run_federation(
         if not c.train_graphs or not c.test_graphs:
             raise ArgumentError(f"client {c.id} needs at least one training and one test graph")
     input_dim, output_dim = infer_dims(clients)
-    if prefix is not None:
-        # the settings that shape the shared rounds; the split-only ones are left out
-        key = (rounds, replace(config, cluster=None, prox_mu=0.0, standardize=False),
-               tuple((c.id, c.seed) for c in clients))
-        graphs = tuple(g for c in clients for g in c.train_graphs + c.test_graphs)
-        prefix.check(algorithm, key, graphs, config)
 
     init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _INIT_SEED_TAG]))
     model = init_gin(input_dim, output_dim, config.hidden, config.num_layers, init_rng)
@@ -306,33 +261,46 @@ def run_federation(
         c.train_stack = GraphBatch(c.train_graphs)
         c.test_batch = GraphBatch(c.test_graphs)
 
-    resumed_at = -1
-    if prefix is not None and prefix.recorded:
-        run, resumed_at = prefix.resume(clients), prefix.round_index
-    else:
-        for c in clients:
-            c.optimizer = init_adam(init_flat.size, config.lr, config.weight_decay)
-            c.rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.seed])
-            )
-        if algorithm == "selftrain":
-            clusters = [ClusterState(i, [c.id], init_flat.copy()) for i, c in enumerate(clients)]
+    shared = [a for a in algorithms if a in PREFIX_ALGORITHMS]
+    branch = None  # (round, run state, each client's Adam state and RNG) of shared[0]
+    results = {}
+    for algorithm in algorithms:
+        records = len(shared) > 1 and algorithm == shared[0]
+        if algorithm in shared[1:]:
+            start, saved, states = branch
+            run = saved.copy()
+            for c in clients:
+                optimizer, rng = states[c.id]
+                c.optimizer, c.rng = replace(optimizer), copy.deepcopy(rng)
         else:
-            clusters = [ClusterState(0, [c.id for c in clients], init_flat.copy())]
-        run = _RunState(clusters, len(clusters), NormWindow(config.window_length))
+            start = -1
+            for c in clients:
+                c.optimizer = init_adam(init_flat.size, config.lr, config.weight_decay)
+                c.rng = np.random.default_rng(
+                    np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.seed])
+                )
+            if algorithm == "selftrain":
+                clusters = [ClusterState(i, [c.id], init_flat.copy())
+                            for i, c in enumerate(clients)]
+            else:
+                clusters = [ClusterState(0, [c.id for c in clients], init_flat.copy())]
+            run = _RunState(clusters, len(clusters), NormWindow(config.window_length))
 
-    for t in range(max(resumed_at, 0), rounds):
-        if t != resumed_at:
-            _train_round(t, run, by_id, model, algorithm, config)
-        if prefix is not None and not prefix.recorded and (
-                t == rounds - 1 or any(_fires(k, prefix.criteria, t) for k in run.clusters)):
-            prefix.record(key, graphs, t, run, clients)
-        if algorithm in ("gcfl", "gcflplus"):
-            _split_round(t, run, algorithm, config)
+        for t in range(max(start, 0), rounds):
+            if t != start:
+                _train_round(t, run, by_id, model, algorithm, config)
+            if records and (t == rounds - 1
+                            or any(_fires(k, config.cluster, t) for k in run.clusters)):
+                branch = (t, run.copy(),
+                          {c.id: (replace(c.optimizer), copy.deepcopy(c.rng)) for c in clients})
+                records = False
+            if algorithm in ("gcfl", "gcflplus"):
+                _split_round(t, run, algorithm, config)
 
-    run.clusters.sort(key=lambda k: k.id)
-    return RunResult(algorithm, run.reports, run.split_events, run.assignments, run.clusters,
-                     run.final_accuracy, run.window_dumps)
+        run.clusters.sort(key=lambda k: k.id)
+        results[algorithm] = RunResult(algorithm, run.reports, run.split_events, run.assignments,
+                                       run.clusters, run.final_accuracy, run.window_dumps)
+    return results
 
 
 def _train_round(t: int, run: _RunState, by_id: dict[int, ClientState], model: GinModel,

@@ -7,6 +7,7 @@ dense float64 matrix with one row per node.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -32,15 +33,9 @@ class Graph:
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        self.features = np.asarray(self.features, dtype=np.float64)
         if self.num_nodes < 1:
             raise ArgumentError("graph must have at least one node")
-        if self.features.ndim != 2 or self.features.shape[0] != self.num_nodes:
-            raise ArgumentError(
-                f"features must have {self.num_nodes} rows, got shape {self.features.shape}"
-            )
-        if self.features.shape[1] < 1:
-            raise ArgumentError("feat_dim must be >= 1")
+        self.features = _node_features(self.features, self.num_nodes)
         if self.edges.size:
             if self.edges.min() < 0 or self.edges.max() >= self.num_nodes:
                 raise ArgumentError("edge endpoint out of range")
@@ -80,10 +75,24 @@ class Graph:
         return _union_adjacency(self.edges, self.num_nodes)
 
     def with_features(self, features: np.ndarray) -> "Graph":
-        return Graph(self.num_nodes, self.edges.copy(), features, self.label)
+        """This graph with other node features.
 
-    def with_label(self, label: int) -> "Graph":
-        return Graph(self.num_nodes, self.edges.copy(), self.features.copy(), label)
+        The validated edges (and any cached degrees and adjacency) are shared,
+        not checked again: nothing writes to them after construction.
+        """
+        graph = copy.copy(self)
+        graph.features = _node_features(features, self.num_nodes)
+        return graph
+
+
+def _node_features(features: np.ndarray, num_nodes: int) -> np.ndarray:
+    """``features`` as float64, checked to hold one row per node and at least one column."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] != num_nodes:
+        raise ArgumentError(f"features must have {num_nodes} rows, got shape {features.shape}")
+    if features.shape[1] < 1:
+        raise ArgumentError("feat_dim must be >= 1")
+    return features
 
 
 @dataclass(eq=False)

@@ -19,16 +19,7 @@ import numpy as np
 
 from .clustering import ClusterConfig
 from .errors import ArgumentError, ConfigurationError, CorruptDatasetError, IngestionError
-from .fed import (
-    ALGORITHMS,
-    PREFIX_ALGORITHMS,
-    ClientState,
-    RunConfig,
-    RunResult,
-    SharedPrefix,
-    _feature_scan,
-    run_federation,
-)
+from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, run_federation
 from .gnn import one_hot_degree_features
 from .graphs import Dataset, Graph, binomial_gnp, load_tu_dataset
 from .hetero import MAX_WALK_LENGTH, pairwise_heterogeneity
@@ -169,22 +160,18 @@ def build_multi_dataset_group(
     return clients
 
 
-def unify_feature_space(clients: list[ClientState]) -> tuple[list[ClientState], int, int]:
-    """Zero-pad features to a shared width and widen the label head.
+def unify_feature_space(clients: list[ClientState]) -> None:
+    """Right-pad every client graph's features with zeros to the widest graph's, in place.
 
-    Returns (clients, input_dim, output_dim): features are right-padded to
-    the federation-wide maximum dimension and the output dimension is the
-    maximum class count; labels are already 0-based per dataset.
+    Labels are already 0-based per dataset; ``fed.infer_dims`` sizes the label
+    head to the largest class count.
     """
     if not clients:
         raise ArgumentError("need at least one client")
-    dims, max_label = _feature_scan(clients)
-    target = max(dims)
-    if len(dims) > 1:
-        for c in clients:
-            c.train_graphs = [_pad_features(g, target) for g in c.train_graphs]
-            c.test_graphs = [_pad_features(g, target) for g in c.test_graphs]
-    return clients, target, max(2, max_label + 1)
+    target = max(g.feat_dim for c in clients for g in c.train_graphs + c.test_graphs)
+    for c in clients:
+        c.train_graphs = [_pad_features(g, target) for g in c.train_graphs]
+        c.test_graphs = [_pad_features(g, target) for g in c.test_graphs]
 
 
 def _pad_features(graph: Graph, target: int) -> Graph:
@@ -241,7 +228,6 @@ def synthetic_two_group_clients(
 
 @dataclass
 class MetricsSummary:
-    per_client: dict[int, float]
     average: float
     min_gain: float
     improved: int
@@ -263,7 +249,6 @@ def compute_metrics(
     gains = {cid: accuracies[cid] - selftrain_accuracies[cid] for cid in accuracies}
     improved = sum(1 for g in gains.values() if g > 0)
     return MetricsSummary(
-        per_client=dict(sorted(accuracies.items())),
         average=float(np.mean(list(accuracies.values()))),
         min_gain=float(min(gains.values())),
         improved=improved,
@@ -467,13 +452,14 @@ def build_clients(config: ExperimentConfig, seed: int) -> list[ClientState]:
         clients = build_multi_dataset_group(
             config.group, config.data_root, config.test_fraction, seed, config.feature_mode
         )
-    clients, _, _ = unify_feature_space(clients)
+    unify_feature_space(clients)
     return clients
 
 
-def make_run_config(config: ExperimentConfig, seed: int, algorithm: str) -> RunConfig:
+def make_run_config(config: ExperimentConfig, seed: int) -> RunConfig:
+    """The run settings of one seed, with split criteria when a clustered algorithm runs."""
     cluster = None
-    if algorithm in ("gcfl", "gcflplus"):
+    if any(a in ("gcfl", "gcflplus") for a in config.algorithms):
         cluster = ClusterConfig(config.eps1, config.eps2, config.min_split_size,
                                 config.warmup_rounds)
     return RunConfig(
@@ -488,10 +474,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Run every configured (algorithm, seed) pair and emit the CSV outputs.
 
     The self-train baseline is always run (and run first) because gain and
-    improvement metrics are defined against it. When two or more of fedavg,
-    gcfl and gcflplus run, they share one ``SharedPrefix`` per seed: the
-    rounds before gcfl's first split are computed once, and every output is
-    the same as from separate runs. Returns summary rows.
+    improvement metrics are defined against it. All algorithms of a seed run
+    in one ``run_federation`` call. Returns summary rows.
     """
     clustered = [a for a in config.algorithms if a in ("gcfl", "gcflplus")]
     if clustered and (config.eps1 is None or config.eps2 is None):
@@ -508,22 +492,13 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         [], [], [], [], [], []
     summaries = []
 
-    sharing = [a for a in algorithms if a in PREFIX_ALGORITHMS]
-    if len(sharing) < 2:
-        sharing = []
     for seed in config.seeds:
         clients = build_clients(config, seed)
-        selftrain_acc: dict[int, float] = {}
-        prefix = SharedPrefix(make_run_config(config, seed, "gcfl").cluster) if sharing else None
-        for algorithm in algorithms:
-            result = run_federation(clients, algorithm, config.rounds,
-                                    make_run_config(config, seed, algorithm),
-                                    prefix if algorithm in sharing else None)
-            if sharing and algorithm == sharing[-1]:
-                prefix = None  # no later run of this seed reads it
+        results = run_federation(clients, algorithms, config.rounds,
+                                 make_run_config(config, seed))
+        selftrain_acc = results["selftrain"].final_accuracy
+        for algorithm, result in results.items():
             _collect_rows(result, seed, rounds_rows, cluster_rows, split_rows, window_rows)
-            if algorithm == "selftrain":
-                selftrain_acc = dict(result.final_accuracy)
             metrics = compute_metrics(result.final_accuracy, selftrain_acc)
             summary_rows.append([
                 algorithm, seed, repr(metrics.average), repr(metrics.min_gain),
@@ -624,9 +599,9 @@ def calibrate_epsilons(
     clients = build_clients(config, seed)
     for eps1 in eps1_grid:
         for eps2 in eps2_grid:
-            trial = replace(config, eps1=eps1, eps2=eps2, rounds=rounds)
-            result = run_federation(clients, algorithm, rounds,
-                                    make_run_config(trial, seed, algorithm))
+            trial = replace(config, eps1=eps1, eps2=eps2, rounds=rounds, algorithms=[algorithm])
+            result = run_federation(clients, [algorithm], rounds,
+                                    make_run_config(trial, seed))[algorithm]
             accuracy = float(np.mean(list(result.final_accuracy.values())))
             row = {"eps1": eps1, "eps2": eps2, "accuracy": accuracy,
                    "clusters": len(result.final_clusters)}

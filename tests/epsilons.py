@@ -10,7 +10,7 @@ def probe_delta_stats(
     clients: list[ClientState], run_config: RunConfig, probe_rounds: int
 ) -> tuple[float, float]:
     """Norm statistics of a short FedAvg probe: final (delta_mean, delta_max)."""
-    result = run_federation(clients, "fedavg", probe_rounds, run_config)
+    result = run_federation(clients, ["fedavg"], probe_rounds, run_config)["fedavg"]
     cluster = result.final_clusters[0]
     return float(cluster.delta_mean), float(cluster.delta_max)
 

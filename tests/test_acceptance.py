@@ -36,7 +36,7 @@ from epsilons import auto_epsilons
 from sgc import normalized_adjacency, sgc_train
 from test_clustering import brute_force_mincut, random_weights
 from test_dtwseries import dtw_oracle
-from test_fed import final_params, reports_equal, tiny_clients
+from test_fed import final_params, reports_equal, run_one, tiny_clients
 from test_gnn import batch_loss
 from test_properties import (
     brute_clustering,
@@ -70,29 +70,31 @@ RECOVERY_CLUSTER = dict(eps1=0.05, eps2=0.01, min_split_size=5, warmup_rounds=10
 RECOVERY_ROUNDS = 14
 
 
-def _recovery_run(algorithm, seed):
+def _recovery_runs(seed):
+    """gcfl and gcflplus as one sweep: (recovered, split round, result, clients) for each."""
     clients, groups = synthetic_two_group_clients(seed=seed)
     truth = {frozenset(groups[0]), frozenset(groups[1])}
     config = RunConfig(seed=seed, weight_decay=0.0,
                        cluster=ClusterConfig(**RECOVERY_CLUSTER))
-    result = run_federation(clients, algorithm, RECOVERY_ROUNDS, config)
-    recovered = False
-    split_round = None
-    if result.split_events:
-        event = result.split_events[0]
-        split_round = event.round_index
-        recovered = {frozenset(event.members[0]), frozenset(event.members[1])} == truth
-    return recovered, split_round, result, clients
+    runs = {}
+    for algorithm, result in run_federation(clients, ["gcfl", "gcflplus"], RECOVERY_ROUNDS,
+                                            config).items():
+        recovered = False
+        split_round = None
+        if result.split_events:
+            event = result.split_events[0]
+            split_round = event.round_index
+            recovered = {frozenset(event.members[0]), frozenset(event.members[1])} == truth
+        runs[algorithm] = (recovered, split_round, result, clients)
+    return runs
 
 
 @pytest.fixture(scope="module")
-def gcfl_recovery():
-    return {seed: _recovery_run("gcfl", seed) for seed in RECOVERY_SEEDS}
-
-
-@pytest.fixture(scope="module")
-def gcflplus_recovery():
-    return {seed: _recovery_run("gcflplus", seed) for seed in RECOVERY_SEEDS}
+def recovery():
+    """Per algorithm, per seed: the recovery run's (recovered, split round, result, clients)."""
+    by_seed = {seed: _recovery_runs(seed) for seed in RECOVERY_SEEDS}
+    return {algorithm: {seed: runs[algorithm] for seed, runs in by_seed.items()}
+            for algorithm in ("gcfl", "gcflplus")}
 
 
 def test_criterion_1_table1_ptc_mr_properties():
@@ -221,51 +223,51 @@ def test_criterion_5_aggregation_identities():
         clients = tiny_clients(3, graphs_each=10, seed=1)
         never_split = RunConfig(seed=3, hidden=8, num_layers=2,
                                 cluster=ClusterConfig(eps1=1e-12, eps2=1e12))
-        res_gcfl = run_federation(clients, "gcfl", 5, never_split)
+        res_gcfl = run_one(clients, "gcfl", 5, never_split)
         gcfl_params = {cid: p.tobytes() for cid, p in final_params(res_gcfl).items()}
-        res_avg = run_federation(clients, "fedavg", 5, base)
+        res_avg = run_one(clients, "fedavg", 5, base)
         for cid, params in final_params(res_avg).items():
             assert params.tobytes() == gcfl_params[cid]
         assert reports_equal(res_gcfl.reports, res_avg.reports)
 
         # FedProx with mu = 0 == FedAvg
         mu_zero = RunConfig(seed=3, hidden=8, num_layers=2, prox_mu=0.0)
-        res_prox = run_federation(clients, "fedprox", 5, mu_zero)
+        res_prox = run_one(clients, "fedprox", 5, mu_zero)
         prox_params = final_params(res_prox)
-        for cid, params in final_params(run_federation(clients, "fedavg", 5, base)).items():
+        for cid, params in final_params(run_one(clients, "fedavg", 5, base)).items():
             assert np.array_equal(params, prox_params[cid])
         assert reports_equal(res_prox.reports, res_avg.reports)
 
         # self-train with one client == FedAvg with one client
         solo_a = tiny_clients(1, graphs_each=10, seed=2)
         solo_b = tiny_clients(1, graphs_each=10, seed=2)
-        r1 = run_federation(solo_a, "selftrain", 5, base)
-        r2 = run_federation(solo_b, "fedavg", 5, base)
+        r1 = run_one(solo_a, "selftrain", 5, base)
+        r2 = run_one(solo_b, "fedavg", 5, base)
         assert np.array_equal(final_params(r1)[0], final_params(r2)[0])
         assert reports_equal(r1.reports, r2.reports)
 
 
-def test_criterion_6_synthetic_cluster_recovery(gcfl_recovery, gcflplus_recovery):
+def test_criterion_6_synthetic_cluster_recovery(recovery):
     with criterion(6, "synthetic two-group cluster recovery"):
         start = time.monotonic()
-        for name, runs in (("gcfl", gcfl_recovery), ("gcflplus", gcflplus_recovery)):
+        for name, runs in recovery.items():
             hits = sum(1 for rec, _, _, _ in runs.values() if rec)
             print(f"  {name}: recovered {hits}/{len(runs)} seeds "
                   f"(split rounds {[r for _, r, _, _ in runs.values()]})")
             assert hits >= 4
         # both mechanisms share the split criteria, so their split rounds agree
         for seed in RECOVERY_SEEDS:
-            r_gcfl = gcfl_recovery[seed][1]
-            r_plus = gcflplus_recovery[seed][1]
+            r_gcfl = recovery["gcfl"][seed][1]
+            r_plus = recovery["gcflplus"][seed][1]
             assert r_gcfl is not None and r_plus is not None
             assert abs(r_gcfl - r_plus) <= 5
         assert time.monotonic() - start < 600.0  # fixtures only; budget sanity
 
 
-def test_criterion_7a_heterogeneity_reduction_synthetic(gcfl_recovery):
+def test_criterion_7a_heterogeneity_reduction_synthetic(recovery):
     with criterion(7, "intra-cluster heterogeneity below baseline (synthetic)"):
         checked = 0
-        for seed, (recovered, _, result, clients) in gcfl_recovery.items():
+        for seed, (recovered, _, result, clients) in recovery["gcfl"].items():
             if not recovered:
                 continue
             rows = cluster_heterogeneity_report(result.final_clusters, clients,
@@ -285,14 +287,14 @@ def test_criterion_7b_heterogeneity_reduction_mini_mix():
         datasets = [load_dataset_for_federation(data_root(), name) for name in names]
         clients = [client_from_dataset(ds, i, test_fraction=0.1, seed=0)
                    for i, ds in enumerate(datasets)]
-        clients, _, _ = unify_feature_space(clients)
+        unify_feature_space(clients)
 
         probe = RunConfig(seed=0, hidden=32, num_layers=2)
         eps1, eps2 = auto_epsilons(clients, probe, probe_rounds=10)
         config = RunConfig(seed=0, hidden=32, num_layers=2,
                            cluster=ClusterConfig(eps1, eps2, min_split_size=2,
                                                  warmup_rounds=10))
-        result = run_federation(clients, "gcfl", 14, config)
+        result = run_one(clients, "gcfl", 14, config)
         assert result.split_events, "mini-mix run produced no split"
         rows = cluster_heterogeneity_report(result.final_clusters, clients,
                                             pair_budget=600, seed=0)
@@ -313,15 +315,10 @@ def test_criterion_8_desk_scale_mutag_experiment():
                                             seed=seed, label_skew=True)
             probe = RunConfig(seed=seed)
             eps1, eps2 = auto_epsilons(clients, probe, probe_rounds=30)
-            accs = {}
-            for algorithm in ("selftrain", "fedavg", "gcflplus"):
-                cluster = None
-                if algorithm == "gcflplus":
-                    cluster = ClusterConfig(eps1, eps2, min_split_size=3,
-                                            warmup_rounds=30)
-                config = RunConfig(seed=seed, cluster=cluster)
-                result = run_federation(clients, algorithm, 200, config)
-                accs[algorithm] = result.final_accuracy
+            config = RunConfig(seed=seed, cluster=ClusterConfig(eps1, eps2, min_split_size=3,
+                                                                warmup_rounds=30))
+            accs = {algorithm: result.final_accuracy for algorithm, result in run_federation(
+                clients, ["selftrain", "fedavg", "gcflplus"], 200, config).items()}
             elapsed = time.monotonic() - start
             fedavg = compute_metrics(accs["fedavg"], accs["selftrain"])
             gcflplus = compute_metrics(accs["gcflplus"], accs["selftrain"])

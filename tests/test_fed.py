@@ -13,7 +13,6 @@ from gcflsim.fed import (
     _INIT_SEED_TAG,
     ClientState,
     RunConfig,
-    SharedPrefix,
     evaluate_client,
     local_train,
     run_federation,
@@ -30,13 +29,18 @@ def tiny_clients(num=2, graphs_each=8, seed=0, feat_dim=3):
     for i in range(num):
         graphs = []
         for j in range(graphs_each):
-            g = random_graph(rng, n=5, feat_dim=feat_dim).with_label(j % 2)
+            g = replace(random_graph(rng, n=5, feat_dim=feat_dim), label=j % 2)
             graphs.append(g)
         clients.append(ClientState(i, graphs[:-2], graphs[-2:], seed=i))
     return clients
 
 
 TINY = RunConfig(seed=0, hidden=6, num_layers=2)
+
+
+def run_one(clients, algorithm, rounds, config):
+    """The result of a ``run_federation`` call that runs ``algorithm`` alone."""
+    return run_federation(clients, [algorithm], rounds, config)[algorithm]
 
 
 def final_params(result):
@@ -153,7 +157,7 @@ class TestRunFederation:
         clients = tiny_clients(2)
         rounds = 4
         config = replace(TINY, batch_size=batch_size)
-        fed_params = final_params(run_federation(clients, "selftrain", rounds, config))
+        fed_params = final_params(run_one(clients, "selftrain", rounds, config))
 
         # independent per-client loop using only the gnn primitives and the
         # documented seed derivation: no federation machinery involved
@@ -177,8 +181,8 @@ class TestRunFederation:
     def test_single_client_fedavg_equals_selftrain(self):
         a = tiny_clients(1)
         b = tiny_clients(1)
-        res_a = run_federation(a, "fedavg", 3, TINY)
-        res_b = run_federation(b, "selftrain", 3, TINY)
+        res_a = run_one(a, "fedavg", 3, TINY)
+        res_b = run_one(b, "selftrain", 3, TINY)
         assert np.array_equal(final_params(res_a)[0], final_params(res_b)[0])
         assert reports_equal(res_a.reports, res_b.reports)
 
@@ -186,7 +190,7 @@ class TestRunFederation:
         base = tiny_clients(1, graphs_each=8, seed=5)[0]
         twin_a = ClientState(0, base.train_graphs, base.test_graphs, seed=77)
         twin_b = ClientState(1, base.train_graphs, base.test_graphs, seed=77)
-        result = run_federation([twin_a, twin_b], "fedavg", 3, TINY)
+        result = run_one([twin_a, twin_b], "fedavg", 3, TINY)
         for report in result.reports:
             ea, eb = report.entries
             assert ea.grad_norm == eb.grad_norm
@@ -197,9 +201,9 @@ class TestRunFederation:
     def test_fedprox_mu_zero_equals_fedavg(self):
         clients = tiny_clients(2)
         cfg = RunConfig(seed=0, hidden=6, num_layers=2, prox_mu=0.0)
-        res_prox = run_federation(clients, "fedprox", 3, cfg)
+        res_prox = run_one(clients, "fedprox", 3, cfg)
         prox_params = final_params(res_prox)
-        res_avg = run_federation(clients, "fedavg", 3, cfg)
+        res_avg = run_one(clients, "fedavg", 3, cfg)
         avg_params = final_params(res_avg)
         for cid in prox_params:
             assert np.array_equal(prox_params[cid], avg_params[cid])
@@ -209,9 +213,9 @@ class TestRunFederation:
         clients = tiny_clients(3)
         no_split = RunConfig(seed=0, hidden=6, num_layers=2,
                              cluster=ClusterConfig(eps1=1e-12, eps2=1e12))
-        res_gcfl = run_federation(clients, "gcfl", 4, no_split)
+        res_gcfl = run_one(clients, "gcfl", 4, no_split)
         gcfl_params = final_params(res_gcfl)
-        res_avg = run_federation(clients, "fedavg", 4, TINY)
+        res_avg = run_one(clients, "fedavg", 4, TINY)
         for cid, params in final_params(res_avg).items():
             assert np.array_equal(params, gcfl_params[cid])
         assert reports_equal(res_gcfl.reports, res_avg.reports)
@@ -221,9 +225,9 @@ class TestRunFederation:
         clients = tiny_clients(3)
         no_split = RunConfig(seed=0, hidden=6, num_layers=2,
                              cluster=ClusterConfig(eps1=1e-12, eps2=1e12))
-        res_plus = run_federation(clients, "gcflplus", 4, no_split)
+        res_plus = run_one(clients, "gcflplus", 4, no_split)
         plus_params = final_params(res_plus)
-        res_avg = run_federation(clients, "fedavg", 4, TINY)
+        res_avg = run_one(clients, "fedavg", 4, TINY)
         for cid, params in final_params(res_avg).items():
             assert np.array_equal(params, plus_params[cid])
         assert reports_equal(res_plus.reports, res_avg.reports)
@@ -237,15 +241,15 @@ class TestRunFederation:
             return delta, loss
 
         monkeypatch.setattr(fed, "local_train", recording)
-        result = run_federation(tiny_clients(2), "fedavg", 1, TINY)
+        result = run_one(tiny_clients(2), "fedavg", 1, TINY)
         for entry in result.reports[-1].entries:
             assert entry.grad_norm == pytest.approx(
                 float(np.linalg.norm(sent[entry.client_id])), abs=1e-15)
 
     def test_rerun_is_deterministic(self):
         clients = tiny_clients(2)
-        res_a = run_federation(clients, "fedavg", 3, TINY)
-        res_b = run_federation(clients, "fedavg", 3, TINY)
+        res_a = run_one(clients, "fedavg", 3, TINY)
+        res_b = run_one(clients, "fedavg", 3, TINY)
         assert reports_equal(res_a.reports, res_b.reports)
         params_b = final_params(res_b)
         for cid, params in final_params(res_a).items():
@@ -257,7 +261,7 @@ class TestRunFederation:
         cfg = RunConfig(seed=0, hidden=8, num_layers=2, weight_decay=0.0,
                         cluster=ClusterConfig(eps1=10.0, eps2=1e-6, min_split_size=2,
                                               warmup_rounds=1))
-        result = run_federation(clients, "gcfl", 6, cfg)
+        result = run_one(clients, "gcfl", 6, cfg)
         all_ids = {c.id for c in clients}
         by_round = {}
         for round_index, _, members in result.assignments:
@@ -268,33 +272,43 @@ class TestRunFederation:
 
     def test_accuracies_in_unit_interval(self):
         clients = tiny_clients(2)
-        result = run_federation(clients, "fedavg", 2, TINY)
+        result = run_one(clients, "fedavg", 2, TINY)
         for report in result.reports:
             for e in report.entries:
                 assert 0.0 <= e.test_acc <= 1.0
 
     def test_non_finite_update_names_round_and_client(self):
         clients = tiny_clients(num=3)
-        run_federation(clients, "fedavg", 1, TINY)  # a new run sees the graph replaced below
+        run_one(clients, "fedavg", 1, TINY)  # a new run sees the graph replaced below
         bad = clients[2].train_graphs[0]
         clients[2].train_graphs[0] = bad.with_features(np.full_like(bad.features, np.nan))
         with pytest.raises(DivergenceError, match=r"round 0: client 2 "):
-            run_federation(clients, "fedavg", 2, TINY)
+            run_one(clients, "fedavg", 2, TINY)
 
     @pytest.mark.parametrize("split", ["train_graphs", "test_graphs"])
     def test_empty_split_is_rejected(self, split):
         clients = tiny_clients(2)
         setattr(clients[1], split, [])
         with pytest.raises(ArgumentError, match="client 1 "):
-            run_federation(clients, "fedavg", 1, TINY)
+            run_one(clients, "fedavg", 1, TINY)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ArgumentError):
-            run_federation(tiny_clients(1), "magic", 1, TINY)
+            run_one(tiny_clients(1), "magic", 1, TINY)
+
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_no_rounds_rejected(self, rounds):
+        with pytest.raises(ArgumentError, match="rounds must be >= 1"):
+            run_federation(tiny_clients(2), ["gcfl"], rounds, SPLIT)
+
+    @pytest.mark.parametrize("algorithms", [[], ["fedavg", "selftrain", "fedavg"]])
+    def test_empty_or_repeated_algorithm_list_rejected(self, algorithms):
+        with pytest.raises(ArgumentError, match="algorithm"):
+            run_federation(tiny_clients(2), algorithms, 1, TINY)
 
     def test_gcfl_requires_cluster_config(self):
         with pytest.raises(ArgumentError):
-            run_federation(tiny_clients(2), "gcfl", 1, TINY)
+            run_one(tiny_clients(2), "gcfl", 1, TINY)
 
     def test_evaluate_client_counts_correct_predictions(self):
         client = tiny_clients(1)[0]
@@ -304,20 +318,17 @@ class TestRunFederation:
         assert 0.0 <= acc <= 1.0 and np.isfinite(loss)
 
 
-# SPLIT: gcfl first splits mid-run, at round 1 (warm-up 1); NO_SPLIT: the criteria never fire
-SPLIT = RunConfig(seed=0, hidden=8, num_layers=2, weight_decay=0.0,
+# SPLIT: gcfl first splits mid-run, at round 1 (warm-up 1); NO_SPLIT: the criteria never fire.
+# prox_mu is not 0, so a fedprox run branched off fedavg would differ from one run alone.
+SPLIT = RunConfig(seed=0, hidden=8, num_layers=2, weight_decay=0.0, prox_mu=0.1,
                   cluster=ClusterConfig(eps1=10.0, eps2=1e-6, min_split_size=2, warmup_rounds=1))
 NO_SPLIT = replace(SPLIT, cluster=ClusterConfig(eps1=1e-12, eps2=1e12))
 ROUNDS = 5
+PREFIX = ("fedavg", "gcfl", "gcflplus")
 
 
 def two_group_clients():
     return synthetic_two_group_clients(clients_per_group=2, graphs_per_client=12, seed=0)[0]
-
-
-def for_algorithm(config, algorithm):
-    """The run config the harness hands each algorithm: fedavg gets no split criteria."""
-    return replace(config, cluster=None) if algorithm == "fedavg" else config
 
 
 def assert_same_run(a, b):
@@ -333,64 +344,66 @@ def assert_same_run(a, b):
         assert np.array_equal(ka.model, kb.model)
 
 
-class TestSharedPrefix:
-    @pytest.mark.parametrize("config", [SPLIT, NO_SPLIT], ids=["mid-run-split", "no-split"])
-    @pytest.mark.parametrize("recorder", ["fedavg", "gcfl", "gcflplus"])
-    def test_resumed_runs_equal_runs_from_scratch(self, monkeypatch, recorder, config):
-        clients = two_group_clients()
-        prefix = SharedPrefix(config.cluster)
-        recorded = run_federation(clients, recorder, ROUNDS, for_algorithm(config, recorder),
-                                  prefix)
-        assert prefix.recorded
-        assert_same_run(recorded, run_federation(clients, recorder, ROUNDS,
-                                                 for_algorithm(config, recorder)))
-        scratch = {a: run_federation(clients, a, ROUNDS, for_algorithm(config, a))
-                   for a in ("fedavg", "gcfl", "gcflplus")}
-        if config is SPLIT:
-            assert prefix.round_index == 1 == scratch["gcfl"].split_events[0].round_index
-        else:
-            assert prefix.round_index == ROUNDS - 1 and scratch["gcfl"].split_events == []
+def sweep_with_first(first):
+    """selftrain, the three prefix algorithms with ``first`` leading, and fedprox."""
+    return ["selftrain", first, *(a for a in PREFIX if a != first), "fedprox"]
 
-        trained = []
+
+BOTH = pytest.mark.parametrize("config", [SPLIT, NO_SPLIT], ids=["mid-run-split", "no-split"])
+EACH_FIRST = pytest.mark.parametrize("first", PREFIX)
+
+
+class TestSweep:
+    @BOTH
+    @EACH_FIRST
+    def test_each_algorithm_returns_what_it_returns_alone(self, first, config):
+        clients = two_group_clients()
+        sweep = sweep_with_first(first)
+        results = run_federation(clients, sweep, ROUNDS, config)
+        assert list(results) == sweep
+        for algorithm in sweep:
+            assert_same_run(results[algorithm], run_one(clients, algorithm, ROUNDS, config))
+        splits = results["gcfl"].split_events
+        if config is SPLIT:
+            assert splits[0].round_index == 1
+        else:
+            assert splits == [] and results["gcflplus"].split_events == []
+
+    @BOTH
+    @EACH_FIRST
+    def test_later_prefix_algorithms_train_only_after_the_branch_round(
+            self, monkeypatch, first, config):
+        clients = two_group_clients()
+        trained, rounds_run = [], []
+        train_round = fed._train_round
 
         def counting(client, *args, **kwargs):
             trained.append(client.id)
             return local_train(client, *args, **kwargs)
 
+        def recording(t, run, by_id, model, algorithm, run_config):
+            rounds_run.append((algorithm, t))
+            return train_round(t, run, by_id, model, algorithm, run_config)
+
         monkeypatch.setattr(fed, "local_train", counting)
-        for algorithm, expected in scratch.items():
-            for _ in range(2):  # two resumes from one prefix agree
-                del trained[:]
-                resumed = run_federation(clients, algorithm, ROUNDS,
-                                         for_algorithm(config, algorithm), prefix)
-                assert_same_run(resumed, expected)
-                # only the rounds after the branch round train
-                assert len(trained) == (ROUNDS - 1 - prefix.round_index) * len(clients)
+        monkeypatch.setattr(fed, "_train_round", recording)
+        sweep = sweep_with_first(first)
+        run_federation(clients, sweep, ROUNDS, config)
+        branch = 1 if config is SPLIT else ROUNDS - 1
+        later = [a for a in PREFIX if a != first]
+        assert rounds_run == [(a, t) for a in sweep
+                              for t in range(branch + 1 if a in later else 0, ROUNDS)]
+        assert len(trained) == len(rounds_run) * len(clients)
 
-    @pytest.mark.parametrize("algorithm", ["selftrain", "fedprox"])
-    def test_other_algorithms_cannot_share(self, algorithm):
-        with pytest.raises(ArgumentError, match=algorithm):
-            run_federation(tiny_clients(2), algorithm, 1, TINY, SharedPrefix(SPLIT.cluster))
-
-    def test_other_split_criteria_are_rejected(self):
-        prefix = SharedPrefix(SPLIT.cluster)
-        with pytest.raises(ArgumentError, match="criteria"):
-            run_federation(tiny_clients(2), "gcfl", 1, NO_SPLIT, prefix)
-        assert not prefix.recorded
-
-    @pytest.mark.parametrize("change", ["rounds", "lr", "seed", "client graph", "client seed"])
-    def test_prefix_of_other_clients_rounds_or_settings_is_rejected(self, change):
+    def test_each_client_batch_pair_is_built_once(self, monkeypatch):
         clients = two_group_clients()
-        prefix = SharedPrefix(SPLIT.cluster)
-        run_federation(clients, "gcfl", ROUNDS, SPLIT, prefix)
-        rounds, config = ROUNDS, SPLIT
-        if change == "rounds":
-            rounds += 1
-        elif change in ("lr", "seed"):
-            config = replace(SPLIT, **{change: getattr(SPLIT, change) * 2 + 1})
-        elif change == "client graph":
-            clients[0].train_graphs[0] = clients[0].train_graphs[0].with_label(1)
-        else:
-            clients[0].seed += 1
-        with pytest.raises(ArgumentError, match="recorded for other"):
-            run_federation(clients, "gcflplus", rounds, config, prefix)
+        built = []
+
+        def counting(graphs):
+            built.append(len(graphs))
+            return GraphBatch(graphs)
+
+        monkeypatch.setattr(fed, "GraphBatch", counting)
+        run_federation(clients, sweep_with_first("fedavg"), ROUNDS, SPLIT)
+        assert sorted(built) == sorted(len(g) for c in clients
+                                       for g in (c.train_graphs, c.test_graphs))

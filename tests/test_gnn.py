@@ -263,7 +263,7 @@ class TestGraphBatch:
         # a single-node and an edgeless graph are always in the pool
         pool = drawn + [make_graph(1, []), make_graph(4, [])]
         rng = np.random.default_rng(len(pool))
-        graphs = [g.with_features(rng.standard_normal((g.num_nodes, 3))).with_label(i % 2)
+        graphs = [Graph(g.num_nodes, g.edges, rng.standard_normal((g.num_nodes, 3)), i % 2)
                   for i, g in enumerate(pool)]
         order = data.draw(st.permutations(range(len(graphs))))
         idx = order[:data.draw(st.integers(1, len(graphs)))]
@@ -389,7 +389,7 @@ class TestTrainability:
             g = random_graph(rng, n=6, feat_dim=2)
             feats = 0.05 * rng.standard_normal((6, 2))
             feats[:, label] += 1.0
-            graphs.append(g.with_features(feats).with_label(label))
+            graphs.append(Graph(g.num_nodes, g.edges, feats, label))
             labels.append(label)
         model = init_gin(2, 2, hidden=8, num_layers=2, rng=rng)
         opt = init_adam(model.num_params(), lr=5e-3)

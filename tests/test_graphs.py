@@ -53,6 +53,19 @@ class TestGraphInvariants:
         with pytest.raises(ArgumentError):
             Graph(3, np.array([[0, 1]]), np.ones((2, 1)), 0)
 
+    @pytest.mark.parametrize("shape", [(2, 1), (4, 1), (3, 0), (3,)])
+    def test_with_features_rejects_wrong_shape(self, shape):
+        g = Graph(3, np.array([[0, 1]]), np.ones((3, 2)), 1)
+        with pytest.raises(ArgumentError):
+            g.with_features(np.ones(shape))
+
+    def test_with_features_keeps_structure_and_label(self, star5):
+        g = star5.with_features(np.arange(12.0).reshape(6, 2))
+        assert g.edges is star5.edges and g.label == star5.label
+        assert g.features.dtype == np.float64 and g.feat_dim == 2
+        assert star5.feat_dim != 2
+        assert np.array_equal(g.degrees, star5.degrees)
+
     def test_degrees_and_neighbors(self, star5):
         assert star5.degrees.tolist() == [5, 1, 1, 1, 1, 1]
         a = star5.adjacency

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gcflsim.clustering import ClusterConfig, ClusterState
 from gcflsim.errors import ArgumentError, ConfigurationError
-from gcflsim.fed import RunConfig, run_federation
+from gcflsim.fed import RunConfig, infer_dims, run_federation
 from gcflsim.gnn import GinModel, gin_forward, init_gin, one_hot_degree_features
 from gcflsim.graphs import Dataset
 from gcflsim.harness import (
@@ -26,7 +28,7 @@ from epsilons import auto_epsilons
 
 def synthetic_dataset(count=1000, seed=0):
     rng = np.random.default_rng(seed)
-    graphs = [random_graph(rng, n=6, feat_dim=2).with_label(int(rng.integers(2)))
+    graphs = [replace(random_graph(rng, n=6, feat_dim=2), label=int(rng.integers(2)))
               for _ in range(count)]
     return Dataset("synt", graphs)
 
@@ -84,20 +86,20 @@ class TestUnifyFeatureSpace:
     def test_noop_for_uniform_dims(self):
         clients = [client_from_dataset(synthetic_dataset(20, seed=s), s) for s in range(2)]
         originals = [id(g) for g in clients[0].train_graphs]
-        _, dim, out = unify_feature_space(clients)
-        assert dim == 2 and out == 2
+        unify_feature_space(clients)
+        assert infer_dims(clients) == (2, 2)
         assert [id(g) for g in clients[0].train_graphs] == originals
 
     def test_padding_to_max_dim(self):
         rng = np.random.default_rng(0)
-        a = [random_graph(rng, n=5, feat_dim=7).with_label(0) for _ in range(4)]
-        b = [random_graph(rng, n=5, feat_dim=3).with_label(1) for _ in range(4)]
+        a = [replace(random_graph(rng, n=5, feat_dim=7), label=0) for _ in range(4)]
+        b = [replace(random_graph(rng, n=5, feat_dim=3), label=1) for _ in range(4)]
         clients = [
             client_from_dataset(Dataset("a", a), 0, test_fraction=0.25),
             client_from_dataset(Dataset("b", b), 1, test_fraction=0.25),
         ]
-        _, dim, out = unify_feature_space(clients)
-        assert dim == 7
+        unify_feature_space(clients)
+        assert infer_dims(clients) == (7, 2)
         for g in clients[1].train_graphs + clients[1].test_graphs:
             assert g.feat_dim == 7
             assert np.all(g.features[:, 3:] == 0.0)
@@ -291,8 +293,8 @@ class TestGroupBuilder:
         for c in want:
             c.train_graphs = [per_graph(g) for g in c.train_graphs]
             c.test_graphs = [per_graph(g) for g in c.test_graphs]
-        want, input_dim, _ = unify_feature_space(want)
-        assert input_dim == 4
+        unify_feature_space(want)
+        assert infer_dims(want)[0] == 4
         for a, b in zip(got, want, strict=True):
             for ga, gb in zip(a.train_graphs + a.test_graphs, b.train_graphs + b.test_graphs,
                               strict=True):
@@ -310,5 +312,5 @@ class TestAutoEpsilons:
         run_cfg = RunConfig(seed=0, hidden=8, num_layers=2, weight_decay=0.0,
                             cluster=ClusterConfig(eps1, eps2, min_split_size=2,
                                                   warmup_rounds=6))
-        result = run_federation(clients, "gcfl", 10, run_cfg)
+        result = run_federation(clients, ["gcfl"], 10, run_cfg)["gcfl"]
         assert result.split_events
