@@ -27,6 +27,9 @@ class ClusterConfig:
     def __post_init__(self):
         if not (self.eps1 > 0 and self.eps2 > 0):  # also rejects nan
             raise ArgumentError("eps1 and eps2 must be positive")
+        if self.min_split_size < 1 or self.warmup_rounds < 0:
+            raise ArgumentError(f"need min_split_size >= 1 and warmup_rounds >= 0, got "
+                                f"{self.min_split_size} and {self.warmup_rounds}")
 
 
 @dataclass

@@ -43,7 +43,8 @@ from .graphs import Graph, GraphBatch
 logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("selftrain", "fedavg", "fedprox", "gcfl", "gcflplus")
-# the algorithms that run alike until the first split; see ``run_federation``
+# the algorithms that run alike until the first split (fedprox joins them when
+# ``_prox_is_zero``); see ``run_federation``
 PREFIX_ALGORITHMS = ("fedavg", "gcfl", "gcflplus")
 
 _INIT_SEED_TAG = 1009
@@ -178,6 +179,18 @@ def infer_dims(clients: list[ClientState]) -> tuple[int, int]:
     return dims.pop(), max(2, max_label + 1)
 
 
+def _prox_is_zero(clients: list[ClientState], config: RunConfig) -> bool:
+    """Whether FedProx's proximal term is zero at every local step, so fedprox is fedavg.
+
+    The term's gradient mu * (theta - anchor) vanishes at the anchor, where
+    each round's first step starts; so it is zero when mu is, or when no
+    client takes more than one step per round. Adding a zero gradient can
+    change only the sign of a zero entry, which no output shows.
+    """
+    return config.prox_mu == 0 or (config.epochs <= 1 and all(
+        len(c.train_graphs) <= config.batch_size for c in clients))
+
+
 def _fires(cluster: ClusterState, criteria: ClusterConfig, t: int) -> bool:
     """Whether ``cluster`` splits at the end of round ``t`` under ``criteria``."""
     return len(cluster.members) >= 2 and split_check(
@@ -222,13 +235,15 @@ def run_federation(
     freshly aggregated parent model and start the next round from it.
 
     Until its first split gcfl (and gcflplus) is fedavg: one cluster of all
-    clients, the same local steps and the same aggregation. So when two or
-    more of fedavg, gcfl and gcflplus run, the first of them keeps its state
-    at the branch round: the first round whose ``config.cluster`` criteria
-    fire on a cluster of at least two members, before any split, or the last
-    round if none fires. The later ones start from a copy of that state at the
-    branch round's split check, so each returns what it returns alone, bit for
-    bit. selftrain and fedprox always run from scratch.
+    clients, the same local steps and the same aggregation. So is fedprox
+    while its proximal term is zero at every step (``_prox_is_zero``). So
+    when two or more of these run, the first of them keeps its state at the
+    branch round: the first round whose ``config.cluster`` criteria fire on a
+    cluster of at least two members, before any split, when gcfl or gcflplus
+    is among them, else the last round. The later ones start from a copy of
+    that state at the branch round's split check, so each returns what it
+    returns alone, bit for bit. selftrain, and fedprox when a client takes
+    several steps per round with ``prox_mu`` above 0, run from scratch.
     """
     if not algorithms:
         raise ArgumentError("need at least one algorithm")
@@ -261,7 +276,9 @@ def run_federation(
         c.train_stack = GraphBatch(c.train_graphs)
         c.test_batch = GraphBatch(c.test_graphs)
 
-    shared = [a for a in algorithms if a in PREFIX_ALGORITHMS]
+    shared = [a for a in algorithms if a in PREFIX_ALGORITHMS
+              or a == "fedprox" and _prox_is_zero(clients, config)]
+    criteria = config.cluster if {"gcfl", "gcflplus"} & set(shared) else None
     branch = None  # (round, run state, each client's Adam state and RNG) of shared[0]
     results = {}
     for algorithm in algorithms:
@@ -289,8 +306,8 @@ def run_federation(
         for t in range(max(start, 0), rounds):
             if t != start:
                 _train_round(t, run, by_id, model, algorithm, config)
-            if records and (t == rounds - 1
-                            or any(_fires(k, config.cluster, t) for k in run.clusters)):
+            if records and (t == rounds - 1 or criteria is not None
+                            and any(_fires(k, criteria, t) for k in run.clusters)):
                 branch = (t, run.copy(),
                           {c.id: (replace(c.optimizer), copy.deepcopy(c.rng)) for c in clients})
                 records = False
@@ -326,6 +343,8 @@ def _train_round(t: int, run: _RunState, by_id: dict[int, ClientState], model: G
             if not np.isfinite(norms[cid]):
                 raise DivergenceError(
                     f"round {t}: client {cid} sent an update of non-finite norm")
+            if config.epochs and not np.isfinite(train_loss[cid]):  # nan when no batch ran
+                raise DivergenceError(f"round {t}: client {cid} reported a non-finite train loss")
             run.deltas[cid] = delta
 
     push_norms(run.window, norms)

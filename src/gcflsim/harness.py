@@ -51,7 +51,8 @@ DEGREE_FEATURE_DATASETS = set(SOCIAL_DATASETS)
 def _split_train_test(graphs: list[Graph], test_fraction: float) -> tuple[list[Graph], list[Graph]]:
     n_test = math.ceil(test_fraction * len(graphs))
     if n_test >= len(graphs):
-        raise ConfigurationError("test fraction leaves no training graphs")
+        raise ConfigurationError(
+            f"test_fraction {test_fraction} leaves no training graphs of {len(graphs)}")
     return graphs[:-n_test], graphs[-n_test:]
 
 
@@ -317,8 +318,8 @@ class ExperimentConfig:
     dataset: str = "MUTAG"
     group: str = "molecules"
     num_clients: int = 4
-    per_client_graphs: int = 100
-    test_fraction: float = 0.1
+    per_client_graphs: Optional[int] = None  # None: the setting's own, see build_clients
+    test_fraction: Optional[float] = None
     overlap: bool = False
     label_skew: bool = False
     feature_mode: str = "original"  # original | onehot_degree
@@ -349,13 +350,16 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown setting {self.setting!r}")
         if self.feature_mode not in ("original", "onehot_degree"):
             raise ConfigurationError(f"unknown feature_mode {self.feature_mode!r}")
-        if not 0.0 < self.test_fraction < 1.0:
+        if self.test_fraction is not None and not 0.0 < self.test_fraction < 1.0:
             raise ConfigurationError("test_fraction must be in (0, 1)")
+        if self.per_client_graphs is not None and self.per_client_graphs < 2:
+            raise ConfigurationError(
+                f"per_client_graphs must be >= 2, got {self.per_client_graphs}")
         for key in ("num_clients", "rounds", "batch_size", "hidden", "num_layers", "window",
-                    "bins", "pair_budget"):
+                    "bins", "pair_budget", "min_split_size"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("epochs", "lr", "prox_mu", "weight_decay"):
+        for key in ("epochs", "lr", "prox_mu", "weight_decay", "warmup_rounds"):
             if getattr(self, key) < 0:  # a nan lr passes here and stops as divergence
                 raise ConfigurationError(f"{key} must be >= 0, got {getattr(self, key)}")
         if not 1 <= self.awe_length <= MAX_WALK_LENGTH:
@@ -413,8 +417,8 @@ def _parse_value(key: str, value: str, annotation: str):
             return [v.strip() for v in value.split(",") if v.strip()]
         if key in ("seeds",):
             return [int(v) for v in value.split(",") if v.strip()]
-        if key in ("eps1", "eps2"):
-            return None if value.lower() in ("", "none") else float(value)
+        if annotation.startswith("Optional") and value.lower() in ("", "none"):
+            return None
         if "bool" in annotation:
             low = value.lower()
             if low in _TRUE:
@@ -437,20 +441,27 @@ def _parse_value(key: str, value: str, annotation: str):
 
 
 def build_clients(config: ExperimentConfig, seed: int) -> list[ClientState]:
-    """Fresh clients for one seed according to the configured setting."""
-    if config.setting == "synthetic":
+    """Fresh clients for one seed according to the configured setting.
+
+    An unset ``per_client_graphs`` or ``test_fraction`` takes the setting's
+    own: 40 graphs and 0.25 in the synthetic setting, 100 and 0.1 otherwise.
+    """
+    synthetic = config.setting == "synthetic"
+    per_client = config.per_client_graphs or (40 if synthetic else 100)  # set ones are >= 2
+    test_fraction = config.test_fraction or (0.25 if synthetic else 0.1)  # and in (0, 1)
+    if synthetic:
         clients, _ = synthetic_two_group_clients(
-            clients_per_group=config.num_clients // 2, seed=seed
+            config.num_clients // 2, per_client, test_fraction=test_fraction, seed=seed
         )
     elif config.setting == "oneDS":
         ds = load_dataset_for_federation(config.data_root, config.dataset, config.feature_mode)
         clients = partition_one_dataset(
-            ds, config.num_clients, config.per_client_graphs, config.test_fraction,
+            ds, config.num_clients, per_client, test_fraction,
             config.overlap, seed, config.label_skew,
         )
     else:
         clients = build_multi_dataset_group(
-            config.group, config.data_root, config.test_fraction, seed, config.feature_mode
+            config.group, config.data_root, test_fraction, seed, config.feature_mode
         )
     unify_feature_space(clients)
     return clients
@@ -480,8 +491,6 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     clustered = [a for a in config.algorithms if a in ("gcfl", "gcflplus")]
     if clustered and (config.eps1 is None or config.eps2 is None):
         raise ConfigurationError(f"{clustered[0]} requires eps1 and eps2 (try `calibrate`)")
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     algorithms = list(config.algorithms)
     if "selftrain" not in algorithms:
         algorithms.insert(0, "selftrain")
@@ -520,6 +529,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                         repr(row.feature_mean), repr(row.feature_std),
                     ])
 
+    out = Path(config.out_dir)  # made only once every seed has run
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "rounds.csv",
                ["algorithm", "seed", "round", "client_id", "cluster_id",
                 "train_loss", "test_loss", "test_acc", "grad_norm"], rounds_rows)

@@ -164,6 +164,8 @@ class TestRun:
         "pair_budget=0", "awe_length=0", "awe_length=9", "bins=0", "epochs=-1", "window=0",
         "lr=-0.001", "prox_mu=-5", "weight_decay=-1", "seeds=-1", "seeds=0,-2",
         "algorithms=fedavg,fedavg,selftrain,selftrain", "algorithms=gcfl,fedavg,gcfl",
+        "min_split_size=-3", "min_split_size=0", "warmup_rounds=-2", "per_client_graphs=1",
+        "test_fraction=0.999",
     ])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, override):
         cfg = self._write_config(tmp_path)
@@ -172,6 +174,24 @@ class TestRun:
         assert "ConfigurationError" in err
         assert override.split("=")[0] in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sets, differ", [
+        ([], False),  # 30 training graphs per client, batch_size 128: one step per round
+        (["per_client_graphs=60", "batch_size=40"], True),  # 45 training graphs: two steps
+    ], ids=["one-step", "two-steps"])
+    def test_fedprox_rows_repeat_fedavg_only_with_one_step_per_round(self, tmp_path, sets,
+                                                                      differ):
+        cfg = self._write_config(tmp_path)
+        args = [arg for pair in ["algorithms=fedavg,fedprox", "prox_mu=0.1", *sets]
+                for arg in ("--set", pair)]
+        assert run_cli("run", "--config", str(cfg), *args) == 0
+        rows = {"fedavg": [], "fedprox": []}
+        for line in (tmp_path / "out" / "rounds.csv").read_text().splitlines()[1:]:
+            algorithm, rest = line.split(",", 1)
+            if algorithm in rows:
+                rows[algorithm].append(rest)
+        assert len(rows["fedprox"]) == 2 * 4
+        assert (rows["fedprox"] != rows["fedavg"]) == differ
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "absent.cfg")) == 3

@@ -130,6 +130,12 @@ class TestSplitCheck:
             with pytest.raises(ArgumentError):
                 ClusterConfig(eps1=eps1, eps2=eps2)
 
+    @pytest.mark.parametrize("sizes", [dict(min_split_size=0), dict(min_split_size=-3),
+                                       dict(warmup_rounds=-2)])
+    def test_split_sizes_in_range(self, sizes):
+        with pytest.raises(ArgumentError, match="min_split_size >= 1 and warmup_rounds >= 0"):
+            ClusterConfig(eps1=1.0, eps2=1.0, **sizes)
+
 
 class TestCosineMatrix:
     def test_identical_vectors(self):

@@ -209,6 +209,20 @@ class TestRunFederation:
             assert np.array_equal(prox_params[cid], avg_params[cid])
         assert reports_equal(res_prox.reports, res_avg.reports)
 
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_fedprox_with_one_step_per_round_equals_fedavg(self, epochs):
+        # 6 training graphs and batch_size 128: one step per epoch, starting at the anchor
+        clients = tiny_clients(2)
+        cfg = replace(TINY, prox_mu=0.1, epochs=epochs)
+        res_prox = run_one(clients, "fedprox", 3, cfg)
+        res_avg = run_one(clients, "fedavg", 3, cfg)
+        prox_params, avg_params = final_params(res_prox), final_params(res_avg)
+        if epochs == 1:
+            assert_same_run(replace(res_prox, algorithm="fedavg"), res_avg)
+        else:
+            assert not reports_equal(res_prox.reports, res_avg.reports)
+            assert not any(np.array_equal(prox_params[cid], avg_params[cid]) for cid in avg_params)
+
     def test_single_cluster_gcfl_equals_fedavg_bitwise(self):
         clients = tiny_clients(3)
         no_split = RunConfig(seed=0, hidden=6, num_layers=2,
@@ -285,6 +299,18 @@ class TestRunFederation:
         with pytest.raises(DivergenceError, match=r"round 0: client 2 "):
             run_one(clients, "fedavg", 2, TINY)
 
+    def test_non_finite_train_loss_is_divergence(self):
+        # from the second step on, the proximal term overflows to inf while every
+        # update stays finite (Adam's second moment overflows, so the step is 0)
+        cfg = replace(TINY, prox_mu=1e307, lr=1.0, batch_size=2)
+        with np.errstate(over="ignore"), pytest.raises(
+                DivergenceError, match=r"round 0: client 0 reported a non-finite train loss"):
+            run_one(tiny_clients(2), "fedprox", 2, cfg)
+
+    def test_no_batch_keeps_its_nan_train_loss(self):
+        result = run_one(tiny_clients(2), "fedavg", 2, replace(TINY, epochs=0))
+        assert all(np.isnan(e.train_loss) for r in result.reports for e in r.entries)
+
     @pytest.mark.parametrize("split", ["train_graphs", "test_graphs"])
     def test_empty_split_is_rejected(self, split):
         clients = tiny_clients(2)
@@ -319,10 +345,12 @@ class TestRunFederation:
 
 
 # SPLIT: gcfl first splits mid-run, at round 1 (warm-up 1); NO_SPLIT: the criteria never fire.
-# prox_mu is not 0, so a fedprox run branched off fedavg would differ from one run alone.
+# Each client has 9 training graphs, so both take one local step per round and fedprox
+# branches off too; MULTI_STEP takes 3, so there fedprox (prox_mu not 0) runs from scratch.
 SPLIT = RunConfig(seed=0, hidden=8, num_layers=2, weight_decay=0.0, prox_mu=0.1,
                   cluster=ClusterConfig(eps1=10.0, eps2=1e-6, min_split_size=2, warmup_rounds=1))
 NO_SPLIT = replace(SPLIT, cluster=ClusterConfig(eps1=1e-12, eps2=1e12))
+MULTI_STEP = replace(SPLIT, batch_size=4)
 ROUNDS = 5
 PREFIX = ("fedavg", "gcfl", "gcflplus")
 
@@ -349,12 +377,31 @@ def sweep_with_first(first):
     return ["selftrain", first, *(a for a in PREFIX if a != first), "fedprox"]
 
 
-BOTH = pytest.mark.parametrize("config", [SPLIT, NO_SPLIT], ids=["mid-run-split", "no-split"])
+CONFIGS = pytest.mark.parametrize("config", [SPLIT, NO_SPLIT, MULTI_STEP],
+                                  ids=["mid-run-split", "no-split", "multi-step"])
 EACH_FIRST = pytest.mark.parametrize("first", PREFIX)
 
 
+def record_rounds(monkeypatch):
+    """Log each trained (algorithm, round) and the client of each ``local_train`` call."""
+    trained, rounds_run = [], []
+    train_round = fed._train_round
+
+    def counting(client, *args, **kwargs):
+        trained.append(client.id)
+        return local_train(client, *args, **kwargs)
+
+    def recording(t, run, by_id, model, algorithm, run_config):
+        rounds_run.append((algorithm, t))
+        return train_round(t, run, by_id, model, algorithm, run_config)
+
+    monkeypatch.setattr(fed, "local_train", counting)
+    monkeypatch.setattr(fed, "_train_round", recording)
+    return trained, rounds_run
+
+
 class TestSweep:
-    @BOTH
+    @CONFIGS
     @EACH_FIRST
     def test_each_algorithm_returns_what_it_returns_alone(self, first, config):
         clients = two_group_clients()
@@ -364,35 +411,40 @@ class TestSweep:
         for algorithm in sweep:
             assert_same_run(results[algorithm], run_one(clients, algorithm, ROUNDS, config))
         splits = results["gcfl"].split_events
-        if config is SPLIT:
-            assert splits[0].round_index == 1
-        else:
+        if config is NO_SPLIT:
             assert splits == [] and results["gcflplus"].split_events == []
+        else:
+            assert splits[0].round_index == 1
 
-    @BOTH
+    @CONFIGS
     @EACH_FIRST
     def test_later_prefix_algorithms_train_only_after_the_branch_round(
             self, monkeypatch, first, config):
         clients = two_group_clients()
-        trained, rounds_run = [], []
-        train_round = fed._train_round
-
-        def counting(client, *args, **kwargs):
-            trained.append(client.id)
-            return local_train(client, *args, **kwargs)
-
-        def recording(t, run, by_id, model, algorithm, run_config):
-            rounds_run.append((algorithm, t))
-            return train_round(t, run, by_id, model, algorithm, run_config)
-
-        monkeypatch.setattr(fed, "local_train", counting)
-        monkeypatch.setattr(fed, "_train_round", recording)
+        trained, rounds_run = record_rounds(monkeypatch)
         sweep = sweep_with_first(first)
-        run_federation(clients, sweep, ROUNDS, config)
-        branch = 1 if config is SPLIT else ROUNDS - 1
-        later = [a for a in PREFIX if a != first]
+        splits = run_federation(clients, sweep, ROUNDS, config)["gcfl"].split_events
+        branch = splits[0].round_index if splits else ROUNDS - 1
+        later = [a for a in (*PREFIX, "fedprox") if a != first
+                 and not (a == "fedprox" and config is MULTI_STEP)]
         assert rounds_run == [(a, t) for a in sweep
                               for t in range(branch + 1 if a in later else 0, ROUNDS)]
+        assert len(trained) == len(rounds_run) * len(clients)
+
+    @pytest.mark.parametrize("epochs, prox_mu, shares", [(1, 0.1, True), (2, 0.0, True),
+                                                         (2, 0.1, False)],
+                             ids=["one-step", "mu-zero-two-steps", "two-steps"])
+    def test_fedprox_without_cluster_config_branches_at_the_last_round(
+            self, monkeypatch, epochs, prox_mu, shares):
+        # no gcfl or gcflplus and no ClusterConfig: the branch round is the last
+        clients, config = tiny_clients(2), replace(TINY, epochs=epochs, prox_mu=prox_mu)
+        alone = {a: run_one(clients, a, 3, config) for a in ("selftrain", "fedavg", "fedprox")}
+        trained, rounds_run = record_rounds(monkeypatch)
+        results = run_federation(clients, ["selftrain", "fedavg", "fedprox"], 3, config)
+        for algorithm, result in results.items():
+            assert_same_run(result, alone[algorithm])
+        assert rounds_run == [(a, t) for a in ("selftrain", "fedavg", "fedprox")
+                              for t in range(3) if not (shares and a == "fedprox")]
         assert len(trained) == len(rounds_run) * len(clients)
 
     def test_each_client_batch_pair_is_built_once(self, monkeypatch):
