@@ -36,6 +36,7 @@ from .fed import (
     RoundReport,
     RunConfig,
     RunResult,
+    Variant,
     evaluate_client,
     local_train,
     run_federation,

@@ -43,9 +43,6 @@ from .graphs import Graph, GraphBatch
 logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("selftrain", "fedavg", "fedprox", "gcfl", "gcflplus")
-# the algorithms that run alike until the first split (fedprox joins them when
-# ``_prox_is_zero``); see ``run_federation``
-PREFIX_ALGORITHMS = ("fedavg", "gcfl", "gcflplus")
 
 _INIT_SEED_TAG = 1009
 _CLIENT_SEED_TAG = 2003
@@ -53,20 +50,18 @@ _CLIENT_SEED_TAG = 2003
 
 @dataclass
 class ClientState:
-    """A client's local split plus the state that outlives a round.
+    """A client's local split and the two unions that ``run_federation`` builds once per call.
 
-    ``run_federation`` builds the two unions once per call and sets the Adam
-    state and RNG for each algorithm, from a copy of the branch round's when
-    the algorithm branches off an earlier one. A client owns no model: each
-    round writes its cluster's model into the call's one GIN.
+    Its Adam state and shuffle RNG belong to each group of variants that
+    trains it (``_RunState``), as forked groups train it from different
+    states. Nor does a client own a model: each round writes its cluster's
+    model into the call's one GIN.
     """
 
     id: int
     train_graphs: list[Graph]
     test_graphs: list[Graph]
     seed: int = 0
-    optimizer: Optional[AdamState] = None
-    rng: Optional[np.random.Generator] = None
     train_stack: Optional[GraphBatch] = None  # union of train_graphs; batches are cut from it
     test_batch: Optional[GraphBatch] = None  # union of test_graphs, evaluated every round
 
@@ -85,9 +80,16 @@ class RunConfig:
     hidden: int = 64
     num_layers: int = 3
     prox_mu: float = 0.01
-    cluster: Optional[ClusterConfig] = None
     window_length: int = 10
     standardize: bool = False
+
+
+@dataclass
+class Variant:
+    """An algorithm and its split criteria, which gcfl and gcflplus need and no other takes."""
+
+    algorithm: str
+    criteria: Optional[ClusterConfig] = None
 
 
 @dataclass
@@ -128,35 +130,37 @@ def local_train(
     client: ClientState,
     model: GinModel,
     start_params: np.ndarray,
+    optimizer: AdamState,
+    rng: np.random.Generator,
     epochs: int,
     batch_size: int = 128,
-    prox: Optional[tuple[float, np.ndarray]] = None,
+    prox_mu: float = 0.0,
 ) -> tuple[np.ndarray, float]:
     """Train ``model`` locally from ``start_params``; return (delta, mean batch loss).
 
-    Runs ``epochs`` passes of mini-batch Adam with a seeded shuffle, each batch
-    gathered from ``client.train_stack``. When ``prox=(mu, anchor)`` is given,
-    each batch objective gains (mu/2)*||theta - anchor||^2. The delta is final
-    minus start parameters; the loss is nan when no batch ran (``epochs=0``).
+    Runs ``epochs`` passes of mini-batch steps of ``optimizer``, each shuffled
+    by ``rng``, each batch gathered from ``client.train_stack``. With
+    ``prox_mu``, each batch objective gains FedProx's proximal term
+    (prox_mu/2)*||theta - start_params||^2. The delta is final minus start
+    parameters; the loss is nan when no batch ran (``epochs=0``).
     """
     if epochs < 0:
         raise ArgumentError("epochs must be >= 0")
-    opt, stack = client.optimizer, client.train_stack
+    stack = client.train_stack
     start = np.array(start_params, dtype=np.float64)
     model.vector[:] = start
     losses = []
     for _ in range(epochs):
-        order = client.rng.permutation(len(stack))
+        order = rng.permutation(len(stack))
         for lo in range(0, len(order), batch_size):
             batch = stack.take(order[lo:lo + batch_size])
             loss, grad = gin_loss_and_grad(model, batch, batch.labels)
-            if prox is not None and prox[0] != 0.0:
-                mu, anchor = prox
-                diff = model.vector - anchor
-                loss += 0.5 * mu * float(diff @ diff)
-                grad = grad + mu * diff
+            if prox_mu:
+                diff = model.vector - start
+                loss += 0.5 * prox_mu * float(diff @ diff)
+                grad = grad + prox_mu * diff
             losses.append(loss)
-            model.vector[:] = adam_step(opt, model.vector, grad)
+            model.vector[:] = adam_step(optimizer, model.vector, grad)
     return model.vector - start, float(np.mean(losses)) if losses else float("nan")
 
 
@@ -180,7 +184,7 @@ def infer_dims(clients: list[ClientState]) -> tuple[int, int]:
 
 
 def _prox_is_zero(clients: list[ClientState], config: RunConfig) -> bool:
-    """Whether FedProx's proximal term is zero at every local step, so fedprox is fedavg.
+    """Whether FedProx's proximal term is zero at every local step: its effective mu is 0.
 
     The term's gradient mu * (theta - anchor) vanishes at the anchor, where
     each round's first step starts; so it is zero when mu is, or when no
@@ -191,24 +195,18 @@ def _prox_is_zero(clients: list[ClientState], config: RunConfig) -> bool:
         len(c.train_graphs) <= config.batch_size for c in clients))
 
 
-def _fires(cluster: ClusterState, criteria: ClusterConfig, t: int) -> bool:
-    """Whether ``cluster`` splits at the end of round ``t`` under ``criteria``."""
-    return len(cluster.members) >= 2 and split_check(
-        cluster.delta_mean, cluster.delta_max, len(cluster.members), criteria, t)
-
-
 @dataclass
 class _RunState:
-    """What a run carries from one round to the next, clients' Adam states and RNGs aside."""
+    """What a group of variants carries from one round to the next."""
 
-    clusters: list[ClusterState]
+    clusters: list[ClusterState]  # in id order, as children take the next ids
     next_cluster_id: int
     window: NormWindow
-    deltas: dict[int, np.ndarray] = field(default_factory=dict)  # the last round's updates
+    prox_mu: float  # the group's effective proximal mu
+    optimizers: dict[int, AdamState]  # each client's Adam state and shuffle RNG
+    rngs: dict[int, np.random.Generator]
     reports: list[RoundReport] = field(default_factory=list)
     assignments: list[tuple[int, int, tuple[int, ...]]] = field(default_factory=list)
-    split_events: list[SplitEvent] = field(default_factory=list)
-    window_dumps: list[WindowDump] = field(default_factory=list)
     final_accuracy: dict[int, float] = field(default_factory=dict)
 
     def copy(self) -> "_RunState":
@@ -216,17 +214,18 @@ class _RunState:
         return _RunState(
             [replace(k, members=list(k.members)) for k in self.clusters], self.next_cluster_id,
             NormWindow(self.window.length, {cid: list(b) for cid, b in self.window.buffers.items()}),
-            dict(self.deltas), list(self.reports), list(self.assignments),
-            list(self.split_events), list(self.window_dumps), dict(self.final_accuracy))
+            self.prox_mu, {cid: replace(o) for cid, o in self.optimizers.items()},
+            {cid: copy.deepcopy(r) for cid, r in self.rngs.items()}, list(self.reports),
+            list(self.assignments), dict(self.final_accuracy))
 
 
 def run_federation(
     clients: list[ClientState],
-    algorithms: list[str],
+    variants: list[Variant],
     rounds: int,
     config: RunConfig,
-) -> dict[str, RunResult]:
-    """Run each of ``algorithms`` on the same clients: one ``RunResult`` per name, in order.
+) -> list[RunResult]:
+    """Run each of ``variants`` on the same clients: one ``RunResult`` per variant, in order.
 
     Per round: broadcast each cluster's model, train all members locally,
     record the update norms, aggregate per cluster, evaluate every client on
@@ -234,26 +233,24 @@ def run_federation(
     bipartition clusters whose criteria fire; both children inherit the
     freshly aggregated parent model and start the next round from it.
 
-    Until its first split gcfl (and gcflplus) is fedavg: one cluster of all
-    clients, the same local steps and the same aggregation. So is fedprox
-    while its proximal term is zero at every step (``_prox_is_zero``). So
-    when two or more of these run, the first of them keeps its state at the
-    branch round: the first round whose ``config.cluster`` criteria fire on a
-    cluster of at least two members, before any split, when gcfl or gcflplus
-    is among them, else the last round. The later ones start from a copy of
-    that state at the branch round's split check, so each returns what it
-    returns alone, bit for bit. selftrain, and fedprox when a client takes
-    several steps per round with ``prox_mu`` above 0, run from scratch.
+    The variants run in lock-step, in groups of variants in the same state,
+    and a group computes each round once. They start in one group per initial
+    layout (selftrain's singleton clusters, or one cluster of all clients)
+    and effective proximal mu (fedprox's unless ``_prox_is_zero``, else 0).
+    A group forks where its variants' split decisions differ: whether a
+    cluster splits, or into which ordered halves. So each variant returns
+    what it returns alone, bit for bit.
     """
-    if not algorithms:
-        raise ArgumentError("need at least one algorithm")
-    for algorithm in algorithms:
-        if algorithm not in ALGORITHMS:
-            raise ArgumentError(f"unknown algorithm {algorithm!r}")
-        if algorithm in ("gcfl", "gcflplus") and config.cluster is None:
-            raise ArgumentError(f"{algorithm} requires a ClusterConfig")
-    if len(set(algorithms)) != len(algorithms):
-        raise ArgumentError(f"algorithms named more than once: {list(algorithms)}")
+    if not variants:
+        raise ArgumentError("need at least one algorithm variant")
+    for v in variants:
+        if v.algorithm not in ALGORITHMS:
+            raise ArgumentError(f"unknown algorithm {v.algorithm!r}")
+        if (v.algorithm in ("gcfl", "gcflplus")) != (v.criteria is not None):
+            raise ArgumentError(f"gcfl and gcflplus, and no other algorithm, take split "
+                                f"criteria (a ClusterConfig); got {v}")
+    if any(v in variants[:i] for i, v in enumerate(variants)):
+        raise ArgumentError(f"algorithm variants named more than once: {list(variants)}")
     if rounds < 1:
         raise ArgumentError(f"rounds must be >= 1, got {rounds}")
     if not clients:
@@ -276,81 +273,64 @@ def run_federation(
         c.train_stack = GraphBatch(c.train_graphs)
         c.test_batch = GraphBatch(c.test_graphs)
 
-    shared = [a for a in algorithms if a in PREFIX_ALGORITHMS
-              or a == "fedprox" and _prox_is_zero(clients, config)]
-    criteria = config.cluster if {"gcfl", "gcflplus"} & set(shared) else None
-    branch = None  # (round, run state, each client's Adam state and RNG) of shared[0]
-    results = {}
-    for algorithm in algorithms:
-        records = len(shared) > 1 and algorithm == shared[0]
-        if algorithm in shared[1:]:
-            start, saved, states = branch
-            run = saved.copy()
-            for c in clients:
-                optimizer, rng = states[c.id]
-                c.optimizer, c.rng = replace(optimizer), copy.deepcopy(rng)
-        else:
-            start = -1
-            for c in clients:
-                c.optimizer = init_adam(init_flat.size, config.lr, config.weight_decay)
-                c.rng = np.random.default_rng(
-                    np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.seed])
-                )
-            if algorithm == "selftrain":
-                clusters = [ClusterState(i, [c.id], init_flat.copy())
-                            for i, c in enumerate(clients)]
-            else:
-                clusters = [ClusterState(0, [c.id for c in clients], init_flat.copy())]
-            run = _RunState(clusters, len(clusters), NormWindow(config.window_length))
+    starts: dict[tuple, list[int]] = {}  # (initial layout, effective mu) -> variant indices
+    fedprox_mu = 0.0 if _prox_is_zero(clients, config) else config.prox_mu
+    for i, v in enumerate(variants):
+        layout = tuple((cid,) for cid in by_id) if v.algorithm == "selftrain" else (tuple(by_id),)
+        starts.setdefault((layout, fedprox_mu if v.algorithm == "fedprox" else 0.0), []).append(i)
+    groups = [(_RunState(
+        [ClusterState(k, list(m), init_flat.copy()) for k, m in enumerate(layout)], len(layout),
+        NormWindow(config.window_length), mu,
+        {c.id: init_adam(init_flat.size, config.lr, config.weight_decay) for c in clients},
+        {c.id: np.random.default_rng(
+            np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.seed])) for c in clients}),
+        members) for (layout, mu), members in starts.items()]
 
-        for t in range(max(start, 0), rounds):
-            if t != start:
-                _train_round(t, run, by_id, model, algorithm, config)
-            if records and (t == rounds - 1 or criteria is not None
-                            and any(_fires(k, criteria, t) for k in run.clusters)):
-                branch = (t, run.copy(),
-                          {c.id: (replace(c.optimizer), copy.deepcopy(c.rng)) for c in clients})
-                records = False
-            if algorithm in ("gcfl", "gcflplus"):
-                _split_round(t, run, algorithm, config)
-
-        run.clusters.sort(key=lambda k: k.id)
-        results[algorithm] = RunResult(algorithm, run.reports, run.split_events, run.assignments,
-                                       run.clusters, run.final_accuracy, run.window_dumps)
+    # each variant's own records; the rest of its result is its last group's (shared) state
+    results = [RunResult(v.algorithm, [], [], [], [], {}) for v in variants]
+    for t in range(rounds):
+        forked = []
+        for run, members in groups:
+            deltas = _train_round(t, run, by_id, model, config)
+            forked += _split_round(t, run, deltas, members, variants, results, config)
+        groups = forked
+    for run, members in groups:
+        for i in members:
+            results[i] = replace(results[i], reports=run.reports, assignments=run.assignments,
+                                 final_clusters=run.clusters, final_accuracy=run.final_accuracy)
     return results
 
 
 def _train_round(t: int, run: _RunState, by_id: dict[int, ClientState], model: GinModel,
-                 algorithm: str, config: RunConfig) -> None:
-    """Local training, aggregation and evaluation of every cluster for round ``t``."""
-    run.clusters.sort(key=lambda k: k.id)
+                 config: RunConfig) -> dict[int, np.ndarray]:
+    """Local training, aggregation and evaluation of every cluster for round ``t``: the updates."""
     for cluster in run.clusters:
         run.assignments.append((t, cluster.id, tuple(cluster.members)))
 
-    run.deltas = {}
+    deltas: dict[int, np.ndarray] = {}
     norms: dict[int, float] = {}
     train_loss: dict[int, float] = {}
     for cluster in run.clusters:
-        anchor = cluster.model.copy()
-        prox = (config.prox_mu, anchor) if algorithm == "fedprox" else None
         for cid in cluster.members:
-            delta, train_loss[cid] = local_train(
-                by_id[cid], model, cluster.model, config.epochs, config.batch_size, prox
-            )
+            optimizer = run.optimizers[cid]
+            delta, train_loss[cid] = local_train(by_id[cid], model, cluster.model, optimizer,
+                                                 run.rngs[cid], config.epochs, config.batch_size,
+                                                 run.prox_mu)
             # a finite delta whose norm overflows has diverged as well
             with np.errstate(over="ignore"):
                 norms[cid] = float(np.linalg.norm(delta))
             if not np.isfinite(norms[cid]):
-                raise DivergenceError(
-                    f"round {t}: client {cid} sent an update of non-finite norm")
+                raise DivergenceError(f"round {t}: client {cid} sent an update of non-finite norm")
             if config.epochs and not np.isfinite(train_loss[cid]):  # nan when no batch ran
                 raise DivergenceError(f"round {t}: client {cid} reported a non-finite train loss")
-            run.deltas[cid] = delta
+            if not np.isfinite(optimizer.v.max()):  # such coordinates would take no more steps
+                raise DivergenceError(f"round {t}: client {cid}'s Adam second moment overflowed")
+            deltas[cid] = delta
 
     push_norms(run.window, norms)
 
     for cluster in run.clusters:
-        cluster_aggregate(cluster, [run.deltas[cid] for cid in cluster.members],
+        cluster_aggregate(cluster, [deltas[cid] for cid in cluster.members],
                           [by_id[cid].data_size for cid in cluster.members])
 
     entries = []
@@ -362,36 +342,65 @@ def _train_round(t: int, run: _RunState, by_id: dict[int, ClientState], model: G
             run.final_accuracy[cid] = test_acc
     entries.sort(key=lambda e: e.client_id)
     run.reports.append(RoundReport(t, entries))
+    return deltas
 
 
-def _split_round(t: int, run: _RunState, algorithm: str, config: RunConfig) -> None:
-    """Bipartition every cluster whose split criteria fire at the end of round ``t``."""
-    survivors: list[ClusterState] = []
-    for cluster in run.clusters:
-        if not _fires(cluster, config.cluster, t):
-            survivors.append(cluster)
-            continue
-        if algorithm == "gcfl":
-            weights = to_cut_weights(cosine_matrix(
-                [run.deltas[cid] for cid in cluster.members]))
-        else:
-            weights = dtw_to_cut_weights(
-                dtw_matrix(run.window, cluster.members, config.standardize)
-            )
-            run.window_dumps.append(WindowDump(
-                t, cluster.id,
-                {cid: list(run.window.row(cid)) for cid in cluster.members},
-            ))
-        child_a, child_b, cut_value = bipartition_cluster(
-            cluster, weights, (run.next_cluster_id, run.next_cluster_id + 1)
-        )
-        run.next_cluster_id += 2
-        run.split_events.append(SplitEvent(
-            t, cluster.id, (child_a.id, child_b.id),
-            (tuple(child_a.members), tuple(child_b.members)),
-            cluster.delta_mean, cluster.delta_max, cut_value,
-        ))
-        logger.info("round %d: cluster %d split into %s | %s (cut %.3g)",
-                    t, cluster.id, child_a.members, child_b.members, cut_value)
-        survivors.extend([child_a, child_b])
-    run.clusters = survivors
+def _split_round(t: int, run: _RunState, deltas: dict[int, np.ndarray], members: list[int],
+                 variants: list[Variant], results: list[RunResult],
+                 config: RunConfig) -> list[tuple[_RunState, list[int]]]:
+    """Split ``run``, the group ``members``, after round ``t``'s ``deltas``: a state per decision.
+
+    A variant's decision lists, for each cluster whose criteria fire, the
+    ordered member halves of its cut. Each cut is computed once per splitter
+    (gcfl's cosine or gcflplus's DTW) and cluster, and each variant records
+    its own split events and window dumps. The first decision continues
+    ``run``; each later one continues a copy of it.
+    """
+    cuts = {}  # (algorithm, cluster id) -> (halves, cut value, window dump)
+    decisions: dict[tuple, list[int]] = {}  # decision -> the variants that take it
+    for i in members:
+        algorithm, criteria = variants[i].algorithm, variants[i].criteria
+        decision = []
+        for cluster in run.clusters:
+            n = len(cluster.members)
+            if criteria is None or n < 2 or not split_check(
+                    cluster.delta_mean, cluster.delta_max, n, criteria, t):
+                continue
+            if (algorithm, cluster.id) not in cuts:
+                cuts[algorithm, cluster.id] = _cut(t, run, deltas, cluster, algorithm, config)
+            halves, cut_value, dump = cuts[algorithm, cluster.id]
+            child = run.next_cluster_id + 2 * len(decision)
+            results[i].split_events.append(SplitEvent(
+                t, cluster.id, (child, child + 1), halves, cluster.delta_mean, cluster.delta_max,
+                cut_value))
+            results[i].window_dumps.extend([dump] if dump else [])
+            decision.append((cluster.id, halves))
+        decisions.setdefault(tuple(decision), []).append(i)
+
+    states = [run] + [run.copy() for _ in range(len(decisions) - 1)]
+    for state, decision in zip(states, decisions):
+        clusters = {k.id: k for k in state.clusters}
+        for parent, halves in decision:
+            k = clusters.pop(parent)
+            for side in halves:
+                clusters[state.next_cluster_id] = ClusterState(
+                    state.next_cluster_id, list(side), k.model, k.delta_mean, k.delta_max)
+                state.next_cluster_id += 1
+            logger.info("round %d: cluster %d split into %s | %s", t, parent, *halves)
+        state.clusters = list(clusters.values())
+    return list(zip(states, decisions.values()))
+
+
+def _cut(t: int, run: _RunState, deltas: dict[int, np.ndarray], cluster: ClusterState,
+         algorithm: str, config: RunConfig) -> tuple[tuple, float, Optional[WindowDump]]:
+    """The ordered member halves and value of ``cluster``'s cut, and gcflplus's window dump."""
+    dump = None
+    if algorithm == "gcfl":
+        weights = to_cut_weights(cosine_matrix([deltas[cid] for cid in cluster.members]))
+    else:
+        weights = dtw_to_cut_weights(dtw_matrix(run.window, cluster.members, config.standardize))
+        dump = WindowDump(t, cluster.id,
+                          {cid: list(run.window.row(cid)) for cid in cluster.members})
+    # the child ids are placeholders: each state that takes the cut numbers its own children
+    child_a, child_b, cut_value = bipartition_cluster(cluster, weights, (0, 1))
+    return (tuple(child_a.members), tuple(child_b.members)), cut_value, dump

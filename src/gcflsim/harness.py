@@ -19,7 +19,7 @@ import numpy as np
 
 from .clustering import ClusterConfig
 from .errors import ArgumentError, ConfigurationError, CorruptDatasetError, IngestionError
-from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, run_federation
+from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, Variant, run_federation
 from .gnn import one_hot_degree_features
 from .graphs import Dataset, Graph, binomial_gnp, load_tu_dataset
 from .hetero import MAX_WALK_LENGTH, pairwise_heterogeneity
@@ -468,16 +468,11 @@ def build_clients(config: ExperimentConfig, seed: int) -> list[ClientState]:
 
 
 def make_run_config(config: ExperimentConfig, seed: int) -> RunConfig:
-    """The run settings of one seed, with split criteria when a clustered algorithm runs."""
-    cluster = None
-    if any(a in ("gcfl", "gcflplus") for a in config.algorithms):
-        cluster = ClusterConfig(config.eps1, config.eps2, config.min_split_size,
-                                config.warmup_rounds)
+    """The run settings of one seed; split criteria travel with each ``Variant``."""
     return RunConfig(
         seed=seed, epochs=config.epochs, batch_size=config.batch_size, lr=config.lr,
         weight_decay=config.weight_decay, hidden=config.hidden, num_layers=config.num_layers,
-        prox_mu=config.prox_mu, cluster=cluster, window_length=config.window,
-        standardize=config.standardize,
+        prox_mu=config.prox_mu, window_length=config.window, standardize=config.standardize,
     )
 
 
@@ -486,16 +481,16 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
 
     The self-train baseline is always run (and run first) because gain and
     improvement metrics are defined against it. All algorithms of a seed run
-    in one ``run_federation`` call. Returns summary rows.
+    in one ``run_federation`` call, gcfl and gcflplus with the configured split
+    criteria. Returns summary rows.
     """
     clustered = [a for a in config.algorithms if a in ("gcfl", "gcflplus")]
     if clustered and (config.eps1 is None or config.eps2 is None):
         raise ConfigurationError(f"{clustered[0]} requires eps1 and eps2 (try `calibrate`)")
-    algorithms = list(config.algorithms)
-    if "selftrain" not in algorithms:
-        algorithms.insert(0, "selftrain")
-    else:
-        algorithms.insert(0, algorithms.pop(algorithms.index("selftrain")))
+    algorithms = ["selftrain"] + [a for a in config.algorithms if a != "selftrain"]
+    criteria = ClusterConfig(config.eps1, config.eps2, config.min_split_size,
+                             config.warmup_rounds) if clustered else None
+    variants = [Variant(a, criteria if a in clustered else None) for a in algorithms]
 
     rounds_rows, cluster_rows, split_rows, summary_rows, hetero_rows, window_rows = \
         [], [], [], [], [], []
@@ -503,10 +498,9 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
 
     for seed in config.seeds:
         clients = build_clients(config, seed)
-        results = run_federation(clients, algorithms, config.rounds,
-                                 make_run_config(config, seed))
-        selftrain_acc = results["selftrain"].final_accuracy
-        for algorithm, result in results.items():
+        results = run_federation(clients, variants, config.rounds, make_run_config(config, seed))
+        selftrain_acc = results[0].final_accuracy
+        for algorithm, result in zip(algorithms, results):
             _collect_rows(result, seed, rounds_rows, cluster_rows, split_rows, window_rows)
             metrics = compute_metrics(result.final_accuracy, selftrain_acc)
             summary_rows.append([
@@ -597,30 +591,26 @@ def calibrate_epsilons(
     algorithm: str = "gcfl",
     out_path: str | Path | None = None,
 ) -> tuple[float, float, list[dict]]:
-    """Grid-search (eps1, eps2) by mean final held-out accuracy."""
+    """Grid-search (eps1, eps2) by mean final held-out accuracy, in one ``run_federation`` call."""
     if algorithm not in ("gcfl", "gcflplus"):
         raise ConfigurationError("calibration targets gcfl or gcflplus")
     if not eps1_grid or not eps2_grid:
         raise ArgumentError("eps1 and eps2 grids must each hold at least one value")
     if not all(eps > 0 for eps in eps1_grid + eps2_grid):
         raise ArgumentError("eps1 and eps2 grid values must be > 0")
-    rows = []
-    best = None
+    points = [(eps1, eps2) for eps1 in eps1_grid for eps2 in eps2_grid]
+    distinct = list(dict.fromkeys(points))  # a repeated grid value repeats its rows
     seed = config.seeds[0]
-    clients = build_clients(config, seed)
-    for eps1 in eps1_grid:
-        for eps2 in eps2_grid:
-            trial = replace(config, eps1=eps1, eps2=eps2, rounds=rounds, algorithms=[algorithm])
-            result = run_federation(clients, [algorithm], rounds,
-                                    make_run_config(trial, seed))[algorithm]
-            accuracy = float(np.mean(list(result.final_accuracy.values())))
-            row = {"eps1": eps1, "eps2": eps2, "accuracy": accuracy,
-                   "clusters": len(result.final_clusters)}
-            rows.append(row)
-            if best is None or accuracy > best[2]:
-                best = (eps1, eps2, accuracy)
+    variants = [Variant(algorithm, ClusterConfig(*p, config.min_split_size, config.warmup_rounds))
+                for p in distinct]
+    results = dict(zip(distinct, run_federation(build_clients(config, seed), variants, rounds,
+                                                make_run_config(config, seed))))
+    rows = [{"eps1": eps1, "eps2": eps2,
+             "accuracy": float(np.mean(list(results[eps1, eps2].final_accuracy.values()))),
+             "clusters": len(results[eps1, eps2].final_clusters)} for eps1, eps2 in points]
+    best = max(rows, key=lambda r: r["accuracy"])  # the first of equals
     if out_path is not None:
         _write_csv(Path(out_path), ["eps1", "eps2", "accuracy", "clusters"],
                    [[repr(r["eps1"]), repr(r["eps2"]), repr(r["accuracy"]), r["clusters"]]
                     for r in rows])
-    return best[0], best[1], rows
+    return best["eps1"], best["eps2"], rows

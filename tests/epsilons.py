@@ -1,16 +1,14 @@
 """Offline (eps1, eps2) calibration from a short FedAvg probe, for the tests
 that need split thresholds on data whose update norms are not known ahead."""
 
-from dataclasses import replace
-
-from gcflsim.fed import ClientState, RunConfig, run_federation
+from gcflsim.fed import ClientState, RunConfig, Variant, run_federation
 
 
 def probe_delta_stats(
     clients: list[ClientState], run_config: RunConfig, probe_rounds: int
 ) -> tuple[float, float]:
     """Norm statistics of a short FedAvg probe: final (delta_mean, delta_max)."""
-    result = run_federation(clients, ["fedavg"], probe_rounds, run_config)["fedavg"]
+    result = run_federation(clients, [Variant("fedavg")], probe_rounds, run_config)[0]
     cluster = result.final_clusters[0]
     return float(cluster.delta_mean), float(cluster.delta_max)
 
@@ -28,6 +26,5 @@ def auto_epsilons(
     stop criterion can fire; eps2 below the observed per-client maximum so
     heterogeneous members keep the split criterion alive.
     """
-    probe = replace(run_config, cluster=None)
-    delta_mean, delta_max = probe_delta_stats(clients, probe, probe_rounds)
+    delta_mean, delta_max = probe_delta_stats(clients, run_config, probe_rounds)
     return mean_margin * max(delta_mean, 1e-12), max_margin * max(delta_max, 1e-12)

@@ -14,7 +14,7 @@ from scipy import stats as scipy_stats
 
 from gcflsim.clustering import ClusterConfig, stoer_wagner_mincut
 from gcflsim.dtwseries import dtw_distance
-from gcflsim.fed import RunConfig, run_federation
+from gcflsim.fed import RunConfig, Variant, run_federation
 from gcflsim.gnn import gin_loss_and_grad, init_gin
 from gcflsim.graphs import Dataset
 from gcflsim.harness import (
@@ -74,18 +74,17 @@ def _recovery_runs(seed):
     """gcfl and gcflplus as one sweep: (recovered, split round, result, clients) for each."""
     clients, groups = synthetic_two_group_clients(seed=seed)
     truth = {frozenset(groups[0]), frozenset(groups[1])}
-    config = RunConfig(seed=seed, weight_decay=0.0,
-                       cluster=ClusterConfig(**RECOVERY_CLUSTER))
+    criteria = ClusterConfig(**RECOVERY_CLUSTER)
     runs = {}
-    for algorithm, result in run_federation(clients, ["gcfl", "gcflplus"], RECOVERY_ROUNDS,
-                                            config).items():
+    for result in run_federation(clients, [Variant("gcfl", criteria), Variant("gcflplus", criteria)],
+                                 RECOVERY_ROUNDS, RunConfig(seed=seed, weight_decay=0.0)):
         recovered = False
         split_round = None
         if result.split_events:
             event = result.split_events[0]
             split_round = event.round_index
             recovered = {frozenset(event.members[0]), frozenset(event.members[1])} == truth
-        runs[algorithm] = (recovered, split_round, result, clients)
+        runs[result.algorithm] = (recovered, split_round, result, clients)
     return runs
 
 
@@ -221,9 +220,7 @@ def test_criterion_5_aggregation_identities():
 
         # single-cluster GCFL == FedAvg, bit for bit
         clients = tiny_clients(3, graphs_each=10, seed=1)
-        never_split = RunConfig(seed=3, hidden=8, num_layers=2,
-                                cluster=ClusterConfig(eps1=1e-12, eps2=1e12))
-        res_gcfl = run_one(clients, "gcfl", 5, never_split)
+        res_gcfl = run_one(clients, "gcfl", 5, base, ClusterConfig(eps1=1e-12, eps2=1e12))
         gcfl_params = {cid: p.tobytes() for cid, p in final_params(res_gcfl).items()}
         res_avg = run_one(clients, "fedavg", 5, base)
         for cid, params in final_params(res_avg).items():
@@ -291,10 +288,8 @@ def test_criterion_7b_heterogeneity_reduction_mini_mix():
 
         probe = RunConfig(seed=0, hidden=32, num_layers=2)
         eps1, eps2 = auto_epsilons(clients, probe, probe_rounds=10)
-        config = RunConfig(seed=0, hidden=32, num_layers=2,
-                           cluster=ClusterConfig(eps1, eps2, min_split_size=2,
-                                                 warmup_rounds=10))
-        result = run_one(clients, "gcfl", 14, config)
+        result = run_one(clients, "gcfl", 14, probe,
+                         ClusterConfig(eps1, eps2, min_split_size=2, warmup_rounds=10))
         assert result.split_events, "mini-mix run produced no split"
         rows = cluster_heterogeneity_report(result.final_clusters, clients,
                                             pair_budget=600, seed=0)
@@ -315,10 +310,10 @@ def test_criterion_8_desk_scale_mutag_experiment():
                                             seed=seed, label_skew=True)
             probe = RunConfig(seed=seed)
             eps1, eps2 = auto_epsilons(clients, probe, probe_rounds=30)
-            config = RunConfig(seed=seed, cluster=ClusterConfig(eps1, eps2, min_split_size=3,
-                                                                warmup_rounds=30))
-            accs = {algorithm: result.final_accuracy for algorithm, result in run_federation(
-                clients, ["selftrain", "fedavg", "gcflplus"], 200, config).items()}
+            criteria = ClusterConfig(eps1, eps2, min_split_size=3, warmup_rounds=30)
+            accs = {result.algorithm: result.final_accuracy for result in run_federation(
+                clients, [Variant("selftrain"), Variant("fedavg"), Variant("gcflplus", criteria)],
+                200, probe)}
             elapsed = time.monotonic() - start
             fedavg = compute_metrics(accs["fedavg"], accs["selftrain"])
             gcflplus = compute_metrics(accs["gcflplus"], accs["selftrain"])

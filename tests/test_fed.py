@@ -13,6 +13,7 @@ from gcflsim.fed import (
     _INIT_SEED_TAG,
     ClientState,
     RunConfig,
+    Variant,
     evaluate_client,
     local_train,
     run_federation,
@@ -38,9 +39,9 @@ def tiny_clients(num=2, graphs_each=8, seed=0, feat_dim=3):
 TINY = RunConfig(seed=0, hidden=6, num_layers=2)
 
 
-def run_one(clients, algorithm, rounds, config):
-    """The result of a ``run_federation`` call that runs ``algorithm`` alone."""
-    return run_federation(clients, [algorithm], rounds, config)[algorithm]
+def run_one(clients, algorithm, rounds, config, criteria=None):
+    """The result of a ``run_federation`` call that runs one variant alone."""
+    return run_federation(clients, [Variant(algorithm, criteria)], rounds, config)[0]
 
 
 def final_params(result):
@@ -104,24 +105,20 @@ class TestFedavgAggregate:
 
 class TestLocalTrain:
     def _ready_client(self, seed=0):
+        """A client, a model, its start parameters, an Adam state and a shuffle RNG."""
         client = tiny_clients(1, seed=seed)[0]
         model = init_gin(3, 2, hidden=6, num_layers=2, rng=np.random.default_rng(1))
-        client.optimizer = init_adam(model.num_params(), lr=1e-3)
-        client.rng = np.random.default_rng(42)
         client.train_stack = GraphBatch(client.train_graphs)
-        return client, model, model.vector.copy()
+        return (client, model, model.vector.copy(), init_adam(model.num_params(), lr=1e-3),
+                np.random.default_rng(42))
 
     def test_zero_epochs_zero_delta(self):
-        client, model, start = self._ready_client()
-        delta, loss = local_train(client, model, start, epochs=0)
+        delta, loss = local_train(*self._ready_client(), epochs=0)
         assert np.all(delta == 0.0) and np.isnan(loss)
 
     def test_zero_mu_prox_identical_to_plain(self):
-        client_a, model_a, start = self._ready_client()
-        delta_plain, loss_plain = local_train(client_a, model_a, start, epochs=2)
-        client_b, model_b, start_b = self._ready_client()
-        delta_prox, loss_prox = local_train(client_b, model_b, start_b, epochs=2,
-                                            prox=(0.0, start_b.copy()))
+        delta_plain, loss_plain = local_train(*self._ready_client(), epochs=2)
+        delta_prox, loss_prox = local_train(*self._ready_client(), epochs=2, prox_mu=0.0)
         assert np.array_equal(delta_plain, delta_prox) and loss_plain == loss_prox
 
     def test_prox_gradient_matches_finite_differences(self):
@@ -225,9 +222,7 @@ class TestRunFederation:
 
     def test_single_cluster_gcfl_equals_fedavg_bitwise(self):
         clients = tiny_clients(3)
-        no_split = RunConfig(seed=0, hidden=6, num_layers=2,
-                             cluster=ClusterConfig(eps1=1e-12, eps2=1e12))
-        res_gcfl = run_one(clients, "gcfl", 4, no_split)
+        res_gcfl = run_one(clients, "gcfl", 4, TINY, NEVER)
         gcfl_params = final_params(res_gcfl)
         res_avg = run_one(clients, "fedavg", 4, TINY)
         for cid, params in final_params(res_avg).items():
@@ -237,9 +232,7 @@ class TestRunFederation:
 
     def test_no_split_gcflplus_equals_fedavg_bitwise(self):
         clients = tiny_clients(3)
-        no_split = RunConfig(seed=0, hidden=6, num_layers=2,
-                             cluster=ClusterConfig(eps1=1e-12, eps2=1e12))
-        res_plus = run_one(clients, "gcflplus", 4, no_split)
+        res_plus = run_one(clients, "gcflplus", 4, TINY, NEVER)
         plus_params = final_params(res_plus)
         res_avg = run_one(clients, "fedavg", 4, TINY)
         for cid, params in final_params(res_avg).items():
@@ -272,10 +265,7 @@ class TestRunFederation:
     def test_cluster_members_partition_clients_every_round(self):
         clients, _ = synthetic_two_group_clients(
             clients_per_group=2, graphs_per_client=12, seed=0)
-        cfg = RunConfig(seed=0, hidden=8, num_layers=2, weight_decay=0.0,
-                        cluster=ClusterConfig(eps1=10.0, eps2=1e-6, min_split_size=2,
-                                              warmup_rounds=1))
-        result = run_one(clients, "gcfl", 6, cfg)
+        result = run_one(clients, "gcfl", 6, SWEEP, SPLIT_AT_1)
         all_ids = {c.id for c in clients}
         by_round = {}
         for round_index, _, members in result.assignments:
@@ -307,6 +297,14 @@ class TestRunFederation:
                 DivergenceError, match=r"round 0: client 0 reported a non-finite train loss"):
             run_one(tiny_clients(2), "fedprox", 2, cfg)
 
+    def test_overflowing_adam_moment_is_divergence(self):
+        # every loss and update stays finite, but the proximal gradient's square overflows
+        # Adam's second moment to inf, and those coordinates would take no more steps
+        cfg = replace(TINY, prox_mu=1e306, lr=1.0, batch_size=2)
+        with np.errstate(over="ignore"), pytest.raises(
+                DivergenceError, match=r"round 0: client 0's Adam second moment overflowed"):
+            run_one(tiny_clients(2), "fedprox", 2, cfg)
+
     def test_no_batch_keeps_its_nan_train_loss(self):
         result = run_one(tiny_clients(2), "fedavg", 2, replace(TINY, epochs=0))
         assert all(np.isnan(e.train_loss) for r in result.reports for e in r.entries)
@@ -325,16 +323,20 @@ class TestRunFederation:
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_no_rounds_rejected(self, rounds):
         with pytest.raises(ArgumentError, match="rounds must be >= 1"):
-            run_federation(tiny_clients(2), ["gcfl"], rounds, SPLIT)
+            run_federation(tiny_clients(2), [Variant("gcfl", SPLIT_AT_1)], rounds, SWEEP)
 
     @pytest.mark.parametrize("algorithms", [[], ["fedavg", "selftrain", "fedavg"]])
     def test_empty_or_repeated_algorithm_list_rejected(self, algorithms):
         with pytest.raises(ArgumentError, match="algorithm"):
-            run_federation(tiny_clients(2), algorithms, 1, TINY)
+            run_federation(tiny_clients(2), [Variant(a) for a in algorithms], 1, TINY)
 
     def test_gcfl_requires_cluster_config(self):
         with pytest.raises(ArgumentError):
             run_one(tiny_clients(2), "gcfl", 1, TINY)
+
+    def test_criteria_on_an_unclustered_algorithm_rejected(self):
+        with pytest.raises(ArgumentError, match="split criteria"):
+            run_one(tiny_clients(2), "fedavg", 1, TINY, NEVER)
 
     def test_evaluate_client_counts_correct_predictions(self):
         client = tiny_clients(1)[0]
@@ -344,19 +346,20 @@ class TestRunFederation:
         assert 0.0 <= acc <= 1.0 and np.isfinite(loss)
 
 
-# SPLIT: gcfl first splits mid-run, at round 1 (warm-up 1); NO_SPLIT: the criteria never fire.
-# Each client has 9 training graphs, so both take one local step per round and fedprox
-# branches off too; MULTI_STEP takes 3, so there fedprox (prox_mu not 0) runs from scratch.
-SPLIT = RunConfig(seed=0, hidden=8, num_layers=2, weight_decay=0.0, prox_mu=0.1,
-                  cluster=ClusterConfig(eps1=10.0, eps2=1e-6, min_split_size=2, warmup_rounds=1))
-NO_SPLIT = replace(SPLIT, cluster=ClusterConfig(eps1=1e-12, eps2=1e12))
-MULTI_STEP = replace(SPLIT, batch_size=4)
+# two_group_clients() hold 9 training graphs each, so under SWEEP every client takes one local
+# step per round and fedprox's effective mu is 0; under MULTI_STEP each takes 3, and fedprox
+# trains its proximal term. Under SPLIT_AT_1 gcfl and gcflplus split at round 1, just after
+# warm-up, into (0, 1) | (2, 3), and at round 2 into singletons; NEVER never fires.
+SWEEP = RunConfig(seed=0, hidden=8, num_layers=2, weight_decay=0.0, prox_mu=0.1)
+MULTI_STEP = replace(SWEEP, batch_size=4)
+SPLIT_AT_1 = ClusterConfig(eps1=10.0, eps2=1e-6, min_split_size=2, warmup_rounds=1)
+NEVER = ClusterConfig(eps1=1e-12, eps2=1e12)
 ROUNDS = 5
-PREFIX = ("fedavg", "gcfl", "gcflplus")
 
 
-def two_group_clients():
-    return synthetic_two_group_clients(clients_per_group=2, graphs_per_client=12, seed=0)[0]
+def two_group_clients(clients_per_group=2):
+    return synthetic_two_group_clients(clients_per_group=clients_per_group, graphs_per_client=12,
+                                       seed=0)[0]
 
 
 def assert_same_run(a, b):
@@ -372,80 +375,110 @@ def assert_same_run(a, b):
         assert np.array_equal(ka.model, kb.model)
 
 
-def sweep_with_first(first):
-    """selftrain, the three prefix algorithms with ``first`` leading, and fedprox."""
-    return ["selftrain", first, *(a for a in PREFIX if a != first), "fedprox"]
+def distinct_histories(results, rounds):
+    """Per round, how many different histories the results show up to it, summed over rounds."""
+    return sum(len({repr(r.reports[:t + 1]) for r in results}) for t in range(rounds))
 
 
-CONFIGS = pytest.mark.parametrize("config", [SPLIT, NO_SPLIT, MULTI_STEP],
-                                  ids=["mid-run-split", "no-split", "multi-step"])
-EACH_FIRST = pytest.mark.parametrize("first", PREFIX)
+def sweep(monkeypatch, clients, variants, rounds, config):
+    """One ``run_federation`` call over ``variants``: the results and the rounds it trained.
 
-
-def record_rounds(monkeypatch):
-    """Log each trained (algorithm, round) and the client of each ``local_train`` call."""
-    trained, rounds_run = [], []
+    Each result must be what its variant returns alone. The call must train
+    one (round, group) pair per distinct history up to that round, and each
+    pair must train every client once.
+    """
+    alone = [run_one(clients, v.algorithm, rounds, config, v.criteria) for v in variants]
+    trained, pairs = [], []
     train_round = fed._train_round
 
     def counting(client, *args, **kwargs):
         trained.append(client.id)
         return local_train(client, *args, **kwargs)
 
-    def recording(t, run, by_id, model, algorithm, run_config):
-        rounds_run.append((algorithm, t))
-        return train_round(t, run, by_id, model, algorithm, run_config)
+    def recording(t, *args, **kwargs):
+        pairs.append(t)
+        return train_round(t, *args, **kwargs)
 
-    monkeypatch.setattr(fed, "local_train", counting)
-    monkeypatch.setattr(fed, "_train_round", recording)
-    return trained, rounds_run
+    with monkeypatch.context() as patch:
+        patch.setattr(fed, "local_train", counting)
+        patch.setattr(fed, "_train_round", recording)
+        results = run_federation(clients, variants, rounds, config)
+    assert len(results) == len(variants)
+    for result, oracle in zip(results, alone):
+        assert_same_run(result, oracle)
+    assert len(pairs) == distinct_histories(results, rounds)
+    assert len(trained) == len(pairs) * len(clients)
+    return results, len(pairs)
+
+
+def algorithm_sweep(first, criteria):
+    """selftrain, then fedavg, gcfl and gcflplus with ``first`` leading, then fedprox."""
+    names = ["selftrain", first, *(a for a in ("fedavg", "gcfl", "gcflplus") if a != first),
+             "fedprox"]
+    return [Variant(a, criteria if a in ("gcfl", "gcflplus") else None) for a in names]
+
+
+CONFIGS = pytest.mark.parametrize("config, criteria", [(SWEEP, SPLIT_AT_1), (SWEEP, NEVER),
+                                                       (MULTI_STEP, SPLIT_AT_1)],
+                                  ids=["mid-run-split", "no-split", "multi-step"])
+EACH_FIRST = pytest.mark.parametrize("first", ["fedavg", "gcfl", "gcflplus"])
 
 
 class TestSweep:
     @CONFIGS
     @EACH_FIRST
-    def test_each_algorithm_returns_what_it_returns_alone(self, first, config):
-        clients = two_group_clients()
-        sweep = sweep_with_first(first)
-        results = run_federation(clients, sweep, ROUNDS, config)
-        assert list(results) == sweep
-        for algorithm in sweep:
-            assert_same_run(results[algorithm], run_one(clients, algorithm, ROUNDS, config))
-        splits = results["gcfl"].split_events
-        if config is NO_SPLIT:
-            assert splits == [] and results["gcflplus"].split_events == []
+    def test_each_algorithm_returns_what_it_returns_alone(self, monkeypatch, first, config,
+                                                          criteria):
+        variants = algorithm_sweep(first, criteria)
+        results, trained = sweep(monkeypatch, two_group_clients(), variants, ROUNDS, config)
+        assert [r.algorithm for r in results] == [v.algorithm for v in variants]
+        events = {r.algorithm: r.split_events for r in results}
+        if criteria is NEVER:
+            assert events["gcfl"] == [] and events["gcflplus"] == []
+            assert trained == ROUNDS * (2 if config is SWEEP else 3)
         else:
-            assert splits[0].round_index == 1
+            assert events["gcfl"][0].round_index == 1
 
-    @CONFIGS
-    @EACH_FIRST
-    def test_later_prefix_algorithms_train_only_after_the_branch_round(
-            self, monkeypatch, first, config):
-        clients = two_group_clients()
-        trained, rounds_run = record_rounds(monkeypatch)
-        sweep = sweep_with_first(first)
-        splits = run_federation(clients, sweep, ROUNDS, config)["gcfl"].split_events
-        branch = splits[0].round_index if splits else ROUNDS - 1
-        later = [a for a in (*PREFIX, "fedprox") if a != first
-                 and not (a == "fedprox" and config is MULTI_STEP)]
-        assert rounds_run == [(a, t) for a in sweep
-                              for t in range(branch + 1 if a in later else 0, ROUNDS)]
-        assert len(trained) == len(rounds_run) * len(clients)
+    def test_gcfl_and_gcflplus_share_rounds_while_their_cuts_agree(self, monkeypatch):
+        variants = [Variant("gcfl", SPLIT_AT_1), Variant("gcflplus", SPLIT_AT_1)]
+        (gcfl, plus), trained = sweep(monkeypatch, two_group_clients(), variants, ROUNDS, SWEEP)
+        assert [e.members for e in gcfl.split_events] == [e.members for e in plus.split_events]
+        assert len(gcfl.split_events) == 3 and trained == ROUNDS  # one group throughout
+        # each keeps its own records: the cut values differ, and only gcflplus dumps windows
+        assert [e.cut_value for e in gcfl.split_events] != \
+            [e.cut_value for e in plus.split_events]
+        assert len(plus.window_dumps) == 3 and gcfl.window_dumps == []
 
-    @pytest.mark.parametrize("epochs, prox_mu, shares", [(1, 0.1, True), (2, 0.0, True),
-                                                         (2, 0.1, False)],
+    def test_cuts_that_differ_fork_the_group(self, monkeypatch):
+        # three clients per group: both cut the planted groups at round 1, and at round 2
+        # they cut (3, 4, 5) into different halves
+        variants = [Variant("gcfl", SPLIT_AT_1), Variant("gcflplus", SPLIT_AT_1)]
+        (gcfl, plus), trained = sweep(monkeypatch, two_group_clients(3), variants, ROUNDS,
+                                      SWEEP)
+        assert gcfl.split_events[0].members == plus.split_events[0].members
+        assert gcfl.split_events[2].members != plus.split_events[2].members
+        assert trained == 3 + 2 * (ROUNDS - 3)
+
+    def test_grid_of_gcfl_criteria(self, monkeypatch):
+        # the same first cut at rounds 1, 2 and 3; a larger eps1 that decides as eps1 = 10
+        # does; a min_split_size that stops after the first cut; and criteria that never fire
+        grid = [replace(SPLIT_AT_1, warmup_rounds=w) for w in (1, 2, 3)] + [
+            replace(SPLIT_AT_1, eps1=20.0), replace(SPLIT_AT_1, min_split_size=3), NEVER]
+        results, trained = sweep(monkeypatch, two_group_clients(),
+                                 [Variant("gcfl", c) for c in grid], ROUNDS, SWEEP)
+        assert [[e.round_index for e in r.split_events] for r in results] == \
+            [[1, 2, 2], [2, 3, 3], [3, 4, 4], [1, 2, 2], [1], []]
+        assert trained < len(grid) * ROUNDS
+
+    @pytest.mark.parametrize("epochs, prox_mu, groups", [(1, 0.1, 2), (2, 0.0, 2),
+                                                         (2, 0.1, 3)],
                              ids=["one-step", "mu-zero-two-steps", "two-steps"])
-    def test_fedprox_without_cluster_config_branches_at_the_last_round(
-            self, monkeypatch, epochs, prox_mu, shares):
-        # no gcfl or gcflplus and no ClusterConfig: the branch round is the last
-        clients, config = tiny_clients(2), replace(TINY, epochs=epochs, prox_mu=prox_mu)
-        alone = {a: run_one(clients, a, 3, config) for a in ("selftrain", "fedavg", "fedprox")}
-        trained, rounds_run = record_rounds(monkeypatch)
-        results = run_federation(clients, ["selftrain", "fedavg", "fedprox"], 3, config)
-        for algorithm, result in results.items():
-            assert_same_run(result, alone[algorithm])
-        assert rounds_run == [(a, t) for a in ("selftrain", "fedavg", "fedprox")
-                              for t in range(3) if not (shares and a == "fedprox")]
-        assert len(trained) == len(rounds_run) * len(clients)
+    def test_fedprox_trains_with_fedavg_where_its_effective_mu_is_zero(
+            self, monkeypatch, epochs, prox_mu, groups):
+        config = replace(TINY, epochs=epochs, prox_mu=prox_mu)
+        variants = [Variant(a) for a in ("selftrain", "fedavg", "fedprox")]
+        _, trained = sweep(monkeypatch, tiny_clients(2), variants, 3, config)
+        assert trained == 3 * groups
 
     def test_each_client_batch_pair_is_built_once(self, monkeypatch):
         clients = two_group_clients()
@@ -456,6 +489,6 @@ class TestSweep:
             return GraphBatch(graphs)
 
         monkeypatch.setattr(fed, "GraphBatch", counting)
-        run_federation(clients, sweep_with_first("fedavg"), ROUNDS, SPLIT)
+        run_federation(clients, algorithm_sweep("fedavg", SPLIT_AT_1), ROUNDS, SWEEP)
         assert sorted(built) == sorted(len(g) for c in clients
                                        for g in (c.train_graphs, c.test_graphs))

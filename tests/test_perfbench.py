@@ -57,9 +57,10 @@ def test_traced_workload_has_no_failures(tmp_path, workload):
     assert result["failed"] == 0, result["problems"]
     assert result["layers"][CALLED[workload]] > 0
     if workload == "fed-synth":
-        # selftrain and fedavg train 11 rounds x 8 clients each; gcfl and gcflplus
-        # branch off fedavg at their split check in round 10, the last, and so does
-        # fedprox, whose clients take one local step per round (30 training graphs,
-        # batch_size 128); the one seed's five algorithms run in one call
+        # the one seed's five algorithms run in one call, in two groups of 11 rounds x 8
+        # clients: selftrain's singleton clusters, and one cluster of all clients for the
+        # rest. fedprox's clients take one local step per round (30 training graphs,
+        # batch_size 128), so its effective mu is 0; gcfl and gcflplus would fork off
+        # fedavg only after their split in round 10, the last
         assert result["layers"]["fed.local_train.calls"] == 2 * 11 * 8
         assert result["layers"]["fed.run_federation.calls"] == 1
