@@ -52,10 +52,8 @@ _CLIENT_SEED_TAG = 2003
 class ClientState:
     """A client's local split and the two unions that ``run_federation`` builds once per call.
 
-    Its Adam state and shuffle RNG belong to each group of variants that
-    trains it (``_RunState``), as forked groups train it from different
-    states. Nor does a client own a model: each round writes its cluster's
-    model into the call's one GIN.
+    Its Adam state and shuffle RNG live in each group's ``_RunState``, as forked
+    groups train it from different states; its model is written into the call's one GIN.
     """
 
     id: int
@@ -286,7 +284,7 @@ def run_federation(
             np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.seed])) for c in clients}),
         members) for (layout, mu), members in starts.items()]
 
-    # each variant's own records; the rest of its result is its last group's (shared) state
+    # each variant's own records; the rest of its result is a copy of its last group's state
     results = [RunResult(v.algorithm, [], [], [], [], {}) for v in variants]
     for t in range(rounds):
         forked = []
@@ -296,8 +294,9 @@ def run_federation(
         groups = forked
     for run, members in groups:
         for i in members:
-            results[i] = replace(results[i], reports=run.reports, assignments=run.assignments,
-                                 final_clusters=run.clusters, final_accuracy=run.final_accuracy)
+            own = run.copy()  # so that no two results share a list
+            results[i] = replace(results[i], reports=own.reports, assignments=own.assignments,
+                                 final_clusters=own.clusters, final_accuracy=own.final_accuracy)
     return results
 
 
@@ -369,6 +368,8 @@ def _split_round(t: int, run: _RunState, deltas: dict[int, np.ndarray], members:
             if (algorithm, cluster.id) not in cuts:
                 cuts[algorithm, cluster.id] = _cut(t, run, deltas, cluster, algorithm, config)
             halves, cut_value, dump = cuts[algorithm, cluster.id]
+            logger.info("round %d: %s: cluster %d split into %s | %s (cut %.3g)",
+                        t, algorithm, cluster.id, *halves, cut_value)
             child = run.next_cluster_id + 2 * len(decision)
             results[i].split_events.append(SplitEvent(
                 t, cluster.id, (child, child + 1), halves, cluster.delta_mean, cluster.delta_max,
@@ -386,7 +387,6 @@ def _split_round(t: int, run: _RunState, deltas: dict[int, np.ndarray], members:
                 clusters[state.next_cluster_id] = ClusterState(
                     state.next_cluster_id, list(side), k.model, k.delta_mean, k.delta_max)
                 state.next_cluster_id += 1
-            logger.info("round %d: cluster %d split into %s | %s", t, parent, *halves)
         state.clusters = list(clusters.values())
     return list(zip(states, decisions.values()))
 

@@ -600,7 +600,7 @@ def calibrate_epsilons(
         raise ArgumentError("eps1 and eps2 grid values must be > 0")
     points = [(eps1, eps2) for eps1 in eps1_grid for eps2 in eps2_grid]
     distinct = list(dict.fromkeys(points))  # a repeated grid value repeats its rows
-    seed = config.seeds[0]
+    config, seed = replace(config, rounds=rounds), config.seeds[0]  # rounds checked as a config
     variants = [Variant(algorithm, ClusterConfig(*p, config.min_split_size, config.warmup_rounds))
                 for p in distinct]
     results = dict(zip(distinct, run_federation(build_clients(config, seed), variants, rounds,

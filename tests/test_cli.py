@@ -288,3 +288,17 @@ class TestCalibrate:
         assert code == 2
         assert "ArgumentError" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rounds", ["0", "-1"])
+    def test_nonpositive_rounds_is_configuration_error(self, tmp_path, capsys, monkeypatch, rounds):
+        def no_data(*args):
+            raise AssertionError("loaded data before checking rounds")
+
+        monkeypatch.setattr(harness, "build_clients", no_data)
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "calib.csv"
+        code = run_cli("calibrate", "--config", str(cfg), "--eps1-grid", "0.1",
+                       "--eps2-grid", "0.01", "--rounds", rounds, "--out", str(out))
+        assert code == 3
+        assert "ConfigurationError" in capsys.readouterr().err
+        assert not out.exists()

@@ -470,6 +470,26 @@ class TestSweep:
             [[1, 2, 2], [2, 3, 3], [3, 4, 4], [1, 2, 2], [1], []]
         assert trained < len(grid) * ROUNDS
 
+    def test_results_of_one_group_share_no_list(self):
+        fedavg, gcfl = run_federation(two_group_clients(), [Variant("fedavg"),
+                                                            Variant("gcfl", NEVER)], 2, SWEEP)
+        for name in ("reports", "assignments", "final_clusters", "final_accuracy"):
+            assert getattr(fedavg, name) is not getattr(gcfl, name)
+        assert [k.members is not g.members for k, g in
+                zip(fedavg.final_clusters, gcfl.final_clusters)] == [True]
+        fedavg.reports.pop()
+        fedavg.final_accuracy.clear()
+        assert len(gcfl.reports) == 2 and len(gcfl.final_accuracy) == 4
+
+    def test_each_variant_logs_its_own_splits(self, caplog):
+        variants = [Variant("gcfl", SPLIT_AT_1), Variant("gcflplus", SPLIT_AT_1)]
+        with caplog.at_level("INFO", logger="gcflsim.fed"):
+            results = run_federation(two_group_clients(), variants, ROUNDS, SWEEP)
+        assert caplog.messages == [
+            f"round {e.round_index}: {r.algorithm}: cluster {e.parent} split into "
+            f"{e.members[0]} | {e.members[1]} (cut {e.cut_value:.3g})"
+            for t in range(ROUNDS) for r in results for e in r.split_events if e.round_index == t]
+
     @pytest.mark.parametrize("epochs, prox_mu, groups", [(1, 0.1, 2), (2, 0.0, 2),
                                                          (2, 0.1, 3)],
                              ids=["one-step", "mu-zero-two-steps", "two-steps"])
