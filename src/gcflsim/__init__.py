@@ -67,9 +67,11 @@ from .harness import (
 )
 from .hetero import (
     AweDistribution,
-    FeatureSimHistogram,
+    GraphEmbeddings,
+    GraphPool,
     HeterogeneityReport,
     awe_distribution,
+    dataset_pools,
     enumerate_anonymous_walks,
     feature_sim_histogram,
     js_distance,

@@ -30,7 +30,7 @@ from .harness import (
     load_dataset_for_federation,
     run_experiment,
 )
-from .hetero import pairwise_heterogeneity, write_heterogeneity_csv
+from .hetero import dataset_pools, pairwise_heterogeneity, write_heterogeneity_csv
 from .properties import PROPERTY_NAMES, property_significance
 
 logger = logging.getLogger(__name__)
@@ -105,8 +105,8 @@ def cmd_analyze_hetero(args) -> int:
     set_a = load_dataset_for_federation(args.data_root, args.set_a)
     set_b = set_a if args.set_b == args.set_a else \
         load_dataset_for_federation(args.data_root, args.set_b)
-    report = pairwise_heterogeneity(set_a, set_b, args.awe_length, args.bins,
-                                    args.pair_budget, args.seed)
+    report = pairwise_heterogeneity(
+        *dataset_pools(set_a, set_b, args.awe_length, args.bins, args.seed), args.pair_budget)
     write_heterogeneity_csv(args.out, [report])
     print(f"{report.set_a} vs {report.set_b}: "
           f"structure {report.structure_mean:.4f} (+/-{report.structure_std:.4f})  "

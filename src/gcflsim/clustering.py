@@ -183,28 +183,18 @@ class SplitEvent:
     cut_value: float
 
 
-def bipartition_cluster(
-    cluster: ClusterState,
-    weights: np.ndarray,
-    child_ids: tuple[int, int],
-) -> tuple[ClusterState, ClusterState, float]:
-    """Split a cluster along the minimum cut of ``weights``.
+def bipartition_cluster(cluster: ClusterState, weights: np.ndarray) -> tuple[tuple, float]:
+    """The ordered member halves and value of the minimum cut of ``weights``.
 
     Row/column i of the matrix corresponds to the i-th member in sorted id
-    order. Both children inherit a copy of the parent's model.
+    order; the first half holds that first member.
     """
     if len(cluster.members) < 2:
         raise ArgumentError("cannot bipartition a singleton cluster")
     if weights.shape != (len(cluster.members), len(cluster.members)):
         raise ArgumentError("weight matrix does not match member count")
-    (side_a, side_b), cut_value = stoer_wagner_mincut(weights)
-    members_a = [cluster.members[i] for i in side_a]
-    members_b = [cluster.members[i] for i in side_b]
-    child_a = ClusterState(child_ids[0], members_a, cluster.model.copy(),
-                           cluster.delta_mean, cluster.delta_max)
-    child_b = ClusterState(child_ids[1], members_b, cluster.model.copy(),
-                           cluster.delta_mean, cluster.delta_max)
-    return child_a, child_b, cut_value
+    sides, cut_value = stoer_wagner_mincut(weights)
+    return tuple(tuple(cluster.members[i] for i in side) for side in sides), cut_value
 
 
 def cluster_aggregate(cluster: ClusterState, deltas: list[np.ndarray], sizes: list[int]) -> np.ndarray:

@@ -401,6 +401,4 @@ def _cut(t: int, run: _RunState, deltas: dict[int, np.ndarray], cluster: Cluster
         weights = dtw_to_cut_weights(dtw_matrix(run.window, cluster.members, config.standardize))
         dump = WindowDump(t, cluster.id,
                           {cid: list(run.window.row(cid)) for cid in cluster.members})
-    # the child ids are placeholders: each state that takes the cut numbers its own children
-    child_a, child_b, cut_value = bipartition_cluster(cluster, weights, (0, 1))
-    return (tuple(child_a.members), tuple(child_b.members)), cut_value, dump
+    return (*bipartition_cluster(cluster, weights), dump)

@@ -22,7 +22,7 @@ from .errors import ArgumentError, ConfigurationError, CorruptDatasetError, Inge
 from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, Variant, run_federation
 from .gnn import one_hot_degree_features
 from .graphs import Dataset, Graph, binomial_gnp, load_tu_dataset
-from .hetero import MAX_WALK_LENGTH, pairwise_heterogeneity
+from .hetero import MAX_WALK_LENGTH, GraphEmbeddings, GraphPool, pairwise_heterogeneity
 
 logger = logging.getLogger(__name__)
 
@@ -279,26 +279,23 @@ def cluster_heterogeneity_report(
 
     The first row ("all") pools every client's graphs and serves as the
     pre-clustering baseline the per-cluster values are compared against.
+    Each graph is embedded at most once per report, keyed by its client id
+    and its position in that client's training then test graphs, so every
+    row reads the same embedding of a graph.
     """
     if not clusters:
         raise ArgumentError("no clusters to report on")
-    by_id = {c.id: c for c in clients}
-
-    def pooled(name, ids):
-        graphs = []
-        for cid in sorted(ids):
-            graphs.extend(by_id[cid].train_graphs + by_id[cid].test_graphs)
-        return Dataset(name, graphs)
-
-    rows = []
-    everyone = pooled("all", list(by_id))
-    rep = pairwise_heterogeneity(everyone, everyone, awe_length, bins, pair_budget, seed)
-    rows.append(ClusterHeteroRow("all", len(by_id), rep.structure_mean, rep.structure_std,
-                                 rep.feature_mean, rep.feature_std))
-    for cluster in sorted(clusters, key=lambda k: k.id):
-        pool = pooled(f"cluster_{cluster.id}", cluster.members)
-        rep = pairwise_heterogeneity(pool, pool, awe_length, bins, pair_budget, seed)
-        rows.append(ClusterHeteroRow(str(cluster.id), len(cluster.members), rep.structure_mean,
+    graphs = {(c.id, pos): g for c in clients
+              for pos, g in enumerate(c.train_graphs + c.test_graphs)}
+    embeddings = GraphEmbeddings(graphs, awe_length, bins, seed)
+    pools = [("all", "all", [c.id for c in clients])] + [
+        (str(k.id), f"cluster_{k.id}", k.members) for k in sorted(clusters, key=lambda k: k.id)]
+    keys, rows = sorted(graphs), []
+    for cluster_id, name, members in pools:
+        ids = set(members)
+        pool = GraphPool(name, [key for key in keys if key[0] in ids])
+        rep = pairwise_heterogeneity(embeddings, pool, pool, pair_budget)
+        rows.append(ClusterHeteroRow(cluster_id, len(members), rep.structure_mean,
                                      rep.structure_std, rep.feature_mean, rep.feature_std))
     return rows
 

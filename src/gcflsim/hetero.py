@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,38 +185,29 @@ def awe_distribution_auto(graph: Graph, length: int, seed: int = 0) -> AweDistri
 # ---------------------------------------------------------------------------
 
 
-def js_divergence(p, q) -> float:
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
+def js_divergence(p, q):
+    """Jensen-Shannon divergence along the last axis, clipped to [0, 1]: one value per row."""
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ArgumentError(f"length mismatch: {p.shape} vs {q.shape}")
     for vec in (p, q):
-        if abs(vec.sum() - 1.0) > 1e-6 or vec.min() < -1e-12:
+        if np.any(np.abs(vec.sum(axis=-1) - 1.0) > 1e-6) or vec.min() < -1e-12:
             raise ArgumentError("inputs must be probability vectors")
     m = 0.5 * (p + q)
 
     def kl(a):
-        mask = a > 0
-        return float(np.sum(a[mask] * np.log2(a[mask] / m[mask])))
+        return np.sum(a * np.log2(np.divide(a, m, out=np.ones_like(a), where=a > 0)), axis=-1)
 
-    return min(1.0, max(0.0, 0.5 * kl(p) + 0.5 * kl(q)))
-
-
-def js_distance(p, q) -> float:
-    return float(np.sqrt(js_divergence(p, q)))
+    return np.clip(0.5 * kl(p) + 0.5 * kl(q), 0.0, 1.0)
 
 
-@dataclass
-class FeatureSimHistogram:
-    """Normalized histogram of linked-node cosine similarities on [-1, 1]."""
-
-    bins: int
-    edges: np.ndarray
-    mass: np.ndarray
+def js_distance(p, q):
+    """Square root of ``js_divergence``: a metric on each row pair."""
+    return np.sqrt(js_divergence(p, q))
 
 
-def feature_sim_histogram(graph: Graph, bins: int = 20) -> FeatureSimHistogram:
-    """Histogram of per-edge endpoint feature cosine similarity.
+def feature_sim_histogram(graph: Graph, bins: int = 20) -> np.ndarray:
+    """Normalized histogram of per-edge endpoint feature cosine similarity on [-1, 1].
 
     Zero feature vectors are assigned similarity 0 instead of NaN.
     """
@@ -233,8 +225,52 @@ def feature_sim_histogram(graph: Graph, bins: int = 20) -> FeatureSimHistogram:
     ok = denom > 0
     sims[ok] = np.sum(a[ok] * b[ok], axis=1) / denom[ok]
     sims = np.clip(sims, -1.0, 1.0)
-    counts, edges = np.histogram(sims, bins=bins, range=(-1.0, 1.0))
-    return FeatureSimHistogram(bins, edges, counts / counts.sum())
+    counts, _ = np.histogram(sims, bins=bins, range=(-1.0, 1.0))
+    return counts / counts.sum()
+
+
+class GraphPool(NamedTuple):
+    """A named list of graph keys: one side of a pairwise comparison."""
+
+    name: str
+    keys: list[tuple[int, int]]
+
+
+class GraphEmbeddings:
+    """Each graph's walk-pattern probabilities and similarity histogram, computed on first use.
+
+    Graphs are known by a stable key of two ints, and a sampled graph's walk
+    seed comes from its key, so every pool that holds a graph reads one estimate.
+    """
+
+    def __init__(self, graphs: dict[tuple[int, int], Graph], awe_length: int = 4, bins: int = 20,
+                 seed: int = 0):
+        self.graphs, self.awe_length, self.bins, self.seed = graphs, awe_length, bins, seed
+        self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def rows(self, keys: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked walk-pattern probabilities and similarity histograms of ``keys``."""
+        for key in keys:
+            if key not in self._rows:
+                graph = self.graphs[key]
+                ss = np.random.SeedSequence([_WALK_SEED_TAG, self.seed, *key])
+                awe = awe_distribution_auto(graph, self.awe_length, int(ss.generate_state(1)[0]))
+                self._rows[key] = awe.probs, feature_sim_histogram(graph, self.bins)
+        awe_rows, hist_rows = zip(*(self._rows[key] for key in keys))
+        return np.stack(awe_rows), np.stack(hist_rows)
+
+
+def dataset_pools(set_a: Dataset, set_b: Dataset, awe_length: int = 4, bins: int = 20,
+                  seed: int = 0) -> tuple[GraphEmbeddings, GraphPool, GraphPool]:
+    """One embedding store over two datasets, and a pool of each.
+
+    Graph i of set A has key (0, i) and of set B (1, i); one Dataset object
+    passed as both sets is one pool, compared against itself.
+    """
+    sets = [set_a] if set_b is set_a else [set_a, set_b]
+    graphs = {(tag, i): g for tag, ds in enumerate(sets) for i, g in enumerate(ds.graphs)}
+    pools = [GraphPool(ds.name, [(tag, i) for i in range(len(ds))]) for tag, ds in enumerate(sets)]
+    return GraphEmbeddings(graphs, awe_length, bins, seed), pools[0], pools[-1]
 
 
 @dataclass
@@ -247,100 +283,52 @@ class HeterogeneityReport:
     feature_std: float
 
 
-def pairwise_heterogeneity(
-    set_a: Dataset,
-    set_b: Dataset,
-    awe_length: int = 4,
-    bins: int = 20,
-    pair_budget: int = 2000,
-    seed: int = 0,
-) -> HeterogeneityReport:
-    """Mean and spread of pairwise structure/feature divergence across sets.
+def pairwise_heterogeneity(embeddings: GraphEmbeddings, pool_a: GraphPool, pool_b: GraphPool,
+                           pair_budget: int = 2000) -> HeterogeneityReport:
+    """Mean and spread of pairwise structure/feature divergence across two pools.
 
-    Uses every cross-set pair when the count fits the budget, otherwise a
-    seeded uniform sample of distinct pairs. Passing one Dataset object as
-    both sets compares it against itself over unordered distinct pairs.
-    Edgeless graphs are skipped; more than 50% skipped in either set is an
-    error, and so is a pair budget below 1.
+    Uses every cross-pool pair when the count fits the budget, otherwise a
+    uniform sample of distinct pairs seeded by the store's seed. Two pools of
+    the same keys are one set, compared against itself over unordered distinct
+    pairs. Edgeless graphs are skipped; more than 50% skipped in either pool is
+    an error, and so is a pair budget below 1.
     """
     if pair_budget < 1:
         raise ArgumentError(f"pair budget must be >= 1, got {pair_budget}")
-    same = set_a is set_b
-    idx_a = _valid_indices(set_a)
-    idx_b = idx_a if same else _valid_indices(set_b)
-
-    if same and len(idx_a) == 1:
-        return HeterogeneityReport(set_a.name, set_b.name, 0.0, 0.0, 0.0, 0.0)
-
-    rng = np.random.default_rng(np.random.SeedSequence([_PAIR_SEED_TAG, seed]))
-    if same:
-        total = len(idx_a) * (len(idx_a) - 1) // 2
-        codes = _sample_codes(rng, total, pair_budget)
-        rows, cols = decode_pair_index(codes, len(idx_a))
-        pairs = [(idx_a[i], idx_a[j]) for i, j in zip(rows.tolist(), cols.tolist())]
-    else:
-        total = len(idx_a) * len(idx_b)
-        codes = _sample_codes(rng, total, pair_budget)
-        pairs = [(idx_a[int(c) // len(idx_b)], idx_b[int(c) % len(idx_b)]) for c in codes]
-
-    awe_a: dict[int, AweDistribution] = {}
-    awe_b: dict[int, AweDistribution] = {} if not same else awe_a
-    hist_a: dict[int, np.ndarray] = {}
-    hist_b: dict[int, np.ndarray] = {} if not same else hist_a
-
-    def awe_of(ds, cache, tag, i):
-        if i not in cache:
-            ss = np.random.SeedSequence([_WALK_SEED_TAG, seed, tag, i])
-            cache[i] = awe_distribution_auto(ds.graphs[i], awe_length, int(ss.generate_state(1)[0]))
-        return cache[i]
-
-    def hist_of(ds, cache, i):
-        if i not in cache:
-            cache[i] = feature_sim_histogram(ds.graphs[i], bins).mass
-        return cache[i]
-
-    structure = np.empty(len(pairs))
-    feature = np.empty(len(pairs))
-    for k, (i, j) in enumerate(pairs):
-        structure[k] = js_distance(
-            awe_of(set_a, awe_a, 0, i).probs, awe_of(set_b, awe_b, 0 if same else 1, j).probs
-        )
-        feature[k] = js_divergence(hist_of(set_a, hist_a, i), hist_of(set_b, hist_b, j))
-    return HeterogeneityReport(
-        set_a.name,
-        set_b.name,
-        float(structure.mean()),
-        float(structure.std()),
-        float(feature.mean()),
-        float(feature.std()),
-    )
+    same = pool_a.keys == pool_b.keys
+    keys_a = _valid_keys(embeddings, pool_a)
+    keys_b = keys_a if same else _valid_keys(embeddings, pool_b)
+    if same and len(keys_a) == 1:
+        return HeterogeneityReport(pool_a.name, pool_b.name, 0.0, 0.0, 0.0, 0.0)
+    rows, cols = _sample_pairs(len(keys_a), len(keys_b), same, pair_budget, embeddings.seed)
+    awe_a, hist_a = embeddings.rows([keys_a[i] for i in rows.tolist()])
+    awe_b, hist_b = embeddings.rows([keys_b[j] for j in cols.tolist()])
+    structure = js_distance(awe_a, awe_b)
+    feature = js_divergence(hist_a, hist_b)
+    return HeterogeneityReport(pool_a.name, pool_b.name, float(structure.mean()),
+                               float(structure.std()), float(feature.mean()), float(feature.std()))
 
 
-def _valid_indices(ds: Dataset) -> list[int]:
-    valid = [i for i, g in enumerate(ds.graphs) if g.num_edges > 0]
-    skipped = len(ds.graphs) - len(valid)
-    if 2 * skipped > len(ds.graphs):
-        raise UndefinedEmbeddingError(f"{ds.name}: more than half of the graphs have no edges")
+def _valid_keys(embeddings: GraphEmbeddings, pool: GraphPool) -> list[tuple[int, int]]:
+    valid = [key for key in pool.keys if embeddings.graphs[key].num_edges > 0]
+    skipped = len(pool.keys) - len(valid)
+    if 2 * skipped > len(pool.keys):
+        raise UndefinedEmbeddingError(f"{pool.name}: more than half of the graphs have no edges")
     if skipped:
-        logger.warning("%s: skipping %d edgeless graphs", ds.name, skipped)
+        logger.warning("%s: skipping %d edgeless graphs", pool.name, skipped)
     return valid
 
 
-def _sample_codes(rng: np.random.Generator, total: int, want: int) -> np.ndarray:
-    """Distinct integers from range(total): all of them, or a uniform sample."""
-    if total <= want:
-        return np.arange(total, dtype=np.int64)
-    seen: set[int] = set()
-    out: list[int] = []
-    while len(out) < want:
-        for c in rng.integers(total, size=want):
-            c = int(c)
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-                if len(out) == want:
-                    break
-    return np.array(out, dtype=np.int64)
+def _sample_pairs(len_a: int, len_b: int, same: bool, pair_budget: int,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (row, column) positions: all pairs, or a seeded sample of ``pair_budget``.
+
+    With ``same``, unordered pairs of one set of ``len_a``, each row below its column.
+    """
+    total = len_a * (len_a - 1) // 2 if same else len_a * len_b
+    rng = np.random.default_rng(np.random.SeedSequence([_PAIR_SEED_TAG, seed]))
+    codes = rng.choice(total, min(total, pair_budget), replace=False)
+    return decode_pair_index(codes, len_a) if same else divmod(codes, len_b)
 
 
 def write_heterogeneity_csv(path: str | Path, reports: list[HeterogeneityReport]) -> None:

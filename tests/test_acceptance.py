@@ -28,7 +28,7 @@ from gcflsim.harness import (
     synthetic_two_group_clients,
     unify_feature_space,
 )
-from gcflsim.hetero import pairwise_heterogeneity
+from gcflsim.hetero import dataset_pools, pairwise_heterogeneity
 from gcflsim.properties import property_significance
 
 from conftest import data_root, random_graph, require_dataset
@@ -123,10 +123,8 @@ def test_criterion_2_table2_structure_ordering():
         ordered_lengths = 0
         for length in (3, 4, 5):
             values = [
-                pairwise_heterogeneity(cox2, cox2, length, pair_budget=2000, seed=0).structure_mean,
-                pairwise_heterogeneity(cox2, others[0], length, pair_budget=2000, seed=0).structure_mean,
-                pairwise_heterogeneity(cox2, others[1], length, pair_budget=2000, seed=0).structure_mean,
-                pairwise_heterogeneity(cox2, imdb, length, pair_budget=2000, seed=0).structure_mean,
+                pairwise_heterogeneity(*dataset_pools(cox2, other, length), 2000).structure_mean
+                for other in (cox2, *others, imdb)
             ]
             print(f"  length {length}: COX2 self {values[0]:.4f} | PTC_MR {values[1]:.4f} "
                   f"| ENZYMES {values[2]:.4f} | IMDB-BINARY {values[3]:.4f}")

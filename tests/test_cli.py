@@ -1,8 +1,10 @@
+import csv
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gcflsim
@@ -250,6 +252,68 @@ class TestRun:
         assert sorted(p.name for p in (tmp_path / "b").glob("*.csv")) == names
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+    def test_blas_thread_count_changes_no_decision(self, tmp_path):
+        """One and two BLAS threads give the same clusters, splits and summary.
+
+        Every other number agrees within rtol 1e-12.
+        """
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "setting = synthetic\n"
+            "num_clients = 4\n"
+            "seeds = 0, 1\n"
+            "rounds = 4\n"
+            "algorithms = selftrain, fedavg, gcfl, gcflplus\n"
+            "hidden = 32\n"
+            "num_layers = 2\n"
+            "weight_decay = 0.0\n"
+            "eps1 = 10.0\n"
+            "eps2 = 1e-6\n"
+            "min_split_size = 2\n"
+            "warmup_rounds = 1\n"
+            "hetero_report = true\n"
+            "pair_budget = 30\n"
+        )
+        src = str(Path(gcflsim.__file__).resolve().parents[1])
+        runs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            runs[threads] = subprocess.Popen(
+                [sys.executable, "-m", "gcflsim.cli", "run", "--config", str(cfg),
+                 "--set", f"out_dir={tmp_path / threads}"],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        for run in runs.values():
+            _, err = run.communicate(timeout=300)
+            assert run.returncode == 0, err.decode()
+        one, two = tmp_path / "1", tmp_path / "2"
+        assert (one / "splits.csv").read_text().count("\n") > 1  # the runs split
+        for name in ("clusters.csv", "summary.csv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        for name in ("rounds.csv", "splits.csv", "hetero.csv", "windows.csv"):
+            rows_1, rows_2 = (list(csv.DictReader((d / name).read_text().splitlines()))
+                              for d in (one, two))
+            assert len(rows_1) == len(rows_2), name
+            for row_1, row_2 in zip(rows_1, rows_2):
+                for key, cell in row_1.items():
+                    if name == "splits.csv" and key not in ("delta_mean", "delta_max",
+                                                            "cut_value"):
+                        assert cell == row_2[key], (name, key)
+                    else:
+                        assert _close_cells(cell, row_2[key]), (name, key, cell, row_2[key])
+
+
+def _close_cells(a: str, b: str) -> bool:
+    """Equal text, or the same count of ';'-joined numbers, each within rtol 1e-12."""
+    if a == b:
+        return True
+    try:
+        x, y = (np.array([float(v) for v in cell.split(";")]) for cell in (a, b))
+    except ValueError:
+        return False
+    return x.shape == y.shape and bool(np.allclose(x, y, rtol=1e-12, atol=0.0))
 
 
 class TestCalibrate:

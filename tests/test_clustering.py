@@ -263,8 +263,8 @@ class TestBipartition:
     def test_two_member_cluster_becomes_singletons(self):
         cluster = ClusterState(0, [7, 3], np.arange(4.0))
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
-        a, b, value = bipartition_cluster(cluster, w, (1, 2))
-        assert a.members == [3] and b.members == [7]
+        halves, value = bipartition_cluster(cluster, w)
+        assert halves == ((3,), (7,))
         assert value == 1.0
 
     def test_children_partition_parent(self):
@@ -273,22 +273,14 @@ class TestBipartition:
         cluster = ClusterState(2, members, rng.standard_normal(8))
         w = random_weights(rng, 5) + 0.01
         np.fill_diagonal(w, 0.0)
-        a, b, _ = bipartition_cluster(cluster, w, (5, 6))
-        assert sorted(a.members + b.members) == sorted(members)
-        assert not set(a.members) & set(b.members)
-
-    def test_children_inherit_parent_model(self):
-        model = np.array([1.0, 2.0, 3.0])
-        cluster = ClusterState(0, [0, 1], model)
-        w = np.array([[0.0, 0.5], [0.5, 0.0]])
-        a, b, _ = bipartition_cluster(cluster, w, (1, 2))
-        assert np.array_equal(a.model, model) and np.array_equal(b.model, model)
-        a.model += 1.0  # children own copies, not views
-        assert np.array_equal(cluster.model, model)
+        (a, b), _ = bipartition_cluster(cluster, w)
+        assert sorted(a + b) == sorted(members)
+        assert not set(a) & set(b)
+        assert a[0] == members[0] and list(a) == sorted(a) and list(b) == sorted(b)
 
     def test_singleton_rejected(self):
         with pytest.raises(ArgumentError):
-            bipartition_cluster(ClusterState(0, [1], np.zeros(2)), np.zeros((1, 1)), (1, 2))
+            bipartition_cluster(ClusterState(0, [1], np.zeros(2)), np.zeros((1, 1)))
 
 
 class TestClusterAggregate:

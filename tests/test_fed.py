@@ -481,6 +481,16 @@ class TestSweep:
         fedavg.final_accuracy.clear()
         assert len(gcfl.reports) == 2 and len(gcfl.final_accuracy) == 4
 
+    def test_children_start_from_the_parent_aggregated_model(self):
+        # gcfl is fedavg until it splits, after aggregating, in the last of 2 rounds
+        fedavg, gcfl = run_federation(two_group_clients(), [Variant("fedavg"),
+                                                            Variant("gcfl", SPLIT_AT_1)], 2, SWEEP)
+        assert [e.round_index for e in gcfl.split_events] == [1]
+        (parent,) = fedavg.final_clusters
+        assert [k.members for k in gcfl.final_clusters] == [[0, 1], [2, 3]]
+        for child in gcfl.final_clusters:
+            assert np.array_equal(child.model, parent.model)
+
     def test_each_variant_logs_its_own_splits(self, caplog):
         variants = [Variant("gcfl", SPLIT_AT_1), Variant("gcflplus", SPLIT_AT_1)]
         with caplog.at_level("INFO", logger="gcflsim.fed"):

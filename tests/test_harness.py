@@ -5,7 +5,7 @@ import pytest
 
 from gcflsim.clustering import ClusterConfig, ClusterState
 from gcflsim.errors import ArgumentError, ConfigurationError
-from gcflsim import fed, harness
+from gcflsim import fed, harness, hetero
 from gcflsim.fed import RunConfig, Variant, infer_dims, run_federation
 from gcflsim.gnn import GinModel, gin_forward, init_gin, one_hot_degree_features
 from gcflsim.graphs import Dataset
@@ -155,8 +155,29 @@ class TestClusterHeterogeneity:
         rows = cluster_heterogeneity_report([cluster], clients, awe_length=3,
                                             pair_budget=100, seed=0)
         assert rows[0].cluster_id == "all"
-        assert rows[1].structure_mean == pytest.approx(rows[0].structure_mean)
-        assert rows[1].feature_mean == pytest.approx(rows[0].feature_mean)
+        # one pool of the same keys: the same pairs of the same embeddings
+        assert rows[1].structure_mean == rows[0].structure_mean
+        assert rows[1].feature_mean == rows[0].feature_mean
+
+    @pytest.mark.parametrize("pair_budget", [10, 10_000])
+    def test_each_graph_is_embedded_once_per_report(self, monkeypatch, pair_budget):
+        clients, _ = synthetic_two_group_clients(clients_per_group=2, graphs_per_client=8, seed=0)
+        clusters = [ClusterState(0, [0, 1], np.zeros(2)), ClusterState(1, [2, 3], np.zeros(2))]
+        walked, binned = [], []
+
+        def counting(record, original):
+            def wrapper(graph, *args, **kwargs):
+                record.append(id(graph))
+                return original(graph, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(hetero, "awe_distribution", counting(walked, hetero.awe_distribution))
+        monkeypatch.setattr(hetero, "feature_sim_histogram",
+                            counting(binned, hetero.feature_sim_histogram))
+        cluster_heterogeneity_report(clusters, clients, awe_length=3, pair_budget=pair_budget)
+        assert len(walked) == len(set(walked)) and sorted(binned) == sorted(walked)
+        if pair_budget > 1000:  # every pair of every pool, so every graph
+            assert len(walked) == sum(len(c.train_graphs) + len(c.test_graphs) for c in clients)
 
     def test_identical_graph_clients_have_zero_heterogeneity(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)], feat_dim=2)

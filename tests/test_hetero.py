@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gcflsim import hetero
 from gcflsim.errors import ArgumentError, UndefinedEmbeddingError
@@ -11,9 +12,11 @@ from gcflsim.hetero import (
     MAX_WALK_LENGTH,
     _pattern_index,
     _pattern_masks,
+    _sample_pairs,
     _walks_per_node,
     awe_distribution,
     awe_distribution_auto,
+    dataset_pools,
     enumerate_anonymous_walks,
     feature_sim_histogram,
     js_distance,
@@ -28,6 +31,38 @@ def _anonymize(walk) -> tuple[int, ...]:
     """Reference anonymiser: each node becomes the rank of its first visit."""
     mapping: dict[int, int] = {}
     return tuple(mapping.setdefault(int(v), len(mapping)) for v in walk)
+
+
+def pairwise(set_a, set_b, awe_length=4, bins=20, pair_budget=2000, seed=0):
+    """``pairwise_heterogeneity`` of two datasets, keyed as ``gcflsim analyze-hetero`` keys them."""
+    return pairwise_heterogeneity(*dataset_pools(set_a, set_b, awe_length, bins, seed), pair_budget)
+
+
+def js_divergence_reference(p, q) -> float:
+    """Per-pair Jensen-Shannon divergence: a masked sum over one pair's support."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    m = 0.5 * (p + q)
+
+    def kl(a):
+        mask = a > 0
+        return float(np.sum(a[mask] * np.log2(a[mask] / m[mask])))
+
+    return min(1.0, max(0.0, 0.5 * kl(p) + 0.5 * kl(q)))
+
+
+@st.composite
+def distribution_rows(draw, count=2):
+    """``count`` stacks of the same shape, each row a probability vector, zeros included."""
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 10))
+    mass = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    stacks = []
+    for _ in range(count):
+        raw = np.array(draw(st.lists(st.lists(mass, min_size=width, max_size=width),
+                                     min_size=rows, max_size=rows)))
+        raw[:, 0] += raw.sum(axis=1) == 0  # a row of zeros becomes a point mass
+        stacks.append(raw / raw.sum(axis=1, keepdims=True))
+    return stacks
 
 
 def dfs_awe_probs(graph, length):
@@ -221,17 +256,54 @@ class TestJensenShannon:
             js_divergence([1.0], [0.5, 0.5])
 
 
+    @HYPOTHESIS
+    @given(distribution_rows())
+    def test_stacked_rows_match_per_pair_reference(self, stacks):
+        p, q = stacks
+        got = js_divergence(p, q)
+        assert got.shape == (len(p),)
+        want = [js_divergence_reference(a, b) for a, b in zip(p, q)]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        assert np.array_equal(js_distance(p, q), np.sqrt(got))
+
+    @HYPOTHESIS
+    @given(distribution_rows(count=3))
+    def test_stacked_symmetric_bounded_and_triangular(self, stacks):
+        p, q, r = stacks
+        assert np.array_equal(js_divergence(p, q), js_divergence(q, p))
+        assert np.all((js_divergence(p, q) >= 0.0) & (js_divergence(p, q) <= 1.0))
+        # the square root amplifies rounding near 0: 1e-16 in a divergence is 1e-8 in a distance
+        assert np.all(js_distance(p, r) <= js_distance(p, q) + js_distance(q, r) + 1e-7)
+
+
+class TestSamplePairs:
+    @HYPOTHESIS
+    @given(st.integers(1, 40), st.integers(1, 40), st.booleans(), st.integers(1, 400),
+           st.integers(0, 2**32))
+    def test_distinct_in_range_and_seeded(self, len_a, len_b, same, budget, seed):
+        rows, cols = _sample_pairs(len_a, len_b, same, budget, seed)
+        total = len_a * (len_a - 1) // 2 if same else len_a * len_b
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        assert len(pairs) == len(set(pairs)) == min(total, budget)
+        if same:
+            assert all(0 <= i < j < len_a for i, j in pairs)
+        else:
+            assert all(0 <= i < len_a and 0 <= j < len_b for i, j in pairs)
+        again = _sample_pairs(len_a, len_b, same, budget, seed)
+        assert np.array_equal(rows, again[0]) and np.array_equal(cols, again[1])
+
+
 class TestFeatureSimHistogram:
     def test_identical_features_mass_at_one(self, triangle):
         g = triangle.with_features(np.tile([1.0, 2.0], (3, 1)))
-        hist = feature_sim_histogram(g, bins=20)
-        assert hist.mass[-1] == 1.0  # cosine exactly 1 lands in the last bin
+        mass = feature_sim_histogram(g, bins=20)
+        assert mass[-1] == 1.0  # cosine exactly 1 lands in the last bin
 
     def test_orthogonal_one_hot_mass_at_zero(self):
         g = make_graph(3, [(0, 1), (1, 2)], features=np.eye(3))
-        hist = feature_sim_histogram(g, bins=20)
+        mass = feature_sim_histogram(g, bins=20)
         # cosine 0 falls in the bin whose left edge is 0
-        assert hist.mass[10] == 1.0
+        assert mass[10] == 1.0
 
     def test_matches_naive_per_edge_oracle(self):
         rng = np.random.default_rng(9)
@@ -243,20 +315,20 @@ class TestFeatureSimHistogram:
             na, nb = np.linalg.norm(a), np.linalg.norm(b)
             sims.append(float(a @ b / (na * nb)) if na > 0 and nb > 0 else 0.0)
         ref, _ = np.histogram(np.clip(sims, -1, 1), bins=bins, range=(-1, 1))
-        hist = feature_sim_histogram(g, bins=bins)
-        assert np.allclose(hist.mass, ref / ref.sum())
+        mass = feature_sim_histogram(g, bins=bins)
+        assert np.allclose(mass, ref / ref.sum())
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(10)
         g = random_graph(rng, n=7, feat_dim=3)
-        a = feature_sim_histogram(g, 20).mass
-        b = feature_sim_histogram(g.with_features(g.features * 3.7), 20).mass
+        a = feature_sim_histogram(g, 20)
+        b = feature_sim_histogram(g.with_features(g.features * 3.7), 20)
         assert np.array_equal(a, b)
 
     def test_zero_vector_counts_as_zero_similarity(self):
         feats = np.array([[0.0, 0.0], [1.0, 0.0]])
-        hist = feature_sim_histogram(make_graph(2, [(0, 1)], features=feats), bins=4)
-        assert hist.mass[2] == 1.0  # [0, 0.5) bin
+        mass = feature_sim_histogram(make_graph(2, [(0, 1)], features=feats), bins=4)
+        assert mass[2] == 1.0  # [0, 0.5) bin
 
     def test_edgeless_raises(self):
         with pytest.raises(UndefinedEmbeddingError):
@@ -264,17 +336,26 @@ class TestFeatureSimHistogram:
 
 
 class TestPairwiseHeterogeneity:
+    def test_datasets_keyed_by_set_tag_and_index(self):
+        a = Dataset("a", [make_graph(3, [(0, 1)]), make_graph(3, [(1, 2)])])
+        b = Dataset("b", [make_graph(3, [(0, 2)])])
+        store, pool_a, pool_b = dataset_pools(a, b)
+        assert pool_a == ("a", [(0, 0), (0, 1)]) and pool_b == ("b", [(1, 0)])
+        assert store.graphs[(1, 0)] is b.graphs[0]
+        _, pool_a, pool_b = dataset_pools(a, a)
+        assert pool_a is pool_b and pool_a.keys == [(0, 0), (0, 1)]
+
     def test_singleton_self_pairing_is_zero(self):
         g = make_graph(3, [(0, 1), (1, 2)])
         ds = Dataset("one", [g])
-        rep = pairwise_heterogeneity(ds, ds)
+        rep = pairwise(ds, ds)
         assert rep.structure_mean == 0.0 and rep.feature_mean == 0.0
 
     def test_self_set_uses_distinct_pairs(self):
         rng = np.random.default_rng(11)
         graphs = [random_graph(rng, n=6) for _ in range(4)]
         ds = Dataset("four", [g.with_features(np.ones((g.num_nodes, 2))) for g in graphs])
-        rep = pairwise_heterogeneity(ds, ds, awe_length=3)
+        rep = pairwise(ds, ds, awe_length=3)
         # identical features everywhere: feature divergence must vanish
         assert rep.feature_mean == pytest.approx(0.0, abs=1e-12)
         assert rep.structure_mean > 0.0
@@ -283,8 +364,8 @@ class TestPairwiseHeterogeneity:
         rng = np.random.default_rng(12)
         graphs = [random_graph(rng, n=6) for _ in range(5)]
         forward, backward = Dataset("x", graphs), Dataset("x", graphs[::-1])
-        a = pairwise_heterogeneity(forward, forward, awe_length=3)
-        b = pairwise_heterogeneity(backward, backward, awe_length=3)
+        a = pairwise(forward, forward, awe_length=3)
+        b = pairwise(backward, backward, awe_length=3)
         assert a.structure_mean == pytest.approx(b.structure_mean, abs=1e-12)
         assert a.feature_mean == pytest.approx(b.feature_mean, abs=1e-12)
 
@@ -292,29 +373,29 @@ class TestPairwiseHeterogeneity:
         sparse = Dataset("x", [erdos_renyi_gnm(12, 14, seed) for seed in range(6)])
         dense = Dataset("x", [erdos_renyi_gnm(12, 60, seed) for seed in range(6)])
         renamed = Dataset("y", dense.graphs)
-        same_name = pairwise_heterogeneity(sparse, dense)
-        assert same_name.structure_mean == pairwise_heterogeneity(sparse, renamed).structure_mean
-        assert same_name.structure_mean > pairwise_heterogeneity(sparse, sparse).structure_mean
+        same_name = pairwise(sparse, dense)
+        assert same_name.structure_mean == pairwise(sparse, renamed).structure_mean
+        assert same_name.structure_mean > pairwise(sparse, sparse).structure_mean
 
     def test_pair_budget_sampling_is_deterministic(self):
         rng = np.random.default_rng(13)
         xs = Dataset("xs", [random_graph(rng, n=6) for _ in range(8)])
         ys = Dataset("ys", [random_graph(rng, n=6) for _ in range(8)])
-        a = pairwise_heterogeneity(xs, ys, awe_length=3, pair_budget=10, seed=5)
-        b = pairwise_heterogeneity(xs, ys, awe_length=3, pair_budget=10, seed=5)
+        a = pairwise(xs, ys, awe_length=3, pair_budget=10, seed=5)
+        b = pairwise(xs, ys, awe_length=3, pair_budget=10, seed=5)
         assert a == b
 
     def test_pair_budget_below_one_raises(self):
         ds = Dataset("two", [make_graph(3, [(0, 1)]), make_graph(3, [(1, 2)])])
         for bad in (0, -3):
             with pytest.raises(ArgumentError):
-                pairwise_heterogeneity(ds, ds, pair_budget=bad)
+                pairwise(ds, ds, pair_budget=bad)
 
     def test_half_edgeless_set_is_finite(self):
         good = make_graph(3, [(0, 1), (1, 2)])
         bad = make_graph(3, [])
         ds = Dataset("half", [good, bad, good.with_features(np.full((3, 1), 2.0)), bad])
-        rep = pairwise_heterogeneity(ds, ds, awe_length=2)
+        rep = pairwise(ds, ds, awe_length=2)
         assert np.isfinite([rep.structure_mean, rep.feature_mean]).all()
 
     def test_mostly_edgeless_set_raises(self):
@@ -322,11 +403,11 @@ class TestPairwiseHeterogeneity:
         bad = make_graph(3, [])
         ds = Dataset("sparse", [good, bad, bad])
         with pytest.raises(UndefinedEmbeddingError):
-            pairwise_heterogeneity(ds, ds)
+            pairwise(ds, ds)
 
     def test_some_edgeless_graphs_skipped(self):
         rng = np.random.default_rng(14)
         graphs = [random_graph(rng, n=5) for _ in range(5)] + [make_graph(4, [])]
         ds = Dataset("mixed", [g.with_features(np.ones((g.num_nodes, 1))) for g in graphs])
-        rep = pairwise_heterogeneity(ds, ds, awe_length=3)
+        rep = pairwise(ds, ds, awe_length=3)
         assert np.isfinite(rep.structure_mean)

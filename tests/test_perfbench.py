@@ -42,7 +42,8 @@ def test_fed_wrap_points_resolve():
 
 
 # one layer per workload that must have been called, beyond the workload's own check
-CALLED = {"fed-synth": "gnn.forward.calls", "analysis-tu": "properties.shortest_path.calls"}
+CALLED = {"fed-synth": "gnn.forward.calls", "hetero-synth": "hetero.pairwise.calls",
+          "analysis-tu": "properties.shortest_path.calls"}
 
 
 @pytest.mark.parametrize("workload", sorted(CALLED))
