@@ -50,7 +50,7 @@ from .gnn import (
     gin_loss_and_grad,
     init_adam,
     init_gin,
-    one_hot_degree_features,
+    one_hot_degrees,
 )
 from .graphs import Dataset, Graph, binomial_gnp, erdos_renyi_gnm, load_tu_dataset
 from .harness import (

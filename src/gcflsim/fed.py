@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import logging
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -207,14 +208,20 @@ class _RunState:
     assignments: list[tuple[int, int, tuple[int, ...]]] = field(default_factory=list)
     final_accuracy: dict[int, float] = field(default_factory=dict)
 
+    def own_records(self) -> "_RunState":
+        """A copy with its own clusters, reports, assignments and accuracies, sharing the rest."""
+        return replace(self, clusters=[replace(k, members=list(k.members)) for k in self.clusters],
+                       reports=list(self.reports), assignments=list(self.assignments),
+                       final_accuracy=dict(self.final_accuracy))
+
     def copy(self) -> "_RunState":
         """A copy that shares only what a run rebinds and never writes: the arrays."""
-        return _RunState(
-            [replace(k, members=list(k.members)) for k in self.clusters], self.next_cluster_id,
-            NormWindow(self.window.length, {cid: list(b) for cid, b in self.window.buffers.items()}),
-            self.prox_mu, {cid: replace(o) for cid, o in self.optimizers.items()},
-            {cid: copy.deepcopy(r) for cid, r in self.rngs.items()}, list(self.reports),
-            list(self.assignments), dict(self.final_accuracy))
+        return replace(
+            self.own_records(),
+            window=NormWindow(self.window.length,
+                              {cid: list(b) for cid, b in self.window.buffers.items()}),
+            optimizers={cid: replace(o) for cid, o in self.optimizers.items()},
+            rngs={cid: copy.deepcopy(r) for cid, r in self.rngs.items()})
 
 
 def run_federation(
@@ -231,13 +238,16 @@ def run_federation(
     bipartition clusters whose criteria fire; both children inherit the
     freshly aggregated parent model and start the next round from it.
 
-    The variants run in lock-step, in groups of variants in the same state,
-    and a group computes each round once. They start in one group per initial
-    layout (selftrain's singleton clusters, or one cluster of all clients)
-    and effective proximal mu (fedprox's unless ``_prox_is_zero``, else 0).
-    A group forks where its variants' split decisions differ: whether a
-    cluster splits, or into which ordered halves. So each variant returns
-    what it returns alone, bit for bit.
+    The variants run in groups of variants in the same state, and a group
+    computes each round once. They start in one group per initial layout
+    (selftrain's singleton clusters, or one cluster of all clients) and
+    effective proximal mu (fedprox's unless ``_prox_is_zero``, else 0). A
+    group forks where its variants' split decisions differ: whether a cluster
+    splits, or into which ordered halves. So each variant returns what it
+    returns alone, bit for bit. Groups run depth-first: one group runs all its
+    remaining rounds while its forks wait in a queue, each with its next round,
+    and the queue empties before the next starting group is built. So a
+    finished group's Adam states and RNGs are freed before another starts.
     """
     if not variants:
         raise ArgumentError("need at least one algorithm variant")
@@ -276,27 +286,31 @@ def run_federation(
     for i, v in enumerate(variants):
         layout = tuple((cid,) for cid in by_id) if v.algorithm == "selftrain" else (tuple(by_id),)
         starts.setdefault((layout, fedprox_mu if v.algorithm == "fedprox" else 0.0), []).append(i)
-    groups = [(_RunState(
+    # the starting groups, each built only when it starts, with its first round
+    starting = ((0, _RunState(
         [ClusterState(k, list(m), init_flat.copy()) for k, m in enumerate(layout)], len(layout),
         NormWindow(config.window_length), mu,
         {c.id: init_adam(init_flat.size, config.lr, config.weight_decay) for c in clients},
         {c.id: np.random.default_rng(
             np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.seed])) for c in clients}),
-        members) for (layout, mu), members in starts.items()]
+        members) for (layout, mu), members in starts.items())
+    forks = deque()  # forked groups, each with its next round
 
-    # each variant's own records; the rest of its result is a copy of its last group's state
+    # each variant's own records; the rest of its result is taken from its last group's state
     results = [RunResult(v.algorithm, [], [], [], [], {}) for v in variants]
-    for t in range(rounds):
-        forked = []
-        for run, members in groups:
-            deltas = _train_round(t, run, by_id, model, config)
-            forked += _split_round(t, run, deltas, members, variants, results, config)
-        groups = forked
-    for run, members in groups:
-        for i in members:
-            own = run.copy()  # so that no two results share a list
-            results[i] = replace(results[i], reports=own.reports, assignments=own.assignments,
-                                 final_clusters=own.clusters, final_accuracy=own.final_accuracy)
+    while group := forks.popleft() if forks else next(starting, None):
+        start, run, members = group
+        for t in range(start, rounds):
+            (run, members), *split_off = _split_round(
+                t, run, _train_round(t, run, by_id, model, config), members, variants, results,
+                config)
+            forks.extend((t + 1, *fork) for fork in split_off)
+        for n, i in enumerate(members):
+            if n:  # so that no two results share a list
+                run = run.own_records()
+            results[i] = replace(results[i], reports=run.reports, assignments=run.assignments,
+                                 final_clusters=run.clusters, final_accuracy=run.final_accuracy)
+        del group, run  # frees the group's Adam states and RNGs before the next group starts
     return results
 
 

@@ -270,14 +270,13 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def one_hot_degree_features(graph: Graph, max_degree: int) -> Graph:
-    """Replace node features with one-hot degree vectors of width max_degree+1.
+def one_hot_degrees(degrees: np.ndarray, max_degree: int) -> np.ndarray:
+    """One float64 row of width max_degree+1 per node, 1 in the column of its degree.
 
     Degrees above ``max_degree`` are clamped into the top bucket.
     """
     if max_degree < 1:
         raise ArgumentError("max_degree must be >= 1")
-    deg = np.minimum(graph.degrees, max_degree)
-    feats = np.zeros((graph.num_nodes, max_degree + 1), dtype=np.float64)
-    feats[np.arange(graph.num_nodes), deg] = 1.0
-    return graph.with_features(feats)
+    feats = np.zeros((len(degrees), max_degree + 1), dtype=np.float64)
+    feats[np.arange(len(degrees)), np.minimum(degrees, max_degree)] = 1.0
+    return feats

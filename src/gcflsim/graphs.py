@@ -32,25 +32,13 @@ class Graph:
     label: int = 0
 
     def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        # a copy, so that the graph owns its edges
+        self.edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
         if self.num_nodes < 1:
             raise ArgumentError("graph must have at least one node")
         self.features = _node_features(self.features, self.num_nodes)
-        if self.edges.size:
-            if self.edges.min() < 0 or self.edges.max() >= self.num_nodes:
-                raise ArgumentError("edge endpoint out of range")
-            lo = np.minimum(self.edges[:, 0], self.edges[:, 1])
-            hi = np.maximum(self.edges[:, 0], self.edges[:, 1])
-            if np.any(lo == hi):
-                raise ArgumentError("self-loops are not allowed")
-            # a strictly increasing key is canonical order and proves no duplicates
-            key = lo * self.num_nodes + hi
-            if np.any(key[1:] <= key[:-1]):
-                key = np.sort(key)
-                if np.any(key[1:] == key[:-1]):
-                    raise ArgumentError("duplicate undirected edges are not allowed")
-                lo, hi = np.divmod(key, self.num_nodes)
-            self.edges = np.stack([lo, hi], axis=1)
+        if not _is_canonical(self.edges, self.num_nodes):
+            self.edges = _canonical_edges(self.edges, self.num_nodes)
 
     @property
     def num_edges(self) -> int:
@@ -83,6 +71,36 @@ class Graph:
         graph = copy.copy(self)
         graph.features = _node_features(features, self.num_nodes)
         return graph
+
+
+def _is_canonical(edges: np.ndarray, num_nodes: int) -> bool:
+    """Whether ``edges`` can be stored as they are: ``0 <= u < v < num_nodes`` and the keys
+    ``u * num_nodes + v`` strictly increasing, which also proves the edges distinct."""
+    if not len(edges):
+        return True
+    u, v = edges[:, 0], edges[:, 1]
+    key = u * num_nodes + v
+    return bool(u.min() >= 0 and v.max() < num_nodes and (u < v).all()
+                and (key[1:] > key[:-1]).all())
+
+
+def _canonical_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Each edge of ``edges`` as ``(u, v)`` with ``u < v``, sorted by ``(u, v)``.
+
+    Raises ``ArgumentError`` on an endpoint out of range, a self-loop or an
+    edge listed twice in either direction.
+    """
+    if edges.min() < 0 or edges.max() >= num_nodes:
+        raise ArgumentError("edge endpoint out of range")
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    if np.any(lo == hi):
+        raise ArgumentError("self-loops are not allowed")
+    key = np.sort(lo * num_nodes + hi)
+    if np.any(key[1:] == key[:-1]):
+        raise ArgumentError("duplicate undirected edges are not allowed")
+    lo, hi = np.divmod(key, num_nodes)
+    return np.stack([lo, hi], axis=1)
 
 
 def _node_features(features: np.ndarray, num_nodes: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .clustering import ClusterConfig
 from .errors import ArgumentError, ConfigurationError, CorruptDatasetError, IngestionError
 from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, Variant, run_federation
-from .gnn import one_hot_degree_features
+from .gnn import one_hot_degrees
 from .graphs import Dataset, Graph, binomial_gnp, load_tu_dataset
 from .hetero import MAX_WALK_LENGTH, GraphEmbeddings, GraphPool, pairwise_heterogeneity
 
@@ -123,10 +123,15 @@ def client_from_dataset(
 
 
 def apply_degree_features(dataset: Dataset) -> Dataset:
-    """Replace node features with one-hot degrees (width = max degree + 1)."""
-    max_degree = max(int(g.degrees.max()) if g.num_edges else 0 for g in dataset.graphs)
-    max_degree = max(1, max_degree)
-    return Dataset(dataset.name, [one_hot_degree_features(g, max_degree) for g in dataset.graphs])
+    """Replace node features with one-hot degrees (width = max degree + 1).
+
+    The whole dataset is encoded as one array; each graph takes its block of rows.
+    """
+    degrees = np.concatenate([g.degrees for g in dataset.graphs])
+    feats = one_hot_degrees(degrees, max(1, int(degrees.max())))
+    ends = np.cumsum([g.num_nodes for g in dataset.graphs]).tolist()
+    return Dataset(dataset.name, [g.with_features(feats[end - g.num_nodes:end])
+                                  for g, end in zip(dataset.graphs, ends)])
 
 
 def load_dataset_for_federation(

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.sparse import csgraph
 from scipy.special import stdtr
 
 from .errors import ArgumentError, UndefinedStatisticError
@@ -90,6 +89,8 @@ def avg_shortest_path(union: GraphBatch) -> np.ndarray:
     unreachable; a larger graph runs its sources in blocks of ``PATH_BLOCK``,
     so memory stays O(PATH_BLOCK * nodes of one graph).
     """
+    from scipy.sparse import csgraph  # here, as it loads scipy.linalg, which only analysis needs
+
     node_total = np.zeros(len(union.features))
     node_pairs = np.zeros(len(union.features), dtype=np.int64)
     for first, last in _node_runs(union.sizes, PATH_BLOCK):
@@ -111,6 +112,8 @@ def avg_shortest_path(union: GraphBatch) -> np.ndarray:
 
 def largest_component_fraction(union: GraphBatch) -> np.ndarray:
     """Each graph's largest connected component as a percentage of its nodes."""
+    from scipy.sparse import csgraph  # here, as it loads scipy.linalg, which only analysis needs
+
     # the adjacency is symmetric, so its strong components are its components,
     # and scipy finds those without building the transpose
     _, labels = csgraph.connected_components(union.adjacency, connection="strong")

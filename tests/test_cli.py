@@ -18,15 +18,33 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats takes most of a start-up; the Welch test runs on scipy.special
+# scipy.stats takes most of a start-up (the Welch test runs on scipy.special), and
+# csgraph brings scipy.sparse.linalg and scipy.linalg, which only property analysis needs
+ANALYSIS_ONLY = ("scipy.stats", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+
+
+def analysis_modules_loaded_by(code: str) -> list[str]:
+    """The ``ANALYSIS_ONLY`` packages that a fresh interpreter has loaded after ``code``."""
     src = str(Path(gcflsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import gcflsim, gcflsim.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    code += "\nimport sys; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    assert out.strip() == "[]"
+    loaded = out.splitlines()[-1].split()
+    return [p for p in ANALYSIS_ONLY if any(m == p or m.startswith(p + ".") for m in loaded)]
+
+
+def test_import_does_not_load_scipy_stats():
+    assert analysis_modules_loaded_by("import gcflsim, gcflsim.cli") == []
+
+
+def test_property_analysis_loads_csgraph_on_first_call():
+    code = ("from gcflsim.graphs import Dataset, erdos_renyi_gnm\n"
+            "from gcflsim.properties import property_significance\n"
+            "ds = Dataset('tiny', [erdos_renyi_gnm(6, m, m) for m in (3, 4, 5, 6)])\n"
+            "print(property_significance(ds, seed=0).rows['largest_component_pct'].real)")
+    assert analysis_modules_loaded_by(code) == ["scipy.sparse.csgraph", "scipy.sparse.linalg",
+                                                "scipy.linalg"]
 
 
 class TestAnalyzeProperties:

@@ -459,6 +459,21 @@ class TestSweep:
         assert gcfl.split_events[2].members != plus.split_events[2].members
         assert trained == 3 + 2 * (ROUNDS - 3)
 
+    def test_groups_run_depth_first(self, monkeypatch):
+        # selftrain's group runs all its rounds, then the shared group, then the fork that
+        # gcflplus's different cut at round 2 split off from it
+        rounds, train_round = [], fed._train_round
+
+        def recording(t, *args, **kwargs):
+            rounds.append(t)
+            return train_round(t, *args, **kwargs)
+
+        monkeypatch.setattr(fed, "_train_round", recording)
+        variants = [Variant("selftrain"), Variant("gcfl", SPLIT_AT_1),
+                    Variant("gcflplus", SPLIT_AT_1)]
+        run_federation(two_group_clients(3), variants, ROUNDS, SWEEP)
+        assert rounds == [*range(ROUNDS), *range(ROUNDS), *range(3, ROUNDS)]
+
     def test_grid_of_gcfl_criteria(self, monkeypatch):
         # the same first cut at rounds 1, 2 and 3; a larger eps1 that decides as eps1 = 10
         # does; a min_split_size that stops after the first cut; and criteria that never fire

@@ -1,4 +1,5 @@
 import random
+import re
 import tempfile
 import time
 import warnings
@@ -99,6 +100,51 @@ class TestGraphInvariants:
         if len(shuffled):
             with pytest.raises(ArgumentError):
                 make_graph(g.num_nodes, shuffled + [shuffled[0][::-1]])
+
+    @HYPOTHESIS
+    @given(small_graphs(), st.randoms(use_true_random=False), st.booleans(), st.booleans(),
+           st.sampled_from([None, "duplicate", "self-loop", "out-of-range", "negative"]))
+    def test_construction_equals_normalising_first(self, g, rnd, shuffle, reverse, fault):
+        n, pairs = g.num_nodes, [tuple(e) for e in g.edges.tolist()]
+        if reverse:
+            pairs = [p[::rnd.choice((1, -1))] for p in pairs]
+        if shuffle:
+            rnd.shuffle(pairs)
+        bad = {None: None,
+               "duplicate": pairs and rnd.choice(pairs)[::rnd.choice((1, -1))],
+               "self-loop": (rnd.randrange(n),) * 2,
+               "out-of-range": (rnd.randrange(n), n + rnd.randrange(3)),
+               "negative": (rnd.choice((-1, -n, -2**62)), rnd.randrange(n))}[fault]
+        if bad:
+            pairs.insert(rnd.randint(0, len(pairs)), bad[::rnd.choice((1, -1))])
+        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        try:
+            want = normalised_edges(n, pairs)
+        except ArgumentError as exc:
+            with pytest.raises(ArgumentError, match=f"^{re.escape(str(exc))}$"):
+                make_graph(n, edges)
+            return
+        got = Graph(n, edges, np.ones((n, 1)))
+        # the oracle: normalise first, then construct from the canonical list
+        oracle = make_graph(n, np.array(want, dtype=np.int64).reshape(-1, 2))
+        assert got.edges.dtype == np.int64 and got.edges.flags.c_contiguous
+        assert got.edges.tolist() == oracle.edges.tolist() == [list(p) for p in want]
+        # the graph owns its edges, canonical input included
+        edges += 1
+        assert got.edges.tolist() == [list(p) for p in want]
+
+
+def normalised_edges(num_nodes, pairs):
+    """Each pair as (min, max), sorted; the constructor's errors, checked in its order."""
+    ends = [x for p in pairs for x in p]
+    if ends and (min(ends) < 0 or max(ends) >= num_nodes):
+        raise ArgumentError("edge endpoint out of range")
+    if any(u == v for u, v in pairs):
+        raise ArgumentError("self-loops are not allowed")
+    keys = sorted((min(p), max(p)) for p in pairs)
+    if len(set(keys)) < len(keys):
+        raise ArgumentError("duplicate undirected edges are not allowed")
+    return keys
 
 
 class TestGraphBatch:

@@ -7,11 +7,12 @@ from gcflsim.clustering import ClusterConfig, ClusterState
 from gcflsim.errors import ArgumentError, ConfigurationError
 from gcflsim import fed, harness, hetero
 from gcflsim.fed import RunConfig, Variant, infer_dims, run_federation
-from gcflsim.gnn import GinModel, gin_forward, init_gin, one_hot_degree_features
+from gcflsim.gnn import GinModel, gin_forward, init_gin, one_hot_degrees
 from gcflsim.graphs import Dataset
 from gcflsim.harness import (
     MOLECULE_DATASETS,
     ExperimentConfig,
+    apply_degree_features,
     build_clients,
     build_multi_dataset_group,
     calibrate_epsilons,
@@ -298,6 +299,21 @@ class TestGroupBuilder:
         with pytest.raises(ConfigurationError, match="MUTAG"):
             build_multi_dataset_group("molecules", tmp_path)
 
+    def test_degree_features_equal_each_graph_encoded_alone(self):
+        rng = np.random.default_rng(5)
+        graphs = [random_graph(rng) for _ in range(30)] + [make_graph(3, [], feat_dim=3)]
+        ds = Dataset("d", graphs)
+        max_degree = max(int(g.degrees.max()) for g in graphs)
+        got = apply_degree_features(ds)
+        assert got.feat_dim == max_degree + 1
+        for a, g in zip(got.graphs, graphs, strict=True):
+            want = one_hot_degrees(g.degrees, max_degree)
+            assert a.edges is g.edges and a.label == g.label
+            assert a.features.dtype == want.dtype and a.features.flags.c_contiguous
+            assert a.features.tobytes() == want.tobytes()
+        edgeless = apply_degree_features(Dataset("e", [make_graph(2, []), make_graph(1, [])]))
+        assert [g.features.tolist() for g in edgeless.graphs] == [[[1.0, 0.0]] * 2, [[1.0, 0.0]]]
+
     def test_onehot_degree_matches_per_graph_encoding(self, tmp_path):
         for name in MOLECULE_DATASETS:
             write_tu_fixture(tmp_path, name)
@@ -312,7 +328,8 @@ class TestGroupBuilder:
 
         # the former encoding: each graph one-hot over its own degrees, then padded
         def per_graph(g):
-            return one_hot_degree_features(g, max(1, int(g.degrees.max()) if g.num_edges else 1))
+            max_degree = max(1, int(g.degrees.max()) if g.num_edges else 1)
+            return g.with_features(one_hot_degrees(g.degrees, max_degree))
 
         want = build_multi_dataset_group("molecules", tmp_path, seed=0)
         for c in want:
