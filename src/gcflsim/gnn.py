@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from .errors import ArgumentError
+from .errors import ArgumentError, ConfigurationError
 from .graphs import Graph, GraphBatch
 
 
@@ -70,7 +70,12 @@ class GinModel:
     def __post_init__(self):
         size, parts = self._layout()
         if self.vector is None:
-            self.vector = np.zeros(size)
+            try:
+                self.vector = np.zeros(size)
+            except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array
+                raise ConfigurationError(
+                    f"a GIN of {size} parameters (hidden {self.hidden}, {self.num_layers} layers)"
+                    f" cannot be allocated: {exc}") from exc
         self.vector = np.ascontiguousarray(self.vector, dtype=np.float64)
         if self.vector.shape != (size,):
             raise ArgumentError(f"expected {size} parameters, got {self.vector.shape}")

@@ -7,7 +7,6 @@ dense float64 matrix with one row per node.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -68,8 +67,12 @@ class Graph:
         The validated edges (and any cached degrees and adjacency) are shared,
         not checked again: nothing writes to them after construction.
         """
-        graph = copy.copy(self)
-        graph.features = _node_features(features, self.num_nodes)
+        features = _node_features(features, self.num_nodes)
+        # the instance dict holds the fields and any cached properties; copying it
+        # takes a third of the time of ``copy.copy``
+        graph = Graph.__new__(Graph)
+        graph.__dict__.update(self.__dict__)
+        graph.features = features
         return graph
 
 

@@ -12,9 +12,10 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from scipy import sparse
 from scipy.special import stdtr
 
 from .errors import ArgumentError, UndefinedStatisticError
@@ -29,8 +30,9 @@ PROPERTY_NAMES = (
     "clustering_coefficient",
 )
 
-PATH_BLOCK = 256  # nodes per csgraph.shortest_path call
-PRODUCT_ROWS = 1024  # union rows per sparse (A @ A) * A product, which bounds its memory
+# nodes of a run of graphs times its source columns: the breadth-first traversal's
+# frontier entries, which bound its memory
+FRONTIER_ENTRIES = 1 << 20
 
 
 def _pearson_kurtosis(values: np.ndarray) -> np.ndarray:
@@ -68,67 +70,136 @@ def _per_graph(union: GraphBatch, node_values: np.ndarray, reduce) -> np.ndarray
     return out
 
 
-def _node_runs(sizes: np.ndarray, limit: int):
-    """Node ranges ``(first, last)`` of consecutive whole graphs, at most ``limit``
-    nodes each; a larger graph is a range of its own."""
-    first = filled = 0
-    for size in sizes.tolist():
-        if filled + size > limit and filled:
-            yield first, first + filled
-            first, filled = first + filled, 0
-        filled += size
-    yield first, first + filled
+class _Block(NamedTuple):
+    """One block of source columns of a run of consecutive whole graphs.
+
+    Column c of the block holds source node ``j0 + c`` of every graph of the
+    run that has one. ``graphs`` are the run's graphs in the union, ``starts``
+    their first rows in the run, ``valid`` marks the (graph, column) pairs that
+    hold a source and ``sources`` are those sources' nodes in the union, in the
+    row-major order of ``valid``.
+    """
+
+    graphs: slice
+    starts: np.ndarray
+    valid: np.ndarray
+    sources: np.ndarray
+
+    def per_graph(self, node_rows: np.ndarray) -> np.ndarray:
+        """Sums of a run's rows over each graph's nodes: one row per graph."""
+        return np.add.reduceat(node_rows, self.starts, axis=0)
+
+
+def _runs(sizes: np.ndarray):
+    """Graph ranges ``(lo, hi)`` of consecutive whole graphs whose nodes times the
+    widest graph's nodes stay within ``FRONTIER_ENTRIES``; a graph over it alone
+    is a run of its own."""
+    lo = nodes = widest = 0
+    for g, size in enumerate(sizes.tolist()):
+        if nodes and (nodes + size) * max(widest, size) > FRONTIER_ENTRIES:
+            yield lo, g
+            lo, nodes, widest = g, 0, 0
+        nodes += size
+        widest = max(widest, size)
+    yield lo, len(sizes)
+
+
+def _bfs_steps(union: GraphBatch, last_step: int | None = None):
+    """Breadth-first search from every node of ``union`` at once, one step at a time.
+
+    The graphs go in runs (see ``_runs``), and the sources of a run in blocks
+    of columns: at most ``FRONTIER_ENTRIES // nodes of the run`` of them, and at
+    least one. A frontier is a dense (run nodes, block columns) matrix; entry
+    (v, c) is 1 when node v lies at the current distance from the source in
+    column c of v's own graph. Step k multiplies the run's block of the
+    adjacency by the frontier of distance k - 1, and yields
+    ``(block, k, frontier, product, reached)``: ``product`` counts each node's
+    neighbours in ``frontier``, and ``reached`` marks the nodes first reached,
+    at distance exactly k. A block ends after the first step that reaches no
+    node, or after step ``last_step``.
+    """
+    a = union.adjacency
+    for lo, hi in _runs(union.sizes):
+        sizes = union.sizes[lo:hi]
+        first, nodes, widest = int(union.starts[lo]), int(sizes.sum()), int(sizes.max())
+        # the union is block-diagonal, so the run's rows hold only the run's columns
+        entries = a.indptr[first:first + nodes + 1]
+        run_a = sparse.csr_array((a.data[entries[0]:entries[-1]],
+                                  a.indices[entries[0]:entries[-1]] - first,
+                                  entries - entries[0]), shape=(nodes, nodes))
+        starts = union.starts[lo:hi] - first
+        columns = max(1, min(widest, FRONTIER_ENTRIES // nodes))
+        for j0 in range(0, widest, columns):
+            width = min(columns, widest - j0)
+            valid = j0 + np.arange(width) < sizes[:, None]
+            graph, column = np.nonzero(valid)
+            rows = starts[graph] + j0 + column
+            block = _Block(slice(lo, hi), starts, valid, first + rows)
+            frontier = np.zeros((nodes, width))
+            frontier[rows, column] = 1.0
+            seen = frontier > 0
+            step = 0
+            while step != last_step:
+                step += 1
+                product = run_a @ frontier
+                reached = (product > 0) & ~seen
+                yield block, step, frontier, product, reached
+                if not reached.any():
+                    break
+                seen |= reached
+                frontier = reached.astype(np.float64)
 
 
 def avg_shortest_path(union: GraphBatch) -> np.ndarray:
     """Each graph's mean BFS distance over its connected unordered node pairs.
 
-    Disconnected pairs are excluded; ``nan`` where no pair is connected.
-    Consecutive graphs of at most ``PATH_BLOCK`` nodes share one
-    ``csgraph.shortest_path`` call, which leaves the pairs across graphs
-    unreachable; a larger graph runs its sources in blocks of ``PATH_BLOCK``,
-    so memory stays O(PATH_BLOCK * nodes of one graph).
+    Disconnected pairs are excluded; ``nan`` where no pair is connected. Step
+    k of the breadth-first traversal adds k for each node it first reaches.
     """
-    from scipy.sparse import csgraph  # here, as it loads scipy.linalg, which only analysis needs
-
-    node_total = np.zeros(len(union.features))
-    node_pairs = np.zeros(len(union.features), dtype=np.int64)
-    for first, last in _node_runs(union.sizes, PATH_BLOCK):
-        block = union.adjacency[first:last, first:last]
-        for start in range(0, last - first, PATH_BLOCK):
-            sources = np.arange(start, min(start + PATH_BLOCK, last - first))
-            # the adjacency is symmetric, so directed search gives undirected distances
-            dist = csgraph.shortest_path(block, unweighted=True, indices=sources)
-            dist[np.isinf(dist)] = 0.0  # unreachable pairs count as 0, like a node and itself
-            node_total[first + sources] = dist.sum(axis=1)
-            node_pairs[first + sources] = np.count_nonzero(dist, axis=1)
-    # distances are integers, so these sums are exact in any order
-    total = np.add.reduceat(node_total, union.starts)
-    pairs = np.add.reduceat(node_pairs, union.starts)
+    total = np.zeros(len(union), dtype=np.int64)
+    pairs = np.zeros(len(union), dtype=np.int64)
+    for block, step, _, _, reached in _bfs_steps(union):
+        found = block.per_graph(reached.sum(axis=1))
+        total[block.graphs] += step * found
+        pairs[block.graphs] += found
     # every unordered pair was counted from both endpoints
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(pairs > 0, total / pairs, np.nan)
 
 
 def largest_component_fraction(union: GraphBatch) -> np.ndarray:
-    """Each graph's largest connected component as a percentage of its nodes."""
-    from scipy.sparse import csgraph  # here, as it loads scipy.linalg, which only analysis needs
+    """Each graph's largest connected component as a percentage of its nodes.
 
-    # the adjacency is symmetric, so its strong components are its components,
-    # and scipy finds those without building the transpose
-    _, labels = csgraph.connected_components(union.adjacency, connection="strong")
+    Each node takes the smallest label among itself and its neighbours, then
+    follows its label's label once (pointer jumping), until nothing changes;
+    labels only fall and name a node of the same component, so at the end
+    they are constant on each component and differ between components.
+    """
+    a = union.adjacency
+    linked = np.flatnonzero(np.diff(a.indptr))  # reduceat needs nonempty rows
+    labels = np.arange(a.shape[0])
+    while True:
+        smaller = labels.copy()
+        smaller[linked] = np.minimum(labels[linked],
+                                     np.minimum.reduceat(labels[a.indices], a.indptr[linked]))
+        smaller = smaller[smaller]
+        if np.array_equal(smaller, labels):
+            break
+        labels = smaller
     largest = np.maximum.reduceat(np.bincount(labels)[labels], union.starts)
     return 100.0 * largest / union.sizes
 
 
 def avg_clustering_coefficient(union: GraphBatch) -> np.ndarray:
     """Each graph's mean local clustering coefficient; degree<2 nodes contribute 0."""
-    a = union.adjacency
     k = _degrees(union)
-    # row v of (A @ A) * A sums the common neighbors of v and each neighbor:
-    # twice the number of triangles through v
-    links = np.concatenate([(a[s:s + PRODUCT_ROWS] @ a).multiply(a[s:s + PRODUCT_ROWS]).sum(axis=1)
-                            for s in range(0, len(k), PRODUCT_ROWS)])
+    links = np.zeros(len(k))
+    # step 2's product counts, at each neighbour of the source, the source's
+    # neighbours adjacent to it: summed over the neighbours, twice the number
+    # of triangles through the source (needed even when step 2 reaches nothing)
+    for block, step, frontier, product, _ in _bfs_steps(union, last_step=2):
+        if step == 2:
+            links[block.sources] = block.per_graph(frontier * product)[block.valid]
     coeff = np.zeros(len(k))
     ok = k >= 2
     coeff[ok] = links[ok] / (k[ok] * (k[ok] - 1))

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ def run_cli(*argv):
 
 
 # scipy.stats takes most of a start-up (the Welch test runs on scipy.special), and
-# csgraph brings scipy.sparse.linalg and scipy.linalg, which only property analysis needs
+# csgraph brings scipy.sparse.linalg and scipy.linalg; the property traversal needs none
 ANALYSIS_ONLY = ("scipy.stats", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
 
 
@@ -38,13 +39,17 @@ def test_import_does_not_load_scipy_stats():
     assert analysis_modules_loaded_by("import gcflsim, gcflsim.cli") == []
 
 
-def test_property_analysis_loads_csgraph_on_first_call():
-    code = ("from gcflsim.graphs import Dataset, erdos_renyi_gnm\n"
+def test_property_analysis_loads_no_graph_or_linear_algebra_library(tmp_path):
+    root = write_tu_fixture(tmp_path / "data", "TINY")
+    code = ("from gcflsim.cli import main\n"
+            "from gcflsim.graphs import Dataset, erdos_renyi_gnm\n"
             "from gcflsim.properties import property_significance\n"
             "ds = Dataset('tiny', [erdos_renyi_gnm(6, m, m) for m in (3, 4, 5, 6)])\n"
-            "print(property_significance(ds, seed=0).rows['largest_component_pct'].real)")
-    assert analysis_modules_loaded_by(code) == ["scipy.sparse.csgraph", "scipy.sparse.linalg",
-                                                "scipy.linalg"]
+            "print(property_significance(ds, seed=0).rows['largest_component_pct'].real)\n"
+            f"assert main(['analyze-properties', '--data-root', {str(root)!r}, '--dataset', 'TINY',"
+            f" '--out', {str(tmp_path / 'props.csv')!r}]) == 0")
+    assert analysis_modules_loaded_by(code) == []
+    assert len((tmp_path / "props.csv").read_text().splitlines()) == 5
 
 
 class TestAnalyzeProperties:
@@ -193,6 +198,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert "ConfigurationError" in err
         assert override.split("=")[0] in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unallocatable_model_is_configuration_error(self, tmp_path, capsys):
+        # about 2e16 parameters: numpy refuses the vector at once, allocating nothing
+        cfg = self._write_config(tmp_path)
+        assert run_cli("run", "--config", str(cfg), "--set", "hidden=100000000") == 3
+        err = capsys.readouterr().err
+        assert "ConfigurationError" in err and "hidden 100000000" in err
+        assert re.search(r"a GIN of \d{17} parameters", err)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sets, differ", [

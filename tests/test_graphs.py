@@ -67,6 +67,18 @@ class TestGraphInvariants:
         assert star5.feat_dim != 2
         assert np.array_equal(g.degrees, star5.degrees)
 
+    def test_with_features_shares_cached_structure_and_checks_features(self, star5):
+        adjacency, degrees = star5.adjacency, star5.degrees
+        g = star5.with_features(np.ones((6, 3), dtype=np.int64))
+        assert g.edges is star5.edges
+        assert g.adjacency is adjacency and g.degrees is degrees
+        assert g.features.dtype == np.float64 and star5.feat_dim == 1
+        with pytest.raises(ArgumentError):
+            g.with_features(np.ones((5, 3)))
+        # a copy made before the cache is filled fills its own
+        fresh = make_graph(3, [(0, 1)]).with_features(np.zeros((3, 2)))
+        assert fresh.degrees.tolist() == [1, 1, 0]
+
     def test_degrees_and_neighbors(self, star5):
         assert star5.degrees.tolist() == [5, 1, 1, 1, 1, 1]
         a = star5.adjacency

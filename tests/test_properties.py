@@ -1,6 +1,7 @@
 import warnings
 from collections import deque
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 from scipy import special, stats
 from scipy.sparse import csgraph
 
+from gcflsim import properties
 from gcflsim.errors import UndefinedStatisticError
 from gcflsim.graphs import Dataset, GraphBatch
 from gcflsim.properties import (
-    PATH_BLOCK,
+    FRONTIER_ENTRIES,
     _degrees,
     _pearson_kurtosis,
     _per_graph,
@@ -97,6 +99,28 @@ UNION_AND_REFERENCE = (
     (avg_clustering_coefficient, ref_clustering),
     (per_graph_kurtosis, ref_kurtosis),
 )
+
+
+def assert_union_matches_oracles(graphs):
+    """Each union value equals the brute-force value of its graph alone."""
+    union = GraphBatch(graphs)
+    paths = avg_shortest_path(union)
+    for g, path, lcc, cc in zip(graphs, paths, largest_component_fraction(union),
+                                avg_clustering_coefficient(union)):
+        assert cc == pytest.approx(brute_clustering(g), abs=1e-12)
+        assert lcc == pytest.approx(brute_largest_component(g), abs=1e-12)
+        ref = brute_shortest_path(g)
+        assert np.isnan(path) if ref is None else path == pytest.approx(ref, abs=1e-12)
+
+
+# frontier budgets of one source column per block, of a few columns, and the default
+BUDGETS = (1, 48, FRONTIER_ENTRIES)
+
+
+@pytest.fixture(params=BUDGETS)
+def budget(request, monkeypatch):
+    monkeypatch.setattr(properties, "FRONTIER_ENTRIES", request.param)
+    return request.param
 
 
 def bits(x):
@@ -250,9 +274,10 @@ class TestAvgShortestPath:
     def test_edgeless_is_nan(self):
         assert np.isnan(one(avg_shortest_path, make_graph(3, [])))
 
-    def test_path_longer_than_one_source_block(self):
-        # mean distance over the pairs of a path on n nodes is (n + 1) / 3
-        n = 2 * PATH_BLOCK + 5
+    def test_path_longer_than_one_column_block(self, budget):
+        # mean distance over the pairs of a path on n nodes is (n + 1) / 3; under the
+        # small budgets the path's sources come in several column blocks
+        n = 13 if budget < FRONTIER_ENTRIES else 300
         g = make_graph(n, [(i, i + 1) for i in range(n - 1)])
         assert one(avg_shortest_path, g) == (n + 1) / 3
 
@@ -309,17 +334,16 @@ class TestUnion:
     """One value per graph of a union, bit-equal to the per-graph references."""
 
     @HYPOTHESIS
-    @given(st.lists(small_graphs(), min_size=1, max_size=8))
-    def test_union_values_match_references_and_oracles(self, graphs):
-        assert_union_matches_references(graphs)
-        union = GraphBatch(graphs)
-        paths = avg_shortest_path(union)
-        for g, path, lcc, cc in zip(graphs, paths, largest_component_fraction(union),
-                                    avg_clustering_coefficient(union)):
-            assert cc == pytest.approx(brute_clustering(g), abs=1e-12)
-            assert lcc == pytest.approx(brute_largest_component(g), abs=1e-12)
-            ref = brute_shortest_path(g)
-            assert np.isnan(path) if ref is None else path == pytest.approx(ref, abs=1e-12)
+    @given(st.lists(small_graphs(), min_size=1, max_size=8), st.integers(3, 6),
+           st.integers(0, 8), st.sampled_from([1, 2, 7, 40]))
+    def test_union_values_match_references_and_oracles(self, graphs, k, where, tiny):
+        # a complete graph has diameter 1: its triangles show only in step 2's product,
+        # which reaches no new node
+        graphs = graphs[:where] + [complete_graph(k)] + graphs[where:]
+        for budget in (tiny, FRONTIER_ENTRIES):
+            with mock.patch.object(properties, "FRONTIER_ENTRIES", budget):
+                assert_union_matches_references(graphs)
+                assert_union_matches_oracles(graphs)
 
     def test_single_node_and_edgeless_graphs(self):
         graphs = [make_graph(1, []), make_graph(3, []), make_graph(2, [(0, 1)]), make_graph(1, [])]
@@ -329,20 +353,26 @@ class TestUnion:
         assert largest_component_fraction(union).tolist() == [100.0, 100.0 / 3, 100.0, 100.0]
         assert avg_clustering_coefficient(union).tolist() == [0.0, 0.0, 0.0, 0.0]
 
-    def test_graphs_straddling_the_path_block(self):
+    def test_graphs_straddling_the_frontier_budget(self, budget):
         rng = np.random.default_rng(4)
-        # runs close exactly at, just before and just past the block size
-        sizes = [PATH_BLOCK - 3, 3, PATH_BLOCK // 2, PATH_BLOCK // 2 + 1, 2, PATH_BLOCK, 7]
-        graphs = [random_graph(rng, n=n, p=4.0 / n) for n in sizes]
-        assert_union_matches_references(graphs[:-1] + [make_graph(1, [], feat_dim=3)] + graphs[-1:])
+        # under a budget of 48 entries, runs close exactly at it (3 graphs of 4 nodes),
+        # just past it and on a one-node graph; under 1 every graph is a run of its own
+        sizes = [4, 4, 4, 3, 5, 2, 7, 6, 6, 3]
+        graphs = [random_graph(rng, n=n, p=0.5) for n in sizes]
+        graphs = graphs[:-1] + [make_graph(1, [], feat_dim=3)] + graphs[-1:]
+        assert_union_matches_references(graphs)
+        assert_union_matches_oracles(graphs)
 
-    def test_graph_larger_than_the_path_block(self):
+    def test_graph_larger_than_the_frontier_budget(self, budget):
         rng = np.random.default_rng(5)
-        n = 2 * PATH_BLOCK + 5
+        # 11 and 22 nodes exceed a budget of 48 alone: 4 and 2 source columns per block
+        n = 11
         path = make_graph(n, [(i, i + 1) for i in range(n - 1)], feat_dim=3)
-        graphs = [random_graph(rng, n=9), path, random_graph(rng, n=2 * n, p=3.0 / n),
+        graphs = [random_graph(rng, n=5), path, random_graph(rng, n=2 * n, p=3.0 / n),
+                  make_graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)], feat_dim=3),
                   random_graph(rng, n=5)]
         assert_union_matches_references(graphs)
+        assert_union_matches_oracles(graphs)
         assert avg_shortest_path(GraphBatch(graphs))[1] == (n + 1) / 3
 
 
