@@ -8,18 +8,19 @@ component percentage, and average local clustering coefficient.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
 from scipy.special import stdtr
 
 from .errors import ArgumentError, UndefinedStatisticError
-from .graphs import Dataset, Graph, GraphBatch, erdos_renyi_gnm
+from .graphs import Dataset, Graph, GraphBatch, _offsets, erdos_renyi_gnm
 
 logger = logging.getLogger(__name__)
 
@@ -30,9 +31,10 @@ PROPERTY_NAMES = (
     "clustering_coefficient",
 )
 
-# nodes of a run of graphs times its source columns: the breadth-first traversal's
-# frontier entries, which bound its memory
-FRONTIER_ENTRIES = 1 << 20
+# nodes of a run of graphs times its source columns: the bits of each frontier
+# array of the breadth-first traversal, which bound its memory (512 KiB each); the
+# clustering product takes its rows in blocks of about FRONTIER_BITS / 8 entries
+FRONTIER_BITS = 1 << 22
 
 
 def _pearson_kurtosis(values: np.ndarray) -> np.ndarray:
@@ -70,84 +72,97 @@ def _per_graph(union: GraphBatch, node_values: np.ndarray, reduce) -> np.ndarray
     return out
 
 
-class _Block(NamedTuple):
-    """One block of source columns of a run of consecutive whole graphs.
-
-    Column c of the block holds source node ``j0 + c`` of every graph of the
-    run that has one. ``graphs`` are the run's graphs in the union, ``starts``
-    their first rows in the run, ``valid`` marks the (graph, column) pairs that
-    hold a source and ``sources`` are those sources' nodes in the union, in the
-    row-major order of ``valid``.
-    """
-
-    graphs: slice
-    starts: np.ndarray
-    valid: np.ndarray
-    sources: np.ndarray
-
-    def per_graph(self, node_rows: np.ndarray) -> np.ndarray:
-        """Sums of a run's rows over each graph's nodes: one row per graph."""
-        return np.add.reduceat(node_rows, self.starts, axis=0)
-
-
-def _runs(sizes: np.ndarray):
-    """Graph ranges ``(lo, hi)`` of consecutive whole graphs whose nodes times the
-    widest graph's nodes stay within ``FRONTIER_ENTRIES``; a graph over it alone
-    is a run of its own."""
+def _runs(union: GraphBatch):
+    """Runs ``(lo, hi, first, run_a)`` of consecutive whole graphs: graphs ``lo`` to
+    ``hi - 1`` of the union, whose nodes start at row ``first``, and the run's block
+    of the adjacency. A run's nodes times its widest graph's nodes stay within
+    ``FRONTIER_BITS``; a graph over it alone is a run of its own."""
+    a = union.adjacency
     lo = nodes = widest = 0
-    for g, size in enumerate(sizes.tolist()):
-        if nodes and (nodes + size) * max(widest, size) > FRONTIER_ENTRIES:
-            yield lo, g
+    bounds = []
+    for g, size in enumerate(union.sizes.tolist()):
+        if nodes and (nodes + size) * max(widest, size) > FRONTIER_BITS:
+            bounds.append((lo, g))
             lo, nodes, widest = g, 0, 0
         nodes += size
         widest = max(widest, size)
-    yield lo, len(sizes)
+    bounds.append((lo, len(union)))
+    for lo, hi in bounds:
+        first, nodes = int(union.starts[lo]), int(union.sizes[lo:hi].sum())
+        # the union is block-diagonal, so the run's rows hold only the run's columns
+        entries = a.indptr[first:first + nodes + 1]
+        yield lo, hi, first, sparse.csr_array((a.data[entries[0]:entries[-1]],
+                                               a.indices[entries[0]:entries[-1]] - first,
+                                               entries - entries[0]), shape=(nodes, nodes))
 
 
-def _bfs_steps(union: GraphBatch, last_step: int | None = None):
+def _neighbour_passes(a: sparse.csr_array) -> tuple[list[np.ndarray], np.ndarray]:
+    """``a``'s neighbour lists by rank, for ``_or_of_neighbours``.
+
+    Pass j lists the j-th neighbour of each row that has one, in the order of
+    the rows sorted by falling degree: the rows of a pass are a prefix of that
+    order. Also returns the permutation from that order back to row order.
+    """
+    degree = np.diff(a.indptr)
+    order = np.argsort(-degree, kind="stable")
+    having = len(order) - np.searchsorted(degree[order[::-1]], np.arange(degree.max(initial=0)),
+                                          "right")  # rows of degree > j
+    return [a.indices[a.indptr[order[:n]] + j] for j, n in enumerate(having.tolist())], \
+        np.argsort(order)
+
+
+def _or_of_neighbours(frontier: np.ndarray, passes: list[np.ndarray], unsort: np.ndarray):
+    """Each row's OR of its neighbours' rows of ``frontier``: one gather per pass."""
+    reached = np.zeros_like(frontier)
+    for neighbours in passes:
+        reached[:len(neighbours)] |= frontier[neighbours]
+    return reached[unsort]
+
+
+def _bfs_steps(union: GraphBatch):
     """Breadth-first search from every node of ``union`` at once, one step at a time.
 
     The graphs go in runs (see ``_runs``), and the sources of a run in blocks
-    of columns: at most ``FRONTIER_ENTRIES // nodes of the run`` of them, and at
-    least one. A frontier is a dense (run nodes, block columns) matrix; entry
-    (v, c) is 1 when node v lies at the current distance from the source in
-    column c of v's own graph. Step k multiplies the run's block of the
-    adjacency by the frontier of distance k - 1, and yields
-    ``(block, k, frontier, product, reached)``: ``product`` counts each node's
-    neighbours in ``frontier``, and ``reached`` marks the nodes first reached,
-    at distance exactly k. A block ends after the first step that reaches no
-    node, or after step ``last_step``.
+    of ``FRONTIER_BITS // run nodes`` columns, at least one: column c holds
+    source node ``j0 + c`` of every graph of the run that has one. (A run of
+    several graphs fits in one block; only a graph over the budget alone takes
+    its sources in several.) A node's frontier is a row of 64-bit words whose
+    bit c is set when the node lies at the current distance from the source in
+    column c of its own graph; a step ORs each node's neighbours' rows and keeps
+    the bits not yet seen. Step k yields ``(graphs, k, found)``: ``found[i]``
+    counts the (source, node) pairs of graph ``graphs[i]`` at distance exactly
+    k. A graph whose step reaches nothing is done and leaves the block, so a
+    long-diameter graph steps alone.
     """
-    a = union.adjacency
-    for lo, hi in _runs(union.sizes):
+    for lo, hi, first, run_a in _runs(union):
         sizes = union.sizes[lo:hi]
-        first, nodes, widest = int(union.starts[lo]), int(sizes.sum()), int(sizes.max())
-        # the union is block-diagonal, so the run's rows hold only the run's columns
-        entries = a.indptr[first:first + nodes + 1]
-        run_a = sparse.csr_array((a.data[entries[0]:entries[-1]],
-                                  a.indices[entries[0]:entries[-1]] - first,
-                                  entries - entries[0]), shape=(nodes, nodes))
-        starts = union.starts[lo:hi] - first
-        columns = max(1, min(widest, FRONTIER_ENTRIES // nodes))
+        widest = int(sizes.max())
+        columns = max(1, min(widest, FRONTIER_BITS // run_a.shape[0]))
+        run_passes = _neighbour_passes(run_a)
         for j0 in range(0, widest, columns):
             width = min(columns, widest - j0)
-            valid = j0 + np.arange(width) < sizes[:, None]
-            graph, column = np.nonzero(valid)
-            rows = starts[graph] + j0 + column
-            block = _Block(slice(lo, hi), starts, valid, first + rows)
-            frontier = np.zeros((nodes, width))
-            frontier[rows, column] = 1.0
-            seen = frontier > 0
-            step = 0
-            while step != last_step:
-                step += 1
-                product = run_a @ frontier
-                reached = (product > 0) & ~seen
-                yield block, step, frontier, product, reached
-                if not reached.any():
-                    break
-                seen |= reached
-                frontier = reached.astype(np.float64)
+            graph, column = np.nonzero(j0 + np.arange(width) < sizes[:, None])
+            frontier = np.zeros((run_a.shape[0], -(-width // 64)), dtype=np.uint64)
+            frontier[union.starts[lo + graph] - first + j0 + column, column // 64] = \
+                np.uint64(1) << (column % 64).astype(np.uint64)
+            unseen, a, graphs, starts = ~frontier, run_a, np.arange(lo, hi), _offsets(sizes)
+            passes, unsort = run_passes
+            for step in itertools.count(1):
+                reached = _or_of_neighbours(frontier, passes, unsort)
+                reached &= unseen
+                unseen ^= reached
+                found = np.add.reduceat(np.bitwise_count(reached).sum(axis=1, dtype=np.int64),
+                                        starts)
+                yield graphs, step, found
+                live = found > 0
+                if not live.all():  # the graphs that are done leave
+                    if not live.any():
+                        break
+                    rows = np.repeat(live, union.sizes[graphs])
+                    reached, unseen, graphs = reached[rows], unseen[rows], graphs[live]
+                    a = a[rows][:, rows]
+                    starts, (passes, unsort) = _offsets(union.sizes[graphs]), _neighbour_passes(a)
+                frontier = reached
 
 
 def avg_shortest_path(union: GraphBatch) -> np.ndarray:
@@ -158,10 +173,9 @@ def avg_shortest_path(union: GraphBatch) -> np.ndarray:
     """
     total = np.zeros(len(union), dtype=np.int64)
     pairs = np.zeros(len(union), dtype=np.int64)
-    for block, step, _, _, reached in _bfs_steps(union):
-        found = block.per_graph(reached.sum(axis=1))
-        total[block.graphs] += step * found
-        pairs[block.graphs] += found
+    for graphs, step, found in _bfs_steps(union):
+        total[graphs] += step * found
+        pairs[graphs] += found
     # every unordered pair was counted from both endpoints
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(pairs > 0, total / pairs, np.nan)
@@ -194,12 +208,17 @@ def avg_clustering_coefficient(union: GraphBatch) -> np.ndarray:
     """Each graph's mean local clustering coefficient; degree<2 nodes contribute 0."""
     k = _degrees(union)
     links = np.zeros(len(k))
-    # step 2's product counts, at each neighbour of the source, the source's
-    # neighbours adjacent to it: summed over the neighbours, twice the number
-    # of triangles through the source (needed even when step 2 reaches nothing)
-    for block, step, frontier, product, _ in _bfs_steps(union, last_step=2):
-        if step == 2:
-            links[block.sources] = block.per_graph(frontier * product)[block.valid]
+    for _, _, first, run_a in _runs(union):
+        # row v of (A @ A) * A sums the common neighbors of v and each neighbor:
+        # twice the number of triangles through v. The product's row v has at most
+        # as many entries as v has 2-paths, so rows go in blocks of about
+        # FRONTIER_BITS / 8 2-paths, a product of a few MiB
+        paths = run_a @ np.diff(run_a.indptr).astype(np.float64)
+        block = (np.cumsum(paths) - paths) // max(1, FRONTIER_BITS // 8)
+        ends = np.append(np.flatnonzero(np.diff(block)) + 1, len(paths))
+        for s, e in zip(np.append(0, ends[:-1]), ends):
+            part = run_a[s:e]
+            links[first + s:first + e] = (part @ run_a).multiply(part).sum(axis=1)
     coeff = np.zeros(len(k))
     ok = k >= 2
     coeff[ok] = links[ok] / (k[ok] * (k[ok] - 1))

@@ -14,7 +14,7 @@ from gcflsim import properties
 from gcflsim.errors import UndefinedStatisticError
 from gcflsim.graphs import Dataset, GraphBatch
 from gcflsim.properties import (
-    FRONTIER_ENTRIES,
+    FRONTIER_BITS,
     _degrees,
     _pearson_kurtosis,
     _per_graph,
@@ -114,12 +114,12 @@ def assert_union_matches_oracles(graphs):
 
 
 # frontier budgets of one source column per block, of a few columns, and the default
-BUDGETS = (1, 48, FRONTIER_ENTRIES)
+BUDGETS = (1, 48, FRONTIER_BITS)
 
 
 @pytest.fixture(params=BUDGETS)
 def budget(request, monkeypatch):
-    monkeypatch.setattr(properties, "FRONTIER_ENTRIES", request.param)
+    monkeypatch.setattr(properties, "FRONTIER_BITS", request.param)
     return request.param
 
 
@@ -277,7 +277,7 @@ class TestAvgShortestPath:
     def test_path_longer_than_one_column_block(self, budget):
         # mean distance over the pairs of a path on n nodes is (n + 1) / 3; under the
         # small budgets the path's sources come in several column blocks
-        n = 13 if budget < FRONTIER_ENTRIES else 300
+        n = 13 if budget < FRONTIER_BITS else 300
         g = make_graph(n, [(i, i + 1) for i in range(n - 1)])
         assert one(avg_shortest_path, g) == (n + 1) / 3
 
@@ -337,11 +337,11 @@ class TestUnion:
     @given(st.lists(small_graphs(), min_size=1, max_size=8), st.integers(3, 6),
            st.integers(0, 8), st.sampled_from([1, 2, 7, 40]))
     def test_union_values_match_references_and_oracles(self, graphs, k, where, tiny):
-        # a complete graph has diameter 1: its triangles show only in step 2's product,
-        # which reaches no new node
+        # a complete graph: every source is done after one step, and every pair of
+        # neighbours closes a triangle
         graphs = graphs[:where] + [complete_graph(k)] + graphs[where:]
-        for budget in (tiny, FRONTIER_ENTRIES):
-            with mock.patch.object(properties, "FRONTIER_ENTRIES", budget):
+        for budget in (tiny, FRONTIER_BITS):
+            with mock.patch.object(properties, "FRONTIER_BITS", budget):
                 assert_union_matches_references(graphs)
                 assert_union_matches_oracles(graphs)
 
@@ -355,7 +355,7 @@ class TestUnion:
 
     def test_graphs_straddling_the_frontier_budget(self, budget):
         rng = np.random.default_rng(4)
-        # under a budget of 48 entries, runs close exactly at it (3 graphs of 4 nodes),
+        # under a budget of 48 bits, runs close exactly at it (3 graphs of 4 nodes),
         # just past it and on a one-node graph; under 1 every graph is a run of its own
         sizes = [4, 4, 4, 3, 5, 2, 7, 6, 6, 3]
         graphs = [random_graph(rng, n=n, p=0.5) for n in sizes]
@@ -374,6 +374,44 @@ class TestUnion:
         assert_union_matches_references(graphs)
         assert_union_matches_oracles(graphs)
         assert avg_shortest_path(GraphBatch(graphs))[1] == (n + 1) / 3
+
+    @pytest.mark.parametrize("columns", [100, 150])
+    def test_frontier_rows_of_several_words(self, columns, monkeypatch):
+        rng = np.random.default_rng(6)
+        n = 150
+        path = make_graph(n, [(i, i + 1) for i in range(n - 1)])
+        graphs = [random_graph(rng, n=70, p=0.05, feat_dim=1), path,
+                  random_graph(rng, n=9, feat_dim=1), random_graph(rng, n=130, p=0.03, feat_dim=1)]
+        # column blocks of 100 (two words, the second partly used) or 150 sources
+        monkeypatch.setattr(properties, "FRONTIER_BITS", columns * sum(g.num_nodes for g in graphs))
+        assert_union_matches_references(graphs)
+        assert_union_matches_oracles(graphs)
+        assert avg_shortest_path(GraphBatch(graphs))[1] == (n + 1) / 3
+
+    @pytest.mark.parametrize("bits", [10 * 30, FRONTIER_BITS])
+    def test_done_graphs_leave_the_traversal(self, bits, monkeypatch):
+        n = 30
+        path = make_graph(n, [(i, i + 1) for i in range(n - 1)])
+        graphs = [complete_graph(3), complete_graph(3), path, make_graph(2, [(0, 1)]),
+                  make_graph(2, [])]
+        monkeypatch.setattr(properties, "FRONTIER_BITS", bits)
+        steps = [(graphs.tolist(), step, found.tolist())
+                 for graphs, step, found in properties._bfs_steps(GraphBatch(graphs))]
+        if bits == FRONTIER_BITS:
+            # one run: each graph steps until a step reaches nothing, and only the
+            # path (diameter n - 1) goes on
+            assert [g for g, step, _ in steps if step <= 2] == [[0, 1, 2, 3, 4], [0, 1, 2, 3]]
+            assert [g for g, _, _ in steps[2:]] == [[2]] * (n - 2)
+        else:
+            # runs [0, 1], [2] and [3, 4]; the path alone takes sources 0-9, 10-19 and
+            # 20-29 in three blocks, which step 30, 20 and 30 times
+            assert [step for g, step, _ in steps if g == [2] and step == 1] == [1, 1, 1]
+            assert len(steps) == 2 + 30 + 20 + 30 + 2
+        # every ordered pair of a connected graph is found once
+        reached = np.zeros(len(graphs), dtype=np.int64)
+        for g, _, found in steps:
+            reached[g] += found
+        assert reached.tolist() == [6, 6, n * (n - 1), 2, 0]
 
 
 class TestWelch:
