@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -67,12 +68,20 @@ class Graph:
         The validated edges (and any cached degrees and adjacency) are shared,
         not checked again: nothing writes to them after construction.
         """
-        features = _node_features(features, self.num_nodes)
-        # the instance dict holds the fields and any cached properties; copying it
-        # takes a third of the time of ``copy.copy``
-        graph = Graph.__new__(Graph)
-        graph.__dict__.update(self.__dict__)
-        graph.features = features
+        # the instance dict holds the fields and any cached properties
+        return Graph._unchecked(**{**self.__dict__,
+                                   "features": _node_features(features, self.num_nodes)})
+
+    @classmethod
+    def _unchecked(cls, **fields) -> "Graph":
+        """A graph with exactly these instance attributes: no copy and no check.
+
+        For callers that hold canonical int64 edges (see ``_is_canonical``) and
+        float64 features of one row per node, as ``Graph(...)`` would store
+        them. The arrays may be views of larger ones; nothing writes to them.
+        """
+        graph = cls.__new__(cls)
+        graph.__dict__.update(fields)
         return graph
 
 
@@ -234,28 +243,26 @@ def erdos_renyi_gnm(n: int, m: int, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     # numpy's choice without replacement stays O(m) in memory on any n
     chosen = np.sort(rng.choice(max_m, size=m, replace=False))
-    edges = np.stack(decode_pair_index(chosen, n), axis=1)
-    return Graph(n, edges, np.ones((n, 1)), 0)
+    edges = np.empty((m, 2), dtype=np.int64)
+    edges[:, 0], edges[:, 1] = decode_pair_index(chosen, n)
+    if not _is_canonical(edges, n):  # distinct sorted indices decode to canonical edges
+        raise RuntimeError(f"G({n}, {m}) drew edges out of order")
+    return Graph._unchecked(num_nodes=n, edges=edges, features=np.ones((n, 1)), label=0)
 
 
 def decode_pair_index(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Decode flat indices k into the k-th pairs (u, v) of {(u, v): u < v < n}.
 
     Pairs are numbered in lexicographic order, so row u starts at
-    first(u) = u * (2n - u - 1) / 2 and the row of k is the floored smaller
-    root of first(u) = k; one integer step each way corrects the rounding of
-    the square root.
+    first(u) = u * (2n - u - 1) / 2; the row of k is the last row start at or
+    below k, found by a binary search over the n - 1 row starts in exact
+    integer arithmetic.
     """
     k = np.asarray(k, dtype=np.int64)
-
-    def first(u):
-        return u * (2 * n - u - 1) // 2
-
-    b = 2 * n - 1
-    u = np.floor((b - np.sqrt(float(b) * b - 8.0 * k)) / 2).astype(np.int64)
-    u -= first(u) > k
-    u += first(u + 1) <= k
-    return u, k - first(u) + u + 1
+    rows = np.arange(max(n - 1, 0), dtype=np.int64)
+    first = rows * (2 * n - rows - 1) // 2
+    u = np.searchsorted(first, k, side="right") - 1
+    return u, k - first[u] + u + 1
 
 
 def binomial_gnp(n: int, p: float, seed: int) -> Graph:
@@ -309,14 +316,15 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     # 0-based contiguous class indices in sorted raw-label order
     classes, labels = np.unique(raw_labels, return_inverse=True)
 
-    # nodes grouped by graph in file order; a node's local index is its rank there
+    # nodes grouped by graph in file order: a node's row is its position in that
+    # order, and its local index its rank within its graph
     node_counts = np.bincount(graph_of_node, minlength=num_graphs)
     if np.any(node_counts == 0):
         raise CorruptDatasetError(f"{indicator_path}: some graphs have no nodes")
     by_graph = np.argsort(graph_of_node, kind="stable")
-    starts = np.cumsum(node_counts) - node_counts
-    local_index = np.empty(num_nodes_total, dtype=np.int64)
-    local_index[by_graph] = np.arange(num_nodes_total) - np.repeat(starts, node_counts)
+    starts = _offsets(node_counts)
+    row = np.empty(num_nodes_total, dtype=np.int64)
+    row[by_graph] = np.arange(num_nodes_total)
 
     pairs = _read_rows(adj_path, np.int64)
     if len(pairs) and pairs.shape[1] != 2:
@@ -324,23 +332,30 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     pairs = np.sort(pairs.reshape(-1, 2), axis=1) - 1
     if len(pairs) and (pairs[:, 0].min() < 0 or pairs[:, 1].max() >= num_nodes_total):
         raise CorruptDatasetError(f"{adj_path}: node index out of range")
-    # both directions of an edge share one key
-    lo, hi = np.divmod(np.unique(pairs[:, 0] * num_nodes_total + pairs[:, 1]), num_nodes_total)
+    # both directions of an edge share one key; a sorted key equal to the one
+    # before it is a repeat
+    keys = np.sort(pairs[:, 0] * num_nodes_total + pairs[:, 1])
     del pairs  # not kept alive while the graphs are built
+    lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) != 0], num_nodes_total)
     crossing = np.flatnonzero(graph_of_node[lo] != graph_of_node[hi])
     if len(crossing):
         ga, gb = graph_of_node[[lo[crossing[0]], hi[crossing[0]]]] + 1
         raise CorruptDatasetError(f"{adj_path}: edge crosses graphs {ga} and {gb}")
-    lo, hi = lo[lo != hi], hi[lo != hi]  # self-loops are dropped
-    edge_graph = graph_of_node[lo]
-    order = np.argsort(edge_graph, kind="stable")
-    edges = np.stack([local_index[lo], local_index[hi]], axis=1)[order]
-    edge_blocks = np.split(edges, np.cumsum(np.bincount(edge_graph, minlength=num_graphs))[:-1])
-
-    features = _build_node_features(base, name, num_nodes_total)
-    node_rows = np.split(by_graph, np.cumsum(node_counts)[:-1])
-    graphs = [Graph(n, e, features[rows], label) for n, e, rows, label
-              in zip(node_counts.tolist(), edge_blocks, node_rows, labels.tolist())]
+    kept = lo != hi  # self-loops are dropped
+    edges = np.stack([row[lo[kept]], row[hi[kept]]], axis=1)
+    # files list each graph's nodes together and in order, so the edges of the
+    # whole set are canonical over the rows as they stand; others are sorted
+    if not _is_canonical(edges, num_nodes_total):
+        edges = _canonical_edges(edges, num_nodes_total)
+    # a graph's edges and node rows are consecutive slices of these arrays
+    edge_graph = graph_of_node[by_graph[edges[:, 0]]]
+    edges -= starts[edge_graph, None]
+    edge_ends = np.cumsum(np.bincount(edge_graph, minlength=num_graphs)).tolist()
+    features = _build_node_features(base, name, num_nodes_total)[by_graph]
+    graphs = [Graph._unchecked(num_nodes=n, edges=edges[e0:e1], features=features[v0:v0 + n],
+                               label=label)
+              for n, v0, e0, e1, label in zip(node_counts.tolist(), starts.tolist(),
+                                              [0] + edge_ends[:-1], edge_ends, labels.tolist())]
 
     logger.info("loaded %s: %d graphs, feat_dim=%d, %d classes",
                 name, len(graphs), graphs[0].feat_dim, len(classes))
@@ -371,7 +386,20 @@ def _build_node_features(base: Path, name: str, num_nodes: int) -> np.ndarray:
 
 
 def _read_rows(path: Path, dtype=np.float64) -> np.ndarray:
-    """The non-blank lines of a comma-separated TU file, streamed into ``np.loadtxt``."""
+    """The rows of a comma-separated TU file, whose blank and whitespace-only lines hold none.
+
+    ``np.loadtxt``'s C reader parses the file and skips its empty lines. Only a
+    file that it rejects or finds without data is read again, its non-blank
+    lines streamed into ``np.loadtxt``: that pass drops whitespace-only lines,
+    gives an empty array without a warning, and names the file in the error of
+    a line that is malformed.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        pass
     with open(path) as fh:
         lines = filter(str.strip, fh)
         first = next(lines, None)

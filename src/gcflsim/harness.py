@@ -219,7 +219,8 @@ def synthetic_two_group_clients(
                 g = binomial_gnp(nodes, p, int(rng.integers(2**32)))
                 feats = noise * rng.standard_normal((nodes, 4))
                 feats[:, 2 * group_index + label] += 1.0
-                graphs.append(Graph(g.num_nodes, g.edges, feats, label))
+                graphs.append(Graph._unchecked(num_nodes=nodes, edges=g.edges, features=feats,
+                                               label=label))
             train, test = _split_train_test(graphs, test_fraction)
             clients.append(ClientState(cid, train, test, seed=cid))
             groups[group_index].add(cid)

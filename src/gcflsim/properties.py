@@ -32,8 +32,8 @@ PROPERTY_NAMES = (
 )
 
 # nodes of a run of graphs times its source columns: the bits of each frontier
-# array of the breadth-first traversal, which bound its memory (512 KiB each); the
-# clustering product takes its rows in blocks of about FRONTIER_BITS / 8 entries
+# array of the breadth-first traversal and of the clustering bitsets, which bound
+# their memory (512 KiB each)
 FRONTIER_BITS = 1 << 22
 
 
@@ -101,68 +101,81 @@ def _neighbour_passes(a: sparse.csr_array) -> tuple[list[np.ndarray], np.ndarray
 
     Pass j lists the j-th neighbour of each row that has one, in the order of
     the rows sorted by falling degree: the rows of a pass are a prefix of that
-    order. Also returns the permutation from that order back to row order.
+    order. Also returns that order.
     """
     degree = np.diff(a.indptr)
     order = np.argsort(-degree, kind="stable")
     having = len(order) - np.searchsorted(degree[order[::-1]], np.arange(degree.max(initial=0)),
                                           "right")  # rows of degree > j
-    return [a.indices[a.indptr[order[:n]] + j] for j, n in enumerate(having.tolist())], \
-        np.argsort(order)
+    return [a.indices[a.indptr[order[:n]] + j] for j, n in enumerate(having.tolist())], order
 
 
-def _or_of_neighbours(frontier: np.ndarray, passes: list[np.ndarray], unsort: np.ndarray):
+def _or_of_neighbours(frontier: np.ndarray, passes: list[np.ndarray], order: np.ndarray):
     """Each row's OR of its neighbours' rows of ``frontier``: one gather per pass."""
     reached = np.zeros_like(frontier)
     for neighbours in passes:
         reached[:len(neighbours)] |= frontier[neighbours]
-    return reached[unsort]
+    out = np.empty_like(reached)
+    out[order] = reached
+    return out
 
 
-def _bfs_steps(union: GraphBatch):
-    """Breadth-first search from every node of ``union`` at once, one step at a time.
+def _source_blocks(union: GraphBatch):
+    """The runs of ``union`` (see ``_runs``) and their source columns, block by block.
 
-    The graphs go in runs (see ``_runs``), and the sources of a run in blocks
-    of ``FRONTIER_BITS // run nodes`` columns, at least one: column c holds
-    source node ``j0 + c`` of every graph of the run that has one. (A run of
-    several graphs fits in one block; only a graph over the budget alone takes
-    its sources in several.) A node's frontier is a row of 64-bit words whose
-    bit c is set when the node lies at the current distance from the source in
-    column c of its own graph; a step ORs each node's neighbours' rows and keeps
-    the bits not yet seen. Step k yields ``(graphs, k, found)``: ``found[i]``
-    counts the (source, node) pairs of graph ``graphs[i]`` at distance exactly
-    k. A graph whose step reaches nothing is done and leaves the block, so a
-    long-diameter graph steps alone.
+    The sources of a run go in blocks of ``FRONTIER_BITS // run nodes``
+    columns, at least one: column c holds source node ``j0 + c`` of every graph
+    of the run that has one. (A run of several graphs fits in one block; only a
+    graph over the budget alone takes its sources in several.) Yields
+    ``(lo, hi, first, run_a, passes, frontier)`` per block: the run as ``_runs``
+    gives it, its ``_neighbour_passes`` and the block's one-bit-per-source
+    frontier, a row of 64-bit words per node of the run whose bit c is set on
+    the node that is the source of column c.
     """
     for lo, hi, first, run_a in _runs(union):
         sizes = union.sizes[lo:hi]
         widest = int(sizes.max())
         columns = max(1, min(widest, FRONTIER_BITS // run_a.shape[0]))
-        run_passes = _neighbour_passes(run_a)
+        passes = _neighbour_passes(run_a)
         for j0 in range(0, widest, columns):
             width = min(columns, widest - j0)
             graph, column = np.nonzero(j0 + np.arange(width) < sizes[:, None])
             frontier = np.zeros((run_a.shape[0], -(-width // 64)), dtype=np.uint64)
             frontier[union.starts[lo + graph] - first + j0 + column, column // 64] = \
                 np.uint64(1) << (column % 64).astype(np.uint64)
-            unseen, a, graphs, starts = ~frontier, run_a, np.arange(lo, hi), _offsets(sizes)
-            passes, unsort = run_passes
-            for step in itertools.count(1):
-                reached = _or_of_neighbours(frontier, passes, unsort)
-                reached &= unseen
-                unseen ^= reached
-                found = np.add.reduceat(np.bitwise_count(reached).sum(axis=1, dtype=np.int64),
-                                        starts)
-                yield graphs, step, found
-                live = found > 0
-                if not live.all():  # the graphs that are done leave
-                    if not live.any():
-                        break
-                    rows = np.repeat(live, union.sizes[graphs])
-                    reached, unseen, graphs = reached[rows], unseen[rows], graphs[live]
-                    a = a[rows][:, rows]
-                    starts, (passes, unsort) = _offsets(union.sizes[graphs]), _neighbour_passes(a)
-                frontier = reached
+            yield lo, hi, first, run_a, passes, frontier
+
+
+def _bfs_steps(union: GraphBatch):
+    """Breadth-first search from every node of ``union`` at once, one step at a time.
+
+    The search starts from each block of ``_source_blocks``. A node's frontier
+    is a row of 64-bit words whose bit c is set when the node lies at the
+    current distance from the source in column c of its own graph; a step ORs
+    each node's neighbours' rows and keeps the bits not yet seen. Step k yields
+    ``(graphs, k, found)``: ``found[i]`` counts the (source, node) pairs of
+    graph ``graphs[i]`` at distance exactly k. A graph whose step reaches
+    nothing is done and leaves the block, so a long-diameter graph steps alone.
+    """
+    for lo, hi, _, run_a, (passes, order), frontier in _source_blocks(union):
+        unseen, a, graphs = ~frontier, run_a, np.arange(lo, hi)
+        starts = _offsets(union.sizes[lo:hi])
+        for step in itertools.count(1):
+            reached = _or_of_neighbours(frontier, passes, order)
+            reached &= unseen
+            unseen ^= reached
+            found = np.add.reduceat(np.bitwise_count(reached).sum(axis=1, dtype=np.int64),
+                                    starts)
+            yield graphs, step, found
+            live = found > 0
+            if not live.all():  # the graphs that are done leave
+                if not live.any():
+                    break
+                rows = np.repeat(live, union.sizes[graphs])
+                reached, unseen, graphs = reached[rows], unseen[rows], graphs[live]
+                a = a[rows][:, rows]
+                starts, (passes, order) = _offsets(union.sizes[graphs]), _neighbour_passes(a)
+            frontier = reached
 
 
 def avg_shortest_path(union: GraphBatch) -> np.ndarray:
@@ -205,20 +218,24 @@ def largest_component_fraction(union: GraphBatch) -> np.ndarray:
 
 
 def avg_clustering_coefficient(union: GraphBatch) -> np.ndarray:
-    """Each graph's mean local clustering coefficient; degree<2 nodes contribute 0."""
+    """Each graph's mean local clustering coefficient; degree<2 nodes contribute 0.
+
+    Over a block of ``_source_blocks``, OR-ing the neighbours' source bits
+    gives each node the bitset of its neighbours among the block's sources.
+    The popcount of ``nb[v] & nb[u]`` counts the common neighbours of v and u
+    there, and its sum over v's neighbours u and over the blocks is twice the
+    number of triangles through v. The neighbours are visited pass by pass,
+    so each array is the size of a frontier.
+    """
     k = _degrees(union)
-    links = np.zeros(len(k))
-    for _, _, first, run_a in _runs(union):
-        # row v of (A @ A) * A sums the common neighbors of v and each neighbor:
-        # twice the number of triangles through v. The product's row v has at most
-        # as many entries as v has 2-paths, so rows go in blocks of about
-        # FRONTIER_BITS / 8 2-paths, a product of a few MiB
-        paths = run_a @ np.diff(run_a.indptr).astype(np.float64)
-        block = (np.cumsum(paths) - paths) // max(1, FRONTIER_BITS // 8)
-        ends = np.append(np.flatnonzero(np.diff(block)) + 1, len(paths))
-        for s, e in zip(np.append(0, ends[:-1]), ends):
-            part = run_a[s:e]
-            links[first + s:first + e] = (part @ run_a).multiply(part).sum(axis=1)
+    links = np.zeros(len(k), dtype=np.int64)
+    for _, _, first, _, (passes, order), frontier in _source_blocks(union):
+        nb = _or_of_neighbours(frontier, passes, order)
+        mine, common = nb[order], np.zeros(len(order), dtype=np.int64)
+        for neighbours in passes:
+            common[:len(neighbours)] += np.bitwise_count(
+                mine[:len(neighbours)] & nb[neighbours]).sum(axis=1, dtype=np.int64)
+        links[first + order] += common
     coeff = np.zeros(len(k))
     ok = k >= 2
     coeff[ok] = links[ok] / (k[ok] * (k[ok] - 1))

@@ -37,6 +37,15 @@ def make_graph(num_nodes, edges, feat_dim=1, label=0, features=None):
     return Graph(num_nodes, np.array(edges, dtype=np.int64).reshape(-1, 2), features, label)
 
 
+def assert_same_fields(got, want):
+    """The same instance attributes, arrays equal in dtype, shape and bytes."""
+    assert set(vars(got)) == set(vars(want)) == {"num_nodes", "edges", "features", "label"}
+    assert type(got.num_nodes) is type(want.num_nodes) and got.num_nodes == want.num_nodes
+    assert type(got.label) is type(want.label) and got.label == want.label
+    for a, b in ((got.edges, want.edges), (got.features, want.features)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def edge_set(graph):
     return {(int(u), int(v)) for u, v in graph.edges}
 

@@ -15,6 +15,7 @@ from gcflsim.graphs import (
     Dataset,
     Graph,
     GraphBatch,
+    _read_rows,
     binomial_gnp,
     decode_pair_index,
     erdos_renyi_gnm,
@@ -23,6 +24,7 @@ from gcflsim.graphs import (
 
 from conftest import (
     HYPOTHESIS,
+    assert_same_fields,
     edge_set,
     make_graph,
     max_edges,
@@ -245,6 +247,51 @@ def test_decode_pair_index_matches_enumeration():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rows, cols = decode_pair_index(np.arange(len(pairs)), n)
         assert list(zip(rows.tolist(), cols.tolist())) == pairs
+
+
+def sqrt_decode_pair_index(k, n):
+    """The floating-point decoder that the integer search replaced (the reference):
+    the floored smaller root of first(u) = k, corrected by one integer step each way."""
+    k = np.asarray(k, dtype=np.int64)
+
+    def first(u):
+        return u * (2 * n - u - 1) // 2
+
+    b = 2 * n - 1
+    u = np.floor((b - np.sqrt(float(b) * b - 8.0 * k)) / 2).astype(np.int64)
+    u -= first(u) > k
+    u += first(u + 1) <= k
+    return u, k - first(u) + u + 1
+
+
+@HYPOTHESIS
+@given(st.integers(1, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, max_edges(n)))),
+       st.integers(0, 2**63 - 1))
+def test_gnm_equals_construction_from_the_reference_decoder(n_m, seed):
+    n, m = n_m
+    chosen = np.random.default_rng(seed).choice(max_edges(n), size=m, replace=False)
+    rows, cols = sqrt_decode_pair_index(chosen, n)
+    # the oracle: normalise first, then construct from the canonical list
+    pairs = normalised_edges(n, list(zip(rows.tolist(), cols.tolist())))
+    want = Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2), np.ones((n, 1)), 0)
+    assert_same_fields(erdos_renyi_gnm(n, m, seed), want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 80, 501, 2501, 65_537, 10**6])
+def test_decode_pair_index_at_row_boundaries(n):
+    # every row of the small sets; the first and last rows and a sample of the others
+    # of the large ones
+    rows = np.arange(n - 1) if n <= 2501 else np.unique(np.concatenate(
+        ([0, 1, n - 3, n - 2], np.random.default_rng(n).integers(n - 1, size=2000))))
+    first = np.array([u * (2 * n - u - 1) // 2 for u in rows.tolist()])  # in Python integers
+    u, v = decode_pair_index(first, n)
+    assert u.tolist() == rows.tolist() and v.tolist() == (rows + 1).tolist()
+    u, v = decode_pair_index(first[1:] - 1, n)  # the last pair of the row before
+    assert u.tolist() == (rows[1:] - 1).tolist() and v.tolist() == [n - 1] * (len(rows) - 1)
+    k = np.concatenate((first, first[1:] - 1, [max_edges(n) - 1]))
+    u, v = decode_pair_index(k, n)
+    assert (u[-1], v[-1]) == (n - 2, n - 1)
+    assert all(np.array_equal(a, b) for a, b in zip((u, v), sqrt_decode_pair_index(k, n)))
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -509,11 +556,16 @@ class TestTuLoaderAgainstReference:
             assert [g.num_nodes for g in ds.graphs] == [g.num_nodes for g in graphs]
             assert_same_dataset(ds, reference_load_tu_dataset(root, "RT"))
 
-    def test_edgeless_set_loads_without_warning(self, tmp_path):
+    @pytest.mark.parametrize("text", [b"", b"\n\n", b" \n\t\n", b"\r\n  \r\n"])
+    def test_edgeless_set_loads_without_warning(self, tmp_path, text):
         graphs = [make_graph(n, []) for n in (1, 3, 2)]
         root = write_shuffled_tu(tmp_path / "EMPTY", "EMPTY", graphs, [0, 1, 0], None,
                                  random.Random(0))
-        (root / "EMPTY" / "EMPTY_A.txt").write_text("")
+        (root / "EMPTY" / "EMPTY_A.txt").write_bytes(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _read_rows(root / "EMPTY" / "EMPTY_A.txt", np.int64)
+        assert rows.shape == (0, 1) and rows.dtype == np.int64
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ds = load_tu_dataset(root, "EMPTY")
@@ -550,11 +602,39 @@ class TestTuLoaderAgainstReference:
             with pytest.raises(CorruptDatasetError):
                 loader(root, "BAD")
 
+    @pytest.mark.parametrize("layout", ["crlf", "whitespace line", "no final newline"])
+    def test_line_layouts_read_as_plain_lines(self, tmp_path, layout):
+        plain = load_tu_dataset(write_tu_fixture(tmp_path / "plain", "FIX"), "FIX")
+        root = write_tu_fixture(tmp_path / "edited", "FIX")
+        for path in (root / "FIX").iterdir():  # the edge list and every id and label file
+            lines = path.read_text().splitlines()
+            text = {"crlf": "\r\n".join(lines) + "\r\n",
+                    "whitespace line": "\n".join(lines[:2] + [" \t "] + lines[2:]) + "\n",
+                    "no final newline": "\n".join(lines)}[layout]
+            path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_dataset(load_tu_dataset(root, "FIX"), plain)
+
+    @pytest.mark.parametrize("suffix, text", [
+        ("A", "1, 2\n2, x\n"),
+        ("A", "1, 2\n  \n2; 3\n"),
+        ("graph_indicator", "1\n1\n1\n2\n\t\n2\n2\n3\n3\n3x\n"),
+        ("node_attributes", "1.0, 2.0\n" * 8 + "1.0, a\n"),
+    ])
+    def test_malformed_line_names_its_file(self, tmp_path, suffix, text):
+        root = write_tu_fixture(tmp_path, "BAD")
+        (root / "BAD" / f"BAD_{suffix}.txt").write_text(text)
+        with pytest.raises(CorruptDatasetError, match=f"BAD_{suffix}.txt"):
+            load_tu_dataset(root, "BAD")
+
     def test_benchmark_sets(self, tmp_path):
         write_tu_inputs(tmp_path, 1)
         for name in ("MOL-SYNTH", "IMDB-BINARY"):
-            assert_same_dataset(load_tu_dataset(tmp_path, name),
-                                reference_load_tu_dataset(tmp_path, name))
+            ds = load_tu_dataset(tmp_path, name)
+            assert_same_dataset(ds, reference_load_tu_dataset(tmp_path, name))
+            for g in ds.graphs:  # as the public constructor stores them
+                assert_same_fields(g, Graph(g.num_nodes, g.edges, g.features, g.label))
 
 
 class TestPublishedDatasetStatistics:

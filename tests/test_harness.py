@@ -8,7 +8,7 @@ from gcflsim.errors import ArgumentError, ConfigurationError
 from gcflsim import fed, harness, hetero
 from gcflsim.fed import RunConfig, Variant, infer_dims, run_federation
 from gcflsim.gnn import GinModel, gin_forward, init_gin, one_hot_degrees
-from gcflsim.graphs import Dataset
+from gcflsim.graphs import Dataset, Graph
 from gcflsim.harness import (
     MOLECULE_DATASETS,
     ExperimentConfig,
@@ -26,7 +26,7 @@ from gcflsim.harness import (
     unify_feature_space,
 )
 
-from conftest import make_graph, random_graph, write_tu_fixture
+from conftest import assert_same_fields, make_graph, random_graph, write_tu_fixture
 from epsilons import auto_epsilons
 from test_fed import run_one
 
@@ -146,6 +146,12 @@ class TestComputeMetrics:
     def test_client_mismatch_rejected(self):
         with pytest.raises(ArgumentError):
             compute_metrics({0: 0.5}, {1: 0.5})
+
+
+def test_synthetic_graphs_are_stored_as_the_constructor_stores_them():
+    clients, _ = synthetic_two_group_clients(clients_per_group=1, graphs_per_client=6, seed=2)
+    for g in (g for c in clients for g in c.train_graphs + c.test_graphs):
+        assert_same_fields(g, Graph(g.num_nodes, g.edges, g.features, g.label))
 
 
 class TestClusterHeterogeneity:

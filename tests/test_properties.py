@@ -388,6 +388,21 @@ class TestUnion:
         assert_union_matches_oracles(graphs)
         assert avg_shortest_path(GraphBatch(graphs))[1] == (n + 1) / 3
 
+    @pytest.mark.parametrize("budget", [1, 100 * 140, FRONTIER_BITS])
+    def test_clustering_of_dense_graphs_across_words_and_blocks(self, budget, monkeypatch):
+        rng = np.random.default_rng(8)
+        # at p = 0.3 each node has dozens of neighbours, so common neighbours lie
+        # in every word of a source block; under 100 * 140 bits the 140-node graph
+        # takes its sources in blocks of 100 (two words) and 40, and the 110- and
+        # 9-node graphs share one run of 110 columns; under 1 every block is one
+        # column wide
+        graphs = [random_graph(rng, n=n, p=0.3, feat_dim=1) for n in (140, 110, 9)]
+        monkeypatch.setattr(properties, "FRONTIER_BITS", budget)
+        values = avg_clustering_coefficient(GraphBatch(graphs))
+        assert [bits(v) for v in values] == [bits(ref_clustering(g)) for g in graphs]
+        assert values.tolist() == pytest.approx([brute_clustering(g) for g in graphs], abs=1e-12)
+        assert min(values[:2]) > 0.2
+
     @pytest.mark.parametrize("bits", [10 * 30, FRONTIER_BITS])
     def test_done_graphs_leave_the_traversal(self, bits, monkeypatch):
         n = 30
