@@ -12,14 +12,7 @@ from .clustering import (
     to_cut_weights,
     weighted_mean,
 )
-from .dtwseries import (
-    NormWindow,
-    dtw_distance,
-    dtw_matrix,
-    dtw_to_cut_weights,
-    push_norms,
-    standardize_row,
-)
+from .dtwseries import dtw_distance, dtw_matrix, dtw_to_cut_weights, standardize_row
 from .errors import (
     ArgumentError,
     ConfigurationError,

@@ -1,4 +1,4 @@
-"""Sliding windows of per-client gradient norms and DTW distances over them.
+"""DTW distances between per-client sequences of recent gradient norms.
 
 GCFL+ clusters on the dynamic-time-warping distance between recent gradient
 norm sequences instead of the last update's direction, which smooths over
@@ -8,40 +8,12 @@ round-to-round fluctuation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ArgumentError
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class NormWindow:
-    """Per-client ring buffer of the most recent gradient norms."""
-
-    length: int = 10
-    buffers: dict[int, list[float]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ArgumentError("window length must be >= 1")
-
-    def row(self, client_id: int) -> np.ndarray:
-        return np.asarray(self.buffers.get(client_id, []), dtype=np.float64)
-
-
-def push_norms(window: NormWindow, norms: dict[int, float]) -> NormWindow:
-    """Append one norm per client, evicting the oldest entry when full."""
-    for client_id, value in norms.items():
-        if value < 0:
-            raise ArgumentError(f"negative gradient norm for client {client_id}")
-        buf = window.buffers.setdefault(client_id, [])
-        buf.append(float(value))
-        if len(buf) > window.length:
-            del buf[0]
-    return window
 
 
 def standardize_row(seq: np.ndarray) -> np.ndarray:
@@ -79,14 +51,15 @@ def dtw_distance(a, b) -> float:
     return float(acc[n, m])
 
 
-def dtw_matrix(window: NormWindow, members: list[int], standardize: bool = False) -> np.ndarray:
-    """Symmetric pairwise DTW distances over the members' norm sequences.
+def dtw_matrix(norms: dict[int, list[float]], members: list[int],
+               standardize: bool = False) -> np.ndarray:
+    """Symmetric pairwise DTW distances over the members' sequences in ``norms``.
 
-    Partially filled buffers are compared as-is over their available history.
+    Sequences of different lengths are compared as-is over their available history.
     """
     rows = []
     for client_id in members:
-        row = window.row(client_id)
+        row = np.asarray(norms.get(client_id, ()), dtype=np.float64)
         if row.size == 0:
             raise ArgumentError(f"client {client_id} has no recorded gradient norms")
         if standardize and row.size >= 2:

@@ -27,7 +27,7 @@ from .clustering import (
     split_check,
     to_cut_weights,
 )
-from .dtwseries import NormWindow, dtw_matrix, dtw_to_cut_weights, push_norms
+from .dtwseries import dtw_matrix, dtw_to_cut_weights
 from .errors import ArgumentError, DivergenceError
 from .gnn import (
     AdamState,
@@ -200,26 +200,20 @@ class _RunState:
 
     clusters: list[ClusterState]  # in id order, as children take the next ids
     next_cluster_id: int
-    window: NormWindow
     prox_mu: float  # the group's effective proximal mu
     optimizers: dict[int, AdamState]  # each client's Adam state and shuffle RNG
     rngs: dict[int, np.random.Generator]
     reports: list[RoundReport] = field(default_factory=list)
-    assignments: list[tuple[int, int, tuple[int, ...]]] = field(default_factory=list)
-    final_accuracy: dict[int, float] = field(default_factory=dict)
 
     def own_records(self) -> "_RunState":
-        """A copy with its own clusters, reports, assignments and accuracies, sharing the rest."""
+        """A copy with its own clusters and reports, sharing the rest."""
         return replace(self, clusters=[replace(k, members=list(k.members)) for k in self.clusters],
-                       reports=list(self.reports), assignments=list(self.assignments),
-                       final_accuracy=dict(self.final_accuracy))
+                       reports=list(self.reports))
 
     def copy(self) -> "_RunState":
         """A copy that shares only what a run rebinds and never writes: the arrays."""
         return replace(
             self.own_records(),
-            window=NormWindow(self.window.length,
-                              {cid: list(b) for cid, b in self.window.buffers.items()}),
             optimizers={cid: replace(o) for cid, o in self.optimizers.items()},
             rngs={cid: copy.deepcopy(r) for cid, r in self.rngs.items()})
 
@@ -261,6 +255,8 @@ def run_federation(
         raise ArgumentError(f"algorithm variants named more than once: {list(variants)}")
     if rounds < 1:
         raise ArgumentError(f"rounds must be >= 1, got {rounds}")
+    if config.window_length < 1:
+        raise ArgumentError(f"window length must be >= 1, got {config.window_length}")
     if not clients:
         raise ArgumentError("need at least one client")
 
@@ -289,14 +285,14 @@ def run_federation(
     # the starting groups, each built only when it starts, with its first round
     starting = ((0, _RunState(
         [ClusterState(k, list(m), init_flat.copy()) for k, m in enumerate(layout)], len(layout),
-        NormWindow(config.window_length), mu,
+        mu,
         {c.id: init_adam(init_flat.size, config.lr, config.weight_decay) for c in clients},
         {c.id: np.random.default_rng(
             np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.seed])) for c in clients}),
         members) for (layout, mu), members in starts.items())
     forks = deque()  # forked groups, each with its next round
 
-    # each variant's own records; the rest of its result is taken from its last group's state
+    # each variant's own records; the rest of its result is read off its last group's state
     results = [RunResult(v.algorithm, [], [], [], [], {}) for v in variants]
     while group := forks.popleft() if forks else next(starting, None):
         start, run, members = group
@@ -308,18 +304,28 @@ def run_federation(
         for n, i in enumerate(members):
             if n:  # so that no two results share a list
                 run = run.own_records()
-            results[i] = replace(results[i], reports=run.reports, assignments=run.assignments,
-                                 final_clusters=run.clusters, final_accuracy=run.final_accuracy)
+            results[i] = replace(results[i], reports=run.reports,
+                                 assignments=_assignments(run.reports), final_clusters=run.clusters,
+                                 final_accuracy={e.client_id: e.test_acc
+                                                 for e in run.reports[-1].entries})
         del group, run  # frees the group's Adam states and RNGs before the next group starts
     return results
+
+
+def _assignments(reports: list[RoundReport]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Each round's (round, cluster, members), clusters in id order and members in client order."""
+    assignments = []
+    for report in reports:
+        clusters: dict[int, list[int]] = {}
+        for e in report.entries:  # in client-id order
+            clusters.setdefault(e.cluster_id, []).append(e.client_id)
+        assignments += [(report.round_index, k, tuple(clusters[k])) for k in sorted(clusters)]
+    return assignments
 
 
 def _train_round(t: int, run: _RunState, by_id: dict[int, ClientState], model: GinModel,
                  config: RunConfig) -> dict[int, np.ndarray]:
     """Local training, aggregation and evaluation of every cluster for round ``t``: the updates."""
-    for cluster in run.clusters:
-        run.assignments.append((t, cluster.id, tuple(cluster.members)))
-
     deltas: dict[int, np.ndarray] = {}
     norms: dict[int, float] = {}
     train_loss: dict[int, float] = {}
@@ -340,8 +346,6 @@ def _train_round(t: int, run: _RunState, by_id: dict[int, ClientState], model: G
                 raise DivergenceError(f"round {t}: client {cid}'s Adam second moment overflowed")
             deltas[cid] = delta
 
-    push_norms(run.window, norms)
-
     for cluster in run.clusters:
         cluster_aggregate(cluster, [deltas[cid] for cid in cluster.members],
                           [by_id[cid].data_size for cid in cluster.members])
@@ -352,7 +356,6 @@ def _train_round(t: int, run: _RunState, by_id: dict[int, ClientState], model: G
             test_loss, test_acc = evaluate_client(by_id[cid], model, cluster.model)
             entries.append(ClientRound(cid, cluster.id, train_loss[cid],
                                        test_loss, test_acc, norms[cid]))
-            run.final_accuracy[cid] = test_acc
     entries.sort(key=lambda e: e.client_id)
     run.reports.append(RoundReport(t, entries))
     return deltas
@@ -407,12 +410,18 @@ def _split_round(t: int, run: _RunState, deltas: dict[int, np.ndarray], members:
 
 def _cut(t: int, run: _RunState, deltas: dict[int, np.ndarray], cluster: ClusterState,
          algorithm: str, config: RunConfig) -> tuple[tuple, float, Optional[WindowDump]]:
-    """The ordered member halves and value of ``cluster``'s cut, and gcflplus's window dump."""
+    """The ordered member halves and value of ``cluster``'s cut, and gcflplus's window dump.
+
+    gcflplus's window of each member is its update norms of the last
+    ``config.window_length`` rounds, read off the group's reports.
+    """
     dump = None
     if algorithm == "gcfl":
         weights = to_cut_weights(cosine_matrix([deltas[cid] for cid in cluster.members]))
     else:
-        weights = dtw_to_cut_weights(dtw_matrix(run.window, cluster.members, config.standardize))
-        dump = WindowDump(t, cluster.id,
-                          {cid: list(run.window.row(cid)) for cid in cluster.members})
+        recent = [{e.client_id: e.grad_norm for e in report.entries}
+                  for report in run.reports[-config.window_length:]]
+        dump = WindowDump(t, cluster.id, {cid: [norms[cid] for norms in recent]
+                                          for cid in cluster.members})
+        weights = dtw_to_cut_weights(dtw_matrix(dump.rows, cluster.members, config.standardize))
     return (*bipartition_cluster(cluster, weights), dump)

@@ -402,10 +402,10 @@ def _read_rows(path: Path, dtype=np.float64) -> np.ndarray:
         pass
     with open(path) as fh:
         lines = filter(str.strip, fh)
-        first = next(lines, None)
-        if first is None:  # loadtxt warns on empty input
-            return np.empty((0, 1), dtype=dtype)
-        try:
+        try:  # a line that does not decode raises UnicodeDecodeError, a ValueError
+            first = next(lines, None)
+            if first is None:  # loadtxt warns on empty input
+                return np.empty((0, 1), dtype=dtype)
             return np.loadtxt(itertools.chain([first], lines), dtype=dtype, delimiter=",",
                               comments=None, ndmin=2)
         except ValueError as exc:

@@ -79,6 +79,15 @@ class TestAnalyzeProperties:
         assert code == 5
         assert "CorruptDatasetError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suffix", ["A.txt", "graph_indicator.txt", "graph_labels.txt"])
+    def test_undecodable_file_returns_corrupt_code(self, tmp_path, capsys, suffix):
+        root = write_tu_fixture(tmp_path / "data", "BAD")
+        (root / "BAD" / f"BAD_{suffix}").write_bytes(b"\xff\xfe\x00\x01")  # not UTF-8
+        code = run_cli("analyze-properties", "--data-root", str(root),
+                       "--dataset", "BAD", "--out", str(tmp_path / "x.csv"))
+        assert code == 5
+        assert "CorruptDatasetError" in capsys.readouterr().err
+
 
 class TestAnalyzeHetero:
     def test_self_comparison(self, tmp_path, capsys):

@@ -7,14 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gcflsim.clustering import stoer_wagner_mincut
-from gcflsim.dtwseries import (
-    NormWindow,
-    dtw_distance,
-    dtw_matrix,
-    dtw_to_cut_weights,
-    push_norms,
-    standardize_row,
-)
+from gcflsim.dtwseries import dtw_distance, dtw_matrix, dtw_to_cut_weights, standardize_row
 from gcflsim.errors import ArgumentError
 
 from conftest import HYPOTHESIS
@@ -38,31 +31,6 @@ def dtw_oracle(a, b):
         return abs(a[i] - b[j]) + min(rec(i - 1, j), rec(i, j - 1), rec(i - 1, j - 1))
 
     return rec(len(a) - 1, len(b) - 1)
-
-
-class TestNormWindow:
-    def test_eviction_keeps_most_recent(self):
-        window = NormWindow(3)
-        for x in (1.0, 2.0, 3.0, 4.0):
-            push_norms(window, {0: x})
-        assert window.row(0).tolist() == [2.0, 3.0, 4.0]
-
-    def test_partial_fill_preserves_order(self):
-        window = NormWindow(5)
-        push_norms(window, {1: 0.5})
-        push_norms(window, {1: 0.25})
-        assert window.row(1).tolist() == [0.5, 0.25]
-
-    def test_fill_level_is_min_rounds_window(self):
-        window = NormWindow(4)
-        for t in range(7):
-            push_norms(window, {0: float(t), 1: float(t)})
-            for cid in (0, 1):
-                assert len(window.row(cid)) == min(t + 1, 4)
-
-    def test_negative_norm_rejected(self):
-        with pytest.raises(ArgumentError):
-            push_norms(NormWindow(3), {0: -0.1})
 
 
 class TestStandardizeRow:
@@ -118,11 +86,7 @@ class TestDtwDistance:
 
 class TestDtwMatrix:
     def _window(self, rows):
-        window = NormWindow(10)
-        for cid, row in rows.items():
-            for x in row:
-                push_norms(window, {cid: x})
-        return window
+        return {cid: [float(x) for x in row] for cid, row in rows.items()}
 
     def test_identical_histories_zero_matrix(self):
         window = self._window({0: [1.0, 2.0], 1: [1.0, 2.0], 2: [1.0, 2.0]})
@@ -187,19 +151,16 @@ class TestDtwToCutWeights:
 
 
 def write_window_csv(path, window, members):
-    """Dump the current norm buffers of the given clients (one row each)."""
+    """Dump the norm windows of the given clients (one row each)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["client_id", "norms"])
         for client_id in sorted(members):
-            row = window.row(client_id)
-            writer.writerow([client_id, ";".join(repr(float(x)) for x in row)])
+            writer.writerow([client_id, ";".join(repr(float(x)) for x in window[client_id])])
 
 
 def test_write_window_csv(tmp_path):
-    window = NormWindow(4)
-    for x in (0.25, 0.5):
-        push_norms(window, {3: x, 1: x * 2})
+    window = {3: [0.25, 0.5], 1: [0.5, 1.0]}
     path = tmp_path / "window.csv"
     write_window_csv(path, window, [3, 1])
     lines = path.read_text().strip().splitlines()

@@ -325,6 +325,13 @@ class TestRunFederation:
         with pytest.raises(ArgumentError, match="rounds must be >= 1"):
             run_federation(tiny_clients(2), [Variant("gcfl", SPLIT_AT_1)], rounds, SWEEP)
 
+    @pytest.mark.parametrize("window_length", [0, -1])
+    def test_window_below_one_rejected(self, window_length):
+        # the windows are the last window_length reports: reports[-0:] would be all of them
+        with pytest.raises(ArgumentError, match="window length must be >= 1"):
+            run_federation(tiny_clients(2), [Variant("gcflplus", SPLIT_AT_1)], 2,
+                           replace(SWEEP, window_length=window_length))
+
     @pytest.mark.parametrize("algorithms", [[], ["fedavg", "selftrain", "fedavg"]])
     def test_empty_or_repeated_algorithm_list_rejected(self, algorithms):
         with pytest.raises(ArgumentError, match="algorithm"):

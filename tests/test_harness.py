@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -273,6 +274,25 @@ class TestRunExperiment:
         assert len(splits) >= 2
         hetero = (out / "hetero.csv").read_text().strip().splitlines()
         assert hetero[1].split(",")[2] == "all"
+
+    @pytest.mark.parametrize("split_round", [1, 10])
+    def test_windows_are_the_last_grad_norms_of_rounds_csv(self, tmp_path, split_round):
+        # a window of 3 at round 1 holds rounds 0-1; at round 10, rounds 8-10
+        run_experiment(self._config(tmp_path, algorithms=["gcflplus"], rounds=split_round + 1,
+                                    window=3, eps1=10.0, eps2=1e-6, min_split_size=2,
+                                    warmup_rounds=split_round, weight_decay=0.0))
+        out = tmp_path / "out"
+        with open(out / "rounds.csv", newline="") as fh:
+            norms = {(int(r["round"]), int(r["client_id"])): float(r["grad_norm"])
+                     for r in csv.DictReader(fh) if r["algorithm"] == "gcflplus"}
+        with open(out / "windows.csv", newline="") as fh:
+            windows = list(csv.DictReader(fh))
+        assert {int(r["round"]) for r in windows} == {split_round}
+        assert sorted(int(r["client_id"]) for r in windows) == [0, 1, 2, 3]
+        for row in windows:
+            cid = int(row["client_id"])
+            assert [float(x) for x in row["norms"].split(";")] == \
+                [norms[t, cid] for t in range(max(0, split_round - 2), split_round + 1)]
 
     def test_shared_prefix_sweep_equals_single_algorithm_runs(self, tmp_path):
         # fedavg, gcfl and gcflplus of one seed share the rounds before the split

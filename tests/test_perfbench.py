@@ -4,17 +4,17 @@ A refactor that keeps a traced function defined but stops calling it makes
 the benchmark fail; this catches it in the test suite instead.
 """
 
+import importlib
 import importlib.util
 import inspect
 import json
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
-
-from gcflsim import fed
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,14 +31,33 @@ def write_tu_inputs(root: Path, seed: int) -> None:
     load_perfbench("tudata").write_and_verify(root, seed)
 
 
-def test_fed_wrap_points_resolve():
+# wrap points whose functions were removed; the benchmark reports their layers absent
+RETIRED = {("clustering", "delta_stats"), ("gnn", "GinModel.load_flat"),
+           ("dtwseries", "push_norms")}
+
+
+def wrapped(module: str, attribute: str):
+    """What the tracer wraps for a wrap point, or None, looked up as the tracer looks it up."""
+    cls_name, _, name = attribute.rpartition(".")
+    owner = importlib.import_module(f"gcflsim.{module}")
+    return getattr(getattr(owner, cls_name, None) if cls_name else owner, name, None)
+
+
+def test_wrap_points_resolve():
     """The tracer reports a missing wrap point as absent instead of failing, so check here."""
-    points = [name for module, name, _ in load_perfbench("spans").WRAP_POINTS if module == "fed"]
-    assert sorted(points) == ["evaluate_client", "local_train", "run_federation"]
-    for name in points:
-        assert callable(getattr(fed, name, None)), name
-    # the count fed.client_rounds binds these arguments by name
-    assert {"clients", "rounds"} <= set(inspect.signature(fed.run_federation).parameters)
+    for module, attribute, _ in load_perfbench("spans").WRAP_POINTS:
+        assert callable(wrapped(module, attribute)) != ((module, attribute) in RETIRED), \
+            (module, attribute)
+
+
+def test_notes_bind_arguments_that_exist():
+    """Each note reads its wrapped function's arguments by name, so a renamed one fails here."""
+    spans = load_perfbench("spans")
+    for name, note in spans._NOTES.items():
+        [function] = [wrapped(module, attribute) for module, attribute, _ in spans.WRAP_POINTS
+                      if attribute.rpartition(".")[2] == name]
+        read = set(re.findall(r"""\ba\[["'](\w+)["']\]""", inspect.getsource(note)))
+        assert read <= set(inspect.signature(function).parameters), (name, read)
 
 
 # one layer per workload that must have been called, beyond the workload's own check
