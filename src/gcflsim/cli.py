@@ -5,6 +5,7 @@ significance), ``analyze-hetero`` (pairwise structure/feature heterogeneity),
 ``run`` (federated experiments from a config file), and ``calibrate``
 (epsilon grid search). Exit status is 0 on success; on failure the named
 error class is printed to stderr and a class-specific nonzero code returned.
+An output location that cannot be written is refused before any work.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from .errors import (
 from .harness import (
     ExperimentConfig,
     calibrate_epsilons,
+    load_dataset,
     load_dataset_for_federation,
     run_experiment,
 )
 from .hetero import dataset_pools, pairwise_heterogeneity, write_heterogeneity_csv
+from .outputs import check_writable
 from .properties import PROPERTY_NAMES, property_significance
 
 logger = logging.getLogger(__name__)
@@ -89,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze_properties(args) -> int:
-    dataset = load_dataset_for_federation(args.data_root, args.dataset)
+    check_writable(args.out)
+    dataset = load_dataset(args.data_root, args.dataset)  # no property reads features
     report = property_significance(dataset, args.seed)
     report.write_csv(args.out)
     print(f"{args.dataset}: {len(dataset)} graphs")
@@ -102,6 +106,7 @@ def cmd_analyze_properties(args) -> int:
 
 
 def cmd_analyze_hetero(args) -> int:
+    check_writable(args.out)
     set_a = load_dataset_for_federation(args.data_root, args.set_a)
     set_b = set_a if args.set_b == args.set_a else \
         load_dataset_for_federation(args.data_root, args.set_b)

@@ -33,17 +33,26 @@ class _Views(NamedTuple):
     bc: np.ndarray
 
 
+def _param_count(input_dim: int, output_dim: int, hidden: int, num_layers: int) -> int:
+    """The vector length in closed form: ``num_layers`` times eps, b1, b2 and W2, each
+    layer's W1, then the classifier's W and b. No per-layer list is built, so a size
+    too large to allocate is known before anything is."""
+    layers, h = num_layers, hidden
+    return (layers * (1 + 2 * h + h * h) + h * (input_dim + (layers - 1) * h)
+            + h * output_dim + output_dim)
+
+
 @lru_cache(maxsize=None)
 def _param_layout(input_dim: int, output_dim: int, hidden: int,
-                  num_layers: int) -> tuple[int, tuple[tuple[int, int, tuple[int, ...]], ...]]:
-    """The vector length and each parameter's ``(start, stop, shape)``, in layout order."""
+                  num_layers: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Each parameter's ``(start, stop, shape)`` in the vector, in layout order."""
     shapes = []
     for l in range(num_layers):
         d = input_dim if l == 0 else hidden
         shapes += [(), (d, hidden), (hidden,), (hidden, hidden), (hidden,)]
     shapes += [(hidden, output_dim), (output_dim,)]
     ends = np.cumsum([math.prod(s) for s in shapes]).tolist()
-    return ends[-1], tuple(zip([0] + ends[:-1], ends, shapes))
+    return tuple(zip([0] + ends[:-1], ends, shapes))
 
 
 def _views(vector: np.ndarray, parts) -> _Views:
@@ -68,7 +77,7 @@ class GinModel:
     vector: np.ndarray | None = None
 
     def __post_init__(self):
-        size, parts = self._layout()
+        size = _param_count(self.input_dim, self.output_dim, self.hidden, self.num_layers)
         if self.vector is None:
             try:
                 self.vector = np.zeros(size)
@@ -79,7 +88,8 @@ class GinModel:
         self.vector = np.ascontiguousarray(self.vector, dtype=np.float64)
         if self.vector.shape != (size,):
             raise ArgumentError(f"expected {size} parameters, got {self.vector.shape}")
-        self.eps, self.w1, self.b1, self.w2, self.b2, self.wc, self.bc = _views(self.vector, parts)
+        views = _views(self.vector, self._layout())  # built only once the vector exists
+        self.eps, self.w1, self.b1, self.w2, self.b2, self.wc, self.bc = views
 
     def _layout(self):
         return _param_layout(self.input_dim, self.output_dim, self.hidden, self.num_layers)
@@ -209,9 +219,8 @@ def gin_loss_and_grad(
     d_logits = softmax(logits)
     d_logits[np.arange(len(labels)), labels] -= 1.0
     d_logits /= len(labels)
-    size, parts = model._layout()
-    grad_vector = np.zeros(size)
-    grad = _views(grad_vector, parts)
+    grad_vector = np.zeros(model.vector.size)
+    grad = _views(grad_vector, model._layout())
     grad.wc[...] = cache.pooled.T @ d_logits
     grad.bc[...] = d_logits.sum(axis=0)
     # Each gradient goes into the buffer of a forward array that is spent by then.

@@ -203,31 +203,43 @@ class GraphBatch:
         return len(self.sizes)
 
     def take(self, idx) -> "GraphBatch":
-        """The graphs ``idx``, in that order, as the union of exactly those graphs.
+        """The graphs ``idx``, in that order and repeats kept, as the union of exactly those graphs.
 
-        A graph's rows and its adjacency entries are contiguous blocks of the
-        union, so gathering whole blocks and shifting them keeps every row's
-        neighbours in increasing order: no sort, and the CSR arrays equal those
-        of ``GraphBatch`` over the same graphs.
+        The CSR arrays equal those of ``GraphBatch`` over the same graphs (see
+        ``_cut_blocks``).
         """
         idx = np.asarray(idx, dtype=np.intp)
         if not len(idx):
             raise ArgumentError("batch must be nonempty")
-        indptr = self.adjacency.indptr
-        sizes, starts = self.sizes[idx], self.starts[idx]
-        first = indptr[starts]  # each graph's first adjacency entry in the union
-        entries = indptr[starts + sizes] - first
-        node_shift = _offsets(sizes) - starts  # new minus old node id, per graph
-        entry_shift = _offsets(entries) - first  # new minus old entry position, per graph
-        nodes = np.arange(int(sizes.sum())) - np.repeat(node_shift, sizes)
-        nnz = int(entries.sum())
-        new_indptr = np.append(indptr[nodes] + np.repeat(entry_shift, sizes), nnz)
-        positions = np.arange(nnz) - np.repeat(entry_shift, entries)
-        indices = self.adjacency.indices[positions] + np.repeat(node_shift, entries)
-        adjacency = sparse.csr_array((self.adjacency.data[:nnz], indices, new_indptr),
-                                     shape=(len(nodes), len(nodes)))
-        return GraphBatch.__new__(GraphBatch)._set(self.features[nodes], adjacency, sizes,
-                                                   self.labels[idx])
+        nodes, adjacency = _cut_blocks(self.adjacency, self.sizes, self.starts, idx)
+        return GraphBatch.__new__(GraphBatch)._set(self.features[nodes], adjacency,
+                                                   self.sizes[idx], self.labels[idx])
+
+
+def _cut_blocks(adjacency: sparse.csr_array, sizes: np.ndarray, starts: np.ndarray,
+                idx: np.ndarray) -> tuple[np.ndarray, sparse.csr_array]:
+    """Diagonal blocks ``idx`` of a block-diagonal CSR, in that order, as one such CSR.
+
+    Block g holds the rows and columns ``starts[g]:starts[g] + sizes[g]``. Its
+    rows' entries are one contiguous run of the arrays, so gathering whole
+    blocks and shifting them keeps every row's neighbours in increasing order:
+    no sort. Returns the old row of each new row, and the cut CSR. This is the
+    one way a union is cut into whole graphs: ``GraphBatch.take`` and the
+    property traversal both cut through here.
+    """
+    indptr = adjacency.indptr
+    sizes, starts = sizes[idx], starts[idx]
+    first = indptr[starts]  # each block's first entry
+    entries = indptr[starts + sizes] - first
+    node_shift = _offsets(sizes) - starts  # new minus old row, per block
+    entry_shift = _offsets(entries) - first  # new minus old entry position, per block
+    nodes = np.arange(int(sizes.sum())) - np.repeat(node_shift, sizes)
+    nnz = int(entries.sum())
+    new_indptr = np.append(indptr[nodes] + np.repeat(entry_shift, sizes), nnz)
+    positions = np.arange(nnz) - np.repeat(entry_shift, entries)
+    indices = adjacency.indices[positions] + np.repeat(node_shift, entries)
+    return nodes, sparse.csr_array((adjacency.data[positions], indices, new_indptr),
+                                   shape=(len(nodes), len(nodes)))
 
 
 def erdos_renyi_gnm(n: int, m: int, seed: int) -> Graph:
@@ -392,7 +404,8 @@ def _read_rows(path: Path, dtype=np.float64) -> np.ndarray:
     file that it rejects or finds without data is read again, its non-blank
     lines streamed into ``np.loadtxt``: that pass drops whitespace-only lines,
     gives an empty array without a warning, and names the file in the error of
-    a line that is malformed.
+    a line that is malformed. A file that cannot be opened, such as a
+    directory in its place, is corrupt too.
     """
     try:
         with warnings.catch_warnings():
@@ -400,6 +413,8 @@ def _read_rows(path: Path, dtype=np.float64) -> np.ndarray:
             return np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, ndmin=2)
     except (ValueError, UserWarning):
         pass
+    except OSError as exc:
+        raise CorruptDatasetError(f"{path}: {exc}") from exc
     with open(path) as fh:
         lines = filter(str.strip, fh)
         try:  # a line that does not decode raises UnicodeDecodeError, a ValueError

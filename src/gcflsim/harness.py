@@ -8,7 +8,6 @@ the same configuration and seed produces byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -23,6 +22,7 @@ from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, Variant, run_fed
 from .gnn import one_hot_degrees
 from .graphs import Dataset, Graph, binomial_gnp, load_tu_dataset
 from .hetero import MAX_WALK_LENGTH, GraphEmbeddings, GraphPool, pairwise_heterogeneity
+from .outputs import check_writable, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -134,19 +134,24 @@ def apply_degree_features(dataset: Dataset) -> Dataset:
                                   for g, end in zip(dataset.graphs, ends)])
 
 
-def load_dataset_for_federation(
-    data_root: str | Path, name: str, feature_mode: str = "original"
-) -> Dataset:
-    """TU loader plus one-hot degree features for the social sets and ``onehot_degree``.
+def load_dataset(data_root: str | Path, name: str) -> Dataset:
+    """The TU loader's dataset, with its own features.
 
     A missing dataset is a ``ConfigurationError``; a corrupt one a ``CorruptDatasetError``.
     """
     try:
-        ds = load_tu_dataset(data_root, name)
+        return load_tu_dataset(data_root, name)
     except CorruptDatasetError:
         raise
     except IngestionError as exc:
         raise ConfigurationError(f"dataset {name} not available: {exc}") from exc
+
+
+def load_dataset_for_federation(
+    data_root: str | Path, name: str, feature_mode: str = "original"
+) -> Dataset:
+    """``load_dataset`` plus one-hot degree features for the social sets and ``onehot_degree``."""
+    ds = load_dataset(data_root, name)
     if name in DEGREE_FEATURE_DATASETS or feature_mode == "onehot_degree":
         ds = apply_degree_features(ds)
     return ds
@@ -485,11 +490,13 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     The self-train baseline is always run (and run first) because gain and
     improvement metrics are defined against it. All algorithms of a seed run
     in one ``run_federation`` call, gcfl and gcflplus with the configured split
-    criteria. Returns summary rows.
+    criteria. An ``out_dir`` that cannot be made or written stops the run before
+    any seed. Returns summary rows.
     """
     clustered = [a for a in config.algorithms if a in ("gcfl", "gcflplus")]
     if clustered and (config.eps1 is None or config.eps2 is None):
         raise ConfigurationError(f"{clustered[0]} requires eps1 and eps2 (try `calibrate`)")
+    check_writable(config.out_dir, directory=True)
     algorithms = ["selftrain"] + [a for a in config.algorithms if a != "selftrain"]
     criteria = ClusterConfig(config.eps1, config.eps2, config.min_split_size,
                              config.warmup_rounds) if clustered else None
@@ -526,24 +533,23 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                         repr(row.feature_mean), repr(row.feature_std),
                     ])
 
-    out = Path(config.out_dir)  # made only once every seed has run
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "rounds.csv",
-               ["algorithm", "seed", "round", "client_id", "cluster_id",
-                "train_loss", "test_loss", "test_acc", "grad_norm"], rounds_rows)
-    _write_csv(out / "clusters.csv",
-               ["algorithm", "seed", "round", "cluster_id", "client_ids"], cluster_rows)
-    _write_csv(out / "splits.csv",
-               ["algorithm", "seed", "round", "parent", "child_a", "child_b",
-                "members_a", "members_b", "delta_mean", "delta_max", "cut_value"], split_rows)
-    _write_csv(out / "summary.csv",
-               ["algorithm", "seed", "average_accuracy", "min_gain",
-                "improved", "total", "improved_ratio"], summary_rows)
-    _write_csv(out / "hetero.csv",
-               ["algorithm", "seed", "cluster_id", "n_clients", "structure_mean",
-                "structure_std", "feature_mean", "feature_std"], hetero_rows)
-    _write_csv(out / "windows.csv",
-               ["algorithm", "seed", "round", "parent", "client_id", "norms"], window_rows)
+    out = Path(config.out_dir)  # made by the first write, once every seed has run
+    write_csv(out / "rounds.csv",
+              ["algorithm", "seed", "round", "client_id", "cluster_id",
+               "train_loss", "test_loss", "test_acc", "grad_norm"], rounds_rows)
+    write_csv(out / "clusters.csv",
+              ["algorithm", "seed", "round", "cluster_id", "client_ids"], cluster_rows)
+    write_csv(out / "splits.csv",
+              ["algorithm", "seed", "round", "parent", "child_a", "child_b",
+               "members_a", "members_b", "delta_mean", "delta_max", "cut_value"], split_rows)
+    write_csv(out / "summary.csv",
+              ["algorithm", "seed", "average_accuracy", "min_gain",
+               "improved", "total", "improved_ratio"], summary_rows)
+    write_csv(out / "hetero.csv",
+              ["algorithm", "seed", "cluster_id", "n_clients", "structure_mean",
+               "structure_std", "feature_mean", "feature_std"], hetero_rows)
+    write_csv(out / "windows.csv",
+              ["algorithm", "seed", "round", "parent", "client_id", "norms"], window_rows)
     logger.info("wrote results to %s", out)
     return summaries
 
@@ -574,13 +580,6 @@ def _collect_rows(result: RunResult, seed: int, rounds_rows, cluster_rows, split
             ])
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 # ---------------------------------------------------------------------------
 # Epsilon selection
 # ---------------------------------------------------------------------------
@@ -601,6 +600,8 @@ def calibrate_epsilons(
         raise ArgumentError("eps1 and eps2 grids must each hold at least one value")
     if not all(eps > 0 for eps in eps1_grid + eps2_grid):
         raise ArgumentError("eps1 and eps2 grid values must be > 0")
+    if out_path is not None:
+        check_writable(out_path)
     points = [(eps1, eps2) for eps1 in eps1_grid for eps2 in eps2_grid]
     distinct = list(dict.fromkeys(points))  # a repeated grid value repeats its rows
     config, seed = replace(config, rounds=rounds), config.seeds[0]  # rounds checked as a config
@@ -613,7 +614,7 @@ def calibrate_epsilons(
              "clusters": len(results[eps1, eps2].final_clusters)} for eps1, eps2 in points]
     best = max(rows, key=lambda r: r["accuracy"])  # the first of equals
     if out_path is not None:
-        _write_csv(Path(out_path), ["eps1", "eps2", "accuracy", "clusters"],
-                   [[repr(r["eps1"]), repr(r["eps2"]), repr(r["accuracy"]), r["clusters"]]
-                    for r in rows])
+        write_csv(out_path, ["eps1", "eps2", "accuracy", "clusters"],
+                  [[repr(r["eps1"]), repr(r["eps2"]), repr(r["accuracy"]), r["clusters"]]
+                   for r in rows])
     return best["eps1"], best["eps2"], rows

@@ -7,7 +7,6 @@ between linked-node feature vectors (Jensen-Shannon divergence).
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ import numpy as np
 
 from .errors import ArgumentError, UndefinedEmbeddingError
 from .graphs import Dataset, Graph, decode_pair_index
+from .outputs import write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -332,10 +332,7 @@ def _sample_pairs(len_a: int, len_b: int, same: bool, pair_budget: int,
 
 
 def write_heterogeneity_csv(path: str | Path, reports: list[HeterogeneityReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setA", "setB", "structure_mean", "structure_std",
-                         "feature_mean", "feature_std"])
-        for r in reports:
-            writer.writerow([r.set_a, r.set_b, repr(r.structure_mean), repr(r.structure_std),
-                             repr(r.feature_mean), repr(r.feature_std)])
+    write_csv(path, ["setA", "setB", "structure_mean", "structure_std",
+                     "feature_mean", "feature_std"],
+              [[r.set_a, r.set_b, repr(r.structure_mean), repr(r.structure_std),
+                repr(r.feature_mean), repr(r.feature_std)] for r in reports])

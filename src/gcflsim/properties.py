@@ -7,7 +7,6 @@ component percentage, and average local clustering coefficient.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import logging
 from collections import Counter
@@ -16,11 +15,11 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
 from scipy.special import stdtr
 
 from .errors import ArgumentError, UndefinedStatisticError
-from .graphs import Dataset, Graph, GraphBatch, _offsets, erdos_renyi_gnm
+from .graphs import Dataset, Graph, GraphBatch, _cut_blocks, _offsets, erdos_renyi_gnm
+from .outputs import write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -75,9 +74,8 @@ def _per_graph(union: GraphBatch, node_values: np.ndarray, reduce) -> np.ndarray
 def _runs(union: GraphBatch):
     """Runs ``(lo, hi, first, run_a)`` of consecutive whole graphs: graphs ``lo`` to
     ``hi - 1`` of the union, whose nodes start at row ``first``, and the run's block
-    of the adjacency. A run's nodes times its widest graph's nodes stay within
-    ``FRONTIER_BITS``; a graph over it alone is a run of its own."""
-    a = union.adjacency
+    of the adjacency, cut by ``_cut_blocks``. A run's nodes times its widest graph's
+    nodes stay within ``FRONTIER_BITS``; a graph over it alone is a run of its own."""
     lo = nodes = widest = 0
     bounds = []
     for g, size in enumerate(union.sizes.tolist()):
@@ -88,16 +86,12 @@ def _runs(union: GraphBatch):
         widest = max(widest, size)
     bounds.append((lo, len(union)))
     for lo, hi in bounds:
-        first, nodes = int(union.starts[lo]), int(union.sizes[lo:hi].sum())
-        # the union is block-diagonal, so the run's rows hold only the run's columns
-        entries = a.indptr[first:first + nodes + 1]
-        yield lo, hi, first, sparse.csr_array((a.data[entries[0]:entries[-1]],
-                                               a.indices[entries[0]:entries[-1]] - first,
-                                               entries - entries[0]), shape=(nodes, nodes))
+        yield lo, hi, int(union.starts[lo]), _cut_blocks(union.adjacency, union.sizes,
+                                                         union.starts, np.arange(lo, hi))[1]
 
 
-def _neighbour_passes(a: sparse.csr_array) -> tuple[list[np.ndarray], np.ndarray]:
-    """``a``'s neighbour lists by rank, for ``_or_of_neighbours``.
+def _neighbour_passes(a) -> tuple[list[np.ndarray], np.ndarray]:
+    """The neighbour lists by rank of the CSR ``a``, for ``_or_of_neighbours``.
 
     Pass j lists the j-th neighbour of each row that has one, in the order of
     the rows sorted by falling degree: the rows of a pass are a prefix of that
@@ -134,13 +128,13 @@ def _source_blocks(union: GraphBatch):
     """
     for lo, hi, first, run_a in _runs(union):
         sizes = union.sizes[lo:hi]
-        widest = int(sizes.max())
-        columns = max(1, min(widest, FRONTIER_BITS // run_a.shape[0]))
+        nodes, widest = int(sizes.sum()), int(sizes.max())
+        columns = max(1, min(widest, FRONTIER_BITS // nodes))
         passes = _neighbour_passes(run_a)
         for j0 in range(0, widest, columns):
             width = min(columns, widest - j0)
             graph, column = np.nonzero(j0 + np.arange(width) < sizes[:, None])
-            frontier = np.zeros((run_a.shape[0], -(-width // 64)), dtype=np.uint64)
+            frontier = np.zeros((nodes, -(-width // 64)), dtype=np.uint64)
             frontier[union.starts[lo + graph] - first + j0 + column, column // 64] = \
                 np.uint64(1) << (column % 64).astype(np.uint64)
             yield lo, hi, first, run_a, passes, frontier
@@ -155,7 +149,8 @@ def _bfs_steps(union: GraphBatch):
     each node's neighbours' rows and keeps the bits not yet seen. Step k yields
     ``(graphs, k, found)``: ``found[i]`` counts the (source, node) pairs of
     graph ``graphs[i]`` at distance exactly k. A graph whose step reaches
-    nothing is done and leaves the block, so a long-diameter graph steps alone.
+    nothing is done and is cut out of the block (``_cut_blocks``), so a
+    long-diameter graph steps alone.
     """
     for lo, hi, _, run_a, (passes, order), frontier in _source_blocks(union):
         unseen, a, graphs = ~frontier, run_a, np.arange(lo, hi)
@@ -171,9 +166,8 @@ def _bfs_steps(union: GraphBatch):
             if not live.all():  # the graphs that are done leave
                 if not live.any():
                     break
-                rows = np.repeat(live, union.sizes[graphs])
+                rows, a = _cut_blocks(a, union.sizes[graphs], starts, np.flatnonzero(live))
                 reached, unseen, graphs = reached[rows], unseen[rows], graphs[live]
-                a = a[rows][:, rows]
                 starts, (passes, order) = _offsets(union.sizes[graphs]), _neighbour_passes(a)
             frontier = reached
 
@@ -204,7 +198,7 @@ def largest_component_fraction(union: GraphBatch) -> np.ndarray:
     """
     a = union.adjacency
     linked = np.flatnonzero(np.diff(a.indptr))  # reduceat needs nonempty rows
-    labels = np.arange(a.shape[0])
+    labels = np.arange(len(a.indptr) - 1)
     while True:
         smaller = labels.copy()
         smaller[linked] = np.minimum(labels[linked],
@@ -258,17 +252,12 @@ class PropertyReport:
     rows: dict[str, PropertyStat]
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["property", "real", "random", "p_value"])
-            for prop in PROPERTY_NAMES:
-                stat = self.rows[prop]
-                writer.writerow([
-                    prop,
-                    _fmt(stat.real),
-                    _fmt(stat.random),
-                    _fmt(stat.p_value) if stat.computed else "not_computed",
-                ])
+        rows = []
+        for prop in PROPERTY_NAMES:
+            stat = self.rows[prop]
+            rows.append([prop, _fmt(stat.real), _fmt(stat.random),
+                         _fmt(stat.p_value) if stat.computed else "not_computed"])
+        write_csv(path, ["property", "real", "random", "p_value"], rows)
 
 
 def _fmt(x) -> str:

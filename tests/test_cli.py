@@ -1,18 +1,24 @@
 import csv
+import importlib.util
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gcflsim
 from gcflsim import harness
 from gcflsim.cli import main
+from gcflsim.errors import ConfigurationError
+from gcflsim.outputs import write_csv
 
-from conftest import write_tu_fixture
+from conftest import HYPOTHESIS, write_tu_fixture
 
 
 def run_cli(*argv):
@@ -88,6 +94,30 @@ class TestAnalyzeProperties:
         assert code == 5
         assert "CorruptDatasetError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suffix", ["A.txt", "node_labels.txt"])
+    def test_unopenable_file_returns_corrupt_code(self, tmp_path, capsys, suffix):
+        root = write_tu_fixture(tmp_path / "data", "BAD")
+        path = root / "BAD" / f"BAD_{suffix}"
+        path.unlink()
+        path.mkdir()  # present, but not a file that opens
+        code = run_cli("analyze-properties", "--data-root", str(root),
+                       "--dataset", "BAD", "--out", str(tmp_path / "x.csv"))
+        assert code == 5
+        assert "CorruptDatasetError" in capsys.readouterr().err
+
+    def test_reads_no_degree_features(self, tmp_path, monkeypatch):
+        # a social set's name makes the federation loader one-hot encode degrees;
+        # no property reads features, so the analysis loads without them
+        def no_features(*args):
+            raise AssertionError("built degree features")
+
+        monkeypatch.setattr(harness, "apply_degree_features", no_features)
+        root = write_tu_fixture(tmp_path / "data", "IMDB-BINARY")
+        out = tmp_path / "props.csv"
+        assert run_cli("analyze-properties", "--data-root", str(root),
+                       "--dataset", "IMDB-BINARY", "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 5
+
 
 class TestAnalyzeHetero:
     def test_self_comparison(self, tmp_path, capsys):
@@ -126,6 +156,65 @@ def test_negative_analysis_seed_is_argument_error(tmp_path, capsys, command):
     assert code == 2
     assert "ArgumentError" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _command(tmp_path, command, out):
+    """Arguments of a small ``command`` run that writes to ``out``."""
+    if command in ("analyze-properties", "analyze-hetero"):
+        root = write_tu_fixture(tmp_path / "data", "TINY")
+        sets = ["--dataset", "TINY"] if command == "analyze-properties" else \
+            ["--set-a", "TINY", "--set-b", "TINY"]
+        return [command, "--data-root", str(root), *sets, "--out", str(out)]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("setting = synthetic\nnum_clients = 4\nrounds = 1\nalgorithms = fedavg\n"
+                   "hidden = 8\nnum_layers = 2\nhetero_report = false\n")
+    if command == "run":
+        return ["run", "--config", str(cfg), "--set", f"out_dir={out}"]
+    return ["calibrate", "--config", str(cfg), "--eps1-grid", "10", "--eps2-grid", "1",
+            "--rounds", "1", "--out", str(out)]
+
+
+OUTPUT_COMMANDS = ["analyze-properties", "analyze-hetero", "run", "calibrate"]
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_unwritable_output_exits_before_any_work(tmp_path, capsys, monkeypatch, command):
+    args = _command(tmp_path, command, tmp_path / "file" / "out")
+    (tmp_path / "file").write_text("in the way\n")
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("loaded or generated data before checking the output")
+
+    monkeypatch.setattr(harness, "load_tu_dataset", no_work)
+    monkeypatch.setattr(harness, "synthetic_two_group_clients", no_work)
+    assert run_cli(*args) == 3
+    err = capsys.readouterr().err
+    assert "ConfigurationError" in err and str(tmp_path / "file") in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text() == "in the way\n"
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_output_directories_are_made(tmp_path, command):
+    out = tmp_path / "new" / "dir" / "out"
+    assert run_cli(*_command(tmp_path, command, out)) == 0
+    assert (out / "summary.csv" if command == "run" else out).is_file()
+
+
+@pytest.mark.parametrize("command", ["analyze-properties", "analyze-hetero", "calibrate"])
+def test_output_file_naming_a_directory_is_configuration_error(tmp_path, capsys, command):
+    (tmp_path / "out").mkdir()
+    assert run_cli(*_command(tmp_path, command, tmp_path / "out")) == 3
+    assert "ConfigurationError" in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_failed_write_is_configuration_error(tmp_path):
+    # a location that passed the check but cannot be written when the work is done
+    (tmp_path / "out.csv").mkdir()
+    with pytest.raises(ConfigurationError, match="out.csv"):
+        write_csv(tmp_path / "out.csv", ["a"], [[1]])
 
 
 class TestRun:
@@ -209,13 +298,19 @@ class TestRun:
         assert override.split("=")[0] in err
         assert not (tmp_path / "out").exists()
 
-    def test_unallocatable_model_is_configuration_error(self, tmp_path, capsys):
-        # about 2e16 parameters: numpy refuses the vector at once, allocating nothing
+    @pytest.mark.parametrize("override, named, digits", [
+        ("hidden=100000000", "hidden 100000000", 17),
+        ("num_layers=1000000000000000000", "1000000000000000000 layers", 21),
+    ], ids=["hidden", "num_layers"])
+    def test_unallocatable_model_is_configuration_error(self, tmp_path, capsys, override, named,
+                                                         digits):
+        # about 2e16 and 1.5e20 parameters: numpy refuses the vector at once, allocating
+        # nothing, and the size is known without building a per-layer list
         cfg = self._write_config(tmp_path)
-        assert run_cli("run", "--config", str(cfg), "--set", "hidden=100000000") == 3
+        assert run_cli("run", "--config", str(cfg), "--set", override) == 3
         err = capsys.readouterr().err
-        assert "ConfigurationError" in err and "hidden 100000000" in err
-        assert re.search(r"a GIN of \d{17} parameters", err)
+        assert "ConfigurationError" in err and named in err
+        assert re.search(rf"a GIN of \d{{{digits}}} parameters", err)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sets, differ", [
@@ -407,3 +502,116 @@ class TestCalibrate:
         assert code == 3
         assert "ConfigurationError" in capsys.readouterr().err
         assert not out.exists()
+
+
+# --- a corrupted TU file ends in a typed error's exit code, never a traceback ---
+
+def _benchmark_tu_writer():
+    """``perfbench/tudata.py``'s ``write_tu``, which writes the benchmark's TU sets."""
+    spec = importlib.util.spec_from_file_location(
+        "tudata", Path(__file__).resolve().parent.parent / "perfbench" / "tudata.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.write_tu
+
+
+def _small_labelled_set():
+    """Twelve graphs of 3-7 nodes, two classes and three node labels, as ``write_tu`` takes them."""
+    rng = np.random.default_rng(21)
+    nodes, edge_sets, node_labels = [], [], []
+    for _ in range(12):
+        n = int(rng.integers(3, 8))
+        path = {(v, v + 1) for v in range(n - 1)}  # connected, so no embedding is undefined
+        chords = {(int(u), int(v)) for u, v in rng.integers(n, size=(2, 2)) if u < v}
+        nodes.append(n)
+        edge_sets.append(path | chords)
+        node_labels.append(rng.integers(3, size=n))
+    return nodes, edge_sets, [k % 2 for k in range(12)], node_labels
+
+
+write_tu, SMALL_SET = _benchmark_tu_writer(), _small_labelled_set()
+TU_FILES = ("A", "graph_indicator", "graph_labels", "node_labels")
+NOT_INTEGERS = (b"x", b"1.5", b"nan", b"1e3", b"-", b"0x1f")
+OUT_OF_RANGE = (b"-1", b"13", b"1000000", b"9223372036854775808", b"1" + b"0" * 30)
+
+
+@st.composite
+def corruptions(draw):
+    """One TU file and a way to corrupt it: a function from its bytes to new bytes."""
+    name = draw(st.sampled_from(TU_FILES))
+    kind = draw(st.sampled_from(["truncate", "drop_column", "add_column", "not_integer",
+                                 "zero", "out_of_range", "bad_utf8", "crlf"]))
+    at, field = draw(st.integers(0, 10**4)), draw(st.integers(0, 1))
+    value = {"not_integer": st.sampled_from(NOT_INTEGERS), "zero": st.just(b"0"),
+             "out_of_range": st.sampled_from(OUT_OF_RANGE)}.get(kind, st.just(b""))
+    value = draw(value)
+
+    def corrupt(data: bytes) -> bytes:
+        if kind == "truncate":
+            return data[:at % len(data)]
+        if kind == "crlf":
+            return data.replace(b"\n", b"\r\n")
+        lines = data.split(b"\n")[:-1]  # every written file ends in a newline
+        i = at % len(lines)
+        fields = lines[i].split(b",")
+        if kind == "drop_column":
+            fields = fields[:-1]
+        elif kind == "add_column":
+            fields.append(b" 7")
+        elif kind == "bad_utf8":
+            fields[field % len(fields)] += b"\xff\xfe"
+        else:
+            fields[field % len(fields)] = value
+        lines[i] = b",".join(fields)
+        return b"\n".join(lines) + b"\n"
+
+    return name, kind, corrupt
+
+
+TYPED_EXITS = {0, 3, 5, 6, 7}
+
+
+def _non_finite_cells(path: Path) -> list[str]:
+    """Cells of a CSV that read as numbers but are not finite, outside rows marked not computed."""
+    bad = []
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            if "not_computed" in row:  # an undefined property's mean may be nan
+                continue
+            for cell in row:
+                try:
+                    if not np.isfinite(float(cell)):
+                        bad.append(cell)
+                except ValueError:
+                    pass
+    return bad
+
+
+@settings(HYPOTHESIS, max_examples=100)
+@given(corruptions())
+def test_corrupted_tu_file_exits_with_a_typed_code(corruption):
+    name, kind, corrupt = corruption
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "data"
+        write_tu(root, "TINY", *SMALL_SET)
+        path = root / "TINY" / f"TINY_{name}.txt"
+        path.write_bytes(corrupt(path.read_bytes()))
+        cfg = Path(tmp) / "exp.cfg"
+        cfg.write_text(f"setting = oneDS\ndata_root = {root}\ndataset = TINY\nnum_clients = 2\n"
+                       "per_client_graphs = 6\nrounds = 1\nhidden = 4\nnum_layers = 1\n"
+                       f"out_dir = {Path(tmp) / 'run'}\n")
+        outs = {"props": Path(tmp) / "props.csv", "hetero": Path(tmp) / "hetero.csv"}
+        codes = {
+            "props": main(["analyze-properties", "--data-root", str(root), "--dataset", "TINY",
+                           "--out", str(outs["props"])]),
+            "hetero": main(["analyze-hetero", "--data-root", str(root), "--set-a", "TINY",
+                            "--set-b", "TINY", "--awe-length", "3", "--pair-budget", "20",
+                            "--out", str(outs["hetero"])]),
+            "run": main(["run", "--config", str(cfg)]),
+        }
+        assert set(codes.values()) <= TYPED_EXITS, (name, kind, codes)
+        if codes["run"] == 0:
+            outs.update({p.stem: p for p in (Path(tmp) / "run").glob("*.csv")})
+        for key, out in outs.items():
+            if codes.get(key, 0) == 0:
+                assert _non_finite_cells(out) == [], (name, kind, key)

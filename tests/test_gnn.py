@@ -267,6 +267,7 @@ class TestGraphBatch:
                   for i, g in enumerate(pool)]
         order = data.draw(st.permutations(range(len(graphs))))
         idx = order[:data.draw(st.integers(1, len(graphs)))]
+        idx += data.draw(st.lists(st.sampled_from(idx), max_size=2))  # a graph may repeat
         stack = GraphBatch(graphs)
         kept = stack.features.copy()
         got, want = stack.take(idx), GraphBatch([graphs[i] for i in idx])
@@ -312,7 +313,7 @@ class TestParameterLayout:
         # gin_loss_and_grad writes its gradient through these views of one
         # zeroed vector, so they must lay it out as the model's own views do
         model = small_model(np.random.default_rng(11), input_dim=4, hidden=6, layers=3)
-        size, parts = model._layout()
+        size, parts = model.num_params(), model._layout()
         grad = np.zeros(size)
 
         def in_order(v):
@@ -336,6 +337,9 @@ class TestParameterLayout:
         assert model.num_params() == (1 + 15 + 5 + 25 + 5) + (1 + 25 + 5 + 25 + 5) + 12
         with pytest.raises(ArgumentError):
             GinModel(3, 2, hidden=5, num_layers=2, vector=np.zeros(model.num_params() - 1))
+        # the closed form the model allocates by is where the per-layer layout ends
+        for dims in [(3, 2, 5, 2), (1, 4, 1, 1), (7, 3, 2, 5)]:
+            assert gnn._param_count(*dims) == gnn._param_layout(*dims)[-1][1]
 
 
 class TestAdam:

@@ -1,13 +1,14 @@
 import warnings
 from collections import deque
 from itertools import combinations
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import sparse, special, stats
 from scipy.sparse import csgraph
 
 from gcflsim import properties
@@ -427,6 +428,24 @@ class TestUnion:
         for g, _, found in steps:
             reached[g] += found
         assert reached.tolist() == [6, 6, n * (n - 1), 2, 0]
+
+    def test_union_adjacency_read_through_its_arrays_alone(self, budget, monkeypatch):
+        # the properties read a union's CSR through indptr and indices, and cut
+        # runs and finished graphs with graphs._cut_blocks, never by scipy indexing
+        rng = np.random.default_rng(9)
+        graphs = [complete_graph(3), make_graph(12, [(i, i + 1) for i in range(11)]),
+                  random_graph(rng, n=9, feat_dim=1), make_graph(2, [])]
+        fns = (avg_shortest_path, largest_component_fraction, avg_clustering_coefficient)
+        union = GraphBatch(graphs)
+        want = [[bits(v) for v in fn(union)] for fn in fns]
+        a = union.adjacency
+        union.adjacency = SimpleNamespace(indptr=a.indptr, indices=a.indices, data=a.data)
+
+        def no_indexing(*args):
+            raise AssertionError("scipy indexing")
+
+        monkeypatch.setattr(sparse.csr_array, "__getitem__", no_indexing)
+        assert [[bits(v) for v in fn(union)] for fn in fns] == want
 
 
 class TestWelch:
