@@ -32,7 +32,12 @@ from .harness import (
     load_dataset_for_federation,
     run_experiment,
 )
-from .hetero import dataset_pools, pairwise_heterogeneity, write_heterogeneity_csv
+from .hetero import (
+    dataset_pools,
+    enumerate_anonymous_walks,
+    pairwise_heterogeneity,
+    write_heterogeneity_csv,
+)
 from .outputs import check_writable
 from .properties import PROPERTY_NAMES, property_significance
 
@@ -106,6 +111,10 @@ def cmd_analyze_properties(args) -> int:
 
 
 def cmd_analyze_hetero(args) -> int:
+    enumerate_anonymous_walks(args.awe_length)  # its range check, before any set is read
+    for flag, value in (("--bins", args.bins), ("--pair-budget", args.pair_budget)):
+        if value < 1:
+            raise ArgumentError(f"{flag} must be >= 1, got {value}")
     check_writable(args.out)
     set_a = load_dataset_for_federation(args.data_root, args.set_a)
     set_b = set_a if args.set_b == args.set_a else \

@@ -383,6 +383,8 @@ def _build_node_features(base: Path, name: str, num_nodes: int) -> np.ndarray:
         attrs = _read_rows(attr_path)
         if len(attrs) != num_nodes:
             raise CorruptDatasetError(f"{attr_path}: {len(attrs)} rows for {num_nodes} nodes")
+        if not np.isfinite(attrs).all():  # a nan would drop out of every histogram unseen
+            raise CorruptDatasetError(f"{attr_path}: attributes must be finite numbers")
         parts.append(attrs)
     if label_path.exists():
         node_labels = _read_labels(label_path)

@@ -382,9 +382,11 @@ class ExperimentConfig:
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ConfigurationError(f"algorithms: unknown {unknown}; pick from {list(ALGORITHMS)}")
-        repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
-        if repeated:
-            raise ConfigurationError(f"algorithms: {repeated} named more than once")
+        for key in ("seeds", "algorithms"):  # a repeat would write every row of it twice
+            values = getattr(self, key)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigurationError(f"{key}: {repeated} named more than once")
         for key in ("eps1", "eps2"):
             value = getattr(self, key)
             if value is not None and not value > 0:  # also rejects nan

@@ -11,7 +11,6 @@ import logging
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,45 +37,45 @@ def enumerate_anonymous_walks(length: int) -> list[tuple[int, ...]]:
     of a symbol is one greater than the running maximum and consecutive
     symbols differ (walks never stay in place on a simple graph).
     """
-    if not 1 <= length <= MAX_WALK_LENGTH:
-        raise ArgumentError(f"walk length must be in [1, {MAX_WALK_LENGTH}], got {length}")
-    patterns: list[list[int]] = [[0]]
-    for _ in range(length):
-        grown = []
-        for pat in patterns:
-            top = max(pat)
-            for sym in range(top + 2):
-                if sym != pat[-1]:
-                    grown.append(pat + [sym])
-        patterns = grown
-    return [tuple(p) for p in patterns]
+    return list(_walk_automaton(length)[1])
 
 
 @lru_cache(maxsize=None)
-def _pattern_masks(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair-equality masks of the patterns, ascending, and each mask's pattern index."""
-    masks = _pair_masks(np.array(enumerate_anonymous_walks(length), dtype=np.int64))
-    order = np.argsort(masks)
-    return masks[order], order
+def _walk_automaton(length: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Transitions between the anonymous prefixes of walks of ``length`` edges, and the patterns.
 
-
-def _pair_masks(walks: np.ndarray) -> np.ndarray:
-    """Bit k set where the k-th position pair (i < j, combinations order) holds one node.
-
-    Two walks share an anonymous pattern exactly when their masks are equal;
-    C(MAX_WALK_LENGTH + 1, 2) = 36 bits fit in int64.
+    The states are the prefixes, grown level by level from ``(0,)``; the last
+    level, which has no row in ``step``, is the patterns, so state
+    ``len(step) + j`` is pattern j. ``step[k, i]`` is the state a walk in state
+    k enters when its next node repeats its node at position i, and
+    ``step[k, length]`` the state it enters on a new node; -1 marks a move no
+    walk makes.
     """
-    cols = walks.T.copy()
-    masks = np.zeros(len(walks), dtype=np.int64)
-    for k, (i, j) in enumerate(combinations(range(len(cols)), 2)):
-        masks |= np.left_shift(cols[i] == cols[j], k, dtype=np.int64)
-    return masks
+    if not 1 <= length <= MAX_WALK_LENGTH:
+        raise ArgumentError(f"walk length must be in [1, {MAX_WALK_LENGTH}], got {length}")
+    rows, level = [], [(0,)]
+    for _ in range(length):
+        grown, first = [], len(rows) + len(level)  # the id of the next level's first state
+        for pat in level:
+            top = max(pat)
+            child = {}  # the state of each next symbol
+            for sym in range(top + 2):
+                if sym != pat[-1]:
+                    child[sym] = first + len(grown)
+                    grown.append(pat + (sym,))
+            rows.append([child.get(sym, -1) for sym in pat] + [-1] * (length - len(pat))
+                        + [child[top + 1]])
+        level = grown
+    return np.array(rows, dtype=np.intp), tuple(level)
 
 
-def _pattern_index(walks: np.ndarray) -> np.ndarray:
-    """Index into ``enumerate_anonymous_walks`` of each row of node ids."""
-    sorted_masks, order = _pattern_masks(walks.shape[1] - 1)
-    return order[np.searchsorted(sorted_masks, _pair_masks(walks))]
+def _advance(step: np.ndarray, states: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
+    """Each walk's state after the step to its last node column, from its earlier ones."""
+    new = cols[-1]
+    move = np.full(len(new), step.shape[1] - 1)
+    for i, col in enumerate(cols[:-2]):  # never the node just left: walks do not stay in place
+        move[col == new] = i
+    return step[states, move]
 
 
 def _walks_per_node(graph: Graph, length: int) -> np.ndarray:
@@ -133,7 +132,7 @@ def awe_distribution(
     neighbors. ``exact`` enumerates every walk with its probability;
     ``sampled`` estimates frequencies from seeded random walks.
     """
-    num_patterns = len(_pattern_masks(length)[0])
+    step, patterns = _walk_automaton(length)
     if graph.num_edges == 0:
         raise UndefinedEmbeddingError("anonymous walks are undefined on an edgeless graph")
     deg = graph.degrees
@@ -144,30 +143,30 @@ def awe_distribution(
         # Walks of each start in the order a DFS popping the highest neighbour
         # first reaches them, starts in ascending order, so the sums below add
         # in that order whatever the chunk size.
-        probs = np.zeros(num_patterns)
+        probs = np.zeros(len(patterns))
         for lo, hi in _start_chunks(_walks_per_node(graph, length)[starts]):
-            walks = starts[lo:hi, None]
+            cols, state = [starts[lo:hi]], np.zeros(hi - lo, dtype=np.intp)
             p = np.full(hi - lo, 1.0 / len(starts))
             for _ in range(length):
-                ends = walks[:, -1]
+                ends = cols[-1]
                 d = deg[ends]
                 # CSR position of each child, counted back from its end node's row end
                 pos = np.repeat(indptr[ends + 1] + np.cumsum(d) - d, d) - np.arange(d.sum()) - 1
-                walks = np.column_stack([np.repeat(walks, d, axis=0), indices[pos]])
+                cols = [np.repeat(col, d) for col in cols] + [indices[pos]]
+                state = _advance(step, np.repeat(state, d), cols)
                 p = np.repeat(p / d, d)
-            np.add.at(probs, _pattern_index(walks), p)
+            np.add.at(probs, state - len(step), p)
     elif mode == "sampled":
         if samples < 1:
             raise ArgumentError("samples must be >= 1")
         rng = np.random.default_rng(seed)
-        cur = starts[rng.integers(len(starts), size=samples)]
-        walks = np.empty((samples, length + 1), dtype=np.int64)
-        walks[:, 0] = cur
-        for t in range(1, length + 1):
-            r = rng.integers(0, deg[cur])
-            cur = indices[indptr[cur] + r]
-            walks[:, t] = cur
-        probs = np.bincount(_pattern_index(walks), minlength=num_patterns) / samples
+        cols = [starts[rng.integers(len(starts), size=samples)]]
+        state = np.zeros(samples, dtype=np.intp)
+        for _ in range(length):
+            cur = cols[-1]
+            cols.append(indices[indptr[cur] + rng.integers(0, deg[cur])])
+            state = _advance(step, state, cols)
+        probs = np.bincount(state - len(step), minlength=len(patterns)) / samples
     else:
         raise ArgumentError(f"unknown mode {mode!r}")
     return AweDistribution(length, probs)

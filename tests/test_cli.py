@@ -145,6 +145,21 @@ class TestAnalyzeHetero:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--awe-length", "0"), ("--awe-length", "9"), ("--bins", "0"), ("--pair-budget", "0"),
+])
+def test_bad_hetero_argument_exits_before_loading(tmp_path, capsys, monkeypatch, flag, value):
+    def no_load(*args, **kwargs):
+        raise AssertionError("read a dataset before checking the arguments")
+
+    monkeypatch.setattr(harness, "load_tu_dataset", no_load)
+    out = tmp_path / "het.csv"
+    assert run_cli("analyze-hetero", "--data-root", str(tmp_path), "--set-a", "TINY",
+                   "--set-b", "TINY", flag, value, "--out", str(out)) == 2
+    assert "ArgumentError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["analyze-properties", "--dataset", "TINY"],
     ["analyze-hetero", "--set-a", "TINY", "--set-b", "TINY"],
@@ -286,7 +301,7 @@ class TestRun:
         "hidden=0", "num_layers=0", "batch_size=0", "rounds=0", "num_clients=5",
         "pair_budget=0", "awe_length=0", "awe_length=9", "bins=0", "epochs=-1", "window=0",
         "lr=-0.001", "prox_mu=-5", "weight_decay=-1", "seeds=-1", "seeds=0,-2",
-        "algorithms=fedavg,fedavg,selftrain,selftrain", "algorithms=gcfl,fedavg,gcfl",
+        "algorithms=fedavg,fedavg,selftrain,selftrain", "algorithms=gcfl,fedavg,gcfl", "seeds=0,0",
         "min_split_size=-3", "min_split_size=0", "warmup_rounds=-2", "per_client_graphs=1",
         "test_fraction=0.999",
     ])
@@ -566,6 +581,25 @@ def corruptions(draw):
         return b"\n".join(lines) + b"\n"
 
     return name, kind, corrupt
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_node_attribute_exits_corrupt(tmp_path, capsys, bad):
+    root = tmp_path / "data"
+    write_tu(root, "TINY", *SMALL_SET)
+    rows = ["0.5, 1.0"] * sum(SMALL_SET[0])
+    rows[3] = f"{bad}, 1.0"
+    (root / "TINY" / "TINY_node_attributes.txt").write_text("\n".join(rows) + "\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"setting = oneDS\ndata_root = {root}\ndataset = TINY\nnum_clients = 2\n"
+                   "per_client_graphs = 6\nrounds = 1\nhidden = 4\nnum_layers = 1\n"
+                   f"out_dir = {tmp_path / 'run'}\n")
+    assert main(["analyze-hetero", "--data-root", str(root), "--set-a", "TINY", "--set-b", "TINY",
+                 "--awe-length", "3", "--out", str(tmp_path / "hetero.csv")]) == 5
+    assert main(["run", "--config", str(cfg)]) == 5
+    err = capsys.readouterr().err
+    assert err.count("CorruptDatasetError") == 2 and err.count("TINY_node_attributes.txt") == 2
+    assert not (tmp_path / "hetero.csv").exists() and not (tmp_path / "run").exists()
 
 
 TYPED_EXITS = {0, 3, 5, 6, 7}

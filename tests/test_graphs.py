@@ -621,6 +621,9 @@ class TestTuLoaderAgainstReference:
         ("A", "1, 2\n  \n2; 3\n"),
         ("graph_indicator", "1\n1\n1\n2\n\t\n2\n2\n3\n3\n3x\n"),
         ("node_attributes", "1.0, 2.0\n" * 8 + "1.0, a\n"),
+        ("node_attributes", "1.0, 2.0\n" * 8 + "nan, 2.0\n"),
+        ("node_attributes", "1.0, 2.0\n" * 4 + "1.0, inf\n" + "1.0, 2.0\n" * 4),
+        ("node_attributes", "1.0, 2.0\n" * 8 + "-inf, 2.0\n"),
     ])
     def test_malformed_line_names_its_file(self, tmp_path, suffix, text):
         root = write_tu_fixture(tmp_path, "BAD")

@@ -10,9 +10,9 @@ from gcflsim.errors import ArgumentError, UndefinedEmbeddingError
 from gcflsim.graphs import Dataset, Graph, erdos_renyi_gnm
 from gcflsim.hetero import (
     MAX_WALK_LENGTH,
-    _pattern_index,
-    _pattern_masks,
+    _advance,
     _sample_pairs,
+    _walk_automaton,
     _walks_per_node,
     awe_distribution,
     awe_distribution_auto,
@@ -90,6 +90,31 @@ def dfs_awe_probs(graph, length):
                     child[nxt] = len(mapping)
                     stack.append((nxt, pat + (child[nxt],), child, step))
     return probs
+
+
+def sampled_awe_reference(graph, length, samples, seed):
+    """Reference sampled distribution: Python walks over sorted neighbour lists.
+
+    It makes ``awe_distribution``'s generator calls in the same order: every
+    start at once, then one next-neighbour draw per walk and step.
+    """
+    nbrs = [[] for _ in range(graph.num_nodes)]
+    for u, v in graph.edges.tolist():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    nbrs = [sorted(row) for row in nbrs]
+    starts = [v for v in range(graph.num_nodes) if nbrs[v]]
+    rng = np.random.default_rng(seed)
+    walks = [[starts[i]] for i in rng.integers(len(starts), size=samples).tolist()]
+    for _ in range(length):
+        picks = rng.integers(0, [len(nbrs[walk[-1]]) for walk in walks])
+        for walk, r in zip(walks, picks.tolist()):
+            walk.append(nbrs[walk[-1]][r])
+    index = {p: i for i, p in enumerate(enumerate_anonymous_walks(length))}
+    counts = np.zeros(len(index))
+    for walk in walks:
+        counts[index[_anonymize(walk)]] += 1
+    return counts / samples
 
 
 class TestEnumeration:
@@ -194,22 +219,27 @@ class TestAweDistribution:
                     mp.setattr(hetero, "EXACT_CHUNK_WALKS", cap)
                     assert np.array_equal(awe_distribution(graph, length).probs, want)
 
-    def test_one_distinct_mask_per_pattern(self):
+    @HYPOTHESIS
+    @given(small_graphs().filter(lambda g: g.num_edges > 0), st.integers(0, 2**32))
+    def test_sampled_matches_reference_walker(self, graph, seed):
         for length in range(1, MAX_WALK_LENGTH + 1):
-            masks, order = _pattern_masks(length)
-            assert len(np.unique(masks)) == len(enumerate_anonymous_walks(length))
-            assert sorted(order.tolist()) == list(range(len(masks)))
+            assert np.array_equal(
+                awe_distribution(graph, length, mode="sampled", samples=200, seed=seed).probs,
+                sampled_awe_reference(graph, length, 200, seed))
 
     def test_pattern_index_matches_reference_anonymizer(self):
         rng = np.random.default_rng(15)
         for length in range(1, MAX_WALK_LENGTH + 1):
-            patterns = enumerate_anonymous_walks(length)
+            step, patterns = _walk_automaton(length)
             for nodes in (2, 3, length + 1, 50):
                 steps = rng.integers(1, nodes, size=(400, length + 1))
                 steps[:, 0] = rng.integers(nodes, size=400)
                 walks = np.cumsum(steps, axis=1) % nodes  # no step stays in place
-                got = _pattern_index(walks)
-                assert [patterns[i] for i in got] == [_anonymize(w) for w in walks]
+                cols, state = [walks[:, 0]], np.zeros(len(walks), dtype=np.intp)
+                for t in range(1, length + 1):
+                    cols.append(walks[:, t])
+                    state = _advance(step, state, cols)
+                assert [patterns[k - len(step)] for k in state] == [_anonymize(w) for w in walks]
 
 
 class TestJensenShannon:
