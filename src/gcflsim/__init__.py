@@ -73,10 +73,8 @@ from .hetero import (
 )
 from .properties import (
     PropertyReport,
-    avg_clustering_coefficient,
-    avg_shortest_path,
     degree_kurtosis,
-    largest_component_fraction,
+    graph_properties,
     property_significance,
 )
 

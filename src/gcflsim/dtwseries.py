@@ -11,6 +11,7 @@ import logging
 
 import numpy as np
 
+from .clustering import WEIGHT_FLOOR
 from .errors import ArgumentError
 
 logger = logging.getLogger(__name__)
@@ -84,7 +85,7 @@ def dtw_to_cut_weights(beta: np.ndarray) -> np.ndarray:
         raise ArgumentError("distance matrix must be square")
     if np.max(np.abs(beta - beta.T)) > 1e-9 or beta.min() < 0 or np.any(np.diag(beta) != 0):
         raise ArgumentError("distance matrix must be symmetric, nonnegative, zero-diagonal")
-    w = beta.max() - beta + 1e-6
+    w = beta.max() - beta + WEIGHT_FLOOR
     np.fill_diagonal(w, 0.0)
     return w
 

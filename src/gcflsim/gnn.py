@@ -94,9 +94,6 @@ class GinModel:
     def _layout(self):
         return _param_layout(self.input_dim, self.output_dim, self.hidden, self.num_layers)
 
-    def layer_input_dim(self, layer: int) -> int:
-        return self.input_dim if layer == 0 else self.hidden
-
     def num_params(self) -> int:
         return self.vector.size
 
@@ -108,22 +105,19 @@ def init_gin(
     num_layers: int = 3,
     rng: np.random.Generator | None = None,
 ) -> GinModel:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights and biases, eps = 0."""
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights and biases, eps = 0.
+
+    Drawn in layout order. A weight's fan-in is its first dimension, and a
+    bias shares the fan-in of the weight before it.
+    """
     rng = rng or np.random.default_rng(0)
     model = GinModel(input_dim, output_dim, hidden, num_layers)
-
-    def uniform(fan_in, shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    for l in range(num_layers):
-        d = model.layer_input_dim(l)
-        model.w1[l][...] = uniform(d, (d, hidden))
-        model.b1[l][...] = uniform(d, (hidden,))
-        model.w2[l][...] = uniform(hidden, (hidden, hidden))
-        model.b2[l][...] = uniform(hidden, (hidden,))
-    model.wc[...] = uniform(hidden, (hidden, output_dim))
-    model.bc[...] = uniform(hidden, (output_dim,))
+    for start, stop, shape in model._layout():
+        if not shape:  # eps, which starts at 0
+            continue
+        if len(shape) == 2:
+            bound = 1.0 / np.sqrt(shape[0])
+        model.vector[start:stop] = rng.uniform(-bound, bound, size=stop - start)
     return model
 
 

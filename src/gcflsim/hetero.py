@@ -208,13 +208,17 @@ def js_distance(p, q):
 def feature_sim_histogram(graph: Graph, bins: int = 20) -> np.ndarray:
     """Normalized histogram of per-edge endpoint feature cosine similarity on [-1, 1].
 
-    Zero feature vectors are assigned similarity 0 instead of NaN.
+    Zero feature vectors are assigned similarity 0 instead of NaN. Each row is
+    first scaled by a power of two that brings its largest magnitude into
+    [0.5, 1): exact, so the cosines keep their bits, and no finite row's norm
+    overflows or underflows to 0.
     """
     if bins < 1:
         raise ArgumentError("bins must be >= 1")
     if graph.num_edges == 0:
         raise UndefinedEmbeddingError("similarity histogram is undefined on an edgeless graph")
     x = graph.features
+    x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, initial=0.0))[1][:, None])
     a = x[graph.edges[:, 0]]
     b = x[graph.edges[:, 1]]
     na = np.linalg.norm(a, axis=1)

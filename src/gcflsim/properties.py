@@ -74,8 +74,10 @@ def _per_graph(union: GraphBatch, node_values: np.ndarray, reduce) -> np.ndarray
 def _runs(union: GraphBatch):
     """Runs ``(lo, hi, first, run_a)`` of consecutive whole graphs: graphs ``lo`` to
     ``hi - 1`` of the union, whose nodes start at row ``first``, and the run's block
-    of the adjacency, cut by ``_cut_blocks``. A run's nodes times its widest graph's
-    nodes stay within ``FRONTIER_BITS``; a graph over it alone is a run of its own."""
+    of the adjacency, cut by ``_cut_blocks`` (or the union's own, uncopied, when the
+    run is the whole union: nothing writes to it). A run's nodes times its widest
+    graph's nodes stay within ``FRONTIER_BITS``; a graph over it alone is a run of
+    its own."""
     lo = nodes = widest = 0
     bounds = []
     for g, size in enumerate(union.sizes.tolist()):
@@ -86,8 +88,9 @@ def _runs(union: GraphBatch):
         widest = max(widest, size)
     bounds.append((lo, len(union)))
     for lo, hi in bounds:
-        yield lo, hi, int(union.starts[lo]), _cut_blocks(union.adjacency, union.sizes,
-                                                         union.starts, np.arange(lo, hi))[1]
+        yield lo, hi, int(union.starts[lo]), (
+            union.adjacency if hi - lo == len(union) else
+            _cut_blocks(union.adjacency, union.sizes, union.starts, np.arange(lo, hi))[1])
 
 
 def _neighbour_passes(a) -> tuple[list[np.ndarray], np.ndarray]:
@@ -140,102 +143,79 @@ def _source_blocks(union: GraphBatch):
             yield lo, hi, first, run_a, passes, frontier
 
 
-def _bfs_steps(union: GraphBatch):
-    """Breadth-first search from every node of ``union`` at once, one step at a time.
+def graph_properties(union: GraphBatch) -> dict[str, np.ndarray]:
+    """Each property of ``PROPERTY_NAMES`` for each graph of ``union``, keyed by name.
 
-    The search starts from each block of ``_source_blocks``. A node's frontier
-    is a row of 64-bit words whose bit c is set when the node lies at the
-    current distance from the source in column c of its own graph; a step ORs
-    each node's neighbours' rows and keeps the bits not yet seen. Step k yields
-    ``(graphs, k, found)``: ``found[i]`` counts the (source, node) pairs of
-    graph ``graphs[i]`` at distance exactly k. A graph whose step reaches
+    The last three come from one breadth-first search from every node at once,
+    started from each block of ``_source_blocks``. A node's frontier is a row of
+    64-bit words whose bit c is set when the node lies at the current distance
+    from the source in column c of its own graph; a step ORs each node's
+    neighbours' rows and keeps the bits not yet seen. A graph whose step reaches
     nothing is done and is cut out of the block (``_cut_blocks``), so a
-    long-diameter graph steps alone.
+    long-diameter graph steps alone. Each (source, node) pair of a connected
+    graph is found once, at their distance:
+
+    - Shortest path: step k adds k per pair it finds. The mean over the
+      connected ordered pairs (each unordered pair from both ends) is the mean
+      over the unordered ones; ``nan`` where no pair is connected.
+    - Largest component: a node's component is itself and every other source
+      that reaches it, so its rows' popcounts, summed over the steps and
+      blocks, count the rest of its component.
+    - Clustering: no node neighbours itself, so step 1 reaches exactly each
+      node's neighbours among the block's sources, ``nb``. The popcount of
+      ``nb[v] & nb[u]`` counts the common neighbours of v and u there, and its
+      sum over v's neighbours u (pass by pass, so each array is the size of a
+      frontier) and over the blocks is twice the number of triangles through
+      v. Degree<2 nodes contribute 0.
+
+    Every count is an integer, summed exactly.
     """
-    for lo, hi, _, run_a, (passes, order), frontier in _source_blocks(union):
-        unseen, a, graphs = ~frontier, run_a, np.arange(lo, hi)
-        starts = _offsets(union.sizes[lo:hi])
+    k = _degrees(union)
+    total = np.zeros(len(union), dtype=np.int64)  # distances over connected ordered pairs
+    reach = np.ones(len(k), dtype=np.int64)  # the nodes of each node's component found so far
+    links = np.zeros(len(k), dtype=np.int64)  # twice the triangles through each node
+    for lo, hi, first, a, (passes, order), seen in _source_blocks(union):
+        graphs, nodes = np.arange(lo, hi), np.arange(first, first + len(seen))
+        starts = _offsets(union.sizes[graphs])
+        frontier = _or_of_neighbours(seen, passes, order)
+        mine, common = frontier[order], np.zeros(len(order), dtype=np.int64)
+        for neighbours in passes:
+            common[:len(neighbours)] += np.bitwise_count(
+                mine[:len(neighbours)] & frontier[neighbours]).sum(axis=1, dtype=np.int64)
+        links[nodes[order]] += common
+        del mine  # a frontier's size, which the search does not need
         for step in itertools.count(1):
-            reached = _or_of_neighbours(frontier, passes, order)
-            reached &= unseen
-            unseen ^= reached
-            found = np.add.reduceat(np.bitwise_count(reached).sum(axis=1, dtype=np.int64),
-                                    starts)
-            yield graphs, step, found
+            frontier |= seen  # frontier & ~seen, in place: the bits not yet seen
+            frontier ^= seen
+            seen |= frontier
+            counts = np.bitwise_count(frontier).sum(axis=1, dtype=np.int64)
+            reach[nodes] += counts
+            found = np.add.reduceat(counts, starts)
+            total[graphs] += step * found
             live = found > 0
             if not live.all():  # the graphs that are done leave
                 if not live.any():
                     break
                 rows, a = _cut_blocks(a, union.sizes[graphs], starts, np.flatnonzero(live))
-                reached, unseen, graphs = reached[rows], unseen[rows], graphs[live]
+                frontier, seen, nodes = frontier[rows], seen[rows], nodes[rows]
+                graphs = graphs[live]
                 starts, (passes, order) = _offsets(union.sizes[graphs]), _neighbour_passes(a)
-            frontier = reached
+            frontier = _or_of_neighbours(frontier, passes, order)
 
-
-def avg_shortest_path(union: GraphBatch) -> np.ndarray:
-    """Each graph's mean BFS distance over its connected unordered node pairs.
-
-    Disconnected pairs are excluded; ``nan`` where no pair is connected. Step
-    k of the breadth-first traversal adds k for each node it first reaches.
-    """
-    total = np.zeros(len(union), dtype=np.int64)
-    pairs = np.zeros(len(union), dtype=np.int64)
-    for graphs, step, found in _bfs_steps(union):
-        total[graphs] += step * found
-        pairs[graphs] += found
-    # every unordered pair was counted from both endpoints
+    pairs = np.add.reduceat(reach, union.starts) - union.sizes  # connected ordered pairs
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(pairs > 0, total / pairs, np.nan)
-
-
-def largest_component_fraction(union: GraphBatch) -> np.ndarray:
-    """Each graph's largest connected component as a percentage of its nodes.
-
-    Each node takes the smallest label among itself and its neighbours, then
-    follows its label's label once (pointer jumping), until nothing changes;
-    labels only fall and name a node of the same component, so at the end
-    they are constant on each component and differ between components.
-    """
-    a = union.adjacency
-    linked = np.flatnonzero(np.diff(a.indptr))  # reduceat needs nonempty rows
-    labels = np.arange(len(a.indptr) - 1)
-    while True:
-        smaller = labels.copy()
-        smaller[linked] = np.minimum(labels[linked],
-                                     np.minimum.reduceat(labels[a.indices], a.indptr[linked]))
-        smaller = smaller[smaller]
-        if np.array_equal(smaller, labels):
-            break
-        labels = smaller
-    largest = np.maximum.reduceat(np.bincount(labels)[labels], union.starts)
-    return 100.0 * largest / union.sizes
-
-
-def avg_clustering_coefficient(union: GraphBatch) -> np.ndarray:
-    """Each graph's mean local clustering coefficient; degree<2 nodes contribute 0.
-
-    Over a block of ``_source_blocks``, OR-ing the neighbours' source bits
-    gives each node the bitset of its neighbours among the block's sources.
-    The popcount of ``nb[v] & nb[u]`` counts the common neighbours of v and u
-    there, and its sum over v's neighbours u and over the blocks is twice the
-    number of triangles through v. The neighbours are visited pass by pass,
-    so each array is the size of a frontier.
-    """
-    k = _degrees(union)
-    links = np.zeros(len(k), dtype=np.int64)
-    for _, _, first, _, (passes, order), frontier in _source_blocks(union):
-        nb = _or_of_neighbours(frontier, passes, order)
-        mine, common = nb[order], np.zeros(len(order), dtype=np.int64)
-        for neighbours in passes:
-            common[:len(neighbours)] += np.bitwise_count(
-                mine[:len(neighbours)] & nb[neighbours]).sum(axis=1, dtype=np.int64)
-        links[first + order] += common
+        path = np.where(pairs > 0, total / pairs, np.nan)
     coeff = np.zeros(len(k))
     ok = k >= 2
     coeff[ok] = links[ok] / (k[ok] * (k[ok] - 1))
-    # a running sum in node order per graph, not numpy's pairwise one
-    return _per_graph(union, coeff, lambda rows: np.add.accumulate(rows, axis=1)[:, -1]) \
-        / union.sizes
+    return {
+        "degree_kurtosis": _per_graph(union, k, _pearson_kurtosis),
+        "avg_shortest_path": path,
+        "largest_component_pct": 100.0 * np.maximum.reduceat(reach, union.starts) / union.sizes,
+        # a running sum in node order per graph, not numpy's pairwise one
+        "clustering_coefficient": _per_graph(
+            union, coeff, lambda rows: np.add.accumulate(rows, axis=1)[:, -1]) / union.sizes,
+    }
 
 
 @dataclass
@@ -304,12 +284,12 @@ def property_significance(
 
     One random graph with the same node and edge counts is generated per real
     graph. The real graphs form one disjoint union and the random graphs
-    another, and each property is computed once per union, one value per
-    graph. Per-property p-values come from a two-sample Welch t-test on the
-    per-graph values; a property undefined (``nan``) on half the graphs or
-    more in either population is flagged as not computed. The kurtosis row
-    reports the pooled dataset-level statistic, matching its headline
-    definition; all other rows report means of the per-graph values.
+    another, and ``graph_properties`` computes every property once per union,
+    one value per graph. Per-property p-values come from a two-sample Welch
+    t-test on the per-graph values; a property undefined (``nan``) on half the
+    graphs or more in either population is flagged as not computed. The
+    kurtosis row reports the pooled dataset-level statistic, matching its
+    headline definition; all other rows report means of the per-graph values.
 
     The null seed of each random graph depends only on (seed, n, m, k) where
     k counts repeats of the same (n, m) shape, so the report is invariant to
@@ -327,10 +307,9 @@ def property_significance(
     real, random = GraphBatch(dataset.graphs), GraphBatch(random_graphs)
 
     rows: dict[str, PropertyStat] = {}
-    for prop, fn in zip(PROPERTY_NAMES, (lambda u: _per_graph(u, _degrees(u), _pearson_kurtosis),
-                                         avg_shortest_path, largest_component_fraction,
-                                         avg_clustering_coefficient)):
-        real_vals, rand_vals = fn(real), fn(random)
+    real_props, rand_props = graph_properties(real), graph_properties(random)
+    for prop in PROPERTY_NAMES:
+        real_vals, rand_vals = real_props[prop], rand_props[prop]
         real_vals, rand_vals = real_vals[~np.isnan(real_vals)], rand_vals[~np.isnan(rand_vals)]
         frac_real = len(real_vals) / len(real)
         frac_rand = len(rand_vals) / len(random)

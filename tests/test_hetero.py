@@ -355,6 +355,16 @@ class TestFeatureSimHistogram:
         b = feature_sim_histogram(g.with_features(g.features * 3.7), 20)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_finite_features(self, scale):
+        # every edge's cosine is at least 1/sqrt(2), so all lands in the top bin.
+        # Unscaled, the norms overflow or underflow, and a RuntimeWarning fails
+        # the test
+        first = [[scale, 1.0], [scale, 2.0]] if scale > 1 else [[scale, scale], [2 * scale, scale]]
+        g = make_graph(4, [(0, 1), (1, 2), (2, 3)], features=np.array(first + [[1.0, 1.0],
+                                                                               [2.0, 1.0]]))
+        assert feature_sim_histogram(g, bins=4).tolist() == [0.0, 0.0, 0.0, 1.0]
+
     def test_zero_vector_counts_as_zero_similarity(self):
         feats = np.array([[0.0, 0.0], [1.0, 0.0]])
         mass = feature_sim_histogram(make_graph(2, [(0, 1)], features=feats), bins=4)

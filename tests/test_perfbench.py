@@ -33,7 +33,9 @@ def write_tu_inputs(root: Path, seed: int) -> None:
 
 # wrap points whose functions were removed; the benchmark reports their layers absent
 RETIRED = {("clustering", "delta_stats"), ("gnn", "GinModel.load_flat"),
-           ("dtwseries", "push_norms")}
+           ("dtwseries", "push_norms"), ("properties", "avg_shortest_path"),
+           ("properties", "largest_component_fraction"),
+           ("properties", "avg_clustering_coefficient")}
 
 
 def wrapped(module: str, attribute: str):
@@ -62,7 +64,7 @@ def test_notes_bind_arguments_that_exist():
 
 # one layer per workload that must have been called, beyond the workload's own check
 CALLED = {"fed-synth": "gnn.forward.calls", "hetero-synth": "hetero.pairwise.calls",
-          "analysis-tu": "properties.shortest_path.calls"}
+          "analysis-tu": "properties.significance.calls"}
 
 
 @pytest.mark.parametrize("workload", sorted(CALLED))

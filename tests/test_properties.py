@@ -13,16 +13,12 @@ from scipy.sparse import csgraph
 
 from gcflsim import properties
 from gcflsim.errors import UndefinedStatisticError
-from gcflsim.graphs import Dataset, GraphBatch
+from gcflsim.graphs import Dataset, GraphBatch, _offsets
 from gcflsim.properties import (
     FRONTIER_BITS,
-    _degrees,
-    _pearson_kurtosis,
-    _per_graph,
-    avg_clustering_coefficient,
-    avg_shortest_path,
+    PROPERTY_NAMES,
     degree_kurtosis,
-    largest_component_fraction,
+    graph_properties,
     property_significance,
     welch_p_value,
 )
@@ -30,16 +26,12 @@ from gcflsim.properties import (
 from conftest import HYPOTHESIS, complete_graph, edge_set, make_graph, random_graph, small_graphs
 
 
-def one(fn, graph):
-    """A union property of ``graph`` alone: its one-graph union's only value."""
-    return float(fn(GraphBatch([graph]))[0])
+def one(prop, graph):
+    """Property ``prop`` of ``graph`` alone: its one-graph union's only value."""
+    return float(graph_properties(GraphBatch([graph]))[prop][0])
 
 
-def per_graph_kurtosis(union):
-    return _per_graph(union, _degrees(union), _pearson_kurtosis)
-
-
-# --- the per-graph functions the union functions replaced, as references ---
+# --- the per-graph functions the union function replaced, as references ---
 
 
 REFERENCE_SOURCE_BLOCK = 256  # shortest-path source nodes per csgraph call
@@ -94,20 +86,19 @@ def nan_if_undefined(fn, graph):
         return float("nan")
 
 
-UNION_AND_REFERENCE = (
-    (avg_shortest_path, ref_shortest_path),
-    (largest_component_fraction, ref_largest_component),
-    (avg_clustering_coefficient, ref_clustering),
-    (per_graph_kurtosis, ref_kurtosis),
-)
+REFERENCES = {
+    "degree_kurtosis": ref_kurtosis,
+    "avg_shortest_path": ref_shortest_path,
+    "largest_component_pct": ref_largest_component,
+    "clustering_coefficient": ref_clustering,
+}
 
 
 def assert_union_matches_oracles(graphs):
     """Each union value equals the brute-force value of its graph alone."""
-    union = GraphBatch(graphs)
-    paths = avg_shortest_path(union)
-    for g, path, lcc, cc in zip(graphs, paths, largest_component_fraction(union),
-                                avg_clustering_coefficient(union)):
+    props = graph_properties(GraphBatch(graphs))
+    for g, path, lcc, cc in zip(graphs, props["avg_shortest_path"],
+                                props["largest_component_pct"], props["clustering_coefficient"]):
         assert cc == pytest.approx(brute_clustering(g), abs=1e-12)
         assert lcc == pytest.approx(brute_largest_component(g), abs=1e-12)
         ref = brute_shortest_path(g)
@@ -130,12 +121,13 @@ def bits(x):
 
 
 def assert_union_matches_references(graphs):
-    union = GraphBatch(graphs)
-    for union_fn, ref_fn in UNION_AND_REFERENCE:
-        values = union_fn(union)
+    props = graph_properties(GraphBatch(graphs))
+    assert list(props) == list(PROPERTY_NAMES)
+    for prop, ref_fn in REFERENCES.items():
+        values = props[prop]
         assert values.shape == (len(graphs),)
         assert [bits(v) for v in values] == [bits(nan_if_undefined(ref_fn, g)) for g in graphs], \
-            union_fn.__name__
+            prop
 
 
 # --- independent brute-force references -----------------------------------
@@ -262,56 +254,56 @@ class TestDegreeKurtosis:
 
 class TestAvgShortestPath:
     def test_path3(self, path3):
-        assert one(avg_shortest_path, path3) == pytest.approx(4.0 / 3.0)
+        assert one("avg_shortest_path", path3) == pytest.approx(4.0 / 3.0)
 
     def test_complete_graphs_are_one(self):
         for n in range(2, 9):
-            assert one(avg_shortest_path, complete_graph(n)) == 1.0
+            assert one("avg_shortest_path", complete_graph(n)) == 1.0
 
     def test_disconnected_pairs_excluded(self):
         g = make_graph(4, [(0, 1), (2, 3)])
-        assert one(avg_shortest_path, g) == 1.0
+        assert one("avg_shortest_path", g) == 1.0
 
     def test_edgeless_is_nan(self):
-        assert np.isnan(one(avg_shortest_path, make_graph(3, [])))
+        assert np.isnan(one("avg_shortest_path", make_graph(3, [])))
 
     def test_path_longer_than_one_column_block(self, budget):
         # mean distance over the pairs of a path on n nodes is (n + 1) / 3; under the
         # small budgets the path's sources come in several column blocks
         n = 13 if budget < FRONTIER_BITS else 300
         g = make_graph(n, [(i, i + 1) for i in range(n - 1)])
-        assert one(avg_shortest_path, g) == (n + 1) / 3
+        assert one("avg_shortest_path", g) == (n + 1) / 3
 
 
 class TestClusteringAndComponents:
     def test_triangle_is_one(self, triangle):
-        assert one(avg_clustering_coefficient, triangle) == 1.0
+        assert one("clustering_coefficient", triangle) == 1.0
 
     def test_star_is_zero(self, star5):
-        assert one(avg_clustering_coefficient, star5) == 0.0
+        assert one("clustering_coefficient", star5) == 0.0
 
     def test_complete_graphs(self):
         for n in range(3, 8):
-            assert one(avg_clustering_coefficient, complete_graph(n)) == 1.0
+            assert one("clustering_coefficient", complete_graph(n)) == 1.0
 
     def test_connected_fraction(self, triangle):
-        assert one(largest_component_fraction, triangle) == 100.0
+        assert one("largest_component_pct", triangle) == 100.0
 
     def test_two_components(self):
         g = make_graph(4, [(0, 1), (1, 2)])
-        assert one(largest_component_fraction, g) == 75.0
+        assert one("largest_component_pct", g) == 75.0
 
 
 def test_properties_match_brute_force_on_random_graphs():
     rng = np.random.default_rng(11)
     for _ in range(50):
         g = random_graph(rng, n=int(rng.integers(3, 13)))
-        assert one(avg_clustering_coefficient, g) == pytest.approx(brute_clustering(g), abs=1e-12)
-        assert one(largest_component_fraction, g) == pytest.approx(
+        assert one("clustering_coefficient", g) == pytest.approx(brute_clustering(g), abs=1e-12)
+        assert one("largest_component_pct", g) == pytest.approx(
             brute_largest_component(g), abs=1e-12)
         ref = brute_shortest_path(g)
         if ref is not None:
-            assert one(avg_shortest_path, g) == pytest.approx(ref, abs=1e-12)
+            assert one("avg_shortest_path", g) == pytest.approx(ref, abs=1e-12)
         degrees = g.degrees
         if np.var(degrees) > 0:
             assert degree_kurtosis(Dataset("d", [g])) == pytest.approx(
@@ -321,14 +313,14 @@ def test_properties_match_brute_force_on_random_graphs():
 @HYPOTHESIS
 @given(small_graphs())
 def test_properties_match_brute_force_on_generated_graphs(g):
-    assert one(avg_clustering_coefficient, g) == pytest.approx(brute_clustering(g), abs=1e-12)
-    assert one(largest_component_fraction, g) == pytest.approx(
+    assert one("clustering_coefficient", g) == pytest.approx(brute_clustering(g), abs=1e-12)
+    assert one("largest_component_pct", g) == pytest.approx(
         brute_largest_component(g), abs=1e-12)
     ref = brute_shortest_path(g)
     if ref is None:
-        assert np.isnan(one(avg_shortest_path, g))
+        assert np.isnan(one("avg_shortest_path", g))
     else:
-        assert one(avg_shortest_path, g) == pytest.approx(ref, abs=1e-12)
+        assert one("avg_shortest_path", g) == pytest.approx(ref, abs=1e-12)
 
 
 class TestUnion:
@@ -349,10 +341,10 @@ class TestUnion:
     def test_single_node_and_edgeless_graphs(self):
         graphs = [make_graph(1, []), make_graph(3, []), make_graph(2, [(0, 1)]), make_graph(1, [])]
         assert_union_matches_references(graphs)
-        union = GraphBatch(graphs)
-        assert np.isnan(avg_shortest_path(union)).tolist() == [True, True, False, True]
-        assert largest_component_fraction(union).tolist() == [100.0, 100.0 / 3, 100.0, 100.0]
-        assert avg_clustering_coefficient(union).tolist() == [0.0, 0.0, 0.0, 0.0]
+        props = graph_properties(GraphBatch(graphs))
+        assert np.isnan(props["avg_shortest_path"]).tolist() == [True, True, False, True]
+        assert props["largest_component_pct"].tolist() == [100.0, 100.0 / 3, 100.0, 100.0]
+        assert props["clustering_coefficient"].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_graphs_straddling_the_frontier_budget(self, budget):
         rng = np.random.default_rng(4)
@@ -366,15 +358,21 @@ class TestUnion:
 
     def test_graph_larger_than_the_frontier_budget(self, budget):
         rng = np.random.default_rng(5)
-        # 11 and 22 nodes exceed a budget of 48 alone: 4 and 2 source columns per block
+        # 11 and 22 nodes exceed a budget of 48 alone: 4 and 2 source columns per
+        # block. The two paths of 11 nodes are one graph, whose component sizes are
+        # summed across its 11 column blocks
         n = 11
-        path = make_graph(n, [(i, i + 1) for i in range(n - 1)], feat_dim=3)
+        edges = [(i, i + 1) for i in range(n - 1)]
+        path = make_graph(n, edges, feat_dim=3)
+        two_paths = make_graph(2 * n, edges + [(u + n, v + n) for u, v in edges], feat_dim=3)
         graphs = [random_graph(rng, n=5), path, random_graph(rng, n=2 * n, p=3.0 / n),
                   make_graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)], feat_dim=3),
-                  random_graph(rng, n=5)]
+                  two_paths, random_graph(rng, n=5)]
         assert_union_matches_references(graphs)
         assert_union_matches_oracles(graphs)
-        assert avg_shortest_path(GraphBatch(graphs))[1] == (n + 1) / 3
+        props = graph_properties(GraphBatch(graphs))
+        assert props["avg_shortest_path"][[1, 4]].tolist() == [(n + 1) / 3] * 2
+        assert props["largest_component_pct"][[1, 4]].tolist() == [100.0, 50.0]
 
     @pytest.mark.parametrize("columns", [100, 150])
     def test_frontier_rows_of_several_words(self, columns, monkeypatch):
@@ -387,7 +385,7 @@ class TestUnion:
         monkeypatch.setattr(properties, "FRONTIER_BITS", columns * sum(g.num_nodes for g in graphs))
         assert_union_matches_references(graphs)
         assert_union_matches_oracles(graphs)
-        assert avg_shortest_path(GraphBatch(graphs))[1] == (n + 1) / 3
+        assert graph_properties(GraphBatch(graphs))["avg_shortest_path"][1] == (n + 1) / 3
 
     @pytest.mark.parametrize("budget", [1, 100 * 140, FRONTIER_BITS])
     def test_clustering_of_dense_graphs_across_words_and_blocks(self, budget, monkeypatch):
@@ -399,7 +397,7 @@ class TestUnion:
         # column wide
         graphs = [random_graph(rng, n=n, p=0.3, feat_dim=1) for n in (140, 110, 9)]
         monkeypatch.setattr(properties, "FRONTIER_BITS", budget)
-        values = avg_clustering_coefficient(GraphBatch(graphs))
+        values = graph_properties(GraphBatch(graphs))["clustering_coefficient"]
         assert [bits(v) for v in values] == [bits(ref_clustering(g)) for g in graphs]
         assert values.tolist() == pytest.approx([brute_clustering(g) for g in graphs], abs=1e-12)
         assert min(values[:2]) > 0.2
@@ -408,26 +406,36 @@ class TestUnion:
     def test_done_graphs_leave_the_traversal(self, bits, monkeypatch):
         n = 30
         path = make_graph(n, [(i, i + 1) for i in range(n - 1)])
-        graphs = [complete_graph(3), complete_graph(3), path, make_graph(2, [(0, 1)]),
-                  make_graph(2, [])]
+        # no two sets of these graphs have as many nodes (3, 4, 30, 2 and 8), so the
+        # rows a step ORs name the graphs that step
+        graphs = [complete_graph(3), complete_graph(4), path, make_graph(2, [(0, 1)]),
+                  make_graph(8, [])]
+        sizes = np.array([g.num_nodes for g in graphs])
         monkeypatch.setattr(properties, "FRONTIER_BITS", bits)
-        steps = [(graphs.tolist(), step, found.tolist())
-                 for graphs, step, found in properties._bfs_steps(GraphBatch(graphs))]
+        steps = []  # per step, each row's bits: its sources at step 1, then the last step's finds
+        or_of_neighbours = properties._or_of_neighbours
+
+        def recording(frontier, passes, order):
+            steps.append(np.bitwise_count(frontier).sum(axis=1, dtype=np.int64))
+            return or_of_neighbours(frontier, passes, order)
+
+        monkeypatch.setattr(properties, "_or_of_neighbours", recording)
+        graph_properties(GraphBatch(graphs))
         if bits == FRONTIER_BITS:
             # one run: each graph steps until a step reaches nothing, and only the
             # path (diameter n - 1) goes on
-            assert [g for g, step, _ in steps if step <= 2] == [[0, 1, 2, 3, 4], [0, 1, 2, 3]]
-            assert [g for g, _, _ in steps[2:]] == [[2]] * (n - 2)
+            stepping = [[0, 1, 2, 3, 4], [0, 1, 2, 3]] + [[2]] * (n - 2)
         else:
             # runs [0, 1], [2] and [3, 4]; the path alone takes sources 0-9, 10-19 and
             # 20-29 in three blocks, which step 30, 20 and 30 times
-            assert [step for g, step, _ in steps if g == [2] and step == 1] == [1, 1, 1]
-            assert len(steps) == 2 + 30 + 20 + 30 + 2
-        # every ordered pair of a connected graph is found once
-        reached = np.zeros(len(graphs), dtype=np.int64)
-        for g, _, found in steps:
-            reached[g] += found
-        assert reached.tolist() == [6, 6, n * (n - 1), 2, 0]
+            stepping = [[0, 1]] * 2 + [[2]] * (30 + 20 + 30) + [[3, 4], [3]]
+        assert [len(rows) for rows in steps] == [sizes[g].sum() for g in stepping]
+        # every ordered pair of a connected graph is found once; a graph's last step
+        # finds none, so its bits are its sources and the pairs
+        found = np.zeros(len(graphs), dtype=np.int64)
+        for rows, g in zip(steps, stepping):
+            found[g] += np.add.reduceat(rows, _offsets(sizes[g]))
+        assert (found - sizes).tolist() == [6, 12, n * (n - 1), 2, 0]
 
     def test_union_adjacency_read_through_its_arrays_alone(self, budget, monkeypatch):
         # the properties read a union's CSR through indptr and indices, and cut
@@ -435,9 +443,8 @@ class TestUnion:
         rng = np.random.default_rng(9)
         graphs = [complete_graph(3), make_graph(12, [(i, i + 1) for i in range(11)]),
                   random_graph(rng, n=9, feat_dim=1), make_graph(2, [])]
-        fns = (avg_shortest_path, largest_component_fraction, avg_clustering_coefficient)
         union = GraphBatch(graphs)
-        want = [[bits(v) for v in fn(union)] for fn in fns]
+        want = {prop: [bits(v) for v in values] for prop, values in graph_properties(union).items()}
         a = union.adjacency
         union.adjacency = SimpleNamespace(indptr=a.indptr, indices=a.indices, data=a.data)
 
@@ -445,7 +452,8 @@ class TestUnion:
             raise AssertionError("scipy indexing")
 
         monkeypatch.setattr(sparse.csr_array, "__getitem__", no_indexing)
-        assert [[bits(v) for v in fn(union)] for fn in fns] == want
+        assert {prop: [bits(v) for v in values]
+                for prop, values in graph_properties(union).items()} == want
 
 
 class TestWelch:
@@ -524,10 +532,11 @@ class TestPaperValues:
     def test_enzymes_clustering_coefficient(self):
         from conftest import require_dataset
         ds = require_dataset("ENZYMES")
-        mean_cc = np.mean(avg_clustering_coefficient(GraphBatch(ds.graphs)))
+        mean_cc = np.mean(graph_properties(GraphBatch(ds.graphs))["clustering_coefficient"])
         assert abs(mean_cc - 0.4516) <= 0.01
 
     def test_ptc_mr_average_shortest_path(self):
         from conftest import require_dataset
         ds = require_dataset("PTC_MR")
-        assert abs(np.nanmean(avg_shortest_path(GraphBatch(ds.graphs))) - 3.36) <= 0.05
+        paths = graph_properties(GraphBatch(ds.graphs))["avg_shortest_path"]
+        assert abs(np.nanmean(paths) - 3.36) <= 0.05
