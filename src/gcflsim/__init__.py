@@ -56,7 +56,6 @@ from .harness import (
     partition_one_dataset,
     run_experiment,
     synthetic_two_group_clients,
-    unify_feature_space,
 )
 from .hetero import (
     AweDistribution,

@@ -174,12 +174,10 @@ def evaluate_client(client: ClientState, model: GinModel,
 
 
 def infer_dims(clients: list[ClientState]) -> tuple[int, int]:
-    """Shared (input_dim, output_dim) over all client graphs."""
+    """Shared (input_dim, output_dim) over all client graphs: the widest feature width and
+    the largest class count. A narrower client reads the first rows of layer 0's W1."""
     graphs = [g for c in clients for g in c.train_graphs + c.test_graphs]
-    dims, max_label = {g.feat_dim for g in graphs}, max([0] + [g.label for g in graphs])
-    if len(dims) != 1:
-        raise ArgumentError(f"clients disagree on feature dim: {sorted(dims)}; unify first")
-    return dims.pop(), max(2, max_label + 1)
+    return max(g.feat_dim for g in graphs), max(2, 1 + max(g.label for g in graphs))
 
 
 def _prox_is_zero(clients: list[ClientState], config: RunConfig) -> bool:

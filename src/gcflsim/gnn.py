@@ -157,20 +157,22 @@ def gin_forward(
 
     The batch runs as one disjoint union (a list of graphs is unioned first):
     one sparse block-diagonal adjacency, and sum pooling over each graph's
-    node rows.
+    node rows. A batch narrower than the model, d columns wide, reads the first
+    d rows of layer 0's W1: the product a zero-padded batch would give.
     """
     batch = graphs if isinstance(graphs, GraphBatch) else GraphBatch(graphs)
-    if batch.features.shape[1] != model.input_dim:
+    if batch.features.shape[1] > model.input_dim:
         raise ArgumentError(
-            f"feature dim {batch.features.shape[1]} != model input dim {model.input_dim}")
+            f"feature dim {batch.features.shape[1]} > model input dim {model.input_dim}")
     n = len(batch.features)
     h = batch.features
     layers = []
     for l in range(model.num_layers):
+        d = h.shape[1]  # the batch's own width at layer 0, hidden after it
         # s = A h + (1 + eps) h, bit for bit: floating-point addition commutes
-        s = np.multiply(h, 1.0 + model.eps[l], out=_scratch(f"s{l}", n, h.shape[1]))
+        s = np.multiply(h, 1.0 + model.eps[l], out=_scratch(f"s{l}", n, d))
         s += batch.adjacency @ h
-        r = np.matmul(s, model.w1[l], out=_scratch(f"r{l}", n, model.hidden))
+        r = np.matmul(s, model.w1[l][:d], out=_scratch(f"r{l}", n, model.hidden))
         r += model.b1[l]
         np.maximum(r, 0.0, out=r)
         layers.append((h, s, r))
@@ -222,14 +224,15 @@ def gin_loss_and_grad(
     d_h[...] = np.repeat(d_logits @ model.wc.T, cache.batch.sizes, axis=0)  # sum pooling fans out
     for l in reversed(range(model.num_layers)):
         h, s, r = cache.layers[l]
+        d = h.shape[1]
         grad.w2[l][...] = r.T @ d_h
         grad.b2[l][...] = d_h.sum(axis=0)
         active = r > 0.0  # exactly where z = s W1 + b1 > 0
         d_z = np.matmul(d_h, model.w2[l].T, out=r)
         d_z *= active
-        grad.w1[l][...] = s.T @ d_z
+        grad.w1[l][:d] = s.T @ d_z  # rows past a narrow batch's width keep a zero gradient
         grad.b1[l][...] = d_z.sum(axis=0)
-        d_s = np.matmul(d_z, model.w1[l].T, out=s)
+        d_s = np.matmul(d_z, model.w1[l][:d].T, out=s)
         grad.eps[l][...] = np.vdot(d_s, h)
         if l:  # the input features need no gradient
             d_h = np.multiply(d_s, 1.0 + model.eps[l], out=h)

@@ -1,5 +1,8 @@
-"""Experiment driver: data partitioning, feature-space unification, metric
-summaries, cluster heterogeneity reports and CSV emission.
+"""Experiment driver: data partitioning, metric summaries, cluster
+heterogeneity reports and CSV emission.
+
+Every client keeps its dataset's own feature width; the model takes the
+widest, and a narrower client reads the first rows of its first weight matrix.
 
 All outputs are plain CSV so external tools can plot convergence curves and
 per-cluster heterogeneity. Runs are deterministic: a repeated invocation with
@@ -169,28 +172,6 @@ def build_multi_dataset_group(
         ds = load_dataset_for_federation(data_root, name, feature_mode)
         clients.append(client_from_dataset(ds, i, test_fraction, seed))
     return clients
-
-
-def unify_feature_space(clients: list[ClientState]) -> None:
-    """Right-pad every client graph's features with zeros to the widest graph's, in place.
-
-    Labels are already 0-based per dataset; ``fed.infer_dims`` sizes the label
-    head to the largest class count.
-    """
-    if not clients:
-        raise ArgumentError("need at least one client")
-    target = max(g.feat_dim for c in clients for g in c.train_graphs + c.test_graphs)
-    for c in clients:
-        c.train_graphs = [_pad_features(g, target) for g in c.train_graphs]
-        c.test_graphs = [_pad_features(g, target) for g in c.test_graphs]
-
-
-def _pad_features(graph: Graph, target: int) -> Graph:
-    if graph.feat_dim == target:
-        return graph
-    padded = np.zeros((graph.num_nodes, target))
-    padded[:, :graph.feat_dim] = graph.features
-    return graph.with_features(padded)
 
 
 def synthetic_two_group_clients(
@@ -473,7 +454,6 @@ def build_clients(config: ExperimentConfig, seed: int) -> list[ClientState]:
         clients = build_multi_dataset_group(
             config.group, config.data_root, test_fraction, seed, config.feature_mode
         )
-    unify_feature_space(clients)
     return clients
 
 

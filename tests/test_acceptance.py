@@ -26,7 +26,6 @@ from gcflsim.harness import (
     partition_one_dataset,
     run_experiment,
     synthetic_two_group_clients,
-    unify_feature_space,
 )
 from gcflsim.hetero import dataset_pools, pairwise_heterogeneity
 from gcflsim.properties import property_significance
@@ -277,7 +276,6 @@ def test_criterion_7b_heterogeneity_reduction_mini_mix():
         datasets = [load_dataset_for_federation(data_root(), name) for name in names]
         clients = [client_from_dataset(ds, i, test_fraction=0.1, seed=0)
                    for i, ds in enumerate(datasets)]
-        unify_feature_space(clients)
 
         probe = RunConfig(seed=0, hidden=32, num_layers=2)
         eps1, eps2 = auto_epsilons(clients, probe, probe_rounds=10)

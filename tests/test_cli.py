@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -530,9 +531,10 @@ def _benchmark_tu_writer():
     return module.write_tu
 
 
-def _small_labelled_set():
-    """Twelve graphs of 3-7 nodes, two classes and three node labels, as ``write_tu`` takes them."""
-    rng = np.random.default_rng(21)
+def _small_labelled_set(seed=21, labels=3):
+    """Twelve graphs of 3-7 nodes, two classes and up to ``labels`` node labels, as ``write_tu``
+    takes them."""
+    rng = np.random.default_rng(seed)
     nodes, edge_sets, node_labels = [], [], []
     for _ in range(12):
         n = int(rng.integers(3, 8))
@@ -540,7 +542,7 @@ def _small_labelled_set():
         chords = {(int(u), int(v)) for u, v in rng.integers(n, size=(2, 2)) if u < v}
         nodes.append(n)
         edge_sets.append(path | chords)
-        node_labels.append(rng.integers(3, size=n))
+        node_labels.append(rng.integers(labels, size=n))
     return nodes, edge_sets, [k % 2 for k in range(12)], node_labels
 
 
@@ -605,19 +607,23 @@ def test_non_finite_node_attribute_exits_corrupt(tmp_path, capsys, bad):
 TYPED_EXITS = {0, 3, 5, 6, 7}
 
 
-def _non_finite_cells(path: Path) -> list[str]:
-    """Cells of a CSV that read as numbers but are not finite, outside rows marked not computed."""
+def _non_finite_cells(path: Path, skip: tuple[str, ...] = ()) -> list[str]:
+    """Numbers of a CSV that are not finite, outside rows marked not computed and the columns
+    named in ``skip``; a cell of ``;``-joined numbers is read number by number."""
     bad = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        for row in rows:
             if "not_computed" in row:  # an undefined property's mean may be nan
                 continue
-            for cell in row:
-                try:
-                    if not np.isfinite(float(cell)):
-                        bad.append(cell)
-                except ValueError:
-                    pass
+            for name, cell in zip(header, row, strict=True):
+                for part in cell.split(";") if name not in skip else ():
+                    try:
+                        if not np.isfinite(float(part)):
+                            bad.append(cell)
+                    except ValueError:
+                        pass
     return bad
 
 
@@ -649,3 +655,72 @@ def test_corrupted_tu_file_exits_with_a_typed_code(corruption):
         for key, out in outs.items():
             if codes.get(key, 0) == 0:
                 assert _non_finite_cells(out) == [], (name, kind, key)
+
+
+# --- clients of different feature widths federate without padding ---
+
+def test_multi_dataset_run_keeps_each_clients_width(tmp_path):
+    root = tmp_path / "data"
+    widths = {}
+    for seed, (name, labels) in enumerate(zip(harness.MOLECULE_DATASETS, (7, 3, 5, 2, 8, 4, 6))):
+        tu_set = _small_labelled_set(seed, labels)
+        write_tu(root, name, *tu_set)
+        widths[name] = len(np.unique(np.concatenate(tu_set[3])))  # one column per node label
+    assert sorted(widths.values()) == list(range(2, 9))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"setting = multiDS\ngroup = molecules\ndata_root = {root}\n"
+                   "algorithms = gcfl\neps1 = 10\neps2 = 0.01\nrounds = 3\nhidden = 8\n"
+                   f"out_dir = {tmp_path / 'run'}\n")
+    clients = harness.build_clients(harness.ExperimentConfig.from_file(cfg), seed=0)
+    assert [{g.feat_dim for g in c.train_graphs + c.test_graphs} for c in clients] == \
+        [{widths[name]} for name in harness.MOLECULE_DATASETS]
+
+    assert main(["run", "--config", str(cfg)]) == 0
+    for path in (tmp_path / "run").glob("*.csv"):
+        assert _non_finite_cells(path) == [], path.name
+    with open(tmp_path / "run" / "rounds.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 3 * 7 * 2  # rounds x clients x algorithms
+
+
+# --- a config value ends in a typed error's exit code, never a traceback ---
+
+# keys sized by their value: a huge one runs for ever or allocates, so only small ones are drawn
+SIZE_KEYS = {"num_clients", "per_client_graphs", "rounds", "epochs", "batch_size", "hidden",
+             "num_layers", "window", "bins", "pair_budget"}
+OVERRIDE_KEYS = [f.name for f in fields(harness.ExperimentConfig) if f.name != "out_dir"]
+HUGE = "1" + "0" * 30
+ODD_VALUES = ("0", "-1", "nan", "inf", "-inf", "1.5", "", "abc", "1;2", "0x1f")
+CONFIG_EXITS = {0, 2, 3, 8}
+
+
+@st.composite
+def overridden_configs(draw):
+    """A tiny synthetic config and one or two of its keys overridden with an odd value."""
+    base = {"setting": "synthetic", "num_clients": 2, "per_client_graphs": 6,
+            "rounds": draw(st.integers(1, 2)), "hidden": draw(st.integers(1, 8)),
+            "num_layers": draw(st.integers(1, 2)), "batch_size": draw(st.integers(2, 8)),
+            "algorithms": "fedavg,fedprox,gcfl,gcflplus", "eps1": 10, "eps2": 0.01,
+            "min_split_size": 1, "awe_length": 3, "pair_budget": 20}
+    keys = draw(st.lists(st.sampled_from(OVERRIDE_KEYS), min_size=1, max_size=2, unique=True))
+    overrides = []
+    for key in keys:
+        values = ODD_VALUES if key in SIZE_KEYS else ODD_VALUES + (HUGE,)
+        overrides.append(f"{key}={draw(st.sampled_from(values))}")
+    return base, overrides
+
+
+@settings(HYPOTHESIS, max_examples=100)
+@given(overridden_configs())
+def test_odd_config_value_exits_with_a_typed_code(drawn):
+    base, overrides = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "exp.cfg", Path(tmp) / "run"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in base.items()) + f"out_dir = {out}\n")
+        argv = ["run", "--config", str(cfg)] + [a for o in overrides for a in ("--set", o)]
+        code = main(argv)
+        assert code in CONFIG_EXITS, overrides
+        if code == 0:
+            config = harness.ExperimentConfig.from_file(cfg).with_overrides(overrides)
+            skip = ("train_loss",) if config.epochs == 0 else ()  # no batch runs: a nan loss
+            for path in out.glob("*.csv"):
+                assert _non_finite_cells(path, skip) == [], (overrides, path.name)

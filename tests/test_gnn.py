@@ -124,10 +124,25 @@ class TestForward:
         expected = np.ones(5) @ h @ model.wc + model.bc
         assert np.allclose(logits_of(model, g), expected, atol=1e-12)
 
-    def test_dimension_mismatch(self):
-        model = small_model(np.random.default_rng(3), input_dim=4)
+    def test_narrow_batch_equals_zero_padded_batch(self):
+        # a batch 3 columns wide reads the first 3 rows of layer 0's W1 of an 8-wide model
+        rng = np.random.default_rng(3)
+        model = small_model(rng, input_dim=8, layers=3)
+        model.eps[0][...] = 0.3
+        graphs = [random_graph(rng, feat_dim=3) for _ in range(6)]
+        padded = [g.with_features(np.hstack([g.features, np.zeros((g.num_nodes, 5))]))
+                  for g in graphs]
+        labels = [g.label for g in graphs]
+        assert gin_forward(model, graphs)[0].tobytes() == gin_forward(model, padded)[0].tobytes()
+
+        _, grad = gin_loss_and_grad(model, graphs, labels)
+        _, want = gin_loss_and_grad(model, padded, labels)
+        assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
+        past_width = gnn._views(grad, model._layout()).w1[0][3:]
+        assert np.all(past_width == 0.0) and not np.signbit(past_width).any()
+
         with pytest.raises(ArgumentError):
-            gin_forward(model, [random_graph(np.random.default_rng(4), feat_dim=3)])
+            gin_forward(small_model(rng, input_dim=2), graphs)
 
 
 class TestCrossEntropy:

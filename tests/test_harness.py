@@ -8,7 +8,7 @@ from gcflsim.clustering import ClusterConfig, ClusterState
 from gcflsim.errors import ArgumentError, ConfigurationError
 from gcflsim import fed, harness, hetero
 from gcflsim.fed import RunConfig, Variant, infer_dims, run_federation
-from gcflsim.gnn import GinModel, gin_forward, init_gin, one_hot_degrees
+from gcflsim.gnn import one_hot_degrees
 from gcflsim.graphs import Dataset, Graph
 from gcflsim.harness import (
     MOLECULE_DATASETS,
@@ -24,7 +24,6 @@ from gcflsim.harness import (
     partition_one_dataset,
     run_experiment,
     synthetic_two_group_clients,
-    unify_feature_space,
 )
 
 from conftest import assert_same_fields, make_graph, random_graph, write_tu_fixture
@@ -88,48 +87,20 @@ class TestPartitionOneDataset:
         assert len(client.train_graphs) == 94
 
 
-class TestUnifyFeatureSpace:
-    def test_noop_for_uniform_dims(self):
+class TestInferDims:
+    def test_uniform_dims(self):
         clients = [client_from_dataset(synthetic_dataset(20, seed=s), s) for s in range(2)]
-        originals = [id(g) for g in clients[0].train_graphs]
-        unify_feature_space(clients)
         assert infer_dims(clients) == (2, 2)
-        assert [id(g) for g in clients[0].train_graphs] == originals
 
-    def test_padding_to_max_dim(self):
+    def test_mixed_widths_take_the_widest(self):
         rng = np.random.default_rng(0)
-        a = [replace(random_graph(rng, n=5, feat_dim=7), label=0) for _ in range(4)]
-        b = [replace(random_graph(rng, n=5, feat_dim=3), label=1) for _ in range(4)]
-        clients = [
-            client_from_dataset(Dataset("a", a), 0, test_fraction=0.25),
-            client_from_dataset(Dataset("b", b), 1, test_fraction=0.25),
-        ]
-        unify_feature_space(clients)
+        clients = []
+        for i, width in enumerate((7, 3)):
+            graphs = [replace(random_graph(rng, n=5, feat_dim=width), label=k % 2)
+                      for k in range(4)]
+            clients.append(client_from_dataset(Dataset(str(width), graphs), i, test_fraction=0.25))
         assert infer_dims(clients) == (7, 2)
-        for g in clients[1].train_graphs + clients[1].test_graphs:
-            assert g.feat_dim == 7
-            assert np.all(g.features[:, 3:] == 0.0)
-
-    def test_padded_forward_equals_embedded_model(self):
-        # a model whose padded-input weights are zero must produce the same
-        # logits on padded graphs as the original model on the original graph
-        rng = np.random.default_rng(1)
-        g = random_graph(rng, n=6, feat_dim=3)
-        small = init_gin(3, 2, hidden=5, num_layers=2, rng=rng)
-        padded_feats = np.zeros((6, 8))
-        padded_feats[:, :3] = g.features
-        g_pad = g.with_features(padded_feats)
-
-        big = GinModel(8, 2, hidden=5, num_layers=2)
-        big.w1[0][:3] = small.w1[0]
-        big.w1[1][...] = small.w1[1]
-        for name in ("eps", "b1", "w2", "b2"):
-            for dst, src in zip(getattr(big, name), getattr(small, name)):
-                dst[...] = src
-        big.wc[...] = small.wc
-        big.bc[...] = small.bc
-
-        assert np.allclose(gin_forward(big, [g_pad])[0], gin_forward(small, [g])[0], atol=1e-12)
+        assert {g.feat_dim for g in clients[1].train_graphs + clients[1].test_graphs} == {3}
 
 
 class TestComputeMetrics:
@@ -352,22 +323,22 @@ class TestGroupBuilder:
                                   feature_mode="onehot_degree")
         got = build_clients(config, seed=0)
 
-        # the former encoding: each graph one-hot over its own degrees, then padded
-        def per_graph(g):
+        # the former encoding: each graph one-hot over its own degrees, then zero-padded
+        # to the widest graph of its client, which keeps its dataset's width
+        def per_graph(g, width):
             max_degree = max(1, int(g.degrees.max()) if g.num_edges else 1)
-            return g.with_features(one_hot_degrees(g.degrees, max_degree))
+            features = np.zeros((g.num_nodes, width))
+            features[:, :max_degree + 1] = one_hot_degrees(g.degrees, max_degree)
+            return features
 
         want = build_multi_dataset_group("molecules", tmp_path, seed=0)
-        for c in want:
-            c.train_graphs = [per_graph(g) for g in c.train_graphs]
-            c.test_graphs = [per_graph(g) for g in c.test_graphs]
-        unify_feature_space(want)
-        assert infer_dims(want)[0] == 4
+        assert [infer_dims([c])[0] for c in got] == [3, 4, 3, 3, 3, 3, 3]
         for a, b in zip(got, want, strict=True):
+            width = infer_dims([a])[0]
             for ga, gb in zip(a.train_graphs + a.test_graphs, b.train_graphs + b.test_graphs,
                               strict=True):
-                assert ga.features.shape == gb.features.shape
-                assert ga.features.tobytes() == gb.features.tobytes()
+                assert ga.features.shape == (gb.num_nodes, width)
+                assert ga.features.tobytes() == per_graph(gb, width).tobytes()
 
 
 class TestAutoEpsilons:
