@@ -45,7 +45,14 @@ from .gnn import (
     init_gin,
     one_hot_degrees,
 )
-from .graphs import Dataset, Graph, binomial_gnp, erdos_renyi_gnm, load_tu_dataset
+from .graphs import (
+    Dataset,
+    GraphBatch,
+    binomial_gnp,
+    erdos_renyi_gnm,
+    load_tu_dataset,
+    one_graph,
+)
 from .harness import (
     ExperimentConfig,
     MetricsSummary,
@@ -72,7 +79,6 @@ from .hetero import (
 )
 from .properties import (
     PropertyReport,
-    degree_kurtosis,
     graph_properties,
     property_significance,
 )

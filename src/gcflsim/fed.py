@@ -39,7 +39,7 @@ from .gnn import (
     init_adam,
     init_gin,
 )
-from .graphs import Graph, GraphBatch
+from .graphs import GraphBatch
 
 logger = logging.getLogger(__name__)
 
@@ -51,18 +51,16 @@ _CLIENT_SEED_TAG = 2003
 
 @dataclass
 class ClientState:
-    """A client's local split and the two unions that ``run_federation`` builds once per call.
+    """A client's local split: the union its batches are cut from, and the one it is tested on.
 
     Its Adam state and shuffle RNG live in each group's ``_RunState``, as forked
     groups train it from different states; its model is written into the call's one GIN.
     """
 
     id: int
-    train_graphs: list[Graph]
-    test_graphs: list[Graph]
+    train_graphs: GraphBatch
+    test_graphs: GraphBatch
     seed: int = 0
-    train_stack: Optional[GraphBatch] = None  # union of train_graphs; batches are cut from it
-    test_batch: Optional[GraphBatch] = None  # union of test_graphs, evaluated every round
 
     @property
     def data_size(self) -> int:
@@ -138,21 +136,21 @@ def local_train(
     """Train ``model`` locally from ``start_params``; return (delta, mean batch loss).
 
     Runs ``epochs`` passes of mini-batch steps of ``optimizer``, each shuffled
-    by ``rng``, each batch gathered from ``client.train_stack``. With
+    by ``rng``, each batch cut from ``client.train_graphs``. With
     ``prox_mu``, each batch objective gains FedProx's proximal term
     (prox_mu/2)*||theta - start_params||^2. The delta is final minus start
     parameters; the loss is nan when no batch ran (``epochs=0``).
     """
     if epochs < 0:
         raise ArgumentError("epochs must be >= 0")
-    stack = client.train_stack
+    graphs = client.train_graphs
     start = np.array(start_params, dtype=np.float64)
     model.vector[:] = start
     losses = []
     for _ in range(epochs):
-        order = rng.permutation(len(stack))
+        order = rng.permutation(len(graphs))
         for lo in range(0, len(order), batch_size):
-            batch = stack.take(order[lo:lo + batch_size])
+            batch = graphs.take(order[lo:lo + batch_size])
             loss, grad = gin_loss_and_grad(model, batch, batch.labels)
             if prox_mu:
                 diff = model.vector - start
@@ -167,8 +165,8 @@ def evaluate_client(client: ClientState, model: GinModel,
                     params: np.ndarray) -> tuple[float, float]:
     """Mean test cross-entropy and accuracy of ``params``, written into ``model``."""
     model.vector[:] = params
-    labels = client.test_batch.labels
-    logits, _ = gin_forward(model, client.test_batch)
+    labels = client.test_graphs.labels
+    logits, _ = gin_forward(model, client.test_graphs)
     correct = int(np.sum(np.argmax(logits, axis=1) == labels))
     return float(np.mean(cross_entropy(logits, labels))), correct / len(labels)
 
@@ -176,8 +174,9 @@ def evaluate_client(client: ClientState, model: GinModel,
 def infer_dims(clients: list[ClientState]) -> tuple[int, int]:
     """Shared (input_dim, output_dim) over all client graphs: the widest feature width and
     the largest class count. A narrower client reads the first rows of layer 0's W1."""
-    graphs = [g for c in clients for g in c.train_graphs + c.test_graphs]
-    return max(g.feat_dim for g in graphs), max(2, 1 + max(g.label for g in graphs))
+    unions = [u for c in clients for u in (c.train_graphs, c.test_graphs)]
+    return (max(u.feat_dim for u in unions),
+            max(2, 1 + max(int(u.labels.max()) for u in unions)))
 
 
 def _prox_is_zero(clients: list[ClientState], config: RunConfig) -> bool:
@@ -270,10 +269,6 @@ def run_federation(
     init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _INIT_SEED_TAG]))
     model = init_gin(input_dim, output_dim, config.hidden, config.num_layers, init_rng)
     init_flat = model.vector.copy()  # the model itself is every client's working copy
-
-    for c in clients:
-        c.train_stack = GraphBatch(c.train_graphs)
-        c.test_batch = GraphBatch(c.test_graphs)
 
     starts: dict[tuple, list[int]] = {}  # (initial layout, effective mu) -> variant indices
     fedprox_mu = 0.0 if _prox_is_zero(clients, config) else config.prox_mu

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 from .errors import ArgumentError, ConfigurationError
-from .graphs import Graph, GraphBatch
+from .graphs import GraphBatch
 
 
 class _Views(NamedTuple):
@@ -150,17 +150,14 @@ class ForwardCache(NamedTuple):
     pooled: np.ndarray  # (graphs, hidden) sum-pooled node states
 
 
-def gin_forward(
-    model: GinModel, graphs: GraphBatch | list[Graph]
-) -> tuple[np.ndarray, ForwardCache]:
+def gin_forward(model: GinModel, batch: GraphBatch) -> tuple[np.ndarray, ForwardCache]:
     """Class logits, one row per graph (a fresh array), and the cache for backpropagation.
 
-    The batch runs as one disjoint union (a list of graphs is unioned first):
-    one sparse block-diagonal adjacency, and sum pooling over each graph's
-    node rows. A batch narrower than the model, d columns wide, reads the first
-    d rows of layer 0's W1: the product a zero-padded batch would give.
+    The batch runs as one disjoint union: one sparse block-diagonal adjacency,
+    and sum pooling over each graph's node rows. A batch narrower than the
+    model, d columns wide, reads the first d rows of layer 0's W1: the product
+    a zero-padded batch would give.
     """
-    batch = graphs if isinstance(graphs, GraphBatch) else GraphBatch(graphs)
     if batch.features.shape[1] > model.input_dim:
         raise ArgumentError(
             f"feature dim {batch.features.shape[1]} > model input dim {model.input_dim}")
@@ -203,7 +200,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def gin_loss_and_grad(
-    model: GinModel, graphs: GraphBatch | list[Graph], labels: np.ndarray | list[int]
+    model: GinModel, graphs: GraphBatch, labels: np.ndarray | list[int]
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient in the model's layout."""
     if len(graphs) != len(labels):

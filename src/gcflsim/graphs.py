@@ -1,8 +1,9 @@
-"""Graph containers, TU-format ingestion and G(n,m) random nulls.
+"""The graph container, TU-format ingestion and G(n,m) random nulls.
 
-Graphs are simple and undirected: every edge is stored exactly once as an
-(u, v) pair with u < v, node indices are 0-based, and node features are a
-dense float64 matrix with one row per node.
+Graphs are simple and undirected. Every graph set, from one graph to a whole
+dataset, is one ``GraphBatch``: the disjoint union of its graphs, whose
+symmetric CSR adjacency holds every edge in both directions and whose dense
+float64 feature matrix holds one row per node.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import itertools
 import logging
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -20,69 +20,6 @@ from scipy import sparse
 from .errors import ArgumentError, CorruptDatasetError, IngestionError
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(eq=False)
-class Graph:
-    """One labeled graph sample: structure, node features and a class index."""
-
-    num_nodes: int
-    edges: np.ndarray  # (E, 2) int64, u < v, lexicographically sorted
-    features: np.ndarray  # (num_nodes, feat_dim) float64
-    label: int = 0
-
-    def __post_init__(self):
-        # a copy, so that the graph owns its edges
-        self.edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        if self.num_nodes < 1:
-            raise ArgumentError("graph must have at least one node")
-        self.features = _node_features(self.features, self.num_nodes)
-        if not _is_canonical(self.edges, self.num_nodes):
-            self.edges = _canonical_edges(self.edges, self.num_nodes)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    @property
-    def feat_dim(self) -> int:
-        return self.features.shape[1]
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        """Neighbors per node: the row lengths of ``adjacency``."""
-        return np.bincount(self.edges.ravel(), minlength=self.num_nodes)
-
-    @cached_property
-    def adjacency(self) -> sparse.csr_array:
-        """Symmetric 0/1 adjacency (float64 CSR, no self-loops, sorted indices).
-
-        Row v lists the neighbors of v in increasing order: the one-graph case
-        of ``GraphBatch.adjacency``.
-        """
-        return _union_adjacency(self.edges, self.num_nodes)
-
-    def with_features(self, features: np.ndarray) -> "Graph":
-        """This graph with other node features.
-
-        The validated edges (and any cached degrees and adjacency) are shared,
-        not checked again: nothing writes to them after construction.
-        """
-        # the instance dict holds the fields and any cached properties
-        return Graph._unchecked(**{**self.__dict__,
-                                   "features": _node_features(features, self.num_nodes)})
-
-    @classmethod
-    def _unchecked(cls, **fields) -> "Graph":
-        """A graph with exactly these instance attributes: no copy and no check.
-
-        For callers that hold canonical int64 edges (see ``_is_canonical``) and
-        float64 features of one row per node, as ``Graph(...)`` would store
-        them. The arrays may be views of larger ones; nothing writes to them.
-        """
-        graph = cls.__new__(cls)
-        graph.__dict__.update(fields)
-        return graph
 
 
 def _is_canonical(edges: np.ndarray, num_nodes: int) -> bool:
@@ -125,95 +62,147 @@ def _node_features(features: np.ndarray, num_nodes: int) -> np.ndarray:
     return features
 
 
-@dataclass(eq=False)
-class Dataset:
-    """A named collection of graphs sharing one feature space and label set."""
-
-    name: str
-    graphs: list[Graph]
-    feat_dim: int = field(init=False)
-    num_classes: int = field(init=False)
-
-    def __post_init__(self):
-        if not self.graphs:
-            raise ArgumentError(f"dataset {self.name!r} is empty")
-        dims = {g.feat_dim for g in self.graphs}
-        if len(dims) != 1:
-            raise ArgumentError(f"dataset {self.name!r} mixes feature dims {sorted(dims)}")
-        self.feat_dim = dims.pop()
-        self.num_classes = max(2, max(g.label for g in self.graphs) + 1)
-        if min(g.label for g in self.graphs) < 0:
-            raise ArgumentError("labels must be non-negative")
-
-    def __len__(self) -> int:
-        return len(self.graphs)
-
-
-def _union_adjacency(edges: np.ndarray, num_nodes: int) -> sparse.csr_array:
-    """The symmetric 0/1 float64 CSR of ``num_nodes`` nodes and undirected ``edges``.
-
-    Each edge is listed once; row v lists the neighbors of v in increasing
-    order. ``Graph.adjacency`` and ``GraphBatch`` both build through here.
-    """
-    # both directions of each edge as row-major keys: sorted, they are the CSR entries
-    keys = np.concatenate([edges[:, 0] * num_nodes + edges[:, 1],
-                           edges[:, 1] * num_nodes + edges[:, 0]])
-    keys.sort()
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(edges.ravel(), minlength=num_nodes))))
-    return sparse.csr_array((np.ones(len(keys)), np.remainder(keys, num_nodes, out=keys), indptr),
-                            shape=(num_nodes, num_nodes))
-
-
 def _offsets(counts: np.ndarray) -> np.ndarray:
     """Where each of a run of consecutive blocks of the given lengths starts."""
     return np.concatenate(([0], np.cumsum(counts)[:-1]))
 
 
+@dataclass(eq=False)
 class GraphBatch:
-    """The disjoint union of a list of graphs: one array layout for a whole collection.
+    """The disjoint union of graphs: the one container of a graph set, one graph or many.
 
     ``features`` stacks the node features in graph order, ``adjacency`` is one
     block-diagonal CSR array whose rows list their neighbours in increasing
     order, graph g owns the node rows ``starts[g]:starts[g] + sizes[g]`` and
     ``labels`` holds one class per graph. The GIN runs a batch as one pass over
     it and ``properties`` computes each property once per union. ``take`` cuts
-    a sub-batch out of the union with index arrays, so a client's graphs are
-    unioned once per run.
+    a sub-union out of it with index arrays; indexing or iterating it yields
+    one-graph unions, cut the same way. Nothing writes to a union's arrays, so
+    unions may share them.
     """
 
-    def __init__(self, graphs: list[Graph]):
-        if not graphs:
-            raise ArgumentError("batch must be nonempty")
-        dims = {g.feat_dim for g in graphs}
-        if len(dims) != 1:
-            raise ArgumentError(f"batch mixes feature dims {sorted(dims)}")
-        sizes = np.array([g.num_nodes for g in graphs])
-        edges = np.concatenate([g.edges + start for g, start in zip(graphs, _offsets(sizes))])
-        self._set(np.concatenate([g.features for g in graphs]),
-                  _union_adjacency(edges, int(sizes.sum())), sizes,
-                  np.array([g.label for g in graphs], dtype=np.int64))
+    features: np.ndarray  # (nodes, feat_dim) float64
+    adjacency: sparse.csr_array
+    sizes: np.ndarray  # nodes per graph
+    labels: np.ndarray  # int64 class per graph
+    starts: np.ndarray = field(init=False)
 
-    def _set(self, features, adjacency, sizes, labels) -> "GraphBatch":
-        self.features, self.adjacency, self.sizes, self.labels = (
-            features, adjacency, sizes, labels)
-        self.starts = _offsets(sizes)
-        return self
+    def __post_init__(self):
+        self.starts = _offsets(self.sizes)
+
+    @classmethod
+    def from_edges(cls, edges: np.ndarray, features: np.ndarray, sizes: np.ndarray,
+                   labels: np.ndarray) -> "GraphBatch":
+        """The union of graphs of ``sizes`` nodes whose undirected edges, in union rows, are
+        ``edges``, each listed once (in any order) between distinct nodes. Every union is
+        built here or cut from one built here."""
+        n = len(features)
+        # both directions of each edge as row-major keys: sorted, they are the CSR entries
+        keys = np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]])
+        keys.sort()
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(edges.ravel(), minlength=n))))
+        adjacency = sparse.csr_array(
+            (np.ones(len(keys)), np.remainder(keys, n, out=keys), indptr), shape=(n, n))
+        return cls(features, adjacency, sizes, labels)
 
     def __len__(self) -> int:
         return len(self.sizes)
 
+    def __getitem__(self, g: int) -> "GraphBatch":
+        return self.take([g])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.features)
+
+    @property
+    def num_edges(self) -> int:
+        return int(self.adjacency.indptr[-1]) // 2
+
+    @property
+    def feat_dim(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Neighbours per node: the row lengths of ``adjacency``."""
+        return np.diff(self.adjacency.indptr)
+
+    @property
+    def edge_counts(self) -> np.ndarray:
+        """Edges per graph."""
+        indptr = self.adjacency.indptr
+        return (indptr[self.starts + self.sizes] - indptr[self.starts]) // 2
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Each edge once as a row ``(u, v)``, ``u < v``, sorted: the CSR's upper triangle."""
+        indptr, indices = self.adjacency.indptr, self.adjacency.indices
+        rows = np.repeat(np.arange(self.num_nodes), np.diff(indptr))
+        upper = indices > rows
+        return np.stack([rows[upper], indices[upper]], axis=1)
+
+    @property
+    def label(self) -> int:
+        """The class of a one-graph union."""
+        if len(self) != 1:
+            raise ArgumentError(f"a union of {len(self)} graphs has no single label")
+        return int(self.labels[0])
+
     def take(self, idx) -> "GraphBatch":
         """The graphs ``idx``, in that order and repeats kept, as the union of exactly those graphs.
 
-        The CSR arrays equal those of ``GraphBatch`` over the same graphs (see
-        ``_cut_blocks``).
+        The CSR arrays equal those a union built from the same graphs' edges
+        would hold (see ``_cut_blocks``).
         """
         idx = np.asarray(idx, dtype=np.intp)
         if not len(idx):
             raise ArgumentError("batch must be nonempty")
         nodes, adjacency = _cut_blocks(self.adjacency, self.sizes, self.starts, idx)
-        return GraphBatch.__new__(GraphBatch)._set(self.features[nodes], adjacency,
-                                                   self.sizes[idx], self.labels[idx])
+        return GraphBatch(self.features[nodes], adjacency, self.sizes[idx], self.labels[idx])
+
+
+def one_graph(num_nodes: int, edges, features, label: int = 0) -> GraphBatch:
+    """The one-graph union of ``num_nodes`` nodes, undirected ``edges``, ``features`` and ``label``.
+
+    Edges may come in any order and either direction. Raises ``ArgumentError``
+    on no nodes, an endpoint out of range, a self-loop, an edge listed twice,
+    or features that are not one row per node and at least one column.
+    """
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    if num_nodes < 1:
+        raise ArgumentError("graph must have at least one node")
+    features = _node_features(features, num_nodes)
+    if not _is_canonical(edges, num_nodes):
+        edges = _canonical_edges(edges, num_nodes)
+    return GraphBatch.from_edges(edges, features, np.array([num_nodes]),
+                                 np.array([label], dtype=np.int64))
+
+
+@dataclass(eq=False)
+class Dataset:
+    """A named graph set: one union whose graphs share one feature space and label set."""
+
+    name: str
+    graphs: GraphBatch
+    num_classes: int = field(init=False)
+
+    def __post_init__(self):
+        if not len(self.graphs):
+            raise ArgumentError(f"dataset {self.name!r} is empty")
+        if self.graphs.labels.min() < 0:
+            raise ArgumentError("labels must be non-negative")
+        self.num_classes = max(2, int(self.graphs.labels.max()) + 1)
+
+    @property
+    def feat_dim(self) -> int:
+        return self.graphs.feat_dim
+
+    def __len__(self) -> int:
+        return len(self.graphs)
 
 
 def _cut_blocks(adjacency: sparse.csr_array, sizes: np.ndarray, starts: np.ndarray,
@@ -224,8 +213,8 @@ def _cut_blocks(adjacency: sparse.csr_array, sizes: np.ndarray, starts: np.ndarr
     rows' entries are one contiguous run of the arrays, so gathering whole
     blocks and shifting them keeps every row's neighbours in increasing order:
     no sort. Returns the old row of each new row, and the cut CSR. This is the
-    one way a union is cut into whole graphs: ``GraphBatch.take`` and the
-    property traversal both cut through here.
+    one way a union is cut into whole graphs: ``GraphBatch.take`` (and so every
+    one-graph view) and the property traversal all cut through here.
     """
     indptr = adjacency.indptr
     sizes, starts = sizes[idx], starts[idx]
@@ -242,10 +231,10 @@ def _cut_blocks(adjacency: sparse.csr_array, sizes: np.ndarray, starts: np.ndarr
                                    shape=(len(nodes), len(nodes)))
 
 
-def erdos_renyi_gnm(n: int, m: int, seed: int) -> Graph:
-    """Uniform G(n, m) random graph: exactly m distinct undirected edges.
+def erdos_renyi_gnm(n: int, m: int, seed: int) -> np.ndarray:
+    """The edges of a uniform G(n, m) random graph: exactly m distinct undirected ones.
 
-    Deterministic under ``seed``; node features are a single constant column.
+    Deterministic under ``seed``; canonical, as ``GraphBatch.edges`` gives them.
     """
     if n < 1:
         raise ArgumentError("n must be >= 1")
@@ -259,7 +248,7 @@ def erdos_renyi_gnm(n: int, m: int, seed: int) -> Graph:
     edges[:, 0], edges[:, 1] = decode_pair_index(chosen, n)
     if not _is_canonical(edges, n):  # distinct sorted indices decode to canonical edges
         raise RuntimeError(f"G({n}, {m}) drew edges out of order")
-    return Graph._unchecked(num_nodes=n, edges=edges, features=np.ones((n, 1)), label=0)
+    return edges
 
 
 def decode_pair_index(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,8 +266,8 @@ def decode_pair_index(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, k - first[u] + u + 1
 
 
-def binomial_gnp(n: int, p: float, seed: int) -> Graph:
-    """G(n, p)-distributed graph realized as G(n, m) with binomial m."""
+def binomial_gnp(n: int, p: float, seed: int) -> np.ndarray:
+    """The edges of a G(n, p)-distributed graph, realized as G(n, m) with binomial m."""
     if not 0.0 <= p <= 1.0:
         raise ArgumentError("p must be in [0, 1]")
     rng = np.random.default_rng(seed)
@@ -334,7 +323,6 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     if np.any(node_counts == 0):
         raise CorruptDatasetError(f"{indicator_path}: some graphs have no nodes")
     by_graph = np.argsort(graph_of_node, kind="stable")
-    starts = _offsets(node_counts)
     row = np.empty(num_nodes_total, dtype=np.int64)
     row[by_graph] = np.arange(num_nodes_total)
 
@@ -347,7 +335,7 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     # both directions of an edge share one key; a sorted key equal to the one
     # before it is a repeat
     keys = np.sort(pairs[:, 0] * num_nodes_total + pairs[:, 1])
-    del pairs  # not kept alive while the graphs are built
+    del pairs  # not kept alive while the union is built
     lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) != 0], num_nodes_total)
     crossing = np.flatnonzero(graph_of_node[lo] != graph_of_node[hi])
     if len(crossing):
@@ -359,19 +347,11 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     # whole set are canonical over the rows as they stand; others are sorted
     if not _is_canonical(edges, num_nodes_total):
         edges = _canonical_edges(edges, num_nodes_total)
-    # a graph's edges and node rows are consecutive slices of these arrays
-    edge_graph = graph_of_node[by_graph[edges[:, 0]]]
-    edges -= starts[edge_graph, None]
-    edge_ends = np.cumsum(np.bincount(edge_graph, minlength=num_graphs)).tolist()
-    features = _build_node_features(base, name, num_nodes_total)[by_graph]
-    graphs = [Graph._unchecked(num_nodes=n, edges=edges[e0:e1], features=features[v0:v0 + n],
-                               label=label)
-              for n, v0, e0, e1, label in zip(node_counts.tolist(), starts.tolist(),
-                                              [0] + edge_ends[:-1], edge_ends, labels.tolist())]
-
+    union = GraphBatch.from_edges(
+        edges, _build_node_features(base, name, num_nodes_total)[by_graph], node_counts, labels)
     logger.info("loaded %s: %d graphs, feat_dim=%d, %d classes",
-                name, len(graphs), graphs[0].feat_dim, len(classes))
-    return Dataset(name, graphs)
+                name, num_graphs, union.feat_dim, len(classes))
+    return Dataset(name, union)
 
 
 def _build_node_features(base: Path, name: str, num_nodes: int) -> np.ndarray:

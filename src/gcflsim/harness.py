@@ -23,7 +23,7 @@ from .clustering import ClusterConfig
 from .errors import ArgumentError, ConfigurationError, CorruptDatasetError, IngestionError
 from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, Variant, run_federation
 from .gnn import one_hot_degrees
-from .graphs import Dataset, Graph, binomial_gnp, load_tu_dataset
+from .graphs import Dataset, GraphBatch, binomial_gnp, load_tu_dataset
 from .hetero import MAX_WALK_LENGTH, GraphEmbeddings, GraphPool, pairwise_heterogeneity
 from .outputs import check_writable, write_csv
 
@@ -51,12 +51,14 @@ DEGREE_FEATURE_DATASETS = set(SOCIAL_DATASETS)
 # ---------------------------------------------------------------------------
 
 
-def _split_train_test(graphs: list[Graph], test_fraction: float) -> tuple[list[Graph], list[Graph]]:
-    n_test = math.ceil(test_fraction * len(graphs))
-    if n_test >= len(graphs):
+def _split_train_test(graphs: GraphBatch, order: np.ndarray,
+                      test_fraction: float) -> tuple[GraphBatch, GraphBatch]:
+    """The graphs ``order`` of ``graphs`` as a training union and, last, a test union."""
+    n_test = math.ceil(test_fraction * len(order))
+    if n_test >= len(order):
         raise ConfigurationError(
-            f"test_fraction {test_fraction} leaves no training graphs of {len(graphs)}")
-    return graphs[:-n_test], graphs[-n_test:]
+            f"test_fraction {test_fraction} leaves no training graphs of {len(order)}")
+    return graphs.take(order[:-n_test]), graphs.take(order[-n_test:])
 
 
 def partition_one_dataset(
@@ -81,37 +83,28 @@ def partition_one_dataset(
     if num_clients < 1 or per_client < 2:
         raise ConfigurationError("need num_clients >= 1 and per_client >= 2")
     rng = np.random.default_rng(np.random.SeedSequence([_PARTITION_TAG, seed]))
-    clients = []
     if overlap:
         if label_skew:
             raise ConfigurationError("label_skew is only supported without overlap")
         if per_client > len(dataset):
             raise ConfigurationError("per_client exceeds dataset size")
-        for i in range(num_clients):
-            idx = rng.choice(len(dataset), size=per_client, replace=False)
-            graphs = [dataset.graphs[int(k)] for k in idx]
-            train, test = _split_train_test(graphs, test_fraction)
-            clients.append(ClientState(i, train, test, seed=i))
-        return clients
-
-    need = num_clients * per_client
-    if need > len(dataset):
-        raise ConfigurationError(
-            f"{dataset.name}: {need} graphs requested but only {len(dataset)} available"
-        )
-    perm = rng.permutation(len(dataset))
-    if label_skew:
-        labels = np.array([dataset.graphs[int(k)].label for k in perm])
-        perm = perm[np.argsort(labels, kind="stable")]
-    dropped = len(dataset) - need
-    if dropped:
-        logger.info("%s: dropping %d leftover graphs", dataset.name, dropped)
-    for i in range(num_clients):
-        chunk = perm[i * per_client:(i + 1) * per_client]
-        graphs = [dataset.graphs[int(k)] for k in chunk]
-        train, test = _split_train_test(graphs, test_fraction)
-        clients.append(ClientState(i, train, test, seed=i))
-    return clients
+        chunks = [rng.choice(len(dataset), size=per_client, replace=False)
+                  for _ in range(num_clients)]
+    else:
+        need = num_clients * per_client
+        if need > len(dataset):
+            raise ConfigurationError(
+                f"{dataset.name}: {need} graphs requested but only {len(dataset)} available"
+            )
+        perm = rng.permutation(len(dataset))
+        if label_skew:
+            perm = perm[np.argsort(dataset.graphs.labels[perm], kind="stable")]
+        dropped = len(dataset) - need
+        if dropped:
+            logger.info("%s: dropping %d leftover graphs", dataset.name, dropped)
+        chunks = [perm[i * per_client:(i + 1) * per_client] for i in range(num_clients)]
+    return [ClientState(i, *_split_train_test(dataset.graphs, chunk, test_fraction), seed=i)
+            for i, chunk in enumerate(chunks)]
 
 
 def client_from_dataset(
@@ -119,22 +112,35 @@ def client_from_dataset(
 ) -> ClientState:
     """One client owning a whole dataset with a seeded held-out test split."""
     rng = np.random.default_rng(np.random.SeedSequence([_SPLIT_TAG, seed, client_id]))
-    perm = rng.permutation(len(dataset))
-    graphs = [dataset.graphs[int(k)] for k in perm]
-    train, test = _split_train_test(graphs, test_fraction)
-    return ClientState(client_id, train, test, seed=client_id)
+    return ClientState(client_id, *_split_train_test(
+        dataset.graphs, rng.permutation(len(dataset)), test_fraction), seed=client_id)
 
 
-def apply_degree_features(dataset: Dataset) -> Dataset:
-    """Replace node features with one-hot degrees (width = max degree + 1).
+def _degree_width(dataset: Dataset, feature_mode: str) -> Optional[int]:
+    """The one-hot degree encoding's top degree for a set that federates on degree
+    features (the social sets, and any in ``onehot_degree`` mode): its largest, at least 1.
+    None for a set that keeps its own features."""
+    if dataset.name in DEGREE_FEATURE_DATASETS or feature_mode == "onehot_degree":
+        return max(1, int(dataset.graphs.degrees.max()))
+    return None
 
-    The whole dataset is encoded as one array; each graph takes its block of rows.
-    """
-    degrees = np.concatenate([g.degrees for g in dataset.graphs])
-    feats = one_hot_degrees(degrees, max(1, int(degrees.max())))
-    ends = np.cumsum([g.num_nodes for g in dataset.graphs]).tolist()
-    return Dataset(dataset.name, [g.with_features(feats[end - g.num_nodes:end])
-                                  for g, end in zip(dataset.graphs, ends)])
+
+def with_degree_features(graphs: GraphBatch, max_degree: int) -> GraphBatch:
+    """``graphs`` with one-hot degree node features, ``max_degree + 1`` wide."""
+    return replace(graphs, features=one_hot_degrees(graphs.degrees, max_degree))
+
+
+def _federation_clients(dataset: Dataset, feature_mode: str,
+                        clients: list[ClientState]) -> list[ClientState]:
+    """``clients`` cut from ``dataset``, each union given the set's degree features if it
+    takes them. They are written per client union, at the set's width: the set's own
+    encoding is never held beside the clients' copies of it."""
+    max_degree = _degree_width(dataset, feature_mode)
+    if max_degree is not None:
+        for c in clients:
+            c.train_graphs = with_degree_features(c.train_graphs, max_degree)
+            c.test_graphs = with_degree_features(c.test_graphs, max_degree)
+    return clients
 
 
 def load_dataset(data_root: str | Path, name: str) -> Dataset:
@@ -153,11 +159,10 @@ def load_dataset(data_root: str | Path, name: str) -> Dataset:
 def load_dataset_for_federation(
     data_root: str | Path, name: str, feature_mode: str = "original"
 ) -> Dataset:
-    """``load_dataset`` plus one-hot degree features for the social sets and ``onehot_degree``."""
+    """``load_dataset`` with the node features the set federates on (see ``_degree_width``)."""
     ds = load_dataset(data_root, name)
-    if name in DEGREE_FEATURE_DATASETS or feature_mode == "onehot_degree":
-        ds = apply_degree_features(ds)
-    return ds
+    max_degree = _degree_width(ds, feature_mode)
+    return ds if max_degree is None else Dataset(name, with_degree_features(ds.graphs, max_degree))
 
 
 def build_multi_dataset_group(
@@ -169,8 +174,9 @@ def build_multi_dataset_group(
         raise ConfigurationError(f"unknown group {group!r}; pick from {sorted(DATASET_GROUPS)}")
     clients = []
     for i, name in enumerate(DATASET_GROUPS[group]):
-        ds = load_dataset_for_federation(data_root, name, feature_mode)
-        clients.append(client_from_dataset(ds, i, test_fraction, seed))
+        ds = load_dataset(data_root, name)
+        clients += _federation_clients(ds, feature_mode,
+                                       [client_from_dataset(ds, i, test_fraction, seed)])
     return clients
 
 
@@ -195,20 +201,21 @@ def synthetic_two_group_clients(
     clients = []
     cid = 0
     groups: tuple[set[int], set[int]] = (set(), set())
+    labels = np.arange(graphs_per_client) % 2
     for group_index, p in enumerate((p_a, p_b)):
         for _ in range(clients_per_group):
             ss = np.random.SeedSequence([_SYNTH_TAG, seed, cid])
             rng = np.random.default_rng(ss)
-            graphs = []
-            for j in range(graphs_per_client):
-                label = j % 2
-                g = binomial_gnp(nodes, p, int(rng.integers(2**32)))
+            edges, features = [], []
+            for j, label in enumerate(labels.tolist()):
+                edges.append(binomial_gnp(nodes, p, int(rng.integers(2**32))) + j * nodes)
                 feats = noise * rng.standard_normal((nodes, 4))
                 feats[:, 2 * group_index + label] += 1.0
-                graphs.append(Graph._unchecked(num_nodes=nodes, edges=g.edges, features=feats,
-                                               label=label))
-            train, test = _split_train_test(graphs, test_fraction)
-            clients.append(ClientState(cid, train, test, seed=cid))
+                features.append(feats)
+            graphs = GraphBatch.from_edges(np.concatenate(edges), np.concatenate(features),
+                                           np.full(len(labels), nodes), labels)
+            clients.append(ClientState(cid, *_split_train_test(
+                graphs, np.arange(len(labels)), test_fraction), seed=cid))
             groups[group_index].add(cid)
             cid += 1
     return clients, groups
@@ -277,12 +284,13 @@ def cluster_heterogeneity_report(
     """
     if not clusters:
         raise ArgumentError("no clusters to report on")
-    graphs = {(c.id, pos): g for c in clients
-              for pos, g in enumerate(c.train_graphs + c.test_graphs)}
-    embeddings = GraphEmbeddings(graphs, awe_length, bins, seed)
+    embeddings = GraphEmbeddings({c.id: [c.train_graphs, c.test_graphs] for c in clients},
+                                 awe_length, bins, seed)
     pools = [("all", "all", [c.id for c in clients])] + [
         (str(k.id), f"cluster_{k.id}", k.members) for k in sorted(clusters, key=lambda k: k.id)]
-    keys, rows = sorted(graphs), []
+    keys = sorted((c.id, pos) for c in clients
+                  for pos in range(len(c.train_graphs) + len(c.test_graphs)))
+    rows = []
     for cluster_id, name, members in pools:
         ids = set(members)
         pool = GraphPool(name, [key for key in keys if key[0] in ids])
@@ -445,11 +453,11 @@ def build_clients(config: ExperimentConfig, seed: int) -> list[ClientState]:
             config.num_clients // 2, per_client, test_fraction=test_fraction, seed=seed
         )
     elif config.setting == "oneDS":
-        ds = load_dataset_for_federation(config.data_root, config.dataset, config.feature_mode)
-        clients = partition_one_dataset(
+        ds = load_dataset(config.data_root, config.dataset)
+        clients = _federation_clients(ds, config.feature_mode, partition_one_dataset(
             ds, config.num_clients, per_client, test_fraction,
             config.overlap, seed, config.label_skew,
-        )
+        ))
     else:
         clients = build_multi_dataset_group(
             config.group, config.data_root, test_fraction, seed, config.feature_mode

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ArgumentError, UndefinedEmbeddingError
-from .graphs import Dataset, Graph, decode_pair_index
+from .graphs import Dataset, GraphBatch, decode_pair_index
 from .outputs import write_csv
 
 logger = logging.getLogger(__name__)
@@ -78,7 +78,7 @@ def _advance(step: np.ndarray, states: np.ndarray, cols: list[np.ndarray]) -> np
     return step[states, move]
 
 
-def _walks_per_node(graph: Graph, length: int) -> np.ndarray:
+def _walks_per_node(graph: GraphBatch, length: int) -> np.ndarray:
     """``A^length 1``: the number of walks of ``length`` edges from each node."""
     w = np.ones(graph.num_nodes)
     a = graph.adjacency
@@ -87,7 +87,7 @@ def _walks_per_node(graph: Graph, length: int) -> np.ndarray:
     return w
 
 
-def exact_walk_count(graph: Graph, length: int) -> int:
+def exact_walk_count(graph: GraphBatch, length: int) -> int:
     """Number of distinct node walks of ``length`` edges (enumeration cost)."""
     return int(round(_walks_per_node(graph, length).sum()))
 
@@ -120,13 +120,13 @@ class AweDistribution:
 
 
 def awe_distribution(
-    graph: Graph,
+    graph: GraphBatch,
     length: int,
     mode: str = "exact",
     samples: int = AWE_SAMPLES,
     seed: int = 0,
 ) -> AweDistribution:
-    """Anonymous-walk pattern distribution of a simple random walk.
+    """Anonymous-walk pattern distribution of a simple random walk on a one-graph union.
 
     Walks start uniformly over non-isolated nodes and step uniformly over
     neighbors. ``exact`` enumerates every walk with its probability;
@@ -172,7 +172,7 @@ def awe_distribution(
     return AweDistribution(length, probs)
 
 
-def awe_distribution_auto(graph: Graph, length: int, seed: int = 0) -> AweDistribution:
+def awe_distribution_auto(graph: GraphBatch, length: int, seed: int = 0) -> AweDistribution:
     """Exact enumeration within ``WALK_BUDGET`` walks, seeded sampling otherwise."""
     if exact_walk_count(graph, length) <= WALK_BUDGET:
         return awe_distribution(graph, length, mode="exact")
@@ -205,7 +205,7 @@ def js_distance(p, q):
     return np.sqrt(js_divergence(p, q))
 
 
-def feature_sim_histogram(graph: Graph, bins: int = 20) -> np.ndarray:
+def feature_sim_histogram(graph: GraphBatch, bins: int = 20) -> np.ndarray:
     """Normalized histogram of per-edge endpoint feature cosine similarity on [-1, 1].
 
     Zero feature vectors are assigned similarity 0 instead of NaN. Each row is
@@ -219,8 +219,9 @@ def feature_sim_histogram(graph: Graph, bins: int = 20) -> np.ndarray:
         raise UndefinedEmbeddingError("similarity histogram is undefined on an edgeless graph")
     x = graph.features
     x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, initial=0.0))[1][:, None])
-    a = x[graph.edges[:, 0]]
-    b = x[graph.edges[:, 1]]
+    edges = graph.edges
+    a = x[edges[:, 0]]
+    b = x[edges[:, 1]]
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     denom = na * nb
@@ -242,20 +243,33 @@ class GraphPool(NamedTuple):
 class GraphEmbeddings:
     """Each graph's walk-pattern probabilities and similarity histogram, computed on first use.
 
-    Graphs are known by a stable key of two ints, and a sampled graph's walk
-    seed comes from its key, so every pool that holds a graph reads one estimate.
+    Graphs are known by a stable key of two ints, ``(tag, pos)``: graph ``pos``
+    of the unions ``sets[tag]``, counted through them in order. A sampled
+    graph's walk seed comes from its key, so every pool that holds a graph
+    reads one estimate. A graph is cut out of its union only to be embedded.
     """
 
-    def __init__(self, graphs: dict[tuple[int, int], Graph], awe_length: int = 4, bins: int = 20,
+    def __init__(self, sets: dict[int, list[GraphBatch]], awe_length: int = 4, bins: int = 20,
                  seed: int = 0):
-        self.graphs, self.awe_length, self.bins, self.seed = graphs, awe_length, bins, seed
+        self.sets, self.awe_length, self.bins, self.seed = sets, awe_length, bins, seed
+        self.edge_counts = {tag: np.concatenate([u.edge_counts for u in unions]).tolist()
+                            for tag, unions in sets.items()}
         self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def graph(self, key: tuple[int, int]) -> GraphBatch:
+        """The one-graph union of ``key``."""
+        tag, pos = key
+        for union in self.sets[tag]:
+            if pos < len(union):
+                return union[pos]
+            pos -= len(union)
+        raise KeyError(key)
 
     def rows(self, keys: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
         """The stacked walk-pattern probabilities and similarity histograms of ``keys``."""
         for key in keys:
             if key not in self._rows:
-                graph = self.graphs[key]
+                graph = self.graph(key)
                 ss = np.random.SeedSequence([_WALK_SEED_TAG, self.seed, *key])
                 awe = awe_distribution_auto(graph, self.awe_length, int(ss.generate_state(1)[0]))
                 self._rows[key] = awe.probs, feature_sim_histogram(graph, self.bins)
@@ -271,9 +285,9 @@ def dataset_pools(set_a: Dataset, set_b: Dataset, awe_length: int = 4, bins: int
     passed as both sets is one pool, compared against itself.
     """
     sets = [set_a] if set_b is set_a else [set_a, set_b]
-    graphs = {(tag, i): g for tag, ds in enumerate(sets) for i, g in enumerate(ds.graphs)}
     pools = [GraphPool(ds.name, [(tag, i) for i in range(len(ds))]) for tag, ds in enumerate(sets)]
-    return GraphEmbeddings(graphs, awe_length, bins, seed), pools[0], pools[-1]
+    return (GraphEmbeddings({tag: [ds.graphs] for tag, ds in enumerate(sets)}, awe_length, bins,
+                            seed), pools[0], pools[-1])
 
 
 @dataclass
@@ -313,7 +327,7 @@ def pairwise_heterogeneity(embeddings: GraphEmbeddings, pool_a: GraphPool, pool_
 
 
 def _valid_keys(embeddings: GraphEmbeddings, pool: GraphPool) -> list[tuple[int, int]]:
-    valid = [key for key in pool.keys if embeddings.graphs[key].num_edges > 0]
+    valid = [key for key in pool.keys if embeddings.edge_counts[key[0]][key[1]] > 0]
     skipped = len(pool.keys) - len(valid)
     if 2 * skipped > len(pool.keys):
         raise UndefinedEmbeddingError(f"{pool.name}: more than half of the graphs have no edges")

@@ -12,13 +12,13 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import stdtr
 
-from .errors import ArgumentError, UndefinedStatisticError
-from .graphs import Dataset, Graph, GraphBatch, _cut_blocks, _offsets, erdos_renyi_gnm
+from .errors import ArgumentError
+from .graphs import Dataset, GraphBatch, _cut_blocks, _offsets, erdos_renyi_gnm
 from .outputs import write_csv
 
 logger = logging.getLogger(__name__)
@@ -45,18 +45,6 @@ def _pearson_kurtosis(values: np.ndarray) -> np.ndarray:
     m4 = np.mean(center**4, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(m2 < 1e-15, np.nan, m4 / m2**2)
-
-
-def degree_kurtosis(dataset: Dataset) -> float:
-    """Pearson kurtosis of the degree sequence pooled over all graphs."""
-    kurtosis = float(_pearson_kurtosis(np.concatenate([g.degrees for g in dataset.graphs])))
-    if np.isnan(kurtosis):
-        raise UndefinedStatisticError("degree sequence has zero variance")
-    return kurtosis
-
-
-def _degrees(union: GraphBatch) -> np.ndarray:
-    return np.diff(union.adjacency.indptr).astype(np.int64)
 
 
 def _per_graph(union: GraphBatch, node_values: np.ndarray, reduce) -> np.ndarray:
@@ -170,7 +158,7 @@ def graph_properties(union: GraphBatch) -> dict[str, np.ndarray]:
 
     Every count is an integer, summed exactly.
     """
-    k = _degrees(union)
+    k = union.degrees
     total = np.zeros(len(union), dtype=np.int64)  # distances over connected ordered pairs
     reach = np.ones(len(k), dtype=np.int64)  # the nodes of each node's component found so far
     links = np.zeros(len(k), dtype=np.int64)  # twice the triangles through each node
@@ -275,17 +263,13 @@ def welch_p_value(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 if np.isnan(p) else p
 
 
-def property_significance(
-    dataset: Dataset,
-    seed: int,
-    null_factory: Callable[[Graph, int], Graph] | None = None,
-) -> PropertyReport:
+def property_significance(dataset: Dataset, seed: int) -> PropertyReport:
     """Compare per-graph property samples against G(n,m)-matched random graphs.
 
     One random graph with the same node and edge counts is generated per real
-    graph. The real graphs form one disjoint union and the random graphs
-    another, and ``graph_properties`` computes every property once per union,
-    one value per graph. Per-property p-values come from a two-sample Welch
+    graph. The dataset is one union and the random graphs form another
+    (``_gnm_nulls``); ``graph_properties`` computes every property once per
+    union, one value per graph. Per-property p-values come from a two-sample Welch
     t-test on the per-graph values; a property undefined (``nan``) on half the
     graphs or more in either population is flagged as not computed. The
     kurtosis row reports the pooled dataset-level statistic, matching its
@@ -295,16 +279,7 @@ def property_significance(
     k counts repeats of the same (n, m) shape, so the report is invariant to
     graph order within the dataset.
     """
-    if null_factory is None:
-        null_factory = _matched_gnm_factory(seed)
-
-    shape_counts: Counter[tuple[int, int]] = Counter()
-    random_graphs = []
-    for g in dataset.graphs:
-        key = (g.num_nodes, g.num_edges)
-        random_graphs.append(null_factory(g, shape_counts[key]))
-        shape_counts[key] += 1
-    real, random = GraphBatch(dataset.graphs), GraphBatch(random_graphs)
+    real, random = dataset.graphs, _gnm_nulls(dataset.graphs, seed)
 
     rows: dict[str, PropertyStat] = {}
     real_props, rand_props = graph_properties(real), graph_properties(random)
@@ -316,7 +291,7 @@ def property_significance(
         computed = frac_real > 0.5 and frac_rand > 0.5 and len(real_vals) > 1 and len(rand_vals) > 1
         p = welch_p_value(real_vals, rand_vals) if computed else None
         if prop == "degree_kurtosis":
-            real_stat, rand_stat = (float(_pearson_kurtosis(_degrees(u))) for u in (real, random))
+            real_stat, rand_stat = (float(_pearson_kurtosis(u.degrees)) for u in (real, random))
             if np.isnan(real_stat) or np.isnan(rand_stat):
                 real_stat, rand_stat, computed, p = float("nan"), float("nan"), False, None
         else:
@@ -329,9 +304,18 @@ def property_significance(
     return PropertyReport(dataset.name, rows)
 
 
-def _matched_gnm_factory(seed: int) -> Callable[[Graph, int], Graph]:
-    def make(graph: Graph, repeat: int) -> Graph:
-        ss = np.random.SeedSequence([seed, graph.num_nodes, graph.num_edges, repeat])
-        return erdos_renyi_gnm(graph.num_nodes, graph.num_edges, int(ss.generate_state(1)[0]))
+def _gnm_nulls(union: GraphBatch, seed: int) -> GraphBatch:
+    """One G(n, m) graph of each graph's node and edge counts, as one union in graph order.
 
-    return make
+    Graph k of a shape (n, m), counted in graph order, draws its edges with
+    the seed of (seed, n, m, k). The nulls' features are one constant column.
+    """
+    shape_counts: Counter[tuple[int, int]] = Counter()
+    edges = []
+    for n, m, start in zip(union.sizes.tolist(), union.edge_counts.tolist(),
+                           union.starts.tolist()):
+        ss = np.random.SeedSequence([seed, n, m, shape_counts[n, m]])
+        shape_counts[n, m] += 1
+        edges.append(erdos_renyi_gnm(n, m, int(ss.generate_state(1)[0])) + start)
+    return GraphBatch.from_edges(np.concatenate(edges), np.ones((union.num_nodes, 1)),
+                                 union.sizes, np.zeros(len(union), dtype=np.int64))

@@ -2,6 +2,7 @@
 gating on the optional real TU benchmark datasets."""
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from gcflsim.graphs import Dataset, Graph, load_tu_dataset
+from gcflsim.graphs import Dataset, load_tu_dataset, one_graph
 
 DATA_ENV = "GCFL_DATA_ROOT"
 
@@ -34,16 +35,35 @@ def require_dataset(name: str) -> Dataset:
 def make_graph(num_nodes, edges, feat_dim=1, label=0, features=None):
     if features is None:
         features = np.ones((num_nodes, feat_dim))
-    return Graph(num_nodes, np.array(edges, dtype=np.int64).reshape(-1, 2), features, label)
+    return one_graph(num_nodes, np.array(edges, dtype=np.int64).reshape(-1, 2), features, label)
 
 
-def assert_same_fields(got, want):
-    """The same instance attributes, arrays equal in dtype, shape and bytes."""
-    assert set(vars(got)) == set(vars(want)) == {"num_nodes", "edges", "features", "label"}
-    assert type(got.num_nodes) is type(want.num_nodes) and got.num_nodes == want.num_nodes
-    assert type(got.label) is type(want.label) and got.label == want.label
-    for a, b in ((got.edges, want.edges), (got.features, want.features)):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+def with_features(graph, features):
+    """The one-graph union ``graph`` with other node features, built by the validating
+    constructor."""
+    return one_graph(graph.num_nodes, graph.edges, features, graph.label)
+
+
+def union(graphs):
+    """The union of ``graphs`` (unions themselves), in order: their edges and features
+    stacked through the validating constructor, then sized and labelled per graph."""
+    graphs = list(graphs)
+    offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
+    whole = one_graph(int(offsets[-1]),
+                      np.concatenate([g.edges + o for g, o in zip(graphs, offsets)]),
+                      np.concatenate([g.features for g in graphs]))
+    return replace(whole, sizes=np.concatenate([g.sizes for g in graphs]),
+                   labels=np.concatenate([g.labels for g in graphs]))
+
+
+def assert_same_union(got, want):
+    """The same graphs, arrays equal in dtype, shape and bytes: CSR, features, sizes, labels."""
+    a, b = got.adjacency, want.adjacency
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data),
+                 (got.features, want.features), (got.sizes, want.sizes),
+                 (got.labels, want.labels), (got.starts, want.starts)):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert a.shape == b.shape and a.has_sorted_indices and b.has_sorted_indices
 
 
 def edge_set(graph):
@@ -103,7 +123,7 @@ def random_graph(rng, n=None, p=0.4, feat_dim=3):
         edges = np.argwhere(mask)
         if len(edges):
             break
-    return Graph(n, edges, rng.standard_normal((n, feat_dim)), int(rng.integers(2)))
+    return one_graph(n, edges, rng.standard_normal((n, feat_dim)), int(rng.integers(2)))
 
 
 TU_FIXTURE = {

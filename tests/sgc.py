@@ -14,7 +14,7 @@ import numpy as np
 
 from gcflsim.errors import ArgumentError
 from gcflsim.gnn import softmax
-from gcflsim.graphs import Graph
+from gcflsim.graphs import GraphBatch
 
 THETA_INIT_SCALE = 0.01
 
@@ -25,14 +25,14 @@ class SgcModel:
     theta: np.ndarray  # (feat_dim, num_classes)
 
 
-def normalized_adjacency(graph: Graph) -> np.ndarray:
+def normalized_adjacency(graph: GraphBatch) -> np.ndarray:
     """D^{-1/2} (A + I) D^{-1/2} with degrees taken after adding self-loops."""
     a = graph.adjacency.toarray() + np.eye(graph.num_nodes)
     d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
 
-def propagated_features(graph: Graph, hops: int) -> np.ndarray:
+def propagated_features(graph: GraphBatch, hops: int) -> np.ndarray:
     """S^hops @ X; hops = 0 returns the raw features."""
     if hops < 0:
         raise ArgumentError("hops must be >= 0")
@@ -46,7 +46,7 @@ def propagated_features(graph: Graph, hops: int) -> np.ndarray:
 
 
 def sgc_train(
-    graph: Graph,
+    graph: GraphBatch,
     node_labels: np.ndarray,
     hops: int,
     steps: int = 300,

@@ -16,7 +16,6 @@ from gcflsim.clustering import ClusterConfig, stoer_wagner_mincut
 from gcflsim.dtwseries import dtw_distance
 from gcflsim.fed import RunConfig, Variant, run_federation
 from gcflsim.gnn import gin_loss_and_grad, init_gin
-from gcflsim.graphs import Dataset
 from gcflsim.harness import (
     ExperimentConfig,
     client_from_dataset,
@@ -30,7 +29,7 @@ from gcflsim.harness import (
 from gcflsim.hetero import dataset_pools, pairwise_heterogeneity
 from gcflsim.properties import property_significance
 
-from conftest import data_root, random_graph, require_dataset
+from conftest import data_root, random_graph, require_dataset, union, with_features
 from epsilons import auto_epsilons
 from sgc import normalized_adjacency, sgc_train
 from test_clustering import brute_force_mincut, random_weights
@@ -43,6 +42,7 @@ from test_properties import (
     brute_largest_component,
     brute_shortest_path,
     one,
+    pooled_kurtosis,
 )
 from test_sgc import flip_edges, planted_node_task
 
@@ -153,7 +153,6 @@ def test_criterion_3_oracle_equivalences():
             y = rng.uniform(0, 3, size=int(rng.integers(1, 16)))
             assert dtw_distance(x, y) == pytest.approx(dtw_oracle(x, y), abs=1e-12)
 
-        from gcflsim.properties import degree_kurtosis
         rng = np.random.default_rng(103)
         for _ in range(50):
             g = random_graph(rng, n=int(rng.integers(3, 13)))
@@ -165,8 +164,7 @@ def test_criterion_3_oracle_equivalences():
             if ref is not None:
                 assert one("avg_shortest_path", g) == pytest.approx(ref, abs=1e-12)
             if np.var(g.degrees) > 0:
-                assert degree_kurtosis(Dataset("d", [g])) == pytest.approx(
-                    brute_kurtosis(g.degrees), abs=1e-12)
+                assert pooled_kurtosis([g]) == pytest.approx(brute_kurtosis(g.degrees), abs=1e-12)
 
         assert time.monotonic() - start < 60.0
 
@@ -187,7 +185,7 @@ def test_criterion_4_gradient_correctness():
             mu = 0.25 if use_prox else 0.0
             anchor = theta + 0.1 * rng.standard_normal(theta.shape)
 
-            _, grad = gin_loss_and_grad(model, graphs, labels)
+            _, grad = gin_loss_and_grad(model, union(graphs), labels)
             analytic = grad + mu * (theta - anchor)
 
             def objective(vec):
@@ -338,7 +336,7 @@ def test_criterion_9_sgc_perturbation_monotonicity():
                             np.random.default_rng(1000 + seed * 100 + level))
                         xs[j] += np.linalg.norm(normalized_adjacency(pert) - lap)
                     else:
-                        pert = graph.with_features(graph.features + 0.1 * level * noise)
+                        pert = with_features(graph, graph.features + 0.1 * level * noise)
                         xs[j] += np.linalg.norm(pert.features - graph.features)
                     moved, _ = sgc_train(pert, labels, hops=2, steps=300, lr=0.5, seed=seed)
                     ds[j] += np.linalg.norm(moved.theta - base.theta)

@@ -1,5 +1,4 @@
 import csv
-import importlib.util
 import os
 import re
 import subprocess
@@ -20,6 +19,7 @@ from gcflsim.errors import ConfigurationError
 from gcflsim.outputs import write_csv
 
 from conftest import HYPOTHESIS, write_tu_fixture
+from test_perfbench import load_perfbench, write_tu_inputs
 
 
 def run_cli(*argv):
@@ -49,9 +49,10 @@ def test_import_does_not_load_scipy_stats():
 def test_property_analysis_loads_no_graph_or_linear_algebra_library(tmp_path):
     root = write_tu_fixture(tmp_path / "data", "TINY")
     code = ("from gcflsim.cli import main\n"
-            "from gcflsim.graphs import Dataset, erdos_renyi_gnm\n"
+            "from gcflsim.graphs import Dataset\n"
+            "from gcflsim.harness import synthetic_two_group_clients\n"
             "from gcflsim.properties import property_significance\n"
-            "ds = Dataset('tiny', [erdos_renyi_gnm(6, m, m) for m in (3, 4, 5, 6)])\n"
+            "ds = Dataset('tiny', synthetic_two_group_clients(1, 8, 6)[0][0].train_graphs)\n"
             "print(property_significance(ds, seed=0).rows['largest_component_pct'].real)\n"
             f"assert main(['analyze-properties', '--data-root', {str(root)!r}, '--dataset', 'TINY',"
             f" '--out', {str(tmp_path / 'props.csv')!r}]) == 0")
@@ -112,7 +113,7 @@ class TestAnalyzeProperties:
         def no_features(*args):
             raise AssertionError("built degree features")
 
-        monkeypatch.setattr(harness, "apply_degree_features", no_features)
+        monkeypatch.setattr(harness, "with_degree_features", no_features)
         root = write_tu_fixture(tmp_path / "data", "IMDB-BINARY")
         out = tmp_path / "props.csv"
         assert run_cli("analyze-properties", "--data-root", str(root),
@@ -522,15 +523,6 @@ class TestCalibrate:
 
 # --- a corrupted TU file ends in a typed error's exit code, never a traceback ---
 
-def _benchmark_tu_writer():
-    """``perfbench/tudata.py``'s ``write_tu``, which writes the benchmark's TU sets."""
-    spec = importlib.util.spec_from_file_location(
-        "tudata", Path(__file__).resolve().parent.parent / "perfbench" / "tudata.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.write_tu
-
-
 def _small_labelled_set(seed=21, labels=3):
     """Twelve graphs of 3-7 nodes, two classes and up to ``labels`` node labels, as ``write_tu``
     takes them."""
@@ -546,7 +538,7 @@ def _small_labelled_set(seed=21, labels=3):
     return nodes, edge_sets, [k % 2 for k in range(12)], node_labels
 
 
-write_tu, SMALL_SET = _benchmark_tu_writer(), _small_labelled_set()
+write_tu, SMALL_SET = load_perfbench("tudata").write_tu, _small_labelled_set()
 TU_FILES = ("A", "graph_indicator", "graph_labels", "node_labels")
 NOT_INTEGERS = (b"x", b"1.5", b"nan", b"1e3", b"-", b"0x1f")
 OUT_OF_RANGE = (b"-1", b"13", b"1000000", b"9223372036854775808", b"1" + b"0" * 30)
@@ -672,7 +664,7 @@ def test_multi_dataset_run_keeps_each_clients_width(tmp_path):
                    "algorithms = gcfl\neps1 = 10\neps2 = 0.01\nrounds = 3\nhidden = 8\n"
                    f"out_dir = {tmp_path / 'run'}\n")
     clients = harness.build_clients(harness.ExperimentConfig.from_file(cfg), seed=0)
-    assert [{g.feat_dim for g in c.train_graphs + c.test_graphs} for c in clients] == \
+    assert [{u.feat_dim for u in (c.train_graphs, c.test_graphs)} for c in clients] == \
         [{widths[name]} for name in harness.MOLECULE_DATASETS]
 
     assert main(["run", "--config", str(cfg)]) == 0
@@ -680,6 +672,80 @@ def test_multi_dataset_run_keeps_each_clients_width(tmp_path):
         assert _non_finite_cells(path) == [], path.name
     with open(tmp_path / "run" / "rounds.csv", newline="") as fh:
         assert len(list(csv.reader(fh))) == 1 + 3 * 7 * 2  # rounds x clients x algorithms
+
+
+def _read_rows(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _splits_divide_their_parents(out: Path) -> list[dict]:
+    """The split rows of a run, each checked to divide its parent's members exactly."""
+    members = {(r["algorithm"], r["round"], r["cluster_id"]): set(r["client_ids"].split(";"))
+               for r in _read_rows(out / "clusters.csv")}
+    splits = _read_rows(out / "splits.csv")
+    for ev in splits:
+        a, b = set(ev["members_a"].split(";")), set(ev["members_b"].split(";"))
+        assert a and b and not a & b, ev
+        assert a | b == members[ev["algorithm"], ev["round"], ev["parent"]], ev
+    return splits
+
+
+def test_mixed_group_run_gives_social_sets_degree_widths(tmp_path):
+    # every set of the paper's "mix" group as twelve small graphs: the molecule and
+    # protein sets with 2-8 node labels, the social sets with none, so that they
+    # federate on one-hot degrees written onto each client's unions
+    root = tmp_path / "data"
+    widths = {}
+    for seed, name in enumerate(harness.DATASET_GROUPS["mix"]):
+        nodes, edge_sets, labels, node_labels = _small_labelled_set(100 + seed, 2 + seed % 7)
+        social = name in harness.SOCIAL_DATASETS
+        write_tu(root, name, nodes, edge_sets, labels, None if social else node_labels)
+        if social:  # one column per degree, up to the set's largest
+            widths[name] = 1 + max(int(np.bincount(np.ravel(list(edges))).max())
+                                   for edges in edge_sets)
+        else:  # one column per node label
+            widths[name] = len(np.unique(np.concatenate(node_labels)))
+    assert {widths[name] for name in harness.SOCIAL_DATASETS} <= set(range(3, 8))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"setting = multiDS\ngroup = mix\ndata_root = {root}\n"
+                   "algorithms = gcfl\neps1 = 10\neps2 = 0.01\nrounds = 3\nhidden = 8\n"
+                   f"out_dir = {tmp_path / 'run'}\n")
+    clients = harness.build_clients(harness.ExperimentConfig.from_file(cfg), seed=0)
+    assert [{u.feat_dim for u in (c.train_graphs, c.test_graphs)} for c in clients] == \
+        [{widths[name]} for name in harness.DATASET_GROUPS["mix"]]
+
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "run"
+    for path in out.glob("*.csv"):
+        assert _non_finite_cells(path) == [], path.name
+    assert len(_read_rows(out / "rounds.csv")) == 3 * 13 * 2  # rounds x clients x algorithms
+    assert _splits_divide_their_parents(out)
+
+
+def test_label_skewed_one_dataset_run_with_gcflplus(tmp_path):
+    # the molecule-shaped benchmark set, 63 graphs of class 0 and 125 of class 1, cut
+    # into four label-sorted shards of 40
+    write_tu_inputs(tmp_path / "data", 1)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"setting = oneDS\ndataset = MOL-SYNTH\ndata_root = {tmp_path / 'data'}\n"
+                   "num_clients = 4\nper_client_graphs = 40\nlabel_skew = true\n"
+                   "algorithms = gcflplus\neps1 = 10\neps2 = 0.01\nmin_split_size = 2\n"
+                   "window = 2\nrounds = 4\nhidden = 8\npair_budget = 50\n"
+                   f"out_dir = {tmp_path / 'run'}\n")
+    clients = harness.build_clients(harness.ExperimentConfig.from_file(cfg), seed=0)
+    labels = [set(np.concatenate([c.train_graphs.labels, c.test_graphs.labels]).tolist())
+              for c in clients]
+    assert labels == [{0}, {0, 1}, {1}, {1}]
+
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "run"
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(
+        ["rounds.csv", "clusters.csv", "splits.csv", "summary.csv", "hetero.csv", "windows.csv"])
+    for path in out.glob("*.csv"):
+        assert _non_finite_cells(path) == [], path.name
+    assert len(_read_rows(out / "rounds.csv")) == 4 * 4 * 2
+    _splits_divide_their_parents(out)
 
 
 # --- a config value ends in a typed error's exit code, never a traceback ---

@@ -18,10 +18,10 @@ from gcflsim.fed import (
     local_train,
     run_federation,
 )
-from gcflsim.gnn import GinModel, GraphBatch, adam_step, gin_loss_and_grad, init_adam, init_gin
+from gcflsim.gnn import GinModel, adam_step, gin_loss_and_grad, init_adam, init_gin
 from gcflsim.harness import synthetic_two_group_clients
 
-from conftest import HYPOTHESIS, random_graph
+from conftest import HYPOTHESIS, random_graph, union
 
 
 def tiny_clients(num=2, graphs_each=8, seed=0, feat_dim=3):
@@ -30,9 +30,9 @@ def tiny_clients(num=2, graphs_each=8, seed=0, feat_dim=3):
     for i in range(num):
         graphs = []
         for j in range(graphs_each):
-            g = replace(random_graph(rng, n=5, feat_dim=feat_dim), label=j % 2)
+            g = replace(random_graph(rng, n=5, feat_dim=feat_dim), labels=np.array([j % 2]))
             graphs.append(g)
-        clients.append(ClientState(i, graphs[:-2], graphs[-2:], seed=i))
+        clients.append(ClientState(i, union(graphs[:-2]), union(graphs[-2:]), seed=i))
     return clients
 
 
@@ -108,7 +108,6 @@ class TestLocalTrain:
         """A client, a model, its start parameters, an Adam state and a shuffle RNG."""
         client = tiny_clients(1, seed=seed)[0]
         model = init_gin(3, 2, hidden=6, num_layers=2, rng=np.random.default_rng(1))
-        client.train_stack = GraphBatch(client.train_graphs)
         return (client, model, model.vector.copy(), init_adam(model.num_params(), lr=1e-3),
                 np.random.default_rng(42))
 
@@ -123,7 +122,7 @@ class TestLocalTrain:
 
     def test_prox_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        graphs = [random_graph(rng, n=5) for _ in range(2)]
+        graphs = union(random_graph(rng, n=5) for _ in range(2))
         labels = [0, 1]
         model = init_gin(3, 2, hidden=5, num_layers=2, rng=rng)
         theta = model.vector.copy()
@@ -165,12 +164,13 @@ class TestRunFederation:
             opt = init_adam(len(init), TINY.lr, TINY.weight_decay)
             rng = np.random.default_rng(
                 np.random.SeedSequence([TINY.seed, _CLIENT_SEED_TAG, client.seed]))
-            labels = [g.label for g in client.train_graphs]
+            graphs = list(client.train_graphs)
+            labels = [g.label for g in graphs]
             for _ in range(rounds * TINY.epochs):
-                order = rng.permutation(len(client.train_graphs))
+                order = rng.permutation(len(graphs))
                 for lo in range(0, len(order), batch_size):
                     idx = order[lo:lo + batch_size]
-                    _, grad = gin_loss_and_grad(model, [client.train_graphs[i] for i in idx],
+                    _, grad = gin_loss_and_grad(model, union(graphs[i] for i in idx),
                                                 [labels[i] for i in idx])
                     model.vector[:] = adam_step(opt, model.vector, grad)
             assert np.array_equal(model.vector, fed_params[client.id])
@@ -284,8 +284,10 @@ class TestRunFederation:
     def test_non_finite_update_names_round_and_client(self):
         clients = tiny_clients(num=3)
         run_one(clients, "fedavg", 1, TINY)  # a new run sees the graph replaced below
-        bad = clients[2].train_graphs[0]
-        clients[2].train_graphs[0] = bad.with_features(np.full_like(bad.features, np.nan))
+        graphs = clients[2].train_graphs
+        features = graphs.features.copy()
+        features[:graphs.sizes[0]] = np.nan  # the first graph's
+        clients[2].train_graphs = replace(graphs, features=features)
         with pytest.raises(DivergenceError, match=r"round 0: client 2 "):
             run_one(clients, "fedavg", 2, TINY)
 
@@ -348,7 +350,6 @@ class TestRunFederation:
     def test_evaluate_client_counts_correct_predictions(self):
         client = tiny_clients(1)[0]
         model = init_gin(3, 2, hidden=6, num_layers=2, rng=np.random.default_rng(0))
-        client.test_batch = GraphBatch(client.test_graphs)
         loss, acc = evaluate_client(client, model, model.vector.copy())
         assert 0.0 <= acc <= 1.0 and np.isfinite(loss)
 
@@ -532,15 +533,16 @@ class TestSweep:
         _, trained = sweep(monkeypatch, tiny_clients(2), variants, 3, config)
         assert trained == 3 * groups
 
-    def test_each_client_batch_pair_is_built_once(self, monkeypatch):
+    def test_clients_unions_are_run_as_they_are(self, monkeypatch):
+        # nothing is stacked: each evaluation runs a client's test union itself
         clients = two_group_clients()
-        built = []
+        evaluated = []
+        forward = fed.gin_forward
 
-        def counting(graphs):
-            built.append(len(graphs))
-            return GraphBatch(graphs)
+        def recording(model, batch):
+            evaluated.append(batch)
+            return forward(model, batch)
 
-        monkeypatch.setattr(fed, "GraphBatch", counting)
+        monkeypatch.setattr(fed, "gin_forward", recording)
         run_federation(clients, algorithm_sweep("fedavg", SPLIT_AT_1), ROUNDS, SWEEP)
-        assert sorted(built) == sorted(len(g) for c in clients
-                                       for g in (c.train_graphs, c.test_graphs))
+        assert {id(b) for b in evaluated} == {id(c.test_graphs) for c in clients}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,6 @@ from gcflsim import gnn
 from gcflsim.errors import ArgumentError
 from gcflsim.gnn import (
     GinModel,
-    GraphBatch,
     adam_step,
     cross_entropy,
     gin_forward,
@@ -17,9 +18,9 @@ from gcflsim.gnn import (
     one_hot_degrees,
     softmax,
 )
-from gcflsim.graphs import Graph, erdos_renyi_gnm
+from gcflsim.graphs import erdos_renyi_gnm, one_graph
 
-from conftest import HYPOTHESIS, make_graph, random_graph, small_graphs
+from conftest import HYPOTHESIS, assert_same_union, make_graph, random_graph, small_graphs, union
 
 
 def small_model(rng, input_dim=3, output_dim=2, hidden=5, layers=2):
@@ -28,11 +29,11 @@ def small_model(rng, input_dim=3, output_dim=2, hidden=5, layers=2):
 
 def perm_graph(graph, perm):
     edges = np.stack([perm[graph.edges[:, 0]], perm[graph.edges[:, 1]]], axis=1)
-    return Graph(graph.num_nodes, edges, graph.features[np.argsort(perm)], graph.label)
+    return one_graph(graph.num_nodes, edges, graph.features[np.argsort(perm)], graph.label)
 
 
 def logits_of(model, graph):
-    return gin_forward(model, [graph])[0][0]
+    return gin_forward(model, graph)[0][0]
 
 
 def predict(model, graph):
@@ -41,12 +42,12 @@ def predict(model, graph):
 
 def batch_loss(model, graphs, labels):
     """Mean cross-entropy of the batch from the forward pass alone."""
-    logits, _ = gin_forward(model, graphs)
+    logits, _ = gin_forward(model, union(graphs))
     return float(np.mean(cross_entropy(logits, labels)))
 
 
 def gin_backward(model, graphs, labels):
-    return gin_loss_and_grad(model, graphs, labels)[1]
+    return gin_loss_and_grad(model, union(graphs), labels)[1]
 
 
 def reference_loss_and_grad(model, graphs, labels):
@@ -130,9 +131,10 @@ class TestForward:
         model = small_model(rng, input_dim=8, layers=3)
         model.eps[0][...] = 0.3
         graphs = [random_graph(rng, feat_dim=3) for _ in range(6)]
-        padded = [g.with_features(np.hstack([g.features, np.zeros((g.num_nodes, 5))]))
-                  for g in graphs]
-        labels = [g.label for g in graphs]
+        graphs = union(graphs)
+        padded = replace(graphs, features=np.hstack([graphs.features,
+                                                     np.zeros((graphs.num_nodes, 5))]))
+        labels = graphs.labels
         assert gin_forward(model, graphs)[0].tobytes() == gin_forward(model, padded)[0].tobytes()
 
         _, grad = gin_loss_and_grad(model, graphs, labels)
@@ -232,11 +234,11 @@ class TestBackward:
             make_graph(1, [], features=rng.standard_normal((1, 3))),
             make_graph(4, [], features=rng.standard_normal((4, 3))),
             *(random_graph(rng, n=n) for n in (2, 5, 9, 17)),
-            erdos_renyi_gnm(600, 900, seed=3).with_features(rng.standard_normal((600, 3))),
+            one_graph(600, erdos_renyi_gnm(600, 900, seed=3), rng.standard_normal((600, 3))),
         ]
         labels = [int(rng.integers(3)) for _ in graphs]
         model = small_model(rng, output_dim=3, layers=3)
-        loss, grad = gin_loss_and_grad(model, graphs, labels)
+        loss, grad = gin_loss_and_grad(model, union(graphs), labels)
         ref_loss, ref_grad = reference_loss_and_grad(model, graphs, labels)
         assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
@@ -248,13 +250,14 @@ class TestWorkspace:
     def test_reused_buffers_give_identical_results(self):
         rng = np.random.default_rng(16)
         model = small_model(rng, layers=3)
-        batch_a = [random_graph(rng, n=5) for _ in range(3)]
-        batch_b = [random_graph(rng, n=9) for _ in range(4)]
+        batch_a = union(random_graph(rng, n=5) for _ in range(3))
+        batch_b = union(random_graph(rng, n=9) for _ in range(4))
         other = small_model(rng, input_dim=4, hidden=7)
         loss, grad = gin_loss_and_grad(model, batch_a, [0, 1, 1])
         gin_loss_and_grad(model, batch_b, [1, 0, 0, 1])
-        gin_loss_and_grad(other, [random_graph(rng, n=6, feat_dim=4) for _ in range(2)], [0, 1])
-        gin_forward(model, batch_b[:2])
+        gin_loss_and_grad(other, union(random_graph(rng, n=6, feat_dim=4) for _ in range(2)),
+                          [0, 1])
+        gin_forward(model, batch_b.take([0, 1]))
         again_loss, again_grad = gin_loss_and_grad(model, batch_a, [0, 1, 1])
         assert again_loss == loss
         assert np.array_equal(again_grad, grad)
@@ -262,10 +265,10 @@ class TestWorkspace:
     def test_logits_outlive_later_calls(self):
         rng = np.random.default_rng(17)
         model = small_model(rng)
-        graphs = [random_graph(rng, n=8) for _ in range(4)]
+        graphs = union(random_graph(rng, n=8) for _ in range(4))
         logits, _ = gin_forward(model, graphs)
         kept = logits.copy()
-        others = [random_graph(rng, n=6) for _ in range(3)]
+        others = union(random_graph(rng, n=6) for _ in range(3))
         gin_forward(model, others)
         gin_loss_and_grad(model, others, [0, 1, 0])
         assert np.array_equal(logits, kept)
@@ -278,38 +281,27 @@ class TestGraphBatch:
         # a single-node and an edgeless graph are always in the pool
         pool = drawn + [make_graph(1, []), make_graph(4, [])]
         rng = np.random.default_rng(len(pool))
-        graphs = [Graph(g.num_nodes, g.edges, rng.standard_normal((g.num_nodes, 3)), i % 2)
+        graphs = [one_graph(g.num_nodes, g.edges, rng.standard_normal((g.num_nodes, 3)), i % 2)
                   for i, g in enumerate(pool)]
         order = data.draw(st.permutations(range(len(graphs))))
         idx = order[:data.draw(st.integers(1, len(graphs)))]
         idx += data.draw(st.lists(st.sampled_from(idx), max_size=2))  # a graph may repeat
-        stack = GraphBatch(graphs)
+        stack = union(graphs)
         kept = stack.features.copy()
-        got, want = stack.take(idx), GraphBatch([graphs[i] for i in idx])
+        got, want = stack.take(idx), union(graphs[i] for i in idx)
         assert len(got) == len(idx)
-        for a, b in ((got.adjacency.indptr, want.adjacency.indptr),
-                     (got.adjacency.indices, want.adjacency.indices),
-                     (got.adjacency.data, want.adjacency.data),
-                     (got.features, want.features), (got.sizes, want.sizes),
-                     (got.labels, want.labels)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert got.adjacency.has_sorted_indices and want.adjacency.has_sorted_indices
+        assert_same_union(got, want)
         model = small_model(np.random.default_rng(0))
         loss, grad = gin_loss_and_grad(model, got, got.labels)
-        ref_loss, ref_grad = gin_loss_and_grad(model, [graphs[i] for i in idx],
-                                               [graphs[i].label for i in idx])
+        ref_loss, ref_grad = gin_loss_and_grad(model, want, [graphs[i].label for i in idx])
         assert loss == ref_loss and np.array_equal(grad, ref_grad)
         # backpropagation leaves a batch's features as they were
         gin_loss_and_grad(model, stack, stack.labels)
         assert np.array_equal(stack.features, kept)
 
-    def test_empty_and_mixed_batches_rejected(self):
+    def test_empty_batch_rejected(self):
         with pytest.raises(ArgumentError):
-            GraphBatch([])
-        with pytest.raises(ArgumentError):
-            GraphBatch([make_graph(2, [(0, 1)], feat_dim=2), make_graph(2, [], feat_dim=3)])
-        with pytest.raises(ArgumentError):
-            GraphBatch([make_graph(2, [(0, 1)])]).take([])
+            make_graph(2, [(0, 1)]).take([])
 
 
 class TestParameterLayout:
@@ -408,12 +400,13 @@ class TestTrainability:
             g = random_graph(rng, n=6, feat_dim=2)
             feats = 0.05 * rng.standard_normal((6, 2))
             feats[:, label] += 1.0
-            graphs.append(Graph(g.num_nodes, g.edges, feats, label))
+            graphs.append(one_graph(g.num_nodes, g.edges, feats, label))
             labels.append(label)
         model = init_gin(2, 2, hidden=8, num_layers=2, rng=rng)
         opt = init_adam(model.num_params(), lr=5e-3)
+        batch = union(graphs)
         for epoch in range(200):
-            _, grad = gin_loss_and_grad(model, graphs, labels)
+            _, grad = gin_loss_and_grad(model, batch, labels)
             model.vector[:] = adam_step(opt, model.vector, grad)
             if all(predict(model, g) == y for g, y in zip(graphs, labels)):
                 break

@@ -3,6 +3,7 @@ import re
 import tempfile
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,23 +14,23 @@ from hypothesis import strategies as st
 from gcflsim.errors import ArgumentError, CorruptDatasetError, IngestionError
 from gcflsim.graphs import (
     Dataset,
-    Graph,
-    GraphBatch,
     _read_rows,
     binomial_gnp,
     decode_pair_index,
     erdos_renyi_gnm,
     load_tu_dataset,
+    one_graph,
 )
 
 from conftest import (
     HYPOTHESIS,
-    assert_same_fields,
+    assert_same_union,
     edge_set,
     make_graph,
     max_edges,
     random_graph,
     small_graphs,
+    union,
     write_tu_fixture,
 )
 from test_perfbench import write_tu_inputs
@@ -52,34 +53,24 @@ class TestGraphInvariants:
         with pytest.raises(ArgumentError):
             make_graph(3, [(0, 1), (1, 0)])
 
-    def test_rejects_feature_row_mismatch(self):
-        with pytest.raises(ArgumentError):
-            Graph(3, np.array([[0, 1]]), np.ones((2, 1)), 0)
-
     @pytest.mark.parametrize("shape", [(2, 1), (4, 1), (3, 0), (3,)])
-    def test_with_features_rejects_wrong_shape(self, shape):
-        g = Graph(3, np.array([[0, 1]]), np.ones((3, 2)), 1)
+    def test_rejects_wrong_feature_shape(self, shape):
         with pytest.raises(ArgumentError):
-            g.with_features(np.ones(shape))
+            one_graph(3, np.array([[0, 1]]), np.ones(shape), 1)
 
-    def test_with_features_keeps_structure_and_label(self, star5):
-        g = star5.with_features(np.arange(12.0).reshape(6, 2))
-        assert g.edges is star5.edges and g.label == star5.label
-        assert g.features.dtype == np.float64 and g.feat_dim == 2
-        assert star5.feat_dim != 2
-        assert np.array_equal(g.degrees, star5.degrees)
-
-    def test_with_features_shares_cached_structure_and_checks_features(self, star5):
-        adjacency, degrees = star5.adjacency, star5.degrees
-        g = star5.with_features(np.ones((6, 3), dtype=np.int64))
-        assert g.edges is star5.edges
-        assert g.adjacency is adjacency and g.degrees is degrees
-        assert g.features.dtype == np.float64 and star5.feat_dim == 1
+    def test_rejects_no_nodes(self):
         with pytest.raises(ArgumentError):
-            g.with_features(np.ones((5, 3)))
-        # a copy made before the cache is filled fills its own
-        fresh = make_graph(3, [(0, 1)]).with_features(np.zeros((3, 2)))
-        assert fresh.degrees.tolist() == [1, 1, 0]
+            one_graph(0, [], np.ones((0, 1)))
+
+    def test_features_stored_as_float64(self):
+        g = one_graph(3, [(0, 1)], np.ones((3, 2), dtype=np.int64), 1)
+        assert g.features.dtype == np.float64 and g.feat_dim == 2 and g.label == 1
+
+    def test_other_features_keep_structure_and_label(self, star5):
+        g = replace(star5, features=np.arange(12.0).reshape(6, 2))
+        assert g.adjacency is star5.adjacency and g.label == star5.label
+        assert g.feat_dim == 2 and star5.feat_dim == 1
+        assert np.array_equal(g.degrees, star5.degrees) and np.array_equal(g.starts, [0])
 
     def test_degrees_and_neighbors(self, star5):
         assert star5.degrees.tolist() == [5, 1, 1, 1, 1, 1]
@@ -138,7 +129,7 @@ class TestGraphInvariants:
             with pytest.raises(ArgumentError, match=f"^{re.escape(str(exc))}$"):
                 make_graph(n, edges)
             return
-        got = Graph(n, edges, np.ones((n, 1)))
+        got = one_graph(n, edges, np.ones((n, 1)))
         # the oracle: normalise first, then construct from the canonical list
         oracle = make_graph(n, np.array(want, dtype=np.int64).reshape(-1, 2))
         assert got.edges.dtype == np.int64 and got.edges.flags.c_contiguous
@@ -165,52 +156,62 @@ class TestGraphBatch:
     @HYPOTHESIS
     @given(st.lists(small_graphs(), min_size=1, max_size=6))
     def test_union_blocks_are_the_graphs_adjacencies(self, graphs):
-        union = GraphBatch(graphs)
-        assert np.array_equal(union.sizes, [g.num_nodes for g in graphs])
-        for g, start in zip(graphs, union.starts):
-            block = union.adjacency[start:start + g.num_nodes, start:start + g.num_nodes]
+        graphs = [make_graph(g.num_nodes, g.edges, label=i % 3) for i, g in enumerate(graphs)]
+        u = union(graphs)
+        assert np.array_equal(u.sizes, [g.num_nodes for g in graphs])
+        for g, start in zip(graphs, u.starts):
+            block = u.adjacency[start:start + g.num_nodes, start:start + g.num_nodes]
             assert (block != g.adjacency).nnz == 0
-        assert union.adjacency.nnz == sum(g.adjacency.nnz for g in graphs)
-        # Graph.adjacency is the one-graph union
-        for g in graphs:
-            a, b = g.adjacency, GraphBatch([g]).adjacency
-            for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
-                assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert u.adjacency.nnz == sum(g.adjacency.nnz for g in graphs)
+        assert u.edge_counts.tolist() == [g.num_edges for g in graphs]
+        assert (u.num_nodes, u.num_edges) == (sum(g.num_nodes for g in graphs),
+                                              sum(g.num_edges for g in graphs))
+        # indexing or iterating the union gives back each graph, array for array
+        assert len(list(u)) == len(graphs)
+        for i, (g, view) in enumerate(zip(graphs, u, strict=True)):
+            assert_same_union(view, g)
+            assert_same_union(u[i], g)
+            for a, b in ((view.edges, g.edges), (view.degrees, g.degrees)):
+                assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+            assert (view.num_nodes, view.num_edges, view.feat_dim, view.label) == \
+                (g.num_nodes, g.num_edges, g.feat_dim, g.label)
+
+    def test_label_needs_one_graph(self, triangle, path3):
+        with pytest.raises(ArgumentError):
+            union([triangle, path3]).label
 
 
 class TestDataset:
-    def test_rejects_mixed_feature_dims(self):
-        g1 = make_graph(2, [(0, 1)], feat_dim=2)
-        g2 = make_graph(2, [(0, 1)], feat_dim=3)
+    def test_rejects_negative_labels(self):
         with pytest.raises(ArgumentError):
-            Dataset("bad", [g1, g2])
+            Dataset("bad", union([make_graph(2, [(0, 1)]), make_graph(2, [], label=-1)]))
 
     def test_num_classes_from_labels(self):
         graphs = [make_graph(2, [(0, 1)], label=l) for l in (0, 2, 1)]
-        assert Dataset("d", graphs).num_classes == 3
+        ds = Dataset("d", union(graphs))
+        assert ds.num_classes == 3 and len(ds) == 3 and ds.feat_dim == 1
 
 
 class TestErdosRenyiGnm:
     def test_full_budget_gives_complete_graph(self):
-        g = erdos_renyi_gnm(4, 6, seed=123)
-        assert edge_set(g) == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+        edges = erdos_renyi_gnm(4, 6, seed=123)
+        assert edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
     def test_zero_edges(self):
-        assert erdos_renyi_gnm(5, 0, seed=1).num_edges == 0
+        assert erdos_renyi_gnm(5, 0, seed=1).shape == (0, 2)
 
     def test_deterministic_under_seed(self):
         a = erdos_renyi_gnm(10, 15, seed=7)
         b = erdos_renyi_gnm(10, 15, seed=7)
-        assert np.array_equal(a.edges, b.edges)
+        assert np.array_equal(a, b)
 
     def test_exact_edge_count_many(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             n = int(rng.integers(2, 20))
             m = int(rng.integers(0, max_edges(n) + 1))
-            g = erdos_renyi_gnm(n, m, int(rng.integers(2**31)))
-            assert g.num_edges == m
-            assert g.features.shape == (n, 1)
+            edges = erdos_renyi_gnm(n, m, int(rng.integers(2**31)))
+            assert edges.shape == (m, 2) and edges.dtype == np.int64
 
     def test_rejects_overfull(self):
         with pytest.raises(ArgumentError):
@@ -221,7 +222,7 @@ class TestErdosRenyiGnm:
         # graph should appear about equally often
         counts = {}
         for s in range(900):
-            e = tuple(erdos_renyi_gnm(3, 1, s).edges[0])
+            e = tuple(erdos_renyi_gnm(3, 1, s)[0].tolist())
             counts[e] = counts.get(e, 0) + 1
         assert set(counts) == {(0, 1), (0, 2), (1, 2)}
         assert all(200 < c < 400 for c in counts.values())
@@ -229,16 +230,16 @@ class TestErdosRenyiGnm:
     @pytest.mark.parametrize("n, m", [(633, 199_000), (700, 230_000)])
     def test_large_vertex_sets(self, n, m):
         start = time.perf_counter()
-        g = erdos_renyi_gnm(n, m, seed=5)
+        edges = erdos_renyi_gnm(n, m, seed=5)
         elapsed = time.perf_counter() - start
-        assert g.num_edges == m
-        codes = g.edges[:, 0] * n + g.edges[:, 1]
-        assert np.all(g.edges[:, 0] < g.edges[:, 1]) and np.all(np.diff(codes) > 0)
-        assert np.array_equal(g.edges, erdos_renyi_gnm(n, m, seed=5).edges)
+        assert len(edges) == m
+        codes = edges[:, 0] * n + edges[:, 1]
+        assert np.all(edges[:, 0] < edges[:, 1]) and np.all(np.diff(codes) > 0)
+        assert np.array_equal(edges, erdos_renyi_gnm(n, m, seed=5))
         assert elapsed < 1.0
 
     def test_binomial_gnp_matches_density(self):
-        sizes = [binomial_gnp(30, 0.5, s).num_edges for s in range(30)]
+        sizes = [len(binomial_gnp(30, 0.5, s)) for s in range(30)]
         assert 150 < np.mean(sizes) < 280  # 435 * 0.5 = 217.5
 
 
@@ -273,8 +274,9 @@ def test_gnm_equals_construction_from_the_reference_decoder(n_m, seed):
     rows, cols = sqrt_decode_pair_index(chosen, n)
     # the oracle: normalise first, then construct from the canonical list
     pairs = normalised_edges(n, list(zip(rows.tolist(), cols.tolist())))
-    want = Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2), np.ones((n, 1)), 0)
-    assert_same_fields(erdos_renyi_gnm(n, m, seed), want)
+    want = one_graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2), np.ones((n, 1)), 0).edges
+    got = erdos_renyi_gnm(n, m, seed)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 80, 501, 2501, 65_537, 10**6])
@@ -428,8 +430,8 @@ def reference_load_tu_dataset(root_path, name):
     node_rows = np.split(by_graph, np.cumsum(node_counts)[:-1])
     for gi in range(num_graphs):
         edges = np.array(sorted(edge_sets[gi]), dtype=np.int64).reshape(-1, 2)
-        graphs.append(Graph(int(node_counts[gi]), edges, features[node_rows[gi]], labels[gi]))
-    return Dataset(name, graphs)
+        graphs.append(one_graph(int(node_counts[gi]), edges, features[node_rows[gi]], labels[gi]))
+    return Dataset(name, union(graphs))
 
 
 def _reference_node_features(base, name, num_nodes):
@@ -487,14 +489,10 @@ def _reference_read_float_matrix(path):
 
 
 def assert_same_dataset(got, want):
-    """Same graphs, byte for byte: node counts, edges, features and labels with dtypes."""
+    """Same unions, byte for byte: CSR, features, node counts and labels with dtypes."""
     assert got.name == want.name and len(got) == len(want)
     assert (got.feat_dim, got.num_classes) == (want.feat_dim, want.num_classes)
-    for g, w in zip(got.graphs, want.graphs):
-        assert type(g.num_nodes) is type(w.num_nodes) and g.num_nodes == w.num_nodes
-        assert type(g.label) is type(w.label) and g.label == w.label
-        for a, b in ((g.edges, w.edges), (g.features, w.features)):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert_same_union(got.graphs, want.graphs)
 
 
 @st.composite
@@ -636,8 +634,9 @@ class TestTuLoaderAgainstReference:
         for name in ("MOL-SYNTH", "IMDB-BINARY"):
             ds = load_tu_dataset(tmp_path, name)
             assert_same_dataset(ds, reference_load_tu_dataset(tmp_path, name))
-            for g in ds.graphs:  # as the public constructor stores them
-                assert_same_fields(g, Graph(g.num_nodes, g.edges, g.features, g.label))
+            # the union of the same graphs, each built through the validating constructor
+            assert_same_union(ds.graphs, union(one_graph(g.num_nodes, g.edges, g.features, g.label)
+                                               for g in ds.graphs))
 
 
 class TestPublishedDatasetStatistics:

@@ -9,33 +9,45 @@ from gcflsim.errors import ArgumentError, ConfigurationError
 from gcflsim import fed, harness, hetero
 from gcflsim.fed import RunConfig, Variant, infer_dims, run_federation
 from gcflsim.gnn import one_hot_degrees
-from gcflsim.graphs import Dataset, Graph
+from gcflsim.graphs import Dataset, one_graph
 from gcflsim.harness import (
     MOLECULE_DATASETS,
     ExperimentConfig,
-    apply_degree_features,
     build_clients,
     build_multi_dataset_group,
     calibrate_epsilons,
     client_from_dataset,
     cluster_heterogeneity_report,
     compute_metrics,
+    load_dataset_for_federation,
     make_run_config,
     partition_one_dataset,
     run_experiment,
     synthetic_two_group_clients,
+    with_degree_features,
 )
 
-from conftest import assert_same_fields, make_graph, random_graph, write_tu_fixture
+from conftest import assert_same_union, make_graph, random_graph, union, write_tu_fixture
 from epsilons import auto_epsilons
 from test_fed import run_one
+from test_perfbench import write_tu_inputs
 
 
 def synthetic_dataset(count=1000, seed=0):
     rng = np.random.default_rng(seed)
-    graphs = [replace(random_graph(rng, n=6, feat_dim=2), label=int(rng.integers(2)))
+    graphs = [replace(random_graph(rng, n=6, feat_dim=2), labels=np.array([rng.integers(2)]))
               for _ in range(count)]
-    return Dataset("synt", graphs)
+    return Dataset("synt", union(graphs))
+
+
+def client_graphs(client):
+    """A client's training then test graphs, one-graph unions each."""
+    return [*client.train_graphs, *client.test_graphs]
+
+
+def fingerprints(graphs):
+    """Each graph's feature bytes: distinct for the random features of ``synthetic_dataset``."""
+    return [g.features.tobytes() for g in graphs]
 
 
 class TestPartitionOneDataset:
@@ -46,7 +58,7 @@ class TestPartitionOneDataset:
         seen = set()
         for c in clients:
             assert len(c.train_graphs) == 90 and len(c.test_graphs) == 10
-            ids = {id(g) for g in c.train_graphs + c.test_graphs}
+            ids = set(fingerprints(client_graphs(c)))
             assert not ids & seen
             seen |= ids
 
@@ -55,18 +67,19 @@ class TestPartitionOneDataset:
         a = partition_one_dataset(ds, 3, 50, seed=9)
         b = partition_one_dataset(ds, 3, 50, seed=9)
         for ca, cb in zip(a, b):
-            assert [id(g) for g in ca.train_graphs] == [id(g) for g in cb.train_graphs]
+            assert_same_union(ca.train_graphs, cb.train_graphs)
+            assert_same_union(ca.test_graphs, cb.test_graphs)
 
     def test_overlap_mode_allows_sharing_but_distinct_within(self):
         ds = synthetic_dataset(60)
         clients = partition_one_dataset(ds, 5, 40, overlap=True, seed=1)
         for c in clients:
-            ids = [id(g) for g in c.train_graphs + c.test_graphs]
+            ids = fingerprints(client_graphs(c))
             assert len(set(ids)) == len(ids)
-        union = set()
+        seen = set()
         for c in clients:
-            union |= {id(g) for g in c.train_graphs + c.test_graphs}
-        assert len(union) < 5 * 40  # sharing must occur: only 60 distinct graphs
+            seen |= set(fingerprints(client_graphs(c)))
+        assert len(seen) < 5 * 40  # sharing must occur: only 60 distinct graphs
 
     def test_insufficient_graphs_rejected_in_disjoint_mode(self):
         ds = synthetic_dataset(50)
@@ -76,8 +89,8 @@ class TestPartitionOneDataset:
     def test_label_skew_concentrates_labels(self):
         ds = synthetic_dataset(400)
         clients = partition_one_dataset(ds, 4, 100, seed=0, label_skew=True)
-        first = [g.label for g in clients[0].train_graphs + clients[0].test_graphs]
-        last = [g.label for g in clients[-1].train_graphs + clients[-1].test_graphs]
+        first = [g.label for g in client_graphs(clients[0])]
+        last = [g.label for g in client_graphs(clients[-1])]
         assert set(first) == {0} and set(last) == {1}
 
     def test_client_from_dataset_test_size(self):
@@ -96,11 +109,12 @@ class TestInferDims:
         rng = np.random.default_rng(0)
         clients = []
         for i, width in enumerate((7, 3)):
-            graphs = [replace(random_graph(rng, n=5, feat_dim=width), label=k % 2)
+            graphs = [replace(random_graph(rng, n=5, feat_dim=width), labels=np.array([k % 2]))
                       for k in range(4)]
-            clients.append(client_from_dataset(Dataset(str(width), graphs), i, test_fraction=0.25))
+            clients.append(client_from_dataset(Dataset(str(width), union(graphs)), i,
+                                               test_fraction=0.25))
         assert infer_dims(clients) == (7, 2)
-        assert {g.feat_dim for g in clients[1].train_graphs + clients[1].test_graphs} == {3}
+        assert {g.feat_dim for g in client_graphs(clients[1])} == {3}
 
 
 class TestComputeMetrics:
@@ -120,10 +134,11 @@ class TestComputeMetrics:
             compute_metrics({0: 0.5}, {1: 0.5})
 
 
-def test_synthetic_graphs_are_stored_as_the_constructor_stores_them():
+def test_synthetic_unions_equal_the_union_of_their_graphs_built_alone():
     clients, _ = synthetic_two_group_clients(clients_per_group=1, graphs_per_client=6, seed=2)
-    for g in (g for c in clients for g in c.train_graphs + c.test_graphs):
-        assert_same_fields(g, Graph(g.num_nodes, g.edges, g.features, g.label))
+    for graphs in (u for c in clients for u in (c.train_graphs, c.test_graphs)):
+        assert_same_union(graphs, union(one_graph(g.num_nodes, g.edges, g.features, g.label)
+                                        for g in graphs))
 
 
 class TestClusterHeterogeneity:
@@ -146,7 +161,8 @@ class TestClusterHeterogeneity:
 
         def counting(record, original):
             def wrapper(graph, *args, **kwargs):
-                record.append(id(graph))
+                # a graph is a fresh view per embedding: known by its noisy features
+                record.append(graph.features.tobytes())
                 return original(graph, *args, **kwargs)
             return wrapper
 
@@ -161,7 +177,7 @@ class TestClusterHeterogeneity:
     def test_identical_graph_clients_have_zero_heterogeneity(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)], feat_dim=2)
         from gcflsim.fed import ClientState
-        clients = [ClientState(i, [g, g], [g], seed=i) for i in range(2)]
+        clients = [ClientState(i, union([g, g]), g, seed=i) for i in range(2)]
         cluster = ClusterState(0, [0, 1], np.zeros(2))
         rows = cluster_heterogeneity_report([cluster], clients, awe_length=3, seed=0)
         assert rows[1].structure_mean == 0.0
@@ -299,17 +315,38 @@ class TestGroupBuilder:
     def test_degree_features_equal_each_graph_encoded_alone(self):
         rng = np.random.default_rng(5)
         graphs = [random_graph(rng) for _ in range(30)] + [make_graph(3, [], feat_dim=3)]
-        ds = Dataset("d", graphs)
+        ds = Dataset("d", union(graphs))
         max_degree = max(int(g.degrees.max()) for g in graphs)
-        got = apply_degree_features(ds)
-        assert got.feat_dim == max_degree + 1
-        for a, g in zip(got.graphs, graphs, strict=True):
+        assert harness._degree_width(ds, "onehot_degree") == max_degree
+        got = with_degree_features(ds.graphs, max_degree)
+        assert got.feat_dim == max_degree + 1 and got.adjacency is ds.graphs.adjacency
+        for a, g in zip(got, graphs, strict=True):
             want = one_hot_degrees(g.degrees, max_degree)
-            assert a.edges is g.edges and a.label == g.label
+            assert a.edges.tolist() == g.edges.tolist() and a.label == g.label
             assert a.features.dtype == want.dtype and a.features.flags.c_contiguous
             assert a.features.tobytes() == want.tobytes()
-        edgeless = apply_degree_features(Dataset("e", [make_graph(2, []), make_graph(1, [])]))
-        assert [g.features.tolist() for g in edgeless.graphs] == [[[1.0, 0.0]] * 2, [[1.0, 0.0]]]
+        edgeless = Dataset("e", union([make_graph(2, []), make_graph(1, [])]))
+        assert harness._degree_width(edgeless, "onehot_degree") == 1
+        assert with_degree_features(edgeless.graphs, 1).features.tolist() == [[1.0, 0.0]] * 3
+        assert harness._degree_width(ds, "original") is None
+
+    @pytest.mark.parametrize("overlap, label_skew", [(False, False), (False, True),
+                                                     (True, False)])
+    def test_client_degree_features_equal_the_sets_encoding(self, tmp_path, overlap,
+                                                            label_skew):
+        # each client union is encoded after the cut, at the set's width: the features of
+        # cutting from the whole set's encoding, byte for byte
+        write_tu_inputs(tmp_path, 1)
+        config = ExperimentConfig(setting="oneDS", dataset="IMDB-BINARY",
+                                  data_root=str(tmp_path), num_clients=5, per_client_graphs=50,
+                                  overlap=overlap, label_skew=label_skew)
+        got = build_clients(config, seed=3)
+        ds = load_dataset_for_federation(tmp_path, "IMDB-BINARY")
+        want = partition_one_dataset(ds, 5, 50, 0.1, overlap, 3, label_skew)
+        assert ds.feat_dim > 2
+        for a, b in zip(got, want, strict=True):
+            assert_same_union(a.train_graphs, b.train_graphs)
+            assert_same_union(a.test_graphs, b.test_graphs)
 
     def test_onehot_degree_matches_per_graph_encoding(self, tmp_path):
         for name in MOLECULE_DATASETS:
@@ -335,8 +372,7 @@ class TestGroupBuilder:
         assert [infer_dims([c])[0] for c in got] == [3, 4, 3, 3, 3, 3, 3]
         for a, b in zip(got, want, strict=True):
             width = infer_dims([a])[0]
-            for ga, gb in zip(a.train_graphs + a.test_graphs, b.train_graphs + b.test_graphs,
-                              strict=True):
+            for ga, gb in zip(client_graphs(a), client_graphs(b), strict=True):
                 assert ga.features.shape == (gb.num_nodes, width)
                 assert ga.features.tobytes() == per_graph(gb, width).tobytes()
 

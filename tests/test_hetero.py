@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gcflsim import hetero
 from gcflsim.errors import ArgumentError, UndefinedEmbeddingError
-from gcflsim.graphs import Dataset, Graph, erdos_renyi_gnm
+from gcflsim.graphs import Dataset, erdos_renyi_gnm, one_graph
 from gcflsim.hetero import (
     MAX_WALK_LENGTH,
     _advance,
@@ -24,7 +24,7 @@ from gcflsim.hetero import (
     pairwise_heterogeneity,
 )
 
-from conftest import HYPOTHESIS, make_graph, random_graph, small_graphs
+from conftest import HYPOTHESIS, make_graph, random_graph, small_graphs, union, with_features
 
 
 def _anonymize(walk) -> tuple[int, ...]:
@@ -174,7 +174,7 @@ class TestAweDistribution:
             g = random_graph(rng, n=7)
             perm = rng.permutation(7)
             edges = np.stack([perm[g.edges[:, 0]], perm[g.edges[:, 1]]], axis=1)
-            h = Graph(7, edges, g.features[np.argsort(perm)], g.label)
+            h = one_graph(7, edges, g.features[np.argsort(perm)], g.label)
             a = awe_distribution(g, 4).probs
             b = awe_distribution(h, 4).probs
             assert np.allclose(a, b, atol=1e-12)
@@ -325,7 +325,7 @@ class TestSamplePairs:
 
 class TestFeatureSimHistogram:
     def test_identical_features_mass_at_one(self, triangle):
-        g = triangle.with_features(np.tile([1.0, 2.0], (3, 1)))
+        g = with_features(triangle, np.tile([1.0, 2.0], (3, 1)))
         mass = feature_sim_histogram(g, bins=20)
         assert mass[-1] == 1.0  # cosine exactly 1 lands in the last bin
 
@@ -352,7 +352,7 @@ class TestFeatureSimHistogram:
         rng = np.random.default_rng(10)
         g = random_graph(rng, n=7, feat_dim=3)
         a = feature_sim_histogram(g, 20)
-        b = feature_sim_histogram(g.with_features(g.features * 3.7), 20)
+        b = feature_sim_histogram(with_features(g, g.features * 3.7), 20)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
@@ -377,24 +377,28 @@ class TestFeatureSimHistogram:
 
 class TestPairwiseHeterogeneity:
     def test_datasets_keyed_by_set_tag_and_index(self):
-        a = Dataset("a", [make_graph(3, [(0, 1)]), make_graph(3, [(1, 2)])])
-        b = Dataset("b", [make_graph(3, [(0, 2)])])
+        a = Dataset("a", union([make_graph(3, [(0, 1)]), make_graph(3, [(1, 2)])]))
+        b = Dataset("b", union([make_graph(3, [(0, 2)])]))
         store, pool_a, pool_b = dataset_pools(a, b)
         assert pool_a == ("a", [(0, 0), (0, 1)]) and pool_b == ("b", [(1, 0)])
-        assert store.graphs[(1, 0)] is b.graphs[0]
+        assert store.sets == {0: [a.graphs], 1: [b.graphs]}
+        assert store.graph((0, 1)).edges.tolist() == [[1, 2]]
+        assert store.graph((1, 0)).edges.tolist() == [[0, 2]]
+        with pytest.raises(KeyError):
+            store.graph((1, 1))
         _, pool_a, pool_b = dataset_pools(a, a)
         assert pool_a is pool_b and pool_a.keys == [(0, 0), (0, 1)]
 
     def test_singleton_self_pairing_is_zero(self):
         g = make_graph(3, [(0, 1), (1, 2)])
-        ds = Dataset("one", [g])
+        ds = Dataset("one", g)
         rep = pairwise(ds, ds)
         assert rep.structure_mean == 0.0 and rep.feature_mean == 0.0
 
     def test_self_set_uses_distinct_pairs(self):
         rng = np.random.default_rng(11)
         graphs = [random_graph(rng, n=6) for _ in range(4)]
-        ds = Dataset("four", [g.with_features(np.ones((g.num_nodes, 2))) for g in graphs])
+        ds = Dataset("four", union(with_features(g, np.ones((g.num_nodes, 2))) for g in graphs))
         rep = pairwise(ds, ds, awe_length=3)
         # identical features everywhere: feature divergence must vanish
         assert rep.feature_mean == pytest.approx(0.0, abs=1e-12)
@@ -403,15 +407,17 @@ class TestPairwiseHeterogeneity:
     def test_order_invariance_with_exact_pairs(self):
         rng = np.random.default_rng(12)
         graphs = [random_graph(rng, n=6) for _ in range(5)]
-        forward, backward = Dataset("x", graphs), Dataset("x", graphs[::-1])
+        forward, backward = Dataset("x", union(graphs)), Dataset("x", union(graphs[::-1]))
         a = pairwise(forward, forward, awe_length=3)
         b = pairwise(backward, backward, awe_length=3)
         assert a.structure_mean == pytest.approx(b.structure_mean, abs=1e-12)
         assert a.feature_mean == pytest.approx(b.feature_mean, abs=1e-12)
 
     def test_sets_sharing_a_name_are_still_two_sets(self):
-        sparse = Dataset("x", [erdos_renyi_gnm(12, 14, seed) for seed in range(6)])
-        dense = Dataset("x", [erdos_renyi_gnm(12, 60, seed) for seed in range(6)])
+        sparse = Dataset("x", union(make_graph(12, erdos_renyi_gnm(12, 14, seed))
+                                    for seed in range(6)))
+        dense = Dataset("x", union(make_graph(12, erdos_renyi_gnm(12, 60, seed))
+                                   for seed in range(6)))
         renamed = Dataset("y", dense.graphs)
         same_name = pairwise(sparse, dense)
         assert same_name.structure_mean == pairwise(sparse, renamed).structure_mean
@@ -419,14 +425,14 @@ class TestPairwiseHeterogeneity:
 
     def test_pair_budget_sampling_is_deterministic(self):
         rng = np.random.default_rng(13)
-        xs = Dataset("xs", [random_graph(rng, n=6) for _ in range(8)])
-        ys = Dataset("ys", [random_graph(rng, n=6) for _ in range(8)])
+        xs = Dataset("xs", union(random_graph(rng, n=6) for _ in range(8)))
+        ys = Dataset("ys", union(random_graph(rng, n=6) for _ in range(8)))
         a = pairwise(xs, ys, awe_length=3, pair_budget=10, seed=5)
         b = pairwise(xs, ys, awe_length=3, pair_budget=10, seed=5)
         assert a == b
 
     def test_pair_budget_below_one_raises(self):
-        ds = Dataset("two", [make_graph(3, [(0, 1)]), make_graph(3, [(1, 2)])])
+        ds = Dataset("two", union([make_graph(3, [(0, 1)]), make_graph(3, [(1, 2)])]))
         for bad in (0, -3):
             with pytest.raises(ArgumentError):
                 pairwise(ds, ds, pair_budget=bad)
@@ -434,20 +440,20 @@ class TestPairwiseHeterogeneity:
     def test_half_edgeless_set_is_finite(self):
         good = make_graph(3, [(0, 1), (1, 2)])
         bad = make_graph(3, [])
-        ds = Dataset("half", [good, bad, good.with_features(np.full((3, 1), 2.0)), bad])
+        ds = Dataset("half", union([good, bad, with_features(good, np.full((3, 1), 2.0)), bad]))
         rep = pairwise(ds, ds, awe_length=2)
         assert np.isfinite([rep.structure_mean, rep.feature_mean]).all()
 
     def test_mostly_edgeless_set_raises(self):
         good = make_graph(3, [(0, 1)])
         bad = make_graph(3, [])
-        ds = Dataset("sparse", [good, bad, bad])
+        ds = Dataset("sparse", union([good, bad, bad]))
         with pytest.raises(UndefinedEmbeddingError):
             pairwise(ds, ds)
 
     def test_some_edgeless_graphs_skipped(self):
         rng = np.random.default_rng(14)
         graphs = [random_graph(rng, n=5) for _ in range(5)] + [make_graph(4, [])]
-        ds = Dataset("mixed", [g.with_features(np.ones((g.num_nodes, 1))) for g in graphs])
+        ds = Dataset("mixed", union(with_features(g, np.ones((g.num_nodes, 1))) for g in graphs))
         rep = pairwise(ds, ds, awe_length=3)
         assert np.isfinite(rep.structure_mean)

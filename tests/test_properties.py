@@ -13,22 +13,31 @@ from scipy.sparse import csgraph
 
 from gcflsim import properties
 from gcflsim.errors import UndefinedStatisticError
-from gcflsim.graphs import Dataset, GraphBatch, _offsets
+from gcflsim.graphs import Dataset, _offsets
 from gcflsim.properties import (
     FRONTIER_BITS,
     PROPERTY_NAMES,
-    degree_kurtosis,
     graph_properties,
     property_significance,
     welch_p_value,
 )
 
-from conftest import HYPOTHESIS, complete_graph, edge_set, make_graph, random_graph, small_graphs
+from conftest import (HYPOTHESIS, complete_graph, edge_set, make_graph, random_graph,
+                      small_graphs, union)
 
 
 def one(prop, graph):
     """Property ``prop`` of ``graph`` alone: its one-graph union's only value."""
-    return float(graph_properties(GraphBatch([graph]))[prop][0])
+    return float(graph_properties(graph)[prop][0])
+
+
+def pooled_kurtosis(graphs):
+    """The kurtosis row of the property report of ``graphs``: the statistic of their pooled
+    degree sequence, ``nan`` where it has zero variance. The graphs are their own nulls, so
+    a regular random graph cannot blank the row."""
+    with mock.patch.object(properties, "_gnm_nulls", lambda graphs, seed: graphs):
+        report = property_significance(Dataset("d", union(graphs)), seed=0)
+    return report.rows["degree_kurtosis"].real
 
 
 # --- the per-graph functions the union function replaced, as references ---
@@ -96,7 +105,7 @@ REFERENCES = {
 
 def assert_union_matches_oracles(graphs):
     """Each union value equals the brute-force value of its graph alone."""
-    props = graph_properties(GraphBatch(graphs))
+    props = graph_properties(union(graphs))
     for g, path, lcc, cc in zip(graphs, props["avg_shortest_path"],
                                 props["largest_component_pct"], props["clustering_coefficient"]):
         assert cc == pytest.approx(brute_clustering(g), abs=1e-12)
@@ -121,7 +130,7 @@ def bits(x):
 
 
 def assert_union_matches_references(graphs):
-    props = graph_properties(GraphBatch(graphs))
+    props = graph_properties(union(graphs))
     assert list(props) == list(PROPERTY_NAMES)
     for prop, ref_fn in REFERENCES.items():
         values = props[prop]
@@ -235,21 +244,18 @@ def welch_samples(draw):
 class TestDegreeKurtosis:
     def test_star_matches_moment_formula(self):
         star = make_graph(10, [(0, i) for i in range(1, 10)])
-        ds = Dataset("star", [star])
         degrees = [9] + [1] * 9
-        assert degree_kurtosis(ds) == pytest.approx(brute_kurtosis(degrees), abs=1e-12)
+        assert pooled_kurtosis([star]) == pytest.approx(brute_kurtosis(degrees), abs=1e-12)
 
-    def test_cycle_zero_variance_raises(self):
+    def test_cycle_zero_variance_is_nan(self):
         cycle = make_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-        with pytest.raises(UndefinedStatisticError):
-            degree_kurtosis(Dataset("cycle", [cycle]))
+        assert np.isnan(pooled_kurtosis([cycle]))
 
     def test_pooled_over_graphs(self):
         g1 = make_graph(3, [(0, 1)])
         g2 = make_graph(3, [(0, 1), (1, 2), (0, 2)])
         pooled = [1, 1, 0, 2, 2, 2]
-        assert degree_kurtosis(Dataset("two", [g1, g2])) == pytest.approx(
-            brute_kurtosis(pooled), abs=1e-12)
+        assert pooled_kurtosis([g1, g2]) == pytest.approx(brute_kurtosis(pooled), abs=1e-12)
 
 
 class TestAvgShortestPath:
@@ -306,8 +312,7 @@ def test_properties_match_brute_force_on_random_graphs():
             assert one("avg_shortest_path", g) == pytest.approx(ref, abs=1e-12)
         degrees = g.degrees
         if np.var(degrees) > 0:
-            assert degree_kurtosis(Dataset("d", [g])) == pytest.approx(
-                brute_kurtosis(degrees), abs=1e-12)
+            assert pooled_kurtosis([g]) == pytest.approx(brute_kurtosis(degrees), abs=1e-12)
 
 
 @HYPOTHESIS
@@ -341,7 +346,7 @@ class TestUnion:
     def test_single_node_and_edgeless_graphs(self):
         graphs = [make_graph(1, []), make_graph(3, []), make_graph(2, [(0, 1)]), make_graph(1, [])]
         assert_union_matches_references(graphs)
-        props = graph_properties(GraphBatch(graphs))
+        props = graph_properties(union(graphs))
         assert np.isnan(props["avg_shortest_path"]).tolist() == [True, True, False, True]
         assert props["largest_component_pct"].tolist() == [100.0, 100.0 / 3, 100.0, 100.0]
         assert props["clustering_coefficient"].tolist() == [0.0, 0.0, 0.0, 0.0]
@@ -370,7 +375,7 @@ class TestUnion:
                   two_paths, random_graph(rng, n=5)]
         assert_union_matches_references(graphs)
         assert_union_matches_oracles(graphs)
-        props = graph_properties(GraphBatch(graphs))
+        props = graph_properties(union(graphs))
         assert props["avg_shortest_path"][[1, 4]].tolist() == [(n + 1) / 3] * 2
         assert props["largest_component_pct"][[1, 4]].tolist() == [100.0, 50.0]
 
@@ -385,7 +390,7 @@ class TestUnion:
         monkeypatch.setattr(properties, "FRONTIER_BITS", columns * sum(g.num_nodes for g in graphs))
         assert_union_matches_references(graphs)
         assert_union_matches_oracles(graphs)
-        assert graph_properties(GraphBatch(graphs))["avg_shortest_path"][1] == (n + 1) / 3
+        assert graph_properties(union(graphs))["avg_shortest_path"][1] == (n + 1) / 3
 
     @pytest.mark.parametrize("budget", [1, 100 * 140, FRONTIER_BITS])
     def test_clustering_of_dense_graphs_across_words_and_blocks(self, budget, monkeypatch):
@@ -397,7 +402,7 @@ class TestUnion:
         # column wide
         graphs = [random_graph(rng, n=n, p=0.3, feat_dim=1) for n in (140, 110, 9)]
         monkeypatch.setattr(properties, "FRONTIER_BITS", budget)
-        values = graph_properties(GraphBatch(graphs))["clustering_coefficient"]
+        values = graph_properties(union(graphs))["clustering_coefficient"]
         assert [bits(v) for v in values] == [bits(ref_clustering(g)) for g in graphs]
         assert values.tolist() == pytest.approx([brute_clustering(g) for g in graphs], abs=1e-12)
         assert min(values[:2]) > 0.2
@@ -420,7 +425,7 @@ class TestUnion:
             return or_of_neighbours(frontier, passes, order)
 
         monkeypatch.setattr(properties, "_or_of_neighbours", recording)
-        graph_properties(GraphBatch(graphs))
+        graph_properties(union(graphs))
         if bits == FRONTIER_BITS:
             # one run: each graph steps until a step reaches nothing, and only the
             # path (diameter n - 1) goes on
@@ -443,17 +448,18 @@ class TestUnion:
         rng = np.random.default_rng(9)
         graphs = [complete_graph(3), make_graph(12, [(i, i + 1) for i in range(11)]),
                   random_graph(rng, n=9, feat_dim=1), make_graph(2, [])]
-        union = GraphBatch(graphs)
-        want = {prop: [bits(v) for v in values] for prop, values in graph_properties(union).items()}
-        a = union.adjacency
-        union.adjacency = SimpleNamespace(indptr=a.indptr, indices=a.indices, data=a.data)
+        graphs = union(graphs)
+        want = {prop: [bits(v) for v in values]
+                for prop, values in graph_properties(graphs).items()}
+        a = graphs.adjacency
+        graphs.adjacency = SimpleNamespace(indptr=a.indptr, indices=a.indices, data=a.data)
 
         def no_indexing(*args):
             raise AssertionError("scipy indexing")
 
         monkeypatch.setattr(sparse.csr_array, "__getitem__", no_indexing)
         assert {prop: [bits(v) for v in values]
-                for prop, values in graph_properties(union).items()} == want
+                for prop, values in graph_properties(graphs).items()} == want
 
 
 class TestWelch:
@@ -483,11 +489,12 @@ class TestWelch:
 class TestPropertySignificance:
     @staticmethod
     def _dataset(rng, count=12):
-        return Dataset("rand", [random_graph(rng, n=8) for _ in range(count)])
+        return Dataset("rand", union(random_graph(rng, n=8) for _ in range(count)))
 
-    def test_identity_null_gives_p_one(self):
+    def test_identity_null_gives_p_one(self, monkeypatch):
         ds = self._dataset(np.random.default_rng(3))
-        report = property_significance(ds, seed=0, null_factory=lambda g, k: g)
+        monkeypatch.setattr(properties, "_gnm_nulls", lambda graphs, seed: graphs)
+        report = property_significance(ds, seed=0)
         for prop, stat in report.rows.items():
             if stat.computed:
                 assert stat.p_value == pytest.approx(1.0)
@@ -496,8 +503,8 @@ class TestPropertySignificance:
     def test_invariant_to_graph_order(self):
         rng = np.random.default_rng(9)
         graphs = [random_graph(rng, n=7) for _ in range(10)]
-        fwd = property_significance(Dataset("a", graphs), seed=4)
-        rev = property_significance(Dataset("a", graphs[::-1]), seed=4)
+        fwd = property_significance(Dataset("a", union(graphs)), seed=4)
+        rev = property_significance(Dataset("a", union(graphs[::-1])), seed=4)
         for prop in fwd.rows:
             assert fwd.rows[prop].real == pytest.approx(rev.rows[prop].real, abs=1e-12)
             assert fwd.rows[prop].random == pytest.approx(rev.rows[prop].random, abs=1e-12)
@@ -518,7 +525,7 @@ class TestPropertySignificance:
         # and for the pooled sequence
         cycles = [make_graph(n, [(i, (i + 1) % n) for i in range(n)])
                   for n in (4, 5, 6, 7)]
-        report = property_significance(Dataset("cycles", cycles), seed=0)
+        report = property_significance(Dataset("cycles", union(cycles)), seed=0)
         stat = report.rows["degree_kurtosis"]
         assert not stat.computed and stat.p_value is None
         out = tmp_path / "props.csv"
@@ -532,11 +539,11 @@ class TestPaperValues:
     def test_enzymes_clustering_coefficient(self):
         from conftest import require_dataset
         ds = require_dataset("ENZYMES")
-        mean_cc = np.mean(graph_properties(GraphBatch(ds.graphs))["clustering_coefficient"])
+        mean_cc = np.mean(graph_properties(ds.graphs)["clustering_coefficient"])
         assert abs(mean_cc - 0.4516) <= 0.01
 
     def test_ptc_mr_average_shortest_path(self):
         from conftest import require_dataset
         ds = require_dataset("PTC_MR")
-        paths = graph_properties(GraphBatch(ds.graphs))["avg_shortest_path"]
+        paths = graph_properties(ds.graphs)["avg_shortest_path"]
         assert abs(np.nanmean(paths) - 3.36) <= 0.05

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gcflsim.graphs import Graph, erdos_renyi_gnm
+from gcflsim.graphs import erdos_renyi_gnm, one_graph
 
 from conftest import edge_set
 from sgc import THETA_INIT_SCALE, normalized_adjacency, propagated_features, sgc_train
@@ -10,11 +10,11 @@ from sgc import THETA_INIT_SCALE, normalized_adjacency, propagated_features, sgc
 
 def planted_node_task(seed, n=30, feat_dim=8, classes=3, m=87):
     rng = np.random.default_rng(seed)
-    base = erdos_renyi_gnm(n, m, seed)
+    edges = erdos_renyi_gnm(n, m, seed)
     x = rng.standard_normal((n, feat_dim))
     w = rng.standard_normal((feat_dim, classes))
     labels = np.argmax(x @ w, axis=1)
-    return base.with_features(x), labels
+    return one_graph(n, edges, x), labels
 
 
 def flip_edges(graph, count, rng):
@@ -27,7 +27,7 @@ def flip_edges(graph, count, rng):
         e = (min(u, v), max(u, v))
         edges.symmetric_difference_update({e})
         flips += 1
-    return Graph(graph.num_nodes, np.array(sorted(edges)), graph.features, graph.label)
+    return one_graph(graph.num_nodes, np.array(sorted(edges)), graph.features, graph.label)
 
 
 class TestNormalizedAdjacency:
