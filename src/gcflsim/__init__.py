@@ -21,7 +21,6 @@ from .errors import (
     GcflSimError,
     IngestionError,
     UndefinedEmbeddingError,
-    UndefinedStatisticError,
 )
 from .fed import (
     ALGORITHMS,
@@ -65,7 +64,6 @@ from .harness import (
     synthetic_two_group_clients,
 )
 from .hetero import (
-    AweDistribution,
     GraphEmbeddings,
     GraphPool,
     HeterogeneityReport,

@@ -23,7 +23,6 @@ from .errors import (
     GcflSimError,
     IngestionError,
     UndefinedEmbeddingError,
-    UndefinedStatisticError,
 )
 from .harness import (
     ExperimentConfig,
@@ -48,7 +47,6 @@ EXIT_CODES = {
     ConfigurationError: 3,
     IngestionError: 4,
     CorruptDatasetError: 5,
-    UndefinedStatisticError: 6,
     UndefinedEmbeddingError: 7,
     DivergenceError: 8,
 }

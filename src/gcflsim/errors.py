@@ -17,10 +17,6 @@ class CorruptDatasetError(IngestionError):
     """Dataset files are present but internally inconsistent."""
 
 
-class UndefinedStatisticError(GcflSimError):
-    """A statistic is undefined for the given input (e.g. zero variance)."""
-
-
 class UndefinedEmbeddingError(GcflSimError):
     """A walk embedding or similarity histogram is undefined (edgeless graph)."""
 

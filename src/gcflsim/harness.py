@@ -280,7 +280,8 @@ def cluster_heterogeneity_report(
     pre-clustering baseline the per-cluster values are compared against.
     Each graph is embedded at most once per report, keyed by its client id
     and its position in that client's training then test graphs, so every
-    row reads the same embedding of a graph.
+    row reads the same embedding of a graph. The graphs a pool needs that are
+    not yet embedded are embedded together, cut from the clients' unions.
     """
     if not clusters:
         raise ArgumentError("no clusters to report on")

@@ -8,7 +8,7 @@ between linked-node feature vectors (Jensen-Shannon divergence).
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -87,11 +87,6 @@ def _walks_per_node(graph: GraphBatch, length: int) -> np.ndarray:
     return w
 
 
-def exact_walk_count(graph: GraphBatch, length: int) -> int:
-    """Number of distinct node walks of ``length`` edges (enumeration cost)."""
-    return int(round(_walks_per_node(graph, length).sum()))
-
-
 def _start_chunks(walk_counts: np.ndarray) -> Iterator[tuple[int, int]]:
     """Consecutive ``[lo, hi)`` runs of starts with at most ``EXACT_CHUNK_WALKS`` walks each.
 
@@ -106,17 +101,11 @@ def _start_chunks(walk_counts: np.ndarray) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-@dataclass
-class AweDistribution:
-    """Probability over anonymous walk patterns of one fixed length."""
-
-    walk_length: int
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if abs(self.probs.sum() - 1.0) > 1e-9 or self.probs.min() < 0:
-            raise ArgumentError("pattern probabilities must be a distribution")
+def _owners(graph: GraphBatch, what: str) -> np.ndarray:
+    """The graph of each node of a union, checked to leave no graph without an edge."""
+    if (graph.edge_counts == 0).any():
+        raise UndefinedEmbeddingError(f"{what} is undefined on an edgeless graph")
+    return np.repeat(np.arange(len(graph)), graph.sizes)
 
 
 def awe_distribution(
@@ -124,29 +113,31 @@ def awe_distribution(
     length: int,
     mode: str = "exact",
     samples: int = AWE_SAMPLES,
-    seed: int = 0,
-) -> AweDistribution:
-    """Anonymous-walk pattern distribution of a simple random walk on a one-graph union.
+    seeds: Sequence[int] = (),
+) -> np.ndarray:
+    """Anonymous-walk pattern distribution of a simple random walk on each graph of a union.
 
-    Walks start uniformly over non-isolated nodes and step uniformly over
-    neighbors. ``exact`` enumerates every walk with its probability;
-    ``sampled`` estimates frequencies from seeded random walks.
+    One row per graph, one column per pattern of ``enumerate_anonymous_walks``.
+    Walks start uniformly over the graph's non-isolated nodes and step
+    uniformly over neighbors. ``exact`` enumerates every walk with its
+    probability; ``sampled`` estimates frequencies from ``samples`` random
+    walks per graph, graph g's drawn from ``default_rng(seeds[g])``.
     """
     step, patterns = _walk_automaton(length)
-    if graph.num_edges == 0:
-        raise UndefinedEmbeddingError("anonymous walks are undefined on an edgeless graph")
+    owner = _owners(graph, "anonymous walks")
     deg = graph.degrees
     starts = np.flatnonzero(deg > 0)
+    count = np.bincount(owner[starts], minlength=len(graph))  # starts per graph
     indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
+    probs = np.zeros((len(graph), len(patterns)))
 
     if mode == "exact":
         # Walks of each start in the order a DFS popping the highest neighbour
-        # first reaches them, starts in ascending order, so the sums below add
-        # in that order whatever the chunk size.
-        probs = np.zeros(len(patterns))
+        # first reaches them, starts in ascending order. ``np.add.at`` adds in
+        # that order, so each row sums its walks in it whatever the chunk size.
         for lo, hi in _start_chunks(_walks_per_node(graph, length)[starts]):
             cols, state = [starts[lo:hi]], np.zeros(hi - lo, dtype=np.intp)
-            p = np.full(hi - lo, 1.0 / len(starts))
+            p = 1.0 / count[owner[cols[0]]]
             for _ in range(length):
                 ends = cols[-1]
                 d = deg[ends]
@@ -155,28 +146,23 @@ def awe_distribution(
                 cols = [np.repeat(col, d) for col in cols] + [indices[pos]]
                 state = _advance(step, np.repeat(state, d), cols)
                 p = np.repeat(p / d, d)
-            np.add.at(probs, state - len(step), p)
+            np.add.at(probs.reshape(-1), owner[cols[0]] * len(patterns) + state - len(step), p)
     elif mode == "sampled":
-        if samples < 1:
-            raise ArgumentError("samples must be >= 1")
-        rng = np.random.default_rng(seed)
-        cols = [starts[rng.integers(len(starts), size=samples)]]
-        state = np.zeros(samples, dtype=np.intp)
-        for _ in range(length):
-            cur = cols[-1]
-            cols.append(indices[indptr[cur] + rng.integers(0, deg[cur])])
-            state = _advance(step, state, cols)
-        probs = np.bincount(state - len(step), minlength=len(patterns)) / samples
+        if samples < 1 or len(seeds) != len(graph):
+            raise ArgumentError(f"need samples >= 1 and one seed per graph, got {samples} "
+                                f"and {len(seeds)} seeds for {len(graph)} graphs")
+        for row, seed, own in zip(probs, seeds, np.split(starts, np.cumsum(count)[:-1])):
+            rng = np.random.default_rng(seed)
+            cols = [own[rng.integers(len(own), size=samples)]]
+            state = np.zeros(samples, dtype=np.intp)
+            for _ in range(length):
+                cur = cols[-1]
+                cols.append(indices[indptr[cur] + rng.integers(0, deg[cur])])
+                state = _advance(step, state, cols)
+            row[:] = np.bincount(state - len(step), minlength=len(patterns)) / samples
     else:
         raise ArgumentError(f"unknown mode {mode!r}")
-    return AweDistribution(length, probs)
-
-
-def awe_distribution_auto(graph: GraphBatch, length: int, seed: int = 0) -> AweDistribution:
-    """Exact enumeration within ``WALK_BUDGET`` walks, seeded sampling otherwise."""
-    if exact_walk_count(graph, length) <= WALK_BUDGET:
-        return awe_distribution(graph, length, mode="exact")
-    return awe_distribution(graph, length, mode="sampled", samples=AWE_SAMPLES, seed=seed)
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -206,31 +192,30 @@ def js_distance(p, q):
 
 
 def feature_sim_histogram(graph: GraphBatch, bins: int = 20) -> np.ndarray:
-    """Normalized histogram of per-edge endpoint feature cosine similarity on [-1, 1].
+    """Each graph's normalized histogram of per-edge endpoint feature cosine similarity on [-1, 1].
 
-    Zero feature vectors are assigned similarity 0 instead of NaN. Each row is
-    first scaled by a power of two that brings its largest magnitude into
-    [0.5, 1): exact, so the cosines keep their bits, and no finite row's norm
-    overflows or underflows to 0.
+    One row per graph of the union. Zero feature vectors are assigned
+    similarity 0 instead of NaN. Each node's row is first scaled by a power of
+    two that brings its largest magnitude into [0.5, 1): exact, so the cosines
+    keep their bits, and no finite row's norm overflows or underflows to 0.
     """
     if bins < 1:
         raise ArgumentError("bins must be >= 1")
-    if graph.num_edges == 0:
-        raise UndefinedEmbeddingError("similarity histogram is undefined on an edgeless graph")
+    owner = _owners(graph, "similarity histogram")
     x = graph.features
     x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, initial=0.0))[1][:, None])
     edges = graph.edges
-    a = x[edges[:, 0]]
-    b = x[edges[:, 1]]
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    denom = na * nb
+    a, b = x[edges[:, 0]], x[edges[:, 1]]
+    denom = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
     sims = np.zeros(len(denom))
     ok = denom > 0
     sims[ok] = np.sum(a[ok] * b[ok], axis=1) / denom[ok]
     sims = np.clip(sims, -1.0, 1.0)
-    counts, _ = np.histogram(sims, bins=bins, range=(-1.0, 1.0))
-    return counts / counts.sum()
+    # the bin np.histogram gives each cosine: the last edge at or below it, the last bin closed
+    slot = np.searchsorted(np.linspace(-1.0, 1.0, bins + 1), sims, side="right") - 1
+    counts = np.bincount(owner[edges[:, 0]] * bins + np.minimum(slot, bins - 1),
+                         minlength=len(graph) * bins).reshape(len(graph), bins)
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 class GraphPool(NamedTuple):
@@ -244,9 +229,10 @@ class GraphEmbeddings:
     """Each graph's walk-pattern probabilities and similarity histogram, computed on first use.
 
     Graphs are known by a stable key of two ints, ``(tag, pos)``: graph ``pos``
-    of the unions ``sets[tag]``, counted through them in order. A sampled
-    graph's walk seed comes from its key, so every pool that holds a graph
-    reads one estimate. A graph is cut out of its union only to be embedded.
+    of the unions ``sets[tag]``, counted through them in order. A call embeds
+    the graphs it misses in one pass per union they sit in, over the union of
+    just them, cut with one ``take``. A sampled graph's walk seed comes from
+    its key, so every pool that holds it reads one estimate.
     """
 
     def __init__(self, sets: dict[int, list[GraphBatch]], awe_length: int = 4, bins: int = 20,
@@ -256,25 +242,36 @@ class GraphEmbeddings:
                             for tag, unions in sets.items()}
         self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    def graph(self, key: tuple[int, int]) -> GraphBatch:
-        """The one-graph union of ``key``."""
-        tag, pos = key
-        for union in self.sets[tag]:
-            if pos < len(union):
-                return union[pos]
-            pos -= len(union)
-        raise KeyError(key)
-
     def rows(self, keys: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
         """The stacked walk-pattern probabilities and similarity histograms of ``keys``."""
-        for key in keys:
-            if key not in self._rows:
-                graph = self.graph(key)
-                ss = np.random.SeedSequence([_WALK_SEED_TAG, self.seed, *key])
-                awe = awe_distribution_auto(graph, self.awe_length, int(ss.generate_state(1)[0]))
-                self._rows[key] = awe.probs, feature_sim_histogram(graph, self.bins)
+        missing: dict[int, dict[int, None]] = {}  # positions per tag, in first-seen order
+        for tag, pos in keys:
+            if (tag, pos) not in self._rows:
+                missing.setdefault(tag, {})[pos] = None
+        for tag, positions in missing.items():
+            positions, first = np.array(list(positions)), 0
+            for union in self.sets[tag]:
+                mine = positions[(positions >= first) & (positions < first + len(union))]
+                if len(mine):
+                    self._embed(tag, mine, union.take(mine - first))
+                first += len(union)
         awe_rows, hist_rows = zip(*(self._rows[key] for key in keys))
         return np.stack(awe_rows), np.stack(hist_rows)
+
+    def _embed(self, tag: int, positions: np.ndarray, cut: GraphBatch) -> None:
+        """Embed the graphs ``(tag, pos)`` of ``positions``, which ``cut`` holds in that order."""
+        length = self.awe_length
+        exact = np.add.reduceat(_walks_per_node(cut, length), cut.starts) <= WALK_BUDGET
+        sampled = np.flatnonzero(~exact)
+        seeds = [int(np.random.SeedSequence([_WALK_SEED_TAG, self.seed, tag, pos])
+                     .generate_state(1)[0]) for pos in positions[sampled].tolist()]
+        awe = np.empty((len(cut), len(_walk_automaton(length)[1])))
+        for mode, part, part_seeds in (("exact", np.flatnonzero(exact), ()),
+                                       ("sampled", sampled, seeds)):
+            if len(part):
+                awe[part] = awe_distribution(cut.take(part), length, mode, AWE_SAMPLES, part_seeds)
+        keys = [(tag, pos) for pos in positions.tolist()]
+        self._rows.update(zip(keys, zip(awe, feature_sim_histogram(cut, self.bins))))
 
 
 def dataset_pools(set_a: Dataset, set_b: Dataset, awe_length: int = 4, bins: int = 20,

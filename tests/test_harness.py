@@ -161,8 +161,9 @@ class TestClusterHeterogeneity:
 
         def counting(record, original):
             def wrapper(graph, *args, **kwargs):
-                # a graph is a fresh view per embedding: known by its noisy features
-                record.append(graph.features.tobytes())
+                # each call gets a union of the graphs it embeds: each graph, as a fresh
+                # one-graph view of it, is known by its noisy features
+                record.extend(g.features.tobytes() for g in graph)
                 return original(graph, *args, **kwargs)
             return wrapper
 

@@ -10,12 +10,12 @@ from gcflsim.errors import ArgumentError, UndefinedEmbeddingError
 from gcflsim.graphs import Dataset, erdos_renyi_gnm, one_graph
 from gcflsim.hetero import (
     MAX_WALK_LENGTH,
+    GraphEmbeddings,
     _advance,
     _sample_pairs,
     _walk_automaton,
     _walks_per_node,
     awe_distribution,
-    awe_distribution_auto,
     dataset_pools,
     enumerate_anonymous_walks,
     feature_sim_histogram,
@@ -25,6 +25,10 @@ from gcflsim.hetero import (
 )
 
 from conftest import HYPOTHESIS, make_graph, random_graph, small_graphs, union, with_features
+
+# unions of 1-5 graphs, each with an edge: every member can be embedded
+embeddable_unions = st.lists(small_graphs().filter(lambda g: g.num_edges > 0),
+                             min_size=1, max_size=5)
 
 
 def _anonymize(walk) -> tuple[int, ...]:
@@ -95,8 +99,8 @@ def dfs_awe_probs(graph, length):
 def sampled_awe_reference(graph, length, samples, seed):
     """Reference sampled distribution: Python walks over sorted neighbour lists.
 
-    It makes ``awe_distribution``'s generator calls in the same order: every
-    start at once, then one next-neighbour draw per walk and step.
+    It makes ``awe_distribution``'s generator calls for one graph in the same
+    order: every start at once, then one next-neighbour draw per walk and step.
     """
     nbrs = [[] for _ in range(graph.num_nodes)]
     for u, v in graph.edges.tolist():
@@ -115,6 +119,31 @@ def sampled_awe_reference(graph, length, samples, seed):
     for walk in walks:
         counts[index[_anonymize(walk)]] += 1
     return counts / samples
+
+
+def histogram_reference(graph, bins):
+    """Reference histogram of one graph: its edges' cosines, computed as the library computes
+    them, binned by ``np.histogram``."""
+    x = graph.features
+    x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, initial=0.0))[1][:, None])
+    a, b = x[graph.edges[:, 0]], x[graph.edges[:, 1]]
+    denom = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+    sims = np.zeros(len(denom))
+    ok = denom > 0
+    sims[ok] = np.sum(a[ok] * b[ok], axis=1) / denom[ok]
+    counts, _ = np.histogram(np.clip(sims, -1.0, 1.0), bins=bins, range=(-1.0, 1.0))
+    return counts / counts.sum()
+
+
+@st.composite
+def featured_unions(draw):
+    """An embeddable union's graphs with features of one width, many of whose cosines are
+    exactly 0 or +-1 (small integer vectors) and the rest arbitrary."""
+    graphs, dim = draw(embeddable_unions), draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]), st.floats(-4.0, 4.0))
+    return [with_features(g, np.reshape(draw(st.lists(value, min_size=g.num_nodes * dim,
+                                                      max_size=g.num_nodes * dim)),
+                                        (g.num_nodes, dim))) for g in graphs]
 
 
 class TestEnumeration:
@@ -148,14 +177,13 @@ class TestEnumeration:
 
 class TestAweDistribution:
     def test_single_edge_all_mass_on_backtrack(self, single_edge):
-        dist = awe_distribution(single_edge, 2)
+        [dist] = awe_distribution(single_edge, 2)
         patterns = enumerate_anonymous_walks(2)
-        assert dist.probs[patterns.index((0, 1, 0))] == 1.0
+        assert dist[patterns.index((0, 1, 0))] == 1.0
 
     def test_triangle_half_half(self, triangle):
         # 12 equally likely walks: 6 backtrack, 6 visit a third node
-        dist = awe_distribution(triangle, 2)
-        assert np.allclose(dist.probs, [0.5, 0.5])
+        assert np.allclose(awe_distribution(triangle, 2), [[0.5, 0.5]])
 
     def test_edgeless_raises(self):
         with pytest.raises(UndefinedEmbeddingError):
@@ -166,7 +194,7 @@ class TestAweDistribution:
         for _ in range(10):
             g = random_graph(rng)
             for length in (2, 3, 4):
-                assert awe_distribution(g, length).probs.sum() == pytest.approx(1.0, abs=1e-9)
+                assert awe_distribution(g, length).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_invariant_under_node_relabeling(self):
         rng = np.random.default_rng(2)
@@ -175,57 +203,83 @@ class TestAweDistribution:
             perm = rng.permutation(7)
             edges = np.stack([perm[g.edges[:, 0]], perm[g.edges[:, 1]]], axis=1)
             h = one_graph(7, edges, g.features[np.argsort(perm)], g.label)
-            a = awe_distribution(g, 4).probs
-            b = awe_distribution(h, 4).probs
+            a = awe_distribution(g, 4)
+            b = awe_distribution(h, 4)
             assert np.allclose(a, b, atol=1e-12)
 
     def test_sampled_converges_to_exact(self):
         g = random_graph(np.random.default_rng(3), n=6)
-        exact = awe_distribution(g, 3).probs
-        sampled = awe_distribution(g, 3, mode="sampled", samples=100_000, seed=0).probs
+        exact = awe_distribution(g, 3)
+        sampled = awe_distribution(g, 3, mode="sampled", samples=100_000, seeds=[0])
         assert 0.5 * np.abs(exact - sampled).sum() < 0.01  # total variation
 
     def test_sampled_deterministic_under_seed(self):
         g = random_graph(np.random.default_rng(4), n=6)
-        a = awe_distribution(g, 3, mode="sampled", samples=500, seed=9).probs
-        b = awe_distribution(g, 3, mode="sampled", samples=500, seed=9).probs
+        a = awe_distribution(g, 3, mode="sampled", samples=500, seeds=[9])
+        b = awe_distribution(g, 3, mode="sampled", samples=500, seeds=[9])
         assert np.array_equal(a, b)
 
     def test_auto_switches_on_budget(self, triangle, monkeypatch):
-        exact = awe_distribution_auto(triangle, 2)
+        ds = Dataset("t", triangle)
+        exact = dataset_pools(ds, ds, awe_length=2)[0].rows([(0, 0)])[0]
         monkeypatch.setattr(hetero, "WALK_BUDGET", 1)
-        tiny = awe_distribution_auto(triangle, 2, seed=0)
-        assert np.allclose(exact.probs, [0.5, 0.5])
-        assert tiny.probs.sum() == pytest.approx(1.0)
-        assert not np.array_equal(exact.probs, tiny.probs)
+        tiny = dataset_pools(ds, ds, awe_length=2, seed=3)[0].rows([(0, 0)])[0]
+        assert np.allclose(exact, [[0.5, 0.5]])
+        assert tiny.sum() == pytest.approx(1.0)
+        assert not np.array_equal(exact, tiny)
+        # the sampled graph's seed is its key's
+        seed = int(np.random.SeedSequence([hetero._WALK_SEED_TAG, 3, 0, 0]).generate_state(1)[0])
+        assert np.array_equal(tiny, awe_distribution(triangle, 2, "sampled", seeds=[seed]))
 
     @HYPOTHESIS
-    @given(small_graphs().filter(lambda g: g.num_edges > 0))
-    def test_exact_matches_dfs_reference(self, graph):
+    @given(embeddable_unions)
+    def test_exact_matches_dfs_reference(self, graphs):
         for length in range(1, 6):
-            assert np.array_equal(awe_distribution(graph, length).probs,
-                                  dfs_awe_probs(graph, length))
+            got = awe_distribution(union(graphs), length)
+            assert got.shape == (len(graphs), len(enumerate_anonymous_walks(length)))
+            for row, graph in zip(got, graphs):
+                assert np.array_equal(row, dfs_awe_probs(graph, length))
+                assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
     @HYPOTHESIS
-    @given(small_graphs().filter(lambda g: g.num_edges > 0))
-    def test_exact_chunking_leaves_probs_unchanged(self, graph):
-        starts = graph.degrees > 0
+    @given(embeddable_unions)
+    def test_exact_chunking_leaves_probs_unchanged(self, graphs):
+        whole = union(graphs)
+        first = graphs[0].num_nodes - graphs[0].degrees.tolist().count(0)  # graph 0's starts
         for length in range(1, 6):
-            per_start = _walks_per_node(graph, length)[starts]
-            caps = (1, max(1, int(per_start.max()) - 1), int(per_start.sum()) + 1)
-            want = dfs_awe_probs(graph, length)
-            for cap in caps:
+            per_start = _walks_per_node(whole, length)[whole.degrees > 0]
+            # the middle cap ends the first chunk inside graph 0, whose starts number >= 2
+            middle = max(1, int(per_start[:first].sum()) // 2)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hetero, "EXACT_CHUNK_WALKS", middle)
+                assert 0 < next(hetero._start_chunks(per_start))[1] < first
+            want = [dfs_awe_probs(g, length) for g in graphs]
+            for cap in (1, middle, int(per_start.sum()) + 1):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(hetero, "EXACT_CHUNK_WALKS", cap)
-                    assert np.array_equal(awe_distribution(graph, length).probs, want)
+                    assert np.array_equal(awe_distribution(whole, length), want)
 
     @HYPOTHESIS
-    @given(small_graphs().filter(lambda g: g.num_edges > 0), st.integers(0, 2**32))
-    def test_sampled_matches_reference_walker(self, graph, seed):
+    @given(embeddable_unions, st.lists(st.integers(0, 2**32), min_size=5, max_size=5))
+    def test_sampled_matches_reference_walker(self, graphs, seeds):
+        seeds = seeds[:len(graphs)]
         for length in range(1, MAX_WALK_LENGTH + 1):
-            assert np.array_equal(
-                awe_distribution(graph, length, mode="sampled", samples=200, seed=seed).probs,
-                sampled_awe_reference(graph, length, 200, seed))
+            got = awe_distribution(union(graphs), length, mode="sampled", samples=200,
+                                   seeds=seeds)
+            for row, graph, seed in zip(got, graphs, seeds):
+                assert np.array_equal(row, sampled_awe_reference(graph, length, 200, seed))
+                assert row.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_edgeless_member_raises(self, triangle, mode):
+        with pytest.raises(UndefinedEmbeddingError):
+            awe_distribution(union([triangle, make_graph(2, []), triangle]), 2, mode,
+                             seeds=[0, 1, 2])
+
+    def test_seed_count_must_match_graph_count(self, triangle):
+        for seeds in ([], [1], [1, 2, 3]):
+            with pytest.raises(ArgumentError):
+                awe_distribution(union([triangle, triangle]), 2, "sampled", seeds=seeds)
 
     def test_pattern_index_matches_reference_anonymizer(self):
         rng = np.random.default_rng(15)
@@ -326,12 +380,12 @@ class TestSamplePairs:
 class TestFeatureSimHistogram:
     def test_identical_features_mass_at_one(self, triangle):
         g = with_features(triangle, np.tile([1.0, 2.0], (3, 1)))
-        mass = feature_sim_histogram(g, bins=20)
+        [mass] = feature_sim_histogram(g, bins=20)
         assert mass[-1] == 1.0  # cosine exactly 1 lands in the last bin
 
     def test_orthogonal_one_hot_mass_at_zero(self):
         g = make_graph(3, [(0, 1), (1, 2)], features=np.eye(3))
-        mass = feature_sim_histogram(g, bins=20)
+        [mass] = feature_sim_histogram(g, bins=20)
         # cosine 0 falls in the bin whose left edge is 0
         assert mass[10] == 1.0
 
@@ -345,7 +399,7 @@ class TestFeatureSimHistogram:
             na, nb = np.linalg.norm(a), np.linalg.norm(b)
             sims.append(float(a @ b / (na * nb)) if na > 0 and nb > 0 else 0.0)
         ref, _ = np.histogram(np.clip(sims, -1, 1), bins=bins, range=(-1, 1))
-        mass = feature_sim_histogram(g, bins=bins)
+        [mass] = feature_sim_histogram(g, bins=bins)
         assert np.allclose(mass, ref / ref.sum())
 
     def test_scale_invariance(self):
@@ -363,31 +417,74 @@ class TestFeatureSimHistogram:
         first = [[scale, 1.0], [scale, 2.0]] if scale > 1 else [[scale, scale], [2 * scale, scale]]
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)], features=np.array(first + [[1.0, 1.0],
                                                                                [2.0, 1.0]]))
-        assert feature_sim_histogram(g, bins=4).tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert feature_sim_histogram(g, bins=4).tolist() == [[0.0, 0.0, 0.0, 1.0]]
 
     def test_zero_vector_counts_as_zero_similarity(self):
         feats = np.array([[0.0, 0.0], [1.0, 0.0]])
-        mass = feature_sim_histogram(make_graph(2, [(0, 1)], features=feats), bins=4)
+        [mass] = feature_sim_histogram(make_graph(2, [(0, 1)], features=feats), bins=4)
         assert mass[2] == 1.0  # [0, 0.5) bin
 
     def test_edgeless_raises(self):
         with pytest.raises(UndefinedEmbeddingError):
             feature_sim_histogram(make_graph(2, []), 8)
+        with pytest.raises(UndefinedEmbeddingError):
+            feature_sim_histogram(union([make_graph(2, [(0, 1)]), make_graph(2, [])]), 8)
+
+    @HYPOTHESIS
+    @given(featured_unions(), st.sampled_from([1, 2, 3, 4, 5, 8, 20]))
+    def test_union_rows_match_per_graph_reference(self, graphs, bins):
+        got = feature_sim_histogram(union(graphs), bins)
+        assert got.shape == (len(graphs), bins)
+        for row, graph in zip(got, graphs):
+            assert np.array_equal(row, histogram_reference(graph, bins))
+            assert row.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_cosines_on_bin_edges_and_at_plus_minus_one(self):
+        # vectors of four +-1 entries have norm 2, so their cosines are exactly -1, -0.5, 0,
+        # 0.5 and 1, every edge of four bins; the star's centre meets each once, and a copy
+        # of itself (cosine 1, in the closed last bin)
+        ones = [1.0] * 4
+        star = make_graph(6, [(0, i) for i in range(1, 6)], features=np.array(
+            [ones, [1, 1, 1, -1], [1, 1, -1, -1], [1, -1, -1, -1], [-1] * 4, ones]))
+        flat = make_graph(3, [(0, 1), (1, 2)], features=np.full((3, 4), -1.0))
+        got = feature_sim_histogram(union([star, flat, star]), 4)
+        assert got.tolist() == [[0.2, 0.2, 0.2, 0.4], [0.0, 0.0, 0.0, 1.0], [0.2, 0.2, 0.2, 0.4]]
+        for row, graph in zip(got, (star, flat, star)):
+            assert np.array_equal(row, histogram_reference(graph, 4))
 
 
 class TestPairwiseHeterogeneity:
     def test_datasets_keyed_by_set_tag_and_index(self):
-        a = Dataset("a", union([make_graph(3, [(0, 1)]), make_graph(3, [(1, 2)])]))
-        b = Dataset("b", union([make_graph(3, [(0, 2)])]))
-        store, pool_a, pool_b = dataset_pools(a, b)
+        edge, path, triangle = (make_graph(3, [(0, 1)]), make_graph(3, [(0, 1), (1, 2)]),
+                                make_graph(3, [(0, 1), (1, 2), (0, 2)]))
+        a, b = Dataset("a", union([edge, path])), Dataset("b", triangle)
+        store, pool_a, pool_b = dataset_pools(a, b, awe_length=2)
         assert pool_a == ("a", [(0, 0), (0, 1)]) and pool_b == ("b", [(1, 0)])
         assert store.sets == {0: [a.graphs], 1: [b.graphs]}
-        assert store.graph((0, 1)).edges.tolist() == [[1, 2]]
-        assert store.graph((1, 0)).edges.tolist() == [[0, 2]]
-        with pytest.raises(KeyError):
-            store.graph((1, 1))
+        awe, _ = store.rows([(0, 1), (1, 0), (0, 0)])
+        assert np.allclose(awe, [[2 / 3, 1 / 3], [0.5, 0.5], [1.0, 0.0]])
+        for bad in ((1, 1), (0, -1), (2, 0)):
+            with pytest.raises(KeyError):
+                store.rows([bad])
         _, pool_a, pool_b = dataset_pools(a, a)
         assert pool_a is pool_b and pool_a.keys == [(0, 0), (0, 1)]
+
+    def test_rows_embed_each_missing_graph_once_per_union(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        graphs = [random_graph(rng, n=6) for _ in range(3)] + [random_graph(rng, n=7)
+                                                               for _ in range(2)]
+        store = GraphEmbeddings({4: [union(graphs[:3]), union(graphs[3:])]}, awe_length=3,
+                                bins=8)
+        cuts, binned = [], hetero.feature_sim_histogram
+        monkeypatch.setattr(hetero, "feature_sim_histogram",
+                            lambda graph, bins: cuts.append(len(graph)) or binned(graph, bins))
+        awe, hist = store.rows([(4, 3), (4, 0), (4, 3), (4, 4)])
+        assert cuts == [1, 2] and len(awe) == len(hist) == 4
+        awe, hist = store.rows([(4, pos) for pos in range(5)])
+        assert cuts == [1, 2, 2]  # the two graphs of the first union not yet embedded
+        for pos, graph in enumerate(graphs):
+            assert np.array_equal(awe[pos], awe_distribution(graph, 3)[0])
+            assert np.array_equal(hist[pos], binned(graph, 8)[0])
 
     def test_singleton_self_pairing_is_zero(self):
         g = make_graph(3, [(0, 1), (1, 2)])

@@ -35,7 +35,7 @@ def write_tu_inputs(root: Path, seed: int) -> None:
 RETIRED = {("clustering", "delta_stats"), ("gnn", "GinModel.load_flat"),
            ("dtwseries", "push_norms"), ("properties", "avg_shortest_path"),
            ("properties", "largest_component_fraction"),
-           ("properties", "avg_clustering_coefficient")}
+           ("properties", "avg_clustering_coefficient"), ("hetero", "exact_walk_count")}
 
 
 def wrapped(module: str, attribute: str):

@@ -12,7 +12,6 @@ from scipy import sparse, special, stats
 from scipy.sparse import csgraph
 
 from gcflsim import properties
-from gcflsim.errors import UndefinedStatisticError
 from gcflsim.graphs import Dataset, _offsets
 from gcflsim.properties import (
     FRONTIER_BITS,
@@ -41,6 +40,10 @@ def pooled_kurtosis(graphs):
 
 
 # --- the per-graph functions the union function replaced, as references ---
+
+
+class UndefinedStatisticError(Exception):
+    """A reference statistic is undefined for its input (the union function gives nan)."""
 
 
 REFERENCE_SOURCE_BLOCK = 256  # shortest-path source nodes per csgraph call
