@@ -102,7 +102,7 @@ def cmd_analyze_properties(args) -> int:
     print(f"{args.dataset}: {len(dataset)} graphs")
     for prop in PROPERTY_NAMES:
         stat = report.rows[prop]
-        p = f"{stat.p_value:.3g}" if stat.computed else "not computed"
+        p = "not computed" if stat.p_value is None else f"{stat.p_value:.3g}"
         print(f"  {prop:24s} real {stat.real:10.4f}  random {stat.random:10.4f}  p {p}")
     print(f"wrote {args.out}")
     return 0
@@ -129,11 +129,9 @@ def cmd_analyze_hetero(args) -> int:
 
 def cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config).with_overrides(args.set)
-    summaries = run_experiment(config)
-    for s in summaries:
-        print(f"{s['algorithm']:10s} seed {s['seed']}: "
-              f"avg acc {s['average']:.4f}  min gain {s['min_gain']:+.4f}  "
-              f"improved {s['improved']}/{s['total']}")
+    for algorithm, seed, m in run_experiment(config):
+        print(f"{algorithm:10s} seed {seed}: avg acc {m.average:.4f}  min gain {m.min_gain:+.4f}  "
+              f"improved {m.improved}/{m.total}")
     print(f"wrote CSV outputs to {Path(config.out_dir).resolve()}")
     return 0
 

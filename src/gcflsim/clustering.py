@@ -181,6 +181,7 @@ class SplitEvent:
     delta_mean: float
     delta_max: float
     cut_value: float
+    windows: dict[int, list[float]] | None  # gcflplus: each member's norms the cut used
 
 
 def bipartition_cluster(cluster: ClusterState, weights: np.ndarray) -> tuple[tuple, float]:

@@ -106,21 +106,29 @@ class RoundReport:
 
 
 @dataclass
-class WindowDump:
-    round_index: int
-    parent: int
-    rows: dict[int, list[float]]
-
-
-@dataclass
 class RunResult:
+    """A variant's run as stored once: its round reports, split events and final clusters."""
+
     algorithm: str
     reports: list[RoundReport]
     split_events: list[SplitEvent]
-    assignments: list[tuple[int, int, tuple[int, ...]]]  # (round, cluster, members)
     final_clusters: list[ClusterState]
-    final_accuracy: dict[int, float]
-    window_dumps: list[WindowDump] = field(default_factory=list)
+
+    @property
+    def assignments(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        """Each round's (round, cluster, members): clusters in id order, members in client order."""
+        assignments = []
+        for report in self.reports:
+            clusters: dict[int, list[int]] = {}
+            for e in report.entries:  # in client-id order
+                clusters.setdefault(e.cluster_id, []).append(e.client_id)
+            assignments += [(report.round_index, k, tuple(clusters[k])) for k in sorted(clusters)]
+        return assignments
+
+    @property
+    def final_accuracy(self) -> dict[int, float]:
+        """Each client's test accuracy after the last round."""
+        return {e.client_id: e.test_acc for e in self.reports[-1].entries}
 
 
 def local_train(
@@ -151,7 +159,7 @@ def local_train(
         order = rng.permutation(len(graphs))
         for lo in range(0, len(order), batch_size):
             batch = graphs.take(order[lo:lo + batch_size])
-            loss, grad = gin_loss_and_grad(model, batch, batch.labels)
+            loss, grad = gin_loss_and_grad(model, batch)
             if prox_mu:
                 diff = model.vector - start
                 loss += 0.5 * prox_mu * float(diff @ diff)
@@ -196,7 +204,6 @@ class _RunState:
     """What a group of variants carries from one round to the next."""
 
     clusters: list[ClusterState]  # in id order, as children take the next ids
-    next_cluster_id: int
     prox_mu: float  # the group's effective proximal mu
     optimizers: dict[int, AdamState]  # each client's Adam state and shuffle RNG
     rngs: dict[int, np.random.Generator]
@@ -277,8 +284,7 @@ def run_federation(
         starts.setdefault((layout, fedprox_mu if v.algorithm == "fedprox" else 0.0), []).append(i)
     # the starting groups, each built only when it starts, with its first round
     starting = ((0, _RunState(
-        [ClusterState(k, list(m), init_flat.copy()) for k, m in enumerate(layout)], len(layout),
-        mu,
+        [ClusterState(k, list(m), init_flat.copy()) for k, m in enumerate(layout)], mu,
         {c.id: init_adam(init_flat.size, config.lr, config.weight_decay) for c in clients},
         {c.id: np.random.default_rng(
             np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.seed])) for c in clients}),
@@ -286,7 +292,7 @@ def run_federation(
     forks = deque()  # forked groups, each with its next round
 
     # each variant's own records; the rest of its result is read off its last group's state
-    results = [RunResult(v.algorithm, [], [], [], [], {}) for v in variants]
+    results = [RunResult(v.algorithm, [], [], []) for v in variants]
     while group := forks.popleft() if forks else next(starting, None):
         start, run, members = group
         for t in range(start, rounds):
@@ -297,23 +303,9 @@ def run_federation(
         for n, i in enumerate(members):
             if n:  # so that no two results share a list
                 run = run.own_records()
-            results[i] = replace(results[i], reports=run.reports,
-                                 assignments=_assignments(run.reports), final_clusters=run.clusters,
-                                 final_accuracy={e.client_id: e.test_acc
-                                                 for e in run.reports[-1].entries})
+            results[i] = replace(results[i], reports=run.reports, final_clusters=run.clusters)
         del group, run  # frees the group's Adam states and RNGs before the next group starts
     return results
-
-
-def _assignments(reports: list[RoundReport]) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Each round's (round, cluster, members), clusters in id order and members in client order."""
-    assignments = []
-    for report in reports:
-        clusters: dict[int, list[int]] = {}
-        for e in report.entries:  # in client-id order
-            clusters.setdefault(e.cluster_id, []).append(e.client_id)
-        assignments += [(report.round_index, k, tuple(clusters[k])) for k in sorted(clusters)]
-    return assignments
 
 
 def _train_round(t: int, run: _RunState, by_id: dict[int, ClientState], model: GinModel,
@@ -362,11 +354,13 @@ def _split_round(t: int, run: _RunState, deltas: dict[int, np.ndarray], members:
     A variant's decision lists, for each cluster whose criteria fire, the
     ordered member halves of its cut. Each cut is computed once per splitter
     (gcfl's cosine or gcflplus's DTW) and cluster, and each variant records
-    its own split events and window dumps. The first decision continues
-    ``run``; each later one continues a copy of it.
+    its own split events. The children of a decision's n-th split take ids
+    m + 2n and m + 2n + 1, m one past the largest live id. The first
+    decision continues ``run``; each later one continues a copy of it.
     """
-    cuts = {}  # (algorithm, cluster id) -> (halves, cut value, window dump)
+    cuts = {}  # (algorithm, cluster id) -> (halves, cut value, windows)
     decisions: dict[tuple, list[int]] = {}  # decision -> the variants that take it
+    next_id = max(k.id for k in run.clusters) + 1
     for i in members:
         algorithm, criteria = variants[i].algorithm, variants[i].criteria
         decision = []
@@ -376,45 +370,42 @@ def _split_round(t: int, run: _RunState, deltas: dict[int, np.ndarray], members:
                     cluster.delta_mean, cluster.delta_max, n, criteria, t):
                 continue
             if (algorithm, cluster.id) not in cuts:
-                cuts[algorithm, cluster.id] = _cut(t, run, deltas, cluster, algorithm, config)
-            halves, cut_value, dump = cuts[algorithm, cluster.id]
+                cuts[algorithm, cluster.id] = _cut(run, deltas, cluster, algorithm, config)
+            halves, cut_value, windows = cuts[algorithm, cluster.id]
             logger.info("round %d: %s: cluster %d split into %s | %s (cut %.3g)",
                         t, algorithm, cluster.id, *halves, cut_value)
-            child = run.next_cluster_id + 2 * len(decision)
+            child = next_id + 2 * len(decision)
             results[i].split_events.append(SplitEvent(
                 t, cluster.id, (child, child + 1), halves, cluster.delta_mean, cluster.delta_max,
-                cut_value))
-            results[i].window_dumps.extend([dump] if dump else [])
+                cut_value, windows))
             decision.append((cluster.id, halves))
         decisions.setdefault(tuple(decision), []).append(i)
 
     states = [run] + [run.copy() for _ in range(len(decisions) - 1)]
     for state, decision in zip(states, decisions):
         clusters = {k.id: k for k in state.clusters}
-        for parent, halves in decision:
+        for n, (parent, halves) in enumerate(decision):
             k = clusters.pop(parent)
-            for side in halves:
-                clusters[state.next_cluster_id] = ClusterState(
-                    state.next_cluster_id, list(side), k.model, k.delta_mean, k.delta_max)
-                state.next_cluster_id += 1
+            for child, side in enumerate(halves, next_id + 2 * n):
+                clusters[child] = ClusterState(child, list(side), k.model, k.delta_mean,
+                                               k.delta_max)
         state.clusters = list(clusters.values())
     return list(zip(states, decisions.values()))
 
 
-def _cut(t: int, run: _RunState, deltas: dict[int, np.ndarray], cluster: ClusterState,
-         algorithm: str, config: RunConfig) -> tuple[tuple, float, Optional[WindowDump]]:
-    """The ordered member halves and value of ``cluster``'s cut, and gcflplus's window dump.
+def _cut(run: _RunState, deltas: dict[int, np.ndarray], cluster: ClusterState, algorithm: str,
+         config: RunConfig) -> tuple[tuple, float, Optional[dict[int, list[float]]]]:
+    """The ordered member halves and value of ``cluster``'s cut, and gcflplus's windows.
 
     gcflplus's window of each member is its update norms of the last
-    ``config.window_length`` rounds, read off the group's reports.
+    ``config.window_length`` rounds, read off the group's reports; gcfl has none.
     """
-    dump = None
+    windows = None
     if algorithm == "gcfl":
         weights = to_cut_weights(cosine_matrix([deltas[cid] for cid in cluster.members]))
     else:
         recent = [{e.client_id: e.grad_norm for e in report.entries}
                   for report in run.reports[-config.window_length:]]
-        dump = WindowDump(t, cluster.id, {cid: [norms[cid] for norms in recent]
-                                          for cid in cluster.members})
-        weights = dtw_to_cut_weights(dtw_matrix(dump.rows, cluster.members, config.standardize))
-    return (*bipartition_cluster(cluster, weights), dump)
+        windows = {cid: [norms[cid] for norms in recent] for cid in cluster.members}
+        weights = dtw_to_cut_weights(dtw_matrix(windows, cluster.members, config.standardize))
+    return (*bipartition_cluster(cluster, weights), windows)

@@ -199,14 +199,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=-1, keepdims=True)
 
 
-def gin_loss_and_grad(
-    model: GinModel, graphs: GraphBatch, labels: np.ndarray | list[int]
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient in the model's layout."""
-    if len(graphs) != len(labels):
-        raise ArgumentError("one label per graph required")
+def gin_loss_and_grad(model: GinModel, graphs: GraphBatch) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over the batch's own labels and its gradient in the model's layout."""
     logits, cache = gin_forward(model, graphs)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = graphs.labels
     loss = float(cross_entropy(logits, labels).mean())
 
     d_logits = softmax(logits)

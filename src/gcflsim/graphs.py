@@ -188,14 +188,12 @@ class Dataset:
 
     name: str
     graphs: GraphBatch
-    num_classes: int = field(init=False)
 
     def __post_init__(self):
         if not len(self.graphs):
             raise ArgumentError(f"dataset {self.name!r} is empty")
         if self.graphs.labels.min() < 0:
             raise ArgumentError("labels must be non-negative")
-        self.num_classes = max(2, int(self.graphs.labels.max()) + 1)
 
     @property
     def feat_dim(self) -> int:
@@ -342,11 +340,7 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
         ga, gb = graph_of_node[[lo[crossing[0]], hi[crossing[0]]]] + 1
         raise CorruptDatasetError(f"{adj_path}: edge crosses graphs {ga} and {gb}")
     kept = lo != hi  # self-loops are dropped
-    edges = np.stack([row[lo[kept]], row[hi[kept]]], axis=1)
-    # files list each graph's nodes together and in order, so the edges of the
-    # whole set are canonical over the rows as they stand; others are sorted
-    if not _is_canonical(edges, num_nodes_total):
-        edges = _canonical_edges(edges, num_nodes_total)
+    edges = np.stack([row[lo[kept]], row[hi[kept]]], axis=1)  # from_edges takes any order
     union = GraphBatch.from_edges(
         edges, _build_node_features(base, name, num_nodes_total)[by_graph], node_counts, labels)
     logger.info("loaded %s: %d graphs, feat_dim=%d, %d classes",

@@ -475,14 +475,14 @@ def make_run_config(config: ExperimentConfig, seed: int) -> RunConfig:
     )
 
 
-def run_experiment(config: ExperimentConfig) -> list[dict]:
+def run_experiment(config: ExperimentConfig) -> list[tuple[str, int, MetricsSummary]]:
     """Run every configured (algorithm, seed) pair and emit the CSV outputs.
 
     The self-train baseline is always run (and run first) because gain and
     improvement metrics are defined against it. All algorithms of a seed run
     in one ``run_federation`` call, gcfl and gcflplus with the configured split
     criteria. An ``out_dir`` that cannot be made or written stops the run before
-    any seed. Returns summary rows.
+    any seed. Returns each (algorithm, seed)'s metrics, in the order of ``summary.csv``.
     """
     clustered = [a for a in config.algorithms if a in ("gcfl", "gcflplus")]
     if clustered and (config.eps1 is None or config.eps2 is None):
@@ -493,8 +493,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                              config.warmup_rounds) if clustered else None
     variants = [Variant(a, criteria if a in clustered else None) for a in algorithms]
 
-    rounds_rows, cluster_rows, split_rows, summary_rows, hetero_rows, window_rows = \
-        [], [], [], [], [], []
+    rounds_rows, cluster_rows, split_rows, hetero_rows, window_rows = [], [], [], [], []
     summaries = []
 
     for seed in config.seeds:
@@ -503,16 +502,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         selftrain_acc = results[0].final_accuracy
         for algorithm, result in zip(algorithms, results):
             _collect_rows(result, seed, rounds_rows, cluster_rows, split_rows, window_rows)
-            metrics = compute_metrics(result.final_accuracy, selftrain_acc)
-            summary_rows.append([
-                algorithm, seed, repr(metrics.average), repr(metrics.min_gain),
-                metrics.improved, metrics.total, repr(metrics.improved_ratio),
-            ])
-            summaries.append({
-                "algorithm": algorithm, "seed": seed, "average": metrics.average,
-                "min_gain": metrics.min_gain, "improved": metrics.improved,
-                "total": metrics.total,
-            })
+            summaries.append((algorithm, seed, compute_metrics(result.final_accuracy,
+                                                               selftrain_acc)))
             if config.hetero_report and algorithm in ("gcfl", "gcflplus"):
                 for row in cluster_heterogeneity_report(
                     result.final_clusters, clients, config.awe_length, config.bins,
@@ -535,7 +526,9 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                "members_a", "members_b", "delta_mean", "delta_max", "cut_value"], split_rows)
     write_csv(out / "summary.csv",
               ["algorithm", "seed", "average_accuracy", "min_gain",
-               "improved", "total", "improved_ratio"], summary_rows)
+               "improved", "total", "improved_ratio"],
+              [[algorithm, seed, repr(m.average), repr(m.min_gain), m.improved, m.total,
+                repr(m.improved_ratio)] for algorithm, seed, m in summaries])
     write_csv(out / "hetero.csv",
               ["algorithm", "seed", "cluster_id", "n_clients", "structure_mean",
                "structure_std", "feature_mean", "feature_std"], hetero_rows)
@@ -563,12 +556,9 @@ def _collect_rows(result: RunResult, seed: int, rounds_rows, cluster_rows, split
             ";".join(str(m) for m in ev.members[0]), ";".join(str(m) for m in ev.members[1]),
             repr(ev.delta_mean), repr(ev.delta_max), repr(ev.cut_value),
         ])
-    for dump in result.window_dumps:
-        for cid in sorted(dump.rows):
-            window_rows.append([
-                algo, seed, dump.round_index, dump.parent, cid,
-                ";".join(repr(x) for x in dump.rows[cid]),
-            ])
+        for cid, norms in (ev.windows or {}).items():  # in member order
+            window_rows.append([algo, seed, ev.round_index, ev.parent, cid,
+                                ";".join(repr(x) for x in norms)])
 
 
 # ---------------------------------------------------------------------------

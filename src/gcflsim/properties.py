@@ -210,8 +210,7 @@ def graph_properties(union: GraphBatch) -> dict[str, np.ndarray]:
 class PropertyStat:
     real: float
     random: float
-    p_value: Optional[float]  # None when undefined for too many graphs
-    computed: bool = True
+    p_value: Optional[float]  # None when not computed: undefined for too many graphs
 
 
 @dataclass
@@ -224,13 +223,11 @@ class PropertyReport:
         for prop in PROPERTY_NAMES:
             stat = self.rows[prop]
             rows.append([prop, _fmt(stat.real), _fmt(stat.random),
-                         _fmt(stat.p_value) if stat.computed else "not_computed"])
+                         "not_computed" if stat.p_value is None else _fmt(stat.p_value)])
         write_csv(path, ["property", "real", "random", "p_value"], rows)
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
     return repr(float(x))
 
 
@@ -293,14 +290,14 @@ def property_significance(dataset: Dataset, seed: int) -> PropertyReport:
         if prop == "degree_kurtosis":
             real_stat, rand_stat = (float(_pearson_kurtosis(u.degrees)) for u in (real, random))
             if np.isnan(real_stat) or np.isnan(rand_stat):
-                real_stat, rand_stat, computed, p = float("nan"), float("nan"), False, None
+                real_stat, rand_stat, p = float("nan"), float("nan"), None
         else:
             real_stat = float(real_vals.mean()) if len(real_vals) else float("nan")
             rand_stat = float(rand_vals.mean()) if len(rand_vals) else float("nan")
-        if not computed:
+        if p is None:
             logger.warning("%s: %s undefined for too many graphs (real %.0f%%, random %.0f%%)",
                            dataset.name, prop, 100 * frac_real, 100 * frac_rand)
-        rows[prop] = PropertyStat(real_stat, rand_stat, p, computed)
+        rows[prop] = PropertyStat(real_stat, rand_stat, p)
     return PropertyReport(dataset.name, rows)
 
 

@@ -56,6 +56,11 @@ def union(graphs):
                    labels=np.concatenate([g.labels for g in graphs]))
 
 
+def labelled(graphs, labels):
+    """The union of ``graphs`` carrying ``labels`` in place of their own."""
+    return replace(union(graphs), labels=np.asarray(labels, dtype=np.int64))
+
+
 def assert_same_union(got, want):
     """The same graphs, arrays equal in dtype, shape and bytes: CSR, features, sizes, labels."""
     a, b = got.adjacency, want.adjacency

@@ -29,7 +29,7 @@ from gcflsim.harness import (
 from gcflsim.hetero import dataset_pools, pairwise_heterogeneity
 from gcflsim.properties import property_significance
 
-from conftest import data_root, random_graph, require_dataset, union, with_features
+from conftest import data_root, labelled, random_graph, require_dataset, with_features
 from epsilons import auto_epsilons
 from sgc import normalized_adjacency, sgc_train
 from test_clustering import brute_force_mincut, random_weights
@@ -185,7 +185,7 @@ def test_criterion_4_gradient_correctness():
             mu = 0.25 if use_prox else 0.0
             anchor = theta + 0.1 * rng.standard_normal(theta.shape)
 
-            _, grad = gin_loss_and_grad(model, union(graphs), labels)
+            _, grad = gin_loss_and_grad(model, labelled(graphs, labels))
             analytic = grad + mu * (theta - anchor)
 
             def objective(vec):

@@ -21,7 +21,7 @@ from gcflsim.fed import (
 from gcflsim.gnn import GinModel, adam_step, gin_loss_and_grad, init_adam, init_gin
 from gcflsim.harness import synthetic_two_group_clients
 
-from conftest import HYPOTHESIS, random_graph, union
+from conftest import HYPOTHESIS, labelled, random_graph, union
 
 
 def tiny_clients(num=2, graphs_each=8, seed=0, feat_dim=3):
@@ -122,8 +122,7 @@ class TestLocalTrain:
 
     def test_prox_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        graphs = union(random_graph(rng, n=5) for _ in range(2))
-        labels = [0, 1]
+        graphs = labelled((random_graph(rng, n=5) for _ in range(2)), [0, 1])
         model = init_gin(3, 2, hidden=5, num_layers=2, rng=rng)
         theta = model.vector.copy()
         anchor = theta + 0.1 * rng.standard_normal(theta.shape)
@@ -131,11 +130,11 @@ class TestLocalTrain:
 
         def objective(vec):
             model.vector[:] = vec
-            loss, _ = gin_loss_and_grad(model, graphs, labels)
+            loss, _ = gin_loss_and_grad(model, graphs)
             return loss + 0.5 * mu * float((vec - anchor) @ (vec - anchor))
 
         model.vector[:] = theta
-        _, base_grad = gin_loss_and_grad(model, graphs, labels)
+        _, base_grad = gin_loss_and_grad(model, graphs)
         analytic = base_grad + mu * (theta - anchor)
         h = 1e-5
         for k in range(0, len(theta), 7):  # sample coordinates
@@ -165,13 +164,11 @@ class TestRunFederation:
             rng = np.random.default_rng(
                 np.random.SeedSequence([TINY.seed, _CLIENT_SEED_TAG, client.seed]))
             graphs = list(client.train_graphs)
-            labels = [g.label for g in graphs]
             for _ in range(rounds * TINY.epochs):
                 order = rng.permutation(len(graphs))
                 for lo in range(0, len(order), batch_size):
                     idx = order[lo:lo + batch_size]
-                    _, grad = gin_loss_and_grad(model, union(graphs[i] for i in idx),
-                                                [labels[i] for i in idx])
+                    _, grad = gin_loss_and_grad(model, union(graphs[i] for i in idx))
                     model.vector[:] = adam_step(opt, model.vector, grad)
             assert np.array_equal(model.vector, fed_params[client.id])
 
@@ -374,8 +371,7 @@ def assert_same_run(a, b):
     assert a.algorithm == b.algorithm
     assert reports_equal(a.reports, b.reports)
     assert a.assignments == b.assignments
-    assert a.split_events == b.split_events
-    assert a.window_dumps == b.window_dumps
+    assert a.split_events == b.split_events  # gcflplus's windows too
     assert a.final_accuracy == b.final_accuracy
     assert [(k.id, k.members, k.delta_mean, k.delta_max) for k in a.final_clusters] == \
         [(k.id, k.members, k.delta_mean, k.delta_max) for k in b.final_clusters]
@@ -452,10 +448,11 @@ class TestSweep:
         (gcfl, plus), trained = sweep(monkeypatch, two_group_clients(), variants, ROUNDS, SWEEP)
         assert [e.members for e in gcfl.split_events] == [e.members for e in plus.split_events]
         assert len(gcfl.split_events) == 3 and trained == ROUNDS  # one group throughout
-        # each keeps its own records: the cut values differ, and only gcflplus dumps windows
+        # each keeps its own records: the cut values differ, and only gcflplus cuts on windows
         assert [e.cut_value for e in gcfl.split_events] != \
             [e.cut_value for e in plus.split_events]
-        assert len(plus.window_dumps) == 3 and gcfl.window_dumps == []
+        assert all(e.windows for e in plus.split_events)
+        assert all(e.windows is None for e in gcfl.split_events)
 
     def test_cuts_that_differ_fork_the_group(self, monkeypatch):
         # three clients per group: both cut the planted groups at round 1, and at round 2
@@ -496,13 +493,13 @@ class TestSweep:
     def test_results_of_one_group_share_no_list(self):
         fedavg, gcfl = run_federation(two_group_clients(), [Variant("fedavg"),
                                                             Variant("gcfl", NEVER)], 2, SWEEP)
-        for name in ("reports", "assignments", "final_clusters", "final_accuracy"):
+        for name in ("reports", "final_clusters"):
             assert getattr(fedavg, name) is not getattr(gcfl, name)
         assert [k.members is not g.members for k, g in
                 zip(fedavg.final_clusters, gcfl.final_clusters)] == [True]
         fedavg.reports.pop()
-        fedavg.final_accuracy.clear()
-        assert len(gcfl.reports) == 2 and len(gcfl.final_accuracy) == 4
+        fedavg.final_clusters.clear()
+        assert (len(gcfl.reports), len(gcfl.final_clusters), len(gcfl.final_accuracy)) == (2, 1, 4)
 
     def test_children_start_from_the_parent_aggregated_model(self):
         # gcfl is fedavg until it splits, after aggregating, in the last of 2 rounds

@@ -20,7 +20,8 @@ from gcflsim.gnn import (
 )
 from gcflsim.graphs import erdos_renyi_gnm, one_graph
 
-from conftest import HYPOTHESIS, assert_same_union, make_graph, random_graph, small_graphs, union
+from conftest import (HYPOTHESIS, assert_same_union, labelled, make_graph, random_graph,
+                      small_graphs, union)
 
 
 def small_model(rng, input_dim=3, output_dim=2, hidden=5, layers=2):
@@ -47,7 +48,7 @@ def batch_loss(model, graphs, labels):
 
 
 def gin_backward(model, graphs, labels):
-    return gin_loss_and_grad(model, union(graphs), labels)[1]
+    return gin_loss_and_grad(model, labelled(graphs, labels))[1]
 
 
 def reference_loss_and_grad(model, graphs, labels):
@@ -134,11 +135,10 @@ class TestForward:
         graphs = union(graphs)
         padded = replace(graphs, features=np.hstack([graphs.features,
                                                      np.zeros((graphs.num_nodes, 5))]))
-        labels = graphs.labels
         assert gin_forward(model, graphs)[0].tobytes() == gin_forward(model, padded)[0].tobytes()
 
-        _, grad = gin_loss_and_grad(model, graphs, labels)
-        _, want = gin_loss_and_grad(model, padded, labels)
+        _, grad = gin_loss_and_grad(model, graphs)
+        _, want = gin_loss_and_grad(model, padded)
         assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
         past_width = gnn._views(grad, model._layout()).w1[0][3:]
         assert np.all(past_width == 0.0) and not np.signbit(past_width).any()
@@ -238,7 +238,7 @@ class TestBackward:
         ]
         labels = [int(rng.integers(3)) for _ in graphs]
         model = small_model(rng, output_dim=3, layers=3)
-        loss, grad = gin_loss_and_grad(model, union(graphs), labels)
+        loss, grad = gin_loss_and_grad(model, labelled(graphs, labels))
         ref_loss, ref_grad = reference_loss_and_grad(model, graphs, labels)
         assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
@@ -250,15 +250,15 @@ class TestWorkspace:
     def test_reused_buffers_give_identical_results(self):
         rng = np.random.default_rng(16)
         model = small_model(rng, layers=3)
-        batch_a = union(random_graph(rng, n=5) for _ in range(3))
-        batch_b = union(random_graph(rng, n=9) for _ in range(4))
+        batch_a = labelled((random_graph(rng, n=5) for _ in range(3)), [0, 1, 1])
+        batch_b = labelled((random_graph(rng, n=9) for _ in range(4)), [1, 0, 0, 1])
         other = small_model(rng, input_dim=4, hidden=7)
-        loss, grad = gin_loss_and_grad(model, batch_a, [0, 1, 1])
-        gin_loss_and_grad(model, batch_b, [1, 0, 0, 1])
-        gin_loss_and_grad(other, union(random_graph(rng, n=6, feat_dim=4) for _ in range(2)),
-                          [0, 1])
+        loss, grad = gin_loss_and_grad(model, batch_a)
+        gin_loss_and_grad(model, batch_b)
+        gin_loss_and_grad(other, labelled((random_graph(rng, n=6, feat_dim=4) for _ in range(2)),
+                                          [0, 1]))
         gin_forward(model, batch_b.take([0, 1]))
-        again_loss, again_grad = gin_loss_and_grad(model, batch_a, [0, 1, 1])
+        again_loss, again_grad = gin_loss_and_grad(model, batch_a)
         assert again_loss == loss
         assert np.array_equal(again_grad, grad)
 
@@ -268,9 +268,9 @@ class TestWorkspace:
         graphs = union(random_graph(rng, n=8) for _ in range(4))
         logits, _ = gin_forward(model, graphs)
         kept = logits.copy()
-        others = union(random_graph(rng, n=6) for _ in range(3))
+        others = labelled((random_graph(rng, n=6) for _ in range(3)), [0, 1, 0])
         gin_forward(model, others)
-        gin_loss_and_grad(model, others, [0, 1, 0])
+        gin_loss_and_grad(model, others)
         assert np.array_equal(logits, kept)
 
 
@@ -292,11 +292,11 @@ class TestGraphBatch:
         assert len(got) == len(idx)
         assert_same_union(got, want)
         model = small_model(np.random.default_rng(0))
-        loss, grad = gin_loss_and_grad(model, got, got.labels)
-        ref_loss, ref_grad = gin_loss_and_grad(model, want, [graphs[i].label for i in idx])
+        loss, grad = gin_loss_and_grad(model, got)
+        ref_loss, ref_grad = gin_loss_and_grad(model, want)
         assert loss == ref_loss and np.array_equal(grad, ref_grad)
         # backpropagation leaves a batch's features as they were
-        gin_loss_and_grad(model, stack, stack.labels)
+        gin_loss_and_grad(model, stack)
         assert np.array_equal(stack.features, kept)
 
     def test_empty_batch_rejected(self):
@@ -406,7 +406,7 @@ class TestTrainability:
         opt = init_adam(model.num_params(), lr=5e-3)
         batch = union(graphs)
         for epoch in range(200):
-            _, grad = gin_loss_and_grad(model, batch, labels)
+            _, grad = gin_loss_and_grad(model, batch)
             model.vector[:] = adam_step(opt, model.vector, grad)
             if all(predict(model, g) == y for g, y in zip(graphs, labels)):
                 break

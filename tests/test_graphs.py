@@ -186,10 +186,10 @@ class TestDataset:
         with pytest.raises(ArgumentError):
             Dataset("bad", union([make_graph(2, [(0, 1)]), make_graph(2, [], label=-1)]))
 
-    def test_num_classes_from_labels(self):
+    def test_size_width_and_labels(self):
         graphs = [make_graph(2, [(0, 1)], label=l) for l in (0, 2, 1)]
         ds = Dataset("d", union(graphs))
-        assert ds.num_classes == 3 and len(ds) == 3 and ds.feat_dim == 1
+        assert len(ds) == 3 and ds.feat_dim == 1 and ds.graphs.labels.tolist() == [0, 2, 1]
 
 
 class TestErdosRenyiGnm:
@@ -491,7 +491,7 @@ def _reference_read_float_matrix(path):
 def assert_same_dataset(got, want):
     """Same unions, byte for byte: CSR, features, node counts and labels with dtypes."""
     assert got.name == want.name and len(got) == len(want)
-    assert (got.feat_dim, got.num_classes) == (want.feat_dim, want.num_classes)
+    assert got.feat_dim == want.feat_dim
     assert_same_union(got.graphs, want.graphs)
 
 

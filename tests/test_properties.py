@@ -499,7 +499,7 @@ class TestPropertySignificance:
         monkeypatch.setattr(properties, "_gnm_nulls", lambda graphs, seed: graphs)
         report = property_significance(ds, seed=0)
         for prop, stat in report.rows.items():
-            if stat.computed:
+            if stat.p_value is not None:
                 assert stat.p_value == pytest.approx(1.0)
                 assert stat.real == pytest.approx(stat.random)
 
@@ -511,7 +511,7 @@ class TestPropertySignificance:
         for prop in fwd.rows:
             assert fwd.rows[prop].real == pytest.approx(rev.rows[prop].real, abs=1e-12)
             assert fwd.rows[prop].random == pytest.approx(rev.rows[prop].random, abs=1e-12)
-            if fwd.rows[prop].computed:
+            if fwd.rows[prop].p_value is not None:
                 assert fwd.rows[prop].p_value == pytest.approx(rev.rows[prop].p_value, abs=1e-12)
 
     def test_csv_rows(self, tmp_path):
@@ -530,7 +530,7 @@ class TestPropertySignificance:
                   for n in (4, 5, 6, 7)]
         report = property_significance(Dataset("cycles", union(cycles)), seed=0)
         stat = report.rows["degree_kurtosis"]
-        assert not stat.computed and stat.p_value is None
+        assert stat.p_value is None
         out = tmp_path / "props.csv"
         report.write_csv(out)
         assert "not_computed" in out.read_text()
