@@ -24,7 +24,8 @@ from .errors import ArgumentError, ConfigurationError, CorruptDatasetError, Inge
 from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, Variant, run_federation
 from .gnn import one_hot_degrees
 from .graphs import Dataset, GraphBatch, binomial_gnp, load_tu_dataset
-from .hetero import MAX_WALK_LENGTH, GraphEmbeddings, GraphPool, pairwise_heterogeneity
+from .hetero import (MAX_WALK_LENGTH, GraphEmbeddings, GraphPool, HeterogeneityReport,
+                     pairwise_heterogeneity)
 from .outputs import check_writable, write_csv
 
 logger = logging.getLogger(__name__)
@@ -256,48 +257,31 @@ def compute_metrics(
     )
 
 
-@dataclass
-class ClusterHeteroRow:
-    cluster_id: str
-    n_clients: int
-    structure_mean: float
-    structure_std: float
-    feature_mean: float
-    feature_std: float
-
-
 def cluster_heterogeneity_report(
-    clusters,
-    clients: list[ClientState],
-    awe_length: int = 4,
-    bins: int = 20,
-    pair_budget: int = 2000,
-    seed: int = 0,
-) -> list[ClusterHeteroRow]:
+    embeddings: GraphEmbeddings, clusters, pair_budget: int = 2000,
+) -> list[tuple[str, int, HeterogeneityReport]]:
     """Average pairwise heterogeneity among member graphs, per cluster.
 
-    The first row ("all") pools every client's graphs and serves as the
-    pre-clustering baseline the per-cluster values are compared against.
-    Each graph is embedded at most once per report, keyed by its client id
-    and its position in that client's training then test graphs, so every
-    row reads the same embedding of a graph. The graphs a pool needs that are
-    not yet embedded are embedded together, cut from the clients' unions.
+    ``embeddings`` holds each client's training then test unions under its
+    client id. One row per pool: its cluster id, its member count and its
+    ``pairwise_heterogeneity`` report. The first row ("all") pools every
+    client of the store and serves as the pre-clustering baseline the
+    per-cluster values are compared against. Each graph is embedded once per
+    store, so every row, and every report on the store, reads the same
+    embedding of a graph.
     """
     if not clusters:
         raise ArgumentError("no clusters to report on")
-    embeddings = GraphEmbeddings({c.id: [c.train_graphs, c.test_graphs] for c in clients},
-                                 awe_length, bins, seed)
-    pools = [("all", "all", [c.id for c in clients])] + [
+    pools = [("all", "all", list(embeddings.sets))] + [
         (str(k.id), f"cluster_{k.id}", k.members) for k in sorted(clusters, key=lambda k: k.id)]
-    keys = sorted((c.id, pos) for c in clients
-                  for pos in range(len(c.train_graphs) + len(c.test_graphs)))
+    keys = sorted((cid, pos) for cid, counts in embeddings.edge_counts.items()
+                  for pos in range(len(counts)))
     rows = []
     for cluster_id, name, members in pools:
         ids = set(members)
         pool = GraphPool(name, [key for key in keys if key[0] in ids])
-        rep = pairwise_heterogeneity(embeddings, pool, pool, pair_budget)
-        rows.append(ClusterHeteroRow(cluster_id, len(members), rep.structure_mean,
-                                     rep.structure_std, rep.feature_mean, rep.feature_std))
+        rows.append((cluster_id, len(members),
+                     pairwise_heterogeneity(embeddings, pool, pool, pair_budget)))
     return rows
 
 
@@ -481,8 +465,10 @@ def run_experiment(config: ExperimentConfig) -> list[tuple[str, int, MetricsSumm
     The self-train baseline is always run (and run first) because gain and
     improvement metrics are defined against it. All algorithms of a seed run
     in one ``run_federation`` call, gcfl and gcflplus with the configured split
-    criteria. An ``out_dir`` that cannot be made or written stops the run before
-    any seed. Returns each (algorithm, seed)'s metrics, in the order of ``summary.csv``.
+    criteria. With ``hetero_report`` on, every clustered algorithm's report of a
+    seed reads one embedding store of its clients' graphs. An ``out_dir`` that
+    cannot be made or written stops the run before any seed. Returns each
+    (algorithm, seed)'s metrics, in the order of ``summary.csv``.
     """
     clustered = [a for a in config.algorithms if a in ("gcfl", "gcflplus")]
     if clustered and (config.eps1 is None or config.eps2 is None):
@@ -500,19 +486,21 @@ def run_experiment(config: ExperimentConfig) -> list[tuple[str, int, MetricsSumm
         clients = build_clients(config, seed)
         results = run_federation(clients, variants, config.rounds, make_run_config(config, seed))
         selftrain_acc = results[0].final_accuracy
+        embeddings = None
+        if config.hetero_report and clustered:
+            embeddings = GraphEmbeddings({c.id: [c.train_graphs, c.test_graphs] for c in clients},
+                                         config.awe_length, config.bins, seed)
         for algorithm, result in zip(algorithms, results):
             _collect_rows(result, seed, rounds_rows, cluster_rows, split_rows, window_rows)
             summaries.append((algorithm, seed, compute_metrics(result.final_accuracy,
                                                                selftrain_acc)))
-            if config.hetero_report and algorithm in ("gcfl", "gcflplus"):
-                for row in cluster_heterogeneity_report(
-                    result.final_clusters, clients, config.awe_length, config.bins,
-                    config.pair_budget, seed,
-                ):
+            if embeddings is not None and algorithm in clustered:
+                for cluster_id, n_clients, rep in cluster_heterogeneity_report(
+                        embeddings, result.final_clusters, config.pair_budget):
                     hetero_rows.append([
-                        algorithm, seed, row.cluster_id, row.n_clients,
-                        repr(row.structure_mean), repr(row.structure_std),
-                        repr(row.feature_mean), repr(row.feature_std),
+                        algorithm, seed, cluster_id, n_clients,
+                        repr(rep.structure_mean), repr(rep.structure_std),
+                        repr(rep.feature_mean), repr(rep.feature_std),
                     ])
 
     out = Path(config.out_dir)  # made by the first write, once every seed has run

@@ -11,6 +11,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from gcflsim.graphs import Dataset, load_tu_dataset, one_graph
+from gcflsim.hetero import GraphEmbeddings
 
 DATA_ENV = "GCFL_DATA_ROOT"
 
@@ -30,6 +31,13 @@ def require_dataset(name: str) -> Dataset:
             f"(set ${DATA_ENV} to a directory holding the published TU files)"
         )
     return load_tu_dataset(root, name)
+
+
+def client_embeddings(clients, awe_length=4, seed=0):
+    """The store a seed's heterogeneity reports read: each client's training then test
+    unions under its id, 20 bins."""
+    return GraphEmbeddings({c.id: [c.train_graphs, c.test_graphs] for c in clients},
+                           awe_length, 20, seed)
 
 
 def make_graph(num_nodes, edges, feat_dim=1, label=0, features=None):

@@ -29,7 +29,8 @@ from gcflsim.harness import (
 from gcflsim.hetero import dataset_pools, pairwise_heterogeneity
 from gcflsim.properties import property_significance
 
-from conftest import data_root, labelled, random_graph, require_dataset, with_features
+from conftest import (client_embeddings, data_root, labelled, random_graph, require_dataset,
+                      with_features)
 from epsilons import auto_epsilons
 from sgc import normalized_adjacency, sgc_train
 from test_clustering import brute_force_mincut, random_weights
@@ -257,11 +258,11 @@ def test_criterion_7a_heterogeneity_reduction_synthetic(recovery):
         for seed, (recovered, _, result, clients) in recovery["gcfl"].items():
             if not recovered:
                 continue
-            rows = cluster_heterogeneity_report(result.final_clusters, clients,
-                                                pair_budget=400, seed=seed)
-            baseline = rows[0].structure_mean
-            for row in rows[1:]:
-                assert row.structure_mean < baseline
+            rows = cluster_heterogeneity_report(client_embeddings(clients, seed=seed),
+                                                result.final_clusters, pair_budget=400)
+            baseline = rows[0][2].structure_mean
+            for _, _, rep in rows[1:]:
+                assert rep.structure_mean < baseline
             checked += 1
         assert checked >= 4
 
@@ -280,13 +281,13 @@ def test_criterion_7b_heterogeneity_reduction_mini_mix():
         result = run_one(clients, "gcfl", 14, probe,
                          ClusterConfig(eps1, eps2, min_split_size=2, warmup_rounds=10))
         assert result.split_events, "mini-mix run produced no split"
-        rows = cluster_heterogeneity_report(result.final_clusters, clients,
-                                            pair_budget=600, seed=0)
-        baseline = rows[0].structure_mean
+        rows = cluster_heterogeneity_report(client_embeddings(clients), result.final_clusters,
+                                            pair_budget=600)
+        baseline = rows[0][2].structure_mean
         print(f"  baseline {baseline:.4f}; clusters "
-              + ", ".join(f"{r.cluster_id}={r.structure_mean:.4f}" for r in rows[1:]))
-        for row in rows[1:]:
-            assert row.structure_mean < baseline
+              + ", ".join(f"{cid}={rep.structure_mean:.4f}" for cid, _, rep in rows[1:]))
+        for _, _, rep in rows[1:]:
+            assert rep.structure_mean < baseline
 
 
 def test_criterion_8_desk_scale_mutag_experiment():

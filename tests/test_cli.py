@@ -370,14 +370,16 @@ class TestRun:
         assert not (tmp_path / "out" / "rounds.csv").exists()
 
     def test_byte_identical_across_processes(self, tmp_path):
-        """Same config, seed and BLAS thread setting give the same CSV bytes."""
+        """Same config, seed and BLAS thread setting give the same CSV bytes.
+
+        gcfl's and gcflplus's reports write ``hetero.csv`` from one embedding store."""
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "setting = synthetic\n"
             "num_clients = 4\n"
             "per_client_graphs = 20\n"
             "rounds = 3\n"
-            "algorithms = fedavg, gcfl\n"
+            "algorithms = fedavg, gcfl, gcflplus\n"
             "hidden = 8\n"
             "num_layers = 2\n"
             "weight_decay = 0.0\n"

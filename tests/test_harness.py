@@ -27,7 +27,8 @@ from gcflsim.harness import (
     with_degree_features,
 )
 
-from conftest import assert_same_union, make_graph, random_graph, union, write_tu_fixture
+from conftest import (assert_same_union, client_embeddings, make_graph, random_graph, union,
+                      write_tu_fixture)
 from epsilons import auto_epsilons
 from test_fed import run_one
 from test_perfbench import write_tu_inputs
@@ -141,36 +142,38 @@ def test_synthetic_unions_equal_the_union_of_their_graphs_built_alone():
                                         for g in graphs))
 
 
+def counting(record, original):
+    """``original``, recording each graph of every union it is called on by its features:
+    each is a fresh one-graph view, known by the noisy features of the synthetic clients."""
+    def wrapper(graph, *args, **kwargs):
+        record.extend(g.features.tobytes() for g in graph)
+        return original(graph, *args, **kwargs)
+    return wrapper
+
+
 class TestClusterHeterogeneity:
     def test_single_global_cluster_equals_baseline(self):
         clients, _ = synthetic_two_group_clients(clients_per_group=1,
                                                  graphs_per_client=8, seed=0)
         cluster = ClusterState(0, [c.id for c in clients], np.zeros(2))
-        rows = cluster_heterogeneity_report([cluster], clients, awe_length=3,
-                                            pair_budget=100, seed=0)
-        assert rows[0].cluster_id == "all"
+        rows = cluster_heterogeneity_report(client_embeddings(clients, awe_length=3),
+                                            [cluster], pair_budget=100)
+        assert [row[:2] for row in rows] == [("all", 2), ("0", 2)]
         # one pool of the same keys: the same pairs of the same embeddings
-        assert rows[1].structure_mean == rows[0].structure_mean
-        assert rows[1].feature_mean == rows[0].feature_mean
+        assert rows[1][2].structure_mean == rows[0][2].structure_mean
+        assert rows[1][2].feature_mean == rows[0][2].feature_mean
 
     @pytest.mark.parametrize("pair_budget", [10, 10_000])
-    def test_each_graph_is_embedded_once_per_report(self, monkeypatch, pair_budget):
+    def test_each_graph_is_embedded_once_per_store(self, monkeypatch, pair_budget):
         clients, _ = synthetic_two_group_clients(clients_per_group=2, graphs_per_client=8, seed=0)
-        clusters = [ClusterState(0, [0, 1], np.zeros(2)), ClusterState(1, [2, 3], np.zeros(2))]
         walked, binned = [], []
-
-        def counting(record, original):
-            def wrapper(graph, *args, **kwargs):
-                # each call gets a union of the graphs it embeds: each graph, as a fresh
-                # one-graph view of it, is known by its noisy features
-                record.extend(g.features.tobytes() for g in graph)
-                return original(graph, *args, **kwargs)
-            return wrapper
-
         monkeypatch.setattr(hetero, "awe_distribution", counting(walked, hetero.awe_distribution))
         monkeypatch.setattr(hetero, "feature_sim_histogram",
                             counting(binned, hetero.feature_sim_histogram))
-        cluster_heterogeneity_report(clusters, clients, awe_length=3, pair_budget=pair_budget)
+        store = client_embeddings(clients, awe_length=3)
+        for halves in (([0, 1], [2, 3]), ([0, 2], [1, 3])):  # two clusterings, one store
+            clusters = [ClusterState(k, members, np.zeros(2)) for k, members in enumerate(halves)]
+            cluster_heterogeneity_report(store, clusters, pair_budget=pair_budget)
         assert len(walked) == len(set(walked)) and sorted(binned) == sorted(walked)
         if pair_budget > 1000:  # every pair of every pool, so every graph
             assert len(walked) == sum(len(c.train_graphs) + len(c.test_graphs) for c in clients)
@@ -180,9 +183,9 @@ class TestClusterHeterogeneity:
         from gcflsim.fed import ClientState
         clients = [ClientState(i, union([g, g]), g, seed=i) for i in range(2)]
         cluster = ClusterState(0, [0, 1], np.zeros(2))
-        rows = cluster_heterogeneity_report([cluster], clients, awe_length=3, seed=0)
-        assert rows[1].structure_mean == 0.0
-        assert rows[1].feature_mean == 0.0
+        rows = cluster_heterogeneity_report(client_embeddings(clients, awe_length=3), [cluster])
+        assert rows[1][2].structure_mean == 0.0
+        assert rows[1][2].feature_mean == 0.0
 
 
 class TestExperimentConfig:
@@ -263,6 +266,21 @@ class TestRunExperiment:
         hetero = (out / "hetero.csv").read_text().strip().splitlines()
         assert hetero[1].split(",")[2] == "all"
 
+    def test_clustered_reports_of_a_seed_embed_each_graph_once(self, tmp_path, monkeypatch):
+        walked, binned = [], []
+        monkeypatch.setattr(hetero, "awe_distribution", counting(walked, hetero.awe_distribution))
+        monkeypatch.setattr(hetero, "feature_sim_histogram",
+                            counting(binned, hetero.feature_sim_histogram))
+        # 32 graphs: 496 pairs, all within the budget, so the "all" row embeds every graph
+        run_experiment(self._config(tmp_path, algorithms=["gcfl", "gcflplus"], rounds=3,
+                                    per_client_graphs=8, hetero_report=True, pair_budget=1000,
+                                    eps1=10.0, eps2=1e-6, min_split_size=2, warmup_rounds=1,
+                                    weight_decay=0.0))
+        rows = (tmp_path / "out" / "hetero.csv").read_text().splitlines()
+        assert {r.split(",")[0] for r in rows[1:]} == {"gcfl", "gcflplus"}
+        assert sorted(set(walked)) == sorted(walked) == sorted(binned)
+        assert len(walked) == 4 * 8
+
     @pytest.mark.parametrize("split_round", [1, 10])
     def test_windows_are_the_last_grad_norms_of_rounds_csv(self, tmp_path, split_round):
         # a window of 3 at round 1 holds rounds 0-1; at round 10, rounds 8-10
@@ -276,7 +294,7 @@ class TestRunExperiment:
         with open(out / "windows.csv", newline="") as fh:
             windows = list(csv.DictReader(fh))
         assert {int(r["round"]) for r in windows} == {split_round}
-        assert sorted(int(r["client_id"]) for r in windows) == [0, 1, 2, 3]
+        assert [int(r["client_id"]) for r in windows] == [0, 1, 2, 3]  # the split's members
         for row in windows:
             cid = int(row["client_id"])
             assert [float(x) for x in row["norms"].split(";")] == \
@@ -285,11 +303,14 @@ class TestRunExperiment:
     def test_shared_prefix_sweep_equals_single_algorithm_runs(self, tmp_path):
         # fedavg, gcfl and gcflplus of one seed share the rounds before the split
         split = dict(rounds=4, seeds=[0, 1], eps1=10.0, eps2=1e-6, min_split_size=2,
-                     warmup_rounds=1, weight_decay=0.0)
+                     warmup_rounds=1, weight_decay=0.0, hetero_report=True, pair_budget=40,
+                     awe_length=3)
         sweep = ["gcflplus", "fedavg", "gcfl"]
         run_experiment(self._config(tmp_path, algorithms=sweep, **split))
-        names = ("rounds.csv", "clusters.csv", "splits.csv", "summary.csv", "windows.csv")
-        none = {("fedavg", "splits.csv"), ("fedavg", "windows.csv"), ("gcfl", "windows.csv")}
+        names = ("rounds.csv", "clusters.csv", "splits.csv", "summary.csv", "windows.csv",
+                 "hetero.csv")
+        none = {("fedavg", "splits.csv"), ("fedavg", "windows.csv"), ("gcfl", "windows.csv"),
+                ("fedavg", "hetero.csv")}
         for algorithm in sweep:
             alone = tmp_path / algorithm
             run_experiment(self._config(tmp_path, algorithms=[algorithm], out_dir=str(alone),
