@@ -94,9 +94,6 @@ class GinModel:
     def _layout(self):
         return _param_layout(self.input_dim, self.output_dim, self.hidden, self.num_layers)
 
-    def num_params(self) -> int:
-        return self.vector.size
-
 
 def init_gin(
     input_dim: int,
@@ -250,9 +247,9 @@ class AdamState:
     weight_decay: float = 0.0
 
 
-def init_adam(num_params: int, lr: float = 1e-3, weight_decay: float = 0.0,
+def init_adam(size: int, lr: float = 1e-3, weight_decay: float = 0.0,
               beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
-    return AdamState(np.zeros(num_params), np.zeros(num_params), 0,
+    return AdamState(np.zeros(size), np.zeros(size), 0,
                      lr, beta1, beta2, epsilon, weight_decay)
 
 

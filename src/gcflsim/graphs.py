@@ -33,35 +33,6 @@ def _is_canonical(edges: np.ndarray, num_nodes: int) -> bool:
                 and (key[1:] > key[:-1]).all())
 
 
-def _canonical_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Each edge of ``edges`` as ``(u, v)`` with ``u < v``, sorted by ``(u, v)``.
-
-    Raises ``ArgumentError`` on an endpoint out of range, a self-loop or an
-    edge listed twice in either direction.
-    """
-    if edges.min() < 0 or edges.max() >= num_nodes:
-        raise ArgumentError("edge endpoint out of range")
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    if np.any(lo == hi):
-        raise ArgumentError("self-loops are not allowed")
-    key = np.sort(lo * num_nodes + hi)
-    if np.any(key[1:] == key[:-1]):
-        raise ArgumentError("duplicate undirected edges are not allowed")
-    lo, hi = np.divmod(key, num_nodes)
-    return np.stack([lo, hi], axis=1)
-
-
-def _node_features(features: np.ndarray, num_nodes: int) -> np.ndarray:
-    """``features`` as float64, checked to hold one row per node and at least one column."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != num_nodes:
-        raise ArgumentError(f"features must have {num_nodes} rows, got shape {features.shape}")
-    if features.shape[1] < 1:
-        raise ArgumentError("feat_dim must be >= 1")
-    return features
-
-
 def _offsets(counts: np.ndarray) -> np.ndarray:
     """Where each of a run of consecutive blocks of the given lengths starts."""
     return np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -163,23 +134,6 @@ class GraphBatch:
             raise ArgumentError("batch must be nonempty")
         nodes, adjacency = _cut_blocks(self.adjacency, self.sizes, self.starts, idx)
         return GraphBatch(self.features[nodes], adjacency, self.sizes[idx], self.labels[idx])
-
-
-def one_graph(num_nodes: int, edges, features, label: int = 0) -> GraphBatch:
-    """The one-graph union of ``num_nodes`` nodes, undirected ``edges``, ``features`` and ``label``.
-
-    Edges may come in any order and either direction. Raises ``ArgumentError``
-    on no nodes, an endpoint out of range, a self-loop, an edge listed twice,
-    or features that are not one row per node and at least one column.
-    """
-    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    if num_nodes < 1:
-        raise ArgumentError("graph must have at least one node")
-    features = _node_features(features, num_nodes)
-    if not _is_canonical(edges, num_nodes):
-        edges = _canonical_edges(edges, num_nodes)
-    return GraphBatch.from_edges(edges, features, np.array([num_nodes]),
-                                 np.array([label], dtype=np.int64))
 
 
 @dataclass(eq=False)
@@ -342,13 +296,13 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     kept = lo != hi  # self-loops are dropped
     edges = np.stack([row[lo[kept]], row[hi[kept]]], axis=1)  # from_edges takes any order
     union = GraphBatch.from_edges(
-        edges, _build_node_features(base, name, num_nodes_total)[by_graph], node_counts, labels)
+        edges, _read_features(base, name, num_nodes_total)[by_graph], node_counts, labels)
     logger.info("loaded %s: %d graphs, feat_dim=%d, %d classes",
                 name, num_graphs, union.feat_dim, len(classes))
     return Dataset(name, union)
 
 
-def _build_node_features(base: Path, name: str, num_nodes: int) -> np.ndarray:
+def _read_features(base: Path, name: str, num_nodes: int) -> np.ndarray:
     """Attributes when present, one-hot node labels appended; constant fallback."""
     attr_path = base / f"{name}_node_attributes.txt"
     label_path = base / f"{name}_node_labels.txt"

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from gcflsim.graphs import Dataset, load_tu_dataset, one_graph
+from gcflsim.errors import ArgumentError
+from gcflsim.graphs import Dataset, GraphBatch, _is_canonical, load_tu_dataset
 from gcflsim.hetero import GraphEmbeddings
 
 DATA_ENV = "GCFL_DATA_ROOT"
@@ -38,6 +39,54 @@ def client_embeddings(clients, awe_length=4, seed=0):
     unions under its id, 20 bins."""
     return GraphEmbeddings({c.id: [c.train_graphs, c.test_graphs] for c in clients},
                            awe_length, 20, seed)
+
+
+def _canonical_edges(edges, num_nodes):
+    """Each edge of ``edges`` as ``(u, v)`` with ``u < v``, sorted by ``(u, v)``.
+
+    Raises ``ArgumentError`` on an endpoint out of range, a self-loop or an
+    edge listed twice in either direction.
+    """
+    if edges.min() < 0 or edges.max() >= num_nodes:
+        raise ArgumentError("edge endpoint out of range")
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    if np.any(lo == hi):
+        raise ArgumentError("self-loops are not allowed")
+    key = np.sort(lo * num_nodes + hi)
+    if np.any(key[1:] == key[:-1]):
+        raise ArgumentError("duplicate undirected edges are not allowed")
+    lo, hi = np.divmod(key, num_nodes)
+    return np.stack([lo, hi], axis=1)
+
+
+def _node_features(features, num_nodes):
+    """``features`` as float64, checked to hold one row per node and at least one column."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] != num_nodes:
+        raise ArgumentError(f"features must have {num_nodes} rows, got shape {features.shape}")
+    if features.shape[1] < 1:
+        raise ArgumentError("feat_dim must be >= 1")
+    return features
+
+
+def one_graph(num_nodes, edges, features, label=0):
+    """The one-graph union of ``num_nodes`` nodes, undirected ``edges``, ``features`` and
+    ``label``: the validating constructor the tests build their graphs with.
+
+    Edges may come in any order and either direction; the graph gets its own
+    copy. Raises ``ArgumentError`` on no nodes, an endpoint out of range, a
+    self-loop, an edge listed twice, or features that are not one row per node
+    and at least one column.
+    """
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    if num_nodes < 1:
+        raise ArgumentError("graph must have at least one node")
+    features = _node_features(features, num_nodes)
+    if not _is_canonical(edges, num_nodes):
+        edges = _canonical_edges(edges, num_nodes)
+    return GraphBatch.from_edges(edges, features, np.array([num_nodes]),
+                                 np.array([label], dtype=np.int64))
 
 
 def make_graph(num_nodes, edges, feat_dim=1, label=0, features=None):

@@ -31,19 +31,40 @@ def run_cli(*argv):
 ANALYSIS_ONLY = ("scipy.stats", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
 
 
-def analysis_modules_loaded_by(code: str) -> list[str]:
-    """The ``ANALYSIS_ONLY`` packages that a fresh interpreter has loaded after ``code``."""
+# every module of the package but its root
+SUBMODULES = tuple(f"gcflsim.{p.stem}" for p in sorted(Path(gcflsim.__file__).parent.glob("*.py"))
+                   if p.stem != "__init__")
+
+
+def analysis_modules_loaded_by(code: str, packages=ANALYSIS_ONLY) -> list[str]:
+    """The ``packages`` that a fresh interpreter has loaded after ``code``, in their order."""
     src = str(Path(gcflsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code += "\nimport sys; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     loaded = out.splitlines()[-1].split()
-    return [p for p in ANALYSIS_ONLY if any(m == p or m.startswith(p + ".") for m in loaded)]
+    return [p for p in packages if any(m == p or m.startswith(p + ".") for m in loaded)]
 
 
 def test_import_does_not_load_scipy_stats():
     assert analysis_modules_loaded_by("import gcflsim, gcflsim.cli") == []
+
+
+def test_package_root_loads_no_module_and_no_scipy():
+    assert analysis_modules_loaded_by("import gcflsim", SUBMODULES + ("scipy",)) == []
+
+
+@pytest.mark.parametrize("module", ["gcflsim.graphs", "gcflsim.harness"])
+def test_graphs_and_harness_load_no_property_analysis(module):
+    assert analysis_modules_loaded_by(f"import {module}",
+                                      ("gcflsim.properties", "scipy.special")) == []
+
+
+def test_cli_loads_property_analysis_at_import():
+    # loaded later, scipy.special's import would land in the first analyze-properties call
+    packages = ("gcflsim.properties", "scipy.special")
+    assert analysis_modules_loaded_by("import gcflsim.cli", packages) == list(packages)
 
 
 def test_property_analysis_loads_no_graph_or_linear_algebra_library(tmp_path):
@@ -351,6 +372,15 @@ class TestRun:
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "absent.cfg")) == 3
         assert "ConfigurationError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "calibrate"])
+    def test_config_file_not_utf8_exit_code(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"rounds = 1 \xff\n")
+        grids = ["--eps1-grid", "10", "--eps2-grid", "1"] if command == "calibrate" else []
+        assert run_cli(command, "--config", str(cfg), *grids) == 3
+        err = capsys.readouterr().err
+        assert "ConfigurationError" in err and "cannot read config file" in err
 
     def test_nan_learning_rate_is_divergence(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)

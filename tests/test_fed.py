@@ -108,7 +108,7 @@ class TestLocalTrain:
         """A client, a model, its start parameters, an Adam state and a shuffle RNG."""
         client = tiny_clients(1, seed=seed)[0]
         model = init_gin(3, 2, hidden=6, num_layers=2, rng=np.random.default_rng(1))
-        return (client, model, model.vector.copy(), init_adam(model.num_params(), lr=1e-3),
+        return (client, model, model.vector.copy(), init_adam(model.vector.size, lr=1e-3),
                 np.random.default_rng(42))
 
     def test_zero_epochs_zero_delta(self):

@@ -18,10 +18,10 @@ from gcflsim.gnn import (
     one_hot_degrees,
     softmax,
 )
-from gcflsim.graphs import erdos_renyi_gnm, one_graph
+from gcflsim.graphs import erdos_renyi_gnm
 
-from conftest import (HYPOTHESIS, assert_same_union, labelled, make_graph, random_graph,
-                      small_graphs, union)
+from conftest import (HYPOTHESIS, assert_same_union, labelled, make_graph, one_graph,
+                      random_graph, small_graphs, union)
 
 
 def small_model(rng, input_dim=3, output_dim=2, hidden=5, layers=2):
@@ -226,7 +226,7 @@ class TestBackward:
         rng = np.random.default_rng(9)
         model = small_model(rng)
         grad = gin_backward(model, [random_graph(rng, n=4)], [1])
-        assert grad.shape == (model.num_params(),)
+        assert grad.shape == (model.vector.size,)
 
     def test_batched_pass_matches_per_graph_reference(self):
         rng = np.random.default_rng(15)
@@ -320,7 +320,7 @@ class TestParameterLayout:
         # gin_loss_and_grad writes its gradient through these views of one
         # zeroed vector, so they must lay it out as the model's own views do
         model = small_model(np.random.default_rng(11), input_dim=4, hidden=6, layers=3)
-        size, parts = model.num_params(), model._layout()
+        size, parts = model.vector.size, model._layout()
         grad = np.zeros(size)
 
         def in_order(v):
@@ -337,13 +337,13 @@ class TestParameterLayout:
             model_start = (model_view.ctypes.data - model.vector.ctypes.data) // grad.itemsize
             assert start == model_start == offset
             offset += view.size
-        assert offset == size == model.num_params()
+        assert offset == size == model.vector.size
 
     def test_param_count_formula(self):
         model = GinModel(3, 2, hidden=5, num_layers=2)
-        assert model.num_params() == (1 + 15 + 5 + 25 + 5) + (1 + 25 + 5 + 25 + 5) + 12
+        assert model.vector.size == (1 + 15 + 5 + 25 + 5) + (1 + 25 + 5 + 25 + 5) + 12
         with pytest.raises(ArgumentError):
-            GinModel(3, 2, hidden=5, num_layers=2, vector=np.zeros(model.num_params() - 1))
+            GinModel(3, 2, hidden=5, num_layers=2, vector=np.zeros(model.vector.size - 1))
         # the closed form the model allocates by is where the per-layer layout ends
         for dims in [(3, 2, 5, 2), (1, 4, 1, 1), (7, 3, 2, 5)]:
             assert gnn._param_count(*dims) == gnn._param_layout(*dims)[-1][1]
@@ -403,7 +403,7 @@ class TestTrainability:
             graphs.append(one_graph(g.num_nodes, g.edges, feats, label))
             labels.append(label)
         model = init_gin(2, 2, hidden=8, num_layers=2, rng=rng)
-        opt = init_adam(model.num_params(), lr=5e-3)
+        opt = init_adam(model.vector.size, lr=5e-3)
         batch = union(graphs)
         for epoch in range(200):
             _, grad = gin_loss_and_grad(model, batch)

@@ -19,7 +19,6 @@ from gcflsim.graphs import (
     decode_pair_index,
     erdos_renyi_gnm,
     load_tu_dataset,
-    one_graph,
 )
 
 from conftest import (
@@ -28,6 +27,7 @@ from conftest import (
     edge_set,
     make_graph,
     max_edges,
+    one_graph,
     random_graph,
     small_graphs,
     union,

@@ -9,7 +9,7 @@ from gcflsim.errors import ArgumentError, ConfigurationError
 from gcflsim import fed, harness, hetero
 from gcflsim.fed import RunConfig, Variant, infer_dims, run_federation
 from gcflsim.gnn import one_hot_degrees
-from gcflsim.graphs import Dataset, one_graph
+from gcflsim.graphs import Dataset
 from gcflsim.harness import (
     MOLECULE_DATASETS,
     ExperimentConfig,
@@ -27,8 +27,8 @@ from gcflsim.harness import (
     with_degree_features,
 )
 
-from conftest import (assert_same_union, client_embeddings, make_graph, random_graph, union,
-                      write_tu_fixture)
+from conftest import (assert_same_union, client_embeddings, make_graph, one_graph,
+                      random_graph, union, write_tu_fixture)
 from epsilons import auto_epsilons
 from test_fed import run_one
 from test_perfbench import write_tu_inputs

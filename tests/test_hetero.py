@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gcflsim import hetero
 from gcflsim.errors import ArgumentError, UndefinedEmbeddingError
-from gcflsim.graphs import Dataset, erdos_renyi_gnm, one_graph
+from gcflsim.graphs import Dataset, erdos_renyi_gnm
 from gcflsim.hetero import (
     MAX_WALK_LENGTH,
     GraphEmbeddings,
@@ -24,7 +24,8 @@ from gcflsim.hetero import (
     pairwise_heterogeneity,
 )
 
-from conftest import HYPOTHESIS, make_graph, random_graph, small_graphs, union, with_features
+from conftest import (HYPOTHESIS, make_graph, one_graph, random_graph, small_graphs, union,
+                      with_features)
 
 # unions of 1-5 graphs, each with an edge: every member can be embedded
 embeddable_unions = st.lists(small_graphs().filter(lambda g: g.num_edges > 0),

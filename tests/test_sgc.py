@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gcflsim.graphs import erdos_renyi_gnm, one_graph
+from gcflsim.graphs import erdos_renyi_gnm
 
-from conftest import edge_set
+from conftest import edge_set, one_graph
 from sgc import THETA_INIT_SCALE, normalized_adjacency, propagated_features, sgc_train
 
 
