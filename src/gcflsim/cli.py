@@ -3,7 +3,9 @@
 Subcommands: ``analyze-properties`` (property statistics with random-null
 significance), ``analyze-hetero`` (pairwise structure/feature heterogeneity),
 ``run`` (federated experiments from a config file), and ``calibrate``
-(epsilon grid search). Exit status is 0 on success; on failure the named
+(eps1 and eps2 from a FedAvg probe: ``harness.MEAN_MARGIN`` times its final
+mean-update norm and ``harness.MAX_MARGIN`` times its final largest client
+update norm). Exit status is 0 on success; on failure the named
 error class is printed to stderr and a class-specific nonzero code returned.
 An output location that cannot be written is refused before any work.
 """
@@ -24,20 +26,14 @@ from .errors import (
     IngestionError,
     UndefinedEmbeddingError,
 )
-from .harness import (
-    ExperimentConfig,
-    calibrate_epsilons,
-    load_dataset,
-    load_dataset_for_federation,
-    run_experiment,
-)
+from . import harness
 from .hetero import (
     dataset_pools,
     enumerate_anonymous_walks,
     pairwise_heterogeneity,
     write_heterogeneity_csv,
 )
-from .outputs import check_writable
+from .outputs import check_writable, write_csv
 from .properties import PROPERTY_NAMES, property_significance
 
 logger = logging.getLogger(__name__)
@@ -83,20 +79,18 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config entry (repeatable)")
 
-    cal = sub.add_parser("calibrate", help="grid-search eps1/eps2 for a clustered algorithm")
+    cal = sub.add_parser("calibrate",
+                         help="set eps1/eps2 from a FedAvg probe's update norms")
     cal.add_argument("--config", required=True)
     cal.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    cal.add_argument("--algorithm", default="gcfl", choices=["gcfl", "gcflplus"])
-    cal.add_argument("--eps1-grid", required=True, help="comma-separated values")
-    cal.add_argument("--eps2-grid", required=True, help="comma-separated values")
-    cal.add_argument("--rounds", type=int, default=50)
+    cal.add_argument("--rounds", type=int, default=50, help="probe rounds")
     cal.add_argument("--out", default="calibration.csv")
     return parser
 
 
 def cmd_analyze_properties(args) -> int:
     check_writable(args.out)
-    dataset = load_dataset(args.data_root, args.dataset)  # no property reads features
+    dataset = harness.load_dataset(args.data_root, args.dataset)  # no property reads features
     report = property_significance(dataset, args.seed)
     report.write_csv(args.out)
     print(f"{args.dataset}: {len(dataset)} graphs")
@@ -114,9 +108,9 @@ def cmd_analyze_hetero(args) -> int:
         if value < 1:
             raise ArgumentError(f"{flag} must be >= 1, got {value}")
     check_writable(args.out)
-    set_a = load_dataset_for_federation(args.data_root, args.set_a)
+    set_a = harness.load_dataset_for_federation(args.data_root, args.set_a)
     set_b = set_a if args.set_b == args.set_a else \
-        load_dataset_for_federation(args.data_root, args.set_b)
+        harness.load_dataset_for_federation(args.data_root, args.set_b)
     report = pairwise_heterogeneity(
         *dataset_pools(set_a, set_b, args.awe_length, args.bins, args.seed), args.pair_budget)
     write_heterogeneity_csv(args.out, [report])
@@ -128,8 +122,8 @@ def cmd_analyze_hetero(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = ExperimentConfig.from_file(args.config).with_overrides(args.set)
-    for algorithm, seed, m in run_experiment(config):
+    config = harness.ExperimentConfig.from_file(args.config).with_overrides(args.set)
+    for algorithm, seed, m in harness.run_experiment(config):
         print(f"{algorithm:10s} seed {seed}: avg acc {m.average:.4f}  min gain {m.min_gain:+.4f}  "
               f"improved {m.improved}/{m.total}")
     print(f"wrote CSV outputs to {Path(config.out_dir).resolve()}")
@@ -137,18 +131,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    config = ExperimentConfig.from_file(args.config).with_overrides(args.set)
-    try:
-        eps1_grid = [float(x) for x in args.eps1_grid.split(",") if x.strip()]
-        eps2_grid = [float(x) for x in args.eps2_grid.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ArgumentError(f"grid values must be numbers: {exc}") from exc
-    best1, best2, rows = calibrate_epsilons(config, eps1_grid, eps2_grid, args.rounds,
-                                            args.algorithm, args.out)
-    for row in rows:
-        print(f"  eps1={row['eps1']:g} eps2={row['eps2']:g} "
-              f"acc={row['accuracy']:.4f} clusters={row['clusters']}")
-    print(f"best: eps1={best1:g} eps2={best2:g} (wrote {args.out})")
+    config = harness.ExperimentConfig.from_file(args.config).with_overrides(
+        args.set + [f"rounds={args.rounds}"])  # rounds checked as a config, before any data
+    check_writable(args.out)
+    seed = config.seeds[0]
+    eps1, eps2, delta_mean, delta_max = harness.auto_epsilons(
+        harness.build_clients(config, seed), harness.make_run_config(config, seed), config.rounds)
+    write_csv(args.out, ["eps1", "eps2", "delta_mean", "delta_max"],
+              [[repr(eps1), repr(eps2), repr(delta_mean), repr(delta_max)]])
+    print(f"probe over {config.rounds} rounds: delta_mean={delta_mean:g} delta_max={delta_max:g}")
+    print(f"--set eps1={eps1!r} --set eps2={eps2!r} (wrote {args.out})")
     return 0
 
 

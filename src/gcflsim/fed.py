@@ -4,7 +4,7 @@ One process plays every role: per round the coordinator broadcasts each
 cluster's model, clients train locally and return parameter deltas, clusters
 aggregate size-weighted, and (for the clustered algorithms) split when the
 criteria fire. Everything is deterministic given the run seed: client RNGs
-derive from (run seed, client seed) and no other randomness exists.
+derive from (run seed, client id) and no other randomness exists.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class ClientState:
     id: int
     train_graphs: GraphBatch
     test_graphs: GraphBatch
-    seed: int = 0
 
     @property
     def data_size(self) -> int:
@@ -287,7 +286,7 @@ def run_federation(
         [ClusterState(k, list(m), init_flat.copy()) for k, m in enumerate(layout)], mu,
         {c.id: init_adam(init_flat.size, config.lr, config.weight_decay) for c in clients},
         {c.id: np.random.default_rng(
-            np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.seed])) for c in clients}),
+            np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.id])) for c in clients}),
         members) for (layout, mu), members in starts.items())
     forks = deque()  # forked groups, each with its next round
 

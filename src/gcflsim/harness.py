@@ -104,7 +104,7 @@ def partition_one_dataset(
         if dropped:
             logger.info("%s: dropping %d leftover graphs", dataset.name, dropped)
         chunks = [perm[i * per_client:(i + 1) * per_client] for i in range(num_clients)]
-    return [ClientState(i, *_split_train_test(dataset.graphs, chunk, test_fraction), seed=i)
+    return [ClientState(i, *_split_train_test(dataset.graphs, chunk, test_fraction))
             for i, chunk in enumerate(chunks)]
 
 
@@ -114,7 +114,7 @@ def client_from_dataset(
     """One client owning a whole dataset with a seeded held-out test split."""
     rng = np.random.default_rng(np.random.SeedSequence([_SPLIT_TAG, seed, client_id]))
     return ClientState(client_id, *_split_train_test(
-        dataset.graphs, rng.permutation(len(dataset)), test_fraction), seed=client_id)
+        dataset.graphs, rng.permutation(len(dataset)), test_fraction))
 
 
 def _degree_width(dataset: Dataset, feature_mode: str) -> Optional[int]:
@@ -216,7 +216,7 @@ def synthetic_two_group_clients(
             graphs = GraphBatch.from_edges(np.concatenate(edges), np.concatenate(features),
                                            np.full(len(labels), nodes), labels)
             clients.append(ClientState(cid, *_split_train_test(
-                graphs, np.arange(len(labels)), test_fraction), seed=cid))
+                graphs, np.arange(len(labels)), test_fraction)))
             groups[group_index].add(cid)
             cid += 1
     return clients, groups
@@ -554,36 +554,20 @@ def _collect_rows(result: RunResult, seed: int, rounds_rows, cluster_rows, split
 # ---------------------------------------------------------------------------
 
 
-def calibrate_epsilons(
-    config: ExperimentConfig,
-    eps1_grid: list[float],
-    eps2_grid: list[float],
-    rounds: int,
-    algorithm: str = "gcfl",
-    out_path: str | Path | None = None,
-) -> tuple[float, float, list[dict]]:
-    """Grid-search (eps1, eps2) by mean final held-out accuracy, in one ``run_federation`` call."""
-    if algorithm not in ("gcfl", "gcflplus"):
-        raise ConfigurationError("calibration targets gcfl or gcflplus")
-    if not eps1_grid or not eps2_grid:
-        raise ArgumentError("eps1 and eps2 grids must each hold at least one value")
-    if not all(eps > 0 for eps in eps1_grid + eps2_grid):
-        raise ArgumentError("eps1 and eps2 grid values must be > 0")
-    if out_path is not None:
-        check_writable(out_path)
-    points = [(eps1, eps2) for eps1 in eps1_grid for eps2 in eps2_grid]
-    distinct = list(dict.fromkeys(points))  # a repeated grid value repeats its rows
-    config, seed = replace(config, rounds=rounds), config.seeds[0]  # rounds checked as a config
-    variants = [Variant(algorithm, ClusterConfig(*p, config.min_split_size, config.warmup_rounds))
-                for p in distinct]
-    results = dict(zip(distinct, run_federation(build_clients(config, seed), variants, rounds,
-                                                make_run_config(config, seed))))
-    rows = [{"eps1": eps1, "eps2": eps2,
-             "accuracy": float(np.mean(list(results[eps1, eps2].final_accuracy.values()))),
-             "clusters": len(results[eps1, eps2].final_clusters)} for eps1, eps2 in points]
-    best = max(rows, key=lambda r: r["accuracy"])  # the first of equals
-    if out_path is not None:
-        write_csv(out_path, ["eps1", "eps2", "accuracy", "clusters"],
-                  [[repr(r["eps1"]), repr(r["eps2"]), repr(r["accuracy"]), r["clusters"]]
-                   for r in rows])
-    return best["eps1"], best["eps2"], rows
+MEAN_MARGIN = 1.5  # eps1 sits this far above the probe's last mean-update norm
+MAX_MARGIN = 0.6  # and eps2 this far below its largest client update norm
+
+
+def auto_epsilons(clients: list[ClientState], run_config: RunConfig,
+                  probe_rounds: int) -> tuple[float, float, float, float]:
+    """(eps1, eps2, delta_mean, delta_max) from a FedAvg probe of ``probe_rounds`` rounds.
+
+    eps1 is set above the probe's final mean-update norm so the stop criterion
+    can fire; eps2 below its final largest client update norm so heterogeneous
+    members keep the split criterion alive. The probe reads no test label.
+    """
+    cluster = run_federation(clients, [Variant("fedavg")], probe_rounds,
+                             run_config)[0].final_clusters[0]
+    delta_mean, delta_max = float(cluster.delta_mean), float(cluster.delta_max)
+    return (MEAN_MARGIN * max(delta_mean, 1e-12), MAX_MARGIN * max(delta_max, 1e-12),
+            delta_mean, delta_max)

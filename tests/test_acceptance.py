@@ -18,6 +18,7 @@ from gcflsim.fed import RunConfig, Variant, run_federation
 from gcflsim.gnn import gin_loss_and_grad, init_gin
 from gcflsim.harness import (
     ExperimentConfig,
+    auto_epsilons,
     client_from_dataset,
     cluster_heterogeneity_report,
     compute_metrics,
@@ -31,7 +32,6 @@ from gcflsim.properties import property_significance
 
 from conftest import (client_embeddings, data_root, labelled, random_graph, require_dataset,
                       with_features)
-from epsilons import auto_epsilons
 from sgc import normalized_adjacency, sgc_train
 from test_clustering import brute_force_mincut, random_weights
 from test_dtwseries import dtw_oracle
@@ -277,7 +277,7 @@ def test_criterion_7b_heterogeneity_reduction_mini_mix():
                    for i, ds in enumerate(datasets)]
 
         probe = RunConfig(seed=0, hidden=32, num_layers=2)
-        eps1, eps2 = auto_epsilons(clients, probe, probe_rounds=10)
+        eps1, eps2, _, _ = auto_epsilons(clients, probe, probe_rounds=10)
         result = run_one(clients, "gcfl", 14, probe,
                          ClusterConfig(eps1, eps2, min_split_size=2, warmup_rounds=10))
         assert result.split_events, "mini-mix run produced no split"
@@ -299,7 +299,7 @@ def test_criterion_8_desk_scale_mutag_experiment():
             clients = partition_one_dataset(dataset, 4, 47, test_fraction=0.1,
                                             seed=seed, label_skew=True)
             probe = RunConfig(seed=seed)
-            eps1, eps2 = auto_epsilons(clients, probe, probe_rounds=30)
+            eps1, eps2, _, _ = auto_epsilons(clients, probe, probe_rounds=30)
             criteria = ClusterConfig(eps1, eps2, min_split_size=3, warmup_rounds=30)
             accs = {result.algorithm: result.final_accuracy for result in run_federation(
                 clients, [Variant("selftrain"), Variant("fedavg"), Variant("gcflplus", criteria)],

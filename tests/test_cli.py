@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ import gcflsim
 from gcflsim import harness
 from gcflsim.cli import main
 from gcflsim.errors import ConfigurationError
+from gcflsim.fed import Variant, run_federation
 from gcflsim.outputs import write_csv
 
 from conftest import HYPOTHESIS, write_tu_fixture
@@ -208,8 +209,7 @@ def _command(tmp_path, command, out):
                    "hidden = 8\nnum_layers = 2\nhetero_report = false\n")
     if command == "run":
         return ["run", "--config", str(cfg), "--set", f"out_dir={out}"]
-    return ["calibrate", "--config", str(cfg), "--eps1-grid", "10", "--eps2-grid", "1",
-            "--rounds", "1", "--out", str(out)]
+    return ["calibrate", "--config", str(cfg), "--rounds", "1", "--out", str(out)]
 
 
 OUTPUT_COMMANDS = ["analyze-properties", "analyze-hetero", "run", "calibrate"]
@@ -377,8 +377,7 @@ class TestRun:
     def test_config_file_not_utf8_exit_code(self, tmp_path, capsys, command):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"rounds = 1 \xff\n")
-        grids = ["--eps1-grid", "10", "--eps2-grid", "1"] if command == "calibrate" else []
-        assert run_cli(command, "--config", str(cfg), *grids) == 3
+        assert run_cli(command, "--config", str(cfg)) == 3
         err = capsys.readouterr().err
         assert "ConfigurationError" in err and "cannot read config file" in err
 
@@ -516,26 +515,43 @@ class TestCalibrate:
         )
         return cfg
 
-    def test_grid_search_reports_best(self, tmp_path, capsys):
+    def test_writes_and_prints_the_probe_rule(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
-        out = tmp_path / "calib.csv"
-        code = run_cli("calibrate", "--config", str(cfg), "--algorithm", "gcfl",
-                       "--eps1-grid", "10.0", "--eps2-grid", "1e-6,1e3",
-                       "--rounds", "3", "--out", str(out))
-        assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "eps1,eps2,accuracy,clusters"
-        assert len(lines) == 3
-        assert "best:" in capsys.readouterr().out
+        out = tmp_path / "calibration.csv"
+        assert run_cli("calibrate", "--config", str(cfg), "--rounds", "4", "--out", str(out)) == 0
+        config = harness.ExperimentConfig.from_file(cfg)
+        probe = run_federation(harness.build_clients(config, 0), [Variant("fedavg")], 4,
+                               harness.make_run_config(config, 0))[0].final_clusters[0]
+        delta_mean, delta_max = probe.delta_mean, probe.delta_max
+        eps1, eps2 = 1.5 * delta_mean, 0.6 * delta_max
+        assert out.read_text().splitlines() == [
+            "eps1,eps2,delta_mean,delta_max", f"{eps1!r},{eps2!r},{delta_mean!r},{delta_max!r}"]
+        assert f"--set eps1={eps1!r} --set eps2={eps2!r}" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("grid", [",", "", "a", "0.1,b", "0", "0.1,-1", "nan"])
-    def test_bad_grid_is_argument_error(self, tmp_path, capsys, grid):
+    def test_test_labels_do_not_move_the_thresholds(self, tmp_path, monkeypatch):
+        # on this config, a pick by mean test accuracy moves when every test label flips
         cfg = self._write_config(tmp_path)
-        out = tmp_path / "calib.csv"
-        code = run_cli("calibrate", "--config", str(cfg), "--eps1-grid", grid,
-                       "--eps2-grid", "0.01", "--rounds", "1", "--out", str(out))
-        assert code == 2
-        assert "ArgumentError" in capsys.readouterr().err
+        args = ["calibrate", "--config", str(cfg), "--rounds", "4", "--out"]
+        assert run_cli(*args, str(tmp_path / "plain.csv")) == 0
+        build_clients = harness.build_clients
+
+        def flipped_test_labels(config, seed):
+            clients = build_clients(config, seed)
+            for c in clients:
+                c.test_graphs = replace(c.test_graphs, labels=1 - c.test_graphs.labels)
+            return clients
+
+        monkeypatch.setattr(harness, "build_clients", flipped_test_labels)
+        assert run_cli(*args, str(tmp_path / "flipped.csv")) == 0
+        assert (tmp_path / "flipped.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_diverging_probe_is_divergence(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "calibration.csv"
+        assert run_cli("calibrate", "--config", str(cfg), "--set", "lr=nan",
+                       "--rounds", "2", "--out", str(out)) == 8
+        err = capsys.readouterr().err
+        assert "DivergenceError" in err and "round 0" in err and "client 0" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("rounds", ["0", "-1"])
@@ -546,8 +562,7 @@ class TestCalibrate:
         monkeypatch.setattr(harness, "build_clients", no_data)
         cfg = self._write_config(tmp_path)
         out = tmp_path / "calib.csv"
-        code = run_cli("calibrate", "--config", str(cfg), "--eps1-grid", "0.1",
-                       "--eps2-grid", "0.01", "--rounds", rounds, "--out", str(out))
+        code = run_cli("calibrate", "--config", str(cfg), "--rounds", rounds, "--out", str(out))
         assert code == 3
         assert "ConfigurationError" in capsys.readouterr().err
         assert not out.exists()

@@ -6,21 +6,20 @@ import pytest
 
 from gcflsim.clustering import ClusterConfig, ClusterState
 from gcflsim.errors import ArgumentError, ConfigurationError
-from gcflsim import fed, harness, hetero
+from gcflsim import harness, hetero
 from gcflsim.fed import RunConfig, Variant, infer_dims, run_federation
 from gcflsim.gnn import one_hot_degrees
 from gcflsim.graphs import Dataset
 from gcflsim.harness import (
     MOLECULE_DATASETS,
     ExperimentConfig,
+    auto_epsilons,
     build_clients,
     build_multi_dataset_group,
-    calibrate_epsilons,
     client_from_dataset,
     cluster_heterogeneity_report,
     compute_metrics,
     load_dataset_for_federation,
-    make_run_config,
     partition_one_dataset,
     run_experiment,
     synthetic_two_group_clients,
@@ -29,8 +28,6 @@ from gcflsim.harness import (
 
 from conftest import (assert_same_union, client_embeddings, make_graph, one_graph,
                       random_graph, union, write_tu_fixture)
-from epsilons import auto_epsilons
-from test_fed import run_one
 from test_perfbench import write_tu_inputs
 
 
@@ -181,7 +178,7 @@ class TestClusterHeterogeneity:
     def test_identical_graph_clients_have_zero_heterogeneity(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)], feat_dim=2)
         from gcflsim.fed import ClientState
-        clients = [ClientState(i, union([g, g]), g, seed=i) for i in range(2)]
+        clients = [ClientState(i, union([g, g]), g) for i in range(2)]
         cluster = ClusterState(0, [0, 1], np.zeros(2))
         rows = cluster_heterogeneity_report(client_embeddings(clients, awe_length=3), [cluster])
         assert rows[1][2].structure_mean == 0.0
@@ -404,62 +401,8 @@ class TestAutoEpsilons:
         clients, groups = synthetic_two_group_clients(
             clients_per_group=2, graphs_per_client=12, seed=0)
         cfg = RunConfig(seed=0, hidden=8, num_layers=2, weight_decay=0.0)
-        eps1, eps2 = auto_epsilons(clients, cfg, probe_rounds=5)
+        eps1, eps2, _, _ = auto_epsilons(clients, cfg, probe_rounds=5)
         assert eps1 > 0 and eps2 > 0
         criteria = ClusterConfig(eps1, eps2, min_split_size=2, warmup_rounds=6)
         result = run_federation(clients, [Variant("gcfl", criteria)], 10, cfg)[0]
         assert result.split_events
-
-
-def calib_oracle(config, eps1_grid, eps2_grid, rounds, algorithm):
-    """calib.csv as one ``run_federation`` call per grid point writes it."""
-    seed = config.seeds[0]
-    lines = ["eps1,eps2,accuracy,clusters"]
-    for eps1 in eps1_grid:
-        for eps2 in eps2_grid:
-            result = run_one(build_clients(config, seed), algorithm, rounds,
-                             make_run_config(config, seed),
-                             ClusterConfig(eps1, eps2, config.min_split_size, config.warmup_rounds))
-            accuracy = float(np.mean(list(result.final_accuracy.values())))
-            lines.append(f"{eps1!r},{eps2!r},{accuracy!r},{len(result.final_clusters)}")
-    return "".join(line + "\r\n" for line in lines).encode()
-
-
-def count_calls(monkeypatch, module, name):
-    """Replace ``module.name`` by a wrapper that counts its calls; return the count list."""
-    calls, original = [], getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
-class TestCalibrateEpsilons:
-    @pytest.mark.parametrize("algorithm", ["gcfl", "gcflplus"])
-    @pytest.mark.parametrize("eps1_grid, eps2_grid", [([10.0, 1e-9], [1e-6, 1e3]),
-                                                      ([10.0, 1e-9, 10.0], [1e-6, 1e-6])],
-                             ids=["distinct", "repeated"])
-    def test_one_call_writes_what_one_call_per_point_writes(self, tmp_path, monkeypatch,
-                                                            algorithm, eps1_grid, eps2_grid):
-        config = ExperimentConfig(setting="synthetic", num_clients=4, hidden=8, num_layers=2,
-                                  weight_decay=0.0, min_split_size=2, warmup_rounds=1)
-        want = calib_oracle(config, eps1_grid, eps2_grid, 4, algorithm)
-        calls = count_calls(monkeypatch, harness, "run_federation")
-        calibrate_epsilons(config, eps1_grid, eps2_grid, 4, algorithm, tmp_path / "calib.csv")
-        assert len(calls) == 1
-        assert (tmp_path / "calib.csv").read_bytes() == want
-        assert b",1\r\n" in want and b",4\r\n" in want  # points that never split, and split
-
-    def test_grid_trains_only_its_distinct_histories(self, monkeypatch):
-        # on the benchmark's fed-synth clients, six points split at round 10 into the same
-        # halves and three never split: 11 shared rounds, then 19 for each of two groups
-        config = ExperimentConfig(setting="synthetic", num_clients=8, min_split_size=5,
-                                  warmup_rounds=10, weight_decay=0.0, hidden=32, num_layers=2,
-                                  seeds=[1])
-        calls = count_calls(monkeypatch, fed, "local_train")
-        _, _, rows = calibrate_epsilons(config, [0.02, 0.05, 0.1], [0.005, 0.01, 0.05], 30)
-        assert sorted(r["clusters"] for r in rows) == [1, 1, 1, 2, 2, 2, 2, 2, 2]
-        assert len(calls) == (11 + 2 * 19) * 8
