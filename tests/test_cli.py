@@ -554,6 +554,77 @@ class TestCalibrate:
         assert "DivergenceError" in err and "round 0" in err and "client 0" in err
         assert not out.exists()
 
+    def test_algorithm_flag_is_argument_error(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "calibration.csv"
+        with pytest.raises(SystemExit) as stop:
+            run_cli("calibrate", "--config", str(cfg), "--algorithm", "gcfl", "--out", str(out))
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --algorithm" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_probe_is_fedavg_over_the_given_rounds(self, tmp_path, monkeypatch, rounds):
+        calls, federate = [], harness.run_federation
+
+        def recorded(clients, variants, probe_rounds, run_config):
+            calls.append(([v.algorithm for v in variants], probe_rounds))
+            return federate(clients, variants, probe_rounds, run_config)
+
+        monkeypatch.setattr(harness, "run_federation", recorded)
+        cfg = self._write_config(tmp_path)
+        assert run_cli("calibrate", "--config", str(cfg), "--rounds", str(rounds),
+                       "--out", str(tmp_path / "calibration.csv")) == 0
+        assert calls == [(["fedavg"], rounds)]
+
+    @pytest.mark.parametrize("extra", [
+        "algorithms = gcfl, gcflplus\neps1 = 9.0\neps2 = 9.0\n",
+        "rounds = 7\n",
+        "hetero_report = true\npair_budget = 5\n",
+    ])
+    def test_reads_no_algorithm_threshold_or_config_rounds(self, tmp_path, extra):
+        # the probe is FedAvg over --rounds rounds whatever the config says it would run
+        cfg = self._write_config(tmp_path)
+        args = ["calibrate", "--rounds", "3", "--out"]
+        assert run_cli(*args, str(tmp_path / "plain.csv"), "--config", str(cfg)) == 0
+        cfg.write_text(cfg.read_text() + extra)
+        assert run_cli(*args, str(tmp_path / "extra.csv"), "--config", str(cfg)) == 0
+        assert (tmp_path / "extra.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_probes_the_first_seed(self, tmp_path):
+        cfg = self._write_config(tmp_path)
+        written = {}
+        for seeds in ("0, 4", "0", "4"):
+            out = tmp_path / f"{seeds.replace(', ', '_')}.csv"
+            assert run_cli("calibrate", "--config", str(cfg), "--set", f"seeds={seeds}",
+                           "--rounds", "2", "--out", str(out)) == 0
+            written[seeds] = out.read_bytes()
+        assert written["0, 4"] == written["0"] != written["4"]
+
+    def test_repeat_calibrate_byte_identical(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        outs, printed = [tmp_path / "a.csv", tmp_path / "b.csv"], []
+        for out in outs:
+            assert run_cli("calibrate", "--config", str(cfg), "--rounds", "3",
+                           "--out", str(out)) == 0
+            printed.append(capsys.readouterr().out.replace(str(out), "OUT"))
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert printed[0] == printed[1]
+
+    @pytest.mark.parametrize("algorithm", ["gcfl", "gcflplus"])
+    def test_printed_thresholds_are_run_arguments(self, tmp_path, capsys, algorithm):
+        cfg = self._write_config(tmp_path)
+        assert run_cli("calibrate", "--config", str(cfg), "--rounds", "3",
+                       "--out", str(tmp_path / "calibration.csv")) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("--set"))
+        sets = line.split(" (wrote")[0].split()
+        with open(tmp_path / "calibration.csv", newline="") as f:
+            row = next(csv.DictReader(f))
+        assert sets == ["--set", f"eps1={row['eps1']}", "--set", f"eps2={row['eps2']}"]
+        assert run_cli("run", "--config", str(cfg), *sets, "--set", f"algorithms={algorithm}",
+                       "--set", "rounds=3", "--set", "hetero_report=false") == 0
+        assert (tmp_path / "out" / "summary.csv").is_file()
+
     @pytest.mark.parametrize("rounds", ["0", "-1"])
     def test_nonpositive_rounds_is_configuration_error(self, tmp_path, capsys, monkeypatch, rounds):
         def no_data(*args):

@@ -194,6 +194,17 @@ class TestRunFederation:
         params = final_params(result)
         assert np.array_equal(params[0], params[1])
 
+    def test_shuffle_follows_the_client_id(self):
+        # one client's data under two ids: only its id-keyed batch order can tell them apart
+        base = tiny_clients(1)[0]
+        config = replace(TINY, batch_size=2)
+        by_id = {cid: final_params(run_one([ClientState(cid, base.train_graphs,
+                                                         base.test_graphs)],
+                                           "selftrain", 2, config))[cid] for cid in (0, 3)}
+        again = final_params(run_one([base], "selftrain", 2, config))[0]
+        assert np.array_equal(by_id[0], again)
+        assert not np.array_equal(by_id[0], by_id[3])
+
     def test_fedprox_mu_zero_equals_fedavg(self):
         clients = tiny_clients(2)
         cfg = RunConfig(seed=0, hidden=6, num_layers=2, prox_mu=0.0)

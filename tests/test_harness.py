@@ -406,3 +406,18 @@ class TestAutoEpsilons:
         criteria = ClusterConfig(eps1, eps2, min_split_size=2, warmup_rounds=6)
         result = run_federation(clients, [Variant("gcfl", criteria)], 10, cfg)[0]
         assert result.split_events
+
+    def test_thresholds_ignore_test_graphs(self):
+        clients, _ = synthetic_two_group_clients(clients_per_group=2, graphs_per_client=8, seed=0)
+        cfg = RunConfig(seed=0, hidden=8, num_layers=2, weight_decay=0.0)
+        # every client tested on another client's test graphs with flipped labels
+        swapped = [replace(c, test_graphs=replace(
+            other.test_graphs, labels=1 - other.test_graphs.labels))
+            for c, other in zip(clients, clients[1:] + clients[:1])]
+        assert auto_epsilons(swapped, cfg, 3) == auto_epsilons(clients, cfg, 3)
+
+    def test_zero_update_norms_floor_the_thresholds(self):
+        # with lr 0 no client moves, and the thresholds stay positive rather than zero
+        clients, _ = synthetic_two_group_clients(clients_per_group=2, graphs_per_client=6, seed=0)
+        cfg = RunConfig(seed=0, hidden=8, num_layers=2, lr=0.0, weight_decay=0.0)
+        assert auto_epsilons(clients, cfg, probe_rounds=2) == (1.5e-12, 0.6e-12, 0.0, 0.0)
