@@ -36,7 +36,6 @@ from .gnn import (
     cross_entropy,
     gin_forward,
     gin_loss_and_grad,
-    init_adam,
     init_gin,
 )
 from .graphs import GraphBatch
@@ -68,6 +67,8 @@ class ClientState:
 
 @dataclass
 class RunConfig:
+    """The settings every algorithm of a run shares; only gcfl and gcflplus read ``criteria``."""
+
     seed: int = 0
     epochs: int = 1
     batch_size: int = 128
@@ -78,14 +79,16 @@ class RunConfig:
     prox_mu: float = 0.01
     window_length: int = 10
     standardize: bool = False
-
-
-@dataclass
-class Variant:
-    """An algorithm and its split criteria, which gcfl and gcflplus need and no other takes."""
-
-    algorithm: str
     criteria: Optional[ClusterConfig] = None
+
+    def __post_init__(self):
+        for name, value in (("batch_size", self.batch_size), ("hidden", self.hidden),
+                            ("num_layers", self.num_layers), ("window length", self.window_length)):
+            if value < 1:
+                raise ArgumentError(f"{name} must be >= 1, got {value}")
+        for key in ("epochs", "lr", "weight_decay", "prox_mu"):
+            if getattr(self, key) < 0:  # a nan lr passes here and stops as divergence
+                raise ArgumentError(f"{key} must be >= 0, got {getattr(self, key)}")
 
 
 @dataclass
@@ -106,7 +109,7 @@ class RoundReport:
 
 @dataclass
 class RunResult:
-    """A variant's run as stored once: its round reports, split events and final clusters."""
+    """An algorithm's run as stored once: its round reports, split events and final clusters."""
 
     algorithm: str
     reports: list[RoundReport]
@@ -136,35 +139,34 @@ def local_train(
     start_params: np.ndarray,
     optimizer: AdamState,
     rng: np.random.Generator,
-    epochs: int,
-    batch_size: int = 128,
+    config: RunConfig,
     prox_mu: float = 0.0,
 ) -> tuple[np.ndarray, float]:
     """Train ``model`` locally from ``start_params``; return (delta, mean batch loss).
 
-    Runs ``epochs`` passes of mini-batch steps of ``optimizer``, each shuffled
-    by ``rng``, each batch cut from ``client.train_graphs``. With
-    ``prox_mu``, each batch objective gains FedProx's proximal term
-    (prox_mu/2)*||theta - start_params||^2. The delta is final minus start
-    parameters; the loss is nan when no batch ran (``epochs=0``).
+    Runs ``config.epochs`` passes of Adam steps on batches of
+    ``config.batch_size``, each pass shuffled by ``rng``, each batch cut from
+    ``client.train_graphs``. With ``prox_mu``, each batch objective gains
+    FedProx's proximal term (prox_mu/2)*||theta - start_params||^2. The delta
+    is final minus start parameters; the loss is nan when no batch ran
+    (``epochs=0``).
     """
-    if epochs < 0:
-        raise ArgumentError("epochs must be >= 0")
     graphs = client.train_graphs
     start = np.array(start_params, dtype=np.float64)
     model.vector[:] = start
     losses = []
-    for _ in range(epochs):
+    for _ in range(config.epochs):
         order = rng.permutation(len(graphs))
-        for lo in range(0, len(order), batch_size):
-            batch = graphs.take(order[lo:lo + batch_size])
+        for lo in range(0, len(order), config.batch_size):
+            batch = graphs.take(order[lo:lo + config.batch_size])
             loss, grad = gin_loss_and_grad(model, batch)
             if prox_mu:
                 diff = model.vector - start
                 loss += 0.5 * prox_mu * float(diff @ diff)
                 grad = grad + prox_mu * diff
             losses.append(loss)
-            model.vector[:] = adam_step(optimizer, model.vector, grad)
+            model.vector[:] = adam_step(optimizer, model.vector, grad, config.lr,
+                                        config.weight_decay)
     return model.vector - start, float(np.mean(losses)) if losses else float("nan")
 
 
@@ -200,7 +202,7 @@ def _prox_is_zero(clients: list[ClientState], config: RunConfig) -> bool:
 
 @dataclass
 class _RunState:
-    """What a group of variants carries from one round to the next."""
+    """What a group of algorithms carries from one round to the next."""
 
     clusters: list[ClusterState]  # in id order, as children take the next ids
     prox_mu: float  # the group's effective proximal mu
@@ -223,43 +225,41 @@ class _RunState:
 
 def run_federation(
     clients: list[ClientState],
-    variants: list[Variant],
+    algorithms: list[str],
     rounds: int,
     config: RunConfig,
 ) -> list[RunResult]:
-    """Run each of ``variants`` on the same clients: one ``RunResult`` per variant, in order.
+    """Run each of ``algorithms`` on the same clients: one ``RunResult`` per algorithm, in order.
 
     Per round: broadcast each cluster's model, train all members locally,
     record the update norms, aggregate per cluster, evaluate every client on
-    its held-out split, then (gcfl/gcflplus) check the split criteria and
+    its held-out split, then (gcfl/gcflplus) check ``config.criteria`` and
     bipartition clusters whose criteria fire; both children inherit the
-    freshly aggregated parent model and start the next round from it.
+    freshly aggregated parent model and start the next round from it. The
+    other algorithms ignore ``config.criteria``.
 
-    The variants run in groups of variants in the same state, and a group
+    The algorithms run in groups of algorithms in the same state, and a group
     computes each round once. They start in one group per initial layout
     (selftrain's singleton clusters, or one cluster of all clients) and
     effective proximal mu (fedprox's unless ``_prox_is_zero``, else 0). A
-    group forks where its variants' split decisions differ: whether a cluster
-    splits, or into which ordered halves. So each variant returns what it
+    group forks where its algorithms' split decisions differ: whether a cluster
+    splits, or into which ordered halves. So each algorithm returns what it
     returns alone, bit for bit. Groups run depth-first: one group runs all its
     remaining rounds while its forks wait in a queue, each with its next round,
     and the queue empties before the next starting group is built. So a
     finished group's Adam states and RNGs are freed before another starts.
     """
-    if not variants:
-        raise ArgumentError("need at least one algorithm variant")
-    for v in variants:
-        if v.algorithm not in ALGORITHMS:
-            raise ArgumentError(f"unknown algorithm {v.algorithm!r}")
-        if (v.algorithm in ("gcfl", "gcflplus")) != (v.criteria is not None):
-            raise ArgumentError(f"gcfl and gcflplus, and no other algorithm, take split "
-                                f"criteria (a ClusterConfig); got {v}")
-    if any(v in variants[:i] for i, v in enumerate(variants)):
-        raise ArgumentError(f"algorithm variants named more than once: {list(variants)}")
+    if not algorithms:
+        raise ArgumentError("need at least one algorithm")
+    for algorithm in algorithms:
+        if algorithm not in ALGORITHMS:
+            raise ArgumentError(f"unknown algorithm {algorithm!r}")
+        if algorithm in ("gcfl", "gcflplus") and config.criteria is None:
+            raise ArgumentError(f"{algorithm} needs split criteria (RunConfig.criteria)")
+    if len(set(algorithms)) != len(algorithms):
+        raise ArgumentError(f"algorithms named more than once: {list(algorithms)}")
     if rounds < 1:
         raise ArgumentError(f"rounds must be >= 1, got {rounds}")
-    if config.window_length < 1:
-        raise ArgumentError(f"window length must be >= 1, got {config.window_length}")
     if not clients:
         raise ArgumentError("need at least one client")
 
@@ -276,28 +276,28 @@ def run_federation(
     model = init_gin(input_dim, output_dim, config.hidden, config.num_layers, init_rng)
     init_flat = model.vector.copy()  # the model itself is every client's working copy
 
-    starts: dict[tuple, list[int]] = {}  # (initial layout, effective mu) -> variant indices
+    starts: dict[tuple, list[int]] = {}  # (initial layout, effective mu) -> algorithm indices
     fedprox_mu = 0.0 if _prox_is_zero(clients, config) else config.prox_mu
-    for i, v in enumerate(variants):
-        layout = tuple((cid,) for cid in by_id) if v.algorithm == "selftrain" else (tuple(by_id),)
-        starts.setdefault((layout, fedprox_mu if v.algorithm == "fedprox" else 0.0), []).append(i)
+    for i, algorithm in enumerate(algorithms):
+        layout = tuple((cid,) for cid in by_id) if algorithm == "selftrain" else (tuple(by_id),)
+        starts.setdefault((layout, fedprox_mu if algorithm == "fedprox" else 0.0), []).append(i)
     # the starting groups, each built only when it starts, with its first round
     starting = ((0, _RunState(
         [ClusterState(k, list(m), init_flat.copy()) for k, m in enumerate(layout)], mu,
-        {c.id: init_adam(init_flat.size, config.lr, config.weight_decay) for c in clients},
+        {c.id: AdamState(np.zeros(init_flat.size), np.zeros(init_flat.size)) for c in clients},
         {c.id: np.random.default_rng(
             np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.id])) for c in clients}),
         members) for (layout, mu), members in starts.items())
     forks = deque()  # forked groups, each with its next round
 
-    # each variant's own records; the rest of its result is read off its last group's state
-    results = [RunResult(v.algorithm, [], [], []) for v in variants]
+    # each algorithm's own records; the rest of its result is read off its last group's state
+    results = [RunResult(algorithm, [], [], []) for algorithm in algorithms]
     while group := forks.popleft() if forks else next(starting, None):
         start, run, members = group
         for t in range(start, rounds):
             (run, members), *split_off = _split_round(
-                t, run, _train_round(t, run, by_id, model, config), members, variants, results,
-                config)
+                t, run, _train_round(t, run, by_id, model, config), members, algorithms,
+                results, config)
             forks.extend((t + 1, *fork) for fork in split_off)
         for n, i in enumerate(members):
             if n:  # so that no two results share a list
@@ -317,8 +317,7 @@ def _train_round(t: int, run: _RunState, by_id: dict[int, ClientState], model: G
         for cid in cluster.members:
             optimizer = run.optimizers[cid]
             delta, train_loss[cid] = local_train(by_id[cid], model, cluster.model, optimizer,
-                                                 run.rngs[cid], config.epochs, config.batch_size,
-                                                 run.prox_mu)
+                                                 run.rngs[cid], config, run.prox_mu)
             # a finite delta whose norm overflows has diverged as well
             with np.errstate(over="ignore"):
                 norms[cid] = float(np.linalg.norm(delta))
@@ -346,27 +345,27 @@ def _train_round(t: int, run: _RunState, by_id: dict[int, ClientState], model: G
 
 
 def _split_round(t: int, run: _RunState, deltas: dict[int, np.ndarray], members: list[int],
-                 variants: list[Variant], results: list[RunResult],
+                 algorithms: list[str], results: list[RunResult],
                  config: RunConfig) -> list[tuple[_RunState, list[int]]]:
     """Split ``run``, the group ``members``, after round ``t``'s ``deltas``: a state per decision.
 
-    A variant's decision lists, for each cluster whose criteria fire, the
+    An algorithm's decision lists, for each cluster whose criteria fire, the
     ordered member halves of its cut. Each cut is computed once per splitter
-    (gcfl's cosine or gcflplus's DTW) and cluster, and each variant records
+    (gcfl's cosine or gcflplus's DTW) and cluster, and each algorithm records
     its own split events. The children of a decision's n-th split take ids
     m + 2n and m + 2n + 1, m one past the largest live id. The first
     decision continues ``run``; each later one continues a copy of it.
     """
     cuts = {}  # (algorithm, cluster id) -> (halves, cut value, windows)
-    decisions: dict[tuple, list[int]] = {}  # decision -> the variants that take it
+    decisions: dict[tuple, list[int]] = {}  # decision -> the algorithms that take it
     next_id = max(k.id for k in run.clusters) + 1
     for i in members:
-        algorithm, criteria = variants[i].algorithm, variants[i].criteria
+        algorithm = algorithms[i]
         decision = []
         for cluster in run.clusters:
             n = len(cluster.members)
-            if criteria is None or n < 2 or not split_check(
-                    cluster.delta_mean, cluster.delta_max, n, criteria, t):
+            if algorithm not in ("gcfl", "gcflplus") or n < 2 or not split_check(
+                    cluster.delta_mean, cluster.delta_max, n, config.criteria, t):
                 continue
             if (algorithm, cluster.id) not in cuts:
                 cuts[algorithm, cluster.id] = _cut(run, deltas, cluster, algorithm, config)

@@ -235,35 +235,30 @@ def gin_loss_and_grad(model: GinModel, graphs: GraphBatch) -> tuple[float, np.nd
 # ---------------------------------------------------------------------------
 
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults, shared by every client
+
+
 @dataclass
 class AdamState:
+    """One client's Adam moments and step count; the hyperparameters are the run's."""
+
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.0
 
 
-def init_adam(size: int, lr: float = 1e-3, weight_decay: float = 0.0,
-              beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
-    return AdamState(np.zeros(size), np.zeros(size), 0,
-                     lr, beta1, beta2, epsilon, weight_decay)
-
-
-def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """One bias-corrected Adam update; weight decay folds into the gradient."""
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, lr: float,
+              weight_decay: float) -> np.ndarray:
+    """One bias-corrected Adam update of step size ``lr``; weight decay folds into the gradient."""
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ArgumentError("parameter, gradient and moment lengths must match")
-    g = grad + state.weight_decay * params if state.weight_decay else grad
+    g = grad + weight_decay * params if weight_decay else grad
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1**state.step)
-    v_hat = state.v / (1.0 - state.beta2**state.step)
-    return params - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * g
+    state.v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    m_hat = state.m / (1.0 - BETA1**state.step)
+    v_hat = state.v / (1.0 - BETA2**state.step)
+    return params - lr * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .clustering import ClusterConfig
 from .errors import ArgumentError, ConfigurationError, CorruptDatasetError, IngestionError
-from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, Variant, run_federation
+from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, run_federation
 from .gnn import one_hot_degrees
 from .graphs import Dataset, GraphBatch, binomial_gnp, load_tu_dataset
 from .hetero import (MAX_WALK_LENGTH, GraphEmbeddings, GraphPool, HeterogeneityReport,
@@ -157,12 +157,11 @@ def load_dataset(data_root: str | Path, name: str) -> Dataset:
         raise ConfigurationError(f"dataset {name} not available: {exc}") from exc
 
 
-def load_dataset_for_federation(
-    data_root: str | Path, name: str, feature_mode: str = "original"
-) -> Dataset:
-    """``load_dataset`` with the node features the set federates on (see ``_degree_width``)."""
+def load_dataset_for_federation(data_root: str | Path, name: str) -> Dataset:
+    """``load_dataset`` with the node features the set federates on in ``original`` mode
+    (see ``_degree_width``)."""
     ds = load_dataset(data_root, name)
-    max_degree = _degree_width(ds, feature_mode)
+    max_degree = _degree_width(ds, "original")
     return ds if max_degree is None else Dataset(name, with_degree_features(ds.graphs, max_degree))
 
 
@@ -272,17 +271,12 @@ def cluster_heterogeneity_report(
     """
     if not clusters:
         raise ArgumentError("no clusters to report on")
-    pools = [("all", "all", list(embeddings.sets))] + [
-        (str(k.id), f"cluster_{k.id}", k.members) for k in sorted(clusters, key=lambda k: k.id)]
-    keys = sorted((cid, pos) for cid, counts in embeddings.edge_counts.items()
-                  for pos in range(len(counts)))
-    rows = []
-    for cluster_id, name, members in pools:
-        ids = set(members)
-        pool = GraphPool(name, [key for key in keys if key[0] in ids])
-        rows.append((cluster_id, len(members),
-                     pairwise_heterogeneity(embeddings, pool, pool, pair_budget)))
-    return rows
+    pools = [("all", GraphPool("all", list(embeddings.sets)))] + [
+        (str(k.id), GraphPool(f"cluster_{k.id}", k.members))
+        for k in sorted(clusters, key=lambda k: k.id)]
+    return [(cluster_id, len(pool.tags),
+             pairwise_heterogeneity(embeddings, pool, pool, pair_budget))
+            for cluster_id, pool in pools]
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +445,14 @@ def build_clients(config: ExperimentConfig, seed: int) -> list[ClientState]:
 
 
 def make_run_config(config: ExperimentConfig, seed: int) -> RunConfig:
-    """The run settings of one seed; split criteria travel with each ``Variant``."""
+    """The run settings of one seed, with split criteria when eps1 and eps2 are both set."""
+    criteria = None if config.eps1 is None or config.eps2 is None else ClusterConfig(
+        config.eps1, config.eps2, config.min_split_size, config.warmup_rounds)
     return RunConfig(
         seed=seed, epochs=config.epochs, batch_size=config.batch_size, lr=config.lr,
         weight_decay=config.weight_decay, hidden=config.hidden, num_layers=config.num_layers,
         prox_mu=config.prox_mu, window_length=config.window, standardize=config.standardize,
+        criteria=criteria,
     )
 
 
@@ -475,16 +472,14 @@ def run_experiment(config: ExperimentConfig) -> list[tuple[str, int, MetricsSumm
         raise ConfigurationError(f"{clustered[0]} requires eps1 and eps2 (try `calibrate`)")
     check_writable(config.out_dir, directory=True)
     algorithms = ["selftrain"] + [a for a in config.algorithms if a != "selftrain"]
-    criteria = ClusterConfig(config.eps1, config.eps2, config.min_split_size,
-                             config.warmup_rounds) if clustered else None
-    variants = [Variant(a, criteria if a in clustered else None) for a in algorithms]
 
     rounds_rows, cluster_rows, split_rows, hetero_rows, window_rows = [], [], [], [], []
     summaries = []
 
     for seed in config.seeds:
         clients = build_clients(config, seed)
-        results = run_federation(clients, variants, config.rounds, make_run_config(config, seed))
+        results = run_federation(clients, algorithms, config.rounds,
+                                 make_run_config(config, seed))
         selftrain_acc = results[0].final_accuracy
         embeddings = None
         if config.hetero_report and clustered:
@@ -566,8 +561,7 @@ def auto_epsilons(clients: list[ClientState], run_config: RunConfig,
     can fire; eps2 below its final largest client update norm so heterogeneous
     members keep the split criterion alive. The probe reads no test label.
     """
-    cluster = run_federation(clients, [Variant("fedavg")], probe_rounds,
-                             run_config)[0].final_clusters[0]
+    cluster = run_federation(clients, ["fedavg"], probe_rounds, run_config)[0].final_clusters[0]
     delta_mean, delta_max = float(cluster.delta_mean), float(cluster.delta_max)
     return (MEAN_MARGIN * max(delta_mean, 1e-12), MAX_MARGIN * max(delta_max, 1e-12),
             delta_mean, delta_max)

@@ -219,10 +219,10 @@ def feature_sim_histogram(graph: GraphBatch, bins: int = 20) -> np.ndarray:
 
 
 class GraphPool(NamedTuple):
-    """A named list of graph keys: one side of a pairwise comparison."""
+    """A named list of a store's tags, every graph of each: one side of a pairwise comparison."""
 
     name: str
-    keys: list[tuple[int, int]]
+    tags: list[int]
 
 
 class GraphEmbeddings:
@@ -232,7 +232,8 @@ class GraphEmbeddings:
     of the unions ``sets[tag]``, counted through them in order. A call embeds
     the graphs it misses in one pass per union they sit in, over the union of
     just them, cut with one ``take``. A sampled graph's walk seed comes from
-    its key, so every pool that holds it reads one estimate.
+    its key, so every pool that holds it reads one estimate. A ``GraphPool``
+    names tags, and ``keys`` expands them; no caller spells a key.
     """
 
     def __init__(self, sets: dict[int, list[GraphBatch]], awe_length: int = 4, bins: int = 20,
@@ -241,6 +242,11 @@ class GraphEmbeddings:
         self.edge_counts = {tag: np.concatenate([u.edge_counts for u in unions]).tolist()
                             for tag, unions in sets.items()}
         self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def keys(self, pool: GraphPool) -> list[tuple[int, int]]:
+        """The keys of every graph of ``pool``'s tags, in tag order, then position order."""
+        return [(tag, pos) for tag in sorted(pool.tags)
+                for pos in range(len(self.edge_counts[tag]))]
 
     def rows(self, keys: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
         """The stacked walk-pattern probabilities and similarity histograms of ``keys``."""
@@ -278,11 +284,11 @@ def dataset_pools(set_a: Dataset, set_b: Dataset, awe_length: int = 4, bins: int
                   seed: int = 0) -> tuple[GraphEmbeddings, GraphPool, GraphPool]:
     """One embedding store over two datasets, and a pool of each.
 
-    Graph i of set A has key (0, i) and of set B (1, i); one Dataset object
-    passed as both sets is one pool, compared against itself.
+    Set A has tag 0 and set B tag 1; one Dataset object passed as both sets
+    is one pool, compared against itself.
     """
     sets = [set_a] if set_b is set_a else [set_a, set_b]
-    pools = [GraphPool(ds.name, [(tag, i) for i in range(len(ds))]) for tag, ds in enumerate(sets)]
+    pools = [GraphPool(ds.name, [tag]) for tag, ds in enumerate(sets)]
     return (GraphEmbeddings({tag: [ds.graphs] for tag, ds in enumerate(sets)}, awe_length, bins,
                             seed), pools[0], pools[-1])
 
@@ -309,9 +315,10 @@ def pairwise_heterogeneity(embeddings: GraphEmbeddings, pool_a: GraphPool, pool_
     """
     if pair_budget < 1:
         raise ArgumentError(f"pair budget must be >= 1, got {pair_budget}")
-    same = pool_a.keys == pool_b.keys
-    keys_a = _valid_keys(embeddings, pool_a)
-    keys_b = keys_a if same else _valid_keys(embeddings, pool_b)
+    keys_a, keys_b = embeddings.keys(pool_a), embeddings.keys(pool_b)
+    same = keys_a == keys_b
+    keys_a = _valid_keys(embeddings, pool_a.name, keys_a)
+    keys_b = keys_a if same else _valid_keys(embeddings, pool_b.name, keys_b)
     if same and len(keys_a) == 1:
         return HeterogeneityReport(pool_a.name, pool_b.name, 0.0, 0.0, 0.0, 0.0)
     rows, cols = _sample_pairs(len(keys_a), len(keys_b), same, pair_budget, embeddings.seed)
@@ -323,13 +330,14 @@ def pairwise_heterogeneity(embeddings: GraphEmbeddings, pool_a: GraphPool, pool_
                                float(structure.std()), float(feature.mean()), float(feature.std()))
 
 
-def _valid_keys(embeddings: GraphEmbeddings, pool: GraphPool) -> list[tuple[int, int]]:
-    valid = [key for key in pool.keys if embeddings.edge_counts[key[0]][key[1]] > 0]
-    skipped = len(pool.keys) - len(valid)
-    if 2 * skipped > len(pool.keys):
-        raise UndefinedEmbeddingError(f"{pool.name}: more than half of the graphs have no edges")
+def _valid_keys(embeddings: GraphEmbeddings, name: str,
+                keys: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    valid = [key for key in keys if embeddings.edge_counts[key[0]][key[1]] > 0]
+    skipped = len(keys) - len(valid)
+    if 2 * skipped > len(keys):
+        raise UndefinedEmbeddingError(f"{name}: more than half of the graphs have no edges")
     if skipped:
-        logger.warning("%s: skipping %d edgeless graphs", pool.name, skipped)
+        logger.warning("%s: skipping %d edgeless graphs", name, skipped)
     return valid
 
 

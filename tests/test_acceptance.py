@@ -7,6 +7,7 @@ message when the data directory is absent.
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from scipy import stats as scipy_stats
 
 from gcflsim.clustering import ClusterConfig, stoer_wagner_mincut
 from gcflsim.dtwseries import dtw_distance
-from gcflsim.fed import RunConfig, Variant, run_federation
+from gcflsim.fed import RunConfig, run_federation
 from gcflsim.gnn import gin_loss_and_grad, init_gin
 from gcflsim.harness import (
     ExperimentConfig,
@@ -74,10 +75,9 @@ def _recovery_runs(seed):
     """gcfl and gcflplus as one sweep: (recovered, split round, result, clients) for each."""
     clients, groups = synthetic_two_group_clients(seed=seed)
     truth = {frozenset(groups[0]), frozenset(groups[1])}
-    criteria = ClusterConfig(**RECOVERY_CLUSTER)
+    config = RunConfig(seed=seed, weight_decay=0.0, criteria=ClusterConfig(**RECOVERY_CLUSTER))
     runs = {}
-    for result in run_federation(clients, [Variant("gcfl", criteria), Variant("gcflplus", criteria)],
-                                 RECOVERY_ROUNDS, RunConfig(seed=seed, weight_decay=0.0)):
+    for result in run_federation(clients, ["gcfl", "gcflplus"], RECOVERY_ROUNDS, config):
         recovered = False
         split_round = None
         if result.split_events:
@@ -302,8 +302,8 @@ def test_criterion_8_desk_scale_mutag_experiment():
             eps1, eps2, _, _ = auto_epsilons(clients, probe, probe_rounds=30)
             criteria = ClusterConfig(eps1, eps2, min_split_size=3, warmup_rounds=30)
             accs = {result.algorithm: result.final_accuracy for result in run_federation(
-                clients, [Variant("selftrain"), Variant("fedavg"), Variant("gcflplus", criteria)],
-                200, probe)}
+                clients, ["selftrain", "fedavg", "gcflplus"], 200,
+                replace(probe, criteria=criteria))}
             elapsed = time.monotonic() - start
             fedavg = compute_metrics(accs["fedavg"], accs["selftrain"])
             gcflplus = compute_metrics(accs["gcflplus"], accs["selftrain"])

@@ -16,7 +16,7 @@ import gcflsim
 from gcflsim import harness
 from gcflsim.cli import main
 from gcflsim.errors import ConfigurationError
-from gcflsim.fed import Variant, run_federation
+from gcflsim.fed import run_federation
 from gcflsim.outputs import write_csv
 
 from conftest import HYPOTHESIS, write_tu_fixture
@@ -520,7 +520,7 @@ class TestCalibrate:
         out = tmp_path / "calibration.csv"
         assert run_cli("calibrate", "--config", str(cfg), "--rounds", "4", "--out", str(out)) == 0
         config = harness.ExperimentConfig.from_file(cfg)
-        probe = run_federation(harness.build_clients(config, 0), [Variant("fedavg")], 4,
+        probe = run_federation(harness.build_clients(config, 0), ["fedavg"], 4,
                                harness.make_run_config(config, 0))[0].final_clusters[0]
         delta_mean, delta_max = probe.delta_mean, probe.delta_max
         eps1, eps2 = 1.5 * delta_mean, 0.6 * delta_max
@@ -567,9 +567,9 @@ class TestCalibrate:
     def test_probe_is_fedavg_over_the_given_rounds(self, tmp_path, monkeypatch, rounds):
         calls, federate = [], harness.run_federation
 
-        def recorded(clients, variants, probe_rounds, run_config):
-            calls.append(([v.algorithm for v in variants], probe_rounds))
-            return federate(clients, variants, probe_rounds, run_config)
+        def recorded(clients, algorithms, probe_rounds, run_config):
+            calls.append((list(algorithms), probe_rounds))
+            return federate(clients, algorithms, probe_rounds, run_config)
 
         monkeypatch.setattr(harness, "run_federation", recorded)
         cfg = self._write_config(tmp_path)

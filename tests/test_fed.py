@@ -13,12 +13,11 @@ from gcflsim.fed import (
     _INIT_SEED_TAG,
     ClientState,
     RunConfig,
-    Variant,
     evaluate_client,
     local_train,
     run_federation,
 )
-from gcflsim.gnn import GinModel, adam_step, gin_loss_and_grad, init_adam, init_gin
+from gcflsim.gnn import AdamState, GinModel, adam_step, gin_loss_and_grad, init_gin
 from gcflsim.harness import synthetic_two_group_clients
 
 from conftest import HYPOTHESIS, labelled, random_graph, union
@@ -40,8 +39,8 @@ TINY = RunConfig(seed=0, hidden=6, num_layers=2)
 
 
 def run_one(clients, algorithm, rounds, config, criteria=None):
-    """The result of a ``run_federation`` call that runs one variant alone."""
-    return run_federation(clients, [Variant(algorithm, criteria)], rounds, config)[0]
+    """The result of a ``run_federation`` call that runs one algorithm alone, under ``criteria``."""
+    return run_federation(clients, [algorithm], rounds, replace(config, criteria=criteria))[0]
 
 
 def final_params(result):
@@ -103,21 +102,34 @@ class TestFedavgAggregate:
             fedavg_aggregate([np.zeros(2)], [1, 2], np.zeros(2))
 
 
+class TestRunConfig:
+    # window_length has its own test, test_window_below_one_rejected
+    @pytest.mark.parametrize("key, value, rule", [
+        ("batch_size", 0, ">= 1"), ("batch_size", -1, ">= 1"), ("hidden", 0, ">= 1"),
+        ("num_layers", 0, ">= 1"), ("epochs", -1, ">= 0"), ("lr", -1.0, ">= 0"),
+        ("weight_decay", -1e-9, ">= 0"), ("prox_mu", -0.1, ">= 0")])
+    def test_bad_value_rejected(self, key, value, rule):
+        with pytest.raises(ArgumentError, match=f"^{key} must be {rule}, got {value}$"):
+            RunConfig(**{key: value})
+
+
 class TestLocalTrain:
     def _ready_client(self, seed=0):
         """A client, a model, its start parameters, an Adam state and a shuffle RNG."""
         client = tiny_clients(1, seed=seed)[0]
         model = init_gin(3, 2, hidden=6, num_layers=2, rng=np.random.default_rng(1))
-        return (client, model, model.vector.copy(), init_adam(model.vector.size, lr=1e-3),
+        size = model.vector.size
+        return (client, model, model.vector.copy(), AdamState(np.zeros(size), np.zeros(size)),
                 np.random.default_rng(42))
 
     def test_zero_epochs_zero_delta(self):
-        delta, loss = local_train(*self._ready_client(), epochs=0)
+        delta, loss = local_train(*self._ready_client(), replace(TINY, epochs=0))
         assert np.all(delta == 0.0) and np.isnan(loss)
 
     def test_zero_mu_prox_identical_to_plain(self):
-        delta_plain, loss_plain = local_train(*self._ready_client(), epochs=2)
-        delta_prox, loss_prox = local_train(*self._ready_client(), epochs=2, prox_mu=0.0)
+        delta_plain, loss_plain = local_train(*self._ready_client(), replace(TINY, epochs=2))
+        delta_prox, loss_prox = local_train(*self._ready_client(), replace(TINY, epochs=2),
+                                            prox_mu=0.0)
         assert np.array_equal(delta_plain, delta_prox) and loss_plain == loss_prox
 
     def test_prox_gradient_matches_finite_differences(self):
@@ -160,7 +172,7 @@ class TestRunFederation:
         init = init_gin(3, 2, TINY.hidden, TINY.num_layers, init_rng).vector
         for client in tiny_clients(2):
             model = GinModel(3, 2, TINY.hidden, TINY.num_layers, init.copy())
-            opt = init_adam(len(init), TINY.lr, TINY.weight_decay)
+            opt = AdamState(np.zeros(len(init)), np.zeros(len(init)))
             rng = np.random.default_rng(
                 np.random.SeedSequence([TINY.seed, _CLIENT_SEED_TAG, client.id]))
             graphs = list(client.train_graphs)
@@ -169,7 +181,8 @@ class TestRunFederation:
                 for lo in range(0, len(order), batch_size):
                     idx = order[lo:lo + batch_size]
                     _, grad = gin_loss_and_grad(model, union(graphs[i] for i in idx))
-                    model.vector[:] = adam_step(opt, model.vector, grad)
+                    model.vector[:] = adam_step(opt, model.vector, grad, TINY.lr,
+                                                TINY.weight_decay)
             assert np.array_equal(model.vector, fed_params[client.id])
 
     def test_single_client_fedavg_equals_selftrain(self):
@@ -335,27 +348,23 @@ class TestRunFederation:
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_no_rounds_rejected(self, rounds):
         with pytest.raises(ArgumentError, match="rounds must be >= 1"):
-            run_federation(tiny_clients(2), [Variant("gcfl", SPLIT_AT_1)], rounds, SWEEP)
+            run_one(tiny_clients(2), "gcfl", rounds, SWEEP, SPLIT_AT_1)
 
     @pytest.mark.parametrize("window_length", [0, -1])
     def test_window_below_one_rejected(self, window_length):
         # the windows are the last window_length reports: reports[-0:] would be all of them
         with pytest.raises(ArgumentError, match="window length must be >= 1"):
-            run_federation(tiny_clients(2), [Variant("gcflplus", SPLIT_AT_1)], 2,
-                           replace(SWEEP, window_length=window_length))
+            replace(SWEEP, window_length=window_length)
 
     @pytest.mark.parametrize("algorithms", [[], ["fedavg", "selftrain", "fedavg"]])
     def test_empty_or_repeated_algorithm_list_rejected(self, algorithms):
         with pytest.raises(ArgumentError, match="algorithm"):
-            run_federation(tiny_clients(2), [Variant(a) for a in algorithms], 1, TINY)
+            run_federation(tiny_clients(2), algorithms, 1, TINY)
 
     def test_gcfl_requires_cluster_config(self):
-        with pytest.raises(ArgumentError):
-            run_one(tiny_clients(2), "gcfl", 1, TINY)
-
-    def test_criteria_on_an_unclustered_algorithm_rejected(self):
-        with pytest.raises(ArgumentError, match="split criteria"):
-            run_one(tiny_clients(2), "fedavg", 1, TINY, NEVER)
+        for algorithm in ("gcfl", "gcflplus"):
+            with pytest.raises(ArgumentError, match=f"{algorithm} needs split criteria"):
+                run_federation(tiny_clients(2), ["fedavg", algorithm], 1, TINY)
 
     def test_evaluate_client_counts_correct_predictions(self):
         client = tiny_clients(1)[0]
@@ -397,14 +406,14 @@ def distinct_histories(results, rounds):
     return sum(len({repr(r.reports[:t + 1]) for r in results}) for t in range(rounds))
 
 
-def sweep(monkeypatch, clients, variants, rounds, config):
-    """One ``run_federation`` call over ``variants``: the results and the rounds it trained.
+def sweep(monkeypatch, clients, algorithms, rounds, config, criteria=None):
+    """One ``run_federation`` call over ``algorithms``: the results and the rounds it trained.
 
-    Each result must be what its variant returns alone. The call must train
+    Each result must be what its algorithm returns alone. The call must train
     one (round, group) pair per distinct history up to that round, and each
     pair must train every client once.
     """
-    alone = [run_one(clients, v.algorithm, rounds, config, v.criteria) for v in variants]
+    alone = [run_one(clients, a, rounds, config, criteria) for a in algorithms]
     trained, pairs = [], []
     train_round = fed._train_round
 
@@ -419,8 +428,8 @@ def sweep(monkeypatch, clients, variants, rounds, config):
     with monkeypatch.context() as patch:
         patch.setattr(fed, "local_train", counting)
         patch.setattr(fed, "_train_round", recording)
-        results = run_federation(clients, variants, rounds, config)
-    assert len(results) == len(variants)
+        results = run_federation(clients, algorithms, rounds, replace(config, criteria=criteria))
+    assert len(results) == len(algorithms)
     for result, oracle in zip(results, alone):
         assert_same_run(result, oracle)
     assert len(pairs) == distinct_histories(results, rounds)
@@ -428,11 +437,10 @@ def sweep(monkeypatch, clients, variants, rounds, config):
     return results, len(pairs)
 
 
-def algorithm_sweep(first, criteria):
+def algorithm_sweep(first):
     """selftrain, then fedavg, gcfl and gcflplus with ``first`` leading, then fedprox."""
-    names = ["selftrain", first, *(a for a in ("fedavg", "gcfl", "gcflplus") if a != first),
-             "fedprox"]
-    return [Variant(a, criteria if a in ("gcfl", "gcflplus") else None) for a in names]
+    return ["selftrain", first, *(a for a in ("fedavg", "gcfl", "gcflplus") if a != first),
+            "fedprox"]
 
 
 CONFIGS = pytest.mark.parametrize("config, criteria", [(SWEEP, SPLIT_AT_1), (SWEEP, NEVER),
@@ -446,9 +454,10 @@ class TestSweep:
     @EACH_FIRST
     def test_each_algorithm_returns_what_it_returns_alone(self, monkeypatch, first, config,
                                                           criteria):
-        variants = algorithm_sweep(first, criteria)
-        results, trained = sweep(monkeypatch, two_group_clients(), variants, ROUNDS, config)
-        assert [r.algorithm for r in results] == [v.algorithm for v in variants]
+        algorithms = algorithm_sweep(first)
+        results, trained = sweep(monkeypatch, two_group_clients(), algorithms, ROUNDS, config,
+                                 criteria)
+        assert [r.algorithm for r in results] == algorithms
         events = {r.algorithm: r.split_events for r in results}
         if criteria is NEVER:
             assert events["gcfl"] == [] and events["gcflplus"] == []
@@ -457,8 +466,8 @@ class TestSweep:
             assert events["gcfl"][0].round_index == 1
 
     def test_gcfl_and_gcflplus_share_rounds_while_their_cuts_agree(self, monkeypatch):
-        variants = [Variant("gcfl", SPLIT_AT_1), Variant("gcflplus", SPLIT_AT_1)]
-        (gcfl, plus), trained = sweep(monkeypatch, two_group_clients(), variants, ROUNDS, SWEEP)
+        (gcfl, plus), trained = sweep(monkeypatch, two_group_clients(), ["gcfl", "gcflplus"],
+                                      ROUNDS, SWEEP, SPLIT_AT_1)
         assert [e.members for e in gcfl.split_events] == [e.members for e in plus.split_events]
         assert len(gcfl.split_events) == 3 and trained == ROUNDS  # one group throughout
         # each keeps its own records: the cut values differ, and only gcflplus cuts on windows
@@ -470,9 +479,8 @@ class TestSweep:
     def test_cuts_that_differ_fork_the_group(self, monkeypatch):
         # three clients per group: both cut the planted groups at round 1, and at round 2
         # they cut (3, 4, 5) into different halves
-        variants = [Variant("gcfl", SPLIT_AT_1), Variant("gcflplus", SPLIT_AT_1)]
-        (gcfl, plus), trained = sweep(monkeypatch, two_group_clients(3), variants, ROUNDS,
-                                      SWEEP)
+        (gcfl, plus), trained = sweep(monkeypatch, two_group_clients(3), ["gcfl", "gcflplus"],
+                                      ROUNDS, SWEEP, SPLIT_AT_1)
         assert gcfl.split_events[0].members == plus.split_events[0].members
         assert gcfl.split_events[2].members != plus.split_events[2].members
         assert trained == 3 + 2 * (ROUNDS - 3)
@@ -487,25 +495,26 @@ class TestSweep:
             return train_round(t, *args, **kwargs)
 
         monkeypatch.setattr(fed, "_train_round", recording)
-        variants = [Variant("selftrain"), Variant("gcfl", SPLIT_AT_1),
-                    Variant("gcflplus", SPLIT_AT_1)]
-        run_federation(two_group_clients(3), variants, ROUNDS, SWEEP)
+        run_federation(two_group_clients(3), ["selftrain", "gcfl", "gcflplus"], ROUNDS,
+                       replace(SWEEP, criteria=SPLIT_AT_1))
         assert rounds == [*range(ROUNDS), *range(ROUNDS), *range(3, ROUNDS)]
 
-    def test_grid_of_gcfl_criteria(self, monkeypatch):
-        # the same first cut at rounds 1, 2 and 3; a larger eps1 that decides as eps1 = 10
-        # does; a min_split_size that stops after the first cut; and criteria that never fire
-        grid = [replace(SPLIT_AT_1, warmup_rounds=w) for w in (1, 2, 3)] + [
-            replace(SPLIT_AT_1, eps1=20.0), replace(SPLIT_AT_1, min_split_size=3), NEVER]
-        results, trained = sweep(monkeypatch, two_group_clients(),
-                                 [Variant("gcfl", c) for c in grid], ROUNDS, SWEEP)
-        assert [[e.round_index for e in r.split_events] for r in results] == \
-            [[1, 2, 2], [2, 3, 3], [3, 4, 4], [1, 2, 2], [1], []]
-        assert trained < len(grid) * ROUNDS
+    @pytest.mark.parametrize("config", [SWEEP, MULTI_STEP], ids=["one-step", "multi-step"])
+    def test_unclustered_algorithms_ignore_the_criteria(self, config):
+        # bit for bit the same results without criteria, and with criteria on which gcfl,
+        # run in the same call, splits at round 1
+        others = ["selftrain", "fedavg", "fedprox"]
+        clients = two_group_clients()
+        without = run_federation(clients, others, ROUNDS, config)
+        *with_criteria, gcfl = run_federation(clients, others + ["gcfl"], ROUNDS,
+                                              replace(config, criteria=SPLIT_AT_1))
+        assert gcfl.split_events[0].round_index == 1
+        for a, b in zip(without, with_criteria, strict=True):
+            assert_same_run(a, b)
 
     def test_results_of_one_group_share_no_list(self):
-        fedavg, gcfl = run_federation(two_group_clients(), [Variant("fedavg"),
-                                                            Variant("gcfl", NEVER)], 2, SWEEP)
+        fedavg, gcfl = run_federation(two_group_clients(), ["fedavg", "gcfl"], 2,
+                                      replace(SWEEP, criteria=NEVER))
         for name in ("reports", "final_clusters"):
             assert getattr(fedavg, name) is not getattr(gcfl, name)
         assert [k.members is not g.members for k, g in
@@ -516,8 +525,8 @@ class TestSweep:
 
     def test_children_start_from_the_parent_aggregated_model(self):
         # gcfl is fedavg until it splits, after aggregating, in the last of 2 rounds
-        fedavg, gcfl = run_federation(two_group_clients(), [Variant("fedavg"),
-                                                            Variant("gcfl", SPLIT_AT_1)], 2, SWEEP)
+        fedavg, gcfl = run_federation(two_group_clients(), ["fedavg", "gcfl"], 2,
+                                      replace(SWEEP, criteria=SPLIT_AT_1))
         assert [e.round_index for e in gcfl.split_events] == [1]
         (parent,) = fedavg.final_clusters
         assert [k.members for k in gcfl.final_clusters] == [[0, 1], [2, 3]]
@@ -525,9 +534,9 @@ class TestSweep:
             assert np.array_equal(child.model, parent.model)
 
     def test_each_variant_logs_its_own_splits(self, caplog):
-        variants = [Variant("gcfl", SPLIT_AT_1), Variant("gcflplus", SPLIT_AT_1)]
         with caplog.at_level("INFO", logger="gcflsim.fed"):
-            results = run_federation(two_group_clients(), variants, ROUNDS, SWEEP)
+            results = run_federation(two_group_clients(), ["gcfl", "gcflplus"], ROUNDS,
+                                     replace(SWEEP, criteria=SPLIT_AT_1))
         assert caplog.messages == [
             f"round {e.round_index}: {r.algorithm}: cluster {e.parent} split into "
             f"{e.members[0]} | {e.members[1]} (cut {e.cut_value:.3g})"
@@ -539,8 +548,8 @@ class TestSweep:
     def test_fedprox_trains_with_fedavg_where_its_effective_mu_is_zero(
             self, monkeypatch, epochs, prox_mu, groups):
         config = replace(TINY, epochs=epochs, prox_mu=prox_mu)
-        variants = [Variant(a) for a in ("selftrain", "fedavg", "fedprox")]
-        _, trained = sweep(monkeypatch, tiny_clients(2), variants, 3, config)
+        _, trained = sweep(monkeypatch, tiny_clients(2), ["selftrain", "fedavg", "fedprox"], 3,
+                           config)
         assert trained == 3 * groups
 
     def test_clients_unions_are_run_as_they_are(self, monkeypatch):
@@ -554,5 +563,6 @@ class TestSweep:
             return forward(model, batch)
 
         monkeypatch.setattr(fed, "gin_forward", recording)
-        run_federation(clients, algorithm_sweep("fedavg", SPLIT_AT_1), ROUNDS, SWEEP)
+        run_federation(clients, algorithm_sweep("fedavg"), ROUNDS,
+                       replace(SWEEP, criteria=SPLIT_AT_1))
         assert {id(b) for b in evaluated} == {id(c.test_graphs) for c in clients}

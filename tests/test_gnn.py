@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from gcflsim import gnn
 from gcflsim.errors import ArgumentError
 from gcflsim.gnn import (
+    AdamState,
     GinModel,
     adam_step,
     cross_entropy,
     gin_forward,
     gin_loss_and_grad,
-    init_adam,
     init_gin,
     one_hot_degrees,
     softmax,
@@ -351,16 +351,16 @@ class TestParameterLayout:
 
 class TestAdam:
     def test_zero_gradient_is_noop(self):
-        state = init_adam(4, lr=0.01)
+        state = AdamState(np.zeros(4), np.zeros(4))
         params = np.array([1.0, -2.0, 3.0, 0.5])
-        out = adam_step(state, params, np.zeros(4))
+        out = adam_step(state, params, np.zeros(4), 0.01, 0.0)
         assert np.array_equal(out, params)
 
     def test_first_step_moves_by_lr_sign(self):
-        state = init_adam(3, lr=0.01)
+        state = AdamState(np.zeros(3), np.zeros(3))
         params = np.zeros(3)
         grad = np.array([0.5, -2.0, 0.1])
-        out = adam_step(state, params, grad)
+        out = adam_step(state, params, grad, 0.01, 0.0)
         assert np.allclose(out, -0.01 * np.sign(grad), rtol=1e-6)
 
     def test_matches_reference_transcript(self):
@@ -379,16 +379,16 @@ class TestAdam:
             v = b2 * v + (1 - b2) * g**2
             ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
 
-        state = init_adam(6, lr=lr, weight_decay=wd)
+        state = AdamState(np.zeros(6), np.zeros(6))
         ours = params.copy()
         for g in grads:
-            ours = adam_step(state, ours, g)
+            ours = adam_step(state, ours, g, lr, wd)
         assert np.max(np.abs(ours - ref)) <= 1e-10
 
     def test_length_mismatch(self):
-        state = init_adam(3)
+        state = AdamState(np.zeros(3), np.zeros(3))
         with pytest.raises(ArgumentError):
-            adam_step(state, np.zeros(4), np.zeros(4))
+            adam_step(state, np.zeros(4), np.zeros(4), 1e-3, 0.0)
 
 
 class TestTrainability:
@@ -403,11 +403,11 @@ class TestTrainability:
             graphs.append(one_graph(g.num_nodes, g.edges, feats, label))
             labels.append(label)
         model = init_gin(2, 2, hidden=8, num_layers=2, rng=rng)
-        opt = init_adam(model.vector.size, lr=5e-3)
+        opt = AdamState(np.zeros(model.vector.size), np.zeros(model.vector.size))
         batch = union(graphs)
         for epoch in range(200):
             _, grad = gin_loss_and_grad(model, batch)
-            model.vector[:] = adam_step(opt, model.vector, grad)
+            model.vector[:] = adam_step(opt, model.vector, grad, 5e-3, 0.0)
             if all(predict(model, g) == y for g, y in zip(graphs, labels)):
                 break
         assert all(predict(model, g) == y for g, y in zip(graphs, labels))

@@ -1,5 +1,6 @@
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from gcflsim.clustering import ClusterConfig, ClusterState
 from gcflsim.errors import ArgumentError, ConfigurationError
 from gcflsim import harness, hetero
-from gcflsim.fed import RunConfig, Variant, infer_dims, run_federation
+from gcflsim.fed import RunConfig, infer_dims, run_federation
 from gcflsim.gnn import one_hot_degrees
 from gcflsim.graphs import Dataset
 from gcflsim.harness import (
@@ -217,6 +218,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_file(cfg_file)
 
+    def test_readme_example_parses_and_names_every_field(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n# experiment.cfg\n", 1)[1].split("```", 1)[0]
+        cfg_file = tmp_path / "experiment.cfg"
+        cfg_file.write_text(block)
+        ExperimentConfig.from_file(cfg_file)
+        named = [line.split("#", 1)[0].split("=", 1)[0].strip() for line in block.splitlines()]
+        assert sorted(filter(None, named)) == sorted(f.name for f in fields(ExperimentConfig))
+
     def test_missing_eps_for_gcfl_rejected(self, tmp_path):
         cfg = ExperimentConfig(setting="synthetic", algorithms=["gcfl"], rounds=1,
                                out_dir=str(tmp_path))
@@ -404,7 +414,7 @@ class TestAutoEpsilons:
         eps1, eps2, _, _ = auto_epsilons(clients, cfg, probe_rounds=5)
         assert eps1 > 0 and eps2 > 0
         criteria = ClusterConfig(eps1, eps2, min_split_size=2, warmup_rounds=6)
-        result = run_federation(clients, [Variant("gcfl", criteria)], 10, cfg)[0]
+        result = run_federation(clients, ["gcfl"], 10, replace(cfg, criteria=criteria))[0]
         assert result.split_events
 
     def test_thresholds_ignore_test_graphs(self):

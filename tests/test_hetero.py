@@ -11,6 +11,7 @@ from gcflsim.graphs import Dataset, erdos_renyi_gnm
 from gcflsim.hetero import (
     MAX_WALK_LENGTH,
     GraphEmbeddings,
+    GraphPool,
     _advance,
     _sample_pairs,
     _walk_automaton,
@@ -460,7 +461,8 @@ class TestPairwiseHeterogeneity:
                                 make_graph(3, [(0, 1), (1, 2), (0, 2)]))
         a, b = Dataset("a", union([edge, path])), Dataset("b", triangle)
         store, pool_a, pool_b = dataset_pools(a, b, awe_length=2)
-        assert pool_a == ("a", [(0, 0), (0, 1)]) and pool_b == ("b", [(1, 0)])
+        assert pool_a == ("a", [0]) and pool_b == ("b", [1])
+        assert store.keys(pool_a) == [(0, 0), (0, 1)] and store.keys(pool_b) == [(1, 0)]
         assert store.sets == {0: [a.graphs], 1: [b.graphs]}
         awe, _ = store.rows([(0, 1), (1, 0), (0, 0)])
         assert np.allclose(awe, [[2 / 3, 1 / 3], [0.5, 0.5], [1.0, 0.0]])
@@ -468,7 +470,15 @@ class TestPairwiseHeterogeneity:
             with pytest.raises(KeyError):
                 store.rows([bad])
         _, pool_a, pool_b = dataset_pools(a, a)
-        assert pool_a is pool_b and pool_a.keys == [(0, 0), (0, 1)]
+        assert pool_a is pool_b and pool_a.tags == [0]
+
+    def test_pool_keys_run_in_tag_then_position_order(self):
+        rng = np.random.default_rng(17)
+        graphs = [random_graph(rng, n=5) for _ in range(5)]
+        store = GraphEmbeddings({3: [union(graphs[:2]), union(graphs[2:3])],
+                                 1: [union(graphs[3:])]})
+        assert store.keys(GraphPool("both", [3, 1])) == [(1, 0), (1, 1), (3, 0), (3, 1), (3, 2)]
+        assert store.keys(GraphPool("one", [3])) == [(3, 0), (3, 1), (3, 2)]
 
     def test_rows_embed_each_missing_graph_once_per_union(self, monkeypatch):
         rng = np.random.default_rng(16)
