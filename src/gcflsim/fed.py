@@ -65,11 +65,10 @@ class ClientState:
         return len(self.train_graphs)
 
 
-@dataclass
-class RunConfig:
-    """The settings every algorithm of a run shares; only gcfl and gcflplus read ``criteria``."""
+@dataclass(kw_only=True)
+class RunSettings:
+    """The settings every client of a run trains under: declared and range-checked once."""
 
-    seed: int = 0
     epochs: int = 1
     batch_size: int = 128
     lr: float = 1e-3
@@ -77,18 +76,24 @@ class RunConfig:
     hidden: int = 64
     num_layers: int = 3
     prox_mu: float = 0.01
-    window_length: int = 10
+    window: int = 10  # gcflplus's norm window: the last ``window`` reports, never [-0:]
     standardize: bool = False
-    criteria: Optional[ClusterConfig] = None
 
     def __post_init__(self):
-        for name, value in (("batch_size", self.batch_size), ("hidden", self.hidden),
-                            ("num_layers", self.num_layers), ("window length", self.window_length)):
-            if value < 1:
-                raise ArgumentError(f"{name} must be >= 1, got {value}")
+        for key in ("batch_size", "hidden", "num_layers", "window"):
+            if getattr(self, key) < 1:
+                raise ArgumentError(f"{key} must be >= 1, got {getattr(self, key)}")
         for key in ("epochs", "lr", "weight_decay", "prox_mu"):
             if getattr(self, key) < 0:  # a nan lr passes here and stops as divergence
                 raise ArgumentError(f"{key} must be >= 0, got {getattr(self, key)}")
+
+
+@dataclass(kw_only=True)
+class RunConfig(RunSettings):
+    """A run's settings and seed; only gcfl and gcflplus read ``criteria``."""
+
+    seed: int = 0
+    criteria: Optional[ClusterConfig] = None
 
 
 @dataclass
@@ -148,12 +153,14 @@ def local_train(
     ``config.batch_size``, each pass shuffled by ``rng``, each batch cut from
     ``client.train_graphs``. With ``prox_mu``, each batch objective gains
     FedProx's proximal term (prox_mu/2)*||theta - start_params||^2. The delta
-    is final minus start parameters; the loss is nan when no batch ran
+    is final minus start parameters (+0.0 on W1[0]'s rows past a narrow
+    client's width, which no step moves); the loss is nan when no batch ran
     (``epochs=0``).
     """
     graphs = client.train_graphs
     start = np.array(start_params, dtype=np.float64)
     model.vector[:] = start
+    unread = model.w1[0][graphs.feat_dim:].copy()
     losses = []
     for _ in range(config.epochs):
         order = rng.permutation(len(graphs))
@@ -167,6 +174,7 @@ def local_train(
             losses.append(loss)
             model.vector[:] = adam_step(optimizer, model.vector, grad, config.lr,
                                         config.weight_decay)
+            model.w1[0][graphs.feat_dim:] = unread
     return model.vector - start, float(np.mean(losses)) if losses else float("nan")
 
 
@@ -396,14 +404,14 @@ def _cut(run: _RunState, deltas: dict[int, np.ndarray], cluster: ClusterState, a
     """The ordered member halves and value of ``cluster``'s cut, and gcflplus's windows.
 
     gcflplus's window of each member is its update norms of the last
-    ``config.window_length`` rounds, read off the group's reports; gcfl has none.
+    ``config.window`` rounds, read off the group's reports; gcfl has none.
     """
     windows = None
     if algorithm == "gcfl":
         weights = to_cut_weights(cosine_matrix([deltas[cid] for cid in cluster.members]))
     else:
         recent = [{e.client_id: e.grad_norm for e in report.entries}
-                  for report in run.reports[-config.window_length:]]
+                  for report in run.reports[-config.window:]]
         windows = {cid: [norms[cid] for norms in recent] for cid in cluster.members}
         weights = dtw_to_cut_weights(dtw_matrix(windows, cluster.members, config.standardize))
     return (*bipartition_cluster(cluster, weights), windows)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .clustering import ClusterConfig
 from .errors import ArgumentError, ConfigurationError, CorruptDatasetError, IngestionError
-from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, run_federation
+from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, RunSettings, run_federation
 from .gnn import one_hot_degrees
 from .graphs import Dataset, GraphBatch, binomial_gnp, load_tu_dataset
 from .hetero import (MAX_WALK_LENGTH, GraphEmbeddings, GraphPool, HeterogeneityReport,
@@ -287,8 +287,10 @@ _TRUE = {"true", "yes", "1", "on"}
 _FALSE = {"false", "no", "0", "off"}
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(kw_only=True)
+class ExperimentConfig(RunSettings):
+    """The keys of a config file: the ``RunSettings`` and the experiment's own."""
+
     setting: str = "oneDS"  # oneDS | multiDS | synthetic
     data_root: str = "data"
     dataset: str = "MUTAG"
@@ -306,15 +308,6 @@ class ExperimentConfig:
     eps2: Optional[float] = None
     min_split_size: int = 3
     warmup_rounds: int = 0
-    window: int = 10
-    standardize: bool = False
-    epochs: int = 1
-    batch_size: int = 128
-    lr: float = 1e-3
-    weight_decay: float = 5e-4
-    hidden: int = 64
-    num_layers: int = 3
-    prox_mu: float = 0.01
     hetero_report: bool = True
     awe_length: int = 4
     bins: int = 20
@@ -322,6 +315,10 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        try:
+            super().__post_init__()
+        except ArgumentError as exc:
+            raise ConfigurationError(str(exc)) from exc
         if self.setting not in ("oneDS", "multiDS", "synthetic"):
             raise ConfigurationError(f"unknown setting {self.setting!r}")
         if self.feature_mode not in ("original", "onehot_degree"):
@@ -331,13 +328,11 @@ class ExperimentConfig:
         if self.per_client_graphs is not None and self.per_client_graphs < 2:
             raise ConfigurationError(
                 f"per_client_graphs must be >= 2, got {self.per_client_graphs}")
-        for key in ("num_clients", "rounds", "batch_size", "hidden", "num_layers", "window",
-                    "bins", "pair_budget", "min_split_size"):
+        for key in ("num_clients", "rounds", "bins", "pair_budget", "min_split_size"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("epochs", "lr", "prox_mu", "weight_decay", "warmup_rounds"):
-            if getattr(self, key) < 0:  # a nan lr passes here and stops as divergence
-                raise ConfigurationError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if self.warmup_rounds < 0:
+            raise ConfigurationError(f"warmup_rounds must be >= 0, got {self.warmup_rounds}")
         if not 1 <= self.awe_length <= MAX_WALK_LENGTH:
             raise ConfigurationError(
                 f"awe_length must be in [1, {MAX_WALK_LENGTH}], got {self.awe_length}")
@@ -369,13 +364,13 @@ class ExperimentConfig:
         return cls(**_parse_config_text(text, cls))
 
     def with_overrides(self, pairs: list[str]) -> "ExperimentConfig":
-        text = "\n".join(pairs)
-        return replace(self, **_parse_config_text(text, type(self)))
+        return replace(self, **_parse_config_text("\n".join(pairs), type(self), last_wins=True))
 
 
-def _parse_config_text(text: str, cls) -> dict:
+def _parse_config_text(text: str, cls, last_wins: bool = False) -> dict:
+    """The values of ``text``'s lines; a key set again is an error unless ``last_wins``."""
     spec = {f.name: f for f in fields(cls)}
-    out = {}
+    out, set_on = {}, {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -385,6 +380,10 @@ def _parse_config_text(text: str, cls) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in spec:
             raise ConfigurationError(f"config line {line_no}: unknown key {key!r}")
+        if key in set_on and not last_wins:
+            raise ConfigurationError(
+                f"config line {line_no}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = line_no
         out[key] = _parse_value(key, value, spec[key].type)
     return out
 
@@ -428,32 +427,24 @@ def build_clients(config: ExperimentConfig, seed: int) -> list[ClientState]:
     per_client = config.per_client_graphs or (40 if synthetic else 100)  # set ones are >= 2
     test_fraction = config.test_fraction or (0.25 if synthetic else 0.1)  # and in (0, 1)
     if synthetic:
-        clients, _ = synthetic_two_group_clients(
-            config.num_clients // 2, per_client, test_fraction=test_fraction, seed=seed
-        )
-    elif config.setting == "oneDS":
+        return synthetic_two_group_clients(config.num_clients // 2, per_client,
+                                           test_fraction=test_fraction, seed=seed)[0]
+    if config.setting == "oneDS":
         ds = load_dataset(config.data_root, config.dataset)
-        clients = _federation_clients(ds, config.feature_mode, partition_one_dataset(
+        return _federation_clients(ds, config.feature_mode, partition_one_dataset(
             ds, config.num_clients, per_client, test_fraction,
             config.overlap, seed, config.label_skew,
         ))
-    else:
-        clients = build_multi_dataset_group(
-            config.group, config.data_root, test_fraction, seed, config.feature_mode
-        )
-    return clients
+    return build_multi_dataset_group(config.group, config.data_root, test_fraction, seed,
+                                     config.feature_mode)
 
 
 def make_run_config(config: ExperimentConfig, seed: int) -> RunConfig:
     """The run settings of one seed, with split criteria when eps1 and eps2 are both set."""
     criteria = None if config.eps1 is None or config.eps2 is None else ClusterConfig(
         config.eps1, config.eps2, config.min_split_size, config.warmup_rounds)
-    return RunConfig(
-        seed=seed, epochs=config.epochs, batch_size=config.batch_size, lr=config.lr,
-        weight_decay=config.weight_decay, hidden=config.hidden, num_layers=config.num_layers,
-        prox_mu=config.prox_mu, window_length=config.window, standardize=config.standardize,
-        criteria=criteria,
-    )
+    return RunConfig(seed=seed, criteria=criteria,
+                     **{f.name: getattr(config, f.name) for f in fields(RunSettings)})
 
 
 def run_experiment(config: ExperimentConfig) -> list[tuple[str, int, MetricsSummary]]:

@@ -625,6 +625,12 @@ class TestCalibrate:
                        "--set", "rounds=3", "--set", "hetero_report=false") == 0
         assert (tmp_path / "out" / "summary.csv").is_file()
 
+    def test_rounds_flag_overrides_a_set_rounds(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        assert run_cli("calibrate", "--config", str(cfg), "--set", "rounds=5", "--rounds", "2",
+                       "--out", str(tmp_path / "calibration.csv")) == 0
+        assert "probe over 2 rounds" in capsys.readouterr().out
+
     @pytest.mark.parametrize("rounds", ["0", "-1"])
     def test_nonpositive_rounds_is_configuration_error(self, tmp_path, capsys, monkeypatch, rounds):
         def no_data(*args):

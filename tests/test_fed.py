@@ -103,11 +103,11 @@ class TestFedavgAggregate:
 
 
 class TestRunConfig:
-    # window_length has its own test, test_window_below_one_rejected
     @pytest.mark.parametrize("key, value, rule", [
         ("batch_size", 0, ">= 1"), ("batch_size", -1, ">= 1"), ("hidden", 0, ">= 1"),
-        ("num_layers", 0, ">= 1"), ("epochs", -1, ">= 0"), ("lr", -1.0, ">= 0"),
-        ("weight_decay", -1e-9, ">= 0"), ("prox_mu", -0.1, ">= 0")])
+        ("num_layers", 0, ">= 1"), ("window", 0, ">= 1"), ("window", -1, ">= 1"),
+        ("epochs", -1, ">= 0"), ("lr", -1.0, ">= 0"), ("weight_decay", -1e-9, ">= 0"),
+        ("prox_mu", -0.1, ">= 0")])
     def test_bad_value_rejected(self, key, value, rule):
         with pytest.raises(ArgumentError, match=f"^{key} must be {rule}, got {value}$"):
             RunConfig(**{key: value})
@@ -131,6 +131,19 @@ class TestLocalTrain:
         delta_prox, loss_prox = local_train(*self._ready_client(), replace(TINY, epochs=2),
                                             prox_mu=0.0)
         assert np.array_equal(delta_plain, delta_prox) and loss_plain == loss_prox
+
+    def test_narrow_client_leaves_unread_rows_unmoved(self):
+        # a width-3 client of a width-6 GIN: weight decay alone would step W1[0]'s rows 3-5
+        client = tiny_clients(1, feat_dim=3)[0]
+        model = init_gin(6, 2, hidden=4, num_layers=2, rng=np.random.default_rng(1))
+        size = model.vector.size
+        config = replace(TINY, epochs=3, batch_size=2, weight_decay=5e-4)
+        delta, _ = local_train(client, model, model.vector.copy(),
+                               AdamState(np.zeros(size), np.zeros(size)),
+                               np.random.default_rng(42), config)
+        rows = GinModel(6, 2, 4, 2, delta).w1[0]
+        assert np.all(rows[3:] == 0.0) and not np.any(np.signbit(rows[3:]))
+        assert np.all(rows[:3] != 0.0)
 
     def test_prox_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -349,12 +362,6 @@ class TestRunFederation:
     def test_no_rounds_rejected(self, rounds):
         with pytest.raises(ArgumentError, match="rounds must be >= 1"):
             run_one(tiny_clients(2), "gcfl", rounds, SWEEP, SPLIT_AT_1)
-
-    @pytest.mark.parametrize("window_length", [0, -1])
-    def test_window_below_one_rejected(self, window_length):
-        # the windows are the last window_length reports: reports[-0:] would be all of them
-        with pytest.raises(ArgumentError, match="window length must be >= 1"):
-            replace(SWEEP, window_length=window_length)
 
     @pytest.mark.parametrize("algorithms", [[], ["fedavg", "selftrain", "fedavg"]])
     def test_empty_or_repeated_algorithm_list_rejected(self, algorithms):

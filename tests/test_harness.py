@@ -4,11 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gcflsim.clustering import ClusterConfig, ClusterState
 from gcflsim.errors import ArgumentError, ConfigurationError
 from gcflsim import harness, hetero
-from gcflsim.fed import RunConfig, infer_dims, run_federation
+from gcflsim.fed import RunConfig, RunSettings, infer_dims, run_federation
 from gcflsim.gnn import one_hot_degrees
 from gcflsim.graphs import Dataset
 from gcflsim.harness import (
@@ -21,13 +23,14 @@ from gcflsim.harness import (
     cluster_heterogeneity_report,
     compute_metrics,
     load_dataset_for_federation,
+    make_run_config,
     partition_one_dataset,
     run_experiment,
     synthetic_two_group_clients,
     with_degree_features,
 )
 
-from conftest import (assert_same_union, client_embeddings, make_graph, one_graph,
+from conftest import (HYPOTHESIS, assert_same_union, client_embeddings, make_graph, one_graph,
                       random_graph, union, write_tu_fixture)
 from test_perfbench import write_tu_inputs
 
@@ -186,6 +189,14 @@ class TestClusterHeterogeneity:
         assert rows[1][2].feature_mean == 0.0
 
 
+@st.composite
+def run_setting(draw):
+    """One of the run settings and a value of its type, in its range or not."""
+    setting = draw(st.sampled_from(fields(RunSettings)))
+    values = {"int": st.integers(-3, 300), "float": st.floats(), "bool": st.booleans()}
+    return setting.name, draw(values[setting.type])
+
+
 class TestExperimentConfig:
     def test_from_file_and_overrides(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -212,6 +223,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_file(cfg_file)
 
+    def test_key_set_twice_rejected(self, tmp_path):
+        cfg_file = tmp_path / "twice.cfg"
+        cfg_file.write_text("rounds = 3\nlr = 0.01\n\nrounds = 7\n")
+        with pytest.raises(ConfigurationError,
+                           match="^config line 4: key 'rounds' already set on line 1$"):
+            ExperimentConfig.from_file(cfg_file)
+        assert ExperimentConfig().with_overrides(["rounds=3", "rounds=7"]).rounds == 7
+
     def test_bad_boolean_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("overlap = maybe\n")
@@ -226,6 +245,24 @@ class TestExperimentConfig:
         ExperimentConfig.from_file(cfg_file)
         named = [line.split("#", 1)[0].split("=", 1)[0].strip() for line in block.splitlines()]
         assert sorted(filter(None, named)) == sorted(f.name for f in fields(ExperimentConfig))
+
+    def test_run_settings_declared_once(self):
+        assert not set(ExperimentConfig.__annotations__) & set(RunSettings.__annotations__)
+        assert not set(RunConfig.__annotations__) & set(RunSettings.__annotations__)
+
+    @HYPOTHESIS
+    @given(run_setting())
+    def test_one_rule_for_config_files_and_library_callers(self, setting):
+        key, value = setting
+        try:
+            RunConfig(**{key: value})
+        except ArgumentError as exc:
+            with pytest.raises(ConfigurationError) as caught:
+                ExperimentConfig(**{key: value})
+            assert str(caught.value) == str(exc)
+        else:  # repr tells nan, -0.0 and a bool from an int apart
+            assert repr(getattr(make_run_config(ExperimentConfig(**{key: value}), 0), key)) \
+                == repr(value)
 
     def test_missing_eps_for_gcfl_rejected(self, tmp_path):
         cfg = ExperimentConfig(setting="synthetic", algorithms=["gcfl"], rounds=1,
