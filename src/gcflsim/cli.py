@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import (
@@ -27,12 +28,7 @@ from .errors import (
     UndefinedEmbeddingError,
 )
 from . import harness
-from .hetero import (
-    dataset_pools,
-    enumerate_anonymous_walks,
-    pairwise_heterogeneity,
-    write_heterogeneity_csv,
-)
+from .hetero import HeteroSettings, dataset_pools, pairwise_heterogeneity, write_heterogeneity_csv
 from .outputs import check_writable, write_csv
 from .properties import PROPERTY_NAMES, property_significance
 
@@ -68,9 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     het.add_argument("--data-root", required=True)
     het.add_argument("--set-a", required=True)
     het.add_argument("--set-b", required=True)
-    het.add_argument("--awe-length", type=int, default=4)
-    het.add_argument("--bins", type=int, default=20)
-    het.add_argument("--pair-budget", type=int, default=2000)
+    for setting in fields(HeteroSettings):  # --awe-length, --bins, --pair-budget
+        het.add_argument(f"--{setting.name.replace('_', '-')}", type=int, default=setting.default)
     het.add_argument("--seed", type=int, default=0)
     het.add_argument("--out", default="hetero_pairs.csv")
 
@@ -103,16 +98,13 @@ def cmd_analyze_properties(args) -> int:
 
 
 def cmd_analyze_hetero(args) -> int:
-    enumerate_anonymous_walks(args.awe_length)  # its range check, before any set is read
-    for flag, value in (("--bins", args.bins), ("--pair-budget", args.pair_budget)):
-        if value < 1:
-            raise ArgumentError(f"{flag} must be >= 1, got {value}")
+    # the flags' range rules, checked before any set is read
+    settings = HeteroSettings(**{f.name: getattr(args, f.name) for f in fields(HeteroSettings)})
     check_writable(args.out)
     set_a = harness.load_dataset_for_federation(args.data_root, args.set_a)
     set_b = set_a if args.set_b == args.set_a else \
         harness.load_dataset_for_federation(args.data_root, args.set_b)
-    report = pairwise_heterogeneity(
-        *dataset_pools(set_a, set_b, args.awe_length, args.bins, args.seed), args.pair_budget)
+    report = pairwise_heterogeneity(*dataset_pools(set_a, set_b, settings, args.seed))
     write_heterogeneity_csv(args.out, [report])
     print(f"{report.set_a} vs {report.set_b}: "
           f"structure {report.structure_mean:.4f} (+/-{report.structure_std:.4f})  "
@@ -138,7 +130,7 @@ def cmd_calibrate(args) -> int:
     eps1, eps2, delta_mean, delta_max = harness.auto_epsilons(
         harness.build_clients(config, seed), harness.make_run_config(config, seed), config.rounds)
     write_csv(args.out, ["eps1", "eps2", "delta_mean", "delta_max"],
-              [[repr(eps1), repr(eps2), repr(delta_mean), repr(delta_max)]])
+              [[eps1, eps2, delta_mean, delta_max]])
     print(f"probe over {config.rounds} rounds: delta_mean={delta_mean:g} delta_max={delta_max:g}")
     print(f"--set eps1={eps1!r} --set eps2={eps2!r} (wrote {args.out})")
     return 0

@@ -84,8 +84,11 @@ class RunSettings:
             if getattr(self, key) < 1:
                 raise ArgumentError(f"{key} must be >= 1, got {getattr(self, key)}")
         for key in ("epochs", "lr", "weight_decay", "prox_mu"):
-            if getattr(self, key) < 0:  # a nan lr passes here and stops as divergence
-                raise ArgumentError(f"{key} must be >= 0, got {getattr(self, key)}")
+            value = getattr(self, key)
+            if value < 0:  # a nan lr passes here and stops as divergence
+                raise ArgumentError(f"{key} must be >= 0, got {value}")
+            if value == np.inf:  # inf times a zero moment or parameter is nan
+                raise ArgumentError(f"{key} must be finite, got {value}")
 
 
 @dataclass(kw_only=True)
@@ -152,15 +155,19 @@ def local_train(
     Runs ``config.epochs`` passes of Adam steps on batches of
     ``config.batch_size``, each pass shuffled by ``rng``, each batch cut from
     ``client.train_graphs``. With ``prox_mu``, each batch objective gains
-    FedProx's proximal term (prox_mu/2)*||theta - start_params||^2. The delta
-    is final minus start parameters (+0.0 on W1[0]'s rows past a narrow
-    client's width, which no step moves); the loss is nan when no batch ran
-    (``epochs=0``).
+    FedProx's proximal term (prox_mu/2)*||theta - start_params||^2, and then
+    weight decay's gradient ``config.weight_decay * theta`` over the parameters
+    the batch reads. W1[0]'s rows past a narrow client's width are read by no
+    batch, so their gradient, Adam moments and delta stay +0.0. The delta is
+    final minus start parameters; the loss is nan when no batch ran (``epochs=0``).
     """
     graphs = client.train_graphs
     start = np.array(start_params, dtype=np.float64)
     model.vector[:] = start
-    unread = model.w1[0][graphs.feat_dim:].copy()
+    decay = None  # at weight_decay 0 nothing is added, so no zero's sign moves
+    if config.weight_decay:  # each parameter's rate: 0 on the rows no batch reads
+        decay = replace(model, vector=np.full(model.vector.size, config.weight_decay))
+        decay.w1[0][graphs.feat_dim:] = 0.0
     losses = []
     for _ in range(config.epochs):
         order = rng.permutation(len(graphs))
@@ -171,10 +178,10 @@ def local_train(
                 diff = model.vector - start
                 loss += 0.5 * prox_mu * float(diff @ diff)
                 grad = grad + prox_mu * diff
+            if decay is not None:
+                grad = grad + decay.vector * model.vector
             losses.append(loss)
-            model.vector[:] = adam_step(optimizer, model.vector, grad, config.lr,
-                                        config.weight_decay)
-            model.w1[0][graphs.feat_dim:] = unread
+            model.vector[:] = adam_step(optimizer, model.vector, grad, config.lr)
     return model.vector - start, float(np.mean(losses)) if losses else float("nan")
 
 

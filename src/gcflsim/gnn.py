@@ -247,15 +247,13 @@ class AdamState:
     step: int = 0
 
 
-def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, lr: float,
-              weight_decay: float) -> np.ndarray:
-    """One bias-corrected Adam update of step size ``lr``; weight decay folds into the gradient."""
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+    """One bias-corrected Adam update of step size ``lr``."""
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ArgumentError("parameter, gradient and moment lengths must match")
-    g = grad + weight_decay * params if weight_decay else grad
     state.step += 1
-    state.m = BETA1 * state.m + (1.0 - BETA1) * g
-    state.v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
     m_hat = state.m / (1.0 - BETA1**state.step)
     v_hat = state.v / (1.0 - BETA2**state.step)
     return params - lr * m_hat / (np.sqrt(v_hat) + EPSILON)

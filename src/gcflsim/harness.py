@@ -24,7 +24,7 @@ from .errors import ArgumentError, ConfigurationError, CorruptDatasetError, Inge
 from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, RunSettings, run_federation
 from .gnn import one_hot_degrees
 from .graphs import Dataset, GraphBatch, binomial_gnp, load_tu_dataset
-from .hetero import (MAX_WALK_LENGTH, GraphEmbeddings, GraphPool, HeterogeneityReport,
+from .hetero import (GraphEmbeddings, GraphPool, HeterogeneityReport, HeteroSettings,
                      pairwise_heterogeneity)
 from .outputs import check_writable, write_csv
 
@@ -257,8 +257,7 @@ def compute_metrics(
 
 
 def cluster_heterogeneity_report(
-    embeddings: GraphEmbeddings, clusters, pair_budget: int = 2000,
-) -> list[tuple[str, int, HeterogeneityReport]]:
+    embeddings: GraphEmbeddings, clusters) -> list[tuple[str, int, HeterogeneityReport]]:
     """Average pairwise heterogeneity among member graphs, per cluster.
 
     ``embeddings`` holds each client's training then test unions under its
@@ -275,7 +274,7 @@ def cluster_heterogeneity_report(
         (str(k.id), GraphPool(f"cluster_{k.id}", k.members))
         for k in sorted(clusters, key=lambda k: k.id)]
     return [(cluster_id, len(pool.tags),
-             pairwise_heterogeneity(embeddings, pool, pool, pair_budget))
+             pairwise_heterogeneity(embeddings, pool, pool))
             for cluster_id, pool in pools]
 
 
@@ -288,8 +287,9 @@ _FALSE = {"false", "no", "0", "off"}
 
 
 @dataclass(kw_only=True)
-class ExperimentConfig(RunSettings):
-    """The keys of a config file: the ``RunSettings`` and the experiment's own."""
+class ExperimentConfig(RunSettings, HeteroSettings):
+    """The keys of a config file: the ``RunSettings``, the ``HeteroSettings`` and the
+    experiment's own."""
 
     setting: str = "oneDS"  # oneDS | multiDS | synthetic
     data_root: str = "data"
@@ -309,14 +309,12 @@ class ExperimentConfig(RunSettings):
     min_split_size: int = 3
     warmup_rounds: int = 0
     hetero_report: bool = True
-    awe_length: int = 4
-    bins: int = 20
-    pair_budget: int = 2000
     out_dir: str = "results"
 
     def __post_init__(self):
         try:
-            super().__post_init__()
+            RunSettings.__post_init__(self)
+            HeteroSettings.__post_init__(self)
         except ArgumentError as exc:
             raise ConfigurationError(str(exc)) from exc
         if self.setting not in ("oneDS", "multiDS", "synthetic"):
@@ -328,14 +326,11 @@ class ExperimentConfig(RunSettings):
         if self.per_client_graphs is not None and self.per_client_graphs < 2:
             raise ConfigurationError(
                 f"per_client_graphs must be >= 2, got {self.per_client_graphs}")
-        for key in ("num_clients", "rounds", "bins", "pair_budget", "min_split_size"):
+        for key in ("num_clients", "rounds", "min_split_size"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.warmup_rounds < 0:
             raise ConfigurationError(f"warmup_rounds must be >= 0, got {self.warmup_rounds}")
-        if not 1 <= self.awe_length <= MAX_WALK_LENGTH:
-            raise ConfigurationError(
-                f"awe_length must be in [1, {MAX_WALK_LENGTH}], got {self.awe_length}")
         if self.setting == "synthetic" and self.num_clients % 2:
             raise ConfigurationError(f"synthetic num_clients must be even, got {self.num_clients}")
         if not self.seeds or not self.algorithms:
@@ -475,19 +470,16 @@ def run_experiment(config: ExperimentConfig) -> list[tuple[str, int, MetricsSumm
         embeddings = None
         if config.hetero_report and clustered:
             embeddings = GraphEmbeddings({c.id: [c.train_graphs, c.test_graphs] for c in clients},
-                                         config.awe_length, config.bins, seed)
+                                         config, seed)
         for algorithm, result in zip(algorithms, results):
             _collect_rows(result, seed, rounds_rows, cluster_rows, split_rows, window_rows)
             summaries.append((algorithm, seed, compute_metrics(result.final_accuracy,
                                                                selftrain_acc)))
             if embeddings is not None and algorithm in clustered:
                 for cluster_id, n_clients, rep in cluster_heterogeneity_report(
-                        embeddings, result.final_clusters, config.pair_budget):
-                    hetero_rows.append([
-                        algorithm, seed, cluster_id, n_clients,
-                        repr(rep.structure_mean), repr(rep.structure_std),
-                        repr(rep.feature_mean), repr(rep.feature_std),
-                    ])
+                        embeddings, result.final_clusters):
+                    hetero_rows.append([algorithm, seed, cluster_id, n_clients, rep.structure_mean,
+                                        rep.structure_std, rep.feature_mean, rep.feature_std])
 
     out = Path(config.out_dir)  # made by the first write, once every seed has run
     write_csv(out / "rounds.csv",
@@ -501,8 +493,8 @@ def run_experiment(config: ExperimentConfig) -> list[tuple[str, int, MetricsSumm
     write_csv(out / "summary.csv",
               ["algorithm", "seed", "average_accuracy", "min_gain",
                "improved", "total", "improved_ratio"],
-              [[algorithm, seed, repr(m.average), repr(m.min_gain), m.improved, m.total,
-                repr(m.improved_ratio)] for algorithm, seed, m in summaries])
+              [[algorithm, seed, m.average, m.min_gain, m.improved, m.total, m.improved_ratio]
+               for algorithm, seed, m in summaries])
     write_csv(out / "hetero.csv",
               ["algorithm", "seed", "cluster_id", "n_clients", "structure_mean",
                "structure_std", "feature_mean", "feature_std"], hetero_rows)
@@ -517,10 +509,8 @@ def _collect_rows(result: RunResult, seed: int, rounds_rows, cluster_rows, split
     algo = result.algorithm
     for report in result.reports:
         for e in report.entries:
-            rounds_rows.append([
-                algo, seed, report.round_index, e.client_id, e.cluster_id,
-                repr(e.train_loss), repr(e.test_loss), repr(e.test_acc), repr(e.grad_norm),
-            ])
+            rounds_rows.append([algo, seed, report.round_index, e.client_id, e.cluster_id,
+                                e.train_loss, e.test_loss, e.test_acc, e.grad_norm])
     for round_index, cluster_id, members in result.assignments:
         cluster_rows.append([algo, seed, round_index, cluster_id,
                              ";".join(str(m) for m in members)])
@@ -528,7 +518,7 @@ def _collect_rows(result: RunResult, seed: int, rounds_rows, cluster_rows, split
         split_rows.append([
             algo, seed, ev.round_index, ev.parent, ev.children[0], ev.children[1],
             ";".join(str(m) for m in ev.members[0]), ";".join(str(m) for m in ev.members[1]),
-            repr(ev.delta_mean), repr(ev.delta_max), repr(ev.cut_value),
+            ev.delta_mean, ev.delta_max, ev.cut_value,
         ])
         for cid, norms in (ev.windows or {}).items():  # in member order
             window_rows.append([algo, seed, ev.round_index, ev.parent, cid,

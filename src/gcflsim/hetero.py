@@ -30,21 +30,30 @@ _PAIR_SEED_TAG = 90911
 _WALK_SEED_TAG = 90913
 
 
-def enumerate_anonymous_walks(length: int) -> list[tuple[int, ...]]:
-    """All canonical anonymous walk patterns with ``length`` edges.
+@dataclass(kw_only=True)
+class HeteroSettings:
+    """The settings of a heterogeneity measurement: declared, defaulted and range-checked once."""
 
-    A pattern is a symbol sequence starting at 0 where every first occurrence
-    of a symbol is one greater than the running maximum and consecutive
-    symbols differ (walks never stay in place on a simple graph).
-    """
-    return list(_walk_automaton(length)[1])
+    awe_length: int = 4  # edges per anonymous walk
+    bins: int = 20  # similarity histogram bins on [-1, 1]
+    pair_budget: int = 2000  # most graph pairs compared; more are sampled down to it
+
+    def __post_init__(self):
+        if not 1 <= self.awe_length <= MAX_WALK_LENGTH:
+            raise ArgumentError(
+                f"awe_length must be in [1, {MAX_WALK_LENGTH}], got {self.awe_length}")
+        for key in ("bins", "pair_budget"):
+            if getattr(self, key) < 1:
+                raise ArgumentError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
 @lru_cache(maxsize=None)
 def _walk_automaton(length: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
     """Transitions between the anonymous prefixes of walks of ``length`` edges, and the patterns.
 
-    The states are the prefixes, grown level by level from ``(0,)``; the last
+    A pattern starts at 0, each new symbol one above the running maximum, and
+    no symbol repeats the one before it (walks never stay in place). The states
+    are the prefixes, grown level by level from ``(0,)``; the last
     level, which has no row in ``step``, is the patterns, so state
     ``len(step) + j`` is pattern j. ``step[k, i]`` is the state a walk in state
     k enters when its next node repeats its node at position i, and
@@ -117,7 +126,7 @@ def awe_distribution(
 ) -> np.ndarray:
     """Anonymous-walk pattern distribution of a simple random walk on each graph of a union.
 
-    One row per graph, one column per pattern of ``enumerate_anonymous_walks``.
+    One row per graph, one column per pattern of ``_walk_automaton``.
     Walks start uniformly over the graph's non-isolated nodes and step
     uniformly over neighbors. ``exact`` enumerates every walk with its
     probability; ``sampled`` estimates frequencies from ``samples`` random
@@ -191,7 +200,7 @@ def js_distance(p, q):
     return np.sqrt(js_divergence(p, q))
 
 
-def feature_sim_histogram(graph: GraphBatch, bins: int = 20) -> np.ndarray:
+def feature_sim_histogram(graph: GraphBatch, bins: int) -> np.ndarray:
     """Each graph's normalized histogram of per-edge endpoint feature cosine similarity on [-1, 1].
 
     One row per graph of the union. Zero feature vectors are assigned
@@ -233,12 +242,12 @@ class GraphEmbeddings:
     the graphs it misses in one pass per union they sit in, over the union of
     just them, cut with one ``take``. A sampled graph's walk seed comes from
     its key, so every pool that holds it reads one estimate. A ``GraphPool``
-    names tags, and ``keys`` expands them; no caller spells a key.
+    names tags, and ``keys`` expands them; no caller spells a key. ``settings``
+    and ``seed`` are those of every embedding and pair sample the store serves.
     """
 
-    def __init__(self, sets: dict[int, list[GraphBatch]], awe_length: int = 4, bins: int = 20,
-                 seed: int = 0):
-        self.sets, self.awe_length, self.bins, self.seed = sets, awe_length, bins, seed
+    def __init__(self, sets: dict[int, list[GraphBatch]], settings: HeteroSettings, seed: int):
+        self.sets, self.settings, self.seed = sets, settings, seed
         self.edge_counts = {tag: np.concatenate([u.edge_counts for u in unions]).tolist()
                             for tag, unions in sets.items()}
         self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -266,7 +275,7 @@ class GraphEmbeddings:
 
     def _embed(self, tag: int, positions: np.ndarray, cut: GraphBatch) -> None:
         """Embed the graphs ``(tag, pos)`` of ``positions``, which ``cut`` holds in that order."""
-        length = self.awe_length
+        length = self.settings.awe_length
         exact = np.add.reduceat(_walks_per_node(cut, length), cut.starts) <= WALK_BUDGET
         sampled = np.flatnonzero(~exact)
         seeds = [int(np.random.SeedSequence([_WALK_SEED_TAG, self.seed, tag, pos])
@@ -277,11 +286,11 @@ class GraphEmbeddings:
             if len(part):
                 awe[part] = awe_distribution(cut.take(part), length, mode, AWE_SAMPLES, part_seeds)
         keys = [(tag, pos) for pos in positions.tolist()]
-        self._rows.update(zip(keys, zip(awe, feature_sim_histogram(cut, self.bins))))
+        self._rows.update(zip(keys, zip(awe, feature_sim_histogram(cut, self.settings.bins))))
 
 
-def dataset_pools(set_a: Dataset, set_b: Dataset, awe_length: int = 4, bins: int = 20,
-                  seed: int = 0) -> tuple[GraphEmbeddings, GraphPool, GraphPool]:
+def dataset_pools(set_a: Dataset, set_b: Dataset, settings: HeteroSettings,
+                  seed: int) -> tuple[GraphEmbeddings, GraphPool, GraphPool]:
     """One embedding store over two datasets, and a pool of each.
 
     Set A has tag 0 and set B tag 1; one Dataset object passed as both sets
@@ -289,8 +298,8 @@ def dataset_pools(set_a: Dataset, set_b: Dataset, awe_length: int = 4, bins: int
     """
     sets = [set_a] if set_b is set_a else [set_a, set_b]
     pools = [GraphPool(ds.name, [tag]) for tag, ds in enumerate(sets)]
-    return (GraphEmbeddings({tag: [ds.graphs] for tag, ds in enumerate(sets)}, awe_length, bins,
-                            seed), pools[0], pools[-1])
+    return (GraphEmbeddings({tag: [ds.graphs] for tag, ds in enumerate(sets)}, settings, seed),
+            pools[0], pools[-1])
 
 
 @dataclass
@@ -303,25 +312,24 @@ class HeterogeneityReport:
     feature_std: float
 
 
-def pairwise_heterogeneity(embeddings: GraphEmbeddings, pool_a: GraphPool, pool_b: GraphPool,
-                           pair_budget: int = 2000) -> HeterogeneityReport:
+def pairwise_heterogeneity(embeddings: GraphEmbeddings, pool_a: GraphPool,
+                           pool_b: GraphPool) -> HeterogeneityReport:
     """Mean and spread of pairwise structure/feature divergence across two pools.
 
-    Uses every cross-pool pair when the count fits the budget, otherwise a
-    uniform sample of distinct pairs seeded by the store's seed. Two pools of
-    the same keys are one set, compared against itself over unordered distinct
-    pairs. Edgeless graphs are skipped; more than 50% skipped in either pool is
-    an error, and so is a pair budget below 1.
+    Uses every cross-pool pair when the count fits the store's pair budget,
+    otherwise a uniform sample of distinct pairs seeded by the store's seed.
+    Two pools of the same keys are one set, compared against itself over
+    unordered distinct pairs. Edgeless graphs are skipped; more than 50%
+    skipped in either pool is an error.
     """
-    if pair_budget < 1:
-        raise ArgumentError(f"pair budget must be >= 1, got {pair_budget}")
     keys_a, keys_b = embeddings.keys(pool_a), embeddings.keys(pool_b)
     same = keys_a == keys_b
     keys_a = _valid_keys(embeddings, pool_a.name, keys_a)
     keys_b = keys_a if same else _valid_keys(embeddings, pool_b.name, keys_b)
     if same and len(keys_a) == 1:
         return HeterogeneityReport(pool_a.name, pool_b.name, 0.0, 0.0, 0.0, 0.0)
-    rows, cols = _sample_pairs(len(keys_a), len(keys_b), same, pair_budget, embeddings.seed)
+    rows, cols = _sample_pairs(len(keys_a), len(keys_b), same, embeddings.settings.pair_budget,
+                               embeddings.seed)
     awe_a, hist_a = embeddings.rows([keys_a[i] for i in rows.tolist()])
     awe_b, hist_b = embeddings.rows([keys_b[j] for j in cols.tolist()])
     structure = js_distance(awe_a, awe_b)
@@ -356,5 +364,5 @@ def _sample_pairs(len_a: int, len_b: int, same: bool, pair_budget: int,
 def write_heterogeneity_csv(path: str | Path, reports: list[HeterogeneityReport]) -> None:
     write_csv(path, ["setA", "setB", "structure_mean", "structure_std",
                      "feature_mean", "feature_std"],
-              [[r.set_a, r.set_b, repr(r.structure_mean), repr(r.structure_std),
-                repr(r.feature_mean), repr(r.feature_std)] for r in reports])
+              [[r.set_a, r.set_b, r.structure_mean, r.structure_std, r.feature_mean,
+                r.feature_std] for r in reports])

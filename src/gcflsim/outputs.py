@@ -11,6 +11,8 @@ import csv
 import os
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 
@@ -33,7 +35,9 @@ def check_writable(path: str | Path, directory: bool = False) -> None:
 def write_csv(path: str | Path, header: list[str], rows) -> None:
     """Write ``header`` and ``rows`` to ``path`` as CSV, making missing directories.
 
-    An ``OSError`` on the way is a ``ConfigurationError`` naming the path.
+    A float cell, numpy's included, is written as ``repr(float(x))``, the
+    shortest text that reads back to the same float64, so no caller formats a
+    number. An ``OSError`` on the way is a ``ConfigurationError`` naming the path.
     """
     path = Path(path)
     try:
@@ -41,6 +45,7 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(rows)
+            writer.writerows([repr(float(cell)) if isinstance(cell, (float, np.floating)) else cell
+                              for cell in row] for row in rows)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc

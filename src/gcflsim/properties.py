@@ -222,13 +222,9 @@ class PropertyReport:
         rows = []
         for prop in PROPERTY_NAMES:
             stat = self.rows[prop]
-            rows.append([prop, _fmt(stat.real), _fmt(stat.random),
-                         "not_computed" if stat.p_value is None else _fmt(stat.p_value)])
+            rows.append([prop, stat.real, stat.random,
+                         "not_computed" if stat.p_value is None else stat.p_value])
         write_csv(path, ["property", "real", "random", "p_value"], rows)
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def welch_p_value(a: np.ndarray, b: np.ndarray) -> float:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gcflsim.errors import ArgumentError
 from gcflsim.graphs import Dataset, GraphBatch, _is_canonical, load_tu_dataset
-from gcflsim.hetero import GraphEmbeddings
+from gcflsim.hetero import GraphEmbeddings, HeteroSettings
 
 DATA_ENV = "GCFL_DATA_ROOT"
 
@@ -34,11 +34,11 @@ def require_dataset(name: str) -> Dataset:
     return load_tu_dataset(root, name)
 
 
-def client_embeddings(clients, awe_length=4, seed=0):
+def client_embeddings(clients, seed=0, **settings):
     """The store a seed's heterogeneity reports read: each client's training then test
-    unions under its id, 20 bins."""
+    unions under its id, measured under ``HeteroSettings(**settings)``."""
     return GraphEmbeddings({c.id: [c.train_graphs, c.test_graphs] for c in clients},
-                           awe_length, 20, seed)
+                           HeteroSettings(**settings), seed)
 
 
 def _canonical_edges(edges, num_nodes):

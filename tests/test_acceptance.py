@@ -28,7 +28,7 @@ from gcflsim.harness import (
     run_experiment,
     synthetic_two_group_clients,
 )
-from gcflsim.hetero import dataset_pools, pairwise_heterogeneity
+from gcflsim.hetero import HeteroSettings, dataset_pools, pairwise_heterogeneity
 from gcflsim.properties import property_significance
 
 from conftest import (client_embeddings, data_root, labelled, random_graph, require_dataset,
@@ -123,7 +123,8 @@ def test_criterion_2_table2_structure_ordering():
         ordered_lengths = 0
         for length in (3, 4, 5):
             values = [
-                pairwise_heterogeneity(*dataset_pools(cox2, other, length), 2000).structure_mean
+                pairwise_heterogeneity(*dataset_pools(
+                    cox2, other, HeteroSettings(awe_length=length), 0)).structure_mean
                 for other in (cox2, *others, imdb)
             ]
             print(f"  length {length}: COX2 self {values[0]:.4f} | PTC_MR {values[1]:.4f} "
@@ -258,8 +259,8 @@ def test_criterion_7a_heterogeneity_reduction_synthetic(recovery):
         for seed, (recovered, _, result, clients) in recovery["gcfl"].items():
             if not recovered:
                 continue
-            rows = cluster_heterogeneity_report(client_embeddings(clients, seed=seed),
-                                                result.final_clusters, pair_budget=400)
+            rows = cluster_heterogeneity_report(
+                client_embeddings(clients, seed=seed, pair_budget=400), result.final_clusters)
             baseline = rows[0][2].structure_mean
             for _, _, rep in rows[1:]:
                 assert rep.structure_mean < baseline
@@ -281,8 +282,8 @@ def test_criterion_7b_heterogeneity_reduction_mini_mix():
         result = run_one(clients, "gcfl", 14, probe,
                          ClusterConfig(eps1, eps2, min_split_size=2, warmup_rounds=10))
         assert result.split_events, "mini-mix run produced no split"
-        rows = cluster_heterogeneity_report(client_embeddings(clients), result.final_clusters,
-                                            pair_budget=600)
+        rows = cluster_heterogeneity_report(client_embeddings(clients, pair_budget=600),
+                                            result.final_clusters)
         baseline = rows[0][2].structure_mean
         print(f"  baseline {baseline:.4f}; clusters "
               + ", ".join(f"{cid}={rep.structure_mean:.4f}" for cid, _, rep in rows[1:]))

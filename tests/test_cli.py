@@ -255,6 +255,59 @@ def test_failed_write_is_configuration_error(tmp_path):
         write_csv(tmp_path / "out.csv", ["a"], [[1]])
 
 
+@HYPOTHESIS
+@given(st.lists(st.floats(), min_size=1, max_size=8))
+def test_float_cells_are_written_as_python_float_reprs(values):
+    """A float64 cell, numpy's or Python's, is written as ``repr(float(x))``, never as
+    ``np.float64(...)``, and reads back to the same float."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        write_csv(path, [f"c{i}" for i in range(2 * len(values))],
+                  [[*(np.float64(x) for x in values), *values]])
+        with open(path, newline="") as fh:
+            _, row = csv.reader(fh)
+    assert row == [repr(float(x)) for x in values] * 2
+    assert all(float(cell) == x or x != x for cell, x in zip(row, values * 2))
+
+
+# columns of names; a numeric column's only word is its named placeholder
+TEXT_COLUMNS = {"algorithm", "setA", "setB", "property"}
+PLACEHOLDERS = {"cluster_id": "all", "p_value": "not_computed"}
+
+
+def test_every_numeric_csv_cell_parses(tmp_path):
+    """Every cell of every numeric column of every CSV that ``run`` and both ``analyze-*``
+    commands write reads with ``float()``, each item of a ``;``-joined cell apart."""
+    harness.run_experiment(harness.ExperimentConfig(
+        setting="synthetic", num_clients=4, per_client_graphs=8, rounds=3,
+        algorithms=["gcfl", "gcflplus"], hidden=8, num_layers=2, weight_decay=0.0, eps1=10.0,
+        eps2=1e-6, min_split_size=2, warmup_rounds=1, pair_budget=30,
+        out_dir=str(tmp_path / "run")))
+    root = write_tu_fixture(tmp_path / "data", "TINY")
+    assert run_cli("analyze-properties", "--data-root", str(root), "--dataset", "TINY",
+                   "--out", str(tmp_path / "properties.csv")) == 0
+    assert run_cli("analyze-hetero", "--data-root", str(root), "--set-a", "TINY",
+                   "--set-b", "TINY", "--awe-length", "3",
+                   "--out", str(tmp_path / "hetero_pairs.csv")) == 0
+    paths = sorted(tmp_path.rglob("*.csv"))
+    assert len(paths) == 8
+    unparsed = []
+    for path in paths:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows, path.name  # one split: every table has rows to check
+        for row in rows:
+            for key, cell in row.items():
+                if key in TEXT_COLUMNS or cell == PLACEHOLDERS.get(key):
+                    continue
+                for item in cell.split(";"):
+                    try:
+                        float(item)
+                    except ValueError:
+                        unparsed.append((path.name, key, cell))
+    assert unparsed == []
+
+
 class TestRun:
     def _write_config(self, tmp_path, extra=""):
         cfg = tmp_path / "exp.cfg"
@@ -323,7 +376,8 @@ class TestRun:
         "rounds=abc", "lr=fast", "seeds=0,x", "seeds=", "algorithms=",
         "hidden=0", "num_layers=0", "batch_size=0", "rounds=0", "num_clients=5",
         "pair_budget=0", "awe_length=0", "awe_length=9", "bins=0", "epochs=-1", "window=0",
-        "lr=-0.001", "prox_mu=-5", "weight_decay=-1", "seeds=-1", "seeds=0,-2",
+        "lr=-0.001", "prox_mu=-5", "weight_decay=-1", "lr=inf", "prox_mu=inf",
+        "weight_decay=inf", "seeds=-1", "seeds=0,-2",
         "algorithms=fedavg,fedavg,selftrain,selftrain", "algorithms=gcfl,fedavg,gcfl", "seeds=0,0",
         "min_split_size=-3", "min_split_size=0", "warmup_rounds=-2", "per_client_graphs=1",
         "test_fraction=0.999",

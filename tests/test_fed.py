@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -107,7 +108,8 @@ class TestRunConfig:
         ("batch_size", 0, ">= 1"), ("batch_size", -1, ">= 1"), ("hidden", 0, ">= 1"),
         ("num_layers", 0, ">= 1"), ("window", 0, ">= 1"), ("window", -1, ">= 1"),
         ("epochs", -1, ">= 0"), ("lr", -1.0, ">= 0"), ("weight_decay", -1e-9, ">= 0"),
-        ("prox_mu", -0.1, ">= 0")])
+        ("prox_mu", -0.1, ">= 0"), ("lr", math.inf, "finite"), ("weight_decay", math.inf, "finite"),
+        ("prox_mu", math.inf, "finite")])
     def test_bad_value_rejected(self, key, value, rule):
         with pytest.raises(ArgumentError, match=f"^{key} must be {rule}, got {value}$"):
             RunConfig(**{key: value})
@@ -134,16 +136,18 @@ class TestLocalTrain:
 
     def test_narrow_client_leaves_unread_rows_unmoved(self):
         # a width-3 client of a width-6 GIN: weight decay alone would step W1[0]'s rows 3-5
+        # and their Adam moments
         client = tiny_clients(1, feat_dim=3)[0]
         model = init_gin(6, 2, hidden=4, num_layers=2, rng=np.random.default_rng(1))
         size = model.vector.size
-        config = replace(TINY, epochs=3, batch_size=2, weight_decay=5e-4)
-        delta, _ = local_train(client, model, model.vector.copy(),
-                               AdamState(np.zeros(size), np.zeros(size)),
-                               np.random.default_rng(42), config)
-        rows = GinModel(6, 2, 4, 2, delta).w1[0]
-        assert np.all(rows[3:] == 0.0) and not np.any(np.signbit(rows[3:]))
-        assert np.all(rows[:3] != 0.0)
+        config = replace(TINY, epochs=3, batch_size=2, weight_decay=5e-4, prox_mu=0.01)
+        optimizer = AdamState(np.zeros(size), np.zeros(size))
+        delta, _ = local_train(client, model, model.vector.copy(), optimizer,
+                               np.random.default_rng(42), config, prox_mu=config.prox_mu)
+        for vector in (delta, optimizer.m, optimizer.v):
+            rows = GinModel(6, 2, 4, 2, vector).w1[0]
+            assert np.all(rows[3:] == 0.0) and not np.any(np.signbit(rows[3:]))
+            assert np.all(rows[:3] != 0.0)
 
     def test_prox_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -194,8 +198,8 @@ class TestRunFederation:
                 for lo in range(0, len(order), batch_size):
                     idx = order[lo:lo + batch_size]
                     _, grad = gin_loss_and_grad(model, union(graphs[i] for i in idx))
-                    model.vector[:] = adam_step(opt, model.vector, grad, TINY.lr,
-                                                TINY.weight_decay)
+                    model.vector[:] = adam_step(opt, model.vector,
+                                                grad + TINY.weight_decay * model.vector, TINY.lr)
             assert np.array_equal(model.vector, fed_params[client.id])
 
     def test_single_client_fedavg_equals_selftrain(self):

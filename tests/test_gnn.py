@@ -353,18 +353,19 @@ class TestAdam:
     def test_zero_gradient_is_noop(self):
         state = AdamState(np.zeros(4), np.zeros(4))
         params = np.array([1.0, -2.0, 3.0, 0.5])
-        out = adam_step(state, params, np.zeros(4), 0.01, 0.0)
+        out = adam_step(state, params, np.zeros(4), 0.01)
         assert np.array_equal(out, params)
 
     def test_first_step_moves_by_lr_sign(self):
         state = AdamState(np.zeros(3), np.zeros(3))
         params = np.zeros(3)
         grad = np.array([0.5, -2.0, 0.1])
-        out = adam_step(state, params, grad, 0.01, 0.0)
+        out = adam_step(state, params, grad, 0.01)
         assert np.allclose(out, -0.01 * np.sign(grad), rtol=1e-6)
 
     def test_matches_reference_transcript(self):
-        # independently scripted Adam (loop form, including folded weight decay)
+        # independently scripted Adam (loop form), weight decay folded into the gradient as
+        # fed.local_train folds it
         lr, b1, b2, eps, wd = 1e-3, 0.9, 0.999, 1e-8, 5e-4
         rng = np.random.default_rng(12)
         params = rng.standard_normal(6)
@@ -382,13 +383,13 @@ class TestAdam:
         state = AdamState(np.zeros(6), np.zeros(6))
         ours = params.copy()
         for g in grads:
-            ours = adam_step(state, ours, g, lr, wd)
+            ours = adam_step(state, ours, g + wd * ours, lr)
         assert np.max(np.abs(ours - ref)) <= 1e-10
 
     def test_length_mismatch(self):
         state = AdamState(np.zeros(3), np.zeros(3))
         with pytest.raises(ArgumentError):
-            adam_step(state, np.zeros(4), np.zeros(4), 1e-3, 0.0)
+            adam_step(state, np.zeros(4), np.zeros(4), 1e-3)
 
 
 class TestTrainability:
@@ -407,7 +408,7 @@ class TestTrainability:
         batch = union(graphs)
         for epoch in range(200):
             _, grad = gin_loss_and_grad(model, batch)
-            model.vector[:] = adam_step(opt, model.vector, grad, 5e-3, 0.0)
+            model.vector[:] = adam_step(opt, model.vector, grad, 5e-3)
             if all(predict(model, g) == y for g, y in zip(graphs, labels)):
                 break
         assert all(predict(model, g) == y for g, y in zip(graphs, labels))

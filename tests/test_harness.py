@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gcflsim.cli import build_parser
 from gcflsim.clustering import ClusterConfig, ClusterState
 from gcflsim.errors import ArgumentError, ConfigurationError
 from gcflsim import harness, hetero
 from gcflsim.fed import RunConfig, RunSettings, infer_dims, run_federation
 from gcflsim.gnn import one_hot_degrees
 from gcflsim.graphs import Dataset
+from gcflsim.hetero import HeteroSettings
 from gcflsim.harness import (
     MOLECULE_DATASETS,
     ExperimentConfig,
@@ -157,8 +159,8 @@ class TestClusterHeterogeneity:
         clients, _ = synthetic_two_group_clients(clients_per_group=1,
                                                  graphs_per_client=8, seed=0)
         cluster = ClusterState(0, [c.id for c in clients], np.zeros(2))
-        rows = cluster_heterogeneity_report(client_embeddings(clients, awe_length=3),
-                                            [cluster], pair_budget=100)
+        rows = cluster_heterogeneity_report(
+            client_embeddings(clients, awe_length=3, pair_budget=100), [cluster])
         assert [row[:2] for row in rows] == [("all", 2), ("0", 2)]
         # one pool of the same keys: the same pairs of the same embeddings
         assert rows[1][2].structure_mean == rows[0][2].structure_mean
@@ -171,10 +173,10 @@ class TestClusterHeterogeneity:
         monkeypatch.setattr(hetero, "awe_distribution", counting(walked, hetero.awe_distribution))
         monkeypatch.setattr(hetero, "feature_sim_histogram",
                             counting(binned, hetero.feature_sim_histogram))
-        store = client_embeddings(clients, awe_length=3)
+        store = client_embeddings(clients, awe_length=3, pair_budget=pair_budget)
         for halves in (([0, 1], [2, 3]), ([0, 2], [1, 3])):  # two clusterings, one store
             clusters = [ClusterState(k, members, np.zeros(2)) for k, members in enumerate(halves)]
-            cluster_heterogeneity_report(store, clusters, pair_budget=pair_budget)
+            cluster_heterogeneity_report(store, clusters)
         assert len(walked) == len(set(walked)) and sorted(binned) == sorted(walked)
         if pair_budget > 1000:  # every pair of every pool, so every graph
             assert len(walked) == sum(len(c.train_graphs) + len(c.test_graphs) for c in clients)
@@ -191,8 +193,8 @@ class TestClusterHeterogeneity:
 
 @st.composite
 def run_setting(draw):
-    """One of the run settings and a value of its type, in its range or not."""
-    setting = draw(st.sampled_from(fields(RunSettings)))
+    """One of the run or heterogeneity settings and a value of its type, in its range or not."""
+    setting = draw(st.sampled_from(fields(RunSettings) + fields(HeteroSettings)))
     values = {"int": st.integers(-3, 300), "float": st.floats(), "bool": st.booleans()}
     return setting.name, draw(values[setting.type])
 
@@ -249,19 +251,26 @@ class TestExperimentConfig:
     def test_run_settings_declared_once(self):
         assert not set(ExperimentConfig.__annotations__) & set(RunSettings.__annotations__)
         assert not set(RunConfig.__annotations__) & set(RunSettings.__annotations__)
+        assert not set(ExperimentConfig.__annotations__) & set(HeteroSettings.__annotations__)
+        args = build_parser().parse_args(["analyze-hetero", "--data-root", "d", "--set-a", "A",
+                                          "--set-b", "B"])
+        assert {f.name: getattr(args, f.name) for f in fields(HeteroSettings)} == \
+            vars(HeteroSettings())
 
     @HYPOTHESIS
     @given(run_setting())
     def test_one_rule_for_config_files_and_library_callers(self, setting):
         key, value = setting
+        is_run_setting = key in RunSettings.__annotations__
         try:
-            RunConfig(**{key: value})
+            (RunConfig if is_run_setting else HeteroSettings)(**{key: value})
         except ArgumentError as exc:
             with pytest.raises(ConfigurationError) as caught:
                 ExperimentConfig(**{key: value})
             assert str(caught.value) == str(exc)
-        else:  # repr tells nan, -0.0 and a bool from an int apart
-            assert repr(getattr(make_run_config(ExperimentConfig(**{key: value}), 0), key)) \
+        else:  # repr tells nan, -0.0 and a bool from an int apart; the store reads the config
+            config = ExperimentConfig(**{key: value})
+            assert repr(getattr(make_run_config(config, 0) if is_run_setting else config, key)) \
                 == repr(value)
 
     def test_missing_eps_for_gcfl_rejected(self, tmp_path):

@@ -12,13 +12,13 @@ from gcflsim.hetero import (
     MAX_WALK_LENGTH,
     GraphEmbeddings,
     GraphPool,
+    HeteroSettings,
     _advance,
     _sample_pairs,
     _walk_automaton,
     _walks_per_node,
     awe_distribution,
     dataset_pools,
-    enumerate_anonymous_walks,
     feature_sim_histogram,
     js_distance,
     js_divergence,
@@ -39,9 +39,15 @@ def _anonymize(walk) -> tuple[int, ...]:
     return tuple(mapping.setdefault(int(v), len(mapping)) for v in walk)
 
 
-def pairwise(set_a, set_b, awe_length=4, bins=20, pair_budget=2000, seed=0):
+def enumerate_anonymous_walks(length: int) -> list[tuple[int, ...]]:
+    """All canonical anonymous walk patterns with ``length`` edges: ``awe_distribution``'s
+    columns, in order."""
+    return list(_walk_automaton(length)[1])
+
+
+def pairwise(set_a, set_b, seed=0, **settings):
     """``pairwise_heterogeneity`` of two datasets, keyed as ``gcflsim analyze-hetero`` keys them."""
-    return pairwise_heterogeneity(*dataset_pools(set_a, set_b, awe_length, bins, seed), pair_budget)
+    return pairwise_heterogeneity(*dataset_pools(set_a, set_b, HeteroSettings(**settings), seed))
 
 
 def js_divergence_reference(p, q) -> float:
@@ -223,9 +229,9 @@ class TestAweDistribution:
 
     def test_auto_switches_on_budget(self, triangle, monkeypatch):
         ds = Dataset("t", triangle)
-        exact = dataset_pools(ds, ds, awe_length=2)[0].rows([(0, 0)])[0]
+        exact = dataset_pools(ds, ds, HeteroSettings(awe_length=2), 0)[0].rows([(0, 0)])[0]
         monkeypatch.setattr(hetero, "WALK_BUDGET", 1)
-        tiny = dataset_pools(ds, ds, awe_length=2, seed=3)[0].rows([(0, 0)])[0]
+        tiny = dataset_pools(ds, ds, HeteroSettings(awe_length=2), 3)[0].rows([(0, 0)])[0]
         assert np.allclose(exact, [[0.5, 0.5]])
         assert tiny.sum() == pytest.approx(1.0)
         assert not np.array_equal(exact, tiny)
@@ -460,7 +466,7 @@ class TestPairwiseHeterogeneity:
         edge, path, triangle = (make_graph(3, [(0, 1)]), make_graph(3, [(0, 1), (1, 2)]),
                                 make_graph(3, [(0, 1), (1, 2), (0, 2)]))
         a, b = Dataset("a", union([edge, path])), Dataset("b", triangle)
-        store, pool_a, pool_b = dataset_pools(a, b, awe_length=2)
+        store, pool_a, pool_b = dataset_pools(a, b, HeteroSettings(awe_length=2), 0)
         assert pool_a == ("a", [0]) and pool_b == ("b", [1])
         assert store.keys(pool_a) == [(0, 0), (0, 1)] and store.keys(pool_b) == [(1, 0)]
         assert store.sets == {0: [a.graphs], 1: [b.graphs]}
@@ -469,14 +475,14 @@ class TestPairwiseHeterogeneity:
         for bad in ((1, 1), (0, -1), (2, 0)):
             with pytest.raises(KeyError):
                 store.rows([bad])
-        _, pool_a, pool_b = dataset_pools(a, a)
+        _, pool_a, pool_b = dataset_pools(a, a, HeteroSettings(), 0)
         assert pool_a is pool_b and pool_a.tags == [0]
 
     def test_pool_keys_run_in_tag_then_position_order(self):
         rng = np.random.default_rng(17)
         graphs = [random_graph(rng, n=5) for _ in range(5)]
         store = GraphEmbeddings({3: [union(graphs[:2]), union(graphs[2:3])],
-                                 1: [union(graphs[3:])]})
+                                 1: [union(graphs[3:])]}, HeteroSettings(), 0)
         assert store.keys(GraphPool("both", [3, 1])) == [(1, 0), (1, 1), (3, 0), (3, 1), (3, 2)]
         assert store.keys(GraphPool("one", [3])) == [(3, 0), (3, 1), (3, 2)]
 
@@ -484,8 +490,8 @@ class TestPairwiseHeterogeneity:
         rng = np.random.default_rng(16)
         graphs = [random_graph(rng, n=6) for _ in range(3)] + [random_graph(rng, n=7)
                                                                for _ in range(2)]
-        store = GraphEmbeddings({4: [union(graphs[:3]), union(graphs[3:])]}, awe_length=3,
-                                bins=8)
+        store = GraphEmbeddings({4: [union(graphs[:3]), union(graphs[3:])]},
+                                HeteroSettings(awe_length=3, bins=8), 0)
         cuts, binned = [], hetero.feature_sim_histogram
         monkeypatch.setattr(hetero, "feature_sim_histogram",
                             lambda graph, bins: cuts.append(len(graph)) or binned(graph, bins))
@@ -542,7 +548,7 @@ class TestPairwiseHeterogeneity:
     def test_pair_budget_below_one_raises(self):
         ds = Dataset("two", union([make_graph(3, [(0, 1)]), make_graph(3, [(1, 2)])]))
         for bad in (0, -3):
-            with pytest.raises(ArgumentError):
+            with pytest.raises(ArgumentError, match=f"^pair_budget must be >= 1, got {bad}$"):
                 pairwise(ds, ds, pair_budget=bad)
 
     def test_half_edgeless_set_is_finite(self):
