@@ -128,7 +128,7 @@ def cmd_calibrate(args) -> int:
     check_writable(args.out)
     seed = config.seeds[0]
     eps1, eps2, delta_mean, delta_max = harness.auto_epsilons(
-        harness.build_clients(config, seed), harness.make_run_config(config, seed), config.rounds)
+        harness.build_clients(config, seed), config, seed, config.rounds)
     write_csv(args.out, ["eps1", "eps2", "delta_mean", "delta_max"],
               [[eps1, eps2, delta_mean, delta_max]])
     print(f"probe over {config.rounds} rounds: delta_mean={delta_mean:g} delta_max={delta_max:g}")

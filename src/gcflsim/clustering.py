@@ -3,33 +3,24 @@ Stoer-Wagner global minimum cut, and cluster-wise aggregation.
 
 A cluster splits when the size-weighted mean update norm has shrunk below
 eps1 while some member still transmits an update larger than eps2; the
-bipartition severs the least-similar members.
+bipartition severs the least-similar members. The four split settings are
+``fed.RunSettings``' own, declared and range-checked there; ``split_check``
+only reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ArgumentError
 
+if TYPE_CHECKING:  # fed imports this module
+    from .fed import RunSettings
+
 WEIGHT_FLOOR = 1e-6
-
-
-@dataclass
-class ClusterConfig:
-    eps1: float
-    eps2: float
-    min_split_size: int = 3
-    warmup_rounds: int = 0
-
-    def __post_init__(self):
-        if not (self.eps1 > 0 and self.eps2 > 0):  # also rejects nan
-            raise ArgumentError("eps1 and eps2 must be positive")
-        if self.min_split_size < 1 or self.warmup_rounds < 0:
-            raise ArgumentError(f"need min_split_size >= 1 and warmup_rounds >= 0, got "
-                                f"{self.min_split_size} and {self.warmup_rounds}")
 
 
 @dataclass
@@ -62,20 +53,21 @@ def split_check(
     delta_mean: float,
     delta_max: float,
     num_members: int,
-    config: ClusterConfig,
+    settings: RunSettings,
     round_index: int,
 ) -> bool:
     """Evaluate the two split criteria on one cluster's update statistics.
 
     ``delta_mean`` and ``delta_max`` are the ones ``cluster_aggregate``
-    recorded. A split additionally requires at least ``min_split_size``
-    members and ``round_index >= warmup_rounds``.
+    recorded; ``settings.eps1`` and ``settings.eps2`` must be set. A split
+    additionally requires at least ``settings.min_split_size`` members and
+    ``round_index >= settings.warmup_rounds``.
     """
     return (
-        delta_mean < config.eps1
-        and delta_max > config.eps2
-        and num_members >= config.min_split_size
-        and round_index >= config.warmup_rounds
+        delta_mean < settings.eps1
+        and delta_max > settings.eps2
+        and num_members >= settings.min_split_size
+        and round_index >= settings.warmup_rounds
     )
 
 

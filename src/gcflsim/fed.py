@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .clustering import (
-    ClusterConfig,
     ClusterState,
     SplitEvent,
     bipartition_cluster,
@@ -67,7 +66,13 @@ class ClientState:
 
 @dataclass(kw_only=True)
 class RunSettings:
-    """The settings every client of a run trains under: declared and range-checked once."""
+    """The settings every client of a run trains and splits under: declared and range-checked once.
+
+    gcfl and gcflplus split a cluster when its mean-update norm is below ``eps1``,
+    some member's update norm is above ``eps2``, it has at least ``min_split_size``
+    members and the round is past ``warmup_rounds`` (Sattler et al.'s CFL test);
+    they need both thresholds, and every other algorithm reads none of the four.
+    """
 
     epochs: int = 1
     batch_size: int = 128
@@ -78,25 +83,37 @@ class RunSettings:
     prox_mu: float = 0.01
     window: int = 10  # gcflplus's norm window: the last ``window`` reports, never [-0:]
     standardize: bool = False
+    eps1: Optional[float] = None
+    eps2: Optional[float] = None
+    min_split_size: int = 3
+    warmup_rounds: int = 0
 
     def __post_init__(self):
-        for key in ("batch_size", "hidden", "num_layers", "window"):
+        for key in ("batch_size", "hidden", "num_layers", "window", "min_split_size"):
             if getattr(self, key) < 1:
                 raise ArgumentError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("epochs", "lr", "weight_decay", "prox_mu"):
+        for key in ("epochs", "warmup_rounds", "lr", "weight_decay", "prox_mu"):
             value = getattr(self, key)
             if value < 0:  # a nan lr passes here and stops as divergence
                 raise ArgumentError(f"{key} must be >= 0, got {value}")
             if value == np.inf:  # inf times a zero moment or parameter is nan
                 raise ArgumentError(f"{key} must be finite, got {value}")
+        for key in ("eps1", "eps2"):
+            value = getattr(self, key)
+            if value is not None and not value > 0:  # also rejects nan
+                raise ArgumentError(f"{key} must be > 0, got {value}")
 
 
-@dataclass(kw_only=True)
-class RunConfig(RunSettings):
-    """A run's settings and seed; only gcfl and gcflplus read ``criteria``."""
-
-    seed: int = 0
-    criteria: Optional[ClusterConfig] = None
+def check_algorithms(algorithms: list[str]) -> None:
+    """The one rule for a list of algorithm names: at least one, each known, none repeated."""
+    if not algorithms:
+        raise ArgumentError("algorithms must name at least one algorithm")
+    unknown = [a for a in algorithms if a not in ALGORITHMS]
+    if unknown:
+        raise ArgumentError(f"algorithms: unknown {unknown}; pick from {list(ALGORITHMS)}")
+    repeated = sorted({a for a in algorithms if algorithms.count(a) > 1})
+    if repeated:
+        raise ArgumentError(f"algorithms: {repeated} named more than once")
 
 
 @dataclass
@@ -147,16 +164,16 @@ def local_train(
     start_params: np.ndarray,
     optimizer: AdamState,
     rng: np.random.Generator,
-    config: RunConfig,
+    settings: RunSettings,
     prox_mu: float = 0.0,
 ) -> tuple[np.ndarray, float]:
     """Train ``model`` locally from ``start_params``; return (delta, mean batch loss).
 
-    Runs ``config.epochs`` passes of Adam steps on batches of
-    ``config.batch_size``, each pass shuffled by ``rng``, each batch cut from
+    Runs ``settings.epochs`` passes of Adam steps on batches of
+    ``settings.batch_size``, each pass shuffled by ``rng``, each batch cut from
     ``client.train_graphs``. With ``prox_mu``, each batch objective gains
     FedProx's proximal term (prox_mu/2)*||theta - start_params||^2, and then
-    weight decay's gradient ``config.weight_decay * theta`` over the parameters
+    weight decay's gradient ``settings.weight_decay * theta`` over the parameters
     the batch reads. W1[0]'s rows past a narrow client's width are read by no
     batch, so their gradient, Adam moments and delta stay +0.0. The delta is
     final minus start parameters; the loss is nan when no batch ran (``epochs=0``).
@@ -165,14 +182,14 @@ def local_train(
     start = np.array(start_params, dtype=np.float64)
     model.vector[:] = start
     decay = None  # at weight_decay 0 nothing is added, so no zero's sign moves
-    if config.weight_decay:  # each parameter's rate: 0 on the rows no batch reads
-        decay = replace(model, vector=np.full(model.vector.size, config.weight_decay))
+    if settings.weight_decay:  # each parameter's rate: 0 on the rows no batch reads
+        decay = replace(model, vector=np.full(model.vector.size, settings.weight_decay))
         decay.w1[0][graphs.feat_dim:] = 0.0
     losses = []
-    for _ in range(config.epochs):
+    for _ in range(settings.epochs):
         order = rng.permutation(len(graphs))
-        for lo in range(0, len(order), config.batch_size):
-            batch = graphs.take(order[lo:lo + config.batch_size])
+        for lo in range(0, len(order), settings.batch_size):
+            batch = graphs.take(order[lo:lo + settings.batch_size])
             loss, grad = gin_loss_and_grad(model, batch)
             if prox_mu:
                 diff = model.vector - start
@@ -181,7 +198,7 @@ def local_train(
             if decay is not None:
                 grad = grad + decay.vector * model.vector
             losses.append(loss)
-            model.vector[:] = adam_step(optimizer, model.vector, grad, config.lr)
+            model.vector[:] = adam_step(optimizer, model.vector, grad, settings.lr)
     return model.vector - start, float(np.mean(losses)) if losses else float("nan")
 
 
@@ -203,7 +220,7 @@ def infer_dims(clients: list[ClientState]) -> tuple[int, int]:
             max(2, 1 + max(int(u.labels.max()) for u in unions)))
 
 
-def _prox_is_zero(clients: list[ClientState], config: RunConfig) -> bool:
+def _prox_is_zero(clients: list[ClientState], settings: RunSettings) -> bool:
     """Whether FedProx's proximal term is zero at every local step: its effective mu is 0.
 
     The term's gradient mu * (theta - anchor) vanishes at the anchor, where
@@ -211,8 +228,8 @@ def _prox_is_zero(clients: list[ClientState], config: RunConfig) -> bool:
     client takes more than one step per round. Adding a zero gradient can
     change only the sign of a zero entry, which no output shows.
     """
-    return config.prox_mu == 0 or (config.epochs <= 1 and all(
-        len(c.train_graphs) <= config.batch_size for c in clients))
+    return settings.prox_mu == 0 or (settings.epochs <= 1 and all(
+        len(c.train_graphs) <= settings.batch_size for c in clients))
 
 
 @dataclass
@@ -242,16 +259,18 @@ def run_federation(
     clients: list[ClientState],
     algorithms: list[str],
     rounds: int,
-    config: RunConfig,
+    settings: RunSettings,
+    seed: int,
 ) -> list[RunResult]:
     """Run each of ``algorithms`` on the same clients: one ``RunResult`` per algorithm, in order.
 
     Per round: broadcast each cluster's model, train all members locally,
     record the update norms, aggregate per cluster, evaluate every client on
-    its held-out split, then (gcfl/gcflplus) check ``config.criteria`` and
-    bipartition clusters whose criteria fire; both children inherit the
-    freshly aggregated parent model and start the next round from it. The
-    other algorithms ignore ``config.criteria``.
+    its held-out split, then (gcfl/gcflplus) bipartition the clusters whose
+    split criteria fire (``split_check`` on ``settings``); both children
+    inherit the freshly aggregated parent model and start the next round from
+    it. The other algorithms ignore the split settings. ``seed`` keys the
+    initial model and every client's shuffle RNG.
 
     The algorithms run in groups of algorithms in the same state, and a group
     computes each round once. They start in one group per initial layout
@@ -264,15 +283,10 @@ def run_federation(
     and the queue empties before the next starting group is built. So a
     finished group's Adam states and RNGs are freed before another starts.
     """
-    if not algorithms:
-        raise ArgumentError("need at least one algorithm")
+    check_algorithms(algorithms)
     for algorithm in algorithms:
-        if algorithm not in ALGORITHMS:
-            raise ArgumentError(f"unknown algorithm {algorithm!r}")
-        if algorithm in ("gcfl", "gcflplus") and config.criteria is None:
-            raise ArgumentError(f"{algorithm} needs split criteria (RunConfig.criteria)")
-    if len(set(algorithms)) != len(algorithms):
-        raise ArgumentError(f"algorithms named more than once: {list(algorithms)}")
+        if algorithm in ("gcfl", "gcflplus") and (settings.eps1 is None or settings.eps2 is None):
+            raise ArgumentError(f"{algorithm} needs eps1 and eps2")
     if rounds < 1:
         raise ArgumentError(f"rounds must be >= 1, got {rounds}")
     if not clients:
@@ -287,12 +301,12 @@ def run_federation(
             raise ArgumentError(f"client {c.id} needs at least one training and one test graph")
     input_dim, output_dim = infer_dims(clients)
 
-    init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _INIT_SEED_TAG]))
-    model = init_gin(input_dim, output_dim, config.hidden, config.num_layers, init_rng)
+    init_rng = np.random.default_rng(np.random.SeedSequence([seed, _INIT_SEED_TAG]))
+    model = init_gin(input_dim, output_dim, settings.hidden, settings.num_layers, init_rng)
     init_flat = model.vector.copy()  # the model itself is every client's working copy
 
     starts: dict[tuple, list[int]] = {}  # (initial layout, effective mu) -> algorithm indices
-    fedprox_mu = 0.0 if _prox_is_zero(clients, config) else config.prox_mu
+    fedprox_mu = 0.0 if _prox_is_zero(clients, settings) else settings.prox_mu
     for i, algorithm in enumerate(algorithms):
         layout = tuple((cid,) for cid in by_id) if algorithm == "selftrain" else (tuple(by_id),)
         starts.setdefault((layout, fedprox_mu if algorithm == "fedprox" else 0.0), []).append(i)
@@ -301,7 +315,7 @@ def run_federation(
         [ClusterState(k, list(m), init_flat.copy()) for k, m in enumerate(layout)], mu,
         {c.id: AdamState(np.zeros(init_flat.size), np.zeros(init_flat.size)) for c in clients},
         {c.id: np.random.default_rng(
-            np.random.SeedSequence([config.seed, _CLIENT_SEED_TAG, c.id])) for c in clients}),
+            np.random.SeedSequence([seed, _CLIENT_SEED_TAG, c.id])) for c in clients}),
         members) for (layout, mu), members in starts.items())
     forks = deque()  # forked groups, each with its next round
 
@@ -311,8 +325,8 @@ def run_federation(
         start, run, members = group
         for t in range(start, rounds):
             (run, members), *split_off = _split_round(
-                t, run, _train_round(t, run, by_id, model, config), members, algorithms,
-                results, config)
+                t, run, _train_round(t, run, by_id, model, settings), members, algorithms,
+                results, settings)
             forks.extend((t + 1, *fork) for fork in split_off)
         for n, i in enumerate(members):
             if n:  # so that no two results share a list
@@ -323,7 +337,7 @@ def run_federation(
 
 
 def _train_round(t: int, run: _RunState, by_id: dict[int, ClientState], model: GinModel,
-                 config: RunConfig) -> dict[int, np.ndarray]:
+                 settings: RunSettings) -> dict[int, np.ndarray]:
     """Local training, aggregation and evaluation of every cluster for round ``t``: the updates."""
     deltas: dict[int, np.ndarray] = {}
     norms: dict[int, float] = {}
@@ -332,13 +346,13 @@ def _train_round(t: int, run: _RunState, by_id: dict[int, ClientState], model: G
         for cid in cluster.members:
             optimizer = run.optimizers[cid]
             delta, train_loss[cid] = local_train(by_id[cid], model, cluster.model, optimizer,
-                                                 run.rngs[cid], config, run.prox_mu)
+                                                 run.rngs[cid], settings, run.prox_mu)
             # a finite delta whose norm overflows has diverged as well
             with np.errstate(over="ignore"):
                 norms[cid] = float(np.linalg.norm(delta))
             if not np.isfinite(norms[cid]):
                 raise DivergenceError(f"round {t}: client {cid} sent an update of non-finite norm")
-            if config.epochs and not np.isfinite(train_loss[cid]):  # nan when no batch ran
+            if settings.epochs and not np.isfinite(train_loss[cid]):  # nan when no batch ran
                 raise DivergenceError(f"round {t}: client {cid} reported a non-finite train loss")
             if not np.isfinite(optimizer.v.max()):  # such coordinates would take no more steps
                 raise DivergenceError(f"round {t}: client {cid}'s Adam second moment overflowed")
@@ -361,7 +375,7 @@ def _train_round(t: int, run: _RunState, by_id: dict[int, ClientState], model: G
 
 def _split_round(t: int, run: _RunState, deltas: dict[int, np.ndarray], members: list[int],
                  algorithms: list[str], results: list[RunResult],
-                 config: RunConfig) -> list[tuple[_RunState, list[int]]]:
+                 settings: RunSettings) -> list[tuple[_RunState, list[int]]]:
     """Split ``run``, the group ``members``, after round ``t``'s ``deltas``: a state per decision.
 
     An algorithm's decision lists, for each cluster whose criteria fire, the
@@ -380,10 +394,10 @@ def _split_round(t: int, run: _RunState, deltas: dict[int, np.ndarray], members:
         for cluster in run.clusters:
             n = len(cluster.members)
             if algorithm not in ("gcfl", "gcflplus") or n < 2 or not split_check(
-                    cluster.delta_mean, cluster.delta_max, n, config.criteria, t):
+                    cluster.delta_mean, cluster.delta_max, n, settings, t):
                 continue
             if (algorithm, cluster.id) not in cuts:
-                cuts[algorithm, cluster.id] = _cut(run, deltas, cluster, algorithm, config)
+                cuts[algorithm, cluster.id] = _cut(run, deltas, cluster, algorithm, settings)
             halves, cut_value, windows = cuts[algorithm, cluster.id]
             logger.info("round %d: %s: cluster %d split into %s | %s (cut %.3g)",
                         t, algorithm, cluster.id, *halves, cut_value)
@@ -407,18 +421,18 @@ def _split_round(t: int, run: _RunState, deltas: dict[int, np.ndarray], members:
 
 
 def _cut(run: _RunState, deltas: dict[int, np.ndarray], cluster: ClusterState, algorithm: str,
-         config: RunConfig) -> tuple[tuple, float, Optional[dict[int, list[float]]]]:
+         settings: RunSettings) -> tuple[tuple, float, Optional[dict[int, list[float]]]]:
     """The ordered member halves and value of ``cluster``'s cut, and gcflplus's windows.
 
     gcflplus's window of each member is its update norms of the last
-    ``config.window`` rounds, read off the group's reports; gcfl has none.
+    ``settings.window`` rounds, read off the group's reports; gcfl has none.
     """
     windows = None
     if algorithm == "gcfl":
         weights = to_cut_weights(cosine_matrix([deltas[cid] for cid in cluster.members]))
     else:
         recent = [{e.client_id: e.grad_norm for e in report.entries}
-                  for report in run.reports[-config.window:]]
+                  for report in run.reports[-settings.window:]]
         windows = {cid: [norms[cid] for norms in recent] for cid in cluster.members}
-        weights = dtw_to_cut_weights(dtw_matrix(windows, cluster.members, config.standardize))
+        weights = dtw_to_cut_weights(dtw_matrix(windows, cluster.members, settings.standardize))
     return (*bipartition_cluster(cluster, weights), windows)

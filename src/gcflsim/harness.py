@@ -19,9 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import ClusterConfig
 from .errors import ArgumentError, ConfigurationError, CorruptDatasetError, IngestionError
-from .fed import ALGORITHMS, ClientState, RunConfig, RunResult, RunSettings, run_federation
+from .fed import ClientState, RunResult, RunSettings, check_algorithms, run_federation
 from .gnn import one_hot_degrees
 from .graphs import Dataset, GraphBatch, binomial_gnp, load_tu_dataset
 from .hetero import (GraphEmbeddings, GraphPool, HeterogeneityReport, HeteroSettings,
@@ -304,10 +303,6 @@ class ExperimentConfig(RunSettings, HeteroSettings):
     algorithms: list[str] = field(default_factory=lambda: ["selftrain", "fedavg"])
     rounds: int = 50
     seeds: list[int] = field(default_factory=lambda: [0])
-    eps1: Optional[float] = None
-    eps2: Optional[float] = None
-    min_split_size: int = 3
-    warmup_rounds: int = 0
     hetero_report: bool = True
     out_dir: str = "results"
 
@@ -315,6 +310,7 @@ class ExperimentConfig(RunSettings, HeteroSettings):
         try:
             RunSettings.__post_init__(self)
             HeteroSettings.__post_init__(self)
+            check_algorithms(self.algorithms)
         except ArgumentError as exc:
             raise ConfigurationError(str(exc)) from exc
         if self.setting not in ("oneDS", "multiDS", "synthetic"):
@@ -326,29 +322,18 @@ class ExperimentConfig(RunSettings, HeteroSettings):
         if self.per_client_graphs is not None and self.per_client_graphs < 2:
             raise ConfigurationError(
                 f"per_client_graphs must be >= 2, got {self.per_client_graphs}")
-        for key in ("num_clients", "rounds", "min_split_size"):
+        for key in ("num_clients", "rounds"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.warmup_rounds < 0:
-            raise ConfigurationError(f"warmup_rounds must be >= 0, got {self.warmup_rounds}")
         if self.setting == "synthetic" and self.num_clients % 2:
             raise ConfigurationError(f"synthetic num_clients must be even, got {self.num_clients}")
-        if not self.seeds or not self.algorithms:
-            raise ConfigurationError("seeds and algorithms must each name at least one value")
+        if not self.seeds:
+            raise ConfigurationError("seeds must name at least one seed")
         if min(self.seeds) < 0:
             raise ConfigurationError(f"seeds must be >= 0, got {self.seeds}")
-        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
-        if unknown:
-            raise ConfigurationError(f"algorithms: unknown {unknown}; pick from {list(ALGORITHMS)}")
-        for key in ("seeds", "algorithms"):  # a repeat would write every row of it twice
-            values = getattr(self, key)
-            repeated = sorted({v for v in values if values.count(v) > 1})
-            if repeated:
-                raise ConfigurationError(f"{key}: {repeated} named more than once")
-        for key in ("eps1", "eps2"):
-            value = getattr(self, key)
-            if value is not None and not value > 0:  # also rejects nan
-                raise ConfigurationError(f"{key} must be > 0, got {value}")
+        repeated = sorted({v for v in self.seeds if self.seeds.count(v) > 1})
+        if repeated:  # a repeat would write every row of it twice
+            raise ConfigurationError(f"seeds: {repeated} named more than once")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -434,22 +419,15 @@ def build_clients(config: ExperimentConfig, seed: int) -> list[ClientState]:
                                      config.feature_mode)
 
 
-def make_run_config(config: ExperimentConfig, seed: int) -> RunConfig:
-    """The run settings of one seed, with split criteria when eps1 and eps2 are both set."""
-    criteria = None if config.eps1 is None or config.eps2 is None else ClusterConfig(
-        config.eps1, config.eps2, config.min_split_size, config.warmup_rounds)
-    return RunConfig(seed=seed, criteria=criteria,
-                     **{f.name: getattr(config, f.name) for f in fields(RunSettings)})
-
-
 def run_experiment(config: ExperimentConfig) -> list[tuple[str, int, MetricsSummary]]:
     """Run every configured (algorithm, seed) pair and emit the CSV outputs.
 
     The self-train baseline is always run (and run first) because gain and
     improvement metrics are defined against it. All algorithms of a seed run
-    in one ``run_federation`` call, gcfl and gcflplus with the configured split
-    criteria. With ``hetero_report`` on, every clustered algorithm's report of a
-    seed reads one embedding store of its clients' graphs. An ``out_dir`` that
+    in one ``run_federation`` call, which reads the config itself as its
+    ``RunSettings``, split criteria included. With ``hetero_report`` on, every
+    clustered algorithm's report of a seed reads one embedding store of its
+    clients' graphs. An ``out_dir`` that
     cannot be made or written stops the run before any seed. Returns each
     (algorithm, seed)'s metrics, in the order of ``summary.csv``.
     """
@@ -464,8 +442,7 @@ def run_experiment(config: ExperimentConfig) -> list[tuple[str, int, MetricsSumm
 
     for seed in config.seeds:
         clients = build_clients(config, seed)
-        results = run_federation(clients, algorithms, config.rounds,
-                                 make_run_config(config, seed))
+        results = run_federation(clients, algorithms, config.rounds, config, seed)
         selftrain_acc = results[0].final_accuracy
         embeddings = None
         if config.hetero_report and clustered:
@@ -534,7 +511,7 @@ MEAN_MARGIN = 1.5  # eps1 sits this far above the probe's last mean-update norm
 MAX_MARGIN = 0.6  # and eps2 this far below its largest client update norm
 
 
-def auto_epsilons(clients: list[ClientState], run_config: RunConfig,
+def auto_epsilons(clients: list[ClientState], settings: RunSettings, seed: int,
                   probe_rounds: int) -> tuple[float, float, float, float]:
     """(eps1, eps2, delta_mean, delta_max) from a FedAvg probe of ``probe_rounds`` rounds.
 
@@ -542,7 +519,8 @@ def auto_epsilons(clients: list[ClientState], run_config: RunConfig,
     can fire; eps2 below its final largest client update norm so heterogeneous
     members keep the split criterion alive. The probe reads no test label.
     """
-    cluster = run_federation(clients, ["fedavg"], probe_rounds, run_config)[0].final_clusters[0]
+    cluster = run_federation(clients, ["fedavg"], probe_rounds, settings,
+                             seed)[0].final_clusters[0]
     delta_mean, delta_max = float(cluster.delta_mean), float(cluster.delta_max)
     return (MEAN_MARGIN * max(delta_mean, 1e-12), MAX_MARGIN * max(delta_max, 1e-12),
             delta_mean, delta_max)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from gcflsim.clustering import ClusterConfig, stoer_wagner_mincut
+from gcflsim.clustering import stoer_wagner_mincut
 from gcflsim.dtwseries import dtw_distance
-from gcflsim.fed import RunConfig, run_federation
+from gcflsim.fed import RunSettings, run_federation
 from gcflsim.gnn import gin_loss_and_grad, init_gin
 from gcflsim.harness import (
     ExperimentConfig,
@@ -75,9 +75,9 @@ def _recovery_runs(seed):
     """gcfl and gcflplus as one sweep: (recovered, split round, result, clients) for each."""
     clients, groups = synthetic_two_group_clients(seed=seed)
     truth = {frozenset(groups[0]), frozenset(groups[1])}
-    config = RunConfig(seed=seed, weight_decay=0.0, criteria=ClusterConfig(**RECOVERY_CLUSTER))
+    settings = RunSettings(weight_decay=0.0, **RECOVERY_CLUSTER)
     runs = {}
-    for result in run_federation(clients, ["gcfl", "gcflplus"], RECOVERY_ROUNDS, config):
+    for result in run_federation(clients, ["gcfl", "gcflplus"], RECOVERY_ROUNDS, settings, seed):
         recovered = False
         split_round = None
         if result.split_events:
@@ -208,30 +208,30 @@ def test_criterion_4_gradient_correctness():
 
 def test_criterion_5_aggregation_identities():
     with criterion(5, "aggregation identities"):
-        base = RunConfig(seed=3, hidden=8, num_layers=2)
+        base = RunSettings(hidden=8, num_layers=2)
 
         # single-cluster GCFL == FedAvg, bit for bit
         clients = tiny_clients(3, graphs_each=10, seed=1)
-        res_gcfl = run_one(clients, "gcfl", 5, base, ClusterConfig(eps1=1e-12, eps2=1e12))
+        res_gcfl = run_one(clients, "gcfl", 5, base, dict(eps1=1e-12, eps2=1e12), seed=3)
         gcfl_params = {cid: p.tobytes() for cid, p in final_params(res_gcfl).items()}
-        res_avg = run_one(clients, "fedavg", 5, base)
+        res_avg = run_one(clients, "fedavg", 5, base, seed=3)
         for cid, params in final_params(res_avg).items():
             assert params.tobytes() == gcfl_params[cid]
         assert reports_equal(res_gcfl.reports, res_avg.reports)
 
         # FedProx with mu = 0 == FedAvg
-        mu_zero = RunConfig(seed=3, hidden=8, num_layers=2, prox_mu=0.0)
-        res_prox = run_one(clients, "fedprox", 5, mu_zero)
+        mu_zero = RunSettings(hidden=8, num_layers=2, prox_mu=0.0)
+        res_prox = run_one(clients, "fedprox", 5, mu_zero, seed=3)
         prox_params = final_params(res_prox)
-        for cid, params in final_params(run_one(clients, "fedavg", 5, base)).items():
+        for cid, params in final_params(run_one(clients, "fedavg", 5, base, seed=3)).items():
             assert np.array_equal(params, prox_params[cid])
         assert reports_equal(res_prox.reports, res_avg.reports)
 
         # self-train with one client == FedAvg with one client
         solo_a = tiny_clients(1, graphs_each=10, seed=2)
         solo_b = tiny_clients(1, graphs_each=10, seed=2)
-        r1 = run_one(solo_a, "selftrain", 5, base)
-        r2 = run_one(solo_b, "fedavg", 5, base)
+        r1 = run_one(solo_a, "selftrain", 5, base, seed=3)
+        r2 = run_one(solo_b, "fedavg", 5, base, seed=3)
         assert np.array_equal(final_params(r1)[0], final_params(r2)[0])
         assert reports_equal(r1.reports, r2.reports)
 
@@ -277,10 +277,10 @@ def test_criterion_7b_heterogeneity_reduction_mini_mix():
         clients = [client_from_dataset(ds, i, test_fraction=0.1, seed=0)
                    for i, ds in enumerate(datasets)]
 
-        probe = RunConfig(seed=0, hidden=32, num_layers=2)
-        eps1, eps2, _, _ = auto_epsilons(clients, probe, probe_rounds=10)
+        probe = RunSettings(hidden=32, num_layers=2)
+        eps1, eps2, _, _ = auto_epsilons(clients, probe, 0, probe_rounds=10)
         result = run_one(clients, "gcfl", 14, probe,
-                         ClusterConfig(eps1, eps2, min_split_size=2, warmup_rounds=10))
+                         dict(eps1=eps1, eps2=eps2, min_split_size=2, warmup_rounds=10))
         assert result.split_events, "mini-mix run produced no split"
         rows = cluster_heterogeneity_report(client_embeddings(clients, pair_budget=600),
                                             result.final_clusters)
@@ -299,12 +299,11 @@ def test_criterion_8_desk_scale_mutag_experiment():
             start = time.monotonic()
             clients = partition_one_dataset(dataset, 4, 47, test_fraction=0.1,
                                             seed=seed, label_skew=True)
-            probe = RunConfig(seed=seed)
-            eps1, eps2, _, _ = auto_epsilons(clients, probe, probe_rounds=30)
-            criteria = ClusterConfig(eps1, eps2, min_split_size=3, warmup_rounds=30)
+            probe = RunSettings()
+            eps1, eps2, _, _ = auto_epsilons(clients, probe, seed, probe_rounds=30)
             accs = {result.algorithm: result.final_accuracy for result in run_federation(
                 clients, ["selftrain", "fedavg", "gcflplus"], 200,
-                replace(probe, criteria=criteria))}
+                replace(probe, eps1=eps1, eps2=eps2, min_split_size=3, warmup_rounds=30), seed)}
             elapsed = time.monotonic() - start
             fedavg = compute_metrics(accs["fedavg"], accs["selftrain"])
             gcflplus = compute_metrics(accs["gcflplus"], accs["selftrain"])

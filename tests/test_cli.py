@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import gcflsim
 from gcflsim import harness
 from gcflsim.cli import main
-from gcflsim.errors import ConfigurationError
-from gcflsim.fed import run_federation
+from gcflsim.errors import ArgumentError, ConfigurationError
+from gcflsim.fed import RunSettings, run_federation
 from gcflsim.outputs import write_csv
 
 from conftest import HYPOTHESIS, write_tu_fixture
@@ -390,6 +390,23 @@ class TestRun:
         assert override.split("=")[0] in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("eps1", "0", "eps1 must be > 0, got 0.0"), ("eps1", "-1", "eps1 must be > 0, got -1.0"),
+        ("eps1", "nan", "eps1 must be > 0, got nan"), ("eps2", "0", "eps2 must be > 0, got 0.0"),
+        ("eps2", "-1", "eps2 must be > 0, got -1.0"), ("eps2", "nan", "eps2 must be > 0, got nan"),
+        ("min_split_size", "0", "min_split_size must be >= 1, got 0"),
+        ("min_split_size", "-3", "min_split_size must be >= 1, got -3"),
+        ("warmup_rounds", "-2", "warmup_rounds must be >= 0, got -2"),
+    ])
+    def test_split_setting_rule_at_both_entry_points(self, tmp_path, capsys, key, value,
+                                                     message):
+        with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+            RunSettings(**{key: float(value) if key.startswith("eps") else int(value)})
+        cfg = self._write_config(tmp_path, f"{key} = {value}\n")
+        assert run_cli("run", "--config", str(cfg)) == 3
+        assert capsys.readouterr().err == f"ConfigurationError: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("override, named, digits", [
         ("hidden=100000000", "hidden 100000000", 17),
         ("num_layers=1000000000000000000", "1000000000000000000 layers", 21),
@@ -574,8 +591,8 @@ class TestCalibrate:
         out = tmp_path / "calibration.csv"
         assert run_cli("calibrate", "--config", str(cfg), "--rounds", "4", "--out", str(out)) == 0
         config = harness.ExperimentConfig.from_file(cfg)
-        probe = run_federation(harness.build_clients(config, 0), ["fedavg"], 4,
-                               harness.make_run_config(config, 0))[0].final_clusters[0]
+        probe = run_federation(harness.build_clients(config, 0), ["fedavg"], 4, config,
+                               0)[0].final_clusters[0]
         delta_mean, delta_max = probe.delta_mean, probe.delta_max
         eps1, eps2 = 1.5 * delta_mean, 0.6 * delta_max
         assert out.read_text().splitlines() == [
@@ -621,9 +638,9 @@ class TestCalibrate:
     def test_probe_is_fedavg_over_the_given_rounds(self, tmp_path, monkeypatch, rounds):
         calls, federate = [], harness.run_federation
 
-        def recorded(clients, algorithms, probe_rounds, run_config):
+        def recorded(clients, algorithms, probe_rounds, settings, seed):
             calls.append((list(algorithms), probe_rounds))
-            return federate(clients, algorithms, probe_rounds, run_config)
+            return federate(clients, algorithms, probe_rounds, settings, seed)
 
         monkeypatch.setattr(harness, "run_federation", recorded)
         cfg = self._write_config(tmp_path)

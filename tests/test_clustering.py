@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gcflsim.clustering import (
-    ClusterConfig,
     ClusterState,
     bipartition_cluster,
     cluster_aggregate,
@@ -14,6 +13,7 @@ from gcflsim.clustering import (
     to_cut_weights,
 )
 from gcflsim.errors import ArgumentError
+from gcflsim.fed import RunSettings
 
 from conftest import HYPOTHESIS
 
@@ -86,7 +86,7 @@ def stats_and_check(deltas, sizes, config, round_index):
 
 
 class TestSplitCheck:
-    CFG = ClusterConfig(eps1=1.0, eps2=0.5, min_split_size=2, warmup_rounds=0)
+    CFG = RunSettings(eps1=1.0, eps2=0.5, min_split_size=2, warmup_rounds=0)
 
     def test_all_zero_deltas_do_not_split(self):
         deltas = [np.zeros(4)] * 3
@@ -105,10 +105,10 @@ class TestSplitCheck:
 
     def test_warmup_and_min_size_guards(self):
         v = np.array([3.0, 4.0])
-        late = ClusterConfig(1.0, 0.5, min_split_size=2, warmup_rounds=10)
+        late = RunSettings(eps1=1.0, eps2=0.5, min_split_size=2, warmup_rounds=10)
         assert not stats_and_check([v, -v], [1, 1], late, round_index=9)[0]
         assert stats_and_check([v, -v], [1, 1], late, round_index=10)[0]
-        big = ClusterConfig(1.0, 0.5, min_split_size=3, warmup_rounds=0)
+        big = RunSettings(eps1=1.0, eps2=0.5, min_split_size=3, warmup_rounds=0)
         assert not stats_and_check([v, -v], [1, 1], big, round_index=50)[0]
 
     def test_member_order_invariance(self):
@@ -124,17 +124,6 @@ class TestSplitCheck:
     def test_size_weighting(self):
         d_mean, _ = aggregate_stats([np.array([1.0]), np.array([-1.0])], [3, 1])
         assert d_mean == pytest.approx(0.5)
-
-    def test_positive_eps_required(self):
-        for eps1, eps2 in ((0.0, 1.0), (float("nan"), 1.0), (1.0, float("nan"))):
-            with pytest.raises(ArgumentError):
-                ClusterConfig(eps1=eps1, eps2=eps2)
-
-    @pytest.mark.parametrize("sizes", [dict(min_split_size=0), dict(min_split_size=-3),
-                                       dict(warmup_rounds=-2)])
-    def test_split_sizes_in_range(self, sizes):
-        with pytest.raises(ArgumentError, match="min_split_size >= 1 and warmup_rounds >= 0"):
-            ClusterConfig(eps1=1.0, eps2=1.0, **sizes)
 
 
 class TestCosineMatrix:

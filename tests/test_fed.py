@@ -7,13 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gcflsim import fed
-from gcflsim.clustering import ClusterConfig, ClusterState, cluster_aggregate
+from gcflsim.clustering import ClusterState, cluster_aggregate
 from gcflsim.errors import ArgumentError, DivergenceError
 from gcflsim.fed import (
     _CLIENT_SEED_TAG,
     _INIT_SEED_TAG,
     ClientState,
-    RunConfig,
+    RunSettings,
     evaluate_client,
     local_train,
     run_federation,
@@ -36,12 +36,14 @@ def tiny_clients(num=2, graphs_each=8, seed=0, feat_dim=3):
     return clients
 
 
-TINY = RunConfig(seed=0, hidden=6, num_layers=2)
+TINY = RunSettings(hidden=6, num_layers=2)
 
 
-def run_one(clients, algorithm, rounds, config, criteria=None):
-    """The result of a ``run_federation`` call that runs one algorithm alone, under ``criteria``."""
-    return run_federation(clients, [algorithm], rounds, replace(config, criteria=criteria))[0]
+def run_one(clients, algorithm, rounds, settings, criteria=None, seed=0):
+    """The result of a ``run_federation`` call that runs one algorithm alone, under ``criteria``,
+    a dict of split settings."""
+    return run_federation(clients, [algorithm], rounds, replace(settings, **(criteria or {})),
+                          seed)[0]
 
 
 def final_params(result):
@@ -112,7 +114,7 @@ class TestRunConfig:
         ("prox_mu", math.inf, "finite")])
     def test_bad_value_rejected(self, key, value, rule):
         with pytest.raises(ArgumentError, match=f"^{key} must be {rule}, got {value}$"):
-            RunConfig(**{key: value})
+            RunSettings(**{key: value})
 
 
 class TestLocalTrain:
@@ -185,13 +187,13 @@ class TestRunFederation:
 
         # independent per-client loop using only the gnn primitives and the
         # documented seed derivation: no federation machinery involved
-        init_rng = np.random.default_rng(np.random.SeedSequence([TINY.seed, _INIT_SEED_TAG]))
+        init_rng = np.random.default_rng(np.random.SeedSequence([0, _INIT_SEED_TAG]))
         init = init_gin(3, 2, TINY.hidden, TINY.num_layers, init_rng).vector
         for client in tiny_clients(2):
             model = GinModel(3, 2, TINY.hidden, TINY.num_layers, init.copy())
             opt = AdamState(np.zeros(len(init)), np.zeros(len(init)))
             rng = np.random.default_rng(
-                np.random.SeedSequence([TINY.seed, _CLIENT_SEED_TAG, client.id]))
+                np.random.SeedSequence([0, _CLIENT_SEED_TAG, client.id]))
             graphs = list(client.train_graphs)
             for _ in range(rounds * TINY.epochs):
                 order = rng.permutation(len(graphs))
@@ -237,7 +239,7 @@ class TestRunFederation:
 
     def test_fedprox_mu_zero_equals_fedavg(self):
         clients = tiny_clients(2)
-        cfg = RunConfig(seed=0, hidden=6, num_layers=2, prox_mu=0.0)
+        cfg = RunSettings(hidden=6, num_layers=2, prox_mu=0.0)
         res_prox = run_one(clients, "fedprox", 3, cfg)
         prox_params = final_params(res_prox)
         res_avg = run_one(clients, "fedavg", 3, cfg)
@@ -370,12 +372,14 @@ class TestRunFederation:
     @pytest.mark.parametrize("algorithms", [[], ["fedavg", "selftrain", "fedavg"]])
     def test_empty_or_repeated_algorithm_list_rejected(self, algorithms):
         with pytest.raises(ArgumentError, match="algorithm"):
-            run_federation(tiny_clients(2), algorithms, 1, TINY)
+            run_federation(tiny_clients(2), algorithms, 1, TINY, 0)
 
     def test_gcfl_requires_cluster_config(self):
         for algorithm in ("gcfl", "gcflplus"):
-            with pytest.raises(ArgumentError, match=f"{algorithm} needs split criteria"):
-                run_federation(tiny_clients(2), ["fedavg", algorithm], 1, TINY)
+            for thresholds in ({}, dict(eps1=1.0), dict(eps2=1.0)):
+                with pytest.raises(ArgumentError, match=f"^{algorithm} needs eps1 and eps2$"):
+                    run_federation(tiny_clients(2), ["fedavg", algorithm], 1,
+                                   replace(TINY, **thresholds), 0)
 
     def test_evaluate_client_counts_correct_predictions(self):
         client = tiny_clients(1)[0]
@@ -388,10 +392,10 @@ class TestRunFederation:
 # step per round and fedprox's effective mu is 0; under MULTI_STEP each takes 3, and fedprox
 # trains its proximal term. Under SPLIT_AT_1 gcfl and gcflplus split at round 1, just after
 # warm-up, into (0, 1) | (2, 3), and at round 2 into singletons; NEVER never fires.
-SWEEP = RunConfig(seed=0, hidden=8, num_layers=2, weight_decay=0.0, prox_mu=0.1)
+SWEEP = RunSettings(hidden=8, num_layers=2, weight_decay=0.0, prox_mu=0.1)
 MULTI_STEP = replace(SWEEP, batch_size=4)
-SPLIT_AT_1 = ClusterConfig(eps1=10.0, eps2=1e-6, min_split_size=2, warmup_rounds=1)
-NEVER = ClusterConfig(eps1=1e-12, eps2=1e12)
+SPLIT_AT_1 = dict(eps1=10.0, eps2=1e-6, min_split_size=2, warmup_rounds=1)
+NEVER = dict(eps1=1e-12, eps2=1e12)
 ROUNDS = 5
 
 
@@ -439,7 +443,8 @@ def sweep(monkeypatch, clients, algorithms, rounds, config, criteria=None):
     with monkeypatch.context() as patch:
         patch.setattr(fed, "local_train", counting)
         patch.setattr(fed, "_train_round", recording)
-        results = run_federation(clients, algorithms, rounds, replace(config, criteria=criteria))
+        results = run_federation(clients, algorithms, rounds, replace(config, **(criteria or {})),
+                                 0)
     assert len(results) == len(algorithms)
     for result, oracle in zip(results, alone):
         assert_same_run(result, oracle)
@@ -507,7 +512,7 @@ class TestSweep:
 
         monkeypatch.setattr(fed, "_train_round", recording)
         run_federation(two_group_clients(3), ["selftrain", "gcfl", "gcflplus"], ROUNDS,
-                       replace(SWEEP, criteria=SPLIT_AT_1))
+                       replace(SWEEP, **SPLIT_AT_1), 0)
         assert rounds == [*range(ROUNDS), *range(ROUNDS), *range(3, ROUNDS)]
 
     @pytest.mark.parametrize("config", [SWEEP, MULTI_STEP], ids=["one-step", "multi-step"])
@@ -516,16 +521,16 @@ class TestSweep:
         # run in the same call, splits at round 1
         others = ["selftrain", "fedavg", "fedprox"]
         clients = two_group_clients()
-        without = run_federation(clients, others, ROUNDS, config)
+        without = run_federation(clients, others, ROUNDS, config, 0)
         *with_criteria, gcfl = run_federation(clients, others + ["gcfl"], ROUNDS,
-                                              replace(config, criteria=SPLIT_AT_1))
+                                              replace(config, **SPLIT_AT_1), 0)
         assert gcfl.split_events[0].round_index == 1
         for a, b in zip(without, with_criteria, strict=True):
             assert_same_run(a, b)
 
     def test_results_of_one_group_share_no_list(self):
         fedavg, gcfl = run_federation(two_group_clients(), ["fedavg", "gcfl"], 2,
-                                      replace(SWEEP, criteria=NEVER))
+                                      replace(SWEEP, **NEVER), 0)
         for name in ("reports", "final_clusters"):
             assert getattr(fedavg, name) is not getattr(gcfl, name)
         assert [k.members is not g.members for k, g in
@@ -537,7 +542,7 @@ class TestSweep:
     def test_children_start_from_the_parent_aggregated_model(self):
         # gcfl is fedavg until it splits, after aggregating, in the last of 2 rounds
         fedavg, gcfl = run_federation(two_group_clients(), ["fedavg", "gcfl"], 2,
-                                      replace(SWEEP, criteria=SPLIT_AT_1))
+                                      replace(SWEEP, **SPLIT_AT_1), 0)
         assert [e.round_index for e in gcfl.split_events] == [1]
         (parent,) = fedavg.final_clusters
         assert [k.members for k in gcfl.final_clusters] == [[0, 1], [2, 3]]
@@ -547,7 +552,7 @@ class TestSweep:
     def test_each_variant_logs_its_own_splits(self, caplog):
         with caplog.at_level("INFO", logger="gcflsim.fed"):
             results = run_federation(two_group_clients(), ["gcfl", "gcflplus"], ROUNDS,
-                                     replace(SWEEP, criteria=SPLIT_AT_1))
+                                     replace(SWEEP, **SPLIT_AT_1), 0)
         assert caplog.messages == [
             f"round {e.round_index}: {r.algorithm}: cluster {e.parent} split into "
             f"{e.members[0]} | {e.members[1]} (cut {e.cut_value:.3g})"
@@ -575,5 +580,5 @@ class TestSweep:
 
         monkeypatch.setattr(fed, "gin_forward", recording)
         run_federation(clients, algorithm_sweep("fedavg"), ROUNDS,
-                       replace(SWEEP, criteria=SPLIT_AT_1))
+                       replace(SWEEP, **SPLIT_AT_1), 0)
         assert {id(b) for b in evaluated} == {id(c.test_graphs) for c in clients}

@@ -8,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gcflsim.cli import build_parser
-from gcflsim.clustering import ClusterConfig, ClusterState
+from gcflsim.clustering import ClusterState
 from gcflsim.errors import ArgumentError, ConfigurationError
 from gcflsim import harness, hetero
-from gcflsim.fed import RunConfig, RunSettings, infer_dims, run_federation
+from gcflsim.fed import RunSettings, infer_dims, run_federation
 from gcflsim.gnn import one_hot_degrees
 from gcflsim.graphs import Dataset
 from gcflsim.hetero import HeteroSettings
@@ -25,7 +25,6 @@ from gcflsim.harness import (
     cluster_heterogeneity_report,
     compute_metrics,
     load_dataset_for_federation,
-    make_run_config,
     partition_one_dataset,
     run_experiment,
     synthetic_two_group_clients,
@@ -195,7 +194,8 @@ class TestClusterHeterogeneity:
 def run_setting(draw):
     """One of the run or heterogeneity settings and a value of its type, in its range or not."""
     setting = draw(st.sampled_from(fields(RunSettings) + fields(HeteroSettings)))
-    values = {"int": st.integers(-3, 300), "float": st.floats(), "bool": st.booleans()}
+    values = {"int": st.integers(-3, 300), "float": st.floats(), "bool": st.booleans(),
+              "Optional[float]": st.none() | st.floats()}
     return setting.name, draw(values[setting.type])
 
 
@@ -250,7 +250,6 @@ class TestExperimentConfig:
 
     def test_run_settings_declared_once(self):
         assert not set(ExperimentConfig.__annotations__) & set(RunSettings.__annotations__)
-        assert not set(RunConfig.__annotations__) & set(RunSettings.__annotations__)
         assert not set(ExperimentConfig.__annotations__) & set(HeteroSettings.__annotations__)
         args = build_parser().parse_args(["analyze-hetero", "--data-root", "d", "--set-a", "A",
                                           "--set-b", "B"])
@@ -263,15 +262,28 @@ class TestExperimentConfig:
         key, value = setting
         is_run_setting = key in RunSettings.__annotations__
         try:
-            (RunConfig if is_run_setting else HeteroSettings)(**{key: value})
+            (RunSettings if is_run_setting else HeteroSettings)(**{key: value})
         except ArgumentError as exc:
             with pytest.raises(ConfigurationError) as caught:
                 ExperimentConfig(**{key: value})
             assert str(caught.value) == str(exc)
-        else:  # repr tells nan, -0.0 and a bool from an int apart; the store reads the config
-            config = ExperimentConfig(**{key: value})
-            assert repr(getattr(make_run_config(config, 0) if is_run_setting else config, key)) \
-                == repr(value)
+        else:  # repr tells nan, -0.0 and a bool from an int apart; runs read the config itself
+            assert repr(getattr(ExperimentConfig(**{key: value}), key)) == repr(value)
+
+    @pytest.mark.parametrize("algorithms, message", [
+        ([], "algorithms must name at least one algorithm"),
+        (["fedavg", "magic"], "algorithms: unknown ['magic']; pick from "
+                              "['selftrain', 'fedavg', 'fedprox', 'gcfl', 'gcflplus']"),
+        (["gcfl", "fedavg", "gcfl", "fedavg"],
+         "algorithms: ['fedavg', 'gcfl'] named more than once"),
+    ], ids=["empty", "unknown", "repeated"])
+    def test_one_rule_for_algorithm_lists(self, algorithms, message):
+        with pytest.raises(ArgumentError) as caught:
+            run_federation([], algorithms, 1, RunSettings(eps1=1.0, eps2=1.0), 0)
+        assert str(caught.value) == message
+        with pytest.raises(ConfigurationError) as caught:
+            ExperimentConfig(algorithms=algorithms)
+        assert str(caught.value) == message
 
     def test_missing_eps_for_gcfl_rejected(self, tmp_path):
         cfg = ExperimentConfig(setting="synthetic", algorithms=["gcfl"], rounds=1,
@@ -333,6 +345,17 @@ class TestRunExperiment:
         assert {r.split(",")[0] for r in rows[1:]} == {"gcfl", "gcflplus"}
         assert sorted(set(walked)) == sorted(walked) == sorted(binned)
         assert len(walked) == 4 * 8
+
+    @pytest.mark.parametrize("min_split_size, halves", [
+        (2, [("0;1", "2;3"), ("0", "1"), ("2", "3")]), (4, [("0;1", "2;3")]), (5, [])])
+    def test_min_split_size_reaches_the_run(self, tmp_path, min_split_size, halves):
+        # the planted halves split off at round 1 and into singletons at round 2, each
+        # cluster only while it has min_split_size members: above num_clients none splits
+        run_experiment(self._config(tmp_path, algorithms=["gcfl"], rounds=3, eps1=10.0,
+                                    eps2=1e-6, min_split_size=min_split_size, warmup_rounds=1,
+                                    weight_decay=0.0))
+        with open(tmp_path / "out" / "splits.csv", newline="") as fh:
+            assert [(r["members_a"], r["members_b"]) for r in csv.DictReader(fh)] == halves
 
     @pytest.mark.parametrize("split_round", [1, 10])
     def test_windows_are_the_last_grad_norms_of_rounds_csv(self, tmp_path, split_round):
@@ -456,24 +479,24 @@ class TestAutoEpsilons:
     def test_probe_produces_usable_thresholds(self):
         clients, groups = synthetic_two_group_clients(
             clients_per_group=2, graphs_per_client=12, seed=0)
-        cfg = RunConfig(seed=0, hidden=8, num_layers=2, weight_decay=0.0)
-        eps1, eps2, _, _ = auto_epsilons(clients, cfg, probe_rounds=5)
+        cfg = RunSettings(hidden=8, num_layers=2, weight_decay=0.0)
+        eps1, eps2, _, _ = auto_epsilons(clients, cfg, 0, probe_rounds=5)
         assert eps1 > 0 and eps2 > 0
-        criteria = ClusterConfig(eps1, eps2, min_split_size=2, warmup_rounds=6)
-        result = run_federation(clients, ["gcfl"], 10, replace(cfg, criteria=criteria))[0]
+        criteria = replace(cfg, eps1=eps1, eps2=eps2, min_split_size=2, warmup_rounds=6)
+        result = run_federation(clients, ["gcfl"], 10, criteria, 0)[0]
         assert result.split_events
 
     def test_thresholds_ignore_test_graphs(self):
         clients, _ = synthetic_two_group_clients(clients_per_group=2, graphs_per_client=8, seed=0)
-        cfg = RunConfig(seed=0, hidden=8, num_layers=2, weight_decay=0.0)
+        cfg = RunSettings(hidden=8, num_layers=2, weight_decay=0.0)
         # every client tested on another client's test graphs with flipped labels
         swapped = [replace(c, test_graphs=replace(
             other.test_graphs, labels=1 - other.test_graphs.labels))
             for c, other in zip(clients, clients[1:] + clients[:1])]
-        assert auto_epsilons(swapped, cfg, 3) == auto_epsilons(clients, cfg, 3)
+        assert auto_epsilons(swapped, cfg, 0, 3) == auto_epsilons(clients, cfg, 0, 3)
 
     def test_zero_update_norms_floor_the_thresholds(self):
         # with lr 0 no client moves, and the thresholds stay positive rather than zero
         clients, _ = synthetic_two_group_clients(clients_per_group=2, graphs_per_client=6, seed=0)
-        cfg = RunConfig(seed=0, hidden=8, num_layers=2, lr=0.0, weight_decay=0.0)
-        assert auto_epsilons(clients, cfg, probe_rounds=2) == (1.5e-12, 0.6e-12, 0.0, 0.0)
+        cfg = RunSettings(hidden=8, num_layers=2, lr=0.0, weight_decay=0.0)
+        assert auto_epsilons(clients, cfg, 0, probe_rounds=2) == (1.5e-12, 0.6e-12, 0.0, 0.0)
