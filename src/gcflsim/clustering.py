@@ -91,18 +91,18 @@ def cosine_matrix(deltas: list[np.ndarray]) -> np.ndarray:
     return np.clip(alpha, -1.0, 1.0)
 
 
-def to_cut_weights(alpha: np.ndarray) -> np.ndarray:
-    """Clamp similarities to nonnegative cut weights with a small floor.
+def to_cut_weights(affinity: np.ndarray) -> np.ndarray:
+    """Clamp a symmetric affinity at 0 and add a small floor: the minimum-cut weights.
 
-    The floor keeps the similarity graph connected so the minimum cut remains
-    meaningful when some cosines are negative.
+    The floor keeps the graph connected so the minimum cut remains meaningful
+    when every affinity of a member is 0 or below; the diagonal is zero.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1]:
-        raise ArgumentError("similarity matrix must be square")
-    if np.max(np.abs(alpha - alpha.T)) > 1e-9 or np.max(np.abs(alpha)) > 1.0 + 1e-9:
-        raise ArgumentError("similarity matrix must be symmetric with entries in [-1, 1]")
-    w = np.maximum(alpha, 0.0) + WEIGHT_FLOOR
+    affinity = np.asarray(affinity, dtype=np.float64)
+    if affinity.ndim != 2 or affinity.shape[0] != affinity.shape[1]:
+        raise ArgumentError("affinity matrix must be square")
+    if np.max(np.abs(affinity - affinity.T)) > 1e-9:
+        raise ArgumentError("affinity matrix must be symmetric")
+    w = np.maximum(affinity, 0.0) + WEIGHT_FLOOR
     np.fill_diagonal(w, 0.0)
     return w
 
@@ -134,7 +134,6 @@ def stoer_wagner_mincut(weights: np.ndarray) -> tuple[tuple[tuple[int, ...], tup
 
     while len(active) > 1:
         start = active[0]
-        in_set = {start}
         conn = {v: work[start, v] for v in active if v != start}
         order = [start]
         while conn:
@@ -142,7 +141,6 @@ def stoer_wagner_mincut(weights: np.ndarray) -> tuple[tuple[tuple[int, ...], tup
             nxt = min(conn, key=lambda v: (-conn[v], v))
             cut_of_phase = conn.pop(nxt)
             order.append(nxt)
-            in_set.add(nxt)
             for v in conn:
                 conn[v] += work[nxt, v]
         t = order[-1]
@@ -182,8 +180,6 @@ def bipartition_cluster(cluster: ClusterState, weights: np.ndarray) -> tuple[tup
     Row/column i of the matrix corresponds to the i-th member in sorted id
     order; the first half holds that first member.
     """
-    if len(cluster.members) < 2:
-        raise ArgumentError("cannot bipartition a singleton cluster")
     if weights.shape != (len(cluster.members), len(cluster.members)):
         raise ArgumentError("weight matrix does not match member count")
     sides, cut_value = stoer_wagner_mincut(weights)

@@ -11,7 +11,6 @@ import logging
 
 import numpy as np
 
-from .clustering import WEIGHT_FLOOR
 from .errors import ArgumentError
 
 logger = logging.getLogger(__name__)
@@ -72,20 +71,4 @@ def dtw_matrix(norms: dict[int, list[float]], members: list[int],
         for j in range(i + 1, n):
             beta[i, j] = beta[j, i] = dtw_distance(rows[i], rows[j])
     return beta
-
-
-def dtw_to_cut_weights(beta: np.ndarray) -> np.ndarray:
-    """Complement distances against their maximum to get cut weights.
-
-    The most DTW-dissimilar pairs receive the smallest weights, so the
-    minimum cut severs them; a small floor keeps the graph connected.
-    """
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.ndim != 2 or beta.shape[0] != beta.shape[1]:
-        raise ArgumentError("distance matrix must be square")
-    if np.max(np.abs(beta - beta.T)) > 1e-9 or beta.min() < 0 or np.any(np.diag(beta) != 0):
-        raise ArgumentError("distance matrix must be symmetric, nonnegative, zero-diagonal")
-    w = beta.max() - beta + WEIGHT_FLOOR
-    np.fill_diagonal(w, 0.0)
-    return w
 

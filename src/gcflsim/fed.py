@@ -26,7 +26,7 @@ from .clustering import (
     split_check,
     to_cut_weights,
 )
-from .dtwseries import dtw_matrix, dtw_to_cut_weights
+from .dtwseries import dtw_matrix
 from .errors import ArgumentError, DivergenceError
 from .gnn import (
     AdamState,
@@ -379,13 +379,11 @@ def _split_round(t: int, run: _RunState, deltas: dict[int, np.ndarray], members:
     """Split ``run``, the group ``members``, after round ``t``'s ``deltas``: a state per decision.
 
     An algorithm's decision lists, for each cluster whose criteria fire, the
-    ordered member halves of its cut. Each cut is computed once per splitter
-    (gcfl's cosine or gcflplus's DTW) and cluster, and each algorithm records
+    ordered member halves of its cut (``_cut``), and each algorithm records
     its own split events. The children of a decision's n-th split take ids
     m + 2n and m + 2n + 1, m one past the largest live id. The first
     decision continues ``run``; each later one continues a copy of it.
     """
-    cuts = {}  # (algorithm, cluster id) -> (halves, cut value, windows)
     decisions: dict[tuple, list[int]] = {}  # decision -> the algorithms that take it
     next_id = max(k.id for k in run.clusters) + 1
     for i in members:
@@ -396,9 +394,7 @@ def _split_round(t: int, run: _RunState, deltas: dict[int, np.ndarray], members:
             if algorithm not in ("gcfl", "gcflplus") or n < 2 or not split_check(
                     cluster.delta_mean, cluster.delta_max, n, settings, t):
                 continue
-            if (algorithm, cluster.id) not in cuts:
-                cuts[algorithm, cluster.id] = _cut(run, deltas, cluster, algorithm, settings)
-            halves, cut_value, windows = cuts[algorithm, cluster.id]
+            halves, cut_value, windows = _cut(run, deltas, cluster, algorithm, settings)
             logger.info("round %d: %s: cluster %d split into %s | %s (cut %.3g)",
                         t, algorithm, cluster.id, *halves, cut_value)
             child = next_id + 2 * len(decision)
@@ -424,15 +420,18 @@ def _cut(run: _RunState, deltas: dict[int, np.ndarray], cluster: ClusterState, a
          settings: RunSettings) -> tuple[tuple, float, Optional[dict[int, list[float]]]]:
     """The ordered member halves and value of ``cluster``'s cut, and gcflplus's windows.
 
-    gcflplus's window of each member is its update norms of the last
+    Both cut ``to_cut_weights`` of their affinity: gcfl's is the update
+    cosine, gcflplus's the DTW distance complemented against the cluster's
+    largest. gcflplus's window of each member is its update norms of the last
     ``settings.window`` rounds, read off the group's reports; gcfl has none.
     """
     windows = None
     if algorithm == "gcfl":
-        weights = to_cut_weights(cosine_matrix([deltas[cid] for cid in cluster.members]))
+        affinity = cosine_matrix([deltas[cid] for cid in cluster.members])
     else:
         recent = [{e.client_id: e.grad_norm for e in report.entries}
                   for report in run.reports[-settings.window:]]
         windows = {cid: [norms[cid] for norms in recent] for cid in cluster.members}
-        weights = dtw_to_cut_weights(dtw_matrix(windows, cluster.members, settings.standardize))
-    return (*bipartition_cluster(cluster, weights), windows)
+        beta = dtw_matrix(windows, cluster.members, settings.standardize)
+        affinity = beta.max() - beta
+    return (*bipartition_cluster(cluster, to_cut_weights(affinity)), windows)

@@ -155,6 +155,22 @@ class TestAnalyzeHetero:
         assert lines[0].startswith("setA,setB,structure_mean")
         assert lines[1].startswith("TINY,TINY,")
 
+    def test_two_different_sets(self, tmp_path, capsys):
+        # OTHER reads its features from node attributes, TINY one-hot encodes its node labels
+        root = write_tu_fixture(tmp_path / "data", "TINY")
+        attributes = np.random.default_rng(0).uniform(size=(9, 2))
+        write_tu_fixture(root, "OTHER", node_attributes=attributes, omit=("node_labels",))
+        written = []
+        for name in ("first.csv", "again.csv"):
+            out = tmp_path / name
+            assert run_cli("analyze-hetero", "--data-root", str(root), "--set-a", "TINY",
+                           "--set-b", "OTHER", "--awe-length", "3", "--out", str(out)) == 0
+            written.append(out.read_bytes())
+        (row,) = list(csv.DictReader(written[0].decode().splitlines()))
+        assert (row.pop("setA"), row.pop("setB")) == ("TINY", "OTHER")
+        assert all(np.isfinite(float(value)) for value in row.values())
+        assert written[1] == written[0]
+
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_pair_budget_below_one_is_argument_error(self, tmp_path, capsys, budget):
         root = write_tu_fixture(tmp_path / "data", "TINY")
@@ -350,6 +366,13 @@ class TestRun:
         cfg.write_text("bogus_key = 1\n")
         assert run_cli("run", "--config", str(cfg)) == 3
         assert "ConfigurationError" in capsys.readouterr().err
+
+    def test_config_line_without_equals_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("rounds = 1\nhidden 4\n")
+        assert run_cli("run", "--config", str(cfg)) == 3
+        err = capsys.readouterr().err
+        assert "ConfigurationError" in err and "config line 2: expected key = value" in err
 
     def test_gcfl_without_eps_exit_code(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, extra="algorithms = gcfl\n")

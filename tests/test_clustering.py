@@ -172,6 +172,19 @@ class TestToCutWeights:
         alpha = np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert to_cut_weights(alpha)[0, 1] == pytest.approx(1e-6)
 
+    def test_affinity_above_one_kept(self):
+        # gcflplus's complemented DTW distances are not bounded by 1
+        w = to_cut_weights(np.array([[0.0, 7.5], [7.5, 0.0]]))
+        assert w.tolist() == [[0.0, 7.5 + 1e-6], [7.5 + 1e-6, 0.0]]
+
+    @pytest.mark.parametrize("affinity, message", [
+        (np.ones((2, 3)), "^affinity matrix must be square$"),
+        (np.array([[0.0, 1.0], [2.0, 0.0]]), "^affinity matrix must be symmetric$"),
+    ], ids=["not-square", "not-symmetric"])
+    def test_bad_affinity_rejected(self, affinity, message):
+        with pytest.raises(ArgumentError, match=message):
+            to_cut_weights(affinity)
+
     def test_output_satisfies_mincut_preconditions(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcflsim.clustering import stoer_wagner_mincut
-from gcflsim.dtwseries import dtw_distance, dtw_matrix, dtw_to_cut_weights, standardize_row
+from gcflsim import fed
+from gcflsim.clustering import (ClusterState, bipartition_cluster, stoer_wagner_mincut,
+                                to_cut_weights)
+from gcflsim.dtwseries import dtw_distance, dtw_matrix, standardize_row
 from gcflsim.errors import ArgumentError
+from gcflsim.fed import ClientRound, RoundReport, RunSettings
 
 from conftest import HYPOTHESIS
 
@@ -122,10 +125,16 @@ class TestDtwMatrix:
             dtw_matrix(window, [0, 5])
 
 
+def dtw_cut_weights(beta):
+    """gcflplus's cut weights: the distances complemented against their largest."""
+    beta = np.asarray(beta, dtype=np.float64)
+    return to_cut_weights(beta.max() - beta)
+
+
 class TestDtwToCutWeights:
     def test_all_zero_distances_give_uniform_weights_singleton_cut(self):
         beta = np.zeros((4, 4))
-        w = dtw_to_cut_weights(beta)
+        w = dtw_cut_weights(beta)
         off = w[~np.eye(4, dtype=bool)]
         assert np.allclose(off, off[0])
         (a, b), _ = stoer_wagner_mincut(w)
@@ -138,7 +147,7 @@ class TestDtwToCutWeights:
             [1.0, 0.0, 9.0],
             [10.0, 9.0, 0.0],
         ])
-        (a, b), _ = stoer_wagner_mincut(dtw_to_cut_weights(beta))
+        (a, b), _ = stoer_wagner_mincut(dtw_cut_weights(beta))
         assert {frozenset(a), frozenset(b)} == {frozenset({0, 1}), frozenset({2})}
 
     def test_output_satisfies_mincut_preconditions(self):
@@ -147,7 +156,22 @@ class TestDtwToCutWeights:
             n = int(rng.integers(2, 7))
             beta = np.triu(rng.uniform(0, 5, (n, n)), 1)
             beta = beta + beta.T
-            stoer_wagner_mincut(dtw_to_cut_weights(beta))  # must not raise
+            stoer_wagner_mincut(dtw_cut_weights(beta))  # must not raise
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_gcflplus_cut_is_the_minimum_cut_of_these_weights(self, standardize):
+        # clients 1 and 3 rise together, 2 and 4 swing apart; the cut reads the last 3 rounds
+        norms = {1: [7.0, 1.0, 2.0, 3.0], 2: [7.0, 5.0, 0.5, 4.0], 3: [7.0, 1.1, 2.0, 3.2],
+                 4: [7.0, 9.0, 9.5, 0.1]}
+        reports = [RoundReport(t, [ClientRound(cid, 0, 0.0, 0.0, 0.0, row[t])
+                                   for cid, row in norms.items()]) for t in range(4)]
+        cluster = ClusterState(0, [4, 3, 2, 1], np.zeros(2))
+        run = fed._RunState([cluster], 0.0, {}, {}, reports)
+        settings = RunSettings(window=3, standardize=standardize)
+        halves, cut_value, windows = fed._cut(run, {}, cluster, "gcflplus", settings)
+        assert windows == {cid: row[1:] for cid, row in norms.items()}
+        beta = dtw_matrix(windows, cluster.members, standardize)
+        assert (halves, cut_value) == bipartition_cluster(cluster, dtw_cut_weights(beta))
 
 
 def write_window_csv(path, window, members):

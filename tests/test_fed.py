@@ -360,6 +360,16 @@ class TestRunFederation:
         with pytest.raises(ArgumentError, match="client 1 "):
             run_one(clients, "fedavg", 1, TINY)
 
+    def test_no_clients_rejected(self):
+        with pytest.raises(ArgumentError, match="^need at least one client$"):
+            run_one([], "fedavg", 1, TINY)
+
+    def test_repeated_client_id_rejected(self):
+        clients = tiny_clients(2)
+        clients[1] = replace(clients[1], id=clients[0].id)
+        with pytest.raises(ArgumentError, match="^client ids must be unique$"):
+            run_one(clients, "fedavg", 1, TINY)
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ArgumentError):
             run_one(tiny_clients(1), "magic", 1, TINY)

@@ -426,6 +426,10 @@ class TestOneHotDegree:
         assert out[0].tolist() == [0.0, 0.0, 0.0, 1.0]
         assert out[1].tolist() == [0.0, 1.0, 0.0, 0.0]
 
+    def test_max_degree_below_one_rejected(self, triangle):
+        with pytest.raises(ArgumentError, match="^max_degree must be >= 1$"):
+            one_hot_degrees(triangle.degrees, 0)
+
     def test_output_width(self):
         rng = np.random.default_rng(14)
         for _ in range(5):

@@ -89,6 +89,20 @@ class TestPartitionOneDataset:
         with pytest.raises(ConfigurationError):
             partition_one_dataset(ds, 3, 20, seed=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(num_clients=2, per_client=5, test_fraction=0.0), r"^test_fraction must be in \(0, 1"),
+        (dict(num_clients=2, per_client=5, test_fraction=1.0), r"^test_fraction must be in \(0, 1"),
+        (dict(num_clients=0, per_client=5), "^need num_clients >= 1 and per_client >= 2$"),
+        (dict(num_clients=2, per_client=1), "^need num_clients >= 1 and per_client >= 2$"),
+        (dict(num_clients=2, per_client=5, overlap=True, label_skew=True),
+         "^label_skew is only supported without overlap$"),
+        (dict(num_clients=2, per_client=21, overlap=True), "^per_client exceeds dataset size$"),
+    ], ids=["test-fraction-0", "test-fraction-1", "no-client", "one-graph", "skew-with-overlap",
+            "overlap-past-size"])
+    def test_bad_partition_rejected(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            partition_one_dataset(synthetic_dataset(20), **kwargs)
+
     def test_label_skew_concentrates_labels(self):
         ds = synthetic_dataset(400)
         clients = partition_one_dataset(ds, 4, 100, seed=0, label_skew=True)
@@ -232,6 +246,14 @@ class TestExperimentConfig:
                            match="^config line 4: key 'rounds' already set on line 1$"):
             ExperimentConfig.from_file(cfg_file)
         assert ExperimentConfig().with_overrides(["rounds=3", "rounds=7"]).rounds == 7
+
+    @pytest.mark.parametrize("value", ["none", "None", ""])
+    def test_optional_none_or_empty_parses_to_none(self, tmp_path, value):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"per_client_graphs = {value}\n")
+        assert ExperimentConfig.from_file(cfg_file).per_client_graphs is None
+        assert ExperimentConfig(per_client_graphs=8).with_overrides(
+            [f"per_client_graphs={value}"]).per_client_graphs is None
 
     def test_bad_boolean_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"

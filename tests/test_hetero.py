@@ -336,6 +336,11 @@ class TestJensenShannon:
             assert js_distance(p, q) >= 0.0
             assert js_distance(p, r) <= js_distance(p, q) + js_distance(q, r) + 1e-9
 
+    @pytest.mark.parametrize("p", [[0.5, 0.6], [1.5, -0.5]], ids=["sum", "negative"])
+    def test_non_probability_rows_rejected(self, p):
+        with pytest.raises(ArgumentError, match="^inputs must be probability vectors$"):
+            js_divergence(np.array([p, [0.5, 0.5]]), np.full((2, 2), 0.5))
+
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(8)
         p = rng.dirichlet(np.ones(4))

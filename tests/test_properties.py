@@ -12,6 +12,7 @@ from scipy import sparse, special, stats
 from scipy.sparse import csgraph
 
 from gcflsim import properties
+from gcflsim.errors import ArgumentError
 from gcflsim.graphs import Dataset, _offsets
 from gcflsim.properties import (
     FRONTIER_BITS,
@@ -481,6 +482,11 @@ class TestWelch:
 
     def test_identical_constant_samples(self):
         assert welch_p_value([2.0, 2.0, 2.0], [2.0, 2.0, 2.0]) == 1.0
+
+    @pytest.mark.parametrize("a, b", [([1.0], [1.0, 2.0]), ([1.0, 2.0], [])])
+    def test_fewer_than_two_observations_rejected(self, a, b):
+        with pytest.raises(ArgumentError, match="^need at least two observations per sample$"):
+            welch_p_value(a, b)
 
     @HYPOTHESIS
     @given(welch_samples())
